@@ -92,47 +92,60 @@ def congruence_from_tuples(t: AssociatedTuple, t2: AssociatedTuple,
     return C
 
 
+def _delta(space: HermitianSpace, x: np.ndarray) -> QArray:
+    """An m x m matrix over the field of space from its real coordinates,
+    or a stack of them from one coordinate vector per row of x."""
+    m = space.dim
+    mm = m * m
+    shape = x.shape[:-1] + (m, m)
+    da = (x[..., :mm] + 1j * x[..., mm:2 * mm]).reshape(shape)
+    if space.field == "complex":
+        return QArray(da)
+    db = (x[..., 2 * mm:3 * mm] + 1j * x[..., 3 * mm:]).reshape(shape)
+    return QArray(da, db)
+
+
+def _flat(R: QArray) -> np.ndarray:
+    """Real coordinates of a matrix, or of each matrix in a stack."""
+    a = R.a.reshape(R.shape[:-2] + (-1,))
+    b = R.b.reshape(R.shape[:-2] + (-1,))
+    return np.concatenate([a.real, a.imag, b.real, b.imag], axis=-1)
+
+
+def _linearization(space: HermitianSpace, targets) -> np.ndarray:
+    """Real matrix of D -> (D X' - X' D) over every X' in targets, with
+    one column per real direction of D."""
+    nreal = (4 if space.field == "quaternion" else 2) * space.dim ** 2
+    basis = _delta(space, np.eye(nreal))
+    return np.concatenate([_flat(basis @ Xp - Xp @ basis).T
+                           for Xp in targets])
+
+
 def _refine_conjugator(space: HermitianSpace, C: QArray, pairs,
                        sweeps: int = 3) -> QArray:
     """Newton polish of C X C^-1 = X' over the given element pairs.
 
     Each sweep solves the linearization (I + D) C: D X' - X' D = E with
     E = X' - C X C^-1, jointly over all pairs, by real least squares.
+    The linear map does not depend on C, so it is built once.
     """
-    m = space.dim
-    quat = space.field == "quaternion"
-    mm = m * m
-    nreal = (4 if quat else 2) * mm
+    lin = _linearization(space, [Xp for _, Xp in pairs])
 
-    def make_delta(x):
-        da = (x[:mm] + 1j * x[mm:2 * mm]).reshape(m, m)
-        if not quat:
-            return QArray(da)
-        db = (x[2 * mm:3 * mm] + 1j * x[3 * mm:]).reshape(m, m)
-        return QArray(da, db)
-
-    def flat(R):
-        return np.concatenate([R.a.ravel().real, R.a.ravel().imag,
-                               R.b.ravel().real, R.b.ravel().imag])
-
-    basis = [make_delta(col) for col in np.eye(nreal)]
-    for _ in range(sweeps):
+    def residuals(C):
         Cinv = C.inverse()
-        blocks, rhs = [], []
-        for X, Xp in pairs:
-            E = Xp - C @ X @ Cinv
-            rhs.append(flat(E))
-            blocks.append(np.stack([flat(D @ Xp - Xp @ D) for D in basis],
-                                   axis=1))
-        x, *_ = np.linalg.lstsq(np.concatenate(blocks),
-                                np.concatenate(rhs), rcond=None)
-        step = make_delta(x)
-        C2 = (QArray.eye(m) + step) @ C
-        old = max((Xp - C @ X @ C.inverse()).max_abs() for X, Xp in pairs)
-        new = max((Xp - C2 @ X @ C2.inverse()).max_abs() for X, Xp in pairs)
+        return [Xp - C @ X @ Cinv for X, Xp in pairs]
+
+    E = residuals(C)
+    old = max(e.max_abs() for e in E)
+    for _ in range(sweeps):
+        x, *_ = np.linalg.lstsq(lin, np.concatenate([_flat(e) for e in E]),
+                                rcond=None)
+        C2 = (QArray.eye(space.dim) + _delta(space, x)) @ C
+        E2 = residuals(C2)
+        new = max(e.max_abs() for e in E2)
         if new >= old:
             break
-        C = C2
+        C, E, old = C2, E2, new
     return C
 
 
@@ -259,7 +272,6 @@ def _orthogonal_complement(space: HermitianSpace,
     Minv = M.inverse()
     S = QArray.from_columns(vectors)
     out: List[QArray] = []
-    have = list(vectors)
     for i in range(space.n + 1):
         e = QArray.zeros(space.n + 1)
         e.a[i] = 1.0
@@ -272,7 +284,6 @@ def _orthogonal_complement(space: HermitianSpace,
         if nrm <= 1e-8:
             continue
         out.append(v.scale(1.0 / np.sqrt(nrm)))
-        have.append(out[-1])
         if len(out) == space.n + 1 - k:
             break
     if len(out) < space.n + 1 - k:
@@ -428,8 +439,16 @@ def invariant_map_rank(space: HermitianSpace, A: QArray, B: QArray,
     Kb = np.stack(K, axis=1)
     Q, _ = np.linalg.qr(Kb)
     P = np.eye(2 * d) - Q @ Q.T
-    sv = np.linalg.svd(J @ P, compute_uv=False)
+    return _rank_cut(np.linalg.svd(J @ P, compute_uv=False), max(J.shape))
+
+
+def _rank_cut(sv: np.ndarray, dim: int) -> Tuple[int, float]:
+    """Numerical rank from descending singular values: the cut at the
+    largest ratio sv[i] / sv[i+1] whose upper value lies above the noise
+    floor dim * eps * sv[0], and that ratio."""
     sv = sv[sv > 0]
     ratios = sv[:-1] / sv[1:]
+    floor = dim * np.finfo(float).eps * sv[0]
+    ratios[sv[:-1] <= floor] = 0.0
     cut = int(np.argmax(ratios))
     return cut + 1, float(ratios[cut])

@@ -62,10 +62,6 @@ class RealEigenvalueClass(DegenerateInputError):
     pass
 
 
-class BadParams(LoxpairsError):
-    pass
-
-
 class GramSchmidtBreakdown(DegenerateInputError):
     pass
 

@@ -4,6 +4,13 @@ classification, and attracting/repelling eigen-frames.
 All eigen-computations go through the complex embedding of the matrix.
 Eigenvalue classes of a quaternionic matrix are labelled by their unique
 complex representative with non-negative imaginary part.
+
+An eigen-frame is built in two steps.  The class count and simplicity
+come from the characteristic polynomial (Faddeev-LeVerrier, Aberth
+roots, clustering).  The eigenpairs come from one LAPACK eig of the
+balanced matrix, whose upper half-plane eigenvalues represent the
+classes, and are polished by one bordered-Newton step in extended
+precision.
 """
 
 from __future__ import annotations
@@ -24,7 +31,6 @@ from .quat import Quaternion
 
 PALINDROME_TOL = 1e-8
 RESIDUAL_TOL = 1e-8
-NULLSPACE_TOL = 1e-9
 RADIUS_GUARD = 1e-7
 
 
@@ -100,66 +106,10 @@ def classify_element(space: HermitianSpace, A: QArray,
     return ElementClass(True, None, tr)
 
 
-def _nullspace_vector(M: np.ndarray, tol: float = NULLSPACE_TOL) -> np.ndarray:
-    """One kernel vector of M by Gaussian elimination with full pivoting."""
-    M = M.copy()
-    m = M.shape[0]
-    scale = float(np.max(np.abs(M))) or 1.0
-    col_perm = np.arange(m)
-    rank = 0
-    for k in range(m):
-        sub = np.abs(M[k:, k:])
-        i, j = np.unravel_index(np.argmax(sub), sub.shape)
-        if sub[i, j] <= tol * scale:
-            break
-        M[[k, k + i]] = M[[k + i, k]]
-        M[:, [k, k + j]] = M[:, [k + j, k]]
-        col_perm[[k, k + j]] = col_perm[[k + j, k]]
-        M[k + 1:, k:] -= np.outer(M[k + 1:, k] / M[k, k], M[k, k:])
-        rank += 1
-    if rank == m:
-        raise DegenerateSpectrum("matrix has no kernel at this tolerance")
-    # back-substitute with the first free column set to 1
-    v = np.zeros(m, dtype=complex)
-    v[rank] = 1.0
-    for k in range(rank - 1, -1, -1):
-        v[k] = -(M[k, k + 1:] @ v[k + 1:]) / M[k, k]
-    out = np.zeros(m, dtype=complex)
-    out[col_perm] = v
-    return out / np.linalg.norm(out)
-
-
-def _approx_kernel(M: np.ndarray) -> np.ndarray:
-    """Near-kernel vector: elimination when the shift is sharp, smallest
-    singular direction otherwise (inverse iteration polishes either)."""
-    try:
-        return _nullspace_vector(M)
-    except DegenerateSpectrum:
-        return np.linalg.svd(M)[2][-1].conj()
-
-
-def _refine_eigenpair(M: np.ndarray, v: np.ndarray, lam: complex):
-    """Sharpen an approximate eigenpair by inverse iteration with
-    Rayleigh-quotient updates; the characteristic-polynomial roots are
-    only as accurate as the coefficient recursion allows."""
-    eye = np.eye(M.shape[0])
-    for _ in range(4):
-        try:
-            w = np.linalg.solve(M - lam * eye, v)
-        except np.linalg.LinAlgError:
-            break
-        nw = np.linalg.norm(w)
-        if not np.isfinite(nw) or nw == 0.0:
-            break
-        v = w / nw
-        lam = complex(np.vdot(v, M @ v))
-    return v, lam
-
-
 def _balance_scaling(A: QArray) -> np.ndarray:
     """Diagonal scaling d with D^-1 A D of roughly balanced row/column
     norms; the eigenvector error floor is eps * ||A||, so conjugates
-    with large entries need this before inverse iteration."""
+    with large entries need this before the eigensolver."""
     mag = np.abs(A.a) + np.abs(A.b)
     if mag.max() <= 100.0:
         # moderate entries gain nothing, and rescaling perturbs the
@@ -172,76 +122,81 @@ def _balance_scaling(A: QArray) -> np.ndarray:
 
 def _solve_xp(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Gaussian elimination with partial pivoting in extended precision
-    (LAPACK has no clongdouble kernels; the systems here are tiny)."""
-    n = J.shape[0]
-    T = np.concatenate([J, rhs[:, None]], axis=1)
+    on a stack of systems J[i] x[i] = rhs[i] (LAPACK has no clongdouble
+    kernels; the systems here are tiny)."""
+    k, n = rhs.shape
+    rows = np.arange(k)
+    T = np.concatenate([J, rhs[:, :, None]], axis=2)
     for c in range(n):
-        p = c + int(np.argmax(np.abs(T[c:, c])))
-        if T[p, c] == 0:
+        p = c + np.argmax(np.abs(T[:, c:, c]), axis=1)
+        if np.any(T[rows, p, c] == 0):
             raise np.linalg.LinAlgError("singular bordered system")
-        if p != c:
-            T[[c, p]] = T[[p, c]]
-        T[c + 1:] -= (T[c + 1:, c:c + 1] / T[c, c]) * T[c:c + 1]
-    x = np.zeros(n, dtype=T.dtype)
+        T[rows, c], T[rows, p] = T[rows, p], T[rows, c].copy()
+        T[:, c + 1:] -= (T[:, c + 1:, c:c + 1] / T[:, c:c + 1, c:c + 1]) \
+            * T[:, c:c + 1]
+    x = np.zeros((k, n), dtype=T.dtype)
     for c in range(n - 1, -1, -1):
-        x[c] = (T[c, n] - T[c, c + 1:n] @ x[c + 1:]) / T[c, c]
+        x[:, c] = (T[:, c, n] - np.sum(T[:, c, c + 1:n] * x[:, c + 1:],
+                                       axis=1)) / T[:, c, c]
     return x
 
 
-def _polish_eigenpair(M: np.ndarray, v: np.ndarray, lam: complex,
-                      steps: int = 3):
-    """Bordered-Newton correction of (v, lam) in extended precision;
-    pushes the eigenvector error below the eps * ||M|| floor that plain
-    inverse iteration hits on conjugates with large entries."""
+def _polish_eigenpairs(M: np.ndarray, V: np.ndarray, lams: np.ndarray):
+    """One bordered-Newton correction, in extended precision, of every
+    eigenpair (row V[i], lams[i]) of M.  It pushes the eigenvector error
+    below the eps * ||M|| floor that a double-precision eigensolver hits
+    on conjugates with large entries.  The pairs stay as they are when a
+    bordered system is singular."""
     n = M.shape[0]
+    k = lams.size
     Ml = M.astype(np.clongdouble)
-    vl = v.astype(np.clongdouble)
-    laml = np.clongdouble(lam)
-    eye = np.eye(n, dtype=np.clongdouble)
-    for _ in range(steps):
-        r = Ml @ vl - laml * vl
-        J = np.empty((n + 1, n + 1), dtype=np.clongdouble)
-        J[:n, :n] = Ml - laml * eye
-        J[:n, n] = -vl
-        J[n, :n] = np.conj(vl)
-        J[n, n] = 0.0
-        try:
-            delta = _solve_xp(J, np.concatenate([-r, [np.clongdouble(0)]]))
-        except np.linalg.LinAlgError:
-            break
-        vl = vl + delta[:n]
-        vl /= np.sqrt(np.real(np.vdot(vl, vl)))
-        laml = laml + delta[n]
-    return np.asarray(vl, dtype=complex), complex(laml)
+    Vl = V.astype(np.clongdouble)
+    L = lams.astype(np.clongdouble)
+    J = np.zeros((k, n + 1, n + 1), dtype=np.clongdouble)
+    J[:, :n, :n] = Ml - L[:, None, None] * np.eye(n)
+    J[:, :n, n] = -Vl
+    J[:, n, :n] = np.conj(Vl)
+    rhs = np.zeros((k, n + 1), dtype=np.clongdouble)
+    rhs[:, :n] = L[:, None] * Vl - Vl @ Ml.T
+    try:
+        delta = _solve_xp(J, rhs)
+    except np.linalg.LinAlgError:
+        return V, lams
+    Vl = Vl + delta[:, :n]
+    Vl /= np.sqrt(np.sum(np.abs(Vl) ** 2, axis=1))[:, None]
+    return np.asarray(Vl, dtype=complex), np.asarray(L + delta[:, n],
+                                                     dtype=complex)
 
 
-def _eigenpair(space: HermitianSpace, A: QArray, lam: complex):
-    """Quaternionic eigenvector and polished eigenvalue for one class."""
+def _eigenpairs(space: HermitianSpace, A: QArray):
+    """Quaternionic eigenvectors and polished eigenvalues, one per class.
+
+    One LAPACK eig of the balanced matrix (its complex embedding in
+    quaternionic mode) gives every eigenpair.  The embedding's spectrum
+    is closed under conjugation, so its upper half holds the Im >= 0
+    representative of every class.  One extended-precision Newton step
+    polishes these pairs.
+    """
     d = _balance_scaling(A)
     Ab = QArray(A.a * d[None, :] / d[:, None],
                 A.b * d[None, :] / d[:, None])
-    if space.field == "complex":
-        M = Ab.a
-        v = _approx_kernel(M - lam * np.eye(space.dim))
-        v, lam = _refine_eigenpair(M, v, lam)
-        v, lam = _polish_eigenpair(M, v, lam)
-        v = v * d
-        v /= np.linalg.norm(v)
-        resid = np.linalg.norm(A.a @ v - lam * v)
-        if resid > RESIDUAL_TOL * (1.0 + A.max_abs()):
-            raise DegenerateSpectrum(f"eigenvector residual {resid:.3e}")
-        return QArray(v), lam
-    M = Ab.embed()
-    w = _approx_kernel(M - lam * np.eye(2 * space.dim))
-    w, lam = _refine_eigenpair(M, w, lam)
-    w, lam = _polish_eigenpair(M, w, lam)
-    w = w * np.concatenate([d, d])
-    w /= np.linalg.norm(w)
-    v = QArray(w[:space.dim], w[space.dim:])
-    resid = (A @ v - v.rmul(Quaternion.from_complex(lam))).norm()
-    if resid > RESIDUAL_TOL * (1.0 + A.max_abs()):
-        raise DegenerateSpectrum(f"eigenvector residual {resid:.3e}")
-    return v, lam
+    quat = space.field == "quaternion"
+    if quat:
+        M, Mfull, d = Ab.embed(), A.embed(), np.concatenate([d, d])
+    else:
+        M, Mfull = Ab.a, A.a
+    evals, evecs = np.linalg.eig(M)
+    idx = np.argsort(-evals.imag)[:space.dim]
+    W, lams = _polish_eigenpairs(M, evecs[:, idx].T, evals[idx])
+    W = W * d
+    W /= np.linalg.norm(W, axis=1)[:, None]
+    # the embedding carries A v - v lam to Mfull w - lam w
+    resid = np.linalg.norm(W @ Mfull.T - lams[:, None] * W, axis=1)
+    gate = RESIDUAL_TOL * (1.0 + A.max_abs())
+    if np.max(resid) > gate:
+        raise DegenerateSpectrum(f"eigenvector residual {np.max(resid):.3e}")
+    return [(QArray.from_embed(w) if quat else QArray(w), lam)
+            for w, lam in zip(W, lams)]
 
 
 @dataclass
@@ -316,7 +271,7 @@ def eigen_frame(space: HermitianSpace, A: QArray,
     centers, mults = _class_representatives(space, A)
     if np.any(mults > 1) or centers.size != space.dim:
         raise DegenerateSpectrum("eigenvalue classes are not simple")
-    pairs = [_eigenpair(space, A, lam) for lam in centers]
+    pairs = _eigenpairs(space, A)
     centers = np.array([lam for _, lam in pairs])
     if space.field == "quaternion" and np.any(centers.imag < -1e-9):
         raise DegenerateSpectrum("class representative left the upper half plane")
@@ -346,7 +301,10 @@ def eigen_frame(space: HermitianSpace, A: QArray,
     phis = np.array([float(np.angle(centers[i])) for i in unit_idx])
 
     # only complex rescalings keep the eigenvalue representatives intact
-    g = space.inner(a, rv).to_complex(tol=1e-7)
+    try:
+        g = space.inner(a, rv).to_complex(tol=1e-7)
+    except ValueError as exc:
+        raise DegenerateSpectrum(f"attracting/repelling pairing: {exc}") from exc
     rv = rv.rmul(Quaternion.from_complex(1.0 / np.conj(g)))
     for x in positives:
         if space.norm_sq(x) <= 0:

@@ -193,12 +193,11 @@ class SurfaceRepresentation:
 
 def parameter_count(space: HermitianSpace, genus: int) -> int:
     """Real parameters of a genus-g assembly: each of the 2g-2 pants
-    carries a full conjugacy datum, the g handle closings each remove
-    and the g twist-bends each restore ten (quaternionic) or five
-    (complex) parameters."""
-    per_curve = 10 if space.field == "quaternion" else 5
+    carries a full conjugacy datum; the g handle closings each remove ten
+    (quaternionic) or five (complex) parameters and the g twist-bends
+    restore them, so the count is the pants data alone."""
     dim = 36 if space.field == "quaternion" else 15
-    return dim * (2 * genus - 2) - per_curve * genus + per_curve * genus
+    return dim * (2 * genus - 2)
 
 
 def assemble_surface_representation(

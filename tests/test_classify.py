@@ -136,3 +136,48 @@ def test_congruence_from_tuples_identity(qspace):
     C = congruence_from_tuples(t, t)
     assert C is not None
     assert (C - QArray.eye(qspace.dim)).max_abs() < 1e-7
+
+
+def test_rank_cut_ignores_noise_tail():
+    from loxpairs.classify import _rank_cut
+    # a clean cut after five values, then a sub-eps tail whose own
+    # ratios (1e-35 / 1e-59) dwarf the real gap
+    sv = np.array([1.0, 0.8, 0.5, 0.3, 7e-6, 5e-18, 3e-20, 1e-35, 1e-59])
+    rank, gap = _rank_cut(sv, 72)
+    assert rank == 5
+    assert np.isclose(gap, 7e-6 / 5e-18)
+
+
+def _flat_one(R):
+    return np.concatenate([R.a.ravel().real, R.a.ravel().imag,
+                           R.b.ravel().real, R.b.ravel().imag])
+
+
+@pytest.mark.parametrize("field", ["complex", "quaternion"])
+@pytest.mark.parametrize("n", [3, 5])
+def test_linearization_matches_per_direction(field, n):
+    from loxpairs.classify import _linearization
+    from loxpairs.generate import random_loxodromic
+    space = HermitianSpace(n, field)
+    rng = np.random.default_rng(5)
+    targets = [random_loxodromic(space, rng) for _ in range(2)]
+    m = space.dim
+    units = (1, 1j) if field == "complex" else (1, 1j, "j", "k")
+    directions = []
+    for u in units:
+        for i in range(m):
+            for k in range(m):
+                D = QArray.zeros((m, m))
+                if u == "j":
+                    D.b[i, k] = 1.0
+                elif u == "k":
+                    D.b[i, k] = 1j
+                else:
+                    D.a[i, k] = u
+                directions.append(D)
+    expect = np.concatenate([
+        np.stack([_flat_one(D @ Xp - Xp @ D) for D in directions], axis=1)
+        for Xp in targets])
+    got = _linearization(space, targets)
+    assert got.shape == expect.shape
+    assert np.max(np.abs(got - expect)) <= 1e-12

@@ -143,3 +143,60 @@ def test_complex_mode_frame(cspace, rng):
     f = eigen_frame(cspace, A)
     assert (f.rebuild() - A).max_abs() < 1e-8 * (1 + A.max_abs())
     assert np.max(np.abs(f.attracting.b)) == 0
+
+
+def test_eigenpairs_pick_upper_representatives(qspace, rng):
+    from loxpairs.spectral import _eigenpairs
+    A = random_loxodromic(qspace, rng)
+    lams = np.array([lam for _, lam in _eigenpairs(qspace, A)])
+    assert np.all(lams.imag >= 0)
+    ev = np.linalg.eigvals(A.embed())
+    for c in ev[ev.imag > 0]:
+        assert np.min(np.abs(lams - c)) < 1e-9
+
+
+def test_eigen_frame_large_conjugator_n5(rng):
+    # a boost of norm 1e3 spreads the entries of Q A Q^-1 over 1e6
+    from loxpairs.spectral import RESIDUAL_TOL
+    space = HermitianSpace(5, "quaternion")
+    A = random_loxodromic(space, rng)
+    Q = QArray.diag([1e3, 1, 1, 1, 1, 1e-3])
+    A2 = conjugate_by(Q, A)
+    f = eigen_frame(space, A2)
+    gate = RESIDUAL_TOL * (1 + A2.max_abs())
+    for v, lam in zip([f.attracting, *f.positives, f.repelling],
+                      f.eigenvalues):
+        resid = (A2 @ v - v.rmul(Quaternion.from_complex(lam))).norm()
+        assert resid <= gate * v.norm()
+    assert (f.rebuild() - A2).max_abs() <= gate
+
+
+def test_eigen_frame_non_complex_pairing_is_typed(qspace, rng, monkeypatch):
+    import loxpairs.spectral as spectral
+    from loxpairs.errors import DegenerateSpectrum
+    A = random_loxodromic(qspace, rng)
+    original = spectral._eigenpairs
+
+    def skewed(space, A):
+        # right-multiplying the repelling eigenvector by j keeps it an
+        # eigenvector of the class, but <a, rv> is no longer complex
+        pairs = original(space, A)
+        k = int(np.argmax([abs(lam) for _, lam in pairs]))
+        v, lam = pairs[k]
+        pairs[k] = (v.rmul(Quaternion(0, 0, 1, 0)), lam)
+        return pairs
+
+    monkeypatch.setattr(spectral, "_eigenpairs", skewed)
+    with pytest.raises(DegenerateSpectrum):
+        eigen_frame(qspace, A)
+
+
+def test_solve_xp_stack_matches_per_system_solve(rng):
+    from loxpairs.spectral import _solve_xp
+    J = rng.standard_normal((4, 7, 7)) + 1j * rng.standard_normal((4, 7, 7))
+    rhs = rng.standard_normal((4, 7)) + 1j * rng.standard_normal((4, 7))
+    x = _solve_xp(J.astype(np.clongdouble), rhs.astype(np.clongdouble))
+    assert x.dtype == np.clongdouble
+    for Ji, ri, xi in zip(J, rhs, x):
+        assert np.allclose(np.asarray(xi, dtype=complex),
+                           np.linalg.solve(Ji, ri), rtol=1e-10, atol=1e-12)
