@@ -266,18 +266,13 @@ def _orthogonal_complement(space: HermitianSpace,
     """H-orthonormal basis of the complement of span(vectors); the
     complement must be positive definite."""
     k = len(vectors)
-    M = QArray.from_quaternions(
-        [[space.inner(vectors[j], vectors[i]) for j in range(k)]
-         for i in range(k)])
-    Minv = M.inverse()
     S = QArray.from_columns(vectors)
+    # column i is e_i - S M^-1 b with M = S^* H S and b = S^* H e_i
+    R = QArray.eye(space.dim) - S @ (
+        space.gram(vectors).inverse() @ (S.adjoint() @ QArray(space.H)))
     out: List[QArray] = []
-    for i in range(space.n + 1):
-        e = QArray.zeros(space.n + 1)
-        e.a[i] = 1.0
-        b = QArray.from_quaternions(
-            [space.inner(e, v) for v in vectors])
-        v = e - S @ (Minv @ b)
+    for i in range(space.dim):
+        v = R.column(i)
         for u in out:
             v = v - u.rmul(space.inner(v, u))
         nrm = space.norm_sq(v)
@@ -299,8 +294,10 @@ def boundary_quadruple_congruence(space: HermitianSpace, zs: List[QArray],
     pairings lie in different Sp(1) orbits."""
     zn = _normalize_quadruple(space, zs)
     wn = _normalize_quadruple(space, ws)
-    ez = [space.inner(zn[j], zn[i]) for i in range(4) for j in range(i + 1, 4)]
-    ew = [space.inner(wn[j], wn[i]) for i in range(4) for j in range(i + 1, 4)]
+    Gz, Gw = space.gram(zn), space.gram(wn)
+    upper = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    ez = [Gz.entry(i, j) for i, j in upper]
+    ew = [Gw.entry(i, j) for i, j in upper]
     if space.field == "complex":
         ok = all(abs(a - b) <= tol for a, b in zip(ez, ew))
         mu: Optional[Quaternion] = ONE if ok else None

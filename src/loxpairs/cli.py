@@ -84,8 +84,6 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_conjugacy_test(args) -> int:
-    if len(args.infile) != 2:
-        raise SystemExit("conjugacy-test needs two --in files")
     space, A, B = sz.pair_from_json(_read_json(args.infile[0]))
     space2, A2, B2 = sz.pair_from_json(_read_json(args.infile[1]))
     if (space.n, space.field) != (space2.n, space2.field):
@@ -100,8 +98,6 @@ def _cmd_conjugacy_test(args) -> int:
 
 
 def _cmd_twist_bend(args) -> int:
-    if len(args.infile) != 2:
-        raise SystemExit("twist-bend needs --in PAIR KAPPA")
     space, A, B = sz.pair_from_json(_read_json(args.infile[0]))
     kappa_obj = _read_json(args.infile[1])
     sz.validate_against_schema(kappa_obj, "kappa")
@@ -172,6 +168,10 @@ def main(argv=None) -> int:
     needs_input = args.command != "generate"
     if needs_input and not args.infile:
         print(f"error: {args.command} requires --in", file=sys.stderr)
+        return 2
+    if args.command in ("conjugacy-test", "twist-bend") \
+            and len(args.infile) != 2:
+        print(f"error: {args.command} needs two --in files", file=sys.stderr)
         return 2
     try:
         return _COMMANDS[args.command](args)

@@ -64,19 +64,6 @@ def _line_meets_polar_boundary(space: HermitianSpace, line, x: QArray,
     return abs(cross) <= tol * scale1 * scale2
 
 
-def generic_pair(space: HermitianSpace, f: Flag, g: Flag,
-                 tol: float = MEMBERSHIP_TOL) -> bool:
-    if on_line_boundary(space, f.point, g.line, tol):
-        return False
-    if on_line_boundary(space, g.point, f.line, tol):
-        return False
-    if _line_meets_polar_boundary(space, f.line, g.polar, tol):
-        return False
-    if _line_meets_polar_boundary(space, g.line, f.polar, tol):
-        return False
-    return True
-
-
 @dataclass
 class PairGenericityReport:
     weakly_nonsingular: bool
@@ -119,12 +106,20 @@ def genericity_report(space: HermitianSpace, fa: LoxodromicFrame,
     if _common_fixed_point(space, fa, fb, tol):
         failing.append("common-fixed-point")
 
+    # (f_i, g_j) is a generic flag pair iff neither point lies on the
+    # other line and neither line meets the other polar's boundary.  All
+    # flags of one frame share its point and line, so the point test is
+    # one for every pair and each polar test depends on i or j alone.
     flags_a = canonical_flags(fa)
     flags_b = canonical_flags(fb)
-    M = np.zeros((n - 1, n - 1), dtype=bool)
-    for i, f in enumerate(flags_a):
-        for j, g in enumerate(flags_b):
-            M[i, j] = generic_pair(space, f, g, tol)
+    f0, g0 = flags_a[0], flags_b[0]
+    points_ok = not (on_line_boundary(space, f0.point, g0.line, tol)
+                     or on_line_boundary(space, g0.point, f0.line, tol))
+    rows = [not _line_meets_polar_boundary(space, g0.line, f.polar, tol)
+            for f in flags_a]
+    cols = [not _line_meets_polar_boundary(space, f0.line, g.polar, tol)
+            for g in flags_b]
+    M = points_ok & np.outer(rows, cols)
 
     pairs, size = _max_matching(M)
     if size < n - 2:

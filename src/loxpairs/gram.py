@@ -48,9 +48,6 @@ class AssociatedTuple:
     def n(self) -> int:
         return self.space.n
 
-    def all_lifts(self) -> List[QArray]:
-        return [*self.lifts, self.omitted_A, self.omitted_B]
-
 
 def _unit_scale_for(space: HermitianSpace, anchor: QArray,
                     raw: QArray) -> Quaternion:
@@ -105,13 +102,12 @@ def normalize_lifts(space: HermitianSpace, fa: LoxodromicFrame,
 
 
 def gram_matrix(t: AssociatedTuple, tol: float = PATTERN_TOL) -> np.ndarray:
-    """2n x 2n array of Quaternion pairings, pattern-checked."""
+    """2n x 2n array of Quaternion pairings G[i, j] = <p_i, p_j>,
+    pattern-checked."""
     n = t.n
     m = 2 * n
-    G = np.empty((m, m), dtype=object)
-    for i in range(m):
-        for j in range(m):
-            G[i, j] = t.space.inner(t.lifts[i], t.lifts[j])
+    # the Gram product holds <p_i, p_j> at (j, i)
+    G = np.array(t.space.gram(t.lifts).to_quaternions(), dtype=object).T
 
     def _is(i, j, val):
         if abs(G[i, j] - val) > tol:

@@ -8,14 +8,17 @@ Coordinates are chosen so that the form is
 i.e. <z,w> = conj(w_{n+1}) z_1 + conj(w_1) z_{n+1} + sum_j conj(w_j) z_j.
 Negative vectors project to points of the ball model; null vectors to its
 boundary.
+
+`inner` gives one pairing; `gram` gives every pairing of a list of
+vectors from the one product V^* H V.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import (GramSchmidtBreakdown, NotNegativeVector, WrongField,
-                     ZeroVector)
+from .errors import (GramSchmidtBreakdown, NotNegativeVector,
+                     WrongDimension, WrongField, ZeroVector)
 from .qmatrix import QArray
 from .quat import Quaternion
 
@@ -36,7 +39,7 @@ class HermitianSpace:
         if field not in ("complex", "quaternion"):
             raise WrongField(f"unknown field {field!r}")
         if n < 2:
-            raise ValueError("need n >= 2")
+            raise WrongDimension(f"need n >= 2, got n = {n}")
         self.n = n
         self.field = field
         self.H = form_matrix(n)
@@ -56,26 +59,18 @@ class HermitianSpace:
         b = np.sum(w.a * Hz_b) - np.sum(w.b * Hz_a)
         return Quaternion.from_complex_pair(complex(a), complex(b))
 
+    def gram(self, vectors) -> QArray:
+        """Gram matrix V^* H V of V = [v_1 .. v_k]: entry (i, j) is
+        <v_j, v_i> = inner(v_j, v_i)."""
+        V = QArray.from_columns(vectors)
+        return V.adjoint() @ self._HQ @ V
+
     def norm_sq(self, z: QArray) -> float:
         return self.inner(z, z).w
-
-    def classify_point(self, z: QArray, tol: float = ERROR_THRESHOLD):
-        """'negative' / 'null' / 'positive' with a dead band of tol*|z|^2."""
-        nz = z.norm() ** 2
-        if nz == 0.0:
-            raise ZeroVector("cannot classify the zero vector")
-        q = self.norm_sq(z)
-        if abs(q) <= tol * nz:
-            return "null"
-        return "negative" if q < 0 else "positive"
 
     def is_isometry(self, A: QArray, tol: float = 1e-8) -> bool:
         D = A.adjoint() @ self._HQ @ A - self._HQ
         return D.max_abs() <= tol
-
-    def check_vector(self, z: QArray):
-        if z.shape != (self.dim,):
-            raise ValueError(f"expected vector of length {self.dim}")
 
     def standard_lift(self, z: QArray) -> QArray:
         """Rescale a lift so its last coordinate is 1 (Siegel-domain chart)."""

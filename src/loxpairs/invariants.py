@@ -25,29 +25,49 @@ from .spectral import LoxodromicFrame, projective_point, real_trace_from_frame
 DEGENERATE_TOL = 1e-10
 
 
-def _inner(space, z, w) -> Quaternion:
-    q = space.inner(z, w)
-    if abs(q) <= DEGENERATE_TOL * z.norm() * w.norm():
-        raise DegenerateConfiguration("vanishing inner product")
-    return q
+def _pairings(space: HermitianSpace, zs: List[QArray]):
+    """g(i, j) = <z_i, z_j>, read from one Gram product of zs and checked
+    against DEGENERATE_TOL |z_i| |z_j| on every read."""
+    K = space.gram(zs)
+    norms = [z.norm() for z in zs]
+
+    def g(i: int, j: int) -> Quaternion:
+        q = K.entry(j, i)
+        if abs(q) <= DEGENERATE_TOL * norms[i] * norms[j]:
+            raise DegenerateConfiguration("vanishing inner product")
+        return q
+
+    return g
+
+
+def _cross(g, i1: int, i2: int, i3: int, i4: int) -> Quaternion:
+    return (g(i3, i1) * g(i3, i2).inverse()
+            * g(i4, i2) * g(i4, i1).inverse())
+
+
+def _triple(g, i1: int, i2: int, i3: int) -> Quaternion:
+    return g(i1, i2) * g(i2, i3) * g(i3, i1)
+
+
+def _angular(g, i1: int, i2: int, i3: int) -> float:
+    t = _triple(g, i1, i2, i3)
+    return float(np.arccos(np.clip(-t.w / abs(t), -1.0, 1.0)))
 
 
 def cross_ratio(space: HermitianSpace, z1: QArray, z2: QArray,
                 z3: QArray, z4: QArray) -> Quaternion:
     """<z3,z1><z3,z2>^-1 <z4,z2><z4,z1>^-1, exactly in this order."""
-    return (_inner(space, z3, z1) * _inner(space, z3, z2).inverse()
-            * _inner(space, z4, z2) * _inner(space, z4, z1).inverse())
+    return _cross(_pairings(space, [z1, z2, z3, z4]), 0, 1, 2, 3)
 
 
 def triple_product(space: HermitianSpace, z1, z2, z3) -> Quaternion:
-    return (_inner(space, z1, z2) * _inner(space, z2, z3)
-            * _inner(space, z3, z1))
+    """<z1,z2><z2,z3><z3,z1>."""
+    return _triple(_pairings(space, [z1, z2, z3]), 0, 1, 2)
 
 
 def angular_invariant(space: HermitianSpace, z1, z2, z3) -> float:
     """arccos(Re(-<z1,z2,z3>)/|<z1,z2,z3>|), in [0, pi]; lift-independent."""
-    t = triple_product(space, z1, z2, z3)
-    return float(np.arccos(np.clip(-t.w / abs(t), -1.0, 1.0)))
+    return _angular(_pairings(space, [z1, z2, z3]), 0, 1, 2)
 
 
 @dataclass
@@ -87,30 +107,29 @@ def pair_invariants(space: HermitianSpace, fa: LoxodromicFrame,
                     fb: LoxodromicFrame,
                     report: Optional[PairGenericityReport] = None,
                     tuple_: Optional[AssociatedTuple] = None) -> InvariantTuple:
+    """Invariant tuple of a weakly non-singular pair, every pairing read
+    from one Gram product of the normalized lifts.  The eta invariant
+    <p3,xj><p3,p4>^-1 <xj,p4><xj,xj>^-1 of an A-positive xj is the
+    cross-ratio X(xj,p4,p3,xj); that of a B-positive xk is X(xk,p2,p1,xk).
+    """
     if report is None:
         report = genericity_report(space, fa, fb)
     if tuple_ is None:
         tuple_ = normalize_lifts(space, fa, fb, report=report)
-    p = tuple_.lifts
     n = space.n
-    ang = np.array([angular_invariant(space, p[0], p[1], p[2]),
-                    angular_invariant(space, p[0], p[1], p[3]),
-                    angular_invariant(space, p[1], p[2], p[3])])
-    X1 = cross_ratio(space, p[0], p[1], p[2], p[3])
-    X2 = cross_ratio(space, p[0], p[2], p[1], p[3])
-    X3 = cross_ratio(space, p[1], p[3], p[2], p[0])
-    apos = p[4:n + 2]
-    bpos = p[n + 2:2 * n]
-    alpha = [cross_ratio(space, p[0], p[1], p[2], x) for x in bpos]
-    beta = [cross_ratio(space, p[2], p[3], p[0], x) for x in apos]
-    mixed = [[cross_ratio(space, p[2], xk, p[1], xj) for xk in bpos]
-             for xj in apos]
-    eta_A = [(_inner(space, p[2], xj) * _inner(space, p[2], p[3]).inverse()
-              * _inner(space, xj, p[3]) * _inner(space, xj, xj).inverse())
-             for xj in apos]
-    eta_B = [(_inner(space, p[0], xk) * _inner(space, p[0], p[1]).inverse()
-              * _inner(space, xk, p[1]) * _inner(space, xk, xk).inverse())
-             for xk in bpos]
+    g = _pairings(space, tuple_.lifts)
+    ang = np.array([_angular(g, 0, 1, 2), _angular(g, 0, 1, 3),
+                    _angular(g, 1, 2, 3)])
+    X1 = _cross(g, 0, 1, 2, 3)
+    X2 = _cross(g, 0, 2, 1, 3)
+    X3 = _cross(g, 1, 3, 2, 0)
+    apos = range(4, n + 2)
+    bpos = range(n + 2, 2 * n)
+    alpha = [_cross(g, 0, 1, 2, k) for k in bpos]
+    beta = [_cross(g, 2, 3, 0, j) for j in apos]
+    mixed = [[_cross(g, 2, k, 1, j) for k in bpos] for j in apos]
+    eta_A = [_cross(g, j, 3, 2, j) for j in apos]
+    eta_B = [_cross(g, k, 1, 0, k) for k in bpos]
     proj_a = [projective_point(fa.attracting)] + \
         [projective_point(x) for x in fa.positives]
     proj_b = [projective_point(fb.attracting)] + \

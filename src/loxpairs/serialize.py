@@ -67,7 +67,7 @@ def space_to_json(space: HermitianSpace) -> dict:
 def space_from_json(obj) -> HermitianSpace:
     try:
         return HermitianSpace(int(obj["n"]), obj["field"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad space descriptor: {exc}") from exc
 
 

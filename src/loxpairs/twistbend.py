@@ -22,8 +22,7 @@ import numpy as np
 from .errors import (CompatibilityFailed, DegenerateConfiguration,
                      DegenerateSpectrum, GraphInvalid, IncompatibleBoundary,
                      InconsistentProjectivePoints, NotLoxodromic,
-                     NotNonsingular, WrongDimension)
-from .genericity import genericity_report
+                     WrongDimension)
 from .hermitian import HermitianSpace
 from .invariants import angular_invariant, cross_ratio
 from .qmatrix import QArray, conjugate_by, quaternionic_rank
@@ -140,11 +139,6 @@ class PantsGroup:
         return PantsGroup(self.space, conjugate_by(S, self.A),
                           conjugate_by(S, self.B),
                           [f.conjugated(S) for f in self.frames])
-
-    def require_nonsingular(self):
-        rep = genericity_report(self.space, self.frames[0], self.frames[1])
-        if not rep.nonsingular:
-            raise NotNonsingular("(A, B) is not a non-singular pair")
 
 
 def _check_compatible(space: HermitianSpace, P: QArray, D: QArray,

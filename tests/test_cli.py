@@ -148,3 +148,24 @@ def test_malformed_json_exit_2(tmp_path, capsys):
 def test_bad_tol_exit_2(capsys):
     code, _ = _run(capsys, "generate", "--tol", "-1")
     assert code == 2
+
+
+def test_bad_dimension_exit_2(tmp_path, capsys):
+    code, _ = _run(capsys, "generate", "--n", "1")
+    assert code == 2
+    path = _generate(tmp_path)
+    obj = sz.loads(path.read_text())
+    obj["space"]["n"] = "x"
+    bad = tmp_path / "bad_n.json"
+    bad.write_text(json.dumps(obj))
+    code, _ = _run(capsys, "invariants", "--in", str(bad))
+    assert code == 2
+
+
+@pytest.mark.parametrize("command", ["conjugacy-test", "twist-bend"])
+def test_wrong_input_count_exit_2(tmp_path, capsys, command):
+    path = _generate(tmp_path)
+    code = main([command, "--in", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {command}")

@@ -1,10 +1,59 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from loxpairs.generate import generate_pair, random_loxodromic
-from loxpairs.genericity import (canonical_flags, genericity_report,
+from loxpairs.genericity import (MEMBERSHIP_TOL, _line_meets_polar_boundary,
+                                 canonical_flags, genericity_report,
                                  on_line_boundary)
+from loxpairs.hermitian import HermitianSpace
 from loxpairs.spectral import eigen_frame
+
+
+def _brute_flag_pairs(space, fa, fb, tol=MEMBERSHIP_TOL):
+    """The four generic-pair conditions evaluated on every flag pair."""
+    fl_a, fl_b = canonical_flags(fa), canonical_flags(fb)
+    M = np.zeros((len(fl_a), len(fl_b)), dtype=bool)
+    for i, f in enumerate(fl_a):
+        for j, g in enumerate(fl_b):
+            M[i, j] = not (
+                on_line_boundary(space, f.point, g.line, tol)
+                or on_line_boundary(space, g.point, f.line, tol)
+                or _line_meets_polar_boundary(space, f.line, g.polar, tol)
+                or _line_meets_polar_boundary(space, g.line, f.polar, tol))
+    return M
+
+
+def _polar_off(space, frame, other, k, rng):
+    """frame with positive k replaced by a vector H-orthogonal to
+    other's attracting lift, so that other's line meets its polar's
+    boundary."""
+    a, r = other.attracting, other.repelling
+    v = space._random_qarray(rng, space.dim)
+    lam = (space.inner(a, v) * space.inner(a, r).inverse()).conjugate()
+    x = v - r.rmul(lam)
+    pos = list(frame.positives)
+    pos[k] = x.scale(1.0 / x.norm())
+    return dataclasses.replace(frame, positives=pos)
+
+
+@pytest.mark.parametrize("field", ["quaternion", "complex"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_flag_pair_matrix_matches_brute_force(n, field, rng):
+    space = HermitianSpace(n, field)
+    A, B = generate_pair(space, seed=n, mode="weak")
+    fa, fb = eigen_frame(space, A), eigen_frame(space, B)
+    cases = [(fa, fb), (fa, eigen_frame(space, A @ A)),
+             (fa, _polar_off(space, fb, fa, 0, rng)),
+             (_polar_off(space, fa, fb, n - 2, rng), fb)]
+    Ms = [genericity_report(space, f, g).flag_pair_matrix for f, g in cases]
+    for M, (f, g) in zip(Ms, cases):
+        assert np.array_equal(M, _brute_flag_pairs(space, f, g))
+    _, power, col_off, row_off = Ms
+    assert not power.any()
+    assert not col_off[:, 0].any() and col_off[:, 1:].any()
+    assert not row_off[-1].any() and row_off[:-1].any()
 
 
 def test_generated_weak_pair_report(space):

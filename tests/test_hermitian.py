@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from loxpairs.errors import WrongField
+from loxpairs.errors import WrongDimension, WrongField
 from loxpairs.hermitian import HermitianSpace, form_matrix
 from loxpairs.qmatrix import QArray
 from loxpairs.quat import Quaternion
@@ -16,6 +16,25 @@ def test_form_matrix_signature():
 def test_rejects_unknown_field():
     with pytest.raises(WrongField):
         HermitianSpace(3, "octonion")
+
+
+def test_rejects_dimension_below_two():
+    with pytest.raises(WrongDimension):
+        HermitianSpace(1, "complex")
+
+
+@pytest.mark.parametrize("field", ["quaternion", "complex"])
+@pytest.mark.parametrize("n", [3, 5])
+def test_gram_matches_inner(n, field, rng):
+    # entry (i, j) of the one product is <v_j, v_i>, entry by entry
+    space = HermitianSpace(n, field)
+    vs = [space._random_qarray(rng, space.dim) for _ in range(2 * n)]
+    G = space.gram(vs)
+    assert G.shape == (2 * n, 2 * n)
+    for i, vi in enumerate(vs):
+        for j, vj in enumerate(vs):
+            ref = space.inner(vj, vi)
+            assert abs(G.entry(i, j) - ref) <= 1e-13 * vi.norm() * vj.norm()
 
 
 def test_inner_hermitian_symmetry(qspace, rng):

@@ -4,6 +4,7 @@ import pytest
 from loxpairs.errors import DegenerateConfiguration
 from loxpairs.generate import generate_pair
 from loxpairs.genericity import genericity_report
+from loxpairs.gram import normalize_lifts
 from loxpairs.hermitian import HermitianSpace
 from loxpairs.invariants import (angular_invariant, cross_ratio,
                                  pair_invariants, sp1_orbit_equal,
@@ -96,3 +97,36 @@ def test_degenerate_triple_raises(qspace, rng):
     with pytest.raises(DegenerateConfiguration):
         # a repeated point kills the triple product
         angular_invariant(qspace, z, z, w)
+
+
+@pytest.mark.parametrize("field", ["quaternion", "complex"])
+def test_pair_invariants_match_per_pair_formulas(field):
+    space = HermitianSpace(4, field)
+    A, B = generate_pair(space, seed=3, mode="strong")
+    fa, fb = eigen_frame(space, A), eigen_frame(space, B)
+    rep = genericity_report(space, fa, fb)
+    t = normalize_lifts(space, fa, fb, report=rep)
+    inv = pair_invariants(space, fa, fb, report=rep, tuple_=t)
+    ip = space.inner
+    p1, p2, p3, p4 = t.lifts[:4]
+    apos, bpos = t.lifts[4:space.n + 2], t.lifts[space.n + 2:]
+
+    def X(z1, z2, z3, z4):
+        return ip(z3, z1) * ip(z3, z2).inverse() * ip(z4, z2) \
+            * ip(z4, z1).inverse()
+
+    def close(q, ref):
+        assert abs(q - ref) <= 1e-12 * abs(ref)
+
+    close(inv.X1, X(p1, p2, p3, p4))
+    for q, xk in zip(inv.alpha, bpos):
+        close(q, X(p1, p2, p3, xk))
+    for row, xj in zip(inv.mixed, apos):
+        for q, xk in zip(row, bpos):
+            close(q, X(p3, xk, p2, xj))
+    for q, xj in zip(inv.eta_A, apos):
+        close(q, ip(p3, xj) * ip(p3, p4).inverse() * ip(xj, p4)
+              * ip(xj, xj).inverse())
+    for q, xk in zip(inv.eta_B, bpos):
+        close(q, ip(p1, xk) * ip(p1, p2).inverse() * ip(xk, p2)
+              * ip(xk, xk).inverse())
