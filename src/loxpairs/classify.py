@@ -22,10 +22,10 @@ from .errors import (NotNonsingular, SingularBasis, VerificationFailed)
 from .genericity import genericity_report
 from .gram import (AssociatedTuple, gram_matrix, gram_offdiagonal_entries,
                    normalize_lifts)
-from .hermitian import HermitianSpace
+from .hermitian import HermitianSpace, gauge
 from .invariants import InvariantTuple, pair_invariants, sp1_orbit_equal
 from .qmatrix import QArray, conjugate_by, quaternionic_rank
-from .quat import ONE, Quaternion, align_sp1
+from .quat import Quaternion
 from .spectral import (LoxodromicFrame, eigen_frame, projective_point,
                        projective_points_equal, real_trace_from_frame)
 
@@ -37,11 +37,7 @@ def _gram_orbit_scalar(t: AssociatedTuple, t2: AssociatedTuple,
     """Unit mu with mu*G*conj(mu) = G' entrywise, or None."""
     e1 = gram_offdiagonal_entries(gram_matrix(t))
     e2 = gram_offdiagonal_entries(gram_matrix(t2))
-    if t.space.field == "complex":
-        scale = max(1.0, max(abs(q) for q in e1))
-        ok = all(abs(a - b) <= tol * scale for a, b in zip(e1, e2))
-        return ONE if ok else None
-    return align_sp1(list(zip(e1, e2)), tol=tol)
+    return gauge(t.space.field, zip(e1, e2), tol)
 
 
 def _spanning_subset(lifts: List[QArray], size: int) -> List[int]:
@@ -93,16 +89,13 @@ def congruence_from_tuples(t: AssociatedTuple, t2: AssociatedTuple,
 
 
 def _delta(space: HermitianSpace, x: np.ndarray) -> QArray:
-    """An m x m matrix over the field of space from its real coordinates,
-    or a stack of them from one coordinate vector per row of x."""
-    m = space.dim
-    mm = m * m
-    shape = x.shape[:-1] + (m, m)
-    da = (x[..., :mm] + 1j * x[..., mm:2 * mm]).reshape(shape)
-    if space.field == "complex":
-        return QArray(da)
-    db = (x[..., 2 * mm:3 * mm] + 1j * x[..., 3 * mm:]).reshape(shape)
-    return QArray(da, db)
+    """An m x m matrix over the field of space from its real coordinates
+    (Re a, Im a, then Re b, Im b over the quaternions), or a stack of
+    them from one coordinate vector per row of x."""
+    mm = space.dim ** 2
+    shape = x.shape[:-1] + (space.dim, space.dim)
+    return QArray(*[(x[..., k:k + mm] + 1j * x[..., k + mm:k + 2 * mm])
+                    .reshape(shape) for k in range(0, x.shape[-1], 2 * mm)])
 
 
 def _flat(R: QArray) -> np.ndarray:
@@ -115,8 +108,7 @@ def _flat(R: QArray) -> np.ndarray:
 def _linearization(space: HermitianSpace, targets) -> np.ndarray:
     """Real matrix of D -> (D X' - X' D) over every X' in targets, with
     one column per real direction of D."""
-    nreal = (4 if space.field == "quaternion" else 2) * space.dim ** 2
-    basis = _delta(space, np.eye(nreal))
+    basis = _delta(space, np.eye(space.units * space.dim ** 2))
     return np.concatenate([_flat(basis @ Xp - Xp @ basis).T
                            for Xp in targets])
 
@@ -296,13 +288,8 @@ def boundary_quadruple_congruence(space: HermitianSpace, zs: List[QArray],
     wn = _normalize_quadruple(space, ws)
     Gz, Gw = space.gram(zn), space.gram(wn)
     upper = [(i, j) for i in range(4) for j in range(i + 1, 4)]
-    ez = [Gz.entry(i, j) for i, j in upper]
-    ew = [Gw.entry(i, j) for i, j in upper]
-    if space.field == "complex":
-        ok = all(abs(a - b) <= tol for a, b in zip(ez, ew))
-        mu: Optional[Quaternion] = ONE if ok else None
-    else:
-        mu = align_sp1(list(zip(ez, ew)), tol=tol)
+    mu = gauge(space.field, [(Gz.entry(i, j), Gw.entry(i, j))
+                             for i, j in upper], tol)
     if mu is None:
         return None
     wt = [w.rmul(mu) for w in wn]
@@ -328,58 +315,22 @@ def boundary_quadruple_congruence(space: HermitianSpace, zs: List[QArray],
 # -- numerical rank of the invariant map -----------------------------------
 
 def _isometry_algebra_basis(space: HermitianSpace) -> List[QArray]:
-    """Real basis of {X : X* H + H X = 0} as quaternionic matrices."""
-    from .hermitian import form_matrix
-    m = space.n + 1
-    H = QArray.from_real(form_matrix(space.n))
-    units = [Quaternion(1, 0, 0, 0), Quaternion(0, 1, 0, 0),
-             Quaternion(0, 0, 1, 0), Quaternion(0, 0, 0, 1)]
-    nunits = 4 if space.field == "quaternion" else 2
-    cols = []
-    elems = []
-    for i in range(m):
-        for j in range(m):
-            for u in units[:nunits]:
-                E = QArray.zeros((m, m))
-                c, d = u.complex_pair()
-                E.a[i, j] = c
-                E.b[i, j] = d
-                elems.append(E)
-                R = E.adjoint() @ H + H @ E
-                cols.append(np.concatenate([R.a.ravel().view(float),
-                                            R.b.ravel().view(float)]))
-    Mr = np.stack(cols, axis=1)
-    _, sv, Vt = np.linalg.svd(Mr)
-    null = Vt[np.sum(sv > 1e-10 * sv[0]):]
-    basis = []
-    for row in null:
-        X = QArray.zeros((m, m))
-        for coef, E in zip(row, elems):
-            X = X + QArray(E.a * coef, E.b * coef)
-        basis.append(X)
-    if space.field == "complex":
-        # su(n,1): additionally remove the trace direction i*I
-        tr = np.array([np.imag(np.trace(X.a)) for X in basis])
-        keep = []
-        for X, t in zip(basis, tr):
-            keep.append(X - QArray(1j * np.eye(m) * (t / m)))
-        Mk = np.stack([np.concatenate([X.a.ravel().view(float),
-                                       X.b.ravel().view(float)])
-                       for X in keep], axis=1)
-        _, sv, Vt = np.linalg.svd(Mk, full_matrices=False)
-        r = int(np.sum(sv > 1e-10 * sv[0]))
-        basis = []
-        for row in Vt[:r]:
-            X = QArray.zeros((m, m))
-            for coef, K in zip(row, keep):
-                X = X + QArray(K.a * coef, K.b * coef)
-            basis.append(X)
-    return basis
+    """Real basis of the isometry Lie algebra {X : X* H + H X = 0,
+    Im tr X = 0}, from one null-space solve over the real chart of
+    _delta.  The trace is read on space.as_complex(X): the condition
+    cuts u(n,1) down to su(n,1) and holds on all of sp(n,1)."""
+    E = _delta(space, np.eye(space.units * space.dim ** 2))
+    H = QArray(space.H)
+    tr = np.trace(space.as_complex(E), axis1=-2, axis2=-1)
+    L = np.concatenate([_flat(E.adjoint() @ H + H @ E), tr.imag[:, None]],
+                       axis=1).T
+    _, sv, Vt = np.linalg.svd(L)
+    return [_delta(space, x) for x in Vt[np.sum(sv > 1e-10 * sv[0]):]]
 
 
 def _mat_exp(space: HermitianSpace, X: QArray) -> QArray:
     from scipy.linalg import expm
-    return QArray.from_embed(expm(X.embed()))
+    return space.from_complex(expm(space.as_complex(X)))
 
 
 def _invariant_vector(space: HermitianSpace, A: QArray, B: QArray,
@@ -407,8 +358,8 @@ def invariant_map_rank(space: HermitianSpace, A: QArray, B: QArray,
     cols = []
     for slot in range(2):
         for X in basis:
-            Ep = _mat_exp(space, QArray(X.a * h, X.b * h))
-            Em = _mat_exp(space, QArray(-X.a * h, -X.b * h))
+            Ep = _mat_exp(space, X.scale(h))
+            Em = _mat_exp(space, X.scale(-h))
             if slot == 0:
                 vp = _invariant_vector(space, A @ Ep, B, report=rep)
                 vm = _invariant_vector(space, A @ Em, B, report=rep)
@@ -419,22 +370,14 @@ def invariant_map_rank(space: HermitianSpace, A: QArray, B: QArray,
     J = np.stack(cols, axis=1)
 
     # conjugation directions in the same chart
-    flat = np.stack([np.concatenate([X.a.ravel().view(float),
-                                     X.b.ravel().view(float)])
-                     for X in basis], axis=1)
+    flat = np.stack([_flat(X) for X in basis], axis=1)
     K = []
-    for X in basis:
-        dA = conjugate_by(A.inverse(), X) - X
-        dB = conjugate_by(B.inverse(), X) - X
-        ca = np.linalg.lstsq(flat, np.concatenate(
-            [dA.a.ravel().view(float), dA.b.ravel().view(float)]),
-            rcond=None)[0]
-        cb = np.linalg.lstsq(flat, np.concatenate(
-            [dB.a.ravel().view(float), dB.b.ravel().view(float)]),
-            rcond=None)[0]
-        K.append(np.concatenate([ca, cb]))
-    Kb = np.stack(K, axis=1)
-    Q, _ = np.linalg.qr(Kb)
+    for G in (A, B):
+        Ginv = G.inverse()
+        dG = np.stack([_flat(conjugate_by(Ginv, X) - X) for X in basis],
+                      axis=1)
+        K.append(np.linalg.lstsq(flat, dG, rcond=None)[0])
+    Q, _ = np.linalg.qr(np.concatenate(K))
     P = np.eye(2 * d) - Q @ Q.T
     return _rank_cut(np.linalg.svd(J @ P, compute_uv=False), max(J.shape))
 

@@ -11,6 +11,20 @@ boundary.
 
 `inner` gives one pairing; `gram` gives every pairing of a list of
 vectors from the one product V^* H V.
+
+`HermitianSpace` owns the split between the two fields.  A complex
+QArray is the b = 0 case of a quaternionic one, and the space decides
+how either is represented: the complex matrix that stands for it
+(`as_complex`, `from_complex`), the real units per entry (`units`) and
+the dimension of the isometry group (`group_dim`).  `gauge` is the one
+rule for the unit scalar left free by the normalization of lifts.
+Branches on the field remain only where the mathematics differs:
+`spectral` (the loxodromic test by delta against eigenvalue moduli, chi
+times conj(chi) for a complex characteristic polynomial, the upper
+half-plane class filter and the quaternionic class gates of
+`eigen_frame`), the reduced invariant list of complex strong mode in
+`classify.conjugacy_test`, and the angle ranges of
+`generate.random_spectrum`.
 """
 
 from __future__ import annotations
@@ -20,7 +34,7 @@ import numpy as np
 from .errors import (GramSchmidtBreakdown, NotNegativeVector,
                      WrongDimension, WrongField, ZeroVector)
 from .qmatrix import QArray
-from .quat import Quaternion
+from .quat import ONE, Quaternion, align_sp1
 
 ERROR_THRESHOLD = 1e-10
 
@@ -30,6 +44,24 @@ def form_matrix(n: int) -> np.ndarray:
     H[0, 0] = H[n, n] = 0.0
     H[0, n] = H[n, 0] = 1.0
     return H
+
+
+def gauge(field: str, pairs, tol: float):
+    """Unit mu with mu q conj(mu) = q' for every pair (q, q'), or None.
+
+    Over the quaternions this is the Sp(1) alignment.  Over the complex
+    numbers the lifts only rescale by complex units, which commute with
+    every pairing, so the gauge is trivial: mu = 1 when every pair
+    agrees within tol max(1, max|q|), the scale rule of align_sp1.
+    align_sp1 itself must not see complex pairs: its candidate mu = j
+    maps q to conj(q), which is no gauge of SU(n,1).
+    """
+    pairs = list(pairs)
+    if field == "quaternion":
+        return align_sp1(pairs, tol=tol)
+    scale = max([1.0] + [abs(q) for q, _ in pairs])
+    ok = all(abs(q - qp) <= tol * scale for q, qp in pairs)
+    return ONE if ok else None
 
 
 class HermitianSpace:
@@ -44,10 +76,27 @@ class HermitianSpace:
         self.field = field
         self.H = form_matrix(n)
         self._HQ = QArray(self.H)
+        quaternion = field == "quaternion"
+        # real units per entry: 1, i, j, k or 1, i
+        self.units = 4 if quaternion else 2
+        # dim Sp(n,1) = (n+1)(2n+3), dim SU(n,1) = (n+1)^2 - 1
+        self.group_dim = (n + 1) * (2 * n + 3) if quaternion \
+            else (n + 1) ** 2 - 1
 
     @property
     def dim(self) -> int:
         return self.n + 1
+
+    def as_complex(self, A: QArray) -> np.ndarray:
+        """The complex matrix or vector that stands for A: its complex
+        embedding over the quaternions, A itself over the complex
+        numbers (where the embedding would only repeat a and conj(a))."""
+        return A.embed() if self.field == "quaternion" else A.a
+
+    def from_complex(self, w: np.ndarray) -> QArray:
+        """Inverse of as_complex."""
+        return QArray.from_embed(w) if self.field == "quaternion" \
+            else QArray(w)
 
     def inner(self, z: QArray, w: QArray) -> Quaternion:
         """<z, w> = w^* H z.  Linear in z, conjugate-linear in w."""

@@ -17,9 +17,9 @@ import numpy as np
 from .errors import DegenerateConfiguration
 from .gram import AssociatedTuple, normalize_lifts
 from .genericity import PairGenericityReport, genericity_report
-from .hermitian import HermitianSpace
+from .hermitian import HermitianSpace, gauge
 from .qmatrix import QArray
-from .quat import Quaternion, align_sp1
+from .quat import Quaternion
 from .spectral import LoxodromicFrame, projective_point, real_trace_from_frame
 
 DEGENERATE_TOL = 1e-10
@@ -147,16 +147,9 @@ def pair_invariants(space: HermitianSpace, fa: LoxodromicFrame,
 
 def sp1_orbit_equal(t1: InvariantTuple, t2: InvariantTuple,
                     tol: float = 1e-8) -> Optional[Quaternion]:
-    """Unit mu conjugating every quaternion entry of t1 onto t2, or None.
-
-    In complex mode the Sp(1) action is trivial on the stored scalars,
-    so the comparison is entrywise equality with mu = 1.
-    """
+    """Unit mu conjugating every quaternion entry of t1 onto t2, or None
+    (mu = 1 in complex mode, see hermitian.gauge)."""
     e1, e2 = t1.quaternion_entries(), t2.quaternion_entries()
     if len(e1) != len(e2):
         return None
-    if t1.field_tag == "complex":
-        ok = all(a.isclose(b, tol=tol * max(1.0, abs(a)))
-                 for a, b in zip(e1, e2))
-        return Quaternion(1, 0, 0, 0) if ok else None
-    return align_sp1(list(zip(e1, e2)), tol=tol)
+    return gauge(t1.field_tag, zip(e1, e2), tol)

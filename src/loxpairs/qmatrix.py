@@ -112,10 +112,12 @@ class QArray:
                       self.b @ other.a + np.conj(self.a) @ other.b)
 
     def adjoint(self) -> "QArray":
-        """Quaternionic conjugate transpose."""
-        if self.ndim != 2:
+        """Quaternionic conjugate transpose of a matrix, or of each
+        matrix in a stack."""
+        if self.ndim < 2:
             raise DimensionMismatch("adjoint needs a matrix")
-        return QArray(np.conj(self.a).T, -self.b.T)
+        return QArray(np.conj(self.a).swapaxes(-1, -2),
+                      -self.b.swapaxes(-1, -2))
 
     def rmul(self, q: Quaternion) -> "QArray":
         """Entrywise right multiplication by a scalar (vector scaling)."""
@@ -124,20 +126,20 @@ class QArray:
                       self.b * c + np.conj(self.a) * d)
 
     def embed(self) -> np.ndarray:
-        """Complex embedding: matrix -> 2m x 2m blocks, vector -> 2m stack."""
-        if self.ndim == 2:
-            top = np.hstack([self.a, -np.conj(self.b)])
-            bot = np.hstack([self.b, np.conj(self.a)])
-            return np.vstack([top, bot])
-        return np.concatenate([self.a, self.b])
+        """Complex embedding: matrix (or each matrix in a stack) ->
+        2m x 2m blocks, vector -> 2m stack."""
+        if self.ndim == 1:
+            return np.concatenate([self.a, self.b])
+        top = np.concatenate([self.a, -np.conj(self.b)], axis=-1)
+        bot = np.concatenate([self.b, np.conj(self.a)], axis=-1)
+        return np.concatenate([top, bot], axis=-2)
 
     @classmethod
     def from_embed(cls, M: np.ndarray) -> "QArray":
-        if M.ndim == 2:
-            m = M.shape[0] // 2
-            return cls(M[:m, :m], M[m:, :m])
-        m = M.shape[0] // 2
-        return cls(M[:m], M[m:])
+        m = M.shape[-1] // 2
+        if M.ndim == 1:
+            return cls(M[:m], M[m:])
+        return cls(M[..., :m, :m], M[..., m:, :m])
 
     def inverse(self) -> "QArray":
         return QArray.from_embed(np.linalg.inv(self.embed()))

@@ -35,21 +35,24 @@ RADIUS_GUARD = 1e-7
 
 
 def real_char_poly(space: HermitianSpace, A: QArray,
-                   tol: float = PALINDROME_TOL) -> np.ndarray:
+                   tol: float = PALINDROME_TOL,
+                   chi: Optional[np.ndarray] = None) -> np.ndarray:
     """Real palindromic characteristic coefficients of the embedding.
 
     For an isometry the embedded characteristic polynomial is
     self-reciprocal with real coefficients; returns the full list
-    [1, a1, ..., a_{n+1}, ..., a1, 1] of degree 2(n+1).
+    [1, a1, ..., a_{n+1}, ..., a1, 1] of degree 2(n+1).  chi, when the
+    caller has it, is the characteristic polynomial of
+    space.as_complex(A).
     """
     if not space.is_isometry(A, tol=PALINDROME_TOL * (1.0 + A.max_abs() ** 2)):
         raise NotIsometry("matrix does not preserve the form")
+    if chi is None:
+        chi = faddeev_leverrier(space.as_complex(A))
+    coeffs = chi
     if space.field == "complex":
-        # embed as A + conj(A) so both modes share one code path
-        chi = faddeev_leverrier(A.a)
+        # the embedding of a complex matrix is A + conj(A)
         coeffs = np.polymul(chi, np.conj(chi))
-    else:
-        coeffs = faddeev_leverrier(A.embed())
     dev = max(float(np.max(np.abs(coeffs.imag))),
               float(np.max(np.abs(coeffs - coeffs[::-1]))))
     if dev > tol * float(np.max(np.abs(coeffs))):
@@ -81,10 +84,11 @@ def classify_element(space: HermitianSpace, A: QArray,
     eigenvalues, since distinct unit eigenvalue pairs e^{+-i phi} of a
     complex matrix collapse to a double root of g.
     """
-    chi = real_char_poly(space, A, tol=tol)
-    tr = chi[1:space.n + 2]
+    chi = faddeev_leverrier(space.as_complex(A))
+    coeffs = real_char_poly(space, A, tol=tol, chi=chi)
+    tr = coeffs[1:space.n + 2]
     if space.field == "quaternion":
-        g = dickson_reduction(chi)
+        g = dickson_reduction(coeffs)
         delta = -discriminant(g)
         g2 = float(np.polyval(g, 2.0))
         gm2 = float(np.polyval(g, -2.0))
@@ -96,11 +100,11 @@ def classify_element(space: HermitianSpace, A: QArray,
         if min(abs(g2), abs(gm2)) <= tol * scale:
             return ElementClass(False, delta, tr, "real eigenvalue on the unit circle")
         return ElementClass(True, delta, tr)
-    roots = aberth_roots(faddeev_leverrier(A.a))
+    roots = aberth_roots(chi)
     radii = np.sort(np.abs(roots))
     if radii[-1] <= 1.0 + RADIUS_GUARD:
         return ElementClass(False, None, tr, "no expanding eigenvalue")
-    centers, _ = cluster_roots(faddeev_leverrier(A.a), roots)
+    centers, _ = cluster_roots(chi, roots)
     if centers.size < space.n + 1:
         return ElementClass(False, None, tr, "repeated eigenvalues")
     return ElementClass(True, None, tr)
@@ -171,20 +175,17 @@ def _polish_eigenpairs(M: np.ndarray, V: np.ndarray, lams: np.ndarray):
 def _eigenpairs(space: HermitianSpace, A: QArray):
     """Quaternionic eigenvectors and polished eigenvalues, one per class.
 
-    One LAPACK eig of the balanced matrix (its complex embedding in
-    quaternionic mode) gives every eigenpair.  The embedding's spectrum
+    One LAPACK eig of the balanced complex matrix that stands for A
+    (space.as_complex) gives every eigenpair.  The embedding's spectrum
     is closed under conjugation, so its upper half holds the Im >= 0
     representative of every class.  One extended-precision Newton step
     polishes these pairs.
     """
+    Mfull = space.as_complex(A)
     d = _balance_scaling(A)
-    Ab = QArray(A.a * d[None, :] / d[:, None],
-                A.b * d[None, :] / d[:, None])
-    quat = space.field == "quaternion"
-    if quat:
-        M, Mfull, d = Ab.embed(), A.embed(), np.concatenate([d, d])
-    else:
-        M, Mfull = Ab.a, A.a
+    # the embedding repeats every row of A, so its scaling repeats d
+    d = np.tile(d, Mfull.shape[0] // d.size)
+    M = Mfull * d[None, :] / d[:, None]
     evals, evecs = np.linalg.eig(M)
     idx = np.argsort(-evals.imag)[:space.dim]
     W, lams = _polish_eigenpairs(M, evecs[:, idx].T, evals[idx])
@@ -195,8 +196,7 @@ def _eigenpairs(space: HermitianSpace, A: QArray):
     gate = RESIDUAL_TOL * (1.0 + A.max_abs())
     if np.max(resid) > gate:
         raise DegenerateSpectrum(f"eigenvector residual {np.max(resid):.3e}")
-    return [(QArray.from_embed(w) if quat else QArray(w), lam)
-            for w, lam in zip(W, lams)]
+    return [(space.from_complex(w), lam) for w, lam in zip(W, lams)]
 
 
 @dataclass
@@ -253,10 +253,7 @@ def real_trace_from_frame(frame: LoxodromicFrame) -> np.ndarray:
 
 def _class_representatives(space: HermitianSpace, A: QArray):
     """Eigenvalue class representatives with multiplicities."""
-    if space.field == "complex":
-        coeffs = faddeev_leverrier(A.a)
-    else:
-        coeffs = faddeev_leverrier(A.embed())
+    coeffs = faddeev_leverrier(space.as_complex(A))
     roots = aberth_roots(coeffs)
     if space.field == "quaternion":
         # classes come in conjugate pairs; keep Im >= 0 representatives
@@ -273,8 +270,6 @@ def eigen_frame(space: HermitianSpace, A: QArray,
         raise DegenerateSpectrum("eigenvalue classes are not simple")
     pairs = _eigenpairs(space, A)
     centers = np.array([lam for _, lam in pairs])
-    if space.field == "quaternion" and np.any(centers.imag < -1e-9):
-        raise DegenerateSpectrum("class representative left the upper half plane")
     radii = np.abs(centers)
     # attracting fixed point carries the eigenvalue class of modulus r < 1
     i_att = int(np.argmin(radii))
@@ -284,6 +279,9 @@ def eigen_frame(space: HermitianSpace, A: QArray,
     lam_att = centers[i_att]
     lam_rep = centers[i_rep]
     if space.field == "quaternion":
+        if np.any(centers.imag < -1e-9):
+            raise DegenerateSpectrum(
+                "class representative left the upper half plane")
         if min(abs(lam_att.imag), abs(lam_rep.imag)) <= tol * abs(lam_att):
             raise RealEigenvalueClass("attracting class meets the real axis")
         if abs(lam_rep / abs(lam_rep) - lam_att / abs(lam_att)) > 1e-6:

@@ -24,7 +24,7 @@ from .errors import (CompatibilityFailed, DegenerateConfiguration,
                      InconsistentProjectivePoints, NotLoxodromic,
                      WrongDimension)
 from .hermitian import HermitianSpace
-from .invariants import angular_invariant, cross_ratio
+from .invariants import _angular, _cross, _pairings
 from .qmatrix import QArray, conjugate_by, quaternionic_rank
 from .quat import Quaternion
 from .spectral import (LoxodromicFrame, classify_element, eigen_frame,
@@ -105,12 +105,11 @@ def tilde_invariants(space: HermitianSpace, kappa: TwistBendParams,
     # gauge-fix the quadruple so the angular invariants are well defined
     # (residual freedom is one global unit, a similarity on everything)
     from .classify import _normalize_quadruple
-    aA, rA, aB, KrC = _normalize_quadruple(space, [aA, rA, aB, K @ rC])
-    return (cross_ratio(space, aA, rA, aB, KrC),
-            cross_ratio(space, aA, KrC, aB, rA),
-            cross_ratio(space, rA, KrC, aB, aA),
-            angular_invariant(space, aA, rA, KrC),
-            angular_invariant(space, rA, KrC, aB))
+    # g indices: 0 = a_A, 1 = r_A, 2 = a_B, 3 = K r_C
+    g = _pairings(space, _normalize_quadruple(space, [aA, rA, aB, K @ rC]))
+    return (_cross(g, 0, 1, 2, 3), _cross(g, 0, 3, 2, 1),
+            _cross(g, 1, 3, 2, 0), _angular(g, 0, 1, 3),
+            _angular(g, 1, 3, 2))
 
 
 # -- pants groups and gluing -----------------------------------------------
@@ -187,11 +186,11 @@ class SurfaceRepresentation:
 
 def parameter_count(space: HermitianSpace, genus: int) -> int:
     """Real parameters of a genus-g assembly: each of the 2g-2 pants
-    carries a full conjugacy datum; the g handle closings each remove ten
-    (quaternionic) or five (complex) parameters and the g twist-bends
-    restore them, so the count is the pants data alone."""
-    dim = 36 if space.field == "quaternion" else 15
-    return dim * (2 * genus - 2)
+    carries a full conjugacy datum, one per dimension of the group; the
+    g handle closings each remove ten (quaternionic) or five (complex)
+    parameters and the g twist-bends restore them, so the count is the
+    pants data alone."""
+    return space.group_dim * (2 * genus - 2)
 
 
 def assemble_surface_representation(

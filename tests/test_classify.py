@@ -181,3 +181,17 @@ def test_linearization_matches_per_direction(field, n):
     got = _linearization(space, targets)
     assert got.shape == expect.shape
     assert np.max(np.abs(got - expect)) <= 1e-12
+
+
+@pytest.mark.parametrize("field", ["complex", "quaternion"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_isometry_algebra_basis(field, n):
+    from loxpairs.classify import _isometry_algebra_basis
+    space = HermitianSpace(n, field)
+    H = QArray(space.H)
+    basis = _isometry_algebra_basis(space)
+    assert len(basis) == space.group_dim
+    for X in basis:
+        assert (X.adjoint() @ H + H @ X).max_abs() <= 1e-12
+        if field == "complex":
+            assert abs(np.trace(X.a).imag) <= 1e-12

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from loxpairs.errors import WrongDimension, WrongField
-from loxpairs.hermitian import HermitianSpace, form_matrix
+from loxpairs.hermitian import HermitianSpace, form_matrix, gauge
 from loxpairs.qmatrix import QArray
 from loxpairs.quat import Quaternion
 
@@ -106,3 +106,35 @@ def test_isometries_preserve_bergman_distance(qspace, rng):
     d0 = qspace.bergman_distance(z, w)
     d1 = qspace.bergman_distance(U @ z, U @ w)
     assert np.isclose(d0, d1, rtol=1e-8)
+
+
+def test_as_complex_round_trip(space, rng):
+    M = space.random_isometry(rng)
+    v = space.random_negative_vector(rng)
+    for X in (M, v):
+        back = space.from_complex(space.as_complex(X))
+        assert np.array_equal(back.a, X.a) and np.array_equal(back.b, X.b)
+    assert space.as_complex(M).shape[0] == space.units // 2 * space.dim
+
+
+def _random_complex(rng):
+    c = complex(rng.standard_normal(), rng.standard_normal())
+    return Quaternion.from_complex(c)
+
+
+def test_complex_gauge_is_trivial(rng):
+    qs = [_random_complex(rng) for _ in range(6)]
+    assert gauge("complex", [(q, q) for q in qs], 1e-10) == Quaternion(1)
+    # q -> conj(q) is the Sp(1) move by j, which SU(n,1) does not have
+    assert gauge("complex", [(q, q.conjugate()) for q in qs], 1e-10) is None
+    assert gauge("complex", [(qs[0], qs[0].conjugate())], 1e-10) is None
+
+
+def test_quaternion_gauge_recovers_unit(rng):
+    mu = Quaternion.from_array(rng.standard_normal(4)).normalized()
+    qs = [Quaternion.from_array(rng.standard_normal(4)) for _ in range(6)]
+    pairs = [(q, mu * q * mu.conjugate()) for q in qs]
+    got = gauge("quaternion", pairs, 1e-10)
+    assert got is not None
+    # mu is determined up to sign
+    assert min(abs(got - mu), abs(got + mu)) <= 1e-9

@@ -91,6 +91,21 @@ def test_sp1_orbit_reflexive(qspace, qpair):
     assert mu is not None
 
 
+def test_complex_orbit_rejects_conjugated_tuple(cspace, cpair):
+    from dataclasses import replace
+    t = _invariants(cspace, *cpair)
+    assert sp1_orbit_equal(t, t, tol=1e-12) == Quaternion(1)
+
+    def bar(qs):
+        return [q.conjugate() for q in qs]
+
+    tbar = replace(t, X1=t.X1.conjugate(), X2=t.X2.conjugate(),
+                   X3=t.X3.conjugate(), alpha=bar(t.alpha),
+                   beta=bar(t.beta), mixed=[bar(r) for r in t.mixed],
+                   eta_A=bar(t.eta_A), eta_B=bar(t.eta_B))
+    assert sp1_orbit_equal(t, tbar, tol=1e-8) is None
+
+
 def test_degenerate_triple_raises(qspace, rng):
     z = _null_lift(qspace, rng)
     w = _null_lift(qspace, rng)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from loxpairs.hermitian import HermitianSpace
 from loxpairs.qmatrix import (QArray, commutator, conjugate_by,
                               quaternionic_rank)
 from loxpairs.quat import Quaternion
@@ -104,3 +105,18 @@ def test_complex_mode_rank_ignores_j_line(rng):
     v = QArray(rng.standard_normal(4) + 1j * rng.standard_normal(4))
     c = 0.3 - 1.1j
     assert quaternionic_rank([v, QArray(v.a * c)]) == 1
+
+
+@pytest.mark.parametrize("field", ["complex", "quaternion"])
+@pytest.mark.parametrize("n", [3, 5])
+def test_adjoint_and_embed_on_stacks(field, n, rng):
+    space = HermitianSpace(n, field)
+    S = space._random_qarray(rng, (3, n + 1, n + 1))
+    one = [QArray(S.a[k], S.b[k]) for k in range(3)]
+    adj, emb = S.adjoint(), S.embed()
+    for k, M in enumerate(one):
+        assert np.array_equal(adj.a[k], M.adjoint().a)
+        assert np.array_equal(adj.b[k], M.adjoint().b)
+        assert np.array_equal(emb[k], M.embed())
+    back = QArray.from_embed(emb)
+    assert np.array_equal(back.a, S.a) and np.array_equal(back.b, S.b)

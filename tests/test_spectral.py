@@ -48,6 +48,20 @@ def test_classify_diagonal_loxodromic(qspace):
     assert cls.delta > 0
 
 
+def test_classify_complex_takes_one_char_poly(cspace, rng, monkeypatch):
+    import loxpairs.spectral as spectral
+    calls = []
+    fl = spectral.faddeev_leverrier
+
+    def counted(M):
+        calls.append(M.shape)
+        return fl(M)
+
+    monkeypatch.setattr(spectral, "faddeev_leverrier", counted)
+    assert classify_element(cspace, random_loxodromic(cspace, rng)).is_loxodromic
+    assert calls == [(4, 4)]
+
+
 def test_classify_elliptic_diagonal(qspace):
     # the null-pair angles must agree for a diagonal form isometry
     E = QArray.diag(np.exp(1j * np.array([0.3, 0.9, 1.7, 0.3])))

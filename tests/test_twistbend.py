@@ -103,6 +103,26 @@ def test_tilde_invariants_separate_twists(qpants):
     assert diff > 1e-6
 
 
+def test_tilde_invariants_match_public_formulas(qpants):
+    from loxpairs.classify import _normalize_quadruple
+    from loxpairs.invariants import angular_invariant, cross_ratio
+    space = qpants.space
+    fa, fb, fc = qpants.frames
+    kap = _twisted(identity_params(fa))
+    got = tilde_invariants(space, kap, fa, fb, fc)
+    K = twist_bend_element(kap, fa)
+    aA, rA, aB, KrC = _normalize_quadruple(
+        space, [fa.attracting, fa.repelling, fb.attracting,
+                K @ fc.repelling])
+    expect = (cross_ratio(space, aA, rA, aB, KrC),
+              cross_ratio(space, aA, KrC, aB, rA),
+              cross_ratio(space, rA, KrC, aB, aA),
+              angular_invariant(space, aA, rA, KrC),
+              angular_invariant(space, rA, KrC, aB))
+    for x, y in zip(got, expect):
+        assert abs(x - y) <= 1e-12 * abs(y)
+
+
 def test_glue_distinct_pants(qpants):
     space = qpants.space
     g2 = PantsGroup(space, qpants.B.inverse(), qpants.A.inverse())
