@@ -98,18 +98,21 @@ def _delta(space: HermitianSpace, x: np.ndarray) -> QArray:
                     .reshape(shape) for k in range(0, x.shape[-1], 2 * mm)])
 
 
-def _flat(R: QArray) -> np.ndarray:
-    """Real coordinates of a matrix, or of each matrix in a stack."""
+def _flat(space: HermitianSpace, R: QArray) -> np.ndarray:
+    """Real coordinates of a matrix, or of each matrix in a stack, in the
+    layout _delta reads: space.units blocks, so no b-block over the
+    complex numbers."""
     a = R.a.reshape(R.shape[:-2] + (-1,))
     b = R.b.reshape(R.shape[:-2] + (-1,))
-    return np.concatenate([a.real, a.imag, b.real, b.imag], axis=-1)
+    return np.concatenate([a.real, a.imag, b.real, b.imag][:space.units],
+                          axis=-1)
 
 
 def _linearization(space: HermitianSpace, targets) -> np.ndarray:
     """Real matrix of D -> (D X' - X' D) over every X' in targets, with
     one column per real direction of D."""
     basis = _delta(space, np.eye(space.units * space.dim ** 2))
-    return np.concatenate([_flat(basis @ Xp - Xp @ basis).T
+    return np.concatenate([_flat(space, basis @ Xp - Xp @ basis).T
                            for Xp in targets])
 
 
@@ -130,8 +133,8 @@ def _refine_conjugator(space: HermitianSpace, C: QArray, pairs,
     E = residuals(C)
     old = max(e.max_abs() for e in E)
     for _ in range(sweeps):
-        x, *_ = np.linalg.lstsq(lin, np.concatenate([_flat(e) for e in E]),
-                                rcond=None)
+        x, *_ = np.linalg.lstsq(
+            lin, np.concatenate([_flat(space, e) for e in E]), rcond=None)
         C2 = (QArray.eye(space.dim) + _delta(space, x)) @ C
         E2 = residuals(C2)
         new = max(e.max_abs() for e in E2)
@@ -322,8 +325,8 @@ def _isometry_algebra_basis(space: HermitianSpace) -> List[QArray]:
     E = _delta(space, np.eye(space.units * space.dim ** 2))
     H = QArray(space.H)
     tr = np.trace(space.as_complex(E), axis1=-2, axis2=-1)
-    L = np.concatenate([_flat(E.adjoint() @ H + H @ E), tr.imag[:, None]],
-                       axis=1).T
+    L = np.concatenate([_flat(space, E.adjoint() @ H + H @ E),
+                        tr.imag[:, None]], axis=1).T
     _, sv, Vt = np.linalg.svd(L)
     return [_delta(space, x) for x in Vt[np.sum(sv > 1e-10 * sv[0]):]]
 
@@ -370,12 +373,12 @@ def invariant_map_rank(space: HermitianSpace, A: QArray, B: QArray,
     J = np.stack(cols, axis=1)
 
     # conjugation directions in the same chart
-    flat = np.stack([_flat(X) for X in basis], axis=1)
+    flat = np.stack([_flat(space, X) for X in basis], axis=1)
     K = []
     for G in (A, B):
         Ginv = G.inverse()
-        dG = np.stack([_flat(conjugate_by(Ginv, X) - X) for X in basis],
-                      axis=1)
+        dG = np.stack([_flat(space, conjugate_by(Ginv, X) - X)
+                       for X in basis], axis=1)
         K.append(np.linalg.lstsq(flat, dG, rcond=None)[0])
     Q, _ = np.linalg.qr(np.concatenate(K))
     P = np.eye(2 * d) - Q @ Q.T

@@ -19,6 +19,7 @@ quaternion.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional
 
 import numpy as np
@@ -47,6 +48,12 @@ class AssociatedTuple:
     @property
     def n(self) -> int:
         return self.space.n
+
+    @cached_property
+    def gram(self) -> QArray:
+        """The Gram product of the lifts, formed once for every reader:
+        <p_i, p_j> is its entry (j, i)."""
+        return self.space.gram(self.lifts)
 
 
 def _unit_scale_for(space: HermitianSpace, anchor: QArray,
@@ -106,8 +113,7 @@ def gram_matrix(t: AssociatedTuple, tol: float = PATTERN_TOL) -> np.ndarray:
     pattern-checked."""
     n = t.n
     m = 2 * n
-    # the Gram product holds <p_i, p_j> at (j, i)
-    G = np.array(t.space.gram(t.lifts).to_quaternions(), dtype=object).T
+    G = np.array(t.gram.to_quaternions(), dtype=object).T
 
     def _is(i, j, val):
         if abs(G[i, j] - val) > tol:

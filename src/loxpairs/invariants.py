@@ -25,10 +25,13 @@ from .spectral import LoxodromicFrame, projective_point, real_trace_from_frame
 DEGENERATE_TOL = 1e-10
 
 
-def _pairings(space: HermitianSpace, zs: List[QArray]):
+def _pairings(space: HermitianSpace, zs: List[QArray],
+              K: Optional[QArray] = None):
     """g(i, j) = <z_i, z_j>, read from one Gram product of zs and checked
-    against DEGENERATE_TOL |z_i| |z_j| on every read."""
-    K = space.gram(zs)
+    against DEGENERATE_TOL |z_i| |z_j| on every read.  K, when the caller
+    has it, is space.gram(zs)."""
+    if K is None:
+        K = space.gram(zs)
     norms = [z.norm() for z in zs]
 
     def g(i: int, j: int) -> Quaternion:
@@ -117,7 +120,7 @@ def pair_invariants(space: HermitianSpace, fa: LoxodromicFrame,
     if tuple_ is None:
         tuple_ = normalize_lifts(space, fa, fb, report=report)
     n = space.n
-    g = _pairings(space, tuple_.lifts)
+    g = _pairings(space, tuple_.lifts, tuple_.gram)
     ang = np.array([_angular(g, 0, 1, 2), _angular(g, 0, 1, 3),
                     _angular(g, 1, 2, 3)])
     X1 = _cross(g, 0, 1, 2, 3)

@@ -1,9 +1,10 @@
 """Polynomial utilities: characteristic coefficients, root finding,
 root clustering, and resultants.
 
-Roots are found by simultaneous Aberth--Ehrlich iteration rather than a
-companion-matrix eigensolver so that close clusters can be merged with a
-multiplicity estimate afterwards.
+Roots start from the eigenvalues of the companion matrix (np.roots),
+which are backward stable.  A simultaneous Aberth--Ehrlich iteration then
+polishes and checks them against a relative residual, so close clusters
+can be merged with a multiplicity estimate afterwards.
 """
 
 from __future__ import annotations
@@ -41,35 +42,34 @@ def polyval_with_derivatives(coeffs: np.ndarray, x):
     return p, dp, ddp
 
 
-def aberth_roots(coeffs: np.ndarray, rng=None,
-                 tol: float = 1e-13) -> np.ndarray:
+def aberth_roots(coeffs: np.ndarray, tol: float = 1e-13) -> np.ndarray:
     """All roots of the polynomial with the given monic coefficient list."""
     coeffs = np.asarray(coeffs, dtype=complex)
-    coeffs = coeffs / coeffs[0]
+    with np.errstate(all="ignore"):
+        coeffs = coeffs / coeffs[0]
+    if not np.all(np.isfinite(coeffs)):
+        raise NoConvergence("polynomial coefficients are not finite")
     m = coeffs.size - 1
     if m == 0:
         return np.empty(0, dtype=complex)
-    if rng is None:
-        rng = np.random.default_rng(0)
-    # Cauchy bound for the initial circle of guesses
-    R = 1.0 + float(np.max(np.abs(coeffs[1:])))
-    angles = 2 * np.pi * (np.arange(m) + 0.25) / m + 0.1 * rng.standard_normal(m)
-    z = R * np.exp(1j * angles) * (0.5 + 0.5 * rng.random(m))
+    z = np.roots(coeffs)
     # residuals are judged against sum_k |c_k| |z|^k, so large-modulus
     # roots are not held to the absolute scale of the small ones
     acoeffs = np.abs(coeffs)
     for _ in range(ABERTH_MAXITER):
         p, dp, _ = polyval_with_derivatives(coeffs, z)
-        if np.max(np.abs(p) / np.polyval(acoeffs, np.abs(z))) <= tol:
+        if np.all(np.abs(p) <= tol * np.polyval(acoeffs, np.abs(z))):
             break
         w = p / np.where(dp == 0, 1e-300, dp)
         diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
+        # the starts of an exactly repeated root coincide; they exert no
+        # pull on each other, as the diagonal exerts none
+        diff[diff == 0] = np.inf
         s = np.sum(1.0 / diff, axis=1)
         z = z - w / (1.0 - w * s)
     else:
         p, _, _ = polyval_with_derivatives(coeffs, z)
-        if np.max(np.abs(p) / np.polyval(acoeffs, np.abs(z))) > 1e-9:
+        if np.any(np.abs(p) > 1e-9 * np.polyval(acoeffs, np.abs(z))):
             raise NoConvergence("root iteration did not converge")
     return z
 
@@ -78,16 +78,19 @@ def cluster_roots(coeffs: np.ndarray, roots: np.ndarray):
     """Merge numerically split multiple roots.
 
     Returns (centers, multiplicities).  Each root gets a local
-    multiplicity estimate m = Re(p'^2 / (p'^2 - p p'')); roots whose
-    estimated cluster radii overlap are averaged together.
+    multiplicity estimate k = Re(p'^2 / (p'^2 - p p'')) and a cluster
+    radius k |p / p'|, the Newton distance to a k-fold root; roots whose
+    radii overlap are averaged together.  The radius has the units of z,
+    so it does not depend on how small |p| happens to be where the root
+    iteration stopped.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     p, dp, ddp = polyval_with_derivatives(coeffs, roots)
     denom = dp * dp - p * ddp
     denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
     mult_est = np.clip(np.real(dp * dp / denom), 1.0, coeffs.size - 1.0)
-    # radius within which a degree-m cluster smears a multiple root
-    radii = np.maximum(np.abs(p) ** (1.0 / np.round(mult_est)), 1e-12)
+    dp = np.where(dp == 0, 1e-300, dp)
+    radii = np.maximum(np.round(mult_est) * np.abs(p / dp), 1e-12)
     order = np.argsort(roots.real + 1e-6 * roots.imag)
     used = np.zeros(roots.size, dtype=bool)
     centers, mults = [], []
@@ -112,8 +115,8 @@ def cluster_roots(coeffs: np.ndarray, roots: np.ndarray):
     return np.asarray(centers), np.asarray(mults, dtype=int)
 
 
-def roots_with_multiplicity(coeffs: np.ndarray, rng=None):
-    roots = aberth_roots(coeffs, rng=rng)
+def roots_with_multiplicity(coeffs: np.ndarray):
+    roots = aberth_roots(coeffs)
     return cluster_roots(coeffs, roots)
 
 

@@ -6,11 +6,12 @@ Eigenvalue classes of a quaternionic matrix are labelled by their unique
 complex representative with non-negative imaginary part.
 
 An eigen-frame is built in two steps.  The class count and simplicity
-come from the characteristic polynomial (Faddeev-LeVerrier, Aberth
-roots, clustering).  The eigenpairs come from one LAPACK eig of the
-balanced matrix, whose upper half-plane eigenvalues represent the
-classes, and are polished by one bordered-Newton step in extended
-precision.
+come from the characteristic polynomial: Faddeev-LeVerrier coefficients,
+their companion-matrix roots checked and polished by Aberth, and
+clustering within each root's Newton distance to a multiple root.  The
+eigenpairs come from one LAPACK eig of the balanced matrix, whose upper
+half-plane eigenvalues represent the classes, and are polished by one
+bordered-Newton step in extended precision.
 """
 
 from __future__ import annotations

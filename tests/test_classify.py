@@ -148,9 +148,9 @@ def test_rank_cut_ignores_noise_tail():
     assert np.isclose(gap, 7e-6 / 5e-18)
 
 
-def _flat_one(R):
+def _flat_one(R, units):
     return np.concatenate([R.a.ravel().real, R.a.ravel().imag,
-                           R.b.ravel().real, R.b.ravel().imag])
+                           R.b.ravel().real, R.b.ravel().imag][:units])
 
 
 @pytest.mark.parametrize("field", ["complex", "quaternion"])
@@ -176,11 +176,44 @@ def test_linearization_matches_per_direction(field, n):
                     D.a[i, k] = u
                 directions.append(D)
     expect = np.concatenate([
-        np.stack([_flat_one(D @ Xp - Xp @ D) for D in directions], axis=1)
+        np.stack([_flat_one(D @ Xp - Xp @ D, len(units)) for D in directions],
+                 axis=1)
         for Xp in targets])
     got = _linearization(space, targets)
     assert got.shape == expect.shape
     assert np.max(np.abs(got - expect)) <= 1e-12
+
+
+@pytest.mark.parametrize("field", ["complex", "quaternion"])
+def test_linearization_has_no_zero_row(field):
+    # one row per real coordinate the field has; over the complex numbers
+    # there is no b-block to leave identically zero
+    from loxpairs.classify import _linearization
+    from loxpairs.generate import random_loxodromic
+    space = HermitianSpace(3, field)
+    rng = np.random.default_rng(5)
+    lin = _linearization(space, [random_loxodromic(space, rng)
+                                 for _ in range(2)])
+    assert lin.shape == (2 * space.units * space.dim ** 2,
+                         space.units * space.dim ** 2)
+    assert np.all(np.max(np.abs(lin), axis=1) > 0)
+
+
+def test_conjugacy_test_forms_one_gram_per_tuple(space, rng, monkeypatch):
+    A, B = generate_pair(space, seed=31, mode="strong")
+    C = space.random_isometry(rng)
+    calls = []
+    gram = HermitianSpace.gram
+
+    def counting(self, vectors):
+        calls.append(len(vectors))
+        return gram(self, vectors)
+
+    monkeypatch.setattr(HermitianSpace, "gram", counting)
+    res = conjugacy_test(space, A, B, conjugate_by(C, A), conjugate_by(C, B))
+    assert res.conjugate
+    # two associated tuples of 2n lifts each
+    assert calls == [2 * space.n] * 2
 
 
 @pytest.mark.parametrize("field", ["complex", "quaternion"])

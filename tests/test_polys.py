@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from loxpairs.errors import NoConvergence
 from loxpairs.polys import (aberth_roots, cluster_roots, discriminant,
                             faddeev_leverrier, polyval_with_derivatives,
                             resultant, roots_with_multiplicity)
@@ -46,6 +49,32 @@ def test_cluster_roots_merges_double_root():
     assert pairs[0][0] == 2
     assert abs(pairs[0][1] - 2.0) < 1e-6
     assert sorted(mults) == [1, 1, 2]
+
+
+@pytest.mark.parametrize("r", [10.0, 130.0, 1000.0])
+def test_palindromic_roots_stay_simple(r):
+    # the spectrum of a loxodromic in H^3_H: at |z| = r the absolute
+    # residual |p| is large even for a root correct to eps, so a cluster
+    # radius read from |p| would merge simple classes
+    th, p1, p2 = 0.7, 0.4, 2.1
+    roots = np.array([r * np.exp(1j * th), np.exp(1j * th) / r,
+                      np.exp(1j * p1), np.exp(1j * p2)])
+    coeffs = np.real(np.poly(np.concatenate([roots, np.conj(roots)])))
+    _, mults = roots_with_multiplicity(coeffs)
+    assert list(mults) == [1] * 8
+
+
+@pytest.mark.parametrize("coeffs", [[1.0, np.inf, 2.0], [1.0, np.nan, 2.0],
+                                    [np.inf, 1.0, 1.0], [0.0, 1.0, 1.0]])
+def test_aberth_rejects_nonfinite_coefficients(coeffs):
+    # the typed error comes before np.roots can raise LinAlgError, and no
+    # RuntimeWarning escapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NoConvergence):
+            aberth_roots(np.array(coeffs))
+        with pytest.raises(NoConvergence):
+            roots_with_multiplicity(np.array(coeffs))
 
 
 def test_resultant_vanishes_on_shared_root():
