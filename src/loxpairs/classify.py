@@ -18,15 +18,16 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import (NotNonsingular, SingularBasis, VerificationFailed)
+from .errors import (DegenerateInputError, NotNonsingular,
+                     VerificationFailed)
 from .genericity import genericity_report
-from .gram import (AssociatedTuple, gram_matrix, gram_offdiagonal_entries,
-                   normalize_lifts)
+from .gram import (AssociatedTuple, _normalize_quadruple, gram_matrix,
+                   gram_offdiagonal_entries, normalize_lifts)
 from .hermitian import HermitianSpace, gauge
 from .invariants import InvariantTuple, pair_invariants, sp1_orbit_equal
 from .qmatrix import QArray, conjugate_by, quaternionic_rank
 from .quat import Quaternion
-from .spectral import (LoxodromicFrame, eigen_frame, projective_point,
+from .spectral import (LoxodromicFrame, eigen_frame,
                        projective_points_equal, real_trace_from_frame)
 
 ORBIT_TOL = 1e-8
@@ -51,8 +52,23 @@ def _spanning_subset(lifts: List[QArray], size: int) -> List[int]:
             sel.append(i)
             basis.append(p)
     if len(sel) < size:
-        raise SingularBasis("associated lifts do not span the space")
+        raise DegenerateInputError("associated lifts do not span the space")
     return sel
+
+
+def _verified_congruence(space: HermitianSpace, basis: List[QArray],
+                         images: List[QArray], pairs,
+                         tol: float) -> QArray:
+    """C = P' P^-1 with P, P' the columns basis, images, checked as an
+    isometry and on every (p, q) in pairs for C p = q."""
+    C = QArray.from_columns(images) @ QArray.from_columns(basis).inverse()
+    scale = 1.0 + C.max_abs()
+    if not space.is_isometry(C, tol=100 * tol * scale ** 2):
+        raise VerificationFailed("reconstructed map is not an isometry")
+    for p, q in pairs:
+        if (C @ p - q).max_abs() > 100 * tol * scale * (1.0 + p.max_abs()):
+            raise VerificationFailed("reconstructed map misses a vector")
+    return C
 
 
 def congruence_from_tuples(t: AssociatedTuple, t2: AssociatedTuple,
@@ -70,16 +86,9 @@ def congruence_from_tuples(t: AssociatedTuple, t2: AssociatedTuple,
         return None
     targets = [p.rmul(mu) for p in t2.lifts]
     sel = _spanning_subset(t.lifts, space.n + 1)
-    P = QArray.from_columns([t.lifts[i] for i in sel])
-    Pp = QArray.from_columns([targets[i] for i in sel])
-    C = Pp @ P.inverse()
-
-    scale = 1.0 + C.max_abs()
-    if not space.is_isometry(C, tol=100 * tol * scale ** 2):
-        raise VerificationFailed("reconstructed map is not an isometry")
-    for p, q in zip(t.lifts, targets):
-        if (C @ p - q).max_abs() > 100 * tol * scale * (1.0 + p.max_abs()):
-            raise VerificationFailed("reconstructed map misses a lift")
+    C = _verified_congruence(space, [t.lifts[i] for i in sel],
+                             [targets[i] for i in sel],
+                             zip(t.lifts, targets), tol)
     for om, om2 in zip((t.omitted_A, t.omitted_B),
                        (t2.omitted_A, t2.omitted_B)):
         if quaternionic_rank([C @ om, om2], tol=100 * tol) != 1:
@@ -152,15 +161,10 @@ class ConjugacyResult:
     residual: float
 
 
-def _frame_points(f: LoxodromicFrame) -> List[np.ndarray]:
-    return [projective_point(f.attracting)] + \
-        [projective_point(x) for x in f.positives]
-
-
 def _points_match(f: LoxodromicFrame, g: LoxodromicFrame,
                   tol: float) -> bool:
     return all(projective_points_equal(p, q, tol=tol)
-               for p, q in zip(_frame_points(f), _frame_points(g)))
+               for p, q in zip(f.points(), g.points()))
 
 
 def _reduced_match(i1: InvariantTuple, i2: InvariantTuple,
@@ -239,23 +243,6 @@ def conjugacy_test(space: HermitianSpace, A: QArray, B: QArray,
 
 # -- quadruples of boundary points -----------------------------------------
 
-def _normalize_quadruple(space: HermitianSpace,
-                         zs: List[QArray]) -> List[QArray]:
-    """Rescale null lifts so <z1,z2> = <z1,z3> = <z1,z4> = 1 = |<z2,z3>|,
-    with z1 anchored at its standard lift."""
-    s = space.standard_lift(zs[0])
-    g12 = space.inner(s, zs[1])
-    g13 = space.inner(s, zs[2])
-    g23 = space.inner(zs[2], zs[1])
-    t = float(np.sqrt(abs(g23) / (abs(g12) * abs(g13))))
-    z1 = s.scale(t)
-    out = [z1]
-    for z in zs[1:]:
-        g = space.inner(z1, z)
-        out.append(z.rmul(g.inverse().conjugate()))
-    return out
-
-
 def _orthogonal_complement(space: HermitianSpace,
                            vectors: List[QArray]) -> List[QArray]:
     """H-orthonormal basis of the complement of span(vectors); the
@@ -277,7 +264,7 @@ def _orthogonal_complement(space: HermitianSpace,
         if len(out) == space.n + 1 - k:
             break
     if len(out) < space.n + 1 - k:
-        raise SingularBasis("could not extend to a full basis")
+        raise DegenerateInputError("could not extend to a full basis")
     return out
 
 
@@ -299,20 +286,13 @@ def boundary_quadruple_congruence(space: HermitianSpace, zs: List[QArray],
 
     if quaternionic_rank(zn) != min(4, space.n + 1) \
             or quaternionic_rank(wt) != min(4, space.n + 1):
-        raise SingularBasis("quadruple does not span a rank-4 subspace")
+        raise DegenerateInputError(
+            "quadruple does not span a rank-4 subspace")
     zb, wb = list(zn), list(wt)
     if space.n + 1 > 4:
         zb += _orthogonal_complement(space, zn)
         wb += _orthogonal_complement(space, wt)
-    C = QArray.from_columns(wb) @ QArray.from_columns(zb).inverse()
-
-    scale = 1.0 + C.max_abs()
-    if not space.is_isometry(C, tol=100 * tol * scale ** 2):
-        raise VerificationFailed("quadruple map is not an isometry")
-    for z, w in zip(zn, wt):
-        if (C @ z - w).max_abs() > 100 * tol * scale * (1.0 + z.max_abs()):
-            raise VerificationFailed("quadruple map misses a point")
-    return C
+    return _verified_congruence(space, zb, wb, zip(zn, wt), tol)
 
 
 # -- numerical rank of the invariant map -----------------------------------

@@ -3,6 +3,11 @@
 Errors derived from bad numerical configurations (degenerate inputs,
 vanishing inner products, failed genericity) are distinguished from
 verification failures so the CLI can map them to distinct exit codes.
+The CLI tells apart three classes: VerificationFailed (exit 3),
+DegenerateInputError (exit 2) and any other LoxpairsError (exit 2).
+The subclasses below name the stage that failed for the tests and
+reports that tell them apart; any other failure raises one of the
+three with its own message.
 """
 
 
@@ -14,23 +19,11 @@ class DegenerateInputError(LoxpairsError):
     """Input is structurally valid but numerically degenerate."""
 
 
-class DimensionMismatch(LoxpairsError):
-    pass
-
-
 class WrongField(LoxpairsError):
     pass
 
 
 class WrongDimension(LoxpairsError):
-    pass
-
-
-class ZeroVector(DegenerateInputError):
-    pass
-
-
-class NotNegativeVector(DegenerateInputError):
     pass
 
 
@@ -62,10 +55,6 @@ class RealEigenvalueClass(DegenerateInputError):
     pass
 
 
-class GramSchmidtBreakdown(DegenerateInputError):
-    pass
-
-
 class DegenerateConfiguration(DegenerateInputError):
     pass
 
@@ -86,10 +75,6 @@ class PatternViolation(DegenerateInputError):
     pass
 
 
-class SingularBasis(DegenerateInputError):
-    pass
-
-
 class VerificationFailed(LoxpairsError):
     """Invariants matched but the direct conjugation check failed."""
 
@@ -98,19 +83,7 @@ class InconsistentProjectivePoints(DegenerateInputError):
     pass
 
 
-class IncompatibleBoundary(DegenerateInputError):
-    pass
-
-
-class CompatibilityFailed(DegenerateInputError):
-    pass
-
-
 class GraphInvalid(LoxpairsError):
-    pass
-
-
-class GenerationExhausted(LoxpairsError):
     pass
 
 

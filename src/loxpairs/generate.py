@@ -12,7 +12,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import GenerationExhausted
+from .errors import LoxpairsError
 from .genericity import genericity_report
 from .hermitian import HermitianSpace
 from .qmatrix import QArray, conjugate_by
@@ -48,7 +48,7 @@ def random_spectrum(space: HermitianSpace, rng) -> Tuple[float, float,
                                [np.exp(1j * th) / r]])
         if _classes_separated(lams):
             return r, th, phis
-    raise GenerationExhausted("could not sample a regular spectrum")
+    raise LoxpairsError("could not sample a regular spectrum")
 
 
 def random_loxodromic(space: HermitianSpace, rng,
@@ -79,5 +79,5 @@ def generate_pair(space: HermitianSpace, seed: Optional[int] = None,
             continue
         if rep.weakly_nonsingular:
             return A, B
-    raise GenerationExhausted(
+    raise LoxpairsError(
         f"no {mode}-generic pair found in {max_tries} attempts")

@@ -14,6 +14,12 @@ reconstruction.  Lifts are rescaled so that
 positively proportional to the standard lift of a_A.  The resulting
 Gram matrix is unique up to conjugating every entry by one unit
 quaternion.
+
+The rule for the first four lifts, `_normalize_quadruple`, is the one
+lift normalization of the package: it also normalizes quadruples of
+boundary points for `classify.boundary_quadruple_congruence` and the
+quadruple (a_A, r_A, a_B, K r_C) of `twistbend.tilde_invariants`, and
+it alone gates the vanishing pairings.
 """
 
 from __future__ import annotations
@@ -65,15 +71,39 @@ def _unit_scale_for(space: HermitianSpace, anchor: QArray,
     return g.inverse().conjugate()
 
 
+def _normalize_quadruple(space: HermitianSpace, zs: List[QArray],
+                         anchor: str = "standard") -> List[QArray]:
+    """Rescale lifts (z1, z2, z3, z4) to (p1, p2, p3, p4) with
+    <p1,p2> = <p1,p3> = <p1,p4> = 1 = |<p2,p3>|.
+
+    anchor="standard" takes p1 positively proportional to the standard
+    lift of z1; anchor="none" keeps the direction of z1 (used to exhibit
+    the global-unit gauge freedom).
+    """
+    a = space.standard_lift(zs[0]) if anchor == "standard" else zs[0]
+    norms = [a.norm()] + [z.norm() for z in zs[1:]]
+    g = [space.inner(a, z) for z in zs[1:]]         # <a, z_k>, k = 2, 3, 4
+    g23 = space.inner(zs[2], zs[1])
+    floors = [norms[0] * nk for nk in norms[1:]] + [norms[2] * norms[1]]
+    if any(abs(gk) <= INNER_TOL * f for gk, f in zip(g + [g23], floors)):
+        raise NormalizationImpossible(
+            "lift normalization meets a vanishing pairing")
+    # |<p2,p3>| = 1 fixes the positive factor t on p1; t is real, so
+    # <p1, z> = <a, z> t needs no further pairing
+    t = float(np.sqrt(abs(g23) / (abs(g[0]) * abs(g[1]))))
+    return [a.scale(t)] + [z.rmul((gk * t).inverse().conjugate())
+                           for z, gk in zip(zs[1:], g)]
+
+
 def normalize_lifts(space: HermitianSpace, fa: LoxodromicFrame,
                     fb: LoxodromicFrame,
                     report: Optional[PairGenericityReport] = None,
                     anchor: str = "standard") -> AssociatedTuple:
     """Build the normalized associated tuple of a weakly non-singular pair.
 
-    anchor="standard" takes p1 positively proportional to the standard
-    lift of a_A; anchor="none" keeps the direction of the supplied
-    attracting lift (used to exhibit the global-unit gauge freedom).
+    The fixed-point lifts (a_A, r_A, a_B, r_B) go through
+    _normalize_quadruple with the given anchor; the matched positive
+    eigenvectors are then rescaled against p3 and p1.
     """
     if report is None:
         report = genericity_report(space, fa, fb)
@@ -81,22 +111,9 @@ def normalize_lifts(space: HermitianSpace, fa: LoxodromicFrame,
         raise NotWeaklyNonsingular(
             f"pair fails genericity: {report.failing_conditions}")
 
-    a_raw = space.standard_lift(fa.attracting) if anchor == "standard" \
-        else fa.attracting
-    r_raw, ab_raw, rb_raw = fa.repelling, fb.attracting, fb.repelling
-    g12 = space.inner(a_raw, r_raw)
-    g13 = space.inner(a_raw, ab_raw)
-    g23 = space.inner(ab_raw, r_raw)
-    for g, s in ((g12, r_raw), (g13, ab_raw), (g23, r_raw)):
-        if abs(g) <= INNER_TOL * a_raw.norm() * s.norm():
-            raise NormalizationImpossible("degenerate fixed-point pairing")
-    # |<p2,p3>| = 1 fixes the positive factor on p1
-    t = float(np.sqrt(abs(g23) / (abs(g12) * abs(g13))))
-    p1 = a_raw.scale(t)
-
-    p2 = r_raw.rmul(_unit_scale_for(space, p1, r_raw))
-    p3 = ab_raw.rmul(_unit_scale_for(space, p1, ab_raw))
-    p4 = rb_raw.rmul(_unit_scale_for(space, p1, rb_raw))
+    p1, p2, p3, p4 = _normalize_quadruple(
+        space, [fa.attracting, fa.repelling, fb.attracting, fb.repelling],
+        anchor)
     pos_a = [fa.positives[j].rmul(_unit_scale_for(space, p3, fa.positives[j]))
              for j in report.matching_A]
     pos_b = [fb.positives[k].rmul(_unit_scale_for(space, p1, fb.positives[k]))

@@ -31,8 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (GramSchmidtBreakdown, NotNegativeVector,
-                     WrongDimension, WrongField, ZeroVector)
+from .errors import DegenerateInputError, WrongDimension, WrongField
 from .qmatrix import QArray
 from .quat import ONE, Quaternion, align_sp1
 
@@ -125,7 +124,8 @@ class HermitianSpace:
         """Rescale a lift so its last coordinate is 1 (Siegel-domain chart)."""
         qn = z.entry(self.n)
         if abs(qn) <= ERROR_THRESHOLD * z.norm():
-            raise ZeroVector("last coordinate vanishes; point at infinity")
+            raise DegenerateInputError(
+                "last coordinate vanishes; point at infinity")
         return z.rmul(qn.inverse())
 
     def bergman_distance(self, z: QArray, w: QArray) -> float:
@@ -133,7 +133,7 @@ class HermitianSpace:
         zz = self.norm_sq(z)
         ww = self.norm_sq(w)
         if zz >= 0 or ww >= 0:
-            raise NotNegativeVector("distance needs negative vectors")
+            raise DegenerateInputError("distance needs negative vectors")
         zw = self.inner(z, w)
         c = abs(zw) ** 2 / (zz * ww)
         c = max(c, 1.0)
@@ -163,7 +163,7 @@ class HermitianSpace:
             z.b[0] = 0.0
         # the j-part of w1 only shifts the imaginary part of <z,z>
         if self.norm_sq(z) >= -1e-6:
-            raise GramSchmidtBreakdown("negative-vector construction failed")
+            raise DegenerateInputError("negative-vector construction failed")
         return z
 
     def _diagonalizing_basis(self, rng) -> list:
@@ -184,7 +184,7 @@ class HermitianSpace:
                     basis.append(v.scale(1.0 / np.sqrt(s)))
                     break
             else:
-                raise GramSchmidtBreakdown("orthogonalization stalled")
+                raise DegenerateInputError("orthogonalization stalled")
         basis.append(un)
         return basis
 
@@ -202,5 +202,5 @@ class HermitianSpace:
         P[self.dim - 1, self.dim - 1] = -s
         A = U @ QArray(np.linalg.inv(P))
         if not self.is_isometry(A, tol=1e-8):
-            raise GramSchmidtBreakdown("isometry construction lost precision")
+            raise DegenerateInputError("isometry construction lost precision")
         return A

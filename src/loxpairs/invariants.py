@@ -20,7 +20,7 @@ from .genericity import PairGenericityReport, genericity_report
 from .hermitian import HermitianSpace, gauge
 from .qmatrix import QArray
 from .quat import Quaternion
-from .spectral import LoxodromicFrame, projective_point, real_trace_from_frame
+from .spectral import LoxodromicFrame, real_trace_from_frame
 
 DEGENERATE_TOL = 1e-10
 
@@ -133,17 +133,13 @@ def pair_invariants(space: HermitianSpace, fa: LoxodromicFrame,
     mixed = [[_cross(g, 2, k, 1, j) for k in bpos] for j in apos]
     eta_A = [_cross(g, j, 3, 2, j) for j in apos]
     eta_B = [_cross(g, k, 1, 0, k) for k in bpos]
-    proj_a = [projective_point(fa.attracting)] + \
-        [projective_point(x) for x in fa.positives]
-    proj_b = [projective_point(fb.attracting)] + \
-        [projective_point(x) for x in fb.positives]
     return InvariantTuple(
         field_tag=space.field,
         real_trace_A=real_trace_from_frame(fa),
         real_trace_B=real_trace_from_frame(fb),
         angular=ang, X1=X1, X2=X2, X3=X3,
         alpha=alpha, beta=beta, mixed=mixed, eta_A=eta_A, eta_B=eta_B,
-        projective_A=proj_a, projective_B=proj_b,
+        projective_A=fa.points(), projective_B=fb.points(),
         matching_A=list(tuple_.matching_A),
         matching_B=list(tuple_.matching_B))
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import LoxpairsError
 from .quat import Quaternion
 
 
@@ -29,7 +29,7 @@ class QArray:
             b = np.zeros_like(self.a)
         self.b = np.asarray(b, dtype=complex)
         if self.a.shape != self.b.shape:
-            raise DimensionMismatch("component shapes differ")
+            raise LoxpairsError("component shapes differ")
 
     # -- constructors ---------------------------------------------------
 
@@ -115,7 +115,7 @@ class QArray:
         """Quaternionic conjugate transpose of a matrix, or of each
         matrix in a stack."""
         if self.ndim < 2:
-            raise DimensionMismatch("adjoint needs a matrix")
+            raise LoxpairsError("adjoint needs a matrix")
         return QArray(np.conj(self.a).swapaxes(-1, -2),
                       -self.b.swapaxes(-1, -2))
 

@@ -7,8 +7,9 @@ parse(serialize(x)) reproduces every value bit for bit.
 """
 
 import json
+from functools import lru_cache
 from importlib import resources
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -241,6 +242,20 @@ def load_schema(name: str) -> dict:
     return json.loads(ref.read_text())
 
 
-def validate_against_schema(obj, name: str):
+@lru_cache(maxsize=None)
+def _validator(name: str):
+    """The schema's validator, checked once and built once."""
     import jsonschema
-    jsonschema.validate(obj, load_schema(name))
+    schema = load_schema(name)
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def validate_against_schema(obj, name: str):
+    """Raise ParseError with the error jsonschema.validate would report."""
+    from jsonschema.exceptions import best_match
+    error = best_match(_validator(name).iter_errors(obj))
+    if error is not None:
+        raise ParseError(f"{name} does not match its schema: "
+                         f"{error.message}")

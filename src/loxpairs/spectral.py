@@ -232,6 +232,12 @@ class LoxodromicFrame:
     def diagonal(self) -> QArray:
         return QArray.diag(self.eigenvalues)
 
+    def points(self) -> List[np.ndarray]:
+        """Projective points of the attracting lift, then of the
+        positive eigenvectors."""
+        return [projective_point(x) for x in (self.attracting,
+                                              *self.positives)]
+
     def conjugated(self, S: QArray) -> "LoxodromicFrame":
         """The frame of S A S^-1, for an isometry S (same spectrum)."""
         return LoxodromicFrame(self.radius, self.theta, self.phis.copy(),

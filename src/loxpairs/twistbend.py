@@ -19,17 +19,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (CompatibilityFailed, DegenerateConfiguration,
-                     DegenerateSpectrum, GraphInvalid, IncompatibleBoundary,
-                     InconsistentProjectivePoints, NotLoxodromic,
-                     WrongDimension)
+from .errors import (DegenerateConfiguration, DegenerateInputError,
+                     GraphInvalid, InconsistentProjectivePoints,
+                     NotLoxodromic, WrongDimension)
+from .gram import _normalize_quadruple
 from .hermitian import HermitianSpace
 from .invariants import _angular, _cross, _pairings
 from .qmatrix import QArray, conjugate_by, quaternionic_rank
 from .quat import Quaternion
 from .spectral import (LoxodromicFrame, classify_element, eigen_frame,
-                       element_conjugator, projective_point,
-                       projective_points_equal, real_trace_from_frame)
+                       element_conjugator, projective_points_equal)
 
 COMMUTE_TOL = 1e-9
 POINT_TOL = 1e-7
@@ -56,9 +55,7 @@ class TwistBendParams:
 
 def identity_params(frame: LoxodromicFrame) -> TwistBendParams:
     """The trivial twist-bend of A's gluing curve (K = identity)."""
-    return TwistBendParams(1.0, 0.0, 0.0, 0.0,
-                           projective_point(frame.attracting),
-                           *[projective_point(x) for x in frame.positives])
+    return TwistBendParams(1.0, 0.0, 0.0, 0.0, *frame.points())
 
 
 def twist_bend_element(kappa: TwistBendParams,
@@ -69,9 +66,7 @@ def twist_bend_element(kappa: TwistBendParams,
         raise WrongDimension("twist-bends are defined for n = 3 only")
     if kappa.t <= 0:
         raise DegenerateConfiguration("twist-bend needs t > 0")
-    pts = [projective_point(frame.attracting),
-           *[projective_point(x) for x in frame.positives]]
-    for k, p in zip((kappa.k1, kappa.k2, kappa.k3), pts):
+    for k, p in zip((kappa.k1, kappa.k2, kappa.k3), frame.points()):
         if not projective_points_equal(np.asarray(k, dtype=complex), p,
                                        tol=POINT_TOL):
             raise InconsistentProjectivePoints(
@@ -104,7 +99,6 @@ def tilde_invariants(space: HermitianSpace, kappa: TwistBendParams,
     K = twist_bend_element(kappa, fa)
     # gauge-fix the quadruple so the angular invariants are well defined
     # (residual freedom is one global unit, a similarity on everything)
-    from .classify import _normalize_quadruple
     # g indices: 0 = a_A, 1 = r_A, 2 = a_B, 3 = K r_C
     g = _pairings(space, _normalize_quadruple(space, [aA, rA, aB, K @ rC]))
     return (_cross(g, 0, 1, 2, 3), _cross(g, 0, 3, 2, 1),
@@ -144,7 +138,7 @@ def _check_compatible(space: HermitianSpace, P: QArray, D: QArray,
                       tol: float = COMPAT_TOL):
     resid = (P - D.inverse()).max_abs()
     if resid > tol * (1.0 + P.max_abs()):
-        raise IncompatibleBoundary(
+        raise DegenerateInputError(
             f"boundary mismatch {resid:.3e} exceeds {tol:.0e}")
 
 
@@ -235,10 +229,7 @@ def assemble_surface_representation(
                 continue
             P = aligned[a].peripherals()[sa]
             D = pants[b].peripherals()[sb]
-            try:
-                S = element_conjugator(space, D.inverse(), P)
-            except DegenerateSpectrum as exc:
-                raise CompatibilityFailed(str(exc))
+            S = element_conjugator(space, D.inverse(), P)
             K = twist_bend_element(kappas[e], aligned[a].frames[sa])
             aligned[b] = pants[b].conjugated(K @ S)
             _check_compatible(space, P, conjugate_by(K @ S, D),
@@ -261,10 +252,7 @@ def assemble_surface_representation(
         h += 1
         X = aligned[i].peripherals()[si]
         Y = aligned[j].peripherals()[sj]
-        try:
-            S = element_conjugator(space, X, Y.inverse())
-        except DegenerateSpectrum as exc:
-            raise CompatibilityFailed(str(exc))
+        S = element_conjugator(space, X, Y.inverse())
         # K commutes with X, so t X t^-1 = S X S^-1 = Y^-1 exactly and
         # the twist deforms only the transversal holonomy
         K = twist_bend_element(kappas[e], aligned[i].frames[si])

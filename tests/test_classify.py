@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from loxpairs.classify import (boundary_quadruple_congruence,
+from loxpairs.classify import (_verified_congruence,
+                               boundary_quadruple_congruence,
                                congruence_from_tuples, conjugacy_test,
                                invariant_map_rank)
-from loxpairs.errors import NotNonsingular
+from loxpairs.errors import (NormalizationImpossible, NotNonsingular,
+                             VerificationFailed)
 from loxpairs.generate import generate_pair
 from loxpairs.hermitian import HermitianSpace
 from loxpairs.qmatrix import QArray, conjugate_by, quaternionic_rank
@@ -123,6 +125,38 @@ def test_quadruple_congruence_higher_dimension(rng):
     assert h is not None
     for z, w in zip(zs, ws):
         assert quaternionic_rank([h @ z, w], tol=1e-6) == 1
+
+
+def _vec(coords):
+    return QArray(np.array(coords, dtype=complex))
+
+
+@pytest.mark.parametrize("case", ["coincident-first", "repeated-middle"])
+def test_quadruple_coincident_points_raise(space, case):
+    e4 = _vec([0, 0, 0, 1])
+    p = _vec([-0.5, 1, 0, 1])
+    q = _vec([-0.5, 0, 1, 1])
+    zs = {"coincident-first": [e4, e4.scale(2.0), p, q],
+          "repeated-middle": [e4, p, p, q]}[case]
+    with pytest.raises(NormalizationImpossible):
+        boundary_quadruple_congruence(space, zs, zs)
+
+
+@pytest.mark.parametrize("wrong", ["image", "pair"])
+def test_verified_congruence_rejects_one_wrong_image(space, rng, wrong):
+    U = space.random_isometry(rng)
+    basis = [QArray.eye(space.dim).column(i) for i in range(space.dim)]
+    images = [U @ v for v in basis]
+    pairs = list(zip(basis, images))
+    C = _verified_congruence(space, basis, images, pairs, 1e-8)
+    assert (C - U).max_abs() < 1e-10
+    bad = images[1] + images[2].scale(0.1)
+    if wrong == "image":
+        images[1] = bad
+    else:
+        pairs[1] = (basis[1], bad)
+    with pytest.raises(VerificationFailed):
+        _verified_congruence(space, basis, images, pairs, 1e-8)
 
 
 def test_congruence_from_tuples_identity(qspace):

@@ -109,10 +109,10 @@ def test_twist_bend_command(tmp_path, capsys):
     assert (K @ A - A @ K).max_abs() < 1e-8 * (1 + A.max_abs())
 
 
-def test_assemble_command(tmp_path, capsys):
+def _graph_file(tmp_path):
+    """A genus-2 gluing graph of one generated pants and its mirror."""
     path = _generate(tmp_path)
     space, A, B = sz.pair_from_json(sz.loads(path.read_text()))
-    from loxpairs.spectral import eigen_frame
     from loxpairs.twistbend import PantsGroup, identity_params
     g1 = PantsGroup(space, A, B)
     edges = [(0, 0, 1, 1), (0, 1, 1, 0), (0, 2, 1, 2)]
@@ -120,6 +120,11 @@ def test_assemble_command(tmp_path, capsys):
     gpath = tmp_path / "graph.json"
     gpath.write_text(sz.dumps(sz.graph_to_json(
         space, [(A, B), (B.inverse(), A.inverse())], edges, kappas)))
+    return gpath
+
+
+def test_assemble_command(tmp_path, capsys):
+    gpath = _graph_file(tmp_path)
     code, out = _run(capsys, "assemble", "--in", str(gpath))
     assert code == 0
     obj = json.loads(out)
@@ -169,3 +174,34 @@ def test_wrong_input_count_exit_2(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith(f"error: {command}")
+
+
+def _drop_key(path, key):
+    """Rewrite the JSON file at path without its top-level key."""
+    obj = sz.loads(path.read_text())
+    del obj[key]
+    path.write_text(sz.dumps(obj))
+
+
+def test_schema_invalid_kappa_exit_2(tmp_path, capsys):
+    path = _generate(tmp_path)
+    space, A, B = sz.pair_from_json(sz.loads(path.read_text()))
+    from loxpairs.spectral import eigen_frame
+    from loxpairs.twistbend import identity_params
+    kpath = tmp_path / "kappa.json"
+    kpath.write_text(sz.dumps(sz.kappa_to_json(
+        identity_params(eigen_frame(space, A)))))
+    _drop_key(kpath, "psi")
+    code = main(["twist-bend", "--in", str(path), "--in", str(kpath)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "'psi' is a required property" in err
+
+
+def test_schema_invalid_graph_exit_2(tmp_path, capsys):
+    gpath = _graph_file(tmp_path)
+    _drop_key(gpath, "pants")
+    code = main(["assemble", "--in", str(gpath)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "'pants' is a required property" in err

@@ -214,3 +214,12 @@ def test_solve_xp_stack_matches_per_system_solve(rng):
     for Ji, ri, xi in zip(J, rhs, x):
         assert np.allclose(np.asarray(xi, dtype=complex),
                            np.linalg.solve(Ji, ri), rtol=1e-10, atol=1e-12)
+
+
+def test_frame_points_order(qframes):
+    f = qframes[0]
+    expect = [f.attracting, *f.positives]
+    pts = f.points()
+    assert len(pts) == len(expect) == 3
+    for p, v in zip(pts, expect):
+        assert np.array_equal(p, projective_point(v))

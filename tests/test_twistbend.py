@@ -104,7 +104,7 @@ def test_tilde_invariants_separate_twists(qpants):
 
 
 def test_tilde_invariants_match_public_formulas(qpants):
-    from loxpairs.classify import _normalize_quadruple
+    from loxpairs.gram import _normalize_quadruple
     from loxpairs.invariants import angular_invariant, cross_ratio
     space = qpants.space
     fa, fb, fc = qpants.frames
