@@ -16,7 +16,7 @@ from .hermitian import HermitianSpace
 from .invariants import pair_invariants
 from .spectral import classify_element, eigen_frame
 from .twistbend import (PantsGroup, assemble_surface_representation,
-                        tilde_invariants, twist_bend_element)
+                        tilde_invariants_of_element, twist_bend_element)
 
 
 def _read_json(path: str):
@@ -105,7 +105,7 @@ def _cmd_twist_bend(args) -> int:
     fa, fb = eigen_frame(space, A), eigen_frame(space, B)
     fc = eigen_frame(space, (A @ B).inverse())
     K = twist_bend_element(kappa, fa)
-    x1, x2, x3, a1, a3 = tilde_invariants(space, kappa, fa, fb, fc)
+    x1, x2, x3, a1, a3 = tilde_invariants_of_element(space, K, fa, fb, fc)
     _emit(args, {"K": sz.matrix_to_json(K),
                  "tilde": {"X1": sz.quaternion_to_json(x1),
                            "X2": sz.quaternion_to_json(x2),

@@ -51,10 +51,6 @@ class QArray:
         return cls(w + 1j * x, y - 1j * z)
 
     @classmethod
-    def from_real(cls, arr) -> "QArray":
-        return cls(np.asarray(arr, dtype=complex))
-
-    @classmethod
     def from_columns(cls, cols) -> "QArray":
         return cls(np.stack([c.a for c in cols], axis=1),
                    np.stack([c.b for c in cols], axis=1))
@@ -88,9 +84,6 @@ class QArray:
             return [self.entry(i) for i in range(self.shape[0])]
         return [[self.entry(i, j) for j in range(self.shape[1])]
                 for i in range(self.shape[0])]
-
-    def is_complex(self, tol: float = 1e-12) -> bool:
-        return float(np.max(np.abs(self.b))) <= tol * (1.0 + self.norm())
 
     # -- algebra --------------------------------------------------------
 

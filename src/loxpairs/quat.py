@@ -138,34 +138,14 @@ def similar(a: Quaternion, b: Quaternion, tol: float = DEFAULT_TOL) -> bool:
     return abs(a.w - b.w) <= tol and abs(abs(a) - abs(b)) <= tol
 
 
-def _rotation_quaternion(u: np.ndarray, v: np.ndarray) -> Quaternion:
-    """Unit quaternion mu with R(mu) applied to u giving v (|u|=|v|=1)."""
-    c = float(np.dot(u, v))
-    if c < -1.0 + 1e-14:
-        # antipodal: rotate by pi about any axis orthogonal to u
-        axis = np.cross(u, [1.0, 0.0, 0.0])
-        if np.linalg.norm(axis) < 1e-8:
-            axis = np.cross(u, [0.0, 1.0, 0.0])
-        axis /= np.linalg.norm(axis)
-        return Quaternion(0.0, *axis)
-    w = np.cross(u, v)
-    mu = Quaternion(1.0 + c, w[0], w[1], w[2])
-    return mu.normalized()
-
-
 def conjugator_within_class(q: Quaternion, target: Quaternion,
                             tol: float = DEFAULT_TOL) -> Quaternion:
     """Unit mu with mu^-1 * q * mu = target, for similar q and target."""
-    scale = 1.0 + abs(q)
-    if not similar(q, target, max(tol, 1e-9 * scale)):
+    # align_sp1 gives nu with nu q conj(nu) = target, and mu = conj(nu)
+    nu = align_sp1([(q, target)], tol=max(tol, 1e-9 * (1.0 + abs(q))))
+    if nu is None:
         raise NotSimilar(f"{q} and {target} are not in the same class")
-    iq, it = q.imag_norm(), target.imag_norm()
-    if iq <= tol * scale or it <= tol * scale:
-        return ONE
-    u = q.imag_vector() / iq
-    v = target.imag_vector() / it
-    # mu^-1 q mu rotates Im(q) by R(mu)^-1, so we need R(mu) v = u
-    return _rotation_quaternion(v, u)
+    return nu.conjugate()
 
 
 def align_sp1(pairs, tol: float = DEFAULT_TOL):

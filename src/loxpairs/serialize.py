@@ -78,11 +78,22 @@ def pair_to_json(space: HermitianSpace, A: QArray, B: QArray) -> dict:
 
 
 def pair_from_json(obj) -> Tuple[HermitianSpace, QArray, QArray]:
+    """Space and generators of a pair file; ParseError unless A and B
+    are dim x dim arrays of finite quaternions."""
     try:
         space = space_from_json(obj["space"])
-        return space, matrix_from_json(obj["A"]), matrix_from_json(obj["B"])
+        A, B = matrix_from_json(obj["A"]), matrix_from_json(obj["B"])
     except KeyError as exc:
         raise ParseError(f"pair file missing key {exc}") from exc
+    except (IndexError, OverflowError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed pair file: {exc}") from exc
+    for name, M in (("A", A), ("B", B)):
+        if M.shape != (space.dim, space.dim):
+            raise ParseError(f"{name} has shape {M.shape}, expected "
+                             f"{space.dim} x {space.dim} for n = {space.n}")
+        if not (np.all(np.isfinite(M.a)) and np.all(np.isfinite(M.b))):
+            raise ParseError(f"{name} has a non-finite entry")
+    return space, A, B
 
 
 def projective_to_json(p: np.ndarray) -> list:

@@ -11,7 +11,8 @@ their companion-matrix roots checked and polished by Aberth, and
 clustering within each root's Newton distance to a multiple root.  The
 eigenpairs come from one LAPACK eig of the balanced matrix, whose upper
 half-plane eigenvalues represent the classes, and are polished by one
-bordered-Newton step in extended precision.
+bordered-Newton step of mixed-precision refinement: the residual is
+formed in extended precision and the correction comes from LAPACK.
 """
 
 from __future__ import annotations
@@ -125,46 +126,27 @@ def _balance_scaling(A: QArray) -> np.ndarray:
     return d
 
 
-def _solve_xp(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Gaussian elimination with partial pivoting in extended precision
-    on a stack of systems J[i] x[i] = rhs[i] (LAPACK has no clongdouble
-    kernels; the systems here are tiny)."""
-    k, n = rhs.shape
-    rows = np.arange(k)
-    T = np.concatenate([J, rhs[:, :, None]], axis=2)
-    for c in range(n):
-        p = c + np.argmax(np.abs(T[:, c:, c]), axis=1)
-        if np.any(T[rows, p, c] == 0):
-            raise np.linalg.LinAlgError("singular bordered system")
-        T[rows, c], T[rows, p] = T[rows, p], T[rows, c].copy()
-        T[:, c + 1:] -= (T[:, c + 1:, c:c + 1] / T[:, c:c + 1, c:c + 1]) \
-            * T[:, c:c + 1]
-    x = np.zeros((k, n), dtype=T.dtype)
-    for c in range(n - 1, -1, -1):
-        x[:, c] = (T[:, c, n] - np.sum(T[:, c, c + 1:n] * x[:, c + 1:],
-                                       axis=1)) / T[:, c, c]
-    return x
-
-
 def _polish_eigenpairs(M: np.ndarray, V: np.ndarray, lams: np.ndarray):
-    """One bordered-Newton correction, in extended precision, of every
-    eigenpair (row V[i], lams[i]) of M.  It pushes the eigenvector error
-    below the eps * ||M|| floor that a double-precision eigensolver hits
-    on conjugates with large entries.  The pairs stay as they are when a
-    bordered system is singular."""
+    """One bordered-Newton correction of every eigenpair (row V[i],
+    lams[i]) of M, by mixed-precision iterative refinement: the residual
+    lams V - V M^T is formed in extended precision, the correction comes
+    from one LAPACK solve of the stacked bordered systems in double, and
+    is added in extended precision before rounding.  It pushes the
+    eigenvector error below the eps * ||M|| floor that a double-precision
+    eigensolver hits on conjugates with large entries.  The pairs stay
+    as they are when a bordered system is singular."""
     n = M.shape[0]
     k = lams.size
-    Ml = M.astype(np.clongdouble)
+    J = np.zeros((k, n + 1, n + 1), dtype=complex)
+    J[:, :n, :n] = M - lams[:, None, None] * np.eye(n)
+    J[:, :n, n] = -V
+    J[:, n, :n] = np.conj(V)
     Vl = V.astype(np.clongdouble)
     L = lams.astype(np.clongdouble)
-    J = np.zeros((k, n + 1, n + 1), dtype=np.clongdouble)
-    J[:, :n, :n] = Ml - L[:, None, None] * np.eye(n)
-    J[:, :n, n] = -Vl
-    J[:, n, :n] = np.conj(Vl)
-    rhs = np.zeros((k, n + 1), dtype=np.clongdouble)
-    rhs[:, :n] = L[:, None] * Vl - Vl @ Ml.T
+    rhs = np.zeros((k, n + 1), dtype=complex)
+    rhs[:, :n] = L[:, None] * Vl - Vl @ M.astype(np.clongdouble).T
     try:
-        delta = _solve_xp(J, rhs)
+        delta = np.linalg.solve(J, rhs[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
         return V, lams
     Vl = Vl + delta[:, :n]
@@ -179,8 +161,8 @@ def _eigenpairs(space: HermitianSpace, A: QArray):
     One LAPACK eig of the balanced complex matrix that stands for A
     (space.as_complex) gives every eigenpair.  The embedding's spectrum
     is closed under conjugation, so its upper half holds the Im >= 0
-    representative of every class.  One extended-precision Newton step
-    polishes these pairs.
+    representative of every class.  One Newton step on an
+    extended-precision residual polishes these pairs.
     """
     Mfull = space.as_complex(A)
     d = _balance_scaling(A)
@@ -327,7 +309,7 @@ def eigen_frame(space: HermitianSpace, A: QArray,
     return frame
 
 
-def projective_point(v: QArray, tol: float = 1e-12) -> np.ndarray:
+def projective_point(v: QArray) -> np.ndarray:
     """Point of the complex projective line attached to an eigenvector.
 
     v determines (a_i : b_i) at its largest entry, which is invariant

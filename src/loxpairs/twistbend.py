@@ -9,7 +9,10 @@ pinned to those of A and are therefore validated, not free.
 Gluing attaches two (0,3) groups along compatible boundary components
 (peripheral of one = inverse peripheral of the other), conjugating the
 far side by the twist-bend of the shared curve; assembly repeats this
-over a pants graph and closes the handles.  Only n = 3.
+over a pants graph and closes the handles.  Every handle, in `glue` and
+in assembly alike, is closed by one stable-letter rule: t = S K, with S
+conjugating the curve X to the inverse Y^-1 of its partner and K the
+twist-bend of X, so t X t^-1 = Y^-1.  Only n = 3.
 """
 
 from __future__ import annotations
@@ -90,13 +93,22 @@ def tilde_invariants(space: HermitianSpace, kappa: TwistBendParams,
     Requires that a_B and r_C stay off the proper totally geodesic
     subspace through a_A and r_A (rank-3 condition on lifts).
     """
+    return tilde_invariants_of_element(space, twist_bend_element(kappa, fa),
+                                       fa, fb, fc)
+
+
+def tilde_invariants_of_element(space: HermitianSpace, K: QArray,
+                                fa: LoxodromicFrame, fb: LoxodromicFrame,
+                                fc: LoxodromicFrame
+                                ) -> Tuple[Quaternion, Quaternion,
+                                           Quaternion, float, float]:
+    """tilde_invariants for an already built twist-bend element K of A."""
     aA, rA = fa.attracting, fa.repelling
     aB, rC = fb.attracting, fc.repelling
     for x in (aB, rC):
         if quaternionic_rank([aA, rA, x]) < 3:
             raise DegenerateConfiguration(
                 "configuration lies on a proper totally geodesic subspace")
-    K = twist_bend_element(kappa, fa)
     # gauge-fix the quadruple so the angular invariants are well defined
     # (residual freedom is one global unit, a similarity on everything)
     # g indices: 0 = a_A, 1 = r_A, 2 = a_B, 3 = K r_C
@@ -142,6 +154,16 @@ def _check_compatible(space: HermitianSpace, P: QArray, D: QArray,
             f"boundary mismatch {resid:.3e} exceeds {tol:.0e}")
 
 
+def _stable_letter(space: HermitianSpace, X: QArray, Y: QArray,
+                   kappa: TwistBendParams, frame: LoxodromicFrame) -> QArray:
+    """The handle-closing letter t = S K with t X t^-1 = Y^-1: S
+    conjugates X to Y^-1 and K, the twist-bend of X's frame, commutes
+    with X, so the relation is exact and the twist deforms only the
+    transversal holonomy."""
+    return element_conjugator(space, X, Y.inverse()) @ \
+        twist_bend_element(kappa, frame)
+
+
 def glue(g1: PantsGroup, g2: PantsGroup, kappa: TwistBendParams,
          slot1: int = 0, slot2: int = 1) -> List[QArray]:
     """Attach g2 to g1 along compatible boundary components.
@@ -151,17 +173,15 @@ def glue(g1: PantsGroup, g2: PantsGroup, kappa: TwistBendParams,
     [A, B, K C K^-1] with C the other generator of g2 and K the
     twist-bend of the shared curve.  Case 2 (g1 is g2): closes the
     handle between slots slot1 and slot2 of the same pants, returning
-    the (1,1) generators [P, K S] with S conjugating P to the inverse
-    of the other peripheral.
+    the (1,1) generators [P, t] with t the stable letter that carries P
+    to the inverse of the other peripheral.
     """
     space = g1.space
     P = g1.peripherals()[slot1]
-    fP = g1.frames[slot1]
-    K = twist_bend_element(kappa, fP)
     if g1 is g2:
-        target = g1.peripherals()[slot2].inverse()
-        S = element_conjugator(space, P, target)
-        return [P, K @ S]
+        return [P, _stable_letter(space, P, g1.peripherals()[slot2], kappa,
+                                  g1.frames[slot1])]
+    K = twist_bend_element(kappa, g1.frames[slot1])
     D = g2.peripherals()[slot2]
     _check_compatible(space, P, D)
     C = g2.B if slot2 == 0 else g2.A
@@ -252,11 +272,7 @@ def assemble_surface_representation(
         h += 1
         X = aligned[i].peripherals()[si]
         Y = aligned[j].peripherals()[sj]
-        S = element_conjugator(space, X, Y.inverse())
-        # K commutes with X, so t X t^-1 = S X S^-1 = Y^-1 exactly and
-        # the twist deforms only the transversal holonomy
-        K = twist_bend_element(kappas[e], aligned[i].frames[si])
-        t = S @ K
+        t = _stable_letter(space, X, Y, kappas[e], aligned[i].frames[si])
         a, b = (X.inverse(), t) if h % 2 else (t, X)
         generators[f"a{h}"] = a
         generators[f"b{h}"] = b

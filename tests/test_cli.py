@@ -167,6 +167,51 @@ def test_bad_dimension_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def _ragged_row(obj):
+    obj["A"][0].pop()
+
+
+def _string_entry(obj):
+    obj["A"][1][2][0] = "x"
+
+
+def _infinite_entry(obj):
+    obj["A"][1][2][0] = float("inf")
+
+
+def _small_matrix(obj):
+    obj["A"] = [row[:3] for row in obj["A"][:3]]
+
+
+def _scalar_matrix(obj):
+    obj["A"] = 5
+
+
+def _wrong_n(obj):
+    obj["space"]["n"] = 4
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["classify", "invariants",
+                                     "conjugacy-test"])
+@pytest.mark.parametrize("corrupt", [_ragged_row, _string_entry,
+                                     _infinite_entry, _small_matrix,
+                                     _scalar_matrix, _wrong_n])
+def test_malformed_pair_file_exit_2(tmp_path, capsys, command, corrupt):
+    path = _generate(tmp_path)
+    obj = sz.loads(path.read_text())
+    corrupt(obj)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    argv = [command, "--in", str(bad)]
+    if command == "conjugacy-test":
+        argv += ["--in", str(path)]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("degenerate input: ")
+
+
 @pytest.mark.parametrize("command", ["conjugacy-test", "twist-bend"])
 def test_wrong_input_count_exit_2(tmp_path, capsys, command):
     path = _generate(tmp_path)

@@ -82,6 +82,24 @@ def test_conjugator_within_class(rng):
     assert (mu.inverse() * q * mu).isclose(target, tol=1e-10)
 
 
+@pytest.mark.parametrize("axis", [(1.0, 0.0, 0.0), (0.3, -0.5, 0.8)])
+def test_conjugator_within_class_antipodal(axis):
+    q = Quaternion(0.7, *axis)
+    target = Quaternion(0.7, *(-np.array(axis)))
+    mu = conjugator_within_class(q, target)
+    assert abs(abs(mu) - 1.0) <= 1e-12
+    assert (mu.inverse() * q * mu).isclose(target, tol=1e-10)
+
+
+def test_conjugator_within_class_rejects_other_class():
+    with pytest.raises(NotSimilar):
+        conjugator_within_class(Quaternion(0.7, 1.0, 0, 0),
+                                Quaternion(0.7, 0, 1.1, 0))
+    with pytest.raises(NotSimilar):
+        conjugator_within_class(Quaternion(0.7, 1.0, 0, 0),
+                                Quaternion(-0.7, 0, 1.0, 0))
+
+
 def test_align_sp1_recovers_global_unit(rng):
     mu = Quaternion.from_array(rng.standard_normal(4)).normalized()
     qs = [Quaternion.from_array(rng.standard_normal(4)) for _ in range(6)]

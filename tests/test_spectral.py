@@ -205,15 +205,40 @@ def test_eigen_frame_non_complex_pairing_is_typed(qspace, rng, monkeypatch):
         eigen_frame(qspace, A)
 
 
-def test_solve_xp_stack_matches_per_system_solve(rng):
-    from loxpairs.spectral import _solve_xp
-    J = rng.standard_normal((4, 7, 7)) + 1j * rng.standard_normal((4, 7, 7))
-    rhs = rng.standard_normal((4, 7)) + 1j * rng.standard_normal((4, 7))
-    x = _solve_xp(J.astype(np.clongdouble), rhs.astype(np.clongdouble))
-    assert x.dtype == np.clongdouble
-    for Ji, ri, xi in zip(J, rhs, x):
-        assert np.allclose(np.asarray(xi, dtype=complex),
-                           np.linalg.solve(Ji, ri), rtol=1e-10, atol=1e-12)
+def _xp_residual(M, V, lams):
+    """Largest ||V M^T - lam V|| / ||V|| over the rows, in extended
+    precision."""
+    Vl = V.astype(np.clongdouble)
+    R = Vl @ M.astype(np.clongdouble).T \
+        - lams.astype(np.clongdouble)[:, None] * Vl
+    return np.max(np.sqrt(np.sum(np.abs(R) ** 2, axis=1)
+                          / np.sum(np.abs(Vl) ** 2, axis=1)))
+
+
+@pytest.mark.parametrize("n,fld", [(3, "quaternion"), (5, "complex")])
+def test_polish_eigenpairs_halves_residual_on_boosted_conjugates(n, fld):
+    from loxpairs.spectral import _polish_eigenpairs
+    space = HermitianSpace(n, fld)
+    rng = np.random.default_rng(2024)
+    Q = QArray.diag([1e3] + [1.0] * (n - 1) + [1e-3])
+    for _ in range(10):
+        M = space.as_complex(conjugate_by(Q, random_loxodromic(space, rng)))
+        evals, evecs = np.linalg.eig(M)
+        idx = np.argsort(-evals.imag)[:space.dim]
+        V, lams = evecs[:, idx].T, evals[idx]
+        V2, lams2 = _polish_eigenpairs(M, V, lams)
+        assert V2.dtype == lams2.dtype == complex
+        assert _xp_residual(M, V2, lams2) <= 0.5 * _xp_residual(M, V, lams)
+
+
+def test_polish_eigenpairs_singular_border_keeps_pairs(rng):
+    from loxpairs.spectral import _polish_eigenpairs
+    M = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    lams, W = np.linalg.eig(M)
+    V = W.T.copy()
+    V[1] = 0.0
+    V2, lams2 = _polish_eigenpairs(M, V, lams)
+    assert V2 is V and lams2 is lams
 
 
 def test_frame_points_order(qframes):

@@ -3,7 +3,7 @@ import pytest
 
 from loxpairs.errors import (GraphInvalid, InconsistentProjectivePoints,
                              WrongDimension)
-from loxpairs.generate import generate_pair
+from loxpairs.generate import generate_pair, random_loxodromic
 from loxpairs.hermitian import HermitianSpace
 from loxpairs.qmatrix import QArray, conjugate_by
 from loxpairs.spectral import eigen_frame
@@ -131,6 +131,21 @@ def test_glue_distinct_pants(qpants):
     assert len(gens) == 3
     for g in gens:
         assert space.is_isometry(g, tol=1e-7)
+
+
+@pytest.mark.parametrize("seed", [1, 7, 27])
+def test_glue_closes_handle_with_stable_letter(seed):
+    # B = S A^-1 S^-1 makes slots 0 and 1 of one pants a handle; with a
+    # twist the letter t must still carry P = A to B^-1
+    space = HermitianSpace(3, "quaternion")
+    rng = np.random.default_rng(seed)
+    A = random_loxodromic(space, rng)
+    B = conjugate_by(space.random_isometry(rng), A.inverse())
+    g = PantsGroup(space, A, B)
+    kap = _twisted(identity_params(g.frames[0]))
+    P, t = glue(g, g, kap, 0, 1)
+    Binv = B.inverse()
+    assert (conjugate_by(t, P) - Binv).max_abs() <= 1e-9 * Binv.max_abs()
 
 
 def test_parameter_count_values():
