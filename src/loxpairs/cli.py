@@ -20,7 +20,7 @@ from .twistbend import (PantsGroup, assemble_surface_representation,
 
 
 def _read_json(path: str):
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         return sz.loads(fh.read())
 
 
@@ -128,13 +128,28 @@ def _cmd_assemble(args) -> int:
     return 0
 
 
+_OPTIONS = {
+    "--n": dict(type=int, default=3),
+    "--field": dict(choices=("complex", "quaternion"), default="quaternion"),
+    "--seed": dict(type=int, default=0),
+    "--mode": dict(choices=("weak", "strong"), default="weak"),
+    "--tol": dict(type=float, default=1e-7),
+    "--in": dict(dest="infile", action="append", default=[],
+                 metavar="PATH"),
+    "--out": dict(default=None, metavar="PATH"),
+    "--pretty": dict(action="store_true"),
+}
+
+# subcommand -> (handler, number of --in files, the options it reads)
 _COMMANDS = {
-    "generate": _cmd_generate,
-    "classify": _cmd_classify,
-    "invariants": _cmd_invariants,
-    "conjugacy-test": _cmd_conjugacy_test,
-    "twist-bend": _cmd_twist_bend,
-    "assemble": _cmd_assemble,
+    "generate": (_cmd_generate, 0,
+                 ("--n", "--field", "--seed", "--mode", "--out")),
+    "classify": (_cmd_classify, 1, ("--in", "--tol", "--out")),
+    "invariants": (_cmd_invariants, 1, ("--in", "--out", "--pretty")),
+    "conjugacy-test": (_cmd_conjugacy_test, 2,
+                       ("--in", "--mode", "--tol", "--out")),
+    "twist-bend": (_cmd_twist_bend, 2, ("--in", "--out")),
+    "assemble": (_cmd_assemble, 1, ("--in", "--out")),
 }
 
 
@@ -145,36 +160,25 @@ def build_parser() -> argparse.ArgumentParser:
                     "isometries of complex and quaternionic hyperbolic "
                     "space")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, _, options) in _COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--n", type=int, default=3)
-        p.add_argument("--field", choices=("complex", "quaternion"),
-                       default="quaternion")
-        p.add_argument("--tol", type=float, default=1e-7)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--mode", choices=("weak", "strong"), default="weak")
-        p.add_argument("--in", dest="infile", action="append", default=[],
-                       metavar="PATH")
-        p.add_argument("--out", default=None, metavar="PATH")
-        p.add_argument("--pretty", action="store_true")
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.tol <= 0:
+    handler, n_in, _ = _COMMANDS[args.command]
+    if "tol" in args and not args.tol > 0:
         print("error: --tol must be positive", file=sys.stderr)
         return 2
-    needs_input = args.command != "generate"
-    if needs_input and not args.infile:
-        print(f"error: {args.command} requires --in", file=sys.stderr)
-        return 2
-    if args.command in ("conjugacy-test", "twist-bend") \
-            and len(args.infile) != 2:
-        print(f"error: {args.command} needs two --in files", file=sys.stderr)
+    if n_in and len(args.infile) != n_in:
+        print(f"error: {args.command} takes {n_in} --in, got "
+              f"{len(args.infile)}", file=sys.stderr)
         return 2
     try:
-        return _COMMANDS[args.command](args)
+        return handler(args)
     except VerificationFailed as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 3

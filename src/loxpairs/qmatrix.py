@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import LoxpairsError
+from .errors import DegenerateInputError, LoxpairsError
 from .quat import Quaternion
 
 
@@ -135,7 +135,10 @@ class QArray:
         return cls(M[..., :m, :m], M[..., m:, :m])
 
     def inverse(self) -> "QArray":
-        return QArray.from_embed(np.linalg.inv(self.embed()))
+        try:
+            return QArray.from_embed(np.linalg.inv(self.embed()))
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateInputError("singular matrix") from exc
 
     def norm(self) -> float:
         """Frobenius norm (sum of squared quaternion moduli)."""

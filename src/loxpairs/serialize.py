@@ -1,9 +1,11 @@
-"""JSON codecs for the domain types.
+"""The CLI's file formats: pair files, kappa blocks, gluing graphs and
+the JSON each command writes.
 
-Quaternions serialize as [w, x, y, z]; vectors as arrays of quaternion
-4-arrays; matrices as row-major nested arrays.  Floats go through
-Python's shortest round-trip repr (at most 17 significant digits), so
-parse(serialize(x)) reproduces every value bit for bit.
+Quaternions serialize as [w, x, y, z] and matrices as row-major nested
+arrays of them.  Floats go through Python's shortest round-trip repr (at
+most 17 significant digits), so parse(serialize(x)) reproduces every
+value bit for bit.  Every matrix is read through matrix_from_json, which
+raises ParseError on anything but a finite dim x dim x 4 array.
 """
 
 import json
@@ -18,18 +20,11 @@ from .hermitian import HermitianSpace
 from .invariants import InvariantTuple
 from .qmatrix import QArray
 from .quat import Quaternion
-from .spectral import LoxodromicFrame, projective_point
 from .twistbend import TwistBendParams
 
 
 def quaternion_to_json(q: Quaternion) -> list:
     return [float(v) for v in q.to_array()]
-
-
-def quaternion_from_json(obj) -> Quaternion:
-    if not isinstance(obj, (list, tuple)) or len(obj) != 4:
-        raise ParseError(f"quaternion must be a 4-array, got {obj!r}")
-    return Quaternion.from_array(obj)
 
 
 def complex_to_json(c) -> list:
@@ -43,22 +38,9 @@ def complex_from_json(obj) -> complex:
     return complex(obj[0], obj[1])
 
 
-def vector_to_json(v: QArray) -> list:
-    return [quaternion_to_json(q) for q in v.to_quaternions()]
-
-
-def vector_from_json(obj) -> QArray:
-    return QArray.from_quaternions([quaternion_from_json(e) for e in obj])
-
-
 def matrix_to_json(M: QArray) -> list:
     rows = M.to_quaternions()
     return [[quaternion_to_json(q) for q in row] for row in rows]
-
-
-def matrix_from_json(obj) -> QArray:
-    return QArray.from_quaternions(
-        [[quaternion_from_json(e) for e in row] for row in obj])
 
 
 def space_to_json(space: HermitianSpace) -> dict:
@@ -68,7 +50,7 @@ def space_to_json(space: HermitianSpace) -> dict:
 def space_from_json(obj) -> HermitianSpace:
     try:
         return HermitianSpace(int(obj["n"]), obj["field"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ParseError(f"bad space descriptor: {exc}") from exc
 
 
@@ -77,23 +59,32 @@ def pair_to_json(space: HermitianSpace, A: QArray, B: QArray) -> dict:
             "A": matrix_to_json(A), "B": matrix_to_json(B)}
 
 
+def matrix_from_json(obj, dim: int, name: str = "matrix") -> QArray:
+    """A dim x dim matrix of [w, x, y, z] quaternions; ParseError unless
+    obj is exactly that, with every entry a finite number."""
+    try:
+        q = np.asarray(obj, dtype=float)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise ParseError(f"{name} is not an array of numbers: {exc}") from exc
+    if q.shape != (dim, dim, 4):
+        raise ParseError(f"{name} has shape {q.shape}, expected "
+                         f"({dim}, {dim}, 4)")
+    if not np.all(np.isfinite(q)):
+        raise ParseError(f"{name} has a non-finite entry")
+    w, x, y, z = np.moveaxis(q, -1, 0)
+    return QArray(w + 1j * x, y - 1j * z)
+
+
 def pair_from_json(obj) -> Tuple[HermitianSpace, QArray, QArray]:
-    """Space and generators of a pair file; ParseError unless A and B
-    are dim x dim arrays of finite quaternions."""
+    """Space and generators of a pair file."""
     try:
         space = space_from_json(obj["space"])
-        A, B = matrix_from_json(obj["A"]), matrix_from_json(obj["B"])
+        return (space, matrix_from_json(obj["A"], space.dim, "A"),
+                matrix_from_json(obj["B"], space.dim, "B"))
     except KeyError as exc:
         raise ParseError(f"pair file missing key {exc}") from exc
-    except (IndexError, OverflowError, TypeError, ValueError) as exc:
+    except TypeError as exc:
         raise ParseError(f"malformed pair file: {exc}") from exc
-    for name, M in (("A", A), ("B", B)):
-        if M.shape != (space.dim, space.dim):
-            raise ParseError(f"{name} has shape {M.shape}, expected "
-                             f"{space.dim} x {space.dim} for n = {space.n}")
-        if not (np.all(np.isfinite(M.a)) and np.all(np.isfinite(M.b))):
-            raise ParseError(f"{name} has a non-finite entry")
-    return space, A, B
 
 
 def projective_to_json(p: np.ndarray) -> list:
@@ -125,33 +116,6 @@ def invariant_tuple_to_json(t: InvariantTuple) -> dict:
     }
 
 
-def invariant_tuple_from_json(obj) -> InvariantTuple:
-    try:
-        return InvariantTuple(
-            field_tag=obj["field"],
-            real_trace_A=np.array(obj["real_trace_A"], dtype=float),
-            real_trace_B=np.array(obj["real_trace_B"], dtype=float),
-            angular=np.array(obj["angular"], dtype=float),
-            X1=quaternion_from_json(obj["X1"]),
-            X2=quaternion_from_json(obj["X2"]),
-            X3=quaternion_from_json(obj["X3"]),
-            alpha=[quaternion_from_json(q) for q in obj["alpha"]],
-            beta=[quaternion_from_json(q) for q in obj["beta"]],
-            mixed=[[quaternion_from_json(q) for q in row]
-                   for row in obj["mixed"]],
-            eta_A=[quaternion_from_json(q) for q in obj["eta_A"]],
-            eta_B=[quaternion_from_json(q) for q in obj["eta_B"]],
-            projective_A=[projective_from_json(p)
-                          for p in obj["projective_A"]],
-            projective_B=[projective_from_json(p)
-                          for p in obj["projective_B"]],
-            matching_A=list(obj["matching_A"]),
-            matching_B=list(obj["matching_B"]),
-        )
-    except KeyError as exc:
-        raise ParseError(f"invariant tuple missing key {exc}") from exc
-
-
 def kappa_to_json(kappa: TwistBendParams) -> dict:
     return {"t": float(kappa.t), "psi": float(kappa.psi),
             "xi": [float(kappa.xi1), float(kappa.xi2)],
@@ -171,46 +135,6 @@ def kappa_from_json(obj) -> TwistBendParams:
         raise ParseError(f"bad twist-bend parameter block: {exc}") from exc
 
 
-def frame_to_json(frame: LoxodromicFrame) -> dict:
-    """Eigenvalue classes as complex pairs, eigenvector lifts as
-    quaternion arrays, projective fixed points as homogeneous pairs."""
-    return {
-        "radius": float(frame.radius),
-        "theta": float(frame.theta),
-        "phis": list(map(float, frame.phis)),
-        "eigenvalues": [complex_to_json(lam) for lam in frame.eigenvalues],
-        "attracting": vector_to_json(frame.attracting),
-        "repelling": vector_to_json(frame.repelling),
-        "positives": [vector_to_json(v) for v in frame.positives],
-        "projective_points": [projective_to_json(projective_point(v))
-                              for v in frame.positives],
-    }
-
-
-def frame_from_json(obj, space: HermitianSpace) -> LoxodromicFrame:
-    try:
-        return LoxodromicFrame(
-            radius=float(obj["radius"]), theta=float(obj["theta"]),
-            phis=np.array(obj["phis"], dtype=float),
-            attracting=vector_from_json(obj["attracting"]),
-            repelling=vector_from_json(obj["repelling"]),
-            positives=[vector_from_json(v) for v in obj["positives"]],
-            space=space)
-    except KeyError as exc:
-        raise ParseError(f"frame missing key {exc}") from exc
-
-
-def report_to_json(report) -> dict:
-    return {"weakly_nonsingular": bool(report.weakly_nonsingular),
-            "nonsingular": bool(report.nonsingular),
-            "matching_A": list(report.matching_A),
-            "matching_B": list(report.matching_B),
-            "omitted_A": report.omitted_A,
-            "omitted_B": report.omitted_B,
-            "multiple_matchings": bool(report.multiple_matchings),
-            "failing_conditions": list(report.failing_conditions)}
-
-
 def graph_to_json(space: HermitianSpace, pants, edges, kappas) -> dict:
     """Gluing graph: nodes are pants ids; each edge is
     [node, peripheral slot, node, peripheral slot, kappa]."""
@@ -226,38 +150,43 @@ def graph_from_json(obj):
     """Returns (space, [(A, B), ...], [(i, si, j, sj), ...], [kappa, ...])."""
     try:
         space = space_from_json(obj["space"])
-        pants = [(matrix_from_json(p["A"]), matrix_from_json(p["B"]))
-                 for p in obj["pants"]]
+        pants = [tuple(matrix_from_json(p[k], space.dim, f"pants[{i}].{k}")
+                       for k in ("A", "B"))
+                 for i, p in enumerate(obj["pants"])]
         edges = [tuple(int(v) for v in e[:4]) for e in obj["edges"]]
         kappas = [kappa_from_json(e[4]) for e in obj["edges"]]
         return space, pants, edges, kappas
     except (KeyError, IndexError) as exc:
         raise ParseError(f"gluing graph missing key {exc}") from exc
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed gluing graph: {exc}") from exc
 
 
 def dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def loads(text: str):
+def loads(text):
+    """Parse JSON text or UTF-8 bytes; ParseError on anything
+    json.loads rejects."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from exc
-
-
-def load_schema(name: str) -> dict:
-    ref = resources.files("loxpairs") / "schemas" / f"{name}.json"
-    return json.loads(ref.read_text())
+    except (RecursionError, ValueError) as exc:
+        # bytes that are not UTF-8, integers past Python's digit limit,
+        # nesting past the recursion limit
+        raise ParseError(f"invalid JSON: {exc}") from exc
 
 
 @lru_cache(maxsize=None)
 def _validator(name: str):
     """The schema's validator, checked once and built once."""
     import jsonschema
-    schema = load_schema(name)
+    ref = resources.files("loxpairs") / "schemas" / f"{name}.json"
+    schema = json.loads(ref.read_text())
     cls = jsonschema.validators.validator_for(schema)
     cls.check_schema(schema)
     return cls(schema)

@@ -57,7 +57,7 @@ def real_char_poly(space: HermitianSpace, A: QArray,
         coeffs = np.polymul(chi, np.conj(chi))
     dev = max(float(np.max(np.abs(coeffs.imag))),
               float(np.max(np.abs(coeffs - coeffs[::-1]))))
-    if dev > tol * float(np.max(np.abs(coeffs))):
+    if not dev <= tol * float(np.max(np.abs(coeffs))):  # NaN fails
         raise PalindromeViolation(f"coefficient symmetry violated by {dev:.3e}")
     coeffs = 0.5 * (coeffs.real + coeffs.real[::-1])
     return coeffs
@@ -97,7 +97,7 @@ def classify_element(space: HermitianSpace, A: QArray,
         scale = float(np.max(np.abs(g)))
         # disc is homogeneous of degree 2n in the coefficients of g
         delta_floor = tol * max(1.0, scale) ** (2 * space.n)
-        if delta <= delta_floor:
+        if not delta > delta_floor:  # NaN fails
             return ElementClass(False, delta, tr, "delta <= 0")
         if min(abs(g2), abs(gm2)) <= tol * scale:
             return ElementClass(False, delta, tr, "real eigenvalue on the unit circle")

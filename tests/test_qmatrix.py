@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from loxpairs.errors import DegenerateInputError
 from loxpairs.hermitian import HermitianSpace
 from loxpairs.qmatrix import (QArray, commutator, conjugate_by,
                               quaternionic_rank)
@@ -32,6 +33,11 @@ def test_embed_round_trip(rng):
 def test_inverse(rng):
     A = _random_qarray(rng, (4, 4))
     assert (A @ A.inverse() - QArray.eye(4)).max_abs() < 1e-10
+
+
+def test_inverse_of_singular_matrix_is_typed():
+    with pytest.raises(DegenerateInputError, match="singular matrix"):
+        QArray.zeros((4, 4)).inverse()
 
 
 def test_matrix_vector_action_matches_embedding(rng):

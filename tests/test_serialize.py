@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -8,19 +6,8 @@ from loxpairs.errors import ParseError
 from loxpairs.generate import generate_pair
 from loxpairs.genericity import genericity_report
 from loxpairs.invariants import pair_invariants
-from loxpairs.quat import Quaternion
 from loxpairs.spectral import eigen_frame
 from loxpairs.twistbend import TwistBendParams, identity_params
-
-
-def test_quaternion_round_trip(rng):
-    q = Quaternion.from_array(rng.standard_normal(4))
-    assert sz.quaternion_from_json(sz.quaternion_to_json(q)) == q
-
-
-def test_quaternion_rejects_bad_shape():
-    with pytest.raises(ParseError):
-        sz.quaternion_from_json([1.0, 2.0])
 
 
 def test_pair_round_trip_bit_exact(space):
@@ -47,22 +34,6 @@ def test_invariant_tuple_round_trip(qspace, qpair):
                         report=genericity_report(qspace, fa, fb))
     obj = sz.invariant_tuple_to_json(t)
     sz.validate_against_schema(obj, "invariant_tuple")
-    t2 = sz.invariant_tuple_from_json(sz.loads(sz.dumps(obj)))
-    assert t2.X1 == t.X1 and t2.X2 == t.X2 and t2.X3 == t.X3
-    assert np.array_equal(t.real_trace_A, t2.real_trace_A)
-    assert np.array_equal(t.angular, t2.angular)
-    for p, q in zip(t.projective_A, t2.projective_A):
-        assert np.array_equal(p, q)
-
-
-def test_frame_round_trip(qspace, qframes):
-    fa, _ = qframes
-    obj = sz.frame_to_json(fa)
-    fa2 = sz.frame_from_json(sz.loads(sz.dumps(obj)), qspace)
-    assert fa2.radius == fa.radius and fa2.theta == fa.theta
-    assert np.array_equal(fa.phis, fa2.phis)
-    assert np.array_equal(fa.attracting.a, fa2.attracting.a)
-    assert np.array_equal(fa.attracting.b, fa2.attracting.b)
 
 
 def test_kappa_round_trip(qframes):
@@ -90,17 +61,44 @@ def test_graph_round_trip(qspace, qpair, qframes):
     assert np.array_equal(pants[0][0].a, A.a)
 
 
-def test_report_serialization(qspace, qframes):
-    rep = genericity_report(qspace, *qframes)
-    obj = sz.report_to_json(rep)
-    parsed = json.loads(sz.dumps(obj))
-    assert parsed["weakly_nonsingular"] is True
-    assert isinstance(parsed["failing_conditions"], list)
-
-
 def test_loads_reports_position():
     with pytest.raises(ParseError, match="line"):
         sz.loads("{bad json!")
+
+
+@pytest.mark.parametrize("text", ["1" * 5000, b'{"a": "\x80"}', "[" * 100000],
+                         ids=["huge-integer", "not-utf8", "deep-nesting"])
+def test_loads_maps_every_rejection_to_parse_error(text):
+    with pytest.raises(ParseError, match="invalid JSON"):
+        sz.loads(text)
+
+
+def test_matrix_from_json_reads_quaternion_rows(rng):
+    q = rng.standard_normal((4, 4, 4))
+    M = sz.matrix_from_json(q.tolist(), 4)
+    assert np.array_equal(M.a, q[..., 0] + 1j * q[..., 1])
+    assert np.array_equal(M.b, q[..., 2] - 1j * q[..., 3])
+    assert sz.matrix_to_json(M) == q.tolist()
+
+
+_ROW = [[1.0, 0.0, 0.0, 0.0]] * 4
+
+
+@pytest.mark.parametrize("obj", [
+    [_ROW] * 3 + [_ROW[:3]],                  # ragged row
+    [_ROW] * 3,                               # 3 x 4
+    [row[:3] for row in [_ROW] * 3],          # 3 x 3
+    [_ROW] * 3 + [[[1.0, 0.0, 0.0]] * 4],     # 3-number quaternion
+    [_ROW] * 3 + [_ROW[:3] + [["x"] * 4]],    # string entry
+    [_ROW] * 3 + [_ROW[:3] + [[None] * 4]],   # null entry
+    [_ROW] * 3 + [_ROW[:3] + [[float("inf"), 0.0, 0.0, 0.0]]],
+    [_ROW] * 3 + [_ROW[:3] + [[10 ** 400, 0, 0, 0]]],
+    {"A": 1}, 5, None,
+], ids=["ragged", "3x4", "3x3", "short-quaternion", "string", "null",
+        "infinite", "huge-integer", "object", "scalar", "null-matrix"])
+def test_matrix_from_json_rejects(obj):
+    with pytest.raises(ParseError):
+        sz.matrix_from_json(obj, 4)
 
 
 def test_kappa_rejects_missing_field():

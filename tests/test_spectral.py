@@ -48,6 +48,16 @@ def test_classify_diagonal_loxodromic(qspace):
     assert cls.delta > 0
 
 
+def test_nan_fails_the_palindrome_and_delta_gates(qspace, monkeypatch):
+    import loxpairs.spectral as spectral
+    E = _diag_loxodromic(qspace)
+    with pytest.raises(PalindromeViolation):
+        real_char_poly(qspace, E, chi=np.full(9, np.nan, dtype=complex))
+    monkeypatch.setattr(spectral, "discriminant", lambda g: np.nan)
+    cls = classify_element(qspace, E)
+    assert not cls.is_loxodromic and cls.reason == "delta <= 0"
+
+
 def test_classify_complex_takes_one_char_poly(cspace, rng, monkeypatch):
     import loxpairs.spectral as spectral
     calls = []
