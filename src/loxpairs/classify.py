@@ -28,7 +28,7 @@ from .invariants import InvariantTuple, pair_invariants, sp1_orbit_equal
 from .qmatrix import QArray, conjugate_by, quaternionic_rank
 from .quat import Quaternion
 from .spectral import (LoxodromicFrame, eigen_frame,
-                       projective_points_equal, real_trace_from_frame)
+                       projective_points_equal)
 
 ORBIT_TOL = 1e-8
 
@@ -42,7 +42,13 @@ def _gram_orbit_scalar(t: AssociatedTuple, t2: AssociatedTuple,
 
 
 def _spanning_subset(lifts: List[QArray], size: int) -> List[int]:
-    """Greedy prefix-priority choice of `size` H-independent lifts."""
+    """Greedy prefix-priority choice of `size` H-independent lifts.
+
+    When the first `size` lifts are independent the greedy pass takes
+    exactly them: by interlacing, every prefix has its smallest singular
+    value at least that of the whole and its largest at most."""
+    if quaternionic_rank(lifts[:size]) == size:
+        return list(range(size))
     sel: List[int] = []
     basis: List[QArray] = []
     for i, p in enumerate(lifts):
@@ -65,9 +71,10 @@ def _verified_congruence(space: HermitianSpace, basis: List[QArray],
     scale = 1.0 + C.max_abs()
     if not space.is_isometry(C, tol=100 * tol * scale ** 2):
         raise VerificationFailed("reconstructed map is not an isometry")
-    for p, q in pairs:
-        if (C @ p - q).max_abs() > 100 * tol * scale * (1.0 + p.max_abs()):
-            raise VerificationFailed("reconstructed map misses a vector")
+    P, Q = (QArray.from_columns(vs) for vs in zip(*pairs))
+    miss = (C @ P - Q).moduli().max(axis=0)
+    if np.any(miss > 100 * tol * scale * (1.0 + P.moduli().max(axis=0))):
+        raise VerificationFailed("reconstructed map misses a vector")
     return C
 
 
@@ -125,15 +132,25 @@ def _linearization(space: HermitianSpace, targets) -> np.ndarray:
                            for Xp in targets])
 
 
+def _lstsq_solver(M: np.ndarray):
+    """b -> np.linalg.lstsq(M, b, rcond=None)[0], from one thin SVD of M
+    with lstsq's cutoff: singular values at most eps max(M.shape) s_1
+    count as zero."""
+    U, sv, Vt = np.linalg.svd(M, full_matrices=False)
+    r = np.sum(sv > np.finfo(float).eps * max(M.shape) * sv[0])
+    return lambda b: Vt[:r].T @ ((U[:, :r].T @ b) / sv[:r])
+
+
 def _refine_conjugator(space: HermitianSpace, C: QArray, pairs,
                        sweeps: int = 3) -> QArray:
     """Newton polish of C X C^-1 = X' over the given element pairs.
 
     Each sweep solves the linearization (I + D) C: D X' - X' D = E with
     E = X' - C X C^-1, jointly over all pairs, by real least squares.
-    The linear map does not depend on C, so it is built once.
+    The linear map does not depend on C, so it is built and factored
+    once.
     """
-    lin = _linearization(space, [Xp for _, Xp in pairs])
+    solve = _lstsq_solver(_linearization(space, [Xp for _, Xp in pairs]))
 
     def residuals(C):
         Cinv = C.inverse()
@@ -142,8 +159,7 @@ def _refine_conjugator(space: HermitianSpace, C: QArray, pairs,
     E = residuals(C)
     old = max(e.max_abs() for e in E)
     for _ in range(sweeps):
-        x, *_ = np.linalg.lstsq(
-            lin, np.concatenate([_flat(space, e) for e in E]), rcond=None)
+        x = solve(np.concatenate([_flat(space, e) for e in E]))
         C2 = (QArray.eye(space.dim) + _delta(space, x)) @ C
         E2 = residuals(C2)
         new = max(e.max_abs() for e in E2)
@@ -192,11 +208,9 @@ def conjugacy_test(space: HermitianSpace, A: QArray, B: QArray,
     fa2, fb2 = eigen_frame(space, A2), eigen_frame(space, B2)
 
     tr_resid = max(
-        float(np.max(np.abs(real_trace_from_frame(fa)
-                            - real_trace_from_frame(fa2)))),
-        float(np.max(np.abs(real_trace_from_frame(fb)
-                            - real_trace_from_frame(fb2)))))
-    tr_scale = 1.0 + float(np.max(np.abs(real_trace_from_frame(fa))))
+        float(np.max(np.abs(fa.real_trace - fa2.real_trace))),
+        float(np.max(np.abs(fb.real_trace - fb2.real_trace))))
+    tr_scale = 1.0 + float(np.max(np.abs(fa.real_trace)))
     if tr_resid > tol * tr_scale:
         return ConjugacyResult(False, None, "real-trace", tr_resid)
 
@@ -274,8 +288,8 @@ def boundary_quadruple_congruence(space: HermitianSpace, zs: List[QArray],
     """Isometry h with h(z_i) = w_i projectively, for two quadruples of
     pairwise distinct boundary points, or None when their normalized
     pairings lie in different Sp(1) orbits."""
-    zn = _normalize_quadruple(space, zs)
-    wn = _normalize_quadruple(space, ws)
+    zn, _ = _normalize_quadruple(space, zs)
+    wn, _ = _normalize_quadruple(space, ws)
     Gz, Gw = space.gram(zn), space.gram(wn)
     upper = [(i, j) for i in range(4) for j in range(i + 1, 4)]
     mu = gauge(space.field, [(Gz.entry(i, j), Gw.entry(i, j))

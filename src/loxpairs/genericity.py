@@ -3,14 +3,16 @@ gate the Gram-matrix normalization.
 
 A flag of A is (a_A, L_A, W_j): the attracting fixed point, the line
 through the two fixed points, and the hyperplane polar to a positive
-eigenvector.  Pair genericity reduces to inner-product rank conditions
-on the lifts.
+eigenvector.  Pair genericity reduces to conditions on the lifts: array
+expressions over one Gram product of both frames (`_frame_gram`) for the
+pairings, coordinate ranks for point membership and the rank-4 test.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -24,44 +26,12 @@ MEMBERSHIP_TOL = 1e-9
 RANK_TOL = 1e-8
 
 
-@dataclass
-class Flag:
-    point: QArray            # null lift of the boundary point
-    line: Tuple[QArray, QArray]   # two null lifts spanning the F-line
-    polar: QArray            # positive vector polar to the hyperplane
-
-
-def canonical_flags(frame: LoxodromicFrame) -> List[Flag]:
-    a, r = frame.attracting, frame.repelling
-    return [Flag(a, (a, r), x) for x in frame.positives]
-
-
 def on_line_boundary(space: HermitianSpace, p: QArray, line,
                      tol: float = MEMBERSHIP_TOL) -> bool:
     """Projective membership of a null point in the boundary circle of
     an F-line: a rank condition on the three lifts."""
     c1, c2 = line
     return quaternionic_rank([p, c1, c2], tol=tol) <= 2
-
-
-def _line_meets_polar_boundary(space: HermitianSpace, line, x: QArray,
-                               tol: float) -> bool:
-    """Does the boundary circle of span(c1, c2) meet the boundary of the
-    hyperplane polar to x?
-
-    Null vectors of the line are c1*alpha + c2*beta; with s = <c1, x>,
-    u = <c2, x>, membership in x-perp forces alpha = -s^{-1} u beta, and
-    a null solution exists iff Re(conj(s) u) = 0 (or s, u degenerate).
-    """
-    c1, c2 = line
-    s = space.inner(c1, x)
-    u = space.inner(c2, x)
-    scale1 = c1.norm() * x.norm()
-    scale2 = c2.norm() * x.norm()
-    if abs(s) <= tol * scale1 or abs(u) <= tol * scale2:
-        return True
-    cross = (s.conjugate() * u).w   # Re(conj(s) u)
-    return abs(cross) <= tol * scale1 * scale2
 
 
 @dataclass
@@ -79,14 +49,33 @@ class PairGenericityReport:
     failing_conditions: List[str] = field(default_factory=list)
 
 
-def _common_fixed_point(space: HermitianSpace, fa: LoxodromicFrame,
-                        fb: LoxodromicFrame, tol: float) -> bool:
-    # two null lifts span the same boundary point iff they pair to zero
-    for p in (fa.attracting, fa.repelling):
-        for q in (fb.attracting, fb.repelling):
-            if abs(space.inner(p, q)) <= tol * p.norm() * q.norm():
-                return True
-    return False
+def _frame_gram(space: HermitianSpace, fa: LoxodromicFrame,
+                fb: LoxodromicFrame):
+    """Gram product K of v = [a_A, r_A, x_A..., a_B, r_B, x_B...] and
+    the matrix V with these columns.  <v_i, v_j> is entry (j, i) of K;
+    A's vectors sit at indices 0..n and B's at n+1..2n+1."""
+    vs = [fa.attracting, fa.repelling, *fa.positives,
+          fb.attracting, fb.repelling, *fb.positives]
+    return space.gram(vs), QArray.from_columns(vs)
+
+
+def _misses_polars(K: QArray, norms: np.ndarray, line, xs: np.ndarray,
+                   tol: float) -> np.ndarray:
+    """For each index x in xs: does the boundary circle of the line
+    spanned by the null lifts at indices line = (c1, c2) miss the
+    boundary of the hyperplane polar to v_x?
+
+    Null vectors of the line are c1*alpha + c2*beta; with s = <c1, x>,
+    u = <c2, x>, membership in x-perp forces alpha = -s^{-1} u beta, and
+    a null solution exists iff Re(conj(s) u) = 0 (or s, u degenerate).
+    """
+    c1, c2 = line
+    s, u = K.pick(xs, c1), K.pick(xs, c2)
+    scale1 = norms[c1] * norms[xs]
+    scale2 = norms[c2] * norms[xs]
+    cross = (np.conj(s.a) * u.a + np.conj(s.b) * u.b).real  # Re(conj(s) u)
+    return ~((s.moduli() <= tol * scale1) | (u.moduli() <= tol * scale2)
+             | (np.abs(cross) <= tol * scale1 * scale2))
 
 
 def _max_matching(M: np.ndarray):
@@ -98,27 +87,42 @@ def _max_matching(M: np.ndarray):
     return pairs, len(pairs)
 
 
+def _multiple_matchings(M: np.ndarray) -> bool:
+    """Does the square boolean M have more than one matching of size one
+    less than its order?  Each such matching is a permutation with one
+    pair left out: m ways for a permutation M holds entirely, one way
+    for a permutation that misses exactly one pair."""
+    m = M.shape[0]
+    perms = np.array(list(itertools.permutations(range(m))))
+    missing = np.count_nonzero(~M[np.arange(m), perms], axis=1)
+    return m * np.count_nonzero(missing == 0) \
+        + np.count_nonzero(missing == 1) > 1
+
+
 def genericity_report(space: HermitianSpace, fa: LoxodromicFrame,
                       fb: LoxodromicFrame,
                       tol: float = MEMBERSHIP_TOL) -> PairGenericityReport:
     n = space.n
+    K, V = _frame_gram(space, fa, fb)
+    norms = np.linalg.norm(V.moduli(), axis=0)
+    fixed_a, fixed_b = [0, 1], [n + 1, n + 2]
     failing: List[str] = []
-    if _common_fixed_point(space, fa, fb, tol):
+    # two null lifts span the same boundary point iff they pair to zero
+    floor = tol * np.outer(norms[fixed_b], norms[fixed_a])
+    if np.any(K.pick(*np.ix_(fixed_b, fixed_a)).moduli() <= floor):
         failing.append("common-fixed-point")
 
     # (f_i, g_j) is a generic flag pair iff neither point lies on the
     # other line and neither line meets the other polar's boundary.  All
     # flags of one frame share its point and line, so the point test is
     # one for every pair and each polar test depends on i or j alone.
-    flags_a = canonical_flags(fa)
-    flags_b = canonical_flags(fb)
-    f0, g0 = flags_a[0], flags_b[0]
-    points_ok = not (on_line_boundary(space, f0.point, g0.line, tol)
-                     or on_line_boundary(space, g0.point, f0.line, tol))
-    rows = [not _line_meets_polar_boundary(space, g0.line, f.polar, tol)
-            for f in flags_a]
-    cols = [not _line_meets_polar_boundary(space, f0.line, g.polar, tol)
-            for g in flags_b]
+    line_a = (fa.attracting, fa.repelling)
+    line_b = (fb.attracting, fb.repelling)
+    points_ok = not (on_line_boundary(space, fa.attracting, line_b, tol)
+                     or on_line_boundary(space, fb.attracting, line_a, tol))
+    rows = _misses_polars(K, norms, fixed_b, np.arange(2, n + 1), tol)
+    cols = _misses_polars(K, norms, fixed_a, np.arange(n + 3, 2 * n + 2),
+                          tol)
     M = points_ok & np.outer(rows, cols)
 
     pairs, size = _max_matching(M)
@@ -130,18 +134,8 @@ def genericity_report(space: HermitianSpace, fa: LoxodromicFrame,
     omitted_a = next((i for i in range(n - 1) if i not in matched_a), None)
     omitted_b = next((j for j in range(n - 1) if j not in matched_b), None)
 
-    multiple = False
-    if size >= n - 2:
-        for (i, j) in pairs:
-            M2 = M.copy()
-            M2[i, j] = False
-            if _max_matching(M2)[1] >= n - 2:
-                multiple = True
-                break
-
     weakly = not failing
-    lifts = [fa.attracting, fa.repelling, fb.attracting, fb.repelling]
-    rank4 = quaternionic_rank(lifts, tol=RANK_TOL) >= 4
+    rank4 = quaternionic_rank([*line_a, *line_b], tol=RANK_TOL) >= 4
     if not rank4:
         failing.append("fixed-points-in-hyperplane-boundary")
     return PairGenericityReport(
@@ -152,6 +146,6 @@ def genericity_report(space: HermitianSpace, fa: LoxodromicFrame,
         matching_B=matched_b,
         omitted_A=omitted_a,
         omitted_B=omitted_b,
-        multiple_matchings=multiple,
+        multiple_matchings=_multiple_matchings(M),
         failing_conditions=failing,
     )

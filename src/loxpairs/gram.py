@@ -19,7 +19,8 @@ The rule for the first four lifts, `_normalize_quadruple`, is the one
 lift normalization of the package: it also normalizes quadruples of
 boundary points for `classify.boundary_quadruple_congruence` and the
 quadruple (a_A, r_A, a_B, K r_C) of `twistbend.tilde_invariants`, and
-it alone gates the vanishing pairings.
+its scalars let `normalize_lifts` read every pairing from one Gram
+product of both frames.
 """
 
 from __future__ import annotations
@@ -32,10 +33,11 @@ import numpy as np
 
 from .errors import (NormalizationImpossible, NotWeaklyNonsingular,
                      PatternViolation)
-from .genericity import PairGenericityReport, genericity_report
+from .genericity import (PairGenericityReport, _frame_gram,
+                         genericity_report)
 from .hermitian import HermitianSpace
 from .qmatrix import QArray
-from .quat import Quaternion
+from .quat import ONE, Quaternion
 from .spectral import LoxodromicFrame
 
 INNER_TOL = 1e-10
@@ -51,10 +53,6 @@ class AssociatedTuple:
     matching_A: List[int]
     matching_B: List[int]
 
-    @property
-    def n(self) -> int:
-        return self.space.n
-
     @cached_property
     def gram(self) -> QArray:
         """The Gram product of the lifts, formed once for every reader:
@@ -62,37 +60,47 @@ class AssociatedTuple:
         return self.space.gram(self.lifts)
 
 
-def _unit_scale_for(space: HermitianSpace, anchor: QArray,
-                    raw: QArray) -> Quaternion:
-    """Scalar c with <anchor, raw*c> = 1."""
-    g = space.inner(anchor, raw)
-    if abs(g) <= INNER_TOL * anchor.norm() * raw.norm():
-        raise NormalizationImpossible("required inner product vanishes")
-    return g.inverse().conjugate()
+def _unit_pairing(g: QArray, anchor_norm, norms) -> QArray:
+    """Scalars c = conj(g^-1) = g / |g|^2 with <anchor, z c> = 1, one
+    per pairing g = <anchor, z>, each gated against INNER_TOL |anchor|
+    |z| for the norms of the zs."""
+    mods = g.moduli()
+    if np.any(mods <= INNER_TOL * anchor_norm * norms):
+        raise NormalizationImpossible(
+            "lift normalization meets a vanishing pairing")
+    return g.scale(mods ** -2.0)
 
 
 def _normalize_quadruple(space: HermitianSpace, zs: List[QArray],
-                         anchor: str = "standard") -> List[QArray]:
+                         anchor: str = "standard",
+                         K: Optional[QArray] = None):
     """Rescale lifts (z1, z2, z3, z4) to (p1, p2, p3, p4) with
-    <p1,p2> = <p1,p3> = <p1,p4> = 1 = |<p2,p3>|.
+    <p1,p2> = <p1,p3> = <p1,p4> = 1 = |<p2,p3>|, and return them with
+    the right scalars s (a QArray of four entries), p_k = z_k s_k.
 
-    anchor="standard" takes p1 positively proportional to the standard
-    lift of z1; anchor="none" keeps the direction of z1 (used to exhibit
-    the global-unit gauge freedom).
+    Every pairing is read from K, the Gram product of zs, formed here
+    when the caller does not have it.  anchor="standard" takes p1
+    positively proportional to the standard lift of z1; anchor="none"
+    keeps the direction of z1 (used to exhibit the global-unit gauge
+    freedom).
     """
-    a = space.standard_lift(zs[0]) if anchor == "standard" else zs[0]
-    norms = [a.norm()] + [z.norm() for z in zs[1:]]
-    g = [space.inner(a, z) for z in zs[1:]]         # <a, z_k>, k = 2, 3, 4
-    g23 = space.inner(zs[2], zs[1])
-    floors = [norms[0] * nk for nk in norms[1:]] + [norms[2] * norms[1]]
-    if any(abs(gk) <= INNER_TOL * f for gk, f in zip(g + [g23], floors)):
+    if K is None:
+        K = space.gram(zs)
+    Z = QArray.from_columns(zs)
+    norms = np.linalg.norm(Z.moduli(), axis=0)
+    c = QArray(*(space.standard_scalar(zs[0]) if anchor == "standard"
+                 else ONE).complex_pair())
+    g23 = K.pick(1, 2).moduli()
+    if g23 <= INNER_TOL * norms[2] * norms[1]:
         raise NormalizationImpossible(
             "lift normalization meets a vanishing pairing")
-    # |<p2,p3>| = 1 fixes the positive factor t on p1; t is real, so
-    # <p1, z> = <a, z> t needs no further pairing
-    t = float(np.sqrt(abs(g23) / (abs(g[0]) * abs(g[1]))))
-    return [a.scale(t)] + [z.rmul((gk * t).inverse().conjugate())
-                           for z, gk in zip(zs[1:], g)]
+    # a = z1 c pairs with z_k as <z1, z_k> c; |<p2,p3>| = 1 fixes the
+    # positive factor t of p1 = a t, and <p1, z> = <a, z> t
+    g = K.pick([1, 2, 3], 0) * c
+    u = _unit_pairing(g, norms[0] * c.moduli(), norms[1:])
+    t = float(np.sqrt(g23 / (g.moduli()[0] * g.moduli()[1])))
+    s = QArray(np.append(c.a * t, u.a / t), np.append(c.b * t, u.b / t))
+    return (Z * s).columns(), s
 
 
 def normalize_lifts(space: HermitianSpace, fa: LoxodromicFrame,
@@ -103,7 +111,9 @@ def normalize_lifts(space: HermitianSpace, fa: LoxodromicFrame,
 
     The fixed-point lifts (a_A, r_A, a_B, r_B) go through
     _normalize_quadruple with the given anchor; the matched positive
-    eigenvectors are then rescaled against p3 and p1.
+    eigenvectors are then rescaled to pair to 1 with p3 (A's) and p1
+    (B's).  Every pairing comes from one Gram product of both frames,
+    with <p_k, x> = <z_k, x> s_k for the quadruple's scalars s.
     """
     if report is None:
         report = genericity_report(space, fa, fb)
@@ -111,57 +121,54 @@ def normalize_lifts(space: HermitianSpace, fa: LoxodromicFrame,
         raise NotWeaklyNonsingular(
             f"pair fails genericity: {report.failing_conditions}")
 
-    p1, p2, p3, p4 = _normalize_quadruple(
+    n = space.n
+    K, V = _frame_gram(space, fa, fb)
+    norms = np.linalg.norm(V.moduli(), axis=0)
+    quad = np.array([0, 1, n + 1, n + 2])
+    (p1, p2, p3, p4), s = _normalize_quadruple(
         space, [fa.attracting, fa.repelling, fb.attracting, fb.repelling],
-        anchor)
-    pos_a = [fa.positives[j].rmul(_unit_scale_for(space, p3, fa.positives[j]))
-             for j in report.matching_A]
-    pos_b = [fb.positives[k].rmul(_unit_scale_for(space, p1, fb.positives[k]))
-             for k in report.matching_B]
+        anchor, K.pick(*np.ix_(quad, quad)))
+    idx = np.array([2 + j for j in report.matching_A]
+                   + [n + 3 + k for k in report.matching_B], dtype=int)
+    slot = np.repeat([2, 0], n - 2)                 # anchors p3 and p1
+    g = K.pick(idx, quad[slot]) * s.pick(slot)      # <p_slot, x>
+    c = _unit_pairing(g, norms[quad[slot]] * s.moduli()[slot], norms[idx])
     omit_a = fa.positives[report.omitted_A]
     omit_b = fb.positives[report.omitted_B]
-    return AssociatedTuple(space, [p1, p2, p3, p4, *pos_a, *pos_b],
+    return AssociatedTuple(space, [p1, p2, p3, p4,
+                                   *(V.pick(slice(None), idx) * c).columns()],
                            omit_a, omit_b,
                            list(report.matching_A), list(report.matching_B))
 
 
 def gram_matrix(t: AssociatedTuple, tol: float = PATTERN_TOL) -> np.ndarray:
     """2n x 2n array of Quaternion pairings G[i, j] = <p_i, p_j>,
-    pattern-checked."""
-    n = t.n
-    m = 2 * n
-    G = np.array(t.gram.to_quaternions(), dtype=object).T
-
-    def _is(i, j, val):
-        if abs(G[i, j] - val) > tol:
-            raise PatternViolation(
-                f"g[{i + 1},{j + 1}] = {G[i, j]}, expected {val}")
-
-    one, zero = Quaternion(1, 0, 0, 0), Quaternion(0, 0, 0, 0)
-    for i in range(4):
-        _is(i, i, zero)
-    _is(0, 1, one)
-    _is(0, 2, one)
-    _is(0, 3, one)
-    if abs(abs(G[1, 2]) - 1.0) > tol:
-        raise PatternViolation(f"|g23| = {abs(G[1, 2])}, expected 1")
-    for j in range(4, n + 2):          # A-positive block
-        _is(0, j, zero)
-        _is(1, j, zero)
-        _is(2, j, one)
-        if abs(G[3, j]) <= tol:
-            raise PatternViolation(f"g[4,{j + 1}] vanishes")
-        for k in range(j + 1, n + 2):
-            _is(j, k, zero)
-    for k in range(n + 2, m):          # B-positive block
-        _is(0, k, one)
-        _is(2, k, zero)
-        _is(3, k, zero)
-        if abs(G[1, k]) <= tol:
-            raise PatternViolation(f"g[2,{k + 1}] vanishes")
-        for l in range(k + 1, m):
-            _is(k, l, zero)
-    return G
+    pattern-checked by masked array comparisons."""
+    n = t.space.n
+    G = QArray(t.gram.a.T, t.gram.b.T)
+    # the values the normalization pins (0 or 1), NaN elsewhere; the
+    # unpinned entries then compare NaN > tol, which is False
+    E = np.full(G.shape, np.nan)
+    E[range(4), range(4)] = 0
+    E[0, 1:4] = 1
+    for block, zero, one in ((range(4, n + 2), [0, 1], 2),
+                             (range(n + 2, 2 * n), [2, 3], 0)):
+        for j in block:
+            E[zero, j], E[one, j] = 0, 1
+            E[j, j + 1:block.stop] = 0
+    bad = np.argwhere((G - QArray(E)).moduli() > tol)
+    if bad.size:
+        i, j = bad[0]
+        raise PatternViolation(f"g[{i + 1},{j + 1}] = {G.entry(i, j)}, "
+                               f"expected {Quaternion(float(E[i, j]))}")
+    mods = G.moduli()
+    if abs(mods[1, 2] - 1.0) > tol:
+        raise PatternViolation(f"|g23| = {mods[1, 2]}, expected 1")
+    for j in range(4, 2 * n):          # <p4, x_j> and <p2, x_k>
+        i = 3 if j < n + 2 else 1
+        if mods[i, j] <= tol:
+            raise PatternViolation(f"g[{i + 1},{j + 1}] vanishes")
+    return np.array(G.to_quaternions(), dtype=object)
 
 
 def gram_offdiagonal_entries(G: np.ndarray) -> List[Quaternion]:

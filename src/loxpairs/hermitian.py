@@ -10,7 +10,8 @@ Negative vectors project to points of the ball model; null vectors to its
 boundary.
 
 `inner` gives one pairing; `gram` gives every pairing of a list of
-vectors from the one product V^* H V.
+vectors from the one product V^* H V, and the pair stage reads all of
+its pairings from such products.
 
 `HermitianSpace` owns the split between the two fields.  A complex
 QArray is the b = 0 case of a quaternionic one, and the space decides
@@ -120,13 +121,13 @@ class HermitianSpace:
         D = A.adjoint() @ self._HQ @ A - self._HQ
         return D.max_abs() <= tol
 
-    def standard_lift(self, z: QArray) -> QArray:
-        """Rescale a lift so its last coordinate is 1 (Siegel-domain chart)."""
+    def standard_scalar(self, z: QArray) -> Quaternion:
+        """Right scalar taking z to last coordinate 1 (Siegel chart)."""
         qn = z.entry(self.n)
         if abs(qn) <= ERROR_THRESHOLD * z.norm():
             raise DegenerateInputError(
                 "last coordinate vanishes; point at infinity")
-        return z.rmul(qn.inverse())
+        return qn.inverse()
 
     def bergman_distance(self, z: QArray, w: QArray) -> float:
         """Distance between the points of hyperbolic space below z and w."""

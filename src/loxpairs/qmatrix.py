@@ -42,15 +42,6 @@ class QArray:
         return cls(np.eye(n, dtype=complex))
 
     @classmethod
-    def from_quaternions(cls, entries) -> "QArray":
-        """Build from a (nested) sequence of Quaternion values."""
-        arr = np.asarray([[q.to_array() for q in row] for row in entries]
-                         if isinstance(entries[0], (list, tuple))
-                         else [q.to_array() for q in entries])
-        w, x, y, z = np.moveaxis(arr, -1, 0)
-        return cls(w + 1j * x, y - 1j * z)
-
-    @classmethod
     def from_columns(cls, cols) -> "QArray":
         return cls(np.stack([c.a for c in cols], axis=1),
                    np.stack([c.b for c in cols], axis=1))
@@ -79,11 +70,19 @@ class QArray:
     def column(self, j: int) -> "QArray":
         return QArray(self.a[:, j], self.b[:, j])
 
+    def columns(self) -> list:
+        return [self.column(j) for j in range(self.shape[1])]
+
+    def pick(self, *idx) -> "QArray":
+        """The entries at numpy indices idx, as a QArray."""
+        return QArray(self.a[idx], self.b[idx])
+
     def to_quaternions(self):
+        parts = np.stack([self.a.real, self.a.imag, self.b.real,
+                          -self.b.imag], axis=-1).tolist()
         if self.ndim == 1:
-            return [self.entry(i) for i in range(self.shape[0])]
-        return [[self.entry(i, j) for j in range(self.shape[1])]
-                for i in range(self.shape[0])]
+            return [Quaternion(*q) for q in parts]
+        return [[Quaternion(*q) for q in row] for row in parts]
 
     # -- algebra --------------------------------------------------------
 
@@ -93,9 +92,6 @@ class QArray:
     def __sub__(self, other: "QArray") -> "QArray":
         return QArray(self.a - other.a, self.b - other.b)
 
-    def __neg__(self) -> "QArray":
-        return QArray(-self.a, -self.b)
-
     def scale(self, t: float) -> "QArray":
         return QArray(self.a * t, self.b * t)
 
@@ -103,6 +99,21 @@ class QArray:
         # (A1 + j A2)(B1 + j B2) = (A1 B1 - conj(A2) B2) + j (A2 B1 + conj(A1) B2)
         return QArray(self.a @ other.a - np.conj(self.b) @ other.b,
                       self.b @ other.a + np.conj(self.a) @ other.b)
+
+    def __mul__(self, other: "QArray") -> "QArray":
+        """Entrywise quaternion product, broadcasting like numpy."""
+        return QArray(self.a * other.a - np.conj(self.b) * other.b,
+                      self.b * other.a + np.conj(self.a) * other.b)
+
+    def reciprocal(self) -> "QArray":
+        """Entrywise inverse conj(q) / |q|^2."""
+        m2 = np.abs(self.a) ** 2 + np.abs(self.b) ** 2
+        return QArray(np.conj(self.a) / m2, -self.b / m2)
+
+    def moduli(self) -> np.ndarray:
+        """Entrywise |q|."""
+        return np.sqrt(np.abs(self.a) ** 2 + np.abs(self.b) ** 2)
+
 
     def adjoint(self) -> "QArray":
         """Quaternionic conjugate transpose of a matrix, or of each
@@ -164,17 +175,11 @@ def commutator(A: QArray, B: QArray) -> QArray:
 def quaternionic_rank(vectors, tol: float = 1e-8) -> int:
     """Rank over the quaternions of a list of QArray column vectors.
 
-    Each vector v contributes the complex columns of the embedding of
-    {v, v*j}; the complex rank of the stack is twice the quaternionic
-    rank.
+    The embedding of the matrix with these columns has the complex
+    columns of every v and v*j; its complex rank is twice the
+    quaternionic rank.
     """
-    cols = []
-    for v in vectors:
-        cols.append(np.concatenate([v.a, v.b]))
-        # v * j: (a + j b) j = -conj(b) + j conj(a)
-        cols.append(np.concatenate([-np.conj(v.b), np.conj(v.a)]))
-    M = np.stack(cols, axis=1)
-    s = np.linalg.svd(M, compute_uv=False)
+    s = np.linalg.svd(QArray.from_columns(vectors).embed(), compute_uv=False)
     if s[0] == 0.0:
         return 0
     r = int(np.sum(s > tol * s[0]))

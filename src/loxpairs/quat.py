@@ -55,9 +55,6 @@ class Quaternion:
     def real(self) -> float:
         return self.w
 
-    def imag_vector(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
     def imag_norm(self) -> float:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
 
@@ -94,11 +91,6 @@ class Quaternion:
             a * g - b * h + c * e + d * f,
             a * h + b * g - c * f + d * e,
         )
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return self * other
-        return NotImplemented
 
     def conjugate(self) -> "Quaternion":
         return Quaternion(self.w, -self.x, -self.y, -self.z)
@@ -156,21 +148,19 @@ def align_sp1(pairs, tol: float = DEFAULT_TOL):
     checked first; pairs with negligible imaginary part only constrain
     the real part.
     """
-    pairs = list(pairs)
-    scale = max([1.0] + [abs(q) for q, _ in pairs])
-    for q, qp in pairs:
-        if not similar(q, qp, tol * scale):
-            return None
-    us, vs = [], []
-    for q, qp in pairs:
-        if q.imag_norm() > tol * scale:
-            us.append(q.imag_vector())
-            vs.append(qp.imag_vector())
-    if not us:
+    qs = np.array([(q.w, q.x, q.y, q.z, p.w, p.x, p.y, p.z)
+                   for q, p in pairs], dtype=float).reshape(-1, 2, 4)
+    q, qp = qs[:, 0], qs[:, 1]
+    mods = np.sqrt(np.sum(qs ** 2, axis=2))
+    scale = max(1.0, float(np.max(mods, initial=0.0)))
+    # similar classes: equal real parts and moduli
+    if not np.all((np.abs(q[:, 0] - qp[:, 0]) <= tol * scale)
+                  & (np.abs(mods[:, 0] - mods[:, 1]) <= tol * scale)):
+        return None
+    keep = np.sqrt(np.sum(q[:, 1:] ** 2, axis=1)) > tol * scale
+    if not keep.any():
         return ONE
-    B = np.zeros((3, 3))
-    for u, v in zip(us, vs):
-        B += np.outer(v, u)
+    B = qp[keep, 1:].T @ q[keep, 1:]
     sigma = np.trace(B)
     zvec = np.array([B[1, 2] - B[2, 1], B[2, 0] - B[0, 2], B[0, 1] - B[1, 0]])
     Kmat = np.empty((4, 4))
@@ -181,7 +171,18 @@ def align_sp1(pairs, tol: float = DEFAULT_TOL):
     vals, vecs = np.linalg.eigh(Kmat)
     cand = Quaternion.from_array(vecs[:, -1]).normalized()
     for mu in (cand, cand.conjugate()):
-        err = max(abs(mu * q * mu.conjugate() - qp) for q, qp in pairs)
-        if err <= tol * scale:
+        m = mu.to_array()
+        rotated = _hamilton(_hamilton(m, q), m * [1, -1, -1, -1])
+        if np.max(np.sqrt(np.sum((rotated - qp) ** 2, axis=1))) <= tol * scale:
             return mu
     return None
+
+
+def _hamilton(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products of quaternions stored as rows (w, x, y, z), broadcasting;
+    the formula of Quaternion.__mul__."""
+    (a0, a1, a2, a3), (b0, b1, b2, b3) = a.T, b.T
+    return np.stack([a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+                     a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+                     a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+                     a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0], axis=-1)

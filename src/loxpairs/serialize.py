@@ -127,10 +127,11 @@ def kappa_to_json(kappa: TwistBendParams) -> dict:
 def kappa_from_json(obj) -> TwistBendParams:
     try:
         k1, k2, k3 = (projective_from_json(p) for p in obj["k"])
-        return TwistBendParams(t=float(obj["t"]), psi=float(obj["psi"]),
-                               xi1=float(obj["xi"][0]),
-                               xi2=float(obj["xi"][1]),
-                               k1=k1, k2=k2, k3=k3)
+        t, psi, xi1, xi2 = (float(v) for v in
+                            (obj["t"], obj["psi"], obj["xi"][0], obj["xi"][1]))
+        if not np.all(np.isfinite([t, psi, xi1, xi2])):
+            raise ValueError("t, psi and xi must be finite")
+        return TwistBendParams(t, psi, xi1, xi2, k1, k2, k3)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ParseError(f"bad twist-bend parameter block: {exc}") from exc
 

@@ -18,6 +18,7 @@ formed in extended precision and the correction comes from LAPACK.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Optional
 
 import numpy as np
@@ -207,6 +208,15 @@ class LoxodromicFrame:
         return np.concatenate([[lam], np.exp(1j * self.phis),
                                [np.exp(1j * self.theta) / self.radius]])
 
+    @cached_property
+    def real_trace(self) -> np.ndarray:
+        """(a_1, ..., a_{n+1}) from the known eigenvalue classes, once
+        per frame: the embedded characteristic polynomial is the product
+        over classes of (x - lam)(x - conj(lam))."""
+        lams = self.eigenvalues
+        chi = np.real(np.poly(np.concatenate([lams, np.conj(lams)])))
+        return chi[1:lams.size + 1]
+
     def frame_matrix(self) -> QArray:
         return QArray.from_columns([self.attracting, *self.positives,
                                     self.repelling])
@@ -217,8 +227,8 @@ class LoxodromicFrame:
     def points(self) -> List[np.ndarray]:
         """Projective points of the attracting lift, then of the
         positive eigenvectors."""
-        return [projective_point(x) for x in (self.attracting,
-                                              *self.positives)]
+        return list(projective_points(QArray.from_columns(
+            [self.attracting, *self.positives])))
 
     def conjugated(self, S: QArray) -> "LoxodromicFrame":
         """The frame of S A S^-1, for an isometry S (same spectrum)."""
@@ -229,15 +239,6 @@ class LoxodromicFrame:
     def rebuild(self) -> QArray:
         C = self.frame_matrix()
         return C @ self.diagonal() @ C.inverse()
-
-
-def real_trace_from_frame(frame: LoxodromicFrame) -> np.ndarray:
-    """(a_1, ..., a_{n+1}) from the known eigenvalue classes: the
-    embedded characteristic polynomial is the product over classes of
-    (x - lam)(x - conj(lam))."""
-    lams = frame.eigenvalues
-    chi = np.real(np.poly(np.concatenate([lams, np.conj(lams)])))
-    return chi[1:lams.size + 1]
 
 
 def _class_representatives(space: HermitianSpace, A: QArray):
@@ -309,21 +310,21 @@ def eigen_frame(space: HermitianSpace, A: QArray,
     return frame
 
 
-def projective_point(v: QArray) -> np.ndarray:
-    """Point of the complex projective line attached to an eigenvector.
+def projective_points(V: QArray) -> np.ndarray:
+    """Points of the complex projective line attached to the columns of
+    V, one eigenvector each, as the rows of a k x 2 array.
 
-    v determines (a_i : b_i) at its largest entry, which is invariant
-    under the complex rescalings that preserve eigenvalue
-    representatives.  Returned as a unit 2-vector whose largest
+    A column v determines (a_i : b_i) at its largest entry, which is
+    invariant under the complex rescalings that preserve eigenvalue
+    representatives.  Each row is a unit 2-vector whose largest
     component is positive real.
     """
-    mags = np.abs(v.a) ** 2 + np.abs(v.b) ** 2
-    i = int(np.argmax(mags))
-    p = np.array([v.a[i], v.b[i]])
-    p = p / np.linalg.norm(p)
-    j = int(np.argmax(np.abs(p)))
-    ph = p[j] / abs(p[j])
-    return p / ph
+    cols = np.arange(V.shape[1])
+    i = np.argmax(np.abs(V.a) ** 2 + np.abs(V.b) ** 2, axis=0)
+    p = np.stack([V.a[i, cols], V.b[i, cols]], axis=1)
+    p = p / np.linalg.norm(p, axis=1, keepdims=True)
+    top = p[cols, np.argmax(np.abs(p), axis=1)]
+    return p / (top / np.abs(top))[:, None]
 
 
 def projective_points_equal(p: np.ndarray, q: np.ndarray,

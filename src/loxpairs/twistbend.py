@@ -27,7 +27,7 @@ from .errors import (DegenerateConfiguration, DegenerateInputError,
                      NotLoxodromic, WrongDimension)
 from .gram import _normalize_quadruple
 from .hermitian import HermitianSpace
-from .invariants import _angular, _cross, _pairings
+from .invariants import CROSS, TRIPLE, _angles, _words
 from .qmatrix import QArray, conjugate_by, quaternionic_rank
 from .quat import Quaternion
 from .spectral import (LoxodromicFrame, classify_element, eigen_frame,
@@ -75,12 +75,15 @@ def twist_bend_element(kappa: TwistBendParams,
             raise InconsistentProjectivePoints(
                 "twist-bend projective points do not agree with the frame")
     Q = frame.frame_matrix()
-    K = Q @ kappa.diagonal() @ Q.inverse()
     A = frame.rebuild()
-    resid = (K @ A - A @ K).max_abs()
-    if resid > COMMUTE_TOL * (1.0 + A.max_abs()) * (1.0 + K.max_abs()):
+    # a huge t overflows K; the finiteness gate below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        K = Q @ kappa.diagonal() @ Q.inverse()
+        resid = (K @ A - A @ K).max_abs()
+        bound = COMMUTE_TOL * (1.0 + A.max_abs()) * (1.0 + K.max_abs())
+    if not (np.isfinite(bound) and resid <= bound):  # overflow, NaN fail
         raise DegenerateConfiguration(
-            f"twist-bend fails to commute: residual {resid:.3e}")
+            f"twist-bend overflows or fails to commute: residual {resid:.3e}")
     return K
 
 
@@ -112,10 +115,12 @@ def tilde_invariants_of_element(space: HermitianSpace, K: QArray,
     # gauge-fix the quadruple so the angular invariants are well defined
     # (residual freedom is one global unit, a similarity on everything)
     # g indices: 0 = a_A, 1 = r_A, 2 = a_B, 3 = K r_C
-    g = _pairings(space, _normalize_quadruple(space, [aA, rA, aB, K @ rC]))
-    return (_cross(g, 0, 1, 2, 3), _cross(g, 0, 3, 2, 1),
-            _cross(g, 1, 3, 2, 0), _angular(g, 0, 1, 3),
-            _angular(g, 1, 3, 2))
+    zs = _normalize_quadruple(space, [aA, rA, aB, K @ rC])[0]
+    G = space.gram(zs)
+    X1, X2, X3 = _words(space, zs, [(0, 1, 2, 3), (0, 3, 2, 1),
+                                    (1, 3, 2, 0)], CROSS, G).to_quaternions()
+    A1, A3 = _angles(_words(space, zs, [(0, 1, 3), (1, 3, 2)], TRIPLE, G))
+    return X1, X2, X3, float(A1), float(A3)
 
 
 # -- pants groups and gluing -----------------------------------------------

@@ -246,8 +246,57 @@ def test_conjugacy_test_forms_one_gram_per_tuple(space, rng, monkeypatch):
     monkeypatch.setattr(HermitianSpace, "gram", counting)
     res = conjugacy_test(space, A, B, conjugate_by(C, A), conjugate_by(C, B))
     assert res.conjugate
-    # two associated tuples of 2n lifts each
-    assert calls == [2 * space.n] * 2
+    # one product of both frames (2n + 2 vectors) for each of the two
+    # genericity reports and the two lift normalizations, then one of
+    # each associated tuple of 2n lifts
+    assert calls == [2 * space.n + 2] * 4 + [2 * space.n] * 2
+
+
+def test_conjugacy_test_pairs_only_through_gram(space, rng, monkeypatch):
+    # eigen_frame normalizes its lifts by single pairings; every later
+    # pairing of a conjugate conjugacy_test is a Gram entry
+    import loxpairs.classify as classify
+    A, B = generate_pair(space, seed=31, mode="strong")
+    C = space.random_isometry(rng)
+    depth, outside = [0], []
+    frame, inner = classify.eigen_frame, HermitianSpace.inner
+
+    def framing(*args):
+        depth[0] += 1
+        try:
+            return frame(*args)
+        finally:
+            depth[0] -= 1
+
+    def guarded(self, z, w):
+        if not depth[0]:
+            outside.append(1)
+        return inner(self, z, w)
+
+    monkeypatch.setattr(classify, "eigen_frame", framing)
+    monkeypatch.setattr(HermitianSpace, "inner", guarded)
+    res = conjugacy_test(space, A, B, conjugate_by(C, A), conjugate_by(C, B))
+    assert res.conjugate
+    assert not outside
+
+
+@pytest.mark.parametrize("field", ["complex", "quaternion"])
+@pytest.mark.parametrize("n", [3, 5])
+def test_lstsq_solver_matches_lstsq(field, n):
+    from loxpairs.classify import _linearization, _lstsq_solver
+    from loxpairs.generate import random_loxodromic
+    space = HermitianSpace(n, field)
+    rng = np.random.default_rng(7)
+    lin = _linearization(space, [random_loxodromic(space, rng)
+                                 for _ in range(2)])
+    solve = _lstsq_solver(lin)
+    # near a conjugator the residual E is D X' - X' D to first order, so
+    # the right-hand sides lie in the range of the linearization
+    for _ in range(3):
+        b = lin @ rng.standard_normal(lin.shape[1])
+        x = solve(b)
+        ref = np.linalg.lstsq(lin, b, rcond=None)[0]
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize("field", ["complex", "quaternion"])
@@ -262,3 +311,22 @@ def test_isometry_algebra_basis(field, n):
         assert (X.adjoint() @ H + H @ X).max_abs() <= 1e-12
         if field == "complex":
             assert abs(np.trace(X.a).imag) <= 1e-12
+
+
+def test_spanning_subset_matches_greedy_pass(qspace, rng):
+    from loxpairs.classify import _spanning_subset
+
+    def greedy(lifts, size):
+        sel = []
+        for i, p in enumerate(lifts):
+            if len(sel) < size and quaternionic_rank(
+                    [lifts[k] for k in sel] + [p]) > len(sel):
+                sel.append(i)
+        return sel
+
+    vs = [qspace._random_qarray(rng, qspace.dim) for _ in range(6)]
+    dependent = [vs[0], vs[1], vs[0].rmul(Quaternion(0.3, 1, 2, 0)),
+                 vs[1] + vs[0], *vs[2:]]
+    for lifts in (vs, dependent):
+        assert _spanning_subset(lifts, 4) == greedy(lifts, 4)
+    assert _spanning_subset(dependent, 4) == [0, 1, 4, 5]

@@ -364,3 +364,24 @@ def test_schema_invalid_graph_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "'pants' is a required property" in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("key,value", [("t", "Infinity"), ("t", "NaN"),
+                                       ("t", "1e300"), ("psi", "Infinity"),
+                                       ("xi", "[NaN, 0.0]")])
+def test_twist_bend_rejects_unusable_kappa(tmp_path, capsys, key, value):
+    # non-finite parameters are a parse error; a finite t whose K
+    # overflows is a degenerate twist-bend; neither prints NaN
+    path = _generate(tmp_path)
+    space, A, B = sz.pair_from_json(sz.loads(path.read_text()))
+    from loxpairs.spectral import eigen_frame
+    from loxpairs.twistbend import identity_params
+    obj = sz.kappa_to_json(identity_params(eigen_frame(space, A)))
+    obj[key] = "@"
+    kpath = tmp_path / "kappa.json"
+    kpath.write_text(json.dumps(obj).replace('"@"', value))
+    code, out = _run(capsys, "twist-bend", "--in", str(path),
+                     "--in", str(kpath))
+    assert code == 2
+    assert "NaN" not in out and "Infinity" not in out

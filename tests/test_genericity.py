@@ -1,14 +1,38 @@
 import dataclasses
+import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from loxpairs.generate import generate_pair, random_loxodromic
-from loxpairs.genericity import (MEMBERSHIP_TOL, _line_meets_polar_boundary,
-                                 canonical_flags, genericity_report,
+from loxpairs.genericity import (MEMBERSHIP_TOL, _max_matching,
+                                 _multiple_matchings, genericity_report,
                                  on_line_boundary)
 from loxpairs.hermitian import HermitianSpace
 from loxpairs.spectral import eigen_frame
+
+
+def canonical_flags(frame):
+    """Flags (a_A, L_A, W_j) of a frame, as (point, line, polar)."""
+    a, r = frame.attracting, frame.repelling
+    return [SimpleNamespace(point=a, line=(a, r), polar=x)
+            for x in frame.positives]
+
+
+def _line_meets_polar_boundary(space, line, x, tol):
+    """Per-pair reference: does the boundary circle of span(c1, c2) meet
+    the boundary of the hyperplane polar to x?  Null vectors of the line
+    are c1*alpha + c2*beta; with s = <c1, x>, u = <c2, x>, one lies in
+    x-perp iff Re(conj(s) u) = 0 (or s, u degenerate)."""
+    c1, c2 = line
+    s = space.inner(c1, x)
+    u = space.inner(c2, x)
+    scale1 = c1.norm() * x.norm()
+    scale2 = c2.norm() * x.norm()
+    if abs(s) <= tol * scale1 or abs(u) <= tol * scale2:
+        return True
+    return abs((s.conjugate() * u).w) <= tol * scale1 * scale2
 
 
 def _brute_flag_pairs(space, fa, fb, tol=MEMBERSHIP_TOL):
@@ -98,3 +122,28 @@ def test_flag_pair_matrix_shape(qspace, qframes):
     rep = genericity_report(qspace, fa, fb)
     m = qspace.n - 1
     assert rep.flag_pair_matrix.shape == (m, m)
+
+
+def _multiple_by_removal(M):
+    """Reference: drop each edge of the chosen matching in turn and
+    re-match; a second matching of size order - 1 survives some drop."""
+    k = M.shape[0] - 1
+    pairs, size = _max_matching(M)
+    if size < k:
+        return False
+    for i, j in pairs[:k]:
+        M2 = M.copy()
+        M2[i, j] = False
+        if _max_matching(M2)[1] >= k:
+            return True
+    return False
+
+
+def test_multiple_matchings_match_edge_removal():
+    mats = [np.array(bits, dtype=bool).reshape(m, m)
+            for m in (2, 3)
+            for bits in itertools.product((False, True), repeat=m * m)]
+    rng = np.random.default_rng(0)
+    mats += list(rng.random((2000, 4, 4)) < rng.random((2000, 1, 1)))
+    for M in mats:
+        assert _multiple_matchings(M) == _multiple_by_removal(M), M

@@ -72,7 +72,7 @@ def test_random_negative_vector(space, rng):
 
 def test_standard_lift(qspace, rng):
     z = qspace.random_negative_vector(rng)
-    s = qspace.standard_lift(z)
+    s = z.rmul(qspace.standard_scalar(z))
     assert s.entry(qspace.n).isclose(Quaternion(1, 0, 0, 0), tol=1e-12)
 
 

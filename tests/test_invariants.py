@@ -145,3 +145,48 @@ def test_pair_invariants_match_per_pair_formulas(field):
     for q, xk in zip(inv.eta_B, bpos):
         close(q, ip(p1, xk) * ip(p1, p2).inverse() * ip(xk, p2)
               * ip(xk, xk).inverse())
+
+
+@pytest.mark.parametrize("field", ["quaternion", "complex"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_array_invariants_match_quaternion_reference(n, field):
+    # every entry of the tuple against Quaternion-object arithmetic on
+    # single pairings, the way the invariants are defined
+    space = HermitianSpace(n, field)
+    A, B = generate_pair(space, seed=n + 40, mode="strong")
+    fa, fb = eigen_frame(space, A), eigen_frame(space, B)
+    rep = genericity_report(space, fa, fb)
+    t = normalize_lifts(space, fa, fb, report=rep)
+    inv = pair_invariants(space, fa, fb, report=rep, tuple_=t)
+    p = t.lifts
+
+    def g(i, j):
+        return space.inner(p[i], p[j])
+
+    def X(i1, i2, i3, i4):
+        return g(i3, i1) * g(i3, i2).inverse() * g(i4, i2) \
+            * g(i4, i1).inverse()
+
+    def angle(i1, i2, i3):
+        T = g(i1, i2) * g(i2, i3) * g(i3, i1)
+        return np.arccos(np.clip(-T.w / abs(T), -1.0, 1.0))
+
+    apos, bpos = range(4, n + 2), range(n + 2, 2 * n)
+    expect = [X(0, 1, 2, 3), X(0, 2, 1, 3), X(1, 3, 2, 0)]
+    expect += [X(0, 1, 2, k) for k in bpos]
+    expect += [X(2, 3, 0, j) for j in apos]
+    expect += [X(2, k, 1, j) for j in apos for k in bpos]
+    expect += [X(j, 3, 2, j) for j in apos]
+    expect += [X(k, 1, 0, k) for k in bpos]
+    got = inv.quaternion_entries()
+    assert len(got) == len(expect)
+    for q, ref in zip(got, expect):
+        assert abs(q - ref) <= 1e-12 * abs(ref)
+    ref = [angle(0, 1, 2), angle(0, 1, 3), angle(1, 2, 3)]
+    assert np.allclose(inv.angular, ref, rtol=1e-12, atol=0)
+    zs = p[:4]
+    assert abs(cross_ratio(space, *zs) - expect[0]) <= 1e-12 * abs(expect[0])
+    T = g(0, 1) * g(1, 2) * g(2, 0)
+    assert abs(triple_product(space, *zs[:3]) - T) <= 1e-12 * abs(T)
+    assert np.isclose(angular_invariant(space, *zs[:3]), ref[0],
+                      rtol=1e-12, atol=0)

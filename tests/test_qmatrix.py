@@ -80,16 +80,6 @@ def test_diag_and_eye():
     assert (QArray.eye(3) @ D - D).max_abs() == 0
 
 
-def test_from_quaternions_round_trip(rng):
-    qs = [[Quaternion.from_array(rng.standard_normal(4)) for _ in range(3)]
-          for _ in range(2)]
-    M = QArray.from_quaternions(qs)
-    back = M.to_quaternions()
-    for i in range(2):
-        for j in range(3):
-            assert back[i][j].isclose(qs[i][j], tol=0)
-
-
 def test_conjugate_by_and_commutator(rng):
     A = _random_qarray(rng, (4, 4))
     C = _random_qarray(rng, (4, 4))
@@ -126,3 +116,19 @@ def test_adjoint_and_embed_on_stacks(field, n, rng):
         assert np.array_equal(emb[k], M.embed())
     back = QArray.from_embed(emb)
     assert np.array_equal(back.a, S.a) and np.array_equal(back.b, S.b)
+
+
+def test_entrywise_quaternion_algebra(rng):
+    X = _random_qarray(rng, (3, 2))
+    Y = _random_qarray(rng, (3, 2))
+    P, R, mods = X * Y, X.reciprocal(), X.moduli()
+    for i in range(3):
+        for j in range(2):
+            x, y = X.entry(i, j), Y.entry(i, j)
+            assert P.entry(i, j).isclose(x * y, tol=1e-12)
+            assert R.entry(i, j).isclose(x.inverse(), tol=1e-12)
+            assert np.isclose(mods[i, j], abs(x), rtol=1e-14)
+    picked = X.pick([2, 0], 1)
+    assert picked.entry(0) == X.entry(2, 1)
+    assert picked.entry(1) == X.entry(0, 1)
+    assert [c.entry(0) for c in X.columns()] == [X.entry(0, 0), X.entry(0, 1)]

@@ -124,3 +124,47 @@ def test_align_sp1_real_entries_need_equality():
     assert align_sp1(pairs, tol=1e-10) is not None
     pairs = [(Quaternion(2.0, 0, 0, 0), Quaternion(2.1, 0, 0, 0))]
     assert align_sp1(pairs, tol=1e-10) is None
+
+
+def _align_reference(pairs, tol):
+    """align_sp1 entry by entry on Quaternion objects."""
+    scale = max([1.0] + [abs(q) for q, _ in pairs])
+    if not all(similar(q, qp, tol * scale) for q, qp in pairs):
+        return None
+    kept = [(q, qp) for q, qp in pairs if q.imag_norm() > tol * scale]
+    if not kept:
+        return Quaternion(1.0)
+    B = sum(np.outer(qp.to_array()[1:], q.to_array()[1:]) for q, qp in kept)
+    sigma = np.trace(B)
+    z = np.array([B[1, 2] - B[2, 1], B[2, 0] - B[0, 2], B[0, 1] - B[1, 0]])
+    K = np.block([[np.array([[sigma]]), z[None, :]],
+                  [z[:, None], B + B.T - sigma * np.eye(3)]])
+    cand = Quaternion.from_array(np.linalg.eigh(K)[1][:, -1]).normalized()
+    for mu in (cand, cand.conjugate()):
+        if max(abs(mu * q * mu.conjugate() - qp)
+               for q, qp in pairs) <= tol * scale:
+            return mu
+    return None
+
+
+def test_align_sp1_matches_entrywise_reference(rng):
+    for trial in range(200):
+        mu = Quaternion.from_array(rng.standard_normal(4)).normalized()
+        qs = [Quaternion.from_array(rng.standard_normal(4) * 3)
+              for _ in range(trial % 7)]
+        if trial % 5 == 0:
+            qs = [Quaternion(q.w, q.x) for q in qs]        # complex entries
+        pairs = [(q, mu * q * mu.conjugate()) for q in qs]
+        if trial % 3 == 0 and pairs:
+            q, qp = pairs[-1]
+            pairs[-1] = (q, qp + Quaternion(0, 0, 1e-9 * (trial % 2), 1e-6))
+        got, ref = align_sp1(pairs, tol=1e-8), _align_reference(pairs, 1e-8)
+        assert (got is None) == (ref is None)
+        if ref is None:
+            continue
+        scale = max([1.0] + [abs(q) for q, _ in pairs])
+        assert max([abs(got * q * got.conjugate() - qp) for q, qp in pairs],
+                   default=0.0) <= 1e-8 * scale
+        axes = np.array([q.to_array()[1:] for q, _ in pairs]).reshape(-1, 3)
+        if np.linalg.matrix_rank(axes, tol=1e-6) >= 2:   # mu is unique
+            assert min(abs(got - ref), abs(got + ref)) <= 1e-12

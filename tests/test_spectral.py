@@ -8,9 +8,9 @@ from loxpairs.hermitian import HermitianSpace
 from loxpairs.qmatrix import QArray, conjugate_by
 from loxpairs.quat import Quaternion
 from loxpairs.spectral import (apply_j, classify_element, eigen_frame,
-                               element_conjugator, projective_point,
+                               element_conjugator, projective_points,
                                projective_points_equal, real_char_poly,
-                               real_trace, real_trace_from_frame)
+                               real_trace)
 
 
 def _diag_loxodromic(space, r=0.5, theta=np.pi / 3,
@@ -118,7 +118,7 @@ def test_frame_normalization(qspace, rng):
 def test_frame_real_trace(qspace, rng):
     A = random_loxodromic(qspace, rng)
     f = eigen_frame(qspace, A)
-    assert np.allclose(real_trace_from_frame(f), real_trace(qspace, A),
+    assert np.allclose(f.real_trace, real_trace(qspace, A),
                        rtol=1e-7, atol=1e-7)
 
 
@@ -139,10 +139,25 @@ def test_conjugated_frame(qspace, rng):
 def test_projective_point_complex_rescale_invariant(qspace, rng):
     v = qspace._random_qarray(rng, 4)
     c = 0.7 - 1.3j
-    p = projective_point(v)
-    q = projective_point(QArray(v.a * c, v.b * c))
+    p, q = projective_points(QArray.from_columns(
+        [v, QArray(v.a * c, v.b * c)]))
     assert projective_points_equal(p, q, tol=1e-10)
     assert np.isclose(np.linalg.norm(p), 1.0)
+
+
+def test_projective_points_match_per_vector_rule(qspace, rng):
+    def one(v):
+        mags = np.abs(v.a) ** 2 + np.abs(v.b) ** 2
+        i = int(np.argmax(mags))
+        p = np.array([v.a[i], v.b[i]])
+        p = p / np.linalg.norm(p)
+        j = int(np.argmax(np.abs(p)))
+        return p / (p[j] / abs(p[j]))
+
+    vs = [qspace._random_qarray(rng, 4) for _ in range(6)]
+    got = projective_points(QArray.from_columns(vs))
+    for p, v in zip(got, vs):
+        assert np.max(np.abs(p - one(v))) <= 1e-15
 
 
 def test_apply_j_is_projective_involution(rng):
@@ -257,4 +272,5 @@ def test_frame_points_order(qframes):
     pts = f.points()
     assert len(pts) == len(expect) == 3
     for p, v in zip(pts, expect):
-        assert np.array_equal(p, projective_point(v))
+        assert np.array_equal(p, projective_points(
+            QArray.from_columns([v]))[0])

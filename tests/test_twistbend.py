@@ -111,7 +111,7 @@ def test_tilde_invariants_match_public_formulas(qpants):
     kap = _twisted(identity_params(fa))
     got = tilde_invariants(space, kap, fa, fb, fc)
     K = twist_bend_element(kap, fa)
-    aA, rA, aB, KrC = _normalize_quadruple(
+    (aA, rA, aB, KrC), _ = _normalize_quadruple(
         space, [fa.attracting, fa.repelling, fb.attracting,
                 K @ fc.repelling])
     expect = (cross_ratio(space, aA, rA, aB, KrC),
