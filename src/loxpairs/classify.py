@@ -42,13 +42,7 @@ def _gram_orbit_scalar(t: AssociatedTuple, t2: AssociatedTuple,
 
 
 def _spanning_subset(lifts: List[QArray], size: int) -> List[int]:
-    """Greedy prefix-priority choice of `size` H-independent lifts.
-
-    When the first `size` lifts are independent the greedy pass takes
-    exactly them: by interlacing, every prefix has its smallest singular
-    value at least that of the whole and its largest at most."""
-    if quaternionic_rank(lifts[:size]) == size:
-        return list(range(size))
+    """Greedy prefix-priority choice of `size` H-independent lifts."""
     sel: List[int] = []
     basis: List[QArray] = []
     for i, p in enumerate(lifts):

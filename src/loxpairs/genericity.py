@@ -10,7 +10,6 @@ pairings, coordinate ranks for point membership and the rank-4 test.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -87,16 +86,19 @@ def _max_matching(M: np.ndarray):
     return pairs, len(pairs)
 
 
-def _multiple_matchings(M: np.ndarray) -> bool:
-    """Does the square boolean M have more than one matching of size one
-    less than its order?  Each such matching is a permutation with one
-    pair left out: m ways for a permutation M holds entirely, one way
-    for a permutation that misses exactly one pair."""
-    m = M.shape[0]
-    perms = np.array(list(itertools.permutations(range(m))))
-    missing = np.count_nonzero(~M[np.arange(m), perms], axis=1)
-    return m * np.count_nonzero(missing == 0) \
-        + np.count_nonzero(missing == 1) > 1
+def _multiple_matchings(M: np.ndarray, pairs, k: int) -> bool:
+    """Given the first k pairs of a maximum matching of M, does M have
+    a second matching of size k?  One exists iff dropping some edge of
+    the first still leaves a matching of size k: at most k re-matchings.
+    """
+    if len(pairs) < k:
+        return False
+    for i, j in pairs:
+        M2 = M.copy()
+        M2[i, j] = False
+        if _max_matching(M2)[1] >= k:
+            return True
+    return False
 
 
 def genericity_report(space: HermitianSpace, fa: LoxodromicFrame,
@@ -146,6 +148,6 @@ def genericity_report(space: HermitianSpace, fa: LoxodromicFrame,
         matching_B=matched_b,
         omitted_A=omitted_a,
         omitted_B=omitted_b,
-        multiple_matchings=_multiple_matchings(M),
+        multiple_matchings=_multiple_matchings(M, pairs, n - 2),
         failing_conditions=failing,
     )

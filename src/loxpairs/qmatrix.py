@@ -114,7 +114,6 @@ class QArray:
         """Entrywise |q|."""
         return np.sqrt(np.abs(self.a) ** 2 + np.abs(self.b) ** 2)
 
-
     def adjoint(self) -> "QArray":
         """Quaternionic conjugate transpose of a matrix, or of each
         matrix in a stack."""

@@ -148,19 +148,22 @@ def align_sp1(pairs, tol: float = DEFAULT_TOL):
     checked first; pairs with negligible imaginary part only constrain
     the real part.
     """
-    qs = np.array([(q.w, q.x, q.y, q.z, p.w, p.x, p.y, p.z)
-                   for q, p in pairs], dtype=float).reshape(-1, 2, 4)
-    q, qp = qs[:, 0], qs[:, 1]
-    mods = np.sqrt(np.sum(qs ** 2, axis=2))
-    scale = max(1.0, float(np.max(mods, initial=0.0)))
+    from .qmatrix import QArray   # qmatrix builds on this module
+
+    z = np.array([(*q.complex_pair(), *qp.complex_pair())
+                  for q, qp in pairs], dtype=complex).reshape(-1, 2, 2)
+    qs = QArray(z[..., 0], z[..., 1])             # rows (q, q')
+    mods = qs.moduli()
+    scale = max(1.0, float(np.max(mods[:, 0], initial=0.0)))
     # similar classes: equal real parts and moduli
-    if not np.all((np.abs(q[:, 0] - qp[:, 0]) <= tol * scale)
-                  & (np.abs(mods[:, 0] - mods[:, 1]) <= tol * scale)):
+    if not np.all((np.abs(np.diff(qs.a.real, axis=1)) <= tol * scale)
+                  & (np.abs(np.diff(mods, axis=1)) <= tol * scale)):
         return None
-    keep = np.sqrt(np.sum(q[:, 1:] ** 2, axis=1)) > tol * scale
+    axes = np.stack([qs.a.imag, qs.b.real, -qs.b.imag], axis=-1)
+    keep = np.linalg.norm(axes[:, 0], axis=1) > tol * scale
     if not keep.any():
         return ONE
-    B = qp[keep, 1:].T @ q[keep, 1:]
+    B = axes[keep, 1].T @ axes[keep, 0]
     sigma = np.trace(B)
     zvec = np.array([B[1, 2] - B[2, 1], B[2, 0] - B[0, 2], B[0, 1] - B[1, 0]])
     Kmat = np.empty((4, 4))
@@ -170,19 +173,9 @@ def align_sp1(pairs, tol: float = DEFAULT_TOL):
     Kmat[1:, 1:] = B + B.T - sigma * np.eye(3)
     vals, vecs = np.linalg.eigh(Kmat)
     cand = Quaternion.from_array(vecs[:, -1]).normalized()
+    q, qp = qs.pick(slice(None), 0), qs.pick(slice(None), 1)
     for mu in (cand, cand.conjugate()):
-        m = mu.to_array()
-        rotated = _hamilton(_hamilton(m, q), m * [1, -1, -1, -1])
-        if np.max(np.sqrt(np.sum((rotated - qp) ** 2, axis=1))) <= tol * scale:
+        m, mbar = (QArray(*u.complex_pair()) for u in (mu, mu.conjugate()))
+        if np.max((m * q * mbar - qp).moduli()) <= tol * scale:
             return mu
     return None
-
-
-def _hamilton(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Products of quaternions stored as rows (w, x, y, z), broadcasting;
-    the formula of Quaternion.__mul__."""
-    (a0, a1, a2, a3), (b0, b1, b2, b3) = a.T, b.T
-    return np.stack([a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
-                     a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
-                     a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
-                     a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0], axis=-1)

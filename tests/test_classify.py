@@ -312,21 +312,3 @@ def test_isometry_algebra_basis(field, n):
         if field == "complex":
             assert abs(np.trace(X.a).imag) <= 1e-12
 
-
-def test_spanning_subset_matches_greedy_pass(qspace, rng):
-    from loxpairs.classify import _spanning_subset
-
-    def greedy(lifts, size):
-        sel = []
-        for i, p in enumerate(lifts):
-            if len(sel) < size and quaternionic_rank(
-                    [lifts[k] for k in sel] + [p]) > len(sel):
-                sel.append(i)
-        return sel
-
-    vs = [qspace._random_qarray(rng, qspace.dim) for _ in range(6)]
-    dependent = [vs[0], vs[1], vs[0].rmul(Quaternion(0.3, 1, 2, 0)),
-                 vs[1] + vs[0], *vs[2:]]
-    for lifts in (vs, dependent):
-        assert _spanning_subset(lifts, 4) == greedy(lifts, 4)
-    assert _spanning_subset(dependent, 4) == [0, 1, 4, 5]

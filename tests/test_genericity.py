@@ -98,6 +98,19 @@ def test_generated_strong_pair_report(space):
     assert not rep.failing_conditions
 
 
+@pytest.mark.parametrize("field", ["quaternion", "complex"])
+def test_report_at_n2(field):
+    # one flag per frame: the only (n - 2)-matching is the empty one
+    space = HermitianSpace(2, field)
+    A, B = generate_pair(space, seed=1, mode="weak")
+    rep = genericity_report(space, eigen_frame(space, A),
+                            eigen_frame(space, B))
+    assert rep.flag_pair_matrix.tolist() == [[True]]
+    assert rep.matching_A == rep.matching_B == []
+    assert rep.omitted_A == rep.omitted_B == 0
+    assert not rep.multiple_matchings
+
+
 def test_power_pair_shares_fixed_points(qspace, rng):
     # (A, A^2) has common fixed points, hence fails genericity outright
     A = random_loxodromic(qspace, rng)
@@ -124,26 +137,35 @@ def test_flag_pair_matrix_shape(qspace, qframes):
     assert rep.flag_pair_matrix.shape == (m, m)
 
 
-def _multiple_by_removal(M):
-    """Reference: drop each edge of the chosen matching in turn and
-    re-match; a second matching of size order - 1 survives some drop."""
+def _multiple_by_enumeration(M):
+    """Reference: count the matchings of size order - 1 over all
+    permutations; m of them come from each permutation M holds entirely
+    and one from each that misses exactly one pair."""
+    m = M.shape[0]
+    perms = np.array(list(itertools.permutations(range(m))))
+    missing = np.count_nonzero(~M[np.arange(m), perms], axis=1)
+    return m * np.count_nonzero(missing == 0) \
+        + np.count_nonzero(missing == 1) > 1
+
+
+def _multiple(M):
     k = M.shape[0] - 1
-    pairs, size = _max_matching(M)
-    if size < k:
-        return False
-    for i, j in pairs[:k]:
-        M2 = M.copy()
-        M2[i, j] = False
-        if _max_matching(M2)[1] >= k:
-            return True
-    return False
+    return _multiple_matchings(M, _max_matching(M)[0][:k], k)
 
 
-def test_multiple_matchings_match_edge_removal():
+def test_multiple_matchings_match_enumeration():
     mats = [np.array(bits, dtype=bool).reshape(m, m)
-            for m in (2, 3)
+            for m in (1, 2, 3)
             for bits in itertools.product((False, True), repeat=m * m)]
     rng = np.random.default_rng(0)
     mats += list(rng.random((2000, 4, 4)) < rng.random((2000, 1, 1)))
     for M in mats:
-        assert _multiple_matchings(M) == _multiple_by_removal(M), M
+        assert _multiple(M) == _multiple_by_enumeration(M), M
+
+
+def test_multiple_matchings_at_large_order():
+    # at most k re-matchings, so a large order is cheap
+    m = 40
+    assert _multiple(np.ones((m, m), dtype=bool))
+    assert _multiple(np.eye(m, dtype=bool))
+    assert not _multiple(np.diag(np.arange(m) < m - 1))
