@@ -23,7 +23,7 @@ from .errors import (DegenerateInputError, NotNonsingular,
 from .genericity import genericity_report
 from .gram import (AssociatedTuple, _normalize_quadruple, gram_matrix,
                    gram_offdiagonal_entries, normalize_lifts)
-from .hermitian import HermitianSpace, gauge
+from .hermitian import HermitianSpace, _quaternion_abs, gauge
 from .invariants import InvariantTuple, pair_invariants, sp1_orbit_equal
 from .qmatrix import QArray, conjugate_by, quaternionic_rank
 from .quat import Quaternion
@@ -36,9 +36,8 @@ ORBIT_TOL = 1e-8
 def _gram_orbit_scalar(t: AssociatedTuple, t2: AssociatedTuple,
                        tol: float) -> Optional[Quaternion]:
     """Unit mu with mu*G*conj(mu) = G' entrywise, or None."""
-    e1 = gram_offdiagonal_entries(gram_matrix(t))
-    e2 = gram_offdiagonal_entries(gram_matrix(t2))
-    return gauge(t.space.field, zip(e1, e2), tol)
+    return gauge(t.space.field, gram_offdiagonal_entries(gram_matrix(t)),
+                 gram_offdiagonal_entries(gram_matrix(t2)), tol)
 
 
 def _spanning_subset(lifts: List[QArray], size: int) -> List[int]:
@@ -179,12 +178,15 @@ def _points_match(f: LoxodromicFrame, g: LoxodromicFrame,
 
 def _reduced_match(i1: InvariantTuple, i2: InvariantTuple,
                    tol: float) -> bool:
-    """Complex strong mode: the short list X1, X2, A, alpha, beta."""
+    """Complex strong mode: the short list X1, X2, A, alpha, beta, each
+    entry within tol max(1, |entry|)."""
     if abs(i1.angular[0] - i2.angular[0]) > tol:
         return False
-    e1, e2 = i1.reduced_entries(), i2.reduced_entries()
-    return all(a.isclose(b, tol=tol * max(1.0, abs(a)))
-               for a, b in zip(e1, e2))
+    layout = i1.layout()
+    idx = np.hstack([layout[k] for k in ("X1", "X2", "alpha", "beta")])
+    e1, e2 = i1.entries.pick(idx), i2.entries.pick(idx)
+    return bool(np.all(_quaternion_abs(e1 - e2)
+                       <= tol * np.maximum(1.0, _quaternion_abs(e1))))
 
 
 def conjugacy_test(space: HermitianSpace, A: QArray, B: QArray,
@@ -284,10 +286,9 @@ def boundary_quadruple_congruence(space: HermitianSpace, zs: List[QArray],
     pairings lie in different Sp(1) orbits."""
     zn, _ = _normalize_quadruple(space, zs)
     wn, _ = _normalize_quadruple(space, ws)
-    Gz, Gw = space.gram(zn), space.gram(wn)
-    upper = [(i, j) for i in range(4) for j in range(i + 1, 4)]
-    mu = gauge(space.field, [(Gz.entry(i, j), Gw.entry(i, j))
-                             for i, j in upper], tol)
+    upper = ([0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3])     # i < j
+    mu = gauge(space.field, space.gram(zn).pick(*upper),
+               space.gram(wn).pick(*upper), tol)
     if mu is None:
         return None
     wt = [w.rmul(mu) for w in wn]
@@ -328,8 +329,8 @@ def _invariant_vector(space: HermitianSpace, A: QArray, B: QArray,
                       report=None) -> np.ndarray:
     fa, fb = eigen_frame(space, A), eigen_frame(space, B)
     iv = pair_invariants(space, fa, fb, report=report)
-    parts = [iv.real_trace_A, iv.real_trace_B, iv.angular]
-    parts += [q.to_array() for q in iv.quaternion_entries()]
+    parts = [iv.real_trace_A, iv.real_trace_B, iv.angular,
+             iv.entries.components().ravel()]
     for p in iv.projective_A + iv.projective_B:
         parts.append(np.concatenate([p.real, p.imag]))
     return np.concatenate(parts)

@@ -8,6 +8,8 @@ degenerate input, 3 when a constructed conjugator fails verification.
 import argparse
 import sys
 
+import numpy as np
+
 from . import serialize as sz
 from .classify import conjugacy_test
 from .errors import DegenerateInputError, LoxpairsError, VerificationFailed
@@ -39,14 +41,13 @@ def _quat_str(q) -> str:
 
 def _pretty_tuple(t) -> str:
     lines = [f"field: {t.field_tag}"]
-    for name in ("X1", "X2", "X3"):
-        lines.append(f"{name}: {_quat_str(getattr(t, name))}")
-    for name in ("alpha", "beta", "eta_A", "eta_B"):
-        for i, q in enumerate(getattr(t, name), 1):
-            lines.append(f"{name}[{i}]: {_quat_str(q)}")
-    for i, row in enumerate(t.mixed, 1):
-        for j, q in enumerate(row, 1):
-            lines.append(f"mixed[{i}][{j}]: {_quat_str(q)}")
+    layout = t.layout()
+    for name in ("X1", "X2", "X3", "alpha", "beta", "eta_A", "eta_B",
+                 "mixed"):
+        idx = layout[name]
+        for pos in np.ndindex(idx.shape):       # mixed[i][j] is a grid
+            label = name + "".join(f"[{i + 1}]" for i in pos)
+            lines.append(f"{label}: {_quat_str(t.entries.entry(idx[pos]))}")
     lines.append("angular: " + "  ".join(f"{a:.6f}" for a in t.angular))
     return "\n".join(lines) + "\n"
 

@@ -6,16 +6,18 @@ through the two fixed points, and the hyperplane polar to a positive
 eigenvector.  Pair genericity reduces to conditions on the lifts: array
 expressions over one Gram product of both frames (`_frame_gram`) for the
 pairings, coordinate ranks for point membership and the rank-4 test.
+The flag-pair matrix is the outer product of a row mask and a column
+mask, so its matchings are read off the two masks (`_flag_matching`)
+with no bipartite matcher.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb, factorial
 from typing import List, Optional
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .hermitian import HermitianSpace
 from .qmatrix import QArray, quaternionic_rank
@@ -77,28 +79,16 @@ def _misses_polars(K: QArray, norms: np.ndarray, line, xs: np.ndarray,
              | (np.abs(cross) <= tol * scale1 * scale2))
 
 
-def _max_matching(M: np.ndarray):
-    """Row->column assignment of a boolean matrix, as (pairs, size)."""
-    if not M.any():
-        return [], 0
-    match = maximum_bipartite_matching(csr_matrix(M), perm_type="column")
-    pairs = [(i, int(match[i])) for i in range(M.shape[0]) if match[i] >= 0]
-    return pairs, len(pairs)
-
-
-def _multiple_matchings(M: np.ndarray, pairs, k: int) -> bool:
-    """Given the first k pairs of a maximum matching of M, does M have
-    a second matching of size k?  One exists iff dropping some edge of
-    the first still leaves a matching of size k: at most k re-matchings.
-    """
-    if len(pairs) < k:
-        return False
-    for i, j in pairs:
-        M2 = M.copy()
-        M2[i, j] = False
-        if _max_matching(M2)[1] >= k:
-            return True
-    return False
+def _flag_matching(M: np.ndarray, k: int):
+    """Matching of size k in the flag-pair matrix M, as (pairs, found,
+    multiple).  M is the outer product of a row mask and a column mask,
+    so the i-th good row matches the i-th good column, and with r good
+    rows and c good columns there are comb(r, k) comb(c, k) k!
+    matchings of size k."""
+    rows, cols = np.flatnonzero(M.any(axis=1)), np.flatnonzero(M.any(axis=0))
+    pairs = [(int(i), int(j)) for i, j in zip(rows, cols)][:k]
+    count = comb(len(rows), k) * comb(len(cols), k) * factorial(k)
+    return pairs, len(pairs) == k, count > 1
 
 
 def genericity_report(space: HermitianSpace, fa: LoxodromicFrame,
@@ -127,10 +117,9 @@ def genericity_report(space: HermitianSpace, fa: LoxodromicFrame,
                           tol)
     M = points_ok & np.outer(rows, cols)
 
-    pairs, size = _max_matching(M)
-    if size < n - 2:
+    pairs, found, multiple = _flag_matching(M, n - 2)
+    if not found:
         failing.append("flag-matching")
-    pairs = pairs[:n - 2]
     matched_a = [p[0] for p in pairs]
     matched_b = [p[1] for p in pairs]
     omitted_a = next((i for i in range(n - 1) if i not in matched_a), None)
@@ -148,6 +137,6 @@ def genericity_report(space: HermitianSpace, fa: LoxodromicFrame,
         matching_B=matched_b,
         omitted_A=omitted_a,
         omitted_B=omitted_b,
-        multiple_matchings=_multiple_matchings(M, pairs, n - 2),
+        multiple_matchings=multiple,
         failing_conditions=failing,
     )

@@ -141,9 +141,9 @@ def normalize_lifts(space: HermitianSpace, fa: LoxodromicFrame,
                            list(report.matching_A), list(report.matching_B))
 
 
-def gram_matrix(t: AssociatedTuple, tol: float = PATTERN_TOL) -> np.ndarray:
-    """2n x 2n array of Quaternion pairings G[i, j] = <p_i, p_j>,
-    pattern-checked by masked array comparisons."""
+def gram_matrix(t: AssociatedTuple, tol: float = PATTERN_TOL) -> QArray:
+    """The 2n x 2n QArray of pairings G[i, j] = <p_i, p_j>, its pattern
+    checked by masked array comparisons."""
     n = t.space.n
     G = QArray(t.gram.a.T, t.gram.b.T)
     # the values the normalization pins (0 or 1), NaN elsewhere; the
@@ -168,17 +168,15 @@ def gram_matrix(t: AssociatedTuple, tol: float = PATTERN_TOL) -> np.ndarray:
         i = 3 if j < n + 2 else 1
         if mods[i, j] <= tol:
             raise PatternViolation(f"g[{i + 1},{j + 1}] vanishes")
-    return np.array(G.to_quaternions(), dtype=object)
+    return G
 
 
-def gram_offdiagonal_entries(G: np.ndarray) -> List[Quaternion]:
+def gram_offdiagonal_entries(G: QArray) -> QArray:
     """The non-trivially-fixed entries, in a deterministic order, for
     Sp(1)-orbit comparison of two normalized Gram matrices."""
     m = G.shape[0]
-    n = m // 2
-    out = [G[1, 2], G[1, 3], G[2, 3]]
-    out += [G[3, j] for j in range(4, n + 2)]
-    out += [G[1, k] for k in range(n + 2, m)]
-    out += [G[j, k] for j in range(4, n + 2) for k in range(n + 2, m)]
-    out += [G[j, j] for j in range(4, m)]   # real positive norms
-    return out
+    apos, bpos = range(4, m // 2 + 2), range(m // 2 + 2, m)
+    ij = [(1, 2), (1, 3), (2, 3)] + [(3, j) for j in apos]
+    ij += [(1, k) for k in bpos] + [(j, k) for j in apos for k in bpos]
+    ij += [(j, j) for j in range(4, m)]
+    return G.pick(*np.array(ij).T)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -77,37 +77,35 @@ def angular_invariant(space: HermitianSpace, z1, z2, z3) -> float:
                                 TRIPLE))[0])
 
 
+# the quaternion invariants in InvariantTuple.entries, in the order
+# pair_invariants evaluates them, with the rank of each: one value, one
+# per matched positive (alpha = X_{2k} over B's, beta = X_{4j} over A's,
+# the etas), or the (n-2) x (n-2) grid X_{jk}
+ENTRY_NAMES = (("X1", 0), ("X2", 0), ("X3", 0), ("alpha", 1), ("beta", 1),
+               ("mixed", 2), ("eta_A", 1), ("eta_B", 1))
+
+
 @dataclass
 class InvariantTuple:
+    """Invariants of a pair; the quaternion ones sit in one QArray,
+    entries, laid out as ENTRY_NAMES says (see layout)."""
     field_tag: str
     real_trace_A: np.ndarray
     real_trace_B: np.ndarray
     angular: np.ndarray                 # A1, A2, A3
-    X1: Quaternion
-    X2: Quaternion
-    X3: Quaternion
-    alpha: List[Quaternion]             # X_{2k}, one per matched B-positive
-    beta: List[Quaternion]              # X_{4j}, one per matched A-positive
-    mixed: List[List[Quaternion]]       # X_{jk} grid, (n-2) x (n-2)
-    eta_A: List[Quaternion]             # eta_j over A-positives
-    eta_B: List[Quaternion]             # eta_k over B-positives
+    entries: QArray
     projective_A: List[np.ndarray]
     projective_B: List[np.ndarray]
     matching_A: List[int] = field(default_factory=list)
     matching_B: List[int] = field(default_factory=list)
 
-    def quaternion_entries(self) -> List[Quaternion]:
-        out = [self.X1, self.X2, self.X3, *self.alpha, *self.beta]
-        for row in self.mixed:
-            out.extend(row)
-        out.extend(self.eta_A)
-        out.extend(self.eta_B)
-        return out
-
-    def reduced_entries(self) -> List[Quaternion]:
-        """The short list sufficient for non-singular pairs: X1, X2,
-        alpha, beta (angular and traces are compared separately)."""
-        return [self.X1, self.X2, *self.alpha, *self.beta]
+    def layout(self) -> Dict[str, np.ndarray]:
+        """Name -> indices into entries, shaped like the invariant: (),
+        (d,) or (d, d) for d = n - 2 matched positives on each side."""
+        d = len(self.matching_A)
+        ends = np.cumsum([d ** rank for _, rank in ENTRY_NAMES])
+        return {name: np.arange(end - d ** rank, end).reshape((d,) * rank)
+                for (name, rank), end in zip(ENTRY_NAMES, ends)}
 
 
 def pair_invariants(space: HermitianSpace, fa: LoxodromicFrame,
@@ -124,29 +122,19 @@ def pair_invariants(space: HermitianSpace, fa: LoxodromicFrame,
         report = genericity_report(space, fa, fb)
     if tuple_ is None:
         tuple_ = normalize_lifts(space, fa, fb, report=report)
-    n, d, p = space.n, space.n - 2, tuple_.lifts
+    n, p = space.n, tuple_.lifts
     apos, bpos = range(4, n + 2), range(n + 2, 2 * n)
     rows = [(0, 1, 2, 3), (0, 2, 1, 3), (1, 3, 2, 0)]
     rows += [(0, 1, 2, k) for k in bpos] + [(2, 3, 0, j) for j in apos]
     rows += [(2, k, 1, j) for j in apos for k in bpos]
     rows += [(j, 3, 2, j) for j in apos] + [(k, 1, 0, k) for k in bpos]
-    xs = iter(_words(space, p, rows, CROSS, tuple_.gram).to_quaternions())
-
-    def take(k):
-        return [next(xs) for _ in range(k)]
-
-    X1, X2, X3 = take(3)
-    alpha, beta = take(d), take(d)
-    mixed = [take(d) for _ in range(d)]
-    eta_A, eta_B = take(d), take(d)
     return InvariantTuple(
         field_tag=space.field,
         real_trace_A=fa.real_trace,
         real_trace_B=fb.real_trace,
+        entries=_words(space, p, rows, CROSS, tuple_.gram),
         angular=_angles(_words(space, p, [(0, 1, 2), (0, 1, 3), (1, 2, 3)],
                                TRIPLE, tuple_.gram)),
-        X1=X1, X2=X2, X3=X3,
-        alpha=alpha, beta=beta, mixed=mixed, eta_A=eta_A, eta_B=eta_B,
         projective_A=fa.points(), projective_B=fb.points(),
         matching_A=list(tuple_.matching_A),
         matching_B=list(tuple_.matching_B))
@@ -156,7 +144,6 @@ def sp1_orbit_equal(t1: InvariantTuple, t2: InvariantTuple,
                     tol: float = 1e-8) -> Optional[Quaternion]:
     """Unit mu conjugating every quaternion entry of t1 onto t2, or None
     (mu = 1 in complex mode, see hermitian.gauge)."""
-    e1, e2 = t1.quaternion_entries(), t2.quaternion_entries()
-    if len(e1) != len(e2):
+    if t1.entries.shape != t2.entries.shape:
         return None
-    return gauge(t1.field_tag, zip(e1, e2), tol)
+    return gauge(t1.field_tag, t1.entries, t2.entries, tol)

@@ -77,12 +77,15 @@ class QArray:
         """The entries at numpy indices idx, as a QArray."""
         return QArray(self.a[idx], self.b[idx])
 
-    def to_quaternions(self):
-        parts = np.stack([self.a.real, self.a.imag, self.b.real,
-                          -self.b.imag], axis=-1).tolist()
-        if self.ndim == 1:
-            return [Quaternion(*q) for q in parts]
-        return [[Quaternion(*q) for q in row] for row in parts]
+    def components(self) -> np.ndarray:
+        """The real components (w, x, y, z) of every entry, along a new
+        last axis."""
+        return np.stack([self.a.real, self.a.imag, self.b.real,
+                         -self.b.imag], axis=-1)
+
+    def to_quaternions(self) -> list:
+        """The entries of a vector as Quaternion scalars."""
+        return [Quaternion(*q) for q in self.components().tolist()]
 
     # -- algebra --------------------------------------------------------
 

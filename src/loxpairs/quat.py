@@ -58,11 +58,9 @@ class Quaternion:
     def imag_norm(self) -> float:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
 
-    def is_complex(self, tol: float = DEFAULT_TOL) -> bool:
-        return abs(self.y) <= tol and abs(self.z) <= tol
-
     def to_complex(self, tol: float = DEFAULT_TOL) -> complex:
-        if not self.is_complex(tol * (1.0 + abs(self))):
+        tol = tol * (1.0 + abs(self))
+        if not (abs(self.y) <= tol and abs(self.z) <= tol):
             raise ValueError(f"quaternion {self} has nonzero j,k part")
         return complex(self.w, self.x)
 
@@ -115,9 +113,6 @@ class Quaternion:
 
 
 ONE = Quaternion(1.0)
-I = Quaternion(0.0, 1.0)
-J = Quaternion(0.0, 0.0, 1.0)
-K = Quaternion(0.0, 0.0, 0.0, 1.0)
 
 
 def similarity_representative(q: Quaternion) -> complex:
@@ -133,37 +128,39 @@ def similar(a: Quaternion, b: Quaternion, tol: float = DEFAULT_TOL) -> bool:
 def conjugator_within_class(q: Quaternion, target: Quaternion,
                             tol: float = DEFAULT_TOL) -> Quaternion:
     """Unit mu with mu^-1 * q * mu = target, for similar q and target."""
+    from .qmatrix import QArray   # qmatrix builds on this module
+
     # align_sp1 gives nu with nu q conj(nu) = target, and mu = conj(nu)
-    nu = align_sp1([(q, target)], tol=max(tol, 1e-9 * (1.0 + abs(q))))
+    (qa, qb), (ta, tb) = q.complex_pair(), target.complex_pair()
+    nu = align_sp1(QArray([qa], [qb]), QArray([ta], [tb]),
+                   tol=max(tol, 1e-9 * (1.0 + abs(q))))
     if nu is None:
         raise NotSimilar(f"{q} and {target} are not in the same class")
     return nu.conjugate()
 
 
-def align_sp1(pairs, tol: float = DEFAULT_TOL):
-    """Unit mu with mu * q * conj(mu) = q' for every (q, q') pair, or None.
+def align_sp1(q, qp, tol: float = DEFAULT_TOL):
+    """Unit mu with mu * q * conj(mu) = q' entrywise, for two QArrays q
+    and q' of one shape, or None.
 
     Solved as a rigid rotation of the imaginary parts (Davenport's
     q-method), then verified on every entry.  Real parts and moduli are
-    checked first; pairs with negligible imaginary part only constrain
+    checked first; entries with negligible imaginary part only constrain
     the real part.
     """
     from .qmatrix import QArray   # qmatrix builds on this module
 
-    z = np.array([(*q.complex_pair(), *qp.complex_pair())
-                  for q, qp in pairs], dtype=complex).reshape(-1, 2, 2)
-    qs = QArray(z[..., 0], z[..., 1])             # rows (q, q')
-    mods = qs.moduli()
-    scale = max(1.0, float(np.max(mods[:, 0], initial=0.0)))
+    mods, mods_p = q.moduli(), qp.moduli()
+    scale = max(1.0, float(np.max(mods, initial=0.0)))
     # similar classes: equal real parts and moduli
-    if not np.all((np.abs(np.diff(qs.a.real, axis=1)) <= tol * scale)
-                  & (np.abs(np.diff(mods, axis=1)) <= tol * scale)):
+    if not np.all((np.abs(qp.a.real - q.a.real) <= tol * scale)
+                  & (np.abs(mods_p - mods) <= tol * scale)):
         return None
-    axes = np.stack([qs.a.imag, qs.b.real, -qs.b.imag], axis=-1)
-    keep = np.linalg.norm(axes[:, 0], axis=1) > tol * scale
+    axes, axes_p = q.components()[..., 1:], qp.components()[..., 1:]
+    keep = np.linalg.norm(axes, axis=-1) > tol * scale
     if not keep.any():
         return ONE
-    B = axes[keep, 1].T @ axes[keep, 0]
+    B = axes_p[keep].T @ axes[keep]
     sigma = np.trace(B)
     zvec = np.array([B[1, 2] - B[2, 1], B[2, 0] - B[0, 2], B[0, 1] - B[1, 0]])
     Kmat = np.empty((4, 4))
@@ -173,7 +170,6 @@ def align_sp1(pairs, tol: float = DEFAULT_TOL):
     Kmat[1:, 1:] = B + B.T - sigma * np.eye(3)
     vals, vecs = np.linalg.eigh(Kmat)
     cand = Quaternion.from_array(vecs[:, -1]).normalized()
-    q, qp = qs.pick(slice(None), 0), qs.pick(slice(None), 1)
     for mu in (cand, cand.conjugate()):
         m, mbar = (QArray(*u.complex_pair()) for u in (mu, mu.conjugate()))
         if np.max((m * q * mbar - qp).moduli()) <= tol * scale:

@@ -39,8 +39,7 @@ def complex_from_json(obj) -> complex:
 
 
 def matrix_to_json(M: QArray) -> list:
-    rows = M.to_quaternions()
-    return [[quaternion_to_json(q) for q in row] for row in rows]
+    return M.components().tolist()
 
 
 def space_to_json(space: HermitianSpace) -> dict:
@@ -96,24 +95,16 @@ def projective_from_json(obj) -> np.ndarray:
 
 
 def invariant_tuple_to_json(t: InvariantTuple) -> dict:
-    return {
-        "field": t.field_tag,
-        "real_trace_A": list(map(float, t.real_trace_A)),
-        "real_trace_B": list(map(float, t.real_trace_B)),
-        "angular": list(map(float, t.angular)),
-        "X1": quaternion_to_json(t.X1),
-        "X2": quaternion_to_json(t.X2),
-        "X3": quaternion_to_json(t.X3),
-        "alpha": [quaternion_to_json(q) for q in t.alpha],
-        "beta": [quaternion_to_json(q) for q in t.beta],
-        "mixed": [[quaternion_to_json(q) for q in row] for row in t.mixed],
-        "eta_A": [quaternion_to_json(q) for q in t.eta_A],
-        "eta_B": [quaternion_to_json(q) for q in t.eta_B],
-        "projective_A": [projective_to_json(p) for p in t.projective_A],
-        "projective_B": [projective_to_json(p) for p in t.projective_B],
-        "matching_A": list(t.matching_A),
-        "matching_B": list(t.matching_B),
-    }
+    return {"field": t.field_tag,
+            "real_trace_A": list(map(float, t.real_trace_A)),
+            "real_trace_B": list(map(float, t.real_trace_B)),
+            "angular": list(map(float, t.angular)),
+            **{name: t.entries.pick(idx).components().tolist()
+               for name, idx in t.layout().items()},      # X1 .. eta_B
+            "projective_A": [projective_to_json(p) for p in t.projective_A],
+            "projective_B": [projective_to_json(p) for p in t.projective_B],
+            "matching_A": list(t.matching_A),
+            "matching_B": list(t.matching_B)}
 
 
 def kappa_to_json(kappa: TwistBendParams) -> dict:

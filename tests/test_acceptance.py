@@ -143,26 +143,28 @@ def test_criterion_3_gram_dictionary():
             t = normalize_lifts(space, fa, fb, rep)
             G = gram_matrix(t)
             inv = pair_invariants(space, fa, fb, report=rep, tuple_=t)
-            devs = [abs(abs(G[1, 2]) - 1.0),
-                    abs(-G[1, 2].real - np.cos(inv.angular[0])),
-                    abs(G[1, 2].conjugate().inverse()
-                        * G[1, 3].conjugate() - inv.X1),
-                    abs(G[1, 2].inverse() * G[2, 3].conjugate() - inv.X2)]
-            for idx, k in enumerate(range(n + 2, 2 * n)):
-                devs.append(abs(G[1, 2].conjugate().inverse()
-                                * G[1, k].conjugate() - inv.alpha[idx]))
-            for idx, j in enumerate(range(4, n + 2)):
-                devs.append(abs(G[3, j].conjugate() - inv.beta[idx]))
-            for a_, j in enumerate(range(4, n + 2)):
-                for b_, k in enumerate(range(n + 2, 2 * n)):
-                    devs.append(abs(G[1, 2] * G[1, k].inverse() * G[j, k]
-                                    - inv.mixed[a_][b_]))
-            for idx, j in enumerate(range(4, n + 2)):
-                devs.append(abs(G[2, 3].inverse() * G[3, j].conjugate()
-                                * G[j, j].inverse() - inv.eta_A[idx]))
-            for idx, k in enumerate(range(n + 2, 2 * n)):
-                devs.append(abs(G[1, k].conjugate() * G[k, k].inverse()
-                                - inv.eta_B[idx]))
+            g, x, layout = G.entry, inv.entries.to_quaternions(), inv.layout()
+            devs = [abs(abs(g(1, 2)) - 1.0),
+                    abs(-g(1, 2).real - np.cos(inv.angular[0])),
+                    abs(g(1, 2).conjugate().inverse()
+                        * g(1, 3).conjugate() - x[layout["X1"]]),
+                    abs(g(1, 2).inverse() * g(2, 3).conjugate()
+                        - x[layout["X2"]])]
+            for i, k in zip(layout["alpha"], range(n + 2, 2 * n)):
+                devs.append(abs(g(1, 2).conjugate().inverse()
+                                * g(1, k).conjugate() - x[i]))
+            for i, j in zip(layout["beta"], range(4, n + 2)):
+                devs.append(abs(g(3, j).conjugate() - x[i]))
+            for row, j in zip(layout["mixed"], range(4, n + 2)):
+                for i, k in zip(row, range(n + 2, 2 * n)):
+                    devs.append(abs(g(1, 2) * g(1, k).inverse() * g(j, k)
+                                    - x[i]))
+            for i, j in zip(layout["eta_A"], range(4, n + 2)):
+                devs.append(abs(g(2, 3).inverse() * g(3, j).conjugate()
+                                * g(j, j).inverse() - x[i]))
+            for i, k in zip(layout["eta_B"], range(n + 2, 2 * n)):
+                devs.append(abs(g(1, k).conjugate() * g(k, k).inverse()
+                                - x[i]))
             worst = max(worst, max(devs))
     _report(3, worst <= 1e-9,
             f"all eight Gram-entry identities hold on normalized lifts "
@@ -193,13 +195,14 @@ def test_criterion_4_gauge_recovery():
         t2 = normalize_lifts(QSPACE, fa2, fb2, rep, anchor="none")
         e1 = gram_offdiagonal_entries(gram_matrix(t))
         e2 = gram_offdiagonal_entries(gram_matrix(t2))
-        mu = align_sp1(list(zip(e1, e2)), tol=1e-8)
+        mu = align_sp1(e1, e2, tol=1e-8)
         if mu is None:
             ok = False
             continue
         worst = max(worst,
                     max(abs(mu * a * mu.conjugate() - b)
-                        for a, b in zip(e1, e2)))
+                        for a, b in zip(e1.to_quaternions(),
+                                        e2.to_quaternions())))
     _report(4, ok and worst <= 1e-10,
             f"per-lift unit rescalings recovered as one global unit factor "
             f"(worst residual {worst:.2e} vs 1e-10)")

@@ -280,6 +280,31 @@ def test_conjugacy_test_pairs_only_through_gram(space, rng, monkeypatch):
     assert not outside
 
 
+def test_pair_stage_keeps_quaternions_in_arrays(rng, monkeypatch):
+    # Gram entries and invariants stay QArrays from the frames to the
+    # verdict: no step of the pair stage converts them to Quaternions
+    def refuse(self):
+        raise AssertionError("QArray converted to Quaternion objects")
+
+    monkeypatch.setattr(QArray, "to_quaternions", refuse)
+    for n in (3, 4, 5):
+        for field in ("complex", "quaternion"):
+            space = HermitianSpace(n, field)
+            A, B = generate_pair(space, seed=31, mode="strong")
+            C, Q = space.random_isometry(rng), space.random_isometry(rng)
+            for mode in ("weak", "strong"):
+                res = conjugacy_test(space, A, B, conjugate_by(C, A),
+                                     conjugate_by(C, B), mode=mode)
+                assert res.conjugate
+                # same spectra, B moved alone: rejected by the invariants
+                res = conjugacy_test(space, A, B, conjugate_by(C, A),
+                                     conjugate_by(Q, B), mode=mode)
+                assert not res.conjugate and res.stage == "tuple"
+            zs = [_null_lift(space, rng) for _ in range(4)]
+            ws = [C @ z for z in zs]
+            assert boundary_quadruple_congruence(space, zs, ws) is not None
+
+
 @pytest.mark.parametrize("field", ["complex", "quaternion"])
 @pytest.mark.parametrize("n", [3, 5])
 def test_lstsq_solver_matches_lstsq(field, n):

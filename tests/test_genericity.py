@@ -1,14 +1,17 @@
 import dataclasses
+import functools
 import itertools
+import pathlib
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from loxpairs.generate import generate_pair, random_loxodromic
-from loxpairs.genericity import (MEMBERSHIP_TOL, _max_matching,
-                                 _multiple_matchings, genericity_report,
-                                 on_line_boundary)
+from loxpairs.genericity import (MEMBERSHIP_TOL, _flag_matching,
+                                 genericity_report, on_line_boundary)
 from loxpairs.hermitian import HermitianSpace
 from loxpairs.spectral import eigen_frame
 
@@ -137,35 +140,73 @@ def test_flag_pair_matrix_shape(qspace, qframes):
     assert rep.flag_pair_matrix.shape == (m, m)
 
 
+@functools.lru_cache(maxsize=None)
+def _permutations(m):
+    return np.array(list(itertools.permutations(range(m))))
+
+
 def _multiple_by_enumeration(M):
     """Reference: count the matchings of size order - 1 over all
     permutations; m of them come from each permutation M holds entirely
     and one from each that misses exactly one pair."""
     m = M.shape[0]
-    perms = np.array(list(itertools.permutations(range(m))))
+    perms = _permutations(m)
     missing = np.count_nonzero(~M[np.arange(m), perms], axis=1)
     return m * np.count_nonzero(missing == 0) \
         + np.count_nonzero(missing == 1) > 1
 
 
-def _multiple(M):
-    k = M.shape[0] - 1
-    return _multiple_matchings(M, _max_matching(M)[0][:k], k)
+def _mask_patterns(m):
+    """Every flag-pair matrix points_ok & outer(rows, cols) of order m,
+    one per row mask, column mask and points_ok."""
+    for bits in itertools.product((False, True), repeat=2 * m + 1):
+        yield bits[-1] & np.outer(bits[:m], bits[m:2 * m])
+
+
+def _scipy_matching(M, k):
+    """Reference matching of a general bipartite graph: scipy's maximum
+    bipartite matching, its first k pairs, and whether it reaches k."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+    if not M.any():
+        return [], k == 0
+    match = maximum_bipartite_matching(csr_matrix(M), perm_type="column")
+    pairs = [(i, int(match[i])) for i in range(M.shape[0]) if match[i] >= 0]
+    return pairs[:k], len(pairs) >= k
+
+
+def test_flag_matching_pairs_match_scipy():
+    for n in range(2, 8):
+        for M in _mask_patterns(n - 1):
+            pairs, found, _ = _flag_matching(M, n - 2)
+            assert (pairs, found) == _scipy_matching(M, n - 2), M
 
 
 def test_multiple_matchings_match_enumeration():
-    mats = [np.array(bits, dtype=bool).reshape(m, m)
-            for m in (1, 2, 3)
-            for bits in itertools.product((False, True), repeat=m * m)]
-    rng = np.random.default_rng(0)
-    mats += list(rng.random((2000, 4, 4)) < rng.random((2000, 1, 1)))
-    for M in mats:
-        assert _multiple(M) == _multiple_by_enumeration(M), M
+    for n in range(2, 8):
+        for M in _mask_patterns(n - 1):
+            assert _flag_matching(M, n - 2)[2] \
+                == _multiple_by_enumeration(M), M
 
 
 def test_multiple_matchings_at_large_order():
-    # at most k re-matchings, so a large order is cheap
+    # the closed form costs the same at any order; k = m - 1 = 39
     m = 40
-    assert _multiple(np.ones((m, m), dtype=bool))
-    assert _multiple(np.eye(m, dtype=bool))
-    assert not _multiple(np.diag(np.arange(m) < m - 1))
+    for bad_rows, bad_cols in itertools.product(range(3), repeat=2):
+        rows, cols = np.arange(m) >= bad_rows, np.arange(m) >= bad_cols
+        M = np.outer(rows, cols)
+        pairs, found, multiple = _flag_matching(M, m - 1)
+        assert (pairs, found) == _scipy_matching(M, m - 1)
+        assert found == multiple == (max(bad_rows, bad_cols) <= 1)
+
+
+def test_cli_import_leaves_out_scipy_sparse():
+    # the flag matching needs no bipartite matcher, so nothing loads
+    # scipy.sparse; checked in a fresh interpreter
+    import loxpairs
+    root = str(pathlib.Path(loxpairs.__file__).parents[1])
+    code = ("import sys; sys.path.insert(0, %r); import loxpairs.cli; "
+            "print('scipy.sparse' in sys.modules)" % root)
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

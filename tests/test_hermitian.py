@@ -122,19 +122,29 @@ def _random_complex(rng):
     return Quaternion.from_complex(c)
 
 
+def _qarrays(pairs):
+    """The q and the q' of (q, q') pairs, as two QArrays."""
+    z = np.array([[*q.complex_pair(), *qp.complex_pair()]
+                  for q, qp in pairs], dtype=complex).reshape(-1, 4)
+    return QArray(z[:, 0], z[:, 1]), QArray(z[:, 2], z[:, 3])
+
+
 def test_complex_gauge_is_trivial(rng):
     qs = [_random_complex(rng) for _ in range(6)]
-    assert gauge("complex", [(q, q) for q in qs], 1e-10) == Quaternion(1)
+    assert gauge("complex", *_qarrays([(q, q) for q in qs]),
+                 1e-10) == Quaternion(1)
     # q -> conj(q) is the Sp(1) move by j, which SU(n,1) does not have
-    assert gauge("complex", [(q, q.conjugate()) for q in qs], 1e-10) is None
-    assert gauge("complex", [(qs[0], qs[0].conjugate())], 1e-10) is None
+    assert gauge("complex", *_qarrays([(q, q.conjugate()) for q in qs]),
+                 1e-10) is None
+    assert gauge("complex", *_qarrays([(qs[0], qs[0].conjugate())]),
+                 1e-10) is None
 
 
 def test_quaternion_gauge_recovers_unit(rng):
     mu = Quaternion.from_array(rng.standard_normal(4)).normalized()
     qs = [Quaternion.from_array(rng.standard_normal(4)) for _ in range(6)]
     pairs = [(q, mu * q * mu.conjugate()) for q in qs]
-    got = gauge("quaternion", pairs, 1e-10)
+    got = gauge("quaternion", *_qarrays(pairs), 1e-10)
     assert got is not None
     # mu is determined up to sign
     assert min(abs(got - mu), abs(got + mu)) <= 1e-9

@@ -62,9 +62,15 @@ def test_tuple_shapes(qspace, qpair):
     t = _invariants(qspace, *qpair)
     n = qspace.n
     assert t.angular.shape == (3,)
-    assert len(t.alpha) == n - 2 and len(t.beta) == n - 2
-    assert len(t.mixed) == n - 2 and len(t.mixed[0]) == n - 2
-    assert len(t.eta_A) == n - 2 and len(t.eta_B) == n - 2
+    layout = t.layout()
+    for name in ("X1", "X2", "X3"):
+        assert layout[name].shape == ()
+    for name in ("alpha", "beta", "eta_A", "eta_B"):
+        assert layout[name].shape == (n - 2,)
+    assert layout["mixed"].shape == (n - 2, n - 2)
+    # every entry has exactly one name
+    idx = np.sort(np.concatenate([i.ravel() for i in layout.values()]))
+    assert np.array_equal(idx, np.arange(t.entries.shape[0]))
     # attracting point plus the n-1 positive projective points
     assert len(t.projective_A) == n and len(t.projective_B) == n
 
@@ -96,13 +102,8 @@ def test_complex_orbit_rejects_conjugated_tuple(cspace, cpair):
     t = _invariants(cspace, *cpair)
     assert sp1_orbit_equal(t, t, tol=1e-12) == Quaternion(1)
 
-    def bar(qs):
-        return [q.conjugate() for q in qs]
-
-    tbar = replace(t, X1=t.X1.conjugate(), X2=t.X2.conjugate(),
-                   X3=t.X3.conjugate(), alpha=bar(t.alpha),
-                   beta=bar(t.beta), mixed=[bar(r) for r in t.mixed],
-                   eta_A=bar(t.eta_A), eta_B=bar(t.eta_B))
+    # every quaternion invariant conjugated
+    tbar = replace(t, entries=QArray(np.conj(t.entries.a), -t.entries.b))
     assert sp1_orbit_equal(t, tbar, tol=1e-8) is None
 
 
@@ -133,17 +134,18 @@ def test_pair_invariants_match_per_pair_formulas(field):
     def close(q, ref):
         assert abs(q - ref) <= 1e-12 * abs(ref)
 
-    close(inv.X1, X(p1, p2, p3, p4))
-    for q, xk in zip(inv.alpha, bpos):
-        close(q, X(p1, p2, p3, xk))
-    for row, xj in zip(inv.mixed, apos):
-        for q, xk in zip(row, bpos):
-            close(q, X(p3, xk, p2, xj))
-    for q, xj in zip(inv.eta_A, apos):
-        close(q, ip(p3, xj) * ip(p3, p4).inverse() * ip(xj, p4)
+    q, layout = inv.entries.to_quaternions(), inv.layout()
+    close(q[layout["X1"]], X(p1, p2, p3, p4))
+    for i, xk in zip(layout["alpha"], bpos):
+        close(q[i], X(p1, p2, p3, xk))
+    for row, xj in zip(layout["mixed"], apos):
+        for i, xk in zip(row, bpos):
+            close(q[i], X(p3, xk, p2, xj))
+    for i, xj in zip(layout["eta_A"], apos):
+        close(q[i], ip(p3, xj) * ip(p3, p4).inverse() * ip(xj, p4)
               * ip(xj, xj).inverse())
-    for q, xk in zip(inv.eta_B, bpos):
-        close(q, ip(p1, xk) * ip(p1, p2).inverse() * ip(xk, p2)
+    for i, xk in zip(layout["eta_B"], bpos):
+        close(q[i], ip(p1, xk) * ip(p1, p2).inverse() * ip(xk, p2)
               * ip(xk, xk).inverse())
 
 
@@ -178,7 +180,7 @@ def test_array_invariants_match_quaternion_reference(n, field):
     expect += [X(2, k, 1, j) for j in apos for k in bpos]
     expect += [X(j, 3, 2, j) for j in apos]
     expect += [X(k, 1, 0, k) for k in bpos]
-    got = inv.quaternion_entries()
+    got = inv.entries.to_quaternions()
     assert len(got) == len(expect)
     for q, ref in zip(got, expect):
         assert abs(q - ref) <= 1e-12 * abs(ref)

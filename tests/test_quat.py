@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from loxpairs.errors import NotSimilar
+from loxpairs.qmatrix import QArray
 from loxpairs.quat import (Quaternion, align_sp1, conjugator_within_class,
                            similar, similarity_representative)
 
@@ -100,11 +101,18 @@ def test_conjugator_within_class_rejects_other_class():
                                 Quaternion(-0.7, 0, 1.0, 0))
 
 
+def _qarrays(pairs):
+    """The q and the q' of (q, q') pairs, as two QArrays."""
+    z = np.array([[*q.complex_pair(), *qp.complex_pair()]
+                  for q, qp in pairs], dtype=complex).reshape(-1, 4)
+    return QArray(z[:, 0], z[:, 1]), QArray(z[:, 2], z[:, 3])
+
+
 def test_align_sp1_recovers_global_unit(rng):
     mu = Quaternion.from_array(rng.standard_normal(4)).normalized()
     qs = [Quaternion.from_array(rng.standard_normal(4)) for _ in range(6)]
     pairs = [(q, mu * q * mu.conjugate()) for q in qs]
-    got = align_sp1(pairs, tol=1e-9)
+    got = align_sp1(*_qarrays(pairs), tol=1e-9)
     assert got is not None
     for q, qp in pairs:
         assert (got * q * got.conjugate()).isclose(qp, tol=1e-9)
@@ -116,14 +124,14 @@ def test_align_sp1_rejects_mismatched_entries(rng):
     pairs = [(q, mu * q * mu.conjugate()) for q in qs]
     bad = Quaternion.from_array(rng.standard_normal(4))
     pairs.append((bad, bad + Quaternion(0, 0.3, 0, 0)))
-    assert align_sp1(pairs, tol=1e-8) is None
+    assert align_sp1(*_qarrays(pairs), tol=1e-8) is None
 
 
 def test_align_sp1_real_entries_need_equality():
     pairs = [(Quaternion(2.0, 0, 0, 0), Quaternion(2.0, 0, 0, 0))]
-    assert align_sp1(pairs, tol=1e-10) is not None
+    assert align_sp1(*_qarrays(pairs), tol=1e-10) is not None
     pairs = [(Quaternion(2.0, 0, 0, 0), Quaternion(2.1, 0, 0, 0))]
-    assert align_sp1(pairs, tol=1e-10) is None
+    assert align_sp1(*_qarrays(pairs), tol=1e-10) is None
 
 
 def _align_reference(pairs, tol):
@@ -158,7 +166,8 @@ def test_align_sp1_matches_entrywise_reference(rng):
         if trial % 3 == 0 and pairs:
             q, qp = pairs[-1]
             pairs[-1] = (q, qp + Quaternion(0, 0, 1e-9 * (trial % 2), 1e-6))
-        got, ref = align_sp1(pairs, tol=1e-8), _align_reference(pairs, 1e-8)
+        got = align_sp1(*_qarrays(pairs), tol=1e-8)
+        ref = _align_reference(pairs, 1e-8)
         assert (got is None) == (ref is None)
         if ref is None:
             continue
