@@ -23,7 +23,7 @@ from .errors import (DegenerateInputError, NotNonsingular,
 from .genericity import genericity_report
 from .gram import (AssociatedTuple, _normalize_quadruple, gram_matrix,
                    gram_offdiagonal_entries, normalize_lifts)
-from .hermitian import HermitianSpace, _quaternion_abs, gauge
+from .hermitian import HermitianSpace, gauge
 from .invariants import InvariantTuple, pair_invariants, sp1_orbit_equal
 from .qmatrix import QArray, conjugate_by, quaternionic_rank
 from .quat import Quaternion
@@ -31,6 +31,9 @@ from .spectral import (LoxodromicFrame, eigen_frame,
                        projective_points_equal)
 
 ORBIT_TOL = 1e-8
+QUADRUPLE_TOL = 1e-7
+REFINE_SWEEPS = 3
+RANK_STEP = 1e-5
 
 
 def _gram_orbit_scalar(t: AssociatedTuple, t2: AssociatedTuple,
@@ -134,8 +137,7 @@ def _lstsq_solver(M: np.ndarray):
     return lambda b: Vt[:r].T @ ((U[:, :r].T @ b) / sv[:r])
 
 
-def _refine_conjugator(space: HermitianSpace, C: QArray, pairs,
-                       sweeps: int = 3) -> QArray:
+def _refine_conjugator(space: HermitianSpace, C: QArray, pairs) -> QArray:
     """Newton polish of C X C^-1 = X' over the given element pairs.
 
     Each sweep solves the linearization (I + D) C: D X' - X' D = E with
@@ -151,7 +153,7 @@ def _refine_conjugator(space: HermitianSpace, C: QArray, pairs,
 
     E = residuals(C)
     old = max(e.max_abs() for e in E)
-    for _ in range(sweeps):
+    for _ in range(REFINE_SWEEPS):
         x = solve(np.concatenate([_flat(space, e) for e in E]))
         C2 = (QArray.eye(space.dim) + _delta(space, x)) @ C
         E2 = residuals(C2)
@@ -185,8 +187,8 @@ def _reduced_match(i1: InvariantTuple, i2: InvariantTuple,
     layout = i1.layout()
     idx = np.hstack([layout[k] for k in ("X1", "X2", "alpha", "beta")])
     e1, e2 = i1.entries.pick(idx), i2.entries.pick(idx)
-    return bool(np.all(_quaternion_abs(e1 - e2)
-                       <= tol * np.maximum(1.0, _quaternion_abs(e1))))
+    return bool(np.all((e1 - e2).moduli()
+                       <= tol * np.maximum(1.0, e1.moduli())))
 
 
 def conjugacy_test(space: HermitianSpace, A: QArray, B: QArray,
@@ -279,8 +281,7 @@ def _orthogonal_complement(space: HermitianSpace,
 
 
 def boundary_quadruple_congruence(space: HermitianSpace, zs: List[QArray],
-                                  ws: List[QArray],
-                                  tol: float = 1e-7) -> Optional[QArray]:
+                                  ws: List[QArray]) -> Optional[QArray]:
     """Isometry h with h(z_i) = w_i projectively, for two quadruples of
     pairwise distinct boundary points, or None when their normalized
     pairings lie in different Sp(1) orbits."""
@@ -288,7 +289,7 @@ def boundary_quadruple_congruence(space: HermitianSpace, zs: List[QArray],
     wn, _ = _normalize_quadruple(space, ws)
     upper = ([0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3])     # i < j
     mu = gauge(space.field, space.gram(zn).pick(*upper),
-               space.gram(wn).pick(*upper), tol)
+               space.gram(wn).pick(*upper), QUADRUPLE_TOL)
     if mu is None:
         return None
     wt = [w.rmul(mu) for w in wn]
@@ -301,7 +302,7 @@ def boundary_quadruple_congruence(space: HermitianSpace, zs: List[QArray],
     if space.n + 1 > 4:
         zb += _orthogonal_complement(space, zn)
         wb += _orthogonal_complement(space, wt)
-    return _verified_congruence(space, zb, wb, zip(zn, wt), tol)
+    return _verified_congruence(space, zb, wb, zip(zn, wt), QUADRUPLE_TOL)
 
 
 # -- numerical rank of the invariant map -----------------------------------
@@ -336,12 +337,13 @@ def _invariant_vector(space: HermitianSpace, A: QArray, B: QArray,
     return np.concatenate(parts)
 
 
-def invariant_map_rank(space: HermitianSpace, A: QArray, B: QArray,
-                       h: float = 1e-5) -> Tuple[int, float]:
+def invariant_map_rank(space: HermitianSpace, A: QArray,
+                       B: QArray) -> Tuple[int, float]:
     """Numerical rank of the invariant map at (A, B), restricted to a
     complement of the conjugation directions, plus the singular-value
     gap at the cut.  Central differences over the Lie-algebra chart
     (A e^(sX), B e^(uY))."""
+    h = RANK_STEP
     basis = _isometry_algebra_basis(space)
     d = len(basis)
     fa, fb = eigen_frame(space, A), eigen_frame(space, B)

@@ -27,10 +27,6 @@ class WrongDimension(LoxpairsError):
     pass
 
 
-class NotSimilar(DegenerateInputError):
-    pass
-
-
 class NotIsometry(DegenerateInputError):
     pass
 

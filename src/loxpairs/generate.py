@@ -21,13 +21,14 @@ from .spectral import eigen_frame
 RADIUS_RANGE = (0.2, 0.9)
 ANGLE_FLOOR = 0.1
 CLASS_SEPARATION = 1e-3
+MAX_TRIES = 100
 
 
-def _classes_separated(lams: np.ndarray, sep: float = CLASS_SEPARATION):
+def _classes_separated(lams: np.ndarray) -> bool:
     pts = np.stack([lams.real, np.abs(lams)], axis=1)
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            if np.max(np.abs(pts[i] - pts[j])) < sep:
+            if np.max(np.abs(pts[i] - pts[j])) < CLASS_SEPARATION:
                 return False
     return True
 
@@ -51,26 +52,23 @@ def random_spectrum(space: HermitianSpace, rng) -> Tuple[float, float,
     raise LoxpairsError("could not sample a regular spectrum")
 
 
-def random_loxodromic(space: HermitianSpace, rng,
-                      spectrum: Optional[Tuple] = None) -> QArray:
+def random_loxodromic(space: HermitianSpace, rng) -> QArray:
     """Q E Q^-1 for a random isometry Q and regular diagonal E."""
-    r, th, phis = spectrum or random_spectrum(space, rng)
+    r, th, phis = random_spectrum(space, rng)
     lams = np.concatenate([[r * np.exp(1j * th)], np.exp(1j * phis),
                            [np.exp(1j * th) / r]])
     return conjugate_by(space.random_isometry(rng), QArray.diag(lams))
 
 
 def generate_pair(space: HermitianSpace, seed: Optional[int] = None,
-                  mode: str = "weak", rng=None,
-                  max_tries: int = 100) -> Tuple[QArray, QArray]:
+                  mode: str = "weak") -> Tuple[QArray, QArray]:
     """Random pair (A, B) passing the requested genericity predicate.
 
     mode "weak" accepts weakly non-singular pairs, "strong" requires
     non-singular ones.  Deterministic for a fixed seed.
     """
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
+    rng = np.random.default_rng(seed)
+    for _ in range(MAX_TRIES):
         A = random_loxodromic(space, rng)
         B = random_loxodromic(space, rng)
         rep = genericity_report(space, eigen_frame(space, A),
@@ -80,4 +78,4 @@ def generate_pair(space: HermitianSpace, seed: Optional[int] = None,
         if rep.weakly_nonsingular:
             return A, B
     raise LoxpairsError(
-        f"no {mode}-generic pair found in {max_tries} attempts")
+        f"no {mode}-generic pair found in {MAX_TRIES} attempts")

@@ -60,8 +60,8 @@ def _frame_gram(space: HermitianSpace, fa: LoxodromicFrame,
     return space.gram(vs), QArray.from_columns(vs)
 
 
-def _misses_polars(K: QArray, norms: np.ndarray, line, xs: np.ndarray,
-                   tol: float) -> np.ndarray:
+def _misses_polars(K: QArray, norms: np.ndarray, line,
+                   xs: np.ndarray) -> np.ndarray:
     """For each index x in xs: does the boundary circle of the line
     spanned by the null lifts at indices line = (c1, c2) miss the
     boundary of the hyperplane polar to v_x?
@@ -71,6 +71,7 @@ def _misses_polars(K: QArray, norms: np.ndarray, line, xs: np.ndarray,
     a null solution exists iff Re(conj(s) u) = 0 (or s, u degenerate).
     """
     c1, c2 = line
+    tol = MEMBERSHIP_TOL
     s, u = K.pick(xs, c1), K.pick(xs, c2)
     scale1 = norms[c1] * norms[xs]
     scale2 = norms[c2] * norms[xs]
@@ -92,15 +93,14 @@ def _flag_matching(M: np.ndarray, k: int):
 
 
 def genericity_report(space: HermitianSpace, fa: LoxodromicFrame,
-                      fb: LoxodromicFrame,
-                      tol: float = MEMBERSHIP_TOL) -> PairGenericityReport:
+                      fb: LoxodromicFrame) -> PairGenericityReport:
     n = space.n
     K, V = _frame_gram(space, fa, fb)
     norms = np.linalg.norm(V.moduli(), axis=0)
     fixed_a, fixed_b = [0, 1], [n + 1, n + 2]
     failing: List[str] = []
     # two null lifts span the same boundary point iff they pair to zero
-    floor = tol * np.outer(norms[fixed_b], norms[fixed_a])
+    floor = MEMBERSHIP_TOL * np.outer(norms[fixed_b], norms[fixed_a])
     if np.any(K.pick(*np.ix_(fixed_b, fixed_a)).moduli() <= floor):
         failing.append("common-fixed-point")
 
@@ -110,11 +110,10 @@ def genericity_report(space: HermitianSpace, fa: LoxodromicFrame,
     # one for every pair and each polar test depends on i or j alone.
     line_a = (fa.attracting, fa.repelling)
     line_b = (fb.attracting, fb.repelling)
-    points_ok = not (on_line_boundary(space, fa.attracting, line_b, tol)
-                     or on_line_boundary(space, fb.attracting, line_a, tol))
-    rows = _misses_polars(K, norms, fixed_b, np.arange(2, n + 1), tol)
-    cols = _misses_polars(K, norms, fixed_a, np.arange(n + 3, 2 * n + 2),
-                          tol)
+    points_ok = not (on_line_boundary(space, fa.attracting, line_b)
+                     or on_line_boundary(space, fb.attracting, line_a))
+    rows = _misses_polars(K, norms, fixed_b, np.arange(2, n + 1))
+    cols = _misses_polars(K, norms, fixed_a, np.arange(n + 3, 2 * n + 2))
     M = points_ok & np.outer(rows, cols)
 
     pairs, found, multiple = _flag_matching(M, n - 2)

@@ -141,10 +141,10 @@ def normalize_lifts(space: HermitianSpace, fa: LoxodromicFrame,
                            list(report.matching_A), list(report.matching_B))
 
 
-def gram_matrix(t: AssociatedTuple, tol: float = PATTERN_TOL) -> QArray:
+def gram_matrix(t: AssociatedTuple) -> QArray:
     """The 2n x 2n QArray of pairings G[i, j] = <p_i, p_j>, its pattern
     checked by masked array comparisons."""
-    n = t.space.n
+    n, tol = t.space.n, PATTERN_TOL
     G = QArray(t.gram.a.T, t.gram.b.T)
     # the values the normalization pins (0 or 1), NaN elsewhere; the
     # unpinned entries then compare NaN > tol, which is False

@@ -46,13 +46,6 @@ def form_matrix(n: int) -> np.ndarray:
     return H
 
 
-def _quaternion_abs(q: QArray) -> np.ndarray:
-    """Entrywise |q| rounded as abs(Quaternion) rounds it: the square
-    root of w^2 + x^2 + y^2 + z^2, summed in that order."""
-    return np.sqrt(q.a.real ** 2 + q.a.imag ** 2 + q.b.real ** 2
-                   + q.b.imag ** 2)
-
-
 def gauge(field: str, q: QArray, qp: QArray, tol: float):
     """Unit mu with mu q conj(mu) = q' entrywise, for two QArrays of one
     shape, or None.
@@ -60,14 +53,14 @@ def gauge(field: str, q: QArray, qp: QArray, tol: float):
     Over the quaternions this is the Sp(1) alignment.  Over the complex
     numbers the lifts only rescale by complex units, which commute with
     every pairing, so the gauge is trivial: mu = 1 when every entry
-    agrees within tol max(1, max|q|), the scale rule of align_sp1.
+    agrees within tol max(1, max|q|), the moduli and scale of align_sp1.
     align_sp1 itself must not see complex entries: its candidate mu = j
     maps q to conj(q), which is no gauge of SU(n,1).
     """
     if field == "quaternion":
         return align_sp1(q, qp, tol=tol)
-    scale = max(1.0, float(np.max(_quaternion_abs(q), initial=0.0)))
-    return ONE if np.all(_quaternion_abs(q - qp) <= tol * scale) else None
+    scale = max(1.0, float(np.max(q.moduli(), initial=0.0)))
+    return ONE if np.all((q - qp).moduli() <= tol * scale) else None
 
 
 class HermitianSpace:

@@ -14,6 +14,7 @@ import numpy as np
 from .errors import NoConvergence
 
 ABERTH_MAXITER = 400
+ABERTH_TOL = 1e-13
 
 
 def faddeev_leverrier(M: np.ndarray) -> np.ndarray:
@@ -42,7 +43,7 @@ def polyval_with_derivatives(coeffs: np.ndarray, x):
     return p, dp, ddp
 
 
-def aberth_roots(coeffs: np.ndarray, tol: float = 1e-13) -> np.ndarray:
+def aberth_roots(coeffs: np.ndarray) -> np.ndarray:
     """All roots of the polynomial with the given monic coefficient list."""
     coeffs = np.asarray(coeffs, dtype=complex)
     with np.errstate(all="ignore"):
@@ -58,7 +59,7 @@ def aberth_roots(coeffs: np.ndarray, tol: float = 1e-13) -> np.ndarray:
     acoeffs = np.abs(coeffs)
     for _ in range(ABERTH_MAXITER):
         p, dp, _ = polyval_with_derivatives(coeffs, z)
-        if np.all(np.abs(p) <= tol * np.polyval(acoeffs, np.abs(z))):
+        if np.all(np.abs(p) <= ABERTH_TOL * np.polyval(acoeffs, np.abs(z))):
             break
         w = p / np.where(dp == 0, 1e-300, dp)
         diff = z[:, None] - z[None, :]

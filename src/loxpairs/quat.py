@@ -1,4 +1,4 @@
-"""Quaternion scalars, similarity classes and Sp(1) alignment.
+"""Quaternion scalars and Sp(1) alignment.
 
 A quaternion q = w + x*i + y*j + z*k is stored by its four real
 components.  Internally many routines use the complex pair (a, b) with
@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import NotSimilar
 
 DEFAULT_TOL = 1e-10
 
@@ -113,30 +111,6 @@ class Quaternion:
 
 
 ONE = Quaternion(1.0)
-
-
-def similarity_representative(q: Quaternion) -> complex:
-    """Canonical complex representative r*e^(i*theta), theta in [0, pi]."""
-    return complex(q.w, q.imag_norm())
-
-
-def similar(a: Quaternion, b: Quaternion, tol: float = DEFAULT_TOL) -> bool:
-    """Same similarity class: equal real part and equal modulus."""
-    return abs(a.w - b.w) <= tol and abs(abs(a) - abs(b)) <= tol
-
-
-def conjugator_within_class(q: Quaternion, target: Quaternion,
-                            tol: float = DEFAULT_TOL) -> Quaternion:
-    """Unit mu with mu^-1 * q * mu = target, for similar q and target."""
-    from .qmatrix import QArray   # qmatrix builds on this module
-
-    # align_sp1 gives nu with nu q conj(nu) = target, and mu = conj(nu)
-    (qa, qb), (ta, tb) = q.complex_pair(), target.complex_pair()
-    nu = align_sp1(QArray([qa], [qb]), QArray([ta], [tb]),
-                   tol=max(tol, 1e-9 * (1.0 + abs(q))))
-    if nu is None:
-        raise NotSimilar(f"{q} and {target} are not in the same class")
-    return nu.conjugate()
 
 
 def align_sp1(q, qp, tol: float = DEFAULT_TOL):

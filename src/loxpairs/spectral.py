@@ -35,6 +35,7 @@ from .quat import Quaternion
 PALINDROME_TOL = 1e-8
 RESIDUAL_TOL = 1e-8
 RADIUS_GUARD = 1e-7
+CONJUGATOR_TOL = 1e-7
 
 
 def real_char_poly(space: HermitianSpace, A: QArray,
@@ -252,9 +253,9 @@ def _class_representatives(space: HermitianSpace, A: QArray):
     return centers, mults
 
 
-def eigen_frame(space: HermitianSpace, A: QArray,
-                tol: float = RADIUS_GUARD) -> LoxodromicFrame:
+def eigen_frame(space: HermitianSpace, A: QArray) -> LoxodromicFrame:
     """Spectral frame of a loxodromic isometry."""
+    tol = RADIUS_GUARD
     centers, mults = _class_representatives(space, A)
     if np.any(mults > 1) or centers.size != space.dim:
         raise DegenerateSpectrum("eigenvalue classes are not simple")
@@ -339,10 +340,10 @@ def apply_j(p: np.ndarray) -> np.ndarray:
     return q / (q[j] / abs(q[j]))
 
 
-def element_conjugator(space: HermitianSpace, X: QArray, Y: QArray,
-                       tol: float = 1e-7) -> QArray:
+def element_conjugator(space: HermitianSpace, X: QArray, Y: QArray) -> QArray:
     """A form-preserving S with S X S^{-1} = Y for loxodromics with the
     same eigenvalue data."""
+    tol = CONJUGATOR_TOL
     fx = eigen_frame(space, X)
     fy = eigen_frame(space, Y)
     if (abs(fx.radius - fy.radius) > tol or abs(fx.theta - fy.theta) > tol

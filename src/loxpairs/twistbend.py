@@ -5,6 +5,8 @@ K = Q E(t, psi, xi1, xi2) Q^{-1}, sharing A's eigenvectors and hence
 commuting with A.  Its ten real parameters are (t, psi, xi1, xi2)
 together with three projective points, which for a twist-bend are
 pinned to those of A and are therefore validated, not free.
+`twist_bend_element` builds K from kappa and A's frame, and
+`tilde_invariants` reads (X~1, X~2, X~3, A~1, A~3) off a built K.
 
 Gluing attaches two (0,3) groups along compatible boundary components
 (peripheral of one = inverse peripheral of the other), conjugating the
@@ -87,25 +89,16 @@ def twist_bend_element(kappa: TwistBendParams,
     return K
 
 
-def tilde_invariants(space: HermitianSpace, kappa: TwistBendParams,
+def tilde_invariants(space: HermitianSpace, K: QArray,
                      fa: LoxodromicFrame, fb: LoxodromicFrame,
                      fc: LoxodromicFrame) -> Tuple[Quaternion, Quaternion,
                                                    Quaternion, float, float]:
-    """(X~1, X~2, X~3, A~1, A~3) of a twist-bend relative to <A, B, C>.
+    """(X~1, X~2, X~3, A~1, A~3) of the twist-bend K of A, built by
+    twist_bend_element, relative to <A, B, C>.
 
     Requires that a_B and r_C stay off the proper totally geodesic
     subspace through a_A and r_A (rank-3 condition on lifts).
     """
-    return tilde_invariants_of_element(space, twist_bend_element(kappa, fa),
-                                       fa, fb, fc)
-
-
-def tilde_invariants_of_element(space: HermitianSpace, K: QArray,
-                                fa: LoxodromicFrame, fb: LoxodromicFrame,
-                                fc: LoxodromicFrame
-                                ) -> Tuple[Quaternion, Quaternion,
-                                           Quaternion, float, float]:
-    """tilde_invariants for an already built twist-bend element K of A."""
     aA, rA = fa.attracting, fa.repelling
     aB, rC = fb.attracting, fc.repelling
     for x in (aB, rC):
@@ -136,6 +129,7 @@ class PantsGroup:
     def __post_init__(self):
         if not self.frames:
             for P in self.peripherals():
+                # the FL gate types pants whose frames would miss the relation
                 if not classify_element(self.space, P).is_loxodromic:
                     raise NotLoxodromic("peripheral element is not loxodromic")
                 self.frames.append(eigen_frame(self.space, P))

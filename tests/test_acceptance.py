@@ -321,8 +321,9 @@ def test_criterion_8_twist_bend():
         # different tilde invariants, so matching invariants force K = K'
         kap2 = TwistBendParams(kap.t * 1.01, kap.psi + 0.01, kap.xi1,
                                kap.xi2, k0.k1, k0.k2, k0.k3)
-        v1 = tilde_invariants(QSPACE, kap, fa, fb, fc)
-        v2 = tilde_invariants(QSPACE, kap2, fa, fb, fc)
+        v1 = tilde_invariants(QSPACE, K, fa, fb, fc)
+        v2 = tilde_invariants(QSPACE, twist_bend_element(kap2, fa),
+                              fa, fb, fc)
         diff = max(abs(a - b) for a, b in zip(v1, v2))
         if diff <= 1e-8:
             sep_fail += 1

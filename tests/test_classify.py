@@ -68,16 +68,29 @@ def test_same_spectra_different_pair_detected(qspace, rng):
         assert res.stage in ("real-trace", "tuple", "projective-points")
 
 
-def test_strong_mode_requires_nonsingular(qspace, rng):
-    A, B = generate_pair(qspace, seed=3, mode="weak")
+def _fix_e3(X: QArray, phi: float) -> QArray:
+    """An isometry X of F^{2,1} acting on coordinates 1, 2, 4 of F^{3,1},
+    with e_3 -> e^(i phi) e_3."""
+    a, b = (np.insert(np.insert(c, 2, 0, axis=0), 2, 0, axis=1)
+            for c in (X.a, X.b))
+    a[2, 2] = np.exp(1j * phi)
+    return QArray(a, b)
+
+
+def test_strong_mode_requires_nonsingular(space):
+    # two loxodromics preserving the F-hyperbolic plane e_3-perp, with
+    # the shared positive eigenvector e_3: weakly non-singular, but the
+    # four fixed points span only three dimensions
     from loxpairs.genericity import genericity_report
     from loxpairs.spectral import eigen_frame
-    rep = genericity_report(qspace, eigen_frame(qspace, A),
-                            eigen_frame(qspace, B))
-    if rep.nonsingular:
-        pytest.skip("weak seed happened to be non-singular")
+    A, B = (_fix_e3(X, 1.7) for X in generate_pair(
+        HermitianSpace(2, space.field), seed=3, mode="weak"))
+    rep = genericity_report(space, eigen_frame(space, A),
+                            eigen_frame(space, B))
+    assert rep.weakly_nonsingular and not rep.nonsingular
+    assert rep.failing_conditions == ["fixed-points-in-hyperplane-boundary"]
     with pytest.raises(NotNonsingular):
-        conjugacy_test(qspace, A, B, A, B, mode="strong")
+        conjugacy_test(space, A, B, A, B, mode="strong")
 
 
 def test_quadruple_congruence(space, rng):

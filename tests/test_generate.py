@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from loxpairs import generate
+from loxpairs.errors import LoxpairsError
 from loxpairs.generate import (ANGLE_FLOOR, CLASS_SEPARATION, RADIUS_RANGE,
                                generate_pair, random_loxodromic,
                                random_spectrum)
-from loxpairs.genericity import genericity_report
+from loxpairs.genericity import PairGenericityReport, genericity_report
 from loxpairs.spectral import classify_element, eigen_frame
 
 
@@ -59,3 +61,11 @@ def test_modes(space):
     rep = genericity_report(space, eigen_frame(space, A),
                             eigen_frame(space, B))
     assert rep.weakly_nonsingular
+
+
+def test_generate_pair_gives_up(cspace, monkeypatch):
+    never = PairGenericityReport(False, False, np.zeros((2, 2), dtype=bool),
+                                 failing_conditions=["flag-matching"])
+    monkeypatch.setattr(generate, "genericity_report", lambda *args: never)
+    with pytest.raises(LoxpairsError, match="in 100 attempts"):
+        generate_pair(cspace, seed=0)

@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
 
-from loxpairs.errors import NotSimilar
 from loxpairs.qmatrix import QArray
-from loxpairs.quat import (Quaternion, align_sp1, conjugator_within_class,
-                           similar, similarity_representative)
+from loxpairs.quat import Quaternion, align_sp1
 
 I = Quaternion(0, 1, 0, 0)
 J = Quaternion(0, 0, 1, 0)
@@ -60,47 +58,6 @@ def test_to_complex_rejects_j_part():
         Quaternion(1, 0, 0.5, 0).to_complex()
 
 
-def test_similarity_representative_upper_half_plane(rng):
-    for _ in range(20):
-        q = Quaternion.from_array(rng.standard_normal(4))
-        c = similarity_representative(q)
-        assert c.imag >= 0
-        assert np.isclose(abs(c), abs(q))
-        assert np.isclose(c.real, q.real)
-
-
-def test_similar_under_unit_conjugation(rng):
-    q = Quaternion.from_array(rng.standard_normal(4))
-    u = Quaternion.from_array(rng.standard_normal(4)).normalized()
-    assert similar(q, u * q * u.conjugate())
-
-
-def test_conjugator_within_class(rng):
-    q = Quaternion.from_array(rng.standard_normal(4))
-    u = Quaternion.from_array(rng.standard_normal(4)).normalized()
-    target = u * q * u.conjugate()
-    mu = conjugator_within_class(q, target)
-    assert (mu.inverse() * q * mu).isclose(target, tol=1e-10)
-
-
-@pytest.mark.parametrize("axis", [(1.0, 0.0, 0.0), (0.3, -0.5, 0.8)])
-def test_conjugator_within_class_antipodal(axis):
-    q = Quaternion(0.7, *axis)
-    target = Quaternion(0.7, *(-np.array(axis)))
-    mu = conjugator_within_class(q, target)
-    assert abs(abs(mu) - 1.0) <= 1e-12
-    assert (mu.inverse() * q * mu).isclose(target, tol=1e-10)
-
-
-def test_conjugator_within_class_rejects_other_class():
-    with pytest.raises(NotSimilar):
-        conjugator_within_class(Quaternion(0.7, 1.0, 0, 0),
-                                Quaternion(0.7, 0, 1.1, 0))
-    with pytest.raises(NotSimilar):
-        conjugator_within_class(Quaternion(0.7, 1.0, 0, 0),
-                                Quaternion(-0.7, 0, 1.0, 0))
-
-
 def _qarrays(pairs):
     """The q and the q' of (q, q') pairs, as two QArrays."""
     z = np.array([[*q.complex_pair(), *qp.complex_pair()]
@@ -134,10 +91,36 @@ def test_align_sp1_real_entries_need_equality():
     assert align_sp1(*_qarrays(pairs), tol=1e-10) is None
 
 
+# the conjugator within one similarity class is align_sp1 on one entry
+
+def test_conjugator_within_class(rng):
+    q = Quaternion.from_array(rng.standard_normal(4))
+    u = Quaternion.from_array(rng.standard_normal(4)).normalized()
+    target = u * q * u.conjugate()
+    mu = align_sp1(*_qarrays([(q, target)]), tol=1e-9)
+    assert (mu * q * mu.conjugate()).isclose(target, tol=1e-10)
+
+
+@pytest.mark.parametrize("axis", [(1.0, 0.0, 0.0), (0.3, -0.5, 0.8)])
+def test_conjugator_within_class_antipodal(axis):
+    q = Quaternion(0.7, *axis)
+    target = Quaternion(0.7, *(-np.array(axis)))
+    mu = align_sp1(*_qarrays([(q, target)]), tol=1e-9)
+    assert abs(abs(mu) - 1.0) <= 1e-12
+    assert (mu * q * mu.conjugate()).isclose(target, tol=1e-10)
+
+
+def test_conjugator_within_class_rejects_other_class():
+    for target in (Quaternion(0.7, 0, 1.1, 0), Quaternion(-0.7, 0, 1.0, 0)):
+        pairs = [(Quaternion(0.7, 1.0, 0, 0), target)]
+        assert align_sp1(*_qarrays(pairs), tol=1e-9) is None
+
+
 def _align_reference(pairs, tol):
     """align_sp1 entry by entry on Quaternion objects."""
     scale = max([1.0] + [abs(q) for q, _ in pairs])
-    if not all(similar(q, qp, tol * scale) for q, qp in pairs):
+    if not all(abs(q.w - qp.w) <= tol * scale
+               and abs(abs(q) - abs(qp)) <= tol * scale for q, qp in pairs):
         return None
     kept = [(q, qp) for q, qp in pairs if q.imag_norm() > tol * scale]
     if not kept:

@@ -80,12 +80,12 @@ def test_tilde_invariants_conjugation_invariant(qpants, rng):
     space = qpants.space
     fa, fb, fc = qpants.frames
     kap = _twisted(identity_params(fa))
-    base = tilde_invariants(space, kap, fa, fb, fc)
+    base = tilde_invariants(space, twist_bend_element(kap, fa), fa, fb, fc)
     C = space.random_isometry(rng)
     moved = qpants.conjugated(C)
-    kap2 = identity_params(moved.frames[0])
-    kap2 = _twisted(kap2)
-    got = tilde_invariants(space, kap2, *moved.frames)
+    kap2 = _twisted(identity_params(moved.frames[0]))
+    got = tilde_invariants(space, twist_bend_element(kap2, moved.frames[0]),
+                           *moved.frames)
     for x, y in zip(base[:3], got[:3]):
         assert abs(x.real - y.real) < 1e-7 * (1 + abs(x))
         assert abs(abs(x) - abs(y)) < 1e-7 * (1 + abs(x))
@@ -96,8 +96,9 @@ def test_tilde_invariants_separate_twists(qpants):
     space = qpants.space
     fa, fb, fc = qpants.frames
     k0 = identity_params(fa)
-    v1 = tilde_invariants(space, _twisted(k0, t=1.2), fa, fb, fc)
-    v2 = tilde_invariants(space, _twisted(k0, t=1.3), fa, fb, fc)
+    K1, K2 = (twist_bend_element(_twisted(k0, t=t), fa) for t in (1.2, 1.3))
+    v1 = tilde_invariants(space, K1, fa, fb, fc)
+    v2 = tilde_invariants(space, K2, fa, fb, fc)
     diff = max(abs(a - b) if hasattr(a, "real") and not np.isscalar(a)
                else abs(a - b) for a, b in zip(v1, v2))
     assert diff > 1e-6
@@ -109,8 +110,8 @@ def test_tilde_invariants_match_public_formulas(qpants):
     space = qpants.space
     fa, fb, fc = qpants.frames
     kap = _twisted(identity_params(fa))
-    got = tilde_invariants(space, kap, fa, fb, fc)
     K = twist_bend_element(kap, fa)
+    got = tilde_invariants(space, K, fa, fb, fc)
     (aA, rA, aB, KrC), _ = _normalize_quadruple(
         space, [fa.attracting, fa.repelling, fb.attracting,
                 K @ fc.repelling])
