@@ -5,7 +5,6 @@ parameters."""
 
 from .hermitian import HermitianSpace
 from .qmatrix import QArray
-from .quat import Quaternion
 
-__all__ = ["HermitianSpace", "QArray", "Quaternion"]
+__all__ = ["HermitianSpace", "QArray"]
 __version__ = "0.1.0"

@@ -13,20 +13,19 @@ a numerical rank probe of the invariant map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .errors import (DegenerateInputError, NotNonsingular,
                      VerificationFailed)
-from .genericity import genericity_report
+from .genericity import PairGenericityReport, _frame_gram, genericity_report
 from .gram import (AssociatedTuple, _normalize_quadruple, gram_matrix,
                    gram_offdiagonal_entries, normalize_lifts)
 from .hermitian import HermitianSpace, gauge
 from .invariants import InvariantTuple, pair_invariants, sp1_orbit_equal
 from .qmatrix import QArray, conjugate_by, quaternionic_rank
-from .quat import Quaternion
 from .spectral import (LoxodromicFrame, eigen_frame,
                        projective_points_equal)
 
@@ -37,7 +36,7 @@ RANK_STEP = 1e-5
 
 
 def _gram_orbit_scalar(t: AssociatedTuple, t2: AssociatedTuple,
-                       tol: float) -> Optional[Quaternion]:
+                       tol: float) -> Optional[QArray]:
     """Unit mu with mu*G*conj(mu) = G' entrywise, or None."""
     return gauge(t.space.field, gram_offdiagonal_entries(gram_matrix(t)),
                  gram_offdiagonal_entries(gram_matrix(t2)), tol)
@@ -87,7 +86,7 @@ def congruence_from_tuples(t: AssociatedTuple, t2: AssociatedTuple,
     mu = _gram_orbit_scalar(t, t2, tol)
     if mu is None:
         return None
-    targets = [p.rmul(mu) for p in t2.lifts]
+    targets = [p * mu for p in t2.lifts]
     sel = _spanning_subset(t.lifts, space.n + 1)
     C = _verified_congruence(space, [t.lifts[i] for i in sel],
                              [targets[i] for i in sel],
@@ -268,7 +267,7 @@ def _orthogonal_complement(space: HermitianSpace,
     for i in range(space.dim):
         v = R.column(i)
         for u in out:
-            v = v - u.rmul(space.inner(v, u))
+            v = v - u * space.inner(v, u)
         nrm = space.norm_sq(v)
         if nrm <= 1e-8:
             continue
@@ -285,14 +284,13 @@ def boundary_quadruple_congruence(space: HermitianSpace, zs: List[QArray],
     """Isometry h with h(z_i) = w_i projectively, for two quadruples of
     pairwise distinct boundary points, or None when their normalized
     pairings lie in different Sp(1) orbits."""
-    zn, _ = _normalize_quadruple(space, zs)
-    wn, _ = _normalize_quadruple(space, ws)
+    zn, _, Gz = _normalize_quadruple(space, zs)
+    wn, _, Gw = _normalize_quadruple(space, ws)
     upper = ([0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3])     # i < j
-    mu = gauge(space.field, space.gram(zn).pick(*upper),
-               space.gram(wn).pick(*upper), QUADRUPLE_TOL)
+    mu = gauge(space.field, Gz.pick(*upper), Gw.pick(*upper), QUADRUPLE_TOL)
     if mu is None:
         return None
-    wt = [w.rmul(mu) for w in wn]
+    wt = [w * mu for w in wn]
 
     if quaternionic_rank(zn) != min(4, space.n + 1) \
             or quaternionic_rank(wt) != min(4, space.n + 1):
@@ -327,8 +325,11 @@ def _mat_exp(space: HermitianSpace, X: QArray) -> QArray:
 
 
 def _invariant_vector(space: HermitianSpace, A: QArray, B: QArray,
-                      report=None) -> np.ndarray:
+                      report: PairGenericityReport) -> np.ndarray:
+    """The invariants of (A, B) as one real vector, under the matching
+    of report, the report of the unperturbed pair."""
     fa, fb = eigen_frame(space, A), eigen_frame(space, B)
+    report = replace(report, frame_gram=_frame_gram(space, fa, fb))
     iv = pair_invariants(space, fa, fb, report=report)
     parts = [iv.real_trace_A, iv.real_trace_B, iv.angular,
              iv.entries.components().ravel()]
@@ -355,11 +356,11 @@ def invariant_map_rank(space: HermitianSpace, A: QArray,
             Ep = _mat_exp(space, X.scale(h))
             Em = _mat_exp(space, X.scale(-h))
             if slot == 0:
-                vp = _invariant_vector(space, A @ Ep, B, report=rep)
-                vm = _invariant_vector(space, A @ Em, B, report=rep)
+                vp = _invariant_vector(space, A @ Ep, B, rep)
+                vm = _invariant_vector(space, A @ Em, B, rep)
             else:
-                vp = _invariant_vector(space, A, B @ Ep, report=rep)
-                vm = _invariant_vector(space, A, B @ Em, report=rep)
+                vp = _invariant_vector(space, A, B @ Ep, rep)
+                vm = _invariant_vector(space, A, B @ Em, rep)
             cols.append((vp - vm) / (2 * h))
     J = np.stack(cols, axis=1)
 

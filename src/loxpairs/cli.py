@@ -36,7 +36,7 @@ def _emit(args, payload: dict):
 
 
 def _quat_str(q) -> str:
-    return f"Re {q.real:+.6f}  | | {abs(q):.6f}"
+    return f"Re {float(q.a.real):+.6f}  | | {float(q.moduli()):.6f}"
 
 
 def _pretty_tuple(t) -> str:
@@ -47,7 +47,7 @@ def _pretty_tuple(t) -> str:
         idx = layout[name]
         for pos in np.ndindex(idx.shape):       # mixed[i][j] is a grid
             label = name + "".join(f"[{i + 1}]" for i in pos)
-            lines.append(f"{label}: {_quat_str(t.entries.entry(idx[pos]))}")
+            lines.append(f"{label}: {_quat_str(t.entries.pick(idx[pos]))}")
     lines.append("angular: " + "  ".join(f"{a:.6f}" for a in t.angular))
     return "\n".join(lines) + "\n"
 
@@ -108,9 +108,9 @@ def _cmd_twist_bend(args) -> int:
     K = twist_bend_element(kappa, fa)
     x1, x2, x3, a1, a3 = tilde_invariants(space, K, fa, fb, fc)
     _emit(args, {"K": sz.matrix_to_json(K),
-                 "tilde": {"X1": sz.quaternion_to_json(x1),
-                           "X2": sz.quaternion_to_json(x2),
-                           "X3": sz.quaternion_to_json(x3),
+                 "tilde": {"X1": x1.components().tolist(),
+                           "X2": x2.components().tolist(),
+                           "X3": x3.components().tolist(),
                            "A1": float(a1), "A3": float(a3)}})
     return 0
 

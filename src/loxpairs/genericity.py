@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb, factorial
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -48,16 +48,21 @@ class PairGenericityReport:
     omitted_B: Optional[int] = None
     multiple_matchings: bool = False
     failing_conditions: List[str] = field(default_factory=list)
+    # (K, V, norms) of _frame_gram for the frames the report is about,
+    # which gram.normalize_lifts reads instead of forming them again
+    frame_gram: Optional[Tuple[QArray, QArray, np.ndarray]] = \
+        field(default=None, repr=False)
 
 
 def _frame_gram(space: HermitianSpace, fa: LoxodromicFrame,
                 fb: LoxodromicFrame):
-    """Gram product K of v = [a_A, r_A, x_A..., a_B, r_B, x_B...] and
-    the matrix V with these columns.  <v_i, v_j> is entry (j, i) of K;
-    A's vectors sit at indices 0..n and B's at n+1..2n+1."""
+    """Gram product K of v = [a_A, r_A, x_A..., a_B, r_B, x_B...], the
+    matrix V with these columns and their norms.  <v_i, v_j> is entry
+    (j, i) of K; A's vectors sit at indices 0..n and B's at n+1..2n+1."""
     vs = [fa.attracting, fa.repelling, *fa.positives,
           fb.attracting, fb.repelling, *fb.positives]
-    return space.gram(vs), QArray.from_columns(vs)
+    V = QArray.from_columns(vs)
+    return space.gram(vs), V, np.linalg.norm(V.moduli(), axis=0)
 
 
 def _misses_polars(K: QArray, norms: np.ndarray, line,
@@ -95,8 +100,7 @@ def _flag_matching(M: np.ndarray, k: int):
 def genericity_report(space: HermitianSpace, fa: LoxodromicFrame,
                       fb: LoxodromicFrame) -> PairGenericityReport:
     n = space.n
-    K, V = _frame_gram(space, fa, fb)
-    norms = np.linalg.norm(V.moduli(), axis=0)
+    K, _, norms = frame_gram = _frame_gram(space, fa, fb)
     fixed_a, fixed_b = [0, 1], [n + 1, n + 2]
     failing: List[str] = []
     # two null lifts span the same boundary point iff they pair to zero
@@ -138,4 +142,5 @@ def genericity_report(space: HermitianSpace, fa: LoxodromicFrame,
         omitted_B=omitted_b,
         multiple_matchings=multiple,
         failing_conditions=failing,
+        frame_gram=frame_gram,
     )

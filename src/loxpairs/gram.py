@@ -19,8 +19,9 @@ The rule for the first four lifts, `_normalize_quadruple`, is the one
 lift normalization of the package: it also normalizes quadruples of
 boundary points for `classify.boundary_quadruple_congruence` and the
 quadruple (a_A, r_A, a_B, K r_C) of `twistbend.tilde_invariants`, and
-its scalars let `normalize_lifts` read every pairing from one Gram
-product of both frames.
+returns the Gram product of the normalized lifts with them.  Its scalars
+let `normalize_lifts` read every pairing from the one Gram product of
+both frames that `genericity_report` formed.
 """
 
 from __future__ import annotations
@@ -33,11 +34,9 @@ import numpy as np
 
 from .errors import (NormalizationImpossible, NotWeaklyNonsingular,
                      PatternViolation)
-from .genericity import (PairGenericityReport, _frame_gram,
-                         genericity_report)
+from .genericity import PairGenericityReport, genericity_report
 from .hermitian import HermitianSpace
 from .qmatrix import QArray
-from .quat import ONE, Quaternion
 from .spectral import LoxodromicFrame
 
 INNER_TOL = 1e-10
@@ -76,7 +75,8 @@ def _normalize_quadruple(space: HermitianSpace, zs: List[QArray],
                          K: Optional[QArray] = None):
     """Rescale lifts (z1, z2, z3, z4) to (p1, p2, p3, p4) with
     <p1,p2> = <p1,p3> = <p1,p4> = 1 = |<p2,p3>|, and return them with
-    the right scalars s (a QArray of four entries), p_k = z_k s_k.
+    the right scalars s (a QArray of four entries), p_k = z_k s_k, and
+    the Gram product of the ps, conj(s_i) K_ij s_j.
 
     Every pairing is read from K, the Gram product of zs, formed here
     when the caller does not have it.  anchor="standard" takes p1
@@ -88,8 +88,8 @@ def _normalize_quadruple(space: HermitianSpace, zs: List[QArray],
         K = space.gram(zs)
     Z = QArray.from_columns(zs)
     norms = np.linalg.norm(Z.moduli(), axis=0)
-    c = QArray(*(space.standard_scalar(zs[0]) if anchor == "standard"
-                 else ONE).complex_pair())
+    c = space.standard_scalar(zs[0]) if anchor == "standard" \
+        else QArray(1.0)
     g23 = K.pick(1, 2).moduli()
     if g23 <= INNER_TOL * norms[2] * norms[1]:
         raise NormalizationImpossible(
@@ -100,7 +100,7 @@ def _normalize_quadruple(space: HermitianSpace, zs: List[QArray],
     u = _unit_pairing(g, norms[0] * c.moduli(), norms[1:])
     t = float(np.sqrt(g23 / (g.moduli()[0] * g.moduli()[1])))
     s = QArray(np.append(c.a * t, u.a / t), np.append(c.b * t, u.b / t))
-    return (Z * s).columns(), s
+    return (Z * s).columns(), s, s.conj().pick(slice(None), None) * K * s
 
 
 def normalize_lifts(space: HermitianSpace, fa: LoxodromicFrame,
@@ -113,7 +113,8 @@ def normalize_lifts(space: HermitianSpace, fa: LoxodromicFrame,
     _normalize_quadruple with the given anchor; the matched positive
     eigenvectors are then rescaled to pair to 1 with p3 (A's) and p1
     (B's).  Every pairing comes from one Gram product of both frames,
-    with <p_k, x> = <z_k, x> s_k for the quadruple's scalars s.
+    with <p_k, x> = <z_k, x> s_k for the quadruple's scalars s.  That
+    product is the report's, which must be the report of these frames.
     """
     if report is None:
         report = genericity_report(space, fa, fb)
@@ -122,10 +123,9 @@ def normalize_lifts(space: HermitianSpace, fa: LoxodromicFrame,
             f"pair fails genericity: {report.failing_conditions}")
 
     n = space.n
-    K, V = _frame_gram(space, fa, fb)
-    norms = np.linalg.norm(V.moduli(), axis=0)
+    K, V, norms = report.frame_gram
     quad = np.array([0, 1, n + 1, n + 2])
-    (p1, p2, p3, p4), s = _normalize_quadruple(
+    (p1, p2, p3, p4), s, _ = _normalize_quadruple(
         space, [fa.attracting, fa.repelling, fb.attracting, fb.repelling],
         anchor, K.pick(*np.ix_(quad, quad)))
     idx = np.array([2 + j for j in report.matching_A]
@@ -159,8 +159,10 @@ def gram_matrix(t: AssociatedTuple) -> QArray:
     bad = np.argwhere((G - QArray(E)).moduli() > tol)
     if bad.size:
         i, j = bad[0]
-        raise PatternViolation(f"g[{i + 1},{j + 1}] = {G.entry(i, j)}, "
-                               f"expected {Quaternion(float(E[i, j]))}")
+        w, x, y, z = G.components()[i, j]
+        raise PatternViolation(
+            f"g[{i + 1},{j + 1}] = Quaternion(w={w}, x={x}, y={y}, z={z}), "
+            f"expected Quaternion(w={E[i, j]}, x=0.0, y=0.0, z=0.0)")
     mods = G.moduli()
     if abs(mods[1, 2] - 1.0) > tol:
         raise PatternViolation(f"|g23| = {mods[1, 2]}, expected 1")

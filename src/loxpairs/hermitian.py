@@ -9,9 +9,10 @@ i.e. <z,w> = conj(w_{n+1}) z_1 + conj(w_1) z_{n+1} + sum_j conj(w_j) z_j.
 Negative vectors project to points of the ball model; null vectors to its
 boundary.
 
-`inner` gives one pairing; `gram` gives every pairing of a list of
-vectors from the one product V^* H V, and the pair stage reads all of
-its pairings from such products.
+`inner` gives one pairing, a quaternion scalar (a 0-d QArray); `gram`
+gives every pairing of a list of vectors from the one product V^* H V,
+and the pair stage reads all of its pairings from such products.
+Scalars act on vectors from the right, so <z s, w t> = conj(t) <z, w> s.
 
 `HermitianSpace` owns the split between the two fields.  A complex
 QArray is the b = 0 case of a quaternionic one, and the space decides
@@ -34,7 +35,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, WrongDimension, WrongField
 from .qmatrix import QArray
-from .quat import ONE, Quaternion, align_sp1
+from .quat import align_sp1
 
 ERROR_THRESHOLD = 1e-10
 
@@ -60,7 +61,8 @@ def gauge(field: str, q: QArray, qp: QArray, tol: float):
     if field == "quaternion":
         return align_sp1(q, qp, tol=tol)
     scale = max(1.0, float(np.max(q.moduli(), initial=0.0)))
-    return ONE if np.all((q - qp).moduli() <= tol * scale) else None
+    return QArray(1.0) if np.all((q - qp).moduli() <= tol * scale) \
+        else None
 
 
 class HermitianSpace:
@@ -97,15 +99,16 @@ class HermitianSpace:
         return QArray.from_embed(w) if self.field == "quaternion" \
             else QArray(w)
 
-    def inner(self, z: QArray, w: QArray) -> Quaternion:
-        """<z, w> = w^* H z.  Linear in z, conjugate-linear in w."""
+    def inner(self, z: QArray, w: QArray) -> QArray:
+        """<z, w> = w^* H z, a 0-d QArray.  Linear in z,
+        conjugate-linear in w."""
         Hz_a = self.H @ z.a
         Hz_b = self.H @ z.b
-        # w^* u with w = w1 + j w2, u = u1 + j u2:
-        #   sum conj(w1) u1 + conj(w2) u2  +  j (w2 u1... ) worked out below
+        # w^* u with w = w1 + j w2, u = Hz = u1 + j u2, summed over the
+        # entries: conj(w1) u1 + conj(w2) u2 + j (w1 u2 - w2 u1)
         a = np.sum(np.conj(w.a) * Hz_a) + np.sum(np.conj(w.b) * Hz_b)
         b = np.sum(w.a * Hz_b) - np.sum(w.b * Hz_a)
-        return Quaternion.from_complex_pair(complex(a), complex(b))
+        return QArray(a, b)
 
     def gram(self, vectors) -> QArray:
         """Gram matrix V^* H V of V = [v_1 .. v_k]: entry (i, j) is
@@ -114,19 +117,19 @@ class HermitianSpace:
         return V.adjoint() @ self._HQ @ V
 
     def norm_sq(self, z: QArray) -> float:
-        return self.inner(z, z).w
+        return float(self.inner(z, z).a.real)
 
     def is_isometry(self, A: QArray, tol: float = 1e-8) -> bool:
         D = A.adjoint() @ self._HQ @ A - self._HQ
         return D.max_abs() <= tol
 
-    def standard_scalar(self, z: QArray) -> Quaternion:
+    def standard_scalar(self, z: QArray) -> QArray:
         """Right scalar taking z to last coordinate 1 (Siegel chart)."""
-        qn = z.entry(self.n)
-        if abs(qn) <= ERROR_THRESHOLD * z.norm():
+        qn = z.pick(self.n)
+        if qn.moduli() <= ERROR_THRESHOLD * z.norm():
             raise DegenerateInputError(
                 "last coordinate vanishes; point at infinity")
-        return qn.inverse()
+        return qn.reciprocal()
 
     def bergman_distance(self, z: QArray, w: QArray) -> float:
         """Distance between the points of hyperbolic space below z and w."""
@@ -135,7 +138,7 @@ class HermitianSpace:
         if zz >= 0 or ww >= 0:
             raise DegenerateInputError("distance needs negative vectors")
         zw = self.inner(z, w)
-        c = abs(zw) ** 2 / (zz * ww)
+        c = float(zw.moduli()) ** 2 / (zz * ww)
         c = max(c, 1.0)
         return 2.0 * np.arccosh(np.sqrt(c))
 
@@ -176,9 +179,9 @@ class HermitianSpace:
             for _attempt in range(64):
                 v = self._random_qarray(rng, self.dim)
                 # project away from the span collected so far
-                v = v + un.rmul(self.inner(v, un))  # <un,un> = -1
+                v = v + un * self.inner(v, un)  # <un,un> = -1
                 for u in basis:
-                    v = v - u.rmul(self.inner(v, u))
+                    v = v - u * self.inner(v, u)
                 s = self.norm_sq(v)
                 if s > 1e-6 * v.norm() ** 2:
                     basis.append(v.scale(1.0 / np.sqrt(s)))

@@ -22,7 +22,6 @@ from .gram import AssociatedTuple, normalize_lifts
 from .genericity import PairGenericityReport, genericity_report
 from .hermitian import HermitianSpace, gauge
 from .qmatrix import QArray
-from .quat import Quaternion
 from .spectral import LoxodromicFrame
 
 DEGENERATE_TOL = 1e-10
@@ -61,14 +60,15 @@ def _angles(T: QArray) -> np.ndarray:
 
 
 def cross_ratio(space: HermitianSpace, z1: QArray, z2: QArray,
-                z3: QArray, z4: QArray) -> Quaternion:
-    """<z3,z1><z3,z2>^-1 <z4,z2><z4,z1>^-1, exactly in this order."""
-    return _words(space, [z1, z2, z3, z4], [(0, 1, 2, 3)], CROSS).entry(0)
+                z3: QArray, z4: QArray) -> QArray:
+    """<z3,z1><z3,z2>^-1 <z4,z2><z4,z1>^-1, exactly in this order, as a
+    0-d QArray."""
+    return _words(space, [z1, z2, z3, z4], [(0, 1, 2, 3)], CROSS).pick(0)
 
 
-def triple_product(space: HermitianSpace, z1, z2, z3) -> Quaternion:
-    """<z1,z2><z2,z3><z3,z1>."""
-    return _words(space, [z1, z2, z3], [(0, 1, 2)], TRIPLE).entry(0)
+def triple_product(space: HermitianSpace, z1, z2, z3) -> QArray:
+    """<z1,z2><z2,z3><z3,z1>, as a 0-d QArray."""
+    return _words(space, [z1, z2, z3], [(0, 1, 2)], TRIPLE).pick(0)
 
 
 def angular_invariant(space: HermitianSpace, z1, z2, z3) -> float:
@@ -141,7 +141,7 @@ def pair_invariants(space: HermitianSpace, fa: LoxodromicFrame,
 
 
 def sp1_orbit_equal(t1: InvariantTuple, t2: InvariantTuple,
-                    tol: float = 1e-8) -> Optional[Quaternion]:
+                    tol: float = 1e-8) -> Optional[QArray]:
     """Unit mu conjugating every quaternion entry of t1 onto t2, or None
     (mu = 1 in complex mode, see hermitian.gauge)."""
     if t1.entries.shape != t2.entries.shape:

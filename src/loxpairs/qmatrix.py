@@ -7,7 +7,8 @@ complex embedding
     M  ->  [[a, -conj(b)], [b, conj(a)]]
 
 which is a ring homomorphism; for column vectors the embedding stacks
-(a; b).  Scalars act on vectors from the right.
+(a; b).  A quaternion scalar is a 0-d QArray, and scalars act on vectors
+from the right: v * q broadcasts the entrywise product.
 """
 
 from __future__ import annotations
@@ -15,11 +16,10 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateInputError, LoxpairsError
-from .quat import Quaternion
 
 
 class QArray:
-    """Quaternionic ndarray (1-d vector or 2-d matrix)."""
+    """Quaternionic ndarray: a 0-d scalar, a vector, a matrix or a stack."""
 
     __slots__ = ("a", "b")
 
@@ -47,6 +47,13 @@ class QArray:
                    np.stack([c.b for c in cols], axis=1))
 
     @classmethod
+    def from_components(cls, q) -> "QArray":
+        """Inverse of components: entries from real (w, x, y, z) along
+        the last axis."""
+        w, x, y, z = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
+        return cls(w + 1j * x, y - 1j * z)
+
+    @classmethod
     def diag(cls, values) -> "QArray":
         """Diagonal matrix from complex values."""
         return cls(np.diag(np.asarray(values, dtype=complex)))
@@ -64,9 +71,6 @@ class QArray:
     def copy(self) -> "QArray":
         return QArray(self.a.copy(), self.b.copy())
 
-    def entry(self, *idx) -> Quaternion:
-        return Quaternion.from_complex_pair(self.a[idx], self.b[idx])
-
     def column(self, j: int) -> "QArray":
         return QArray(self.a[:, j], self.b[:, j])
 
@@ -82,10 +86,6 @@ class QArray:
         last axis."""
         return np.stack([self.a.real, self.a.imag, self.b.real,
                          -self.b.imag], axis=-1)
-
-    def to_quaternions(self) -> list:
-        """The entries of a vector as Quaternion scalars."""
-        return [Quaternion(*q) for q in self.components().tolist()]
 
     # -- algebra --------------------------------------------------------
 
@@ -108,6 +108,10 @@ class QArray:
         return QArray(self.a * other.a - np.conj(self.b) * other.b,
                       self.b * other.a + np.conj(self.a) * other.b)
 
+    def conj(self) -> "QArray":
+        """Entrywise conjugate w - xi - yj - zk, i.e. conj(a) - j b."""
+        return QArray(np.conj(self.a), -self.b)
+
     def reciprocal(self) -> "QArray":
         """Entrywise inverse conj(q) / |q|^2."""
         m2 = np.abs(self.a) ** 2 + np.abs(self.b) ** 2
@@ -124,12 +128,6 @@ class QArray:
             raise LoxpairsError("adjoint needs a matrix")
         return QArray(np.conj(self.a).swapaxes(-1, -2),
                       -self.b.swapaxes(-1, -2))
-
-    def rmul(self, q: Quaternion) -> "QArray":
-        """Entrywise right multiplication by a scalar (vector scaling)."""
-        c, d = q.complex_pair()
-        return QArray(self.a * c - np.conj(self.b) * d,
-                      self.b * c + np.conj(self.a) * d)
 
     def embed(self) -> np.ndarray:
         """Complex embedding: matrix (or each matrix in a stack) ->

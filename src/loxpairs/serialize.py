@@ -19,12 +19,7 @@ from .errors import ParseError
 from .hermitian import HermitianSpace
 from .invariants import InvariantTuple
 from .qmatrix import QArray
-from .quat import Quaternion
 from .twistbend import TwistBendParams
-
-
-def quaternion_to_json(q: Quaternion) -> list:
-    return [float(v) for v in q.to_array()]
 
 
 def complex_to_json(c) -> list:
@@ -70,8 +65,7 @@ def matrix_from_json(obj, dim: int, name: str = "matrix") -> QArray:
                          f"({dim}, {dim}, 4)")
     if not np.all(np.isfinite(q)):
         raise ParseError(f"{name} has a non-finite entry")
-    w, x, y, z = np.moveaxis(q, -1, 0)
-    return QArray(w + 1j * x, y - 1j * z)
+    return QArray.from_components(q)
 
 
 def pair_from_json(obj) -> Tuple[HermitianSpace, QArray, QArray]:

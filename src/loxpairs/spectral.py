@@ -30,7 +30,6 @@ from .hermitian import HermitianSpace
 from .polys import (aberth_roots, cluster_roots, dickson_reduction,
                     discriminant, faddeev_leverrier)
 from .qmatrix import QArray
-from .quat import Quaternion
 
 PALINDROME_TOL = 1e-8
 RESIDUAL_TOL = 1e-8
@@ -290,11 +289,11 @@ def eigen_frame(space: HermitianSpace, A: QArray) -> LoxodromicFrame:
     phis = np.array([float(np.angle(centers[i])) for i in unit_idx])
 
     # only complex rescalings keep the eigenvalue representatives intact
-    try:
-        g = space.inner(a, rv).to_complex(tol=1e-7)
-    except ValueError as exc:
-        raise DegenerateSpectrum(f"attracting/repelling pairing: {exc}") from exc
-    rv = rv.rmul(Quaternion.from_complex(1.0 / np.conj(g)))
+    g = space.inner(a, rv)
+    if abs(g.b) > 1e-7 * (1.0 + g.moduli()):
+        raise DegenerateSpectrum(
+            f"attracting/repelling pairing has j part {abs(g.b):.3e}")
+    rv = rv * QArray(1.0 / np.conj(g.a))
     for x in positives:
         if space.norm_sq(x) <= 0:
             raise DegenerateSpectrum("intermediate eigenvector is not positive")
@@ -331,13 +330,6 @@ def projective_points(V: QArray) -> np.ndarray:
 def projective_points_equal(p: np.ndarray, q: np.ndarray,
                             tol: float = 1e-7) -> bool:
     return float(np.linalg.norm(p - q)) <= tol
-
-
-def apply_j(p: np.ndarray) -> np.ndarray:
-    """Left j-action on the projective line: (c1:c2) -> (-conj(c2):conj(c1))."""
-    q = np.array([-np.conj(p[1]), np.conj(p[0])])
-    j = int(np.argmax(np.abs(q)))
-    return q / (q[j] / abs(q[j]))
 
 
 def element_conjugator(space: HermitianSpace, X: QArray, Y: QArray) -> QArray:

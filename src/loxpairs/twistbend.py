@@ -31,7 +31,6 @@ from .gram import _normalize_quadruple
 from .hermitian import HermitianSpace
 from .invariants import CROSS, TRIPLE, _angles, _words
 from .qmatrix import QArray, conjugate_by, quaternionic_rank
-from .quat import Quaternion
 from .spectral import (LoxodromicFrame, classify_element, eigen_frame,
                        element_conjugator, projective_points_equal)
 
@@ -91,10 +90,10 @@ def twist_bend_element(kappa: TwistBendParams,
 
 def tilde_invariants(space: HermitianSpace, K: QArray,
                      fa: LoxodromicFrame, fb: LoxodromicFrame,
-                     fc: LoxodromicFrame) -> Tuple[Quaternion, Quaternion,
-                                                   Quaternion, float, float]:
+                     fc: LoxodromicFrame) -> Tuple[QArray, QArray, QArray,
+                                                   float, float]:
     """(X~1, X~2, X~3, A~1, A~3) of the twist-bend K of A, built by
-    twist_bend_element, relative to <A, B, C>.
+    twist_bend_element, relative to <A, B, C>; the X~ are 0-d QArrays.
 
     Requires that a_B and r_C stay off the proper totally geodesic
     subspace through a_A and r_A (rank-3 condition on lifts).
@@ -108,12 +107,11 @@ def tilde_invariants(space: HermitianSpace, K: QArray,
     # gauge-fix the quadruple so the angular invariants are well defined
     # (residual freedom is one global unit, a similarity on everything)
     # g indices: 0 = a_A, 1 = r_A, 2 = a_B, 3 = K r_C
-    zs = _normalize_quadruple(space, [aA, rA, aB, K @ rC])[0]
-    G = space.gram(zs)
-    X1, X2, X3 = _words(space, zs, [(0, 1, 2, 3), (0, 3, 2, 1),
-                                    (1, 3, 2, 0)], CROSS, G).to_quaternions()
+    zs, _, G = _normalize_quadruple(space, [aA, rA, aB, K @ rC])
+    X = _words(space, zs, [(0, 1, 2, 3), (0, 3, 2, 1), (1, 3, 2, 0)],
+               CROSS, G)
     A1, A3 = _angles(_words(space, zs, [(0, 1, 3), (1, 3, 2)], TRIPLE, G))
-    return X1, X2, X3, float(A1), float(A3)
+    return X.pick(0), X.pick(1), X.pick(2), float(A1), float(A3)
 
 
 # -- pants groups and gluing -----------------------------------------------

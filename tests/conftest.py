@@ -1,9 +1,41 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
 from loxpairs.generate import generate_pair
 from loxpairs.hermitian import HermitianSpace
 from loxpairs.spectral import eigen_frame
+
+
+# An independent model of quaternion arithmetic on real 4-vectors
+# (w, x, y, z), the reference for the QArray algebra in the tests.
+
+def as_matrix(q) -> np.ndarray:
+    """Left-multiplication model of H on R^4: as_matrix(q) @ p = q p."""
+    w, x, y, z = q
+    return np.array([[w, -x, -y, -z],
+                     [x, w, -z, y],
+                     [y, z, w, -x],
+                     [z, -y, x, w]])
+
+
+def hmul(*qs) -> np.ndarray:
+    """The product of real 4-vectors, left to right."""
+    return reduce(lambda p, q: as_matrix(p) @ q, qs)
+
+
+def hconj(q) -> np.ndarray:
+    return np.asarray(q, dtype=float) * [1.0, -1.0, -1.0, -1.0]
+
+
+def hinv(q) -> np.ndarray:
+    return hconj(q) / np.dot(q, q)
+
+
+def hunit(rng) -> np.ndarray:
+    q = rng.standard_normal(4)
+    return q / np.linalg.norm(q)
 
 
 @pytest.fixture(scope="session")

@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import hconj, hinv, hmul, hunit
 from loxpairs.classify import (boundary_quadruple_congruence, conjugacy_test,
                                invariant_map_rank)
 from loxpairs.generate import generate_pair
@@ -17,7 +18,7 @@ from loxpairs.gram import gram_matrix, gram_offdiagonal_entries, normalize_lifts
 from loxpairs.hermitian import HermitianSpace
 from loxpairs.invariants import pair_invariants, sp1_orbit_equal
 from loxpairs.qmatrix import QArray, conjugate_by, quaternionic_rank
-from loxpairs.quat import Quaternion, align_sp1
+from loxpairs.quat import align_sp1
 from loxpairs.spectral import (LoxodromicFrame, classify_element, eigen_frame,
                                real_char_poly)
 from loxpairs.twistbend import (TwistBendParams, identity_params,
@@ -143,28 +144,36 @@ def test_criterion_3_gram_dictionary():
             t = normalize_lifts(space, fa, fb, rep)
             G = gram_matrix(t)
             inv = pair_invariants(space, fa, fb, report=rep, tuple_=t)
-            g, x, layout = G.entry, inv.entries.to_quaternions(), inv.layout()
-            devs = [abs(abs(g(1, 2)) - 1.0),
-                    abs(-g(1, 2).real - np.cos(inv.angular[0])),
-                    abs(g(1, 2).conjugate().inverse()
-                        * g(1, 3).conjugate() - x[layout["X1"]]),
-                    abs(g(1, 2).inverse() * g(2, 3).conjugate()
-                        - x[layout["X2"]])]
+            # the identities in the matrix model on real 4-vectors
+            gc, x, layout = G.components(), inv.entries.components(), \
+                inv.layout()
+
+            def g(i, j):
+                return gc[i, j]
+
+            def dev(*word, entry):
+                return float(np.linalg.norm(hmul(*word) - entry))
+
+            devs = [abs(np.linalg.norm(g(1, 2)) - 1.0),
+                    abs(-g(1, 2)[0] - np.cos(inv.angular[0])),
+                    dev(hinv(hconj(g(1, 2))), hconj(g(1, 3)),
+                        entry=x[layout["X1"]]),
+                    dev(hinv(g(1, 2)), hconj(g(2, 3)),
+                        entry=x[layout["X2"]])]
             for i, k in zip(layout["alpha"], range(n + 2, 2 * n)):
-                devs.append(abs(g(1, 2).conjugate().inverse()
-                                * g(1, k).conjugate() - x[i]))
+                devs.append(dev(hinv(hconj(g(1, 2))), hconj(g(1, k)),
+                                entry=x[i]))
             for i, j in zip(layout["beta"], range(4, n + 2)):
-                devs.append(abs(g(3, j).conjugate() - x[i]))
+                devs.append(float(np.linalg.norm(hconj(g(3, j)) - x[i])))
             for row, j in zip(layout["mixed"], range(4, n + 2)):
                 for i, k in zip(row, range(n + 2, 2 * n)):
-                    devs.append(abs(g(1, 2) * g(1, k).inverse() * g(j, k)
-                                    - x[i]))
+                    devs.append(dev(g(1, 2), hinv(g(1, k)), g(j, k),
+                                    entry=x[i]))
             for i, j in zip(layout["eta_A"], range(4, n + 2)):
-                devs.append(abs(g(2, 3).inverse() * g(3, j).conjugate()
-                                * g(j, j).inverse() - x[i]))
+                devs.append(dev(hinv(g(2, 3)), hconj(g(3, j)),
+                                hinv(g(j, j)), entry=x[i]))
             for i, k in zip(layout["eta_B"], range(n + 2, 2 * n)):
-                devs.append(abs(g(1, k).conjugate() * g(k, k).inverse()
-                                - x[i]))
+                devs.append(dev(hconj(g(1, k)), hinv(g(k, k)), entry=x[i]))
             worst = max(worst, max(devs))
     _report(3, worst <= 1e-9,
             f"all eight Gram-entry identities hold on normalized lifts "
@@ -182,27 +191,34 @@ def test_criterion_4_gauge_recovery():
         rng = np.random.default_rng(30_000 + i)
 
         def unit():
-            return Quaternion.from_array(rng.standard_normal(4)).normalized()
+            return QArray.from_components(hunit(rng))
 
         fa2 = LoxodromicFrame(fa.radius, fa.theta, fa.phis,
-                              fa.attracting.rmul(unit()),
-                              fa.repelling.rmul(unit()),
-                              [x.rmul(unit()) for x in fa.positives], QSPACE)
+                              fa.attracting * unit(),
+                              fa.repelling * unit(),
+                              [x * unit() for x in fa.positives], QSPACE)
         fb2 = LoxodromicFrame(fb.radius, fb.theta, fb.phis,
-                              fb.attracting.rmul(unit()),
-                              fb.repelling.rmul(unit()),
-                              [x.rmul(unit()) for x in fb.positives], QSPACE)
-        t2 = normalize_lifts(QSPACE, fa2, fb2, rep, anchor="none")
+                              fb.attracting * unit(),
+                              fb.repelling * unit(),
+                              [x * unit() for x in fb.positives], QSPACE)
+        # the report of the rescaled frames, whose matching is rep's
+        rep2 = genericity_report(QSPACE, fa2, fb2)
+        if (rep2.matching_A, rep2.matching_B) \
+                != (rep.matching_A, rep.matching_B):
+            ok = False
+            continue
+        t2 = normalize_lifts(QSPACE, fa2, fb2, rep2, anchor="none")
         e1 = gram_offdiagonal_entries(gram_matrix(t))
         e2 = gram_offdiagonal_entries(gram_matrix(t2))
         mu = align_sp1(e1, e2, tol=1e-8)
         if mu is None:
             ok = False
             continue
+        mu = mu.components()
         worst = max(worst,
-                    max(abs(mu * a * mu.conjugate() - b)
-                        for a, b in zip(e1.to_quaternions(),
-                                        e2.to_quaternions())))
+                    max(float(np.linalg.norm(hmul(mu, a, hconj(mu)) - b))
+                        for a, b in zip(e1.components(),
+                                        e2.components())))
     _report(4, ok and worst <= 1e-10,
             f"per-lift unit rescalings recovered as one global unit factor "
             f"(worst residual {worst:.2e} vs 1e-10)")
@@ -268,8 +284,7 @@ def test_criterion_7_quadruple_congruence():
         U = QSPACE.random_isometry(rng)
         ws = []
         for z in zs:
-            u = Quaternion.from_array(rng.standard_normal(4)).normalized()
-            ws.append((U @ z).rmul(u))
+            ws.append((U @ z) * QArray.from_components(hunit(rng)))
         h = boundary_quadruple_congruence(QSPACE, zs, ws)
         if h is None:
             bad += 1
@@ -324,7 +339,8 @@ def test_criterion_8_twist_bend():
         v1 = tilde_invariants(QSPACE, K, fa, fb, fc)
         v2 = tilde_invariants(QSPACE, twist_bend_element(kap2, fa),
                               fa, fb, fc)
-        diff = max(abs(a - b) for a, b in zip(v1, v2))
+        diff = max([float((a - b).moduli()) for a, b in zip(v1[:3], v2[:3])]
+                   + [abs(a - b) for a, b in zip(v1[3:], v2[3:])])
         if diff <= 1e-8:
             sep_fail += 1
     counts_ok = all(

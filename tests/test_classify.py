@@ -10,7 +10,6 @@ from loxpairs.errors import (NormalizationImpossible, NotNonsingular,
 from loxpairs.generate import generate_pair
 from loxpairs.hermitian import HermitianSpace
 from loxpairs.qmatrix import QArray, conjugate_by, quaternionic_rank
-from loxpairs.quat import Quaternion
 
 
 def _null_lift(space, rng):
@@ -112,8 +111,8 @@ def test_quadruple_congruence_rescaled_lifts(qspace, rng):
     U = qspace.random_isometry(rng)
     ws = []
     for z in zs:
-        u = Quaternion.from_array(rng.standard_normal(4))
-        ws.append((U @ z).rmul(u * Quaternion(abs(u), 0, 0, 0).inverse()))
+        u = QArray.from_components(rng.standard_normal(4))
+        ws.append((U @ z) * u.scale(1.0 / u.moduli()))
     h = boundary_quadruple_congruence(qspace, zs, ws)
     assert h is not None
     for z, w in zip(zs, ws):
@@ -260,9 +259,30 @@ def test_conjugacy_test_forms_one_gram_per_tuple(space, rng, monkeypatch):
     res = conjugacy_test(space, A, B, conjugate_by(C, A), conjugate_by(C, B))
     assert res.conjugate
     # one product of both frames (2n + 2 vectors) for each of the two
-    # genericity reports and the two lift normalizations, then one of
-    # each associated tuple of 2n lifts
-    assert calls == [2 * space.n + 2] * 4 + [2 * space.n] * 2
+    # genericity reports, which the lift normalizations read, then one
+    # of each associated tuple of 2n lifts
+    assert calls == [2 * space.n + 2] * 2 + [2 * space.n] * 2
+
+
+def test_conjugacy_test_forms_one_frame_gram_per_pair(space, rng,
+                                                      monkeypatch):
+    import loxpairs.genericity as genericity
+    A, B = generate_pair(space, seed=31, mode="strong")
+    C = space.random_isometry(rng)
+    A2, B2 = conjugate_by(C, A), conjugate_by(C, B)
+    calls = []
+    frame_gram = genericity._frame_gram
+
+    def counting(space, fa, fb):
+        calls.append((fa.rebuild(), fb.rebuild()))
+        return frame_gram(space, fa, fb)
+
+    monkeypatch.setattr(genericity, "_frame_gram", counting)
+    assert conjugacy_test(space, A, B, A2, B2).conjugate
+    assert len(calls) == 2
+    for (Ar, Br), (X, Y) in zip(calls, ((A, B), (A2, B2))):
+        assert (Ar - X).max_abs() <= 1e-8 * (1 + X.max_abs())
+        assert (Br - Y).max_abs() <= 1e-8 * (1 + Y.max_abs())
 
 
 def test_conjugacy_test_pairs_only_through_gram(space, rng, monkeypatch):
@@ -293,13 +313,22 @@ def test_conjugacy_test_pairs_only_through_gram(space, rng, monkeypatch):
     assert not outside
 
 
-def test_pair_stage_keeps_quaternions_in_arrays(rng, monkeypatch):
-    # Gram entries and invariants stay QArrays from the frames to the
-    # verdict: no step of the pair stage converts them to Quaternions
-    def refuse(self):
-        raise AssertionError("QArray converted to Quaternion objects")
+def test_pair_stage_scalars_are_zero_dim_qarrays(rng):
+    # one quaternion type: every function that returns a single
+    # quaternion returns a 0-d QArray, loxpairs.quat has no class, and
+    # the pair stage decides on these scalars for n = 3..5
+    import inspect
 
-    monkeypatch.setattr(QArray, "to_quaternions", refuse)
+    import loxpairs.quat as quat
+    from loxpairs.genericity import genericity_report
+    from loxpairs.hermitian import gauge
+    from loxpairs.invariants import (cross_ratio, pair_invariants,
+                                     sp1_orbit_equal, triple_product)
+    from loxpairs.spectral import eigen_frame
+    from loxpairs.twistbend import (PantsGroup, identity_params,
+                                    tilde_invariants, twist_bend_element)
+    assert not [name for name, obj in vars(quat).items()
+                if inspect.isclass(obj) and obj.__module__ == quat.__name__]
     for n in (3, 4, 5):
         for field in ("complex", "quaternion"):
             space = HermitianSpace(n, field)
@@ -316,6 +345,23 @@ def test_pair_stage_keeps_quaternions_in_arrays(rng, monkeypatch):
             zs = [_null_lift(space, rng) for _ in range(4)]
             ws = [C @ z for z in zs]
             assert boundary_quadruple_congruence(space, zs, ws) is not None
+
+            fa, fb = eigen_frame(space, A), eigen_frame(space, B)
+            t = pair_invariants(space, fa, fb,
+                                report=genericity_report(space, fa, fb))
+            e = t.entries
+            scalars = [space.inner(zs[0], zs[1]),
+                       space.standard_scalar(zs[0]),
+                       gauge(field, e, e, 1e-10), quat.align_sp1(e, e),
+                       sp1_orbit_equal(t, t), cross_ratio(space, *zs),
+                       triple_product(space, *zs[:3])]
+            if n == 3:
+                pants = PantsGroup(space, A, B)
+                fp = pants.frames
+                K = twist_bend_element(identity_params(fp[0]), fp[0])
+                scalars += tilde_invariants(space, K, *fp)[:3]
+            for q in scalars:
+                assert isinstance(q, QArray) and q.shape == ()
 
 
 @pytest.mark.parametrize("field", ["complex", "quaternion"])

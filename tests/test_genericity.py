@@ -9,10 +9,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from conftest import hconj, hinv, hmul
 from loxpairs.generate import generate_pair, random_loxodromic
 from loxpairs.genericity import (MEMBERSHIP_TOL, _flag_matching,
                                  genericity_report, on_line_boundary)
 from loxpairs.hermitian import HermitianSpace
+from loxpairs.qmatrix import QArray
 from loxpairs.spectral import eigen_frame
 
 
@@ -29,13 +31,14 @@ def _line_meets_polar_boundary(space, line, x, tol):
     are c1*alpha + c2*beta; with s = <c1, x>, u = <c2, x>, one lies in
     x-perp iff Re(conj(s) u) = 0 (or s, u degenerate)."""
     c1, c2 = line
-    s = space.inner(c1, x)
-    u = space.inner(c2, x)
+    s = space.inner(c1, x).components()
+    u = space.inner(c2, x).components()
     scale1 = c1.norm() * x.norm()
     scale2 = c2.norm() * x.norm()
-    if abs(s) <= tol * scale1 or abs(u) <= tol * scale2:
+    norm = np.linalg.norm
+    if norm(s) <= tol * scale1 or norm(u) <= tol * scale2:
         return True
-    return abs((s.conjugate() * u).w) <= tol * scale1 * scale2
+    return abs(hmul(hconj(s), u)[0]) <= tol * scale1 * scale2
 
 
 def _brute_flag_pairs(space, fa, fb, tol=MEMBERSHIP_TOL):
@@ -58,8 +61,9 @@ def _polar_off(space, frame, other, k, rng):
     boundary."""
     a, r = other.attracting, other.repelling
     v = space._random_qarray(rng, space.dim)
-    lam = (space.inner(a, v) * space.inner(a, r).inverse()).conjugate()
-    x = v - r.rmul(lam)
+    lam = hconj(hmul(space.inner(a, v).components(),
+                     hinv(space.inner(a, r).components())))
+    x = v - r * QArray.from_components(lam)
     pos = list(frame.positives)
     pos[k] = x.scale(1.0 / x.norm())
     return dataclasses.replace(frame, positives=pos)

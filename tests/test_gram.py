@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from conftest import hconj, hmul, hunit
 from loxpairs.generate import generate_pair
 from loxpairs.genericity import genericity_report
 from loxpairs.gram import (AssociatedTuple, gram_matrix,
                            gram_offdiagonal_entries, normalize_lifts)
-from loxpairs.quat import Quaternion, align_sp1
+from loxpairs.qmatrix import QArray
+from loxpairs.quat import align_sp1
 from loxpairs.spectral import LoxodromicFrame, eigen_frame
 
 
@@ -19,11 +21,10 @@ def _tuple_for(space, seed, anchor="standard"):
 def test_normalization_constraints(space):
     _, _, _, t = _tuple_for(space, 3)
     p1 = t.lifts[0]
-    one = Quaternion(1, 0, 0, 0)
     for p in t.lifts[1:4]:
-        assert space.inner(p1, p).isclose(one, tol=1e-9)
+        assert (space.inner(p1, p) - QArray(1.0)).moduli() <= 1e-9
     g23 = space.inner(t.lifts[2], t.lifts[1])
-    assert np.isclose(abs(g23), 1.0, atol=1e-9)
+    assert np.isclose(g23.moduli(), 1.0, atol=1e-9)
 
 
 def test_gram_matrix_pattern(space):
@@ -33,21 +34,21 @@ def test_gram_matrix_pattern(space):
     assert G.shape == (m, m)
     for i in range(4):
         assert G.moduli()[i, i] < 1e-8
-    entries = gram_offdiagonal_entries(G).to_quaternions()
+    entries = gram_offdiagonal_entries(G).components()
     # trailing entries are the positive-vector norms, all real positive
     for q in entries[-(m - 4):]:
-        assert q.imag_norm() < 1e-8
-        assert q.real > 0
+        assert np.linalg.norm(q[1:]) < 1e-8
+        assert q[0] > 0
 
 
 def test_gram_hermitian(space):
     _, _, _, t = _tuple_for(space, 9)
     G = gram_matrix(t)
     m = 2 * space.n
+    g = G.components()
     for i in range(m):
         for j in range(m):
-            assert G.entry(i, j).isclose(G.entry(j, i).conjugate(),
-                                         tol=1e-10)
+            assert np.linalg.norm(g[i, j] - hconj(g[j, i])) <= 1e-10
 
 
 def test_unit_rescaling_is_global_gauge(qspace, rng):
@@ -56,23 +57,29 @@ def test_unit_rescaling_is_global_gauge(qspace, rng):
     fa, fb, rep, t = _tuple_for(qspace, 13, anchor="none")
 
     def unit():
-        return Quaternion.from_array(rng.standard_normal(4)).normalized()
+        return QArray.from_components(hunit(rng))
 
     fa2 = LoxodromicFrame(fa.radius, fa.theta, fa.phis,
-                          fa.attracting.rmul(unit()),
-                          fa.repelling.rmul(unit()),
-                          [x.rmul(unit()) for x in fa.positives], qspace)
+                          fa.attracting * unit(),
+                          fa.repelling * unit(),
+                          [x * unit() for x in fa.positives], qspace)
     fb2 = LoxodromicFrame(fb.radius, fb.theta, fb.phis,
-                          fb.attracting.rmul(unit()),
-                          fb.repelling.rmul(unit()),
-                          [x.rmul(unit()) for x in fb.positives], qspace)
-    t2 = normalize_lifts(qspace, fa2, fb2, rep, anchor="none")
+                          fb.attracting * unit(),
+                          fb.repelling * unit(),
+                          [x * unit() for x in fb.positives], qspace)
+    # the report of the rescaled frames: a unit rescaling moves no flag,
+    # so the matching is the one of rep
+    rep2 = genericity_report(qspace, fa2, fb2)
+    assert (rep2.matching_A, rep2.matching_B) \
+        == (rep.matching_A, rep.matching_B)
+    t2 = normalize_lifts(qspace, fa2, fb2, rep2, anchor="none")
     e1 = gram_offdiagonal_entries(gram_matrix(t))
     e2 = gram_offdiagonal_entries(gram_matrix(t2))
     mu = align_sp1(e1, e2, tol=1e-8)
     assert mu is not None
-    for a, b in zip(e1.to_quaternions(), e2.to_quaternions()):
-        assert (mu * a * mu.conjugate()).isclose(b, tol=1e-9)
+    mu = mu.components()
+    for a, b in zip(e1.components(), e2.components()):
+        assert np.linalg.norm(hmul(mu, a, hconj(mu)) - b) <= 1e-9
 
 
 def test_standard_anchor_makes_gram_canonical(space):
@@ -81,3 +88,20 @@ def test_standard_anchor_makes_gram_canonical(space):
     _, _, _, t2 = _tuple_for(space, 17)
     for p, q in zip(t.lifts, t2.lifts):
         assert (p - q).max_abs() < 1e-12
+
+
+@pytest.mark.parametrize("field", ["quaternion", "complex"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_normalize_quadruple_returns_gram_of_lifts(n, field):
+    # the Gram product conj(s_i) K_ij s_j it returns is the one of its
+    # lifts, with the pinned pairings <p1,p2> = <p1,p3> = <p1,p4> = 1
+    from loxpairs.gram import _normalize_quadruple
+    from loxpairs.hermitian import HermitianSpace
+    space = HermitianSpace(n, field)
+    fa, fb, _, _ = _tuple_for(space, n)
+    zs = [fa.attracting, fa.repelling, fb.attracting, fb.repelling]
+    ps, s, G = _normalize_quadruple(space, zs)
+    assert s.shape == (4,) and G.shape == (4, 4)
+    ref = space.gram(ps)
+    assert (G - ref).max_abs() <= 1e-13 * (1 + ref.max_abs())
+    assert (G.pick(range(1, 4), 0) - QArray(np.ones(3))).max_abs() <= 1e-12

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from conftest import as_matrix, hinv
 from loxpairs.errors import DegenerateInputError
 from loxpairs.hermitian import HermitianSpace
 from loxpairs.qmatrix import (QArray, commutator, conjugate_by,
                               quaternionic_rank)
-from loxpairs.quat import Quaternion
 
 
 def _random_qarray(rng, shape):
@@ -52,18 +52,20 @@ def test_right_scalar_multiplication(rng):
     # (A v) q = A (v q): right H-module action commutes with A
     A = _random_qarray(rng, (4, 4))
     v = _random_qarray(rng, 4)
-    q = Quaternion.from_array(rng.standard_normal(4))
-    lhs = (A @ v).rmul(q)
-    rhs = A @ v.rmul(q)
+    q = QArray.from_components(rng.standard_normal(4))
+    lhs = (A @ v) * q
+    rhs = A @ (v * q)
     assert (lhs - rhs).max_abs() < 1e-12
 
 
 def test_rmul_entrywise(rng):
+    # v * q scales each entry on the right, in the matrix model
     v = _random_qarray(rng, 3)
-    q = Quaternion.from_array(rng.standard_normal(4))
-    w = v.rmul(q)
-    for i in range(3):
-        assert (v.entry(i) * q).isclose(w.entry(i), tol=1e-12)
+    q = rng.standard_normal(4)
+    w = v * QArray.from_components(q)
+    assert w.shape == (3,)
+    for vi, wi in zip(v.components(), w.components()):
+        assert np.linalg.norm(as_matrix(vi) @ q - wi) <= 1e-12
 
 
 def test_from_columns_and_column(rng):
@@ -91,10 +93,10 @@ def test_conjugate_by_and_commutator(rng):
 def test_quaternionic_rank_full_and_deficient(rng):
     vs = [_random_qarray(rng, 4) for _ in range(4)]
     assert quaternionic_rank(vs) == 4
-    q = Quaternion.from_array(rng.standard_normal(4))
+    q = QArray.from_components(rng.standard_normal(4))
     # a right-scalar multiple spans the same quaternionic line
-    assert quaternionic_rank([vs[0], vs[0].rmul(q)]) == 1
-    assert quaternionic_rank(vs[:2] + [vs[0].rmul(q)]) == 2
+    assert quaternionic_rank([vs[0], vs[0] * q]) == 1
+    assert quaternionic_rank(vs[:2] + [vs[0] * q]) == 2
 
 
 def test_complex_mode_rank_ignores_j_line(rng):
@@ -121,14 +123,20 @@ def test_adjoint_and_embed_on_stacks(field, n, rng):
 def test_entrywise_quaternion_algebra(rng):
     X = _random_qarray(rng, (3, 2))
     Y = _random_qarray(rng, (3, 2))
+    # every entry against the matrix model on real 4-vectors
     P, R, mods = X * Y, X.reciprocal(), X.moduli()
+    x, y = X.components(), Y.components()
     for i in range(3):
         for j in range(2):
-            x, y = X.entry(i, j), Y.entry(i, j)
-            assert P.entry(i, j).isclose(x * y, tol=1e-12)
-            assert R.entry(i, j).isclose(x.inverse(), tol=1e-12)
-            assert np.isclose(mods[i, j], abs(x), rtol=1e-14)
-    picked = X.pick([2, 0], 1)
-    assert picked.entry(0) == X.entry(2, 1)
-    assert picked.entry(1) == X.entry(0, 1)
-    assert [c.entry(0) for c in X.columns()] == [X.entry(0, 0), X.entry(0, 1)]
+            xij = x[i, j]
+            assert np.linalg.norm(P.components()[i, j]
+                                  - as_matrix(xij) @ y[i, j]) <= 1e-12
+            assert np.linalg.norm(R.components()[i, j] - hinv(xij)) <= 1e-12
+            assert np.isclose(mods[i, j], np.linalg.norm(xij), rtol=1e-14)
+    picked = X.pick([2, 0], 1).components()
+    assert np.array_equal(picked, x[[2, 0], 1])
+    assert np.array_equal([c.components()[0] for c in X.columns()],
+                          x[0])
+    assert X.pick(2, 1).shape == ()
+    assert np.array_equal(X.pick(2, 1).conj().components(),
+                          x[2, 1] * [1, -1, -1, -1])

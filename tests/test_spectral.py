@@ -6,8 +6,7 @@ from loxpairs.errors import (NotIsometry, NotLoxodromic, PalindromeViolation,
 from loxpairs.generate import random_loxodromic
 from loxpairs.hermitian import HermitianSpace
 from loxpairs.qmatrix import QArray, conjugate_by
-from loxpairs.quat import Quaternion
-from loxpairs.spectral import (apply_j, classify_element, eigen_frame,
+from loxpairs.spectral import (classify_element, eigen_frame,
                                element_conjugator, projective_points,
                                projective_points_equal, real_char_poly,
                                real_trace)
@@ -108,8 +107,8 @@ def test_eigen_frame_rebuild(qspace, rng):
 def test_frame_normalization(qspace, rng):
     A = random_loxodromic(qspace, rng)
     f = eigen_frame(qspace, A)
-    assert qspace.inner(f.attracting, f.repelling).isclose(
-        Quaternion(1, 0, 0, 0), tol=1e-9)
+    assert (qspace.inner(f.attracting, f.repelling)
+            - QArray(1.0)).moduli() <= 1e-9
     for x in f.positives:
         assert np.isclose(qspace.norm_sq(x), 1.0, atol=1e-9)
     assert qspace.is_isometry(f.frame_matrix(), tol=1e-7)
@@ -160,14 +159,6 @@ def test_projective_points_match_per_vector_rule(qspace, rng):
         assert np.max(np.abs(p - one(v))) <= 1e-15
 
 
-def test_apply_j_is_projective_involution(rng):
-    p = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    p = p / np.linalg.norm(p)
-    p = p / (p[np.argmax(np.abs(p))] / np.abs(p[np.argmax(np.abs(p))]))
-    q = apply_j(apply_j(p))
-    assert np.linalg.norm(q - p) < 1e-12
-
-
 def test_element_conjugator(qspace, rng):
     A = random_loxodromic(qspace, rng)
     C = qspace.random_isometry(rng)
@@ -205,7 +196,7 @@ def test_eigen_frame_large_conjugator_n5(rng):
     gate = RESIDUAL_TOL * (1 + A2.max_abs())
     for v, lam in zip([f.attracting, *f.positives, f.repelling],
                       f.eigenvalues):
-        resid = (A2 @ v - v.rmul(Quaternion.from_complex(lam))).norm()
+        resid = (A2 @ v - v * QArray(lam)).norm()
         assert resid <= gate * v.norm()
     assert (f.rebuild() - A2).max_abs() <= gate
 
@@ -222,12 +213,37 @@ def test_eigen_frame_non_complex_pairing_is_typed(qspace, rng, monkeypatch):
         pairs = original(space, A)
         k = int(np.argmax([abs(lam) for _, lam in pairs]))
         v, lam = pairs[k]
-        pairs[k] = (v.rmul(Quaternion(0, 0, 1, 0)), lam)
+        pairs[k] = (v * QArray(0.0, 1.0), lam)
         return pairs
 
     monkeypatch.setattr(spectral, "_eigenpairs", skewed)
     with pytest.raises(DegenerateSpectrum):
         eigen_frame(qspace, A)
+
+
+@pytest.mark.parametrize("tilt, raises", [(1e-9, False), (1e-5, True)])
+def test_eigen_frame_pairing_gate(qspace, rng, monkeypatch, tilt, raises):
+    # the repelling eigenvector turned by the unit cos t + j sin t gives
+    # <a, rv> a j part |<a, rv>| sin t; the gate is 1e-7 (1 + |<a, rv>|)
+    import loxpairs.spectral as spectral
+    from loxpairs.errors import DegenerateSpectrum
+    A = random_loxodromic(qspace, rng)
+    original = spectral._eigenpairs
+    unit = QArray(np.cos(tilt), np.sin(tilt))
+
+    def tilted(space, A):
+        pairs = original(space, A)
+        k = int(np.argmax([abs(lam) for _, lam in pairs]))
+        pairs[k] = (pairs[k][0] * unit, pairs[k][1])
+        return pairs
+
+    monkeypatch.setattr(spectral, "_eigenpairs", tilted)
+    if raises:
+        with pytest.raises(DegenerateSpectrum, match="j part"):
+            eigen_frame(qspace, A)
+    else:
+        f = eigen_frame(qspace, A)
+        assert (f.rebuild() - A).max_abs() < 1e-8 * (1 + A.max_abs())
 
 
 def _xp_residual(M, V, lams):
