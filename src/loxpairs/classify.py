@@ -1,11 +1,13 @@
 """Constructive conjugacy testing.
 
 Two weakly non-singular pairs are conjugate exactly when their real
-traces agree, the Sp(1) orbits of their normalized Gram matrices agree,
-and the conjugator reconstructed from the matched Gram data carries the
-first pair onto the second.  The reconstruction C = P' P^{-1} uses a
-spanning sub-collection of the associated lifts; its correctness is
-always verified directly rather than assumed.
+traces agree, their invariant tuples lie in one Sp(1) orbit, and the
+conjugator reconstructed from the associated lifts carries the first
+pair onto the second.  The gauge is solved once: the unit mu that
+carries one invariant tuple onto the other also carries one normalized
+Gram matrix onto the other, so the reconstruction C = P' P^{-1} maps
+each lift p_i to p_i' mu, on a spanning sub-collection of the lifts.
+Its correctness is always verified directly rather than assumed.
 
 Also provides the congruence test for quadruples of boundary points and
 a numerical rank probe of the invariant map.
@@ -22,7 +24,7 @@ from .errors import (DegenerateInputError, NotNonsingular,
                      VerificationFailed)
 from .genericity import PairGenericityReport, _frame_gram, genericity_report
 from .gram import (AssociatedTuple, _normalize_quadruple, gram_matrix,
-                   gram_offdiagonal_entries, normalize_lifts)
+                   normalize_lifts)
 from .hermitian import HermitianSpace, gauge
 from .invariants import InvariantTuple, pair_invariants, sp1_orbit_equal
 from .qmatrix import QArray, conjugate_by, quaternionic_rank
@@ -33,13 +35,6 @@ ORBIT_TOL = 1e-8
 QUADRUPLE_TOL = 1e-7
 REFINE_SWEEPS = 3
 RANK_STEP = 1e-5
-
-
-def _gram_orbit_scalar(t: AssociatedTuple, t2: AssociatedTuple,
-                       tol: float) -> Optional[QArray]:
-    """Unit mu with mu*G*conj(mu) = G' entrywise, or None."""
-    return gauge(t.space.field, gram_offdiagonal_entries(gram_matrix(t)),
-                 gram_offdiagonal_entries(gram_matrix(t2)), tol)
 
 
 def _spanning_subset(lifts: List[QArray], size: int) -> List[int]:
@@ -74,23 +69,26 @@ def _verified_congruence(space: HermitianSpace, basis: List[QArray],
 
 
 def congruence_from_tuples(t: AssociatedTuple, t2: AssociatedTuple,
-                           tol: float = ORBIT_TOL) -> Optional[QArray]:
-    """Form-preserving C with C(p_i) = p_i' (mu-adjusted) for every lift.
+                           mu: QArray, tol: float = ORBIT_TOL) -> QArray:
+    """Form-preserving C with C(p_i) = p_i' mu for every lift, mu the
+    unit that carries the invariants of t onto those of t2.
 
-    Returns None when the Sp(1) orbits of the two normalized Gram
-    matrices differ.  When they match, C is reconstructed on a spanning
-    sub-collection, then checked as an isometry, on every lift, and
-    projectively on the two omitted vectors.
+    Both tuples must pass the gram_matrix pattern gate.  C is
+    reconstructed on a spanning sub-collection of the lifts, followed by
+    the two omitted positives, whose images are t2's own, not scaled by
+    mu: a positive eigenvector is fixed only up to a complex unit, which
+    does not move its eigenvalue.  C is then checked as an isometry, on
+    every lift, and projectively on the two omitted vectors.
     """
     space = t.space
-    mu = _gram_orbit_scalar(t, t2, tol)
-    if mu is None:
-        return None
-    targets = [p * mu for p in t2.lifts]
-    sel = _spanning_subset(t.lifts, space.n + 1)
-    C = _verified_congruence(space, [t.lifts[i] for i in sel],
+    for tup in (t, t2):
+        gram_matrix(tup)            # the pattern gate
+    sources = [*t.lifts, t.omitted_A, t.omitted_B]
+    targets = [p * mu for p in t2.lifts] + [t2.omitted_A, t2.omitted_B]
+    sel = _spanning_subset(sources, space.n + 1)
+    C = _verified_congruence(space, [sources[i] for i in sel],
                              [targets[i] for i in sel],
-                             zip(t.lifts, targets), tol)
+                             zip(t.lifts, targets[:len(t.lifts)]), tol)
     for om, om2 in zip((t.omitted_A, t.omitted_B),
                        (t2.omitted_A, t2.omitted_B)):
         if quaternionic_rank([C @ om, om2], tol=100 * tol) != 1:
@@ -196,10 +194,12 @@ def conjugacy_test(space: HermitianSpace, A: QArray, B: QArray,
     """Decide whether (A, B) and (A2, B2) are conjugate in the isometry
     group, producing the conjugator when they are.
 
-    Detection order: real traces, then the invariant-tuple orbit, then
-    reconstruction plus projective points.  Matching invariants with a
-    failed direct conjugation check raise VerificationFailed rather
-    than passing silently.
+    Detection order: real traces, then the invariant-tuple orbit, whose
+    unit mu (1 for the reduced list of complex strong mode) is the one
+    Sp(1) gauge of the test, then the reconstruction from the lifts
+    under mu, its Newton polish, and projective points.  Matching
+    invariants with a failed direct conjugation check raise
+    VerificationFailed rather than passing silently.
     """
     fa, fb = eigen_frame(space, A), eigen_frame(space, B)
     fa2, fb2 = eigen_frame(space, A2), eigen_frame(space, B2)
@@ -221,18 +221,18 @@ def conjugacy_test(space: HermitianSpace, A: QArray, B: QArray,
     i1 = pair_invariants(space, fa, fb, report=rep1, tuple_=t1)
     i2 = pair_invariants(space, fa2, fb2, report=rep2, tuple_=t2)
 
+    # the one Sp(1) gauge: the unit carrying i1 onto i2, which then
+    # carries the lifts of t1 onto those of t2
     if mode == "strong" and space.field == "complex":
-        matched = _reduced_match(i1, i2, tol)
+        mu = QArray(1.0) if _reduced_match(i1, i2, tol) else None
     else:
-        matched = sp1_orbit_equal(i1, i2, tol=tol) is not None \
-            and float(np.max(np.abs(i1.angular - i2.angular))) <= tol
-    if not matched:
+        mu = sp1_orbit_equal(i1, i2, tol=tol)
+        if not float(np.max(np.abs(i1.angular - i2.angular))) <= tol:
+            mu = None
+    if mu is None:
         return ConjugacyResult(False, None, "tuple", float("nan"))
 
-    C = congruence_from_tuples(t1, t2, tol=min(tol, ORBIT_TOL))
-    if C is None:
-        return ConjugacyResult(False, None, "tuple", float("nan"))
-
+    C = congruence_from_tuples(t1, t2, mu, tol=min(tol, ORBIT_TOL))
     C = _refine_conjugator(space, C, [(A, A2), (B, B2)])
     Ac, Bc = conjugate_by(C, A), conjugate_by(C, B)
     ptol = max(tol, 1e-7) * (1.0 + C.max_abs() ** 2)

@@ -21,13 +21,14 @@ boundary points for `classify.boundary_quadruple_congruence` and the
 quadruple (a_A, r_A, a_B, K r_C) of `twistbend.tilde_invariants`, and
 returns the Gram product of the normalized lifts with them.  Its scalars
 let `normalize_lifts` read every pairing from the one Gram product of
-both frames that `genericity_report` formed.
+both frames that `genericity_report` formed, and the Gram product of
+the whole tuple is that frame product rescaled by the scalars of its
+lifts, so no second product is formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import List, Optional
 
 import numpy as np
@@ -51,12 +52,13 @@ class AssociatedTuple:
     omitted_B: QArray            # p_{2n+2}
     matching_A: List[int]
     matching_B: List[int]
+    gram: QArray                 # <p_i, p_j> is entry (j, i)
 
-    @cached_property
-    def gram(self) -> QArray:
-        """The Gram product of the lifts, formed once for every reader:
-        <p_i, p_j> is its entry (j, i)."""
-        return self.space.gram(self.lifts)
+
+def _rescaled_gram(K: QArray, s: QArray) -> QArray:
+    """The Gram product of the lifts z_k s_k from K, the Gram product of
+    the zs: conj(s_i) K_ij s_j."""
+    return s.conj().pick(slice(None), None) * K * s
 
 
 def _unit_pairing(g: QArray, anchor_norm, norms) -> QArray:
@@ -100,7 +102,7 @@ def _normalize_quadruple(space: HermitianSpace, zs: List[QArray],
     u = _unit_pairing(g, norms[0] * c.moduli(), norms[1:])
     t = float(np.sqrt(g23 / (g.moduli()[0] * g.moduli()[1])))
     s = QArray(np.append(c.a * t, u.a / t), np.append(c.b * t, u.b / t))
-    return (Z * s).columns(), s, s.conj().pick(slice(None), None) * K * s
+    return (Z * s).columns(), s, _rescaled_gram(K, s)
 
 
 def normalize_lifts(space: HermitianSpace, fa: LoxodromicFrame,
@@ -112,9 +114,11 @@ def normalize_lifts(space: HermitianSpace, fa: LoxodromicFrame,
     The fixed-point lifts (a_A, r_A, a_B, r_B) go through
     _normalize_quadruple with the given anchor; the matched positive
     eigenvectors are then rescaled to pair to 1 with p3 (A's) and p1
-    (B's).  Every pairing comes from one Gram product of both frames,
-    with <p_k, x> = <z_k, x> s_k for the quadruple's scalars s.  That
-    product is the report's, which must be the report of these frames.
+    (B's).  Every pairing comes from one Gram product K of both frames,
+    with <p_k, x> = <z_k, x> s_k for the quadruple's scalars s, and so
+    does the tuple's own Gram product, conj(S_i) K_ij S_j for the
+    scalars S of all 2n lifts.  K is the report's, which must be the
+    report of these frames.
     """
     if report is None:
         report = genericity_report(space, fa, fb)
@@ -125,7 +129,7 @@ def normalize_lifts(space: HermitianSpace, fa: LoxodromicFrame,
     n = space.n
     K, V, norms = report.frame_gram
     quad = np.array([0, 1, n + 1, n + 2])
-    (p1, p2, p3, p4), s, _ = _normalize_quadruple(
+    _, s, _ = _normalize_quadruple(
         space, [fa.attracting, fa.repelling, fb.attracting, fb.repelling],
         anchor, K.pick(*np.ix_(quad, quad)))
     idx = np.array([2 + j for j in report.matching_A]
@@ -133,12 +137,14 @@ def normalize_lifts(space: HermitianSpace, fa: LoxodromicFrame,
     slot = np.repeat([2, 0], n - 2)                 # anchors p3 and p1
     g = K.pick(idx, quad[slot]) * s.pick(slot)      # <p_slot, x>
     c = _unit_pairing(g, norms[quad[slot]] * s.moduli()[slot], norms[idx])
-    omit_a = fa.positives[report.omitted_A]
-    omit_b = fb.positives[report.omitted_B]
-    return AssociatedTuple(space, [p1, p2, p3, p4,
-                                   *(V.pick(slice(None), idx) * c).columns()],
-                           omit_a, omit_b,
-                           list(report.matching_A), list(report.matching_B))
+    # p_k = v_k S_k for the frame vectors v at cols
+    cols = np.append(quad, idx)
+    S = QArray(np.append(s.a, c.a), np.append(s.b, c.b))
+    return AssociatedTuple(space, (V.pick(slice(None), cols) * S).columns(),
+                           fa.positives[report.omitted_A],
+                           fb.positives[report.omitted_B],
+                           list(report.matching_A), list(report.matching_B),
+                           _rescaled_gram(K.pick(*np.ix_(cols, cols)), S))
 
 
 def gram_matrix(t: AssociatedTuple) -> QArray:
@@ -171,14 +177,3 @@ def gram_matrix(t: AssociatedTuple) -> QArray:
         if mods[i, j] <= tol:
             raise PatternViolation(f"g[{i + 1},{j + 1}] vanishes")
     return G
-
-
-def gram_offdiagonal_entries(G: QArray) -> QArray:
-    """The non-trivially-fixed entries, in a deterministic order, for
-    Sp(1)-orbit comparison of two normalized Gram matrices."""
-    m = G.shape[0]
-    apos, bpos = range(4, m // 2 + 2), range(m // 2 + 2, m)
-    ij = [(1, 2), (1, 3), (2, 3)] + [(3, j) for j in apos]
-    ij += [(1, k) for k in bpos] + [(j, k) for j in apos for k in bpos]
-    ij += [(j, j) for j in range(4, m)]
-    return G.pick(*np.array(ij).T)

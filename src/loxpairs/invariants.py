@@ -4,7 +4,10 @@ and the Sp(1)-orbit comparison of invariant tuples.
 
 Quaternion-valued invariants are computed on the normalized lifts, so
 they are well-defined numbers; conjugating the pair moves them all by a
-single unit-quaternion similarity.
+single unit-quaternion similarity, the one that moves every entry of the
+normalized Gram matrix.  The unit `sp1_orbit_equal` finds is therefore
+the gauge under which `classify.conjugacy_test` reconstructs the
+conjugator from the lifts.
 Each invariant is a word in pairings (CROSS, TRIPLE) that `_words`
 evaluates entrywise over index rows of one Gram product.
 """
@@ -143,7 +146,8 @@ def pair_invariants(space: HermitianSpace, fa: LoxodromicFrame,
 def sp1_orbit_equal(t1: InvariantTuple, t2: InvariantTuple,
                     tol: float = 1e-8) -> Optional[QArray]:
     """Unit mu conjugating every quaternion entry of t1 onto t2, or None
-    (mu = 1 in complex mode, see hermitian.gauge)."""
+    (mu = 1 in complex mode, see hermitian.gauge).  The same mu carries
+    the normalized Gram matrix of t1's pair onto that of t2's."""
     if t1.entries.shape != t2.entries.shape:
         return None
     return gauge(t1.field_tag, t1.entries, t2.entries, tol)

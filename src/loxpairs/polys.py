@@ -116,11 +116,6 @@ def cluster_roots(coeffs: np.ndarray, roots: np.ndarray):
     return np.asarray(centers), np.asarray(mults, dtype=int)
 
 
-def roots_with_multiplicity(coeffs: np.ndarray):
-    roots = aberth_roots(coeffs)
-    return cluster_roots(coeffs, roots)
-
-
 def sylvester_matrix(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     p = np.trim_zeros(np.asarray(p, dtype=float), "f")
     q = np.trim_zeros(np.asarray(q, dtype=float), "f")

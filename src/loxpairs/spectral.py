@@ -64,11 +64,6 @@ def real_char_poly(space: HermitianSpace, A: QArray,
     return coeffs
 
 
-def real_trace(space: HermitianSpace, A: QArray) -> np.ndarray:
-    """The conjugation invariants (a_1, ..., a_{n+1})."""
-    return real_char_poly(space, A)[1:space.n + 2]
-
-
 @dataclass
 class ElementClass:
     is_loxodromic: bool

@@ -14,7 +14,7 @@ from loxpairs.classify import (boundary_quadruple_congruence, conjugacy_test,
                                invariant_map_rank)
 from loxpairs.generate import generate_pair
 from loxpairs.genericity import genericity_report
-from loxpairs.gram import gram_matrix, gram_offdiagonal_entries, normalize_lifts
+from loxpairs.gram import gram_matrix, normalize_lifts
 from loxpairs.hermitian import HermitianSpace
 from loxpairs.invariants import pair_invariants, sp1_orbit_equal
 from loxpairs.qmatrix import QArray, conjugate_by, quaternionic_rank
@@ -27,6 +27,17 @@ from loxpairs.twistbend import (TwistBendParams, identity_params,
 
 QSPACE = HermitianSpace(3, "quaternion")
 CSPACE = HermitianSpace(3, "complex")
+
+
+def gram_offdiagonal_entries(G: QArray) -> QArray:
+    """The non-trivially-fixed entries, in a deterministic order, for
+    Sp(1)-orbit comparison of two normalized Gram matrices."""
+    m = G.shape[0]
+    apos, bpos = range(4, m // 2 + 2), range(m // 2 + 2, m)
+    ij = [(1, 2), (1, 3), (2, 3)] + [(3, j) for j in apos]
+    ij += [(1, k) for k in bpos] + [(j, k) for j in apos for k in bpos]
+    ij += [(j, j) for j in range(4, m)]
+    return G.pick(*np.array(ij).T)
 
 
 def _report(num: int, ok: bool, desc: str):

@@ -92,6 +92,25 @@ def test_strong_mode_requires_nonsingular(space):
         conjugacy_test(space, A, B, A, B, mode="strong")
 
 
+def test_weak_mode_decides_pair_preserving_a_plane(space, rng):
+    # every lift of the pair of test_strong_mode_requires_nonsingular
+    # lies in e_3-perp; the omitted positive e_3 completes the basis
+    A, B = (_fix_e3(X, 1.7) for X in generate_pair(
+        HermitianSpace(2, space.field), seed=3, mode="weak"))
+    images = [(A, B)]
+    for _ in range(3):
+        C = space.random_isometry(rng)
+        images.append((conjugate_by(C, A), conjugate_by(C, B)))
+    for A2, B2 in images:
+        res = conjugacy_test(space, A, B, A2, B2)
+        assert res.conjugate and res.stage == "verified"
+        D = res.conjugator
+        assert (conjugate_by(D, A) - A2).max_abs() \
+            <= 1e-7 * (1.0 + A2.max_abs())
+        assert (conjugate_by(D, B) - B2).max_abs() \
+            <= 1e-7 * (1.0 + B2.max_abs())
+
+
 def test_quadruple_congruence(space, rng):
     for _ in range(5):
         zs = [_null_lift(space, rng) for _ in range(4)]
@@ -179,7 +198,7 @@ def test_congruence_from_tuples_identity(qspace):
     fa, fb = eigen_frame(qspace, A), eigen_frame(qspace, B)
     rep = genericity_report(qspace, fa, fb)
     t = normalize_lifts(qspace, fa, fb, rep)
-    C = congruence_from_tuples(t, t)
+    C = congruence_from_tuples(t, t, QArray(1.0))
     assert C is not None
     assert (C - QArray.eye(qspace.dim)).max_abs() < 1e-7
 
@@ -245,7 +264,7 @@ def test_linearization_has_no_zero_row(field):
     assert np.all(np.max(np.abs(lin), axis=1) > 0)
 
 
-def test_conjugacy_test_forms_one_gram_per_tuple(space, rng, monkeypatch):
+def test_conjugacy_test_forms_one_gram_per_pair(space, rng, monkeypatch):
     A, B = generate_pair(space, seed=31, mode="strong")
     C = space.random_isometry(rng)
     calls = []
@@ -259,9 +278,46 @@ def test_conjugacy_test_forms_one_gram_per_tuple(space, rng, monkeypatch):
     res = conjugacy_test(space, A, B, conjugate_by(C, A), conjugate_by(C, B))
     assert res.conjugate
     # one product of both frames (2n + 2 vectors) for each of the two
-    # genericity reports, which the lift normalizations read, then one
-    # of each associated tuple of 2n lifts
-    assert calls == [2 * space.n + 2] * 2 + [2 * space.n] * 2
+    # genericity reports; the lift normalizations and the associated
+    # tuples read every pairing from it
+    assert calls == [2 * space.n + 2] * 2
+
+
+def test_conjugacy_test_solves_one_sp1_gauge(qspace, rng, monkeypatch):
+    # the unit that matches the invariants drives the reconstruction; no
+    # second alignment runs on the Gram entries
+    import loxpairs.hermitian as hermitian
+    A, B = generate_pair(qspace, seed=31, mode="strong")
+    C = qspace.random_isometry(rng)
+    calls = []
+    align = hermitian.align_sp1
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return align(*args, **kwargs)
+
+    monkeypatch.setattr(hermitian, "align_sp1", counting)
+    res = conjugacy_test(qspace, A, B, conjugate_by(C, A),
+                         conjugate_by(C, B))
+    assert res.conjugate and res.stage == "verified"
+    assert len(calls) == 1
+
+
+def test_conjugacy_test_ill_conditioned_quaternion_conjugate(qspace):
+    # conjugate by Q^2: under the invariants' unit the normalized Gram
+    # entries of the two tuples agree to 5e-8 only, outside a 1e-8 gauge
+    # on the Gram entries, which rejected this pair at "tuple"
+    A, B = generate_pair(qspace, seed=271)
+    Q = qspace.random_isometry(np.random.default_rng(271))
+    C = Q @ Q
+    A2, B2 = conjugate_by(C, A), conjugate_by(C, B)
+    res = conjugacy_test(qspace, A, B, A2, B2)
+    assert res.conjugate and res.stage == "verified"
+    D = res.conjugator
+    resid = max((conjugate_by(D, A) - A2).max_abs(),
+                (conjugate_by(D, B) - B2).max_abs())
+    assert resid == res.residual
+    assert resid <= 1e-7 * (1.0 + max(A2.max_abs(), B2.max_abs()))
 
 
 def test_conjugacy_test_forms_one_frame_gram_per_pair(space, rng,

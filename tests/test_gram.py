@@ -4,11 +4,11 @@ import pytest
 from conftest import hconj, hmul, hunit
 from loxpairs.generate import generate_pair
 from loxpairs.genericity import genericity_report
-from loxpairs.gram import (AssociatedTuple, gram_matrix,
-                           gram_offdiagonal_entries, normalize_lifts)
+from loxpairs.gram import gram_matrix, normalize_lifts
 from loxpairs.qmatrix import QArray
 from loxpairs.quat import align_sp1
 from loxpairs.spectral import LoxodromicFrame, eigen_frame
+from test_acceptance import gram_offdiagonal_entries
 
 
 def _tuple_for(space, seed, anchor="standard"):

@@ -6,7 +6,7 @@ import pytest
 from loxpairs.errors import NoConvergence
 from loxpairs.polys import (aberth_roots, cluster_roots, discriminant,
                             faddeev_leverrier, polyval_with_derivatives,
-                            resultant, roots_with_multiplicity)
+                            resultant)
 
 
 def test_faddeev_leverrier_matches_numpy(rng):
@@ -44,7 +44,7 @@ def test_aberth_wide_modulus_range():
 def test_cluster_roots_merges_double_root():
     roots = np.array([2.0, 2.0, -1.0, 1j])
     coeffs = np.poly(roots)
-    centers, mults = roots_with_multiplicity(coeffs)
+    centers, mults = cluster_roots(coeffs, aberth_roots(coeffs))
     pairs = sorted(zip(mults, centers), key=lambda t: -t[0])
     assert pairs[0][0] == 2
     assert abs(pairs[0][1] - 2.0) < 1e-6
@@ -60,7 +60,7 @@ def test_palindromic_roots_stay_simple(r):
     roots = np.array([r * np.exp(1j * th), np.exp(1j * th) / r,
                       np.exp(1j * p1), np.exp(1j * p2)])
     coeffs = np.real(np.poly(np.concatenate([roots, np.conj(roots)])))
-    _, mults = roots_with_multiplicity(coeffs)
+    _, mults = cluster_roots(coeffs, aberth_roots(coeffs))
     assert list(mults) == [1] * 8
 
 
@@ -74,7 +74,7 @@ def test_aberth_rejects_nonfinite_coefficients(coeffs):
         with pytest.raises(NoConvergence):
             aberth_roots(np.array(coeffs))
         with pytest.raises(NoConvergence):
-            roots_with_multiplicity(np.array(coeffs))
+            cluster_roots(np.array(coeffs), aberth_roots(np.array(coeffs)))
 
 
 def test_resultant_vanishes_on_shared_root():
