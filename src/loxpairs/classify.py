@@ -201,8 +201,7 @@ def conjugacy_test(space: HermitianSpace, A: QArray, B: QArray,
     invariants with a failed direct conjugation check raise
     VerificationFailed rather than passing silently.
     """
-    fa, fb = eigen_frame(space, A), eigen_frame(space, B)
-    fa2, fb2 = eigen_frame(space, A2), eigen_frame(space, B2)
+    fa, fb, fa2, fb2 = eigen_frame(space, QArray.stack([A, B, A2, B2]))
 
     tr_resid = max(
         float(np.max(np.abs(fa.real_trace - fa2.real_trace))),
@@ -328,7 +327,7 @@ def _invariant_vector(space: HermitianSpace, A: QArray, B: QArray,
                       report: PairGenericityReport) -> np.ndarray:
     """The invariants of (A, B) as one real vector, under the matching
     of report, the report of the unperturbed pair."""
-    fa, fb = eigen_frame(space, A), eigen_frame(space, B)
+    fa, fb = eigen_frame(space, QArray.stack([A, B]))
     report = replace(report, frame_gram=_frame_gram(space, fa, fb))
     iv = pair_invariants(space, fa, fb, report=report)
     parts = [iv.real_trace_A, iv.real_trace_B, iv.angular,
@@ -347,7 +346,7 @@ def invariant_map_rank(space: HermitianSpace, A: QArray,
     h = RANK_STEP
     basis = _isometry_algebra_basis(space)
     d = len(basis)
-    fa, fb = eigen_frame(space, A), eigen_frame(space, B)
+    fa, fb = eigen_frame(space, QArray.stack([A, B]))
     rep = genericity_report(space, fa, fb)
 
     cols = []

@@ -16,6 +16,7 @@ from .errors import DegenerateInputError, LoxpairsError, VerificationFailed
 from .generate import generate_pair
 from .hermitian import HermitianSpace
 from .invariants import pair_invariants
+from .qmatrix import QArray
 from .spectral import classify_element, eigen_frame
 from .twistbend import (PantsGroup, assemble_surface_representation,
                         tilde_invariants, twist_bend_element)
@@ -74,7 +75,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_invariants(args) -> int:
     space, A, B = sz.pair_from_json(_read_json(args.infile[0]))
-    fa, fb = eigen_frame(space, A), eigen_frame(space, B)
+    fa, fb = eigen_frame(space, QArray.stack([A, B]))
     t = pair_invariants(space, fa, fb)
     payload = sz.invariant_tuple_to_json(t)
     sz.validate_against_schema(payload, "invariant_tuple")
@@ -90,11 +91,13 @@ def _cmd_conjugacy_test(args) -> int:
     if (space.n, space.field) != (space2.n, space2.field):
         raise DegenerateInputError("pair files live in different spaces")
     res = conjugacy_test(space, A, B, A2, B2, mode=args.mode, tol=args.tol)
+    # a rejection carries no residual (NaN), and NaN is not JSON
     _emit(args, {"conjugate": res.conjugate,
                  "conjugator": (None if res.conjugator is None
                                 else sz.matrix_to_json(res.conjugator)),
                  "stage": res.stage,
-                 "residual": res.residual})
+                 "residual": (res.residual if np.isfinite(res.residual)
+                              else None)})
     return 0
 
 
@@ -103,8 +106,14 @@ def _cmd_twist_bend(args) -> int:
     kappa_obj = _read_json(args.infile[1])
     sz.validate_against_schema(kappa_obj, "kappa")
     kappa = sz.kappa_from_json(kappa_obj)
-    fa, fb = eigen_frame(space, A), eigen_frame(space, B)
-    fc = eigen_frame(space, (A @ B).inverse())
+    try:
+        C = (A @ B).inverse()
+    except DegenerateInputError:
+        # only a failing A or B has a singular product, and their
+        # frames come first
+        eigen_frame(space, QArray.stack([A, B]))
+        raise
+    fa, fb, fc = eigen_frame(space, QArray.stack([A, B, C]))
     K = twist_bend_element(kappa, fa)
     x1, x2, x3, a1, a3 = tilde_invariants(space, K, fa, fb, fc)
     _emit(args, {"K": sz.matrix_to_json(K),

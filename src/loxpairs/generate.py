@@ -71,8 +71,8 @@ def generate_pair(space: HermitianSpace, seed: Optional[int] = None,
     for _ in range(MAX_TRIES):
         A = random_loxodromic(space, rng)
         B = random_loxodromic(space, rng)
-        rep = genericity_report(space, eigen_frame(space, A),
-                                eigen_frame(space, B))
+        rep = genericity_report(space,
+                                *eigen_frame(space, QArray.stack([A, B])))
         if mode == "strong" and not rep.nonsingular:
             continue
         if rep.weakly_nonsingular:

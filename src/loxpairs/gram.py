@@ -15,15 +15,16 @@ positively proportional to the standard lift of a_A.  The resulting
 Gram matrix is unique up to conjugating every entry by one unit
 quaternion.
 
-The rule for the first four lifts, `_normalize_quadruple`, is the one
-lift normalization of the package: it also normalizes quadruples of
-boundary points for `classify.boundary_quadruple_congruence` and the
-quadruple (a_A, r_A, a_B, K r_C) of `twistbend.tilde_invariants`, and
-returns the Gram product of the normalized lifts with them.  Its scalars
-let `normalize_lifts` read every pairing from the one Gram product of
-both frames that `genericity_report` formed, and the Gram product of
-the whole tuple is that frame product rescaled by the scalars of its
-lifts, so no second product is formed.
+The rule for the first four lifts, `_quadruple_scalars`, is the one
+lift normalization of the package.  `_normalize_quadruple` applies it
+to quadruples of boundary points for
+`classify.boundary_quadruple_congruence` and to the quadruple
+(a_A, r_A, a_B, K r_C) of `twistbend.tilde_invariants`, and returns the
+rescaled lifts and their Gram product.  `normalize_lifts` takes only
+the scalars, from the one Gram product of both frames and the norms
+that `genericity_report` formed, and the Gram product of the whole
+tuple is that frame product rescaled by the scalars of its lifts, so no
+second product is formed.
 """
 
 from __future__ import annotations
@@ -72,26 +73,19 @@ def _unit_pairing(g: QArray, anchor_norm, norms) -> QArray:
     return g.scale(mods ** -2.0)
 
 
-def _normalize_quadruple(space: HermitianSpace, zs: List[QArray],
-                         anchor: str = "standard",
-                         K: Optional[QArray] = None):
-    """Rescale lifts (z1, z2, z3, z4) to (p1, p2, p3, p4) with
-    <p1,p2> = <p1,p3> = <p1,p4> = 1 = |<p2,p3>|, and return them with
-    the right scalars s (a QArray of four entries), p_k = z_k s_k, and
-    the Gram product of the ps, conj(s_i) K_ij s_j.
+def _quadruple_scalars(space: HermitianSpace, K: QArray, norms: np.ndarray,
+                       z1: QArray, anchor: str = "standard") -> QArray:
+    """The right scalars s (a QArray of four entries) that rescale lifts
+    (z1, z2, z3, z4) to p_k = z_k s_k with
+    <p1,p2> = <p1,p3> = <p1,p4> = 1 = |<p2,p3>|.
 
-    Every pairing is read from K, the Gram product of zs, formed here
-    when the caller does not have it.  anchor="standard" takes p1
+    Every pairing is read from K, the Gram product of the zs, and the
+    gates scale with their norms.  anchor="standard" takes p1
     positively proportional to the standard lift of z1; anchor="none"
     keeps the direction of z1 (used to exhibit the global-unit gauge
     freedom).
     """
-    if K is None:
-        K = space.gram(zs)
-    Z = QArray.from_columns(zs)
-    norms = np.linalg.norm(Z.moduli(), axis=0)
-    c = space.standard_scalar(zs[0]) if anchor == "standard" \
-        else QArray(1.0)
+    c = space.standard_scalar(z1) if anchor == "standard" else QArray(1.0)
     g23 = K.pick(1, 2).moduli()
     if g23 <= INNER_TOL * norms[2] * norms[1]:
         raise NormalizationImpossible(
@@ -101,7 +95,17 @@ def _normalize_quadruple(space: HermitianSpace, zs: List[QArray],
     g = K.pick([1, 2, 3], 0) * c
     u = _unit_pairing(g, norms[0] * c.moduli(), norms[1:])
     t = float(np.sqrt(g23 / (g.moduli()[0] * g.moduli()[1])))
-    s = QArray(np.append(c.a * t, u.a / t), np.append(c.b * t, u.b / t))
+    return QArray(np.append(c.a * t, u.a / t), np.append(c.b * t, u.b / t))
+
+
+def _normalize_quadruple(space: HermitianSpace, zs: List[QArray]):
+    """The lifts (z1, z2, z3, z4) rescaled by _quadruple_scalars (the
+    standard anchor) to (p1, p2, p3, p4), with the scalars s and the
+    Gram product of the ps, conj(s_i) K_ij s_j for K that of the zs."""
+    K = space.gram(zs)
+    Z = QArray.from_columns(zs)
+    s = _quadruple_scalars(space, K, np.linalg.norm(Z.moduli(), axis=0),
+                           zs[0])
     return (Z * s).columns(), s, _rescaled_gram(K, s)
 
 
@@ -111,8 +115,8 @@ def normalize_lifts(space: HermitianSpace, fa: LoxodromicFrame,
                     anchor: str = "standard") -> AssociatedTuple:
     """Build the normalized associated tuple of a weakly non-singular pair.
 
-    The fixed-point lifts (a_A, r_A, a_B, r_B) go through
-    _normalize_quadruple with the given anchor; the matched positive
+    The fixed-point lifts (a_A, r_A, a_B, r_B) take the scalars s of
+    _quadruple_scalars with the given anchor; the matched positive
     eigenvectors are then rescaled to pair to 1 with p3 (A's) and p1
     (B's).  Every pairing comes from one Gram product K of both frames,
     with <p_k, x> = <z_k, x> s_k for the quadruple's scalars s, and so
@@ -129,9 +133,8 @@ def normalize_lifts(space: HermitianSpace, fa: LoxodromicFrame,
     n = space.n
     K, V, norms = report.frame_gram
     quad = np.array([0, 1, n + 1, n + 2])
-    _, s, _ = _normalize_quadruple(
-        space, [fa.attracting, fa.repelling, fb.attracting, fb.repelling],
-        anchor, K.pick(*np.ix_(quad, quad)))
+    s = _quadruple_scalars(space, K.pick(*np.ix_(quad, quad)), norms[quad],
+                           fa.attracting, anchor)
     idx = np.array([2 + j for j in report.matching_A]
                    + [n + 3 + k for k in report.matching_B], dtype=int)
     slot = np.repeat([2, 0], n - 2)                 # anchors p3 and p1

@@ -18,16 +18,18 @@ ABERTH_TOL = 1e-13
 
 
 def faddeev_leverrier(M: np.ndarray) -> np.ndarray:
-    """Coefficients [1, c1, ..., cm] of det(xI - M) via trace recursion."""
-    m = M.shape[0]
-    coeffs = np.empty(m + 1, dtype=complex)
-    coeffs[0] = 1.0
-    N = np.eye(m, dtype=complex)
+    """Coefficients [1, c1, ..., cm] of det(xI - M) via trace recursion;
+    for a stack of matrices, one row of coefficients per matrix."""
+    m = M.shape[-1]
+    coeffs = np.empty(M.shape[:-2] + (m + 1,), dtype=complex)
+    coeffs[..., 0] = 1.0
+    eye = np.eye(m, dtype=complex)
+    N = eye
     for k in range(1, m + 1):
         N = M @ N
-        c = -np.trace(N) / k
-        coeffs[k] = c
-        N = N + c * np.eye(m, dtype=complex)
+        c = -np.trace(N, axis1=-2, axis2=-1) / k
+        coeffs[..., k] = c
+        N = N + c[..., None, None] * eye
     return coeffs
 
 

@@ -47,6 +47,12 @@ class QArray:
                    np.stack([c.b for c in cols], axis=1))
 
     @classmethod
+    def stack(cls, arrays) -> "QArray":
+        """QArrays of one shape stacked along a new first axis."""
+        return cls(np.stack([q.a for q in arrays]),
+                   np.stack([q.b for q in arrays]))
+
+    @classmethod
     def from_components(cls, q) -> "QArray":
         """Inverse of components: entries from real (w, x, y, z) along
         the last axis."""

@@ -5,14 +5,28 @@ All eigen-computations go through the complex embedding of the matrix.
 Eigenvalue classes of a quaternionic matrix are labelled by their unique
 complex representative with non-negative imaginary part.
 
-An eigen-frame is built in two steps.  The class count and simplicity
-come from the characteristic polynomial: Faddeev-LeVerrier coefficients,
-their companion-matrix roots checked and polished by Aberth, and
-clustering within each root's Newton distance to a multiple root.  The
-eigenpairs come from one LAPACK eig of the balanced matrix, whose upper
-half-plane eigenvalues represent the classes, and are polished by one
-bordered-Newton step of mixed-precision refinement: the residual is
-formed in extended precision and the correction comes from LAPACK.
+`eigen_frame` takes one matrix or a stack (k, m, m) of them, and a
+single matrix runs as a stack of one.  Each numeric phase runs once on
+the whole stack:
+
+1. the complex forms (space.as_complex) and their Faddeev-LeVerrier
+   coefficients; per element, the class count and simplicity come from
+   the companion-matrix roots, checked and polished by Aberth, and
+   clustered within each root's Newton distance to a multiple root;
+2. one LAPACK eig of the balanced matrices, whose upper half-plane
+   eigenvalues represent the classes, one bordered-Newton step of
+   mixed-precision refinement for every pair (the residual is formed in
+   extended precision, the correction comes from one stacked LAPACK
+   solve), and the eigenpair residuals;
+3. per element, the spectral gates and the normalization of the lifts;
+4. the reconstructions F D F^-1 and cond(F) of every frame.
+
+A stack raises what the loop over its elements would raise.  An element
+drops out at its first failing gate, and so do the elements after it,
+which the loop would never reach; the call raises the failure of the
+first failing element.  A stack that meets a floating-point exception
+or a failure of a stacked kernel runs again one element at a time, so
+its warnings and numpy errors are those of the loop too.
 """
 
 from __future__ import annotations
@@ -108,11 +122,11 @@ def classify_element(space: HermitianSpace, A: QArray,
     return ElementClass(True, None, tr)
 
 
-def _balance_scaling(A: QArray) -> np.ndarray:
+def _balance_scaling(mag: np.ndarray) -> np.ndarray:
     """Diagonal scaling d with D^-1 A D of roughly balanced row/column
-    norms; the eigenvector error floor is eps * ||A||, so conjugates
-    with large entries need this before the eigensolver."""
-    mag = np.abs(A.a) + np.abs(A.b)
+    norms, from the entry moduli mag = |a| + |b| of A; the eigenvector
+    error floor is eps * ||A||, so conjugates with large entries need
+    this before the eigensolver."""
     if mag.max() <= 100.0:
         # moderate entries gain nothing, and rescaling perturbs the
         # accuracy profile of well-scaled frames
@@ -124,58 +138,65 @@ def _balance_scaling(A: QArray) -> np.ndarray:
 
 def _polish_eigenpairs(M: np.ndarray, V: np.ndarray, lams: np.ndarray):
     """One bordered-Newton correction of every eigenpair (row V[i],
-    lams[i]) of M, by mixed-precision iterative refinement: the residual
-    lams V - V M^T is formed in extended precision, the correction comes
-    from one LAPACK solve of the stacked bordered systems in double, and
-    is added in extended precision before rounding.  It pushes the
-    eigenvector error below the eps * ||M|| floor that a double-precision
-    eigensolver hits on conjugates with large entries.  The pairs stay
-    as they are when a bordered system is singular."""
-    n = M.shape[0]
-    k = lams.size
-    J = np.zeros((k, n + 1, n + 1), dtype=complex)
-    J[:, :n, :n] = M - lams[:, None, None] * np.eye(n)
-    J[:, :n, n] = -V
-    J[:, n, :n] = np.conj(V)
+    lams[i]) of M, or of each M of a stack with its rows and values, by
+    mixed-precision iterative refinement: the residual lams V - V M^T
+    is formed in extended precision, the correction comes from one
+    LAPACK solve of the stacked bordered systems in double, and is
+    added in extended precision before rounding.  It pushes the
+    eigenvector error below the eps * ||M|| floor that a
+    double-precision eigensolver hits on conjugates with large entries.
+    The pairs of a matrix stay as they are when one of its bordered
+    systems is singular; the other matrices of a stack are still
+    polished."""
+    n = M.shape[-1]
+    J = np.zeros(lams.shape + (n + 1, n + 1), dtype=complex)
+    J[..., :n, :n] = M[..., None, :, :] - lams[..., None, None] * np.eye(n)
+    J[..., :n, n] = -V
+    J[..., n, :n] = np.conj(V)
     Vl = V.astype(np.clongdouble)
     L = lams.astype(np.clongdouble)
-    rhs = np.zeros((k, n + 1), dtype=complex)
-    rhs[:, :n] = L[:, None] * Vl - Vl @ M.astype(np.clongdouble).T
+    rhs = np.zeros(lams.shape + (n + 1, 1), dtype=complex)
+    rhs[..., :n, 0] = L[..., None] * Vl \
+        - Vl @ np.swapaxes(M.astype(np.clongdouble), -1, -2)
     try:
-        delta = np.linalg.solve(J, rhs[:, :, None])[:, :, 0]
+        delta = np.linalg.solve(J, rhs)[..., 0]
     except np.linalg.LinAlgError:
-        return V, lams
-    Vl = Vl + delta[:, :n]
-    Vl /= np.sqrt(np.sum(np.abs(Vl) ** 2, axis=1))[:, None]
-    return np.asarray(Vl, dtype=complex), np.asarray(L + delta[:, n],
+        if M.ndim == 2:
+            return V, lams
+        polished = [_polish_eigenpairs(*x) for x in zip(M, V, lams)]
+        return tuple(np.stack(x) for x in zip(*polished))
+    Vl = Vl + delta[..., :n]
+    Vl /= np.sqrt(np.sum(np.abs(Vl) ** 2, axis=-1))[..., None]
+    return np.asarray(Vl, dtype=complex), np.asarray(L + delta[..., n],
                                                      dtype=complex)
 
 
-def _eigenpairs(space: HermitianSpace, A: QArray):
-    """Quaternionic eigenvectors and polished eigenvalues, one per class.
+def _eigenpairs(space: HermitianSpace, A: QArray, Mfull: np.ndarray):
+    """Eigenvectors and polished eigenvalues, one per class, of every
+    matrix of the stack A, whose complex forms (space.as_complex) are
+    Mfull: rows W[e, i] in that complex form, values lams[e, i], and the
+    largest eigenpair residual of each matrix.
 
-    One LAPACK eig of the balanced complex matrix that stands for A
-    (space.as_complex) gives every eigenpair.  The embedding's spectrum
-    is closed under conjugation, so its upper half holds the Im >= 0
-    representative of every class.  One Newton step on an
-    extended-precision residual polishes these pairs.
+    One LAPACK eig of the balanced stack gives every eigenpair.  The
+    spectrum of the complex form is closed under conjugation, so its
+    upper half holds the Im >= 0 representative of every class.  One
+    Newton step on an extended-precision residual polishes these pairs.
     """
-    Mfull = space.as_complex(A)
-    d = _balance_scaling(A)
     # the embedding repeats every row of A, so its scaling repeats d
-    d = np.tile(d, Mfull.shape[0] // d.size)
-    M = Mfull * d[None, :] / d[:, None]
+    d = np.stack([np.tile(_balance_scaling(mag), Mfull.shape[-1] // space.dim)
+                  for mag in np.abs(A.a) + np.abs(A.b)])
+    M = Mfull * d[:, None, :] / d[:, :, None]
     evals, evecs = np.linalg.eig(M)
-    idx = np.argsort(-evals.imag)[:space.dim]
-    W, lams = _polish_eigenpairs(M, evecs[:, idx].T, evals[idx])
-    W = W * d
-    W /= np.linalg.norm(W, axis=1)[:, None]
+    idx = np.argsort(-evals.imag, axis=-1)[:, :space.dim]
+    W, lams = _polish_eigenpairs(
+        M, np.swapaxes(np.take_along_axis(evecs, idx[:, None, :], -1), -1, -2),
+        np.take_along_axis(evals, idx, -1))
+    W = W * d[:, None, :]
+    W /= np.linalg.norm(W, axis=-1)[..., None]
     # the embedding carries A v - v lam to Mfull w - lam w
-    resid = np.linalg.norm(W @ Mfull.T - lams[:, None] * W, axis=1)
-    gate = RESIDUAL_TOL * (1.0 + A.max_abs())
-    if np.max(resid) > gate:
-        raise DegenerateSpectrum(f"eigenvector residual {np.max(resid):.3e}")
-    return [(space.from_complex(w), lam) for w, lam in zip(W, lams)]
+    resid = np.linalg.norm(W @ np.swapaxes(Mfull, -1, -2)
+                           - lams[..., None] * W, axis=-1)
+    return W, lams, resid.max(axis=-1)
 
 
 @dataclass
@@ -236,25 +257,30 @@ class LoxodromicFrame:
         return C @ self.diagonal() @ C.inverse()
 
 
-def _class_representatives(space: HermitianSpace, A: QArray):
-    """Eigenvalue class representatives with multiplicities."""
-    coeffs = faddeev_leverrier(space.as_complex(A))
-    roots = aberth_roots(coeffs)
+def _simple_classes(space: HermitianSpace, chi: np.ndarray):
+    """Raise unless the characteristic polynomial chi of an element's
+    complex form has space.dim simple eigenvalue classes."""
+    roots = aberth_roots(chi)
     if space.field == "quaternion":
         # classes come in conjugate pairs; keep Im >= 0 representatives
         roots = roots[roots.imag >= -1e-12]
-    centers, mults = cluster_roots(coeffs, roots)
-    return centers, mults
-
-
-def eigen_frame(space: HermitianSpace, A: QArray) -> LoxodromicFrame:
-    """Spectral frame of a loxodromic isometry."""
-    tol = RADIUS_GUARD
-    centers, mults = _class_representatives(space, A)
-    if np.any(mults > 1) or centers.size != space.dim:
+    _, mults = cluster_roots(chi, roots)
+    if np.any(mults > 1) or mults.size != space.dim:
         raise DegenerateSpectrum("eigenvalue classes are not simple")
-    pairs = _eigenpairs(space, A)
-    centers = np.array([lam for _, lam in pairs])
+
+
+def _norms_sq(space: HermitianSpace, X: QArray) -> np.ndarray:
+    """<x, x> of every row x of X, by the arithmetic of space.inner."""
+    return np.real(np.sum(np.conj(X.a) * (X.a @ space.H), axis=-1)
+                   + np.sum(np.conj(X.b) * (X.b @ space.H), axis=-1))
+
+
+def _assemble(space: HermitianSpace, W: np.ndarray,
+              centers: np.ndarray) -> LoxodromicFrame:
+    """The frame of one element from its class eigenpairs (rows of W in
+    the complex form of space, eigenvalues centers): the spectral gates,
+    then the normalization of the lifts."""
+    tol = RADIUS_GUARD
     radii = np.abs(centers)
     # attracting fixed point carries the eigenvalue class of modulus r < 1
     i_att = int(np.argmin(radii))
@@ -278,9 +304,9 @@ def eigen_frame(space: HermitianSpace, A: QArray) -> LoxodromicFrame:
     theta = float(np.angle(lam_att))
     r = float(radii[i_att])
 
-    a = pairs[i_att][0]
-    rv = pairs[i_rep][0]
-    positives = [pairs[i][0] for i in unit_idx]
+    a = space.from_complex(W[i_att])
+    rv = space.from_complex(W[i_rep])
+    positives = [space.from_complex(W[i]) for i in unit_idx]
     phis = np.array([float(np.angle(centers[i])) for i in unit_idx])
 
     # only complex rescalings keep the eigenvalue representatives intact
@@ -289,20 +315,111 @@ def eigen_frame(space: HermitianSpace, A: QArray) -> LoxodromicFrame:
         raise DegenerateSpectrum(
             f"attracting/repelling pairing has j part {abs(g.b):.3e}")
     rv = rv * QArray(1.0 / np.conj(g.a))
-    for x in positives:
-        if space.norm_sq(x) <= 0:
-            raise DegenerateSpectrum("intermediate eigenvector is not positive")
-    positives = [x.scale(1.0 / np.sqrt(space.norm_sq(x))) for x in positives]
-    frame = LoxodromicFrame(r, theta, phis, a, rv, positives, space)
-    resid = (frame.rebuild() - A).max_abs()
+    nsq = _norms_sq(space, QArray.stack(positives))
+    if np.any(nsq <= 0):
+        raise DegenerateSpectrum("intermediate eigenvector is not positive")
+    positives = [x.scale(t) for x, t in zip(positives, 1.0 / np.sqrt(nsq))]
+    return LoxodromicFrame(r, theta, phis, a, rv, positives, space)
+
+
+def _passing(count: int, check, error):
+    """(i, its exception) for the first i < count at which check(i)
+    raises, else (count, error)."""
+    for i in range(count):
+        try:
+            check(i)
+        except Exception as exc:
+            return i, exc
+    return count, error
+
+
+def _frames(space: HermitianSpace, A: QArray):
+    """The frames of the stack A and the exception the serial loop over
+    its elements would raise, or None.
+
+    The live elements are always a prefix of the stack: an element that
+    fails a gate drops out with every element after it, and its
+    exception stands unless an earlier element fails a later gate.
+    """
+    Mfull = space.as_complex(A)
+    chi = faddeev_leverrier(Mfull)
+    end, error = _passing(A.shape[0],
+                          lambda i: _simple_classes(space, chi[i]), None)
+    if not end:
+        return [], error
+    A = A.pick(slice(end))
+    W, lams, resid = _eigenpairs(space, A, Mfull[:end])
+    # each gate scales with its own element
+    amax = A.moduli().max(axis=(-2, -1))
+    frames = []
+
+    def framed(i):
+        if resid[i] > RESIDUAL_TOL * (1.0 + amax[i]):
+            raise DegenerateSpectrum(f"eigenvector residual {resid[i]:.3e}")
+        frames.append(_assemble(space, W[i], lams[i]))
+
+    end, error = _passing(end, framed, error)
+    if not end:
+        return [], error
     # evaluation noise of F D F^-1 grows like eps * cond(F), so the gate
     # must not outpace what double precision can certify
-    kappa = np.linalg.cond(frame.frame_matrix().embed())
-    gate = (1.0 + A.max_abs()) * max(RESIDUAL_TOL,
-                                     20 * np.finfo(float).eps * kappa)
-    if resid > gate:
-        raise DegenerateSpectrum(f"frame reconstruction residual {resid:.3e}")
-    return frame
+    F = QArray.stack([f.frame_matrix() for f in frames])
+    D = QArray.zeros(F.shape)
+    diag = np.arange(space.dim)
+    D.a[:, diag, diag] = [f.eigenvalues for f in frames]
+    miss = (F @ D @ F.inverse() - A.pick(slice(end))).moduli().max(
+        axis=(-2, -1))
+    kappa = np.linalg.cond(F.embed())
+
+    def rebuilt(i):
+        gate = (1.0 + amax[i]) * max(RESIDUAL_TOL,
+                                     20 * np.finfo(float).eps * kappa[i])
+        if miss[i] > gate:
+            raise DegenerateSpectrum(
+                f"frame reconstruction residual {miss[i]:.3e}")
+
+    end, error = _passing(end, rebuilt, error)
+    return frames[:end], error
+
+
+def _frames_in_order(space: HermitianSpace, A: QArray):
+    """_frames on a stack of several elements, or on each element in
+    turn when the stack meets a floating-point exception or a failure of
+    a stacked kernel: no later element may warn or raise where the
+    serial loop would not have reached it."""
+    hits = []
+    modes = {kind: "call" for kind, mode in np.geterr().items()
+             if mode != "ignore"}
+    try:
+        with np.errstate(call=lambda *_: hits.append(1), **modes):
+            out = _frames(space, A)
+        if not hits:
+            return out
+    except Exception:
+        pass
+    frames = []
+    for i in range(A.shape[0]):
+        f, error = _frames(space, A.pick(slice(i, i + 1)))
+        if error is not None:
+            return [], error
+        frames += f
+    return frames, None
+
+
+def eigen_frame(space: HermitianSpace, A: QArray):
+    """Spectral frame of a loxodromic isometry, or the list of frames of
+    a stack A of shape (k, m, m).
+
+    A single matrix runs as a stack of one.  A stack raises what the
+    loop over its elements would: the first failing gate of the first
+    failing element.
+    """
+    stack = A if A.ndim == 3 else QArray(A.a[None], A.b[None])
+    run = _frames if stack.shape[0] == 1 else _frames_in_order
+    frames, error = run(space, stack)
+    if error is not None:
+        raise error
+    return frames if A.ndim == 3 else frames[0]
 
 
 def projective_points(V: QArray) -> np.ndarray:
@@ -331,8 +448,7 @@ def element_conjugator(space: HermitianSpace, X: QArray, Y: QArray) -> QArray:
     """A form-preserving S with S X S^{-1} = Y for loxodromics with the
     same eigenvalue data."""
     tol = CONJUGATOR_TOL
-    fx = eigen_frame(space, X)
-    fy = eigen_frame(space, Y)
+    fx, fy = eigen_frame(space, QArray.stack([X, Y]))
     if (abs(fx.radius - fy.radius) > tol or abs(fx.theta - fy.theta) > tol
             or np.max(np.abs(fx.phis - fy.phis), initial=0.0) > tol):
         raise DegenerateSpectrum("eigenvalue data of the two elements differ")

@@ -126,11 +126,20 @@ class PantsGroup:
 
     def __post_init__(self):
         if not self.frames:
-            for P in self.peripherals():
-                # the FL gate types pants whose frames would miss the relation
-                if not classify_element(self.space, P).is_loxodromic:
-                    raise NotLoxodromic("peripheral element is not loxodromic")
-                self.frames.append(eigen_frame(self.space, P))
+            Ps = self.peripherals()
+            for i, P in enumerate(Ps):
+                # the FL gate types pants whose frames would miss the
+                # relation; the frames of the peripherals before P
+                # come first, as in a loop of classify, then frame
+                try:
+                    if not classify_element(self.space, P).is_loxodromic:
+                        raise NotLoxodromic(
+                            "peripheral element is not loxodromic")
+                except Exception:
+                    if i:
+                        eigen_frame(self.space, QArray.stack(Ps[:i]))
+                    raise
+            self.frames = eigen_frame(self.space, QArray.stack(Ps))
 
     def peripherals(self) -> List[QArray]:
         return [self.A, self.B, (self.A @ self.B).inverse()]

@@ -92,6 +92,32 @@ def test_conjugacy_test_rejects(tmp_path, capsys):
     assert obj["conjugator"] is None
 
 
+def _no_constants(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
+def test_conjugacy_test_tuple_rejection_is_valid_json(tmp_path, capsys):
+    # same spectra, B conjugated alone: rejected at the tuple stage,
+    # which has no residual; the file must still be RFC 8259 JSON
+    from loxpairs.generate import generate_pair
+    from loxpairs.hermitian import HermitianSpace
+    space = HermitianSpace(3, "complex")
+    A, B = generate_pair(space, seed=1)
+    rng = np.random.default_rng(3)
+    C, Q = space.random_isometry(rng), space.random_isometry(rng)
+    p1, p2, outp = (tmp_path / name for name in ("p1.json", "p2.json",
+                                                 "out.json"))
+    p1.write_text(sz.dumps(sz.pair_to_json(space, A, B)))
+    p2.write_text(sz.dumps(sz.pair_to_json(space, conjugate_by(C, A),
+                                           conjugate_by(Q, B))))
+    code, _ = _run(capsys, "conjugacy-test", "--in", str(p1), "--in",
+                   str(p2), "--out", str(outp))
+    assert code == 0
+    obj = json.loads(outp.read_text(), parse_constant=_no_constants)
+    assert obj["conjugate"] is False and obj["stage"] == "tuple"
+    assert obj["residual"] is None and obj["conjugator"] is None
+
+
 def test_twist_bend_command(tmp_path, capsys):
     path = _generate(tmp_path)
     space, A, B = sz.pair_from_json(sz.loads(path.read_text()))
@@ -108,6 +134,26 @@ def test_twist_bend_command(tmp_path, capsys):
     assert set(obj["tilde"]) == {"X1", "X2", "X3", "A1", "A3"}
     K = sz.matrix_from_json(obj["K"], space.dim)
     assert (K @ A - A @ K).max_abs() < 1e-8 * (1 + A.max_abs())
+
+
+def test_twist_bend_reports_the_frame_of_a_before_the_product(tmp_path,
+                                                              capsys):
+    # a zero A makes AB singular; the error is A's spectrum, as when the
+    # frames of A and B were taken before (AB)^-1 was formed
+    path = _generate(tmp_path)
+    space, A, _ = sz.pair_from_json(sz.loads(path.read_text()))
+    from loxpairs.spectral import eigen_frame
+    from loxpairs.twistbend import identity_params
+    kpath = tmp_path / "kappa.json"
+    kpath.write_text(sz.dumps(sz.kappa_to_json(
+        identity_params(eigen_frame(space, A)))))
+    obj = sz.loads(path.read_text())
+    obj["A"] = [[[0.0] * 4] * space.dim] * space.dim
+    path.write_text(json.dumps(obj))
+    code = main(["twist-bend", "--in", str(path), "--in", str(kpath)])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "degenerate input: eigenvalue classes are not simple\n"
 
 
 def _graph_file(tmp_path, field="quaternion"):

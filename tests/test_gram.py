@@ -105,3 +105,21 @@ def test_normalize_quadruple_returns_gram_of_lifts(n, field):
     ref = space.gram(ps)
     assert (G - ref).max_abs() <= 1e-13 * (1 + ref.max_abs())
     assert (G.pick(range(1, 4), 0) - QArray(np.ones(3))).max_abs() <= 1e-12
+
+
+@pytest.mark.parametrize("field", ["quaternion", "complex"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_tuple_takes_the_quadruple_normalization_bit_for_bit(n, field):
+    # normalize_lifts takes only the scalars, from the report's frame
+    # product and norms; its first four lifts and their Gram block are
+    # those of the full quadruple normalization, to the last bit
+    from loxpairs.gram import _normalize_quadruple
+    from loxpairs.hermitian import HermitianSpace
+    space = HermitianSpace(n, field)
+    fa, fb, _, t = _tuple_for(space, n)
+    ps, _, G = _normalize_quadruple(
+        space, [fa.attracting, fa.repelling, fb.attracting, fb.repelling])
+    for p, q in zip(t.lifts[:4], ps):
+        assert np.array_equal(p.a, q.a) and np.array_equal(p.b, q.b)
+    block = t.gram.pick(slice(4), slice(4))
+    assert np.array_equal(block.a, G.a) and np.array_equal(block.b, G.b)

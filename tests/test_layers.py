@@ -13,6 +13,7 @@ import importlib
 import inspect
 import pathlib
 
+import numpy as np
 import pytest
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "benchmark"
@@ -53,3 +54,72 @@ def test_traced_layer_resolves(name):
     assert not attr.startswith("_") and inspect.isfunction(fn) \
         and fn.__module__ == mod.__name__, \
         f"{name} is not a public function of loxpairs.{layer}"
+
+
+def _workloads(node: ast.expr) -> set:
+    """The workloads of one HOME value: a tuple of names, or NAMES, the
+    name of every workload."""
+    if isinstance(node, ast.Name):
+        return {k.value for k in
+                _assigned(BENCH / "workloads.py", "WORKLOADS").keys}
+    return set(ast.literal_eval(node))
+
+
+HOME_OF = {k.value: _workloads(v) for k, v in
+           zip(_assigned(BENCH / "run.py", "HOME").keys,
+               _assigned(BENCH / "run.py", "HOME").values)}
+DECIDE = sorted(name for name, where in HOME_OF.items()
+                if where & {"decide", "decide-illcond"})
+
+
+def _code(name: str):
+    """The code object a traced layer runs."""
+    if name in EXTRA:
+        layer, owner, attr = EXTRA[name]
+        mod = importlib.import_module(f"loxpairs.{layer}")
+        fn = getattr(getattr(mod, owner) if owner else mod, attr)
+    else:
+        layer, attr = name.split(".")
+        fn = getattr(importlib.import_module(f"loxpairs.{layer}"), attr)
+    return fn.__code__
+
+
+def test_decide_layers_are_entered():
+    # a layer that still resolves but is no longer called reads 0 calls
+    # in the traced benchmark run; a conjugate and a non-conjugate
+    # conjugacy_test per field, as the decide workloads run them, must
+    # enter every layer HOME lists for decide or decide-illcond
+    import sys
+
+    from loxpairs.classify import conjugacy_test
+    from loxpairs.generate import generate_pair
+    from loxpairs.hermitian import HermitianSpace
+    from loxpairs.qmatrix import conjugate_by
+    assert {"spectral.eigen_frame", "hermitian.inner",
+            "polys.aberth_roots"} <= set(DECIDE)
+    cases = []
+    for field in ("complex", "quaternion"):
+        space = HermitianSpace(3, field)
+        A, B = generate_pair(space, seed=3)
+        rng = np.random.default_rng(3)
+        C, Q = space.random_isometry(rng), space.random_isometry(rng)
+        cases += [(space, A, B, conjugate_by(C, A), conjugate_by(C, B),
+                   "verified"),
+                  (space, A, B, conjugate_by(C, A), conjugate_by(Q, B),
+                   "tuple")]
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    stages = []
+    sys.setprofile(profile)
+    try:
+        for *args, _ in cases:
+            stages.append(conjugacy_test(*args).stage)
+    finally:
+        sys.setprofile(None)
+    assert stages == [case[-1] for case in cases]
+    missing = [name for name in DECIDE if _code(name) not in entered]
+    assert not missing, f"layers no decide op entered: {missing}"

@@ -17,6 +17,17 @@ def test_faddeev_leverrier_matches_numpy(rng):
         assert np.allclose(got, expect, rtol=1e-9, atol=1e-9)
 
 
+@pytest.mark.parametrize("m", [4, 8, 12])
+def test_faddeev_leverrier_stack_matches_each_matrix(rng, m):
+    # a stack is the same recursion on every matrix, bit for bit
+    M = rng.standard_normal((5, m, m)) + 1j * rng.standard_normal((5, m, m))
+    M[2] *= 1e3
+    got = faddeev_leverrier(M)
+    assert got.shape == (5, m + 1)
+    for row, Mi in zip(got, M):
+        assert np.array_equal(row, faddeev_leverrier(Mi.copy()))
+
+
 def test_polyval_with_derivatives(rng):
     coeffs = rng.standard_normal(7)
     x = rng.standard_normal(5) + 1j * rng.standard_normal(5)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -176,12 +178,14 @@ def test_complex_mode_frame(cspace, rng):
 
 def test_eigenpairs_pick_upper_representatives(qspace, rng):
     from loxpairs.spectral import _eigenpairs
-    A = random_loxodromic(qspace, rng)
-    lams = np.array([lam for _, lam in _eigenpairs(qspace, A)])
+    As = QArray.stack([random_loxodromic(qspace, rng) for _ in range(3)])
+    _, lams, _ = _eigenpairs(qspace, As, qspace.as_complex(As))
+    assert lams.shape == (3, qspace.dim)
     assert np.all(lams.imag >= 0)
-    ev = np.linalg.eigvals(A.embed())
-    for c in ev[ev.imag > 0]:
-        assert np.min(np.abs(lams - c)) < 1e-9
+    for e in range(3):
+        ev = np.linalg.eigvals(As.pick(e).embed())
+        for c in ev[ev.imag > 0]:
+            assert np.min(np.abs(lams[e] - c)) < 1e-9
 
 
 def test_eigen_frame_large_conjugator_n5(rng):
@@ -200,22 +204,25 @@ def test_eigen_frame_large_conjugator_n5(rng):
     assert (f.rebuild() - A2).max_abs() <= gate
 
 
+def _turn_repelling(space, eigenpairs, unit):
+    """eigenpairs with the repelling eigenvector of every element
+    right-multiplied by unit."""
+    def turned(*args):
+        W, lams, resid = eigenpairs(*args)
+        for e, k in enumerate(np.argmax(np.abs(lams), axis=-1)):
+            W[e, k] = space.as_complex(space.from_complex(W[e, k]) * unit)
+        return W, lams, resid
+    return turned
+
+
 def test_eigen_frame_non_complex_pairing_is_typed(qspace, rng, monkeypatch):
     import loxpairs.spectral as spectral
     from loxpairs.errors import DegenerateSpectrum
     A = random_loxodromic(qspace, rng)
-    original = spectral._eigenpairs
-
-    def skewed(space, A):
-        # right-multiplying the repelling eigenvector by j keeps it an
-        # eigenvector of the class, but <a, rv> is no longer complex
-        pairs = original(space, A)
-        k = int(np.argmax([abs(lam) for _, lam in pairs]))
-        v, lam = pairs[k]
-        pairs[k] = (v * QArray(0.0, 1.0), lam)
-        return pairs
-
-    monkeypatch.setattr(spectral, "_eigenpairs", skewed)
+    # right-multiplying the repelling eigenvector by j keeps it an
+    # eigenvector of the class, but <a, rv> is no longer complex
+    monkeypatch.setattr(spectral, "_eigenpairs", _turn_repelling(
+        qspace, spectral._eigenpairs, QArray(0.0, 1.0)))
     with pytest.raises(DegenerateSpectrum):
         eigen_frame(qspace, A)
 
@@ -227,16 +234,9 @@ def test_eigen_frame_pairing_gate(qspace, rng, monkeypatch, tilt, raises):
     import loxpairs.spectral as spectral
     from loxpairs.errors import DegenerateSpectrum
     A = random_loxodromic(qspace, rng)
-    original = spectral._eigenpairs
     unit = QArray(np.cos(tilt), np.sin(tilt))
-
-    def tilted(space, A):
-        pairs = original(space, A)
-        k = int(np.argmax([abs(lam) for _, lam in pairs]))
-        pairs[k] = (pairs[k][0] * unit, pairs[k][1])
-        return pairs
-
-    monkeypatch.setattr(spectral, "_eigenpairs", tilted)
+    monkeypatch.setattr(spectral, "_eigenpairs", _turn_repelling(
+        qspace, spectral._eigenpairs, unit))
     if raises:
         with pytest.raises(DegenerateSpectrum, match="j part"):
             eigen_frame(qspace, A)
@@ -289,3 +289,116 @@ def test_frame_points_order(qframes):
     for p, v in zip(pts, expect):
         assert np.array_equal(p, projective_points(
             QArray.from_columns([v]))[0])
+
+
+# -- stacks: a single element is a stack of one ------------------------------
+
+def _same_frame(f, g):
+    """Bit-for-bit equality of two frames."""
+    vecs = lambda h: [h.attracting, h.repelling, *h.positives]  # noqa: E731
+    return (f.radius == g.radius and f.theta == g.theta
+            and np.array_equal(f.phis, g.phis)
+            and len(f.positives) == len(g.positives)
+            and all(np.array_equal(x.a, y.a) and np.array_equal(x.b, y.b)
+                    for x, y in zip(vecs(f), vecs(g))))
+
+
+def _serial(space, As):
+    """The frames of the loop over the elements, or the exception it
+    raises, as (class, message)."""
+    try:
+        return [eigen_frame(space, As.pick(i)) for i in range(As.shape[0])]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _stacked(space, As):
+    try:
+        return eigen_frame(space, As)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("field", ["complex", "quaternion"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_stacked_frames_equal_single_frames(n, field):
+    space = HermitianSpace(n, field)
+    rng = np.random.default_rng(n)
+    As = QArray.stack([random_loxodromic(space, rng) for _ in range(4)])
+    frames = eigen_frame(space, As)
+    assert isinstance(frames, list) and len(frames) == 4
+    for i, f in enumerate(frames):
+        assert _same_frame(f, eigen_frame(space, As.pick(i)))
+
+
+@pytest.mark.parametrize("field", ["complex", "quaternion"])
+def test_stack_balances_only_its_large_element(field):
+    space = HermitianSpace(3, field)
+    rng = np.random.default_rng(11)
+    Q = QArray.diag([30.0, 1.0, 1.0, 1 / 30.0])
+    As = [random_loxodromic(space, rng) for _ in range(3)]
+    As[1] = conjugate_by(Q, As[1])
+    assert As[1].max_abs() > 100 and max(As[0].max_abs(),
+                                         As[2].max_abs()) <= 100
+    for f, A in zip(eigen_frame(space, QArray.stack(As)), As):
+        assert _same_frame(f, eigen_frame(space, A))
+
+
+def _failing(space):
+    """Elements that fail eigen_frame at three gates: repeated classes
+    (before the eigensolver), no attracting class and a non-unit
+    intermediate eigenvalue (after it)."""
+    twice = np.exp(1j * 0.7)
+    unit = np.exp(1j * np.array([0.3, 0.9, 1.7, 2.5]))
+    return {"classes": QArray.diag([0.5, twice, twice, 2.0]),
+            "no-attracting": QArray.diag(unit),
+            "non-unit": QArray.diag(np.array([0.5, 1.5, 1.0, 2.0]) * unit[
+                [0, 1, 2, 0]])}
+
+
+@pytest.mark.parametrize("field", ["complex", "quaternion"])
+@pytest.mark.parametrize("bad", [{0: "no-attracting"}, {2: "classes"},
+                                 {0: "no-attracting", 2: "classes"},
+                                 {2: "non-unit", 3: "classes"},
+                                 {1: "non-unit", 2: "no-attracting"},
+                                 {1: "classes", 3: "non-unit"}])
+def test_stack_raises_what_the_serial_loop_raises(field, bad):
+    space = HermitianSpace(3, field)
+    rng = np.random.default_rng(5)
+    As = [random_loxodromic(space, rng) for _ in range(4)]
+    for i, name in bad.items():
+        As[i] = _failing(space)[name]
+    As = QArray.stack(As)
+    expect = _serial(space, As)
+    first = _serial(space, QArray.stack([As.pick(min(bad))]))
+    assert isinstance(expect, tuple) and expect == first
+    assert _stacked(space, As) == expect
+
+
+def test_stack_leaks_no_warning_of_an_element_it_never_reaches(qspace, rng):
+    # the serial loop stops at the failing first element; the overflow
+    # that the characteristic polynomial of the huge second element hits
+    # in the stacked pass must not get out
+    bad = _failing(qspace)["no-attracting"]
+    huge = random_loxodromic(qspace, rng).scale(1e200)
+    As = QArray.stack([bad, huge])
+    with pytest.warns(RuntimeWarning):
+        _serial(qspace, QArray.stack([huge]))
+    expect = _serial(qspace, As)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _stacked(qspace, As) == expect
+
+
+def test_polish_stack_leaves_only_the_singular_element_unpolished(rng):
+    from loxpairs.spectral import _polish_eigenpairs
+    M = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    lams, W = np.linalg.eig(M)
+    V = np.swapaxes(W, -1, -2).copy()
+    V[1, 2] = 0.0
+    V2, lams2 = _polish_eigenpairs(M, V, lams)
+    assert np.array_equal(V2[1], V[1]) and np.array_equal(lams2[1], lams[1])
+    for e in (0, 2):
+        v, lam = _polish_eigenpairs(M[e], V[e], lams[e])
+        assert np.array_equal(V2[e], v) and np.array_equal(lams2[e], lam)
+        assert not np.array_equal(v, V[e])

@@ -202,3 +202,50 @@ def test_assemble_rejects_bad_graph(qpants):
     bad_edges = [(0, 0, 1, 1), (0, 0, 1, 0), (0, 2, 1, 2)]
     with pytest.raises(GraphInvalid):
         assemble_surface_representation(space, pants, bad_edges, kappas)
+
+
+@pytest.mark.parametrize("frame_fails, class_fails",
+                         [(0, 1), (1, 0), (None, 1), (2, None), (1, 2),
+                          (2, 1), (None, None)])
+def test_pants_errors_keep_the_serial_order(monkeypatch, frame_fails,
+                                            class_fails):
+    # the peripherals are classified first and framed as one stack; the
+    # error is still the one of the loop "classify P_i, then frame P_i"
+    import loxpairs.twistbend as tb
+    from loxpairs.errors import DegenerateSpectrum, NotLoxodromic
+    from loxpairs.spectral import ElementClass
+    space = HermitianSpace(3, "quaternion")
+    A, B = generate_pair(space, seed=7, mode="strong")
+    Ps = [A, B, (A @ B).inverse()]
+    frame = tb.eigen_frame
+
+    def index(P):
+        return next(i for i, Q in enumerate(Ps)
+                    if np.array_equal(P.a, Q.a) and np.array_equal(P.b, Q.b))
+
+    def classify(space, P):
+        return ElementClass(index(P) != class_fails, None, np.zeros(4))
+
+    def framed(space, P):
+        for i in range(P.shape[0]) if P.ndim == 3 else [None]:
+            if index(P if i is None else P.pick(i)) == frame_fails:
+                raise DegenerateSpectrum(f"frame of P{frame_fails}")
+        return frame(space, P)
+
+    def outcome(build):
+        try:
+            build()
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    def serial():
+        for P in Ps:
+            if not classify(space, P).is_loxodromic:
+                raise NotLoxodromic("peripheral element is not loxodromic")
+            framed(space, P)
+
+    monkeypatch.setattr(tb, "classify_element", classify)
+    monkeypatch.setattr(tb, "eigen_frame", framed)
+    expect = outcome(serial)
+    assert (expect is None) == (frame_fails is None and class_fails is None)
+    assert outcome(lambda: PantsGroup(space, A, B)) == expect
