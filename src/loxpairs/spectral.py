@@ -5,9 +5,9 @@ All eigen-computations go through the complex embedding of the matrix.
 Eigenvalue classes of a quaternionic matrix are labelled by their unique
 complex representative with non-negative imaginary part.
 
-`eigen_frame` takes one matrix or a stack (k, m, m) of them, and a
-single matrix runs as a stack of one.  Each numeric phase runs once on
-the whole stack:
+`eigen_frame` takes one matrix or a stack (k, m, m) of them; a single
+matrix runs as a stack of one, on the same path.  Each numeric phase
+runs once on the whole stack:
 
 1. the complex forms (space.as_complex) and their Faddeev-LeVerrier
    coefficients; per element, the class count and simplicity come from
@@ -19,14 +19,13 @@ the whole stack:
    extended precision, the correction comes from one stacked LAPACK
    solve), and the eigenpair residuals;
 3. per element, the spectral gates and the normalization of the lifts;
-4. the reconstructions F D F^-1 and cond(F) of every frame.
+4. cond(F) and the reconstructions F D F^-1 of every frame.
 
-A stack raises what the loop over its elements would raise.  An element
-drops out at its first failing gate, and so do the elements after it,
-which the loop would never reach; the call raises the failure of the
-first failing element.  A stack that meets a floating-point exception
-or a failure of a stacked kernel runs again one element at a time, so
-its warnings and numpy errors are those of the loop too.
+`real_char_poly`, `classify_element` and `eigen_frame` run their kernels
+with floating-point exceptions ignored, so no warning gets out: an
+overflow turns into inf or NaN, and NaN fails every gate.
+A stack raises what the loop over its elements would raise: the first
+failing gate of the first failing element.
 """
 
 from __future__ import annotations
@@ -62,20 +61,22 @@ def real_char_poly(space: HermitianSpace, A: QArray,
     caller has it, is the characteristic polynomial of
     space.as_complex(A).
     """
-    if not space.is_isometry(A, tol=PALINDROME_TOL * (1.0 + A.max_abs() ** 2)):
-        raise NotIsometry("matrix does not preserve the form")
-    if chi is None:
-        chi = faddeev_leverrier(space.as_complex(A))
-    coeffs = chi
-    if space.field == "complex":
-        # the embedding of a complex matrix is A + conj(A)
-        coeffs = np.polymul(chi, np.conj(chi))
-    dev = max(float(np.max(np.abs(coeffs.imag))),
-              float(np.max(np.abs(coeffs - coeffs[::-1]))))
-    if not dev <= tol * float(np.max(np.abs(coeffs))):  # NaN fails
-        raise PalindromeViolation(f"coefficient symmetry violated by {dev:.3e}")
-    coeffs = 0.5 * (coeffs.real + coeffs.real[::-1])
-    return coeffs
+    with np.errstate(all="ignore"):
+        gate = PALINDROME_TOL * (1.0 + A.max_abs() ** 2)
+        if not space.is_isometry(A, tol=gate):
+            raise NotIsometry("matrix does not preserve the form")
+        if chi is None:
+            chi = faddeev_leverrier(space.as_complex(A))
+        coeffs = chi
+        if space.field == "complex":
+            # the embedding of a complex matrix is A + conj(A)
+            coeffs = np.polymul(chi, np.conj(chi))
+        dev = max(float(np.max(np.abs(coeffs.imag))),
+                  float(np.max(np.abs(coeffs - coeffs[::-1]))))
+        if not dev <= tol * float(np.max(np.abs(coeffs))):  # NaN fails
+            raise PalindromeViolation(
+                f"coefficient symmetry violated by {dev:.3e}")
+        return 0.5 * (coeffs.real + coeffs.real[::-1])
 
 
 @dataclass
@@ -96,30 +97,32 @@ def classify_element(space: HermitianSpace, A: QArray,
     eigenvalues, since distinct unit eigenvalue pairs e^{+-i phi} of a
     complex matrix collapse to a double root of g.
     """
-    chi = faddeev_leverrier(space.as_complex(A))
-    coeffs = real_char_poly(space, A, tol=tol, chi=chi)
-    tr = coeffs[1:space.n + 2]
-    if space.field == "quaternion":
-        g = dickson_reduction(coeffs)
-        delta = -discriminant(g)
-        g2 = float(np.polyval(g, 2.0))
-        gm2 = float(np.polyval(g, -2.0))
-        scale = float(np.max(np.abs(g)))
-        # disc is homogeneous of degree 2n in the coefficients of g
-        delta_floor = tol * max(1.0, scale) ** (2 * space.n)
-        if not delta > delta_floor:  # NaN fails
-            return ElementClass(False, delta, tr, "delta <= 0")
-        if min(abs(g2), abs(gm2)) <= tol * scale:
-            return ElementClass(False, delta, tr, "real eigenvalue on the unit circle")
-        return ElementClass(True, delta, tr)
-    roots = aberth_roots(chi)
-    radii = np.sort(np.abs(roots))
-    if radii[-1] <= 1.0 + RADIUS_GUARD:
-        return ElementClass(False, None, tr, "no expanding eigenvalue")
-    centers, _ = cluster_roots(chi, roots)
-    if centers.size < space.n + 1:
-        return ElementClass(False, None, tr, "repeated eigenvalues")
-    return ElementClass(True, None, tr)
+    with np.errstate(all="ignore"):
+        chi = faddeev_leverrier(space.as_complex(A))
+        coeffs = real_char_poly(space, A, tol=tol, chi=chi)
+        tr = coeffs[1:space.n + 2]
+        if space.field == "quaternion":
+            g = dickson_reduction(coeffs)
+            delta = -discriminant(g)
+            g2 = float(np.polyval(g, 2.0))
+            gm2 = float(np.polyval(g, -2.0))
+            scale = float(np.max(np.abs(g)))
+            # disc is homogeneous of degree 2n in the coefficients of g
+            delta_floor = tol * max(1.0, scale) ** (2 * space.n)
+            if not delta > delta_floor:  # NaN fails
+                return ElementClass(False, delta, tr, "delta <= 0")
+            if min(abs(g2), abs(gm2)) <= tol * scale:
+                return ElementClass(False, delta, tr,
+                                    "real eigenvalue on the unit circle")
+            return ElementClass(True, delta, tr)
+        roots = aberth_roots(chi)
+        radii = np.sort(np.abs(roots))
+        if radii[-1] <= 1.0 + RADIUS_GUARD:
+            return ElementClass(False, None, tr, "no expanding eigenvalue")
+        centers, _ = cluster_roots(chi, roots)
+        if centers.size < space.n + 1:
+            return ElementClass(False, None, tr, "repeated eigenvalues")
+        return ElementClass(True, None, tr)
 
 
 def _balance_scaling(mag: np.ndarray) -> np.ndarray:
@@ -285,20 +288,20 @@ def _assemble(space: HermitianSpace, W: np.ndarray,
     # attracting fixed point carries the eigenvalue class of modulus r < 1
     i_att = int(np.argmin(radii))
     i_rep = int(np.argmax(radii))
-    if radii[i_rep] <= 1.0 + tol or radii[i_att] >= 1.0 - tol:
+    if not (radii[i_rep] > 1.0 + tol and radii[i_att] < 1.0 - tol):
         raise NotLoxodromic("no attracting/repelling eigenvalue pair")
     lam_att = centers[i_att]
     lam_rep = centers[i_rep]
     if space.field == "quaternion":
-        if np.any(centers.imag < -1e-9):
+        if not np.all(centers.imag >= -1e-9):
             raise DegenerateSpectrum(
                 "class representative left the upper half plane")
-        if min(abs(lam_att.imag), abs(lam_rep.imag)) <= tol * abs(lam_att):
+        if not min(abs(lam_att.imag), abs(lam_rep.imag)) > tol * abs(lam_att):
             raise RealEigenvalueClass("attracting class meets the real axis")
-        if abs(lam_rep / abs(lam_rep) - lam_att / abs(lam_att)) > 1e-6:
+        if not abs(lam_rep / abs(lam_rep) - lam_att / abs(lam_att)) <= 1e-6:
             raise DegenerateSpectrum("attracting/repelling angles disagree")
     unit_idx = [i for i in range(centers.size) if i not in (i_att, i_rep)]
-    if np.any(np.abs(radii[unit_idx] - 1.0) > tol):
+    if not np.all(np.abs(radii[unit_idx] - 1.0) <= tol):
         raise DegenerateSpectrum("non-unit intermediate eigenvalue")
     unit_idx.sort(key=lambda i: np.angle(centers[i]))
     theta = float(np.angle(lam_att))
@@ -311,12 +314,12 @@ def _assemble(space: HermitianSpace, W: np.ndarray,
 
     # only complex rescalings keep the eigenvalue representatives intact
     g = space.inner(a, rv)
-    if abs(g.b) > 1e-7 * (1.0 + g.moduli()):
+    if not abs(g.b) <= 1e-7 * (1.0 + g.moduli()):
         raise DegenerateSpectrum(
             f"attracting/repelling pairing has j part {abs(g.b):.3e}")
     rv = rv * QArray(1.0 / np.conj(g.a))
     nsq = _norms_sq(space, QArray.stack(positives))
-    if np.any(nsq <= 0):
+    if not np.all(nsq > 0):
         raise DegenerateSpectrum("intermediate eigenvector is not positive")
     positives = [x.scale(t) for x, t in zip(positives, 1.0 / np.sqrt(nsq))]
     return LoxodromicFrame(r, theta, phis, a, rv, positives, space)
@@ -333,6 +336,16 @@ def _passing(count: int, check, error):
     return count, error
 
 
+def _cut(ok: np.ndarray, error, message):
+    """(i, DegenerateSpectrum(message(i))) for the first i with ok[i]
+    false, else (len(ok), error)."""
+    failing = np.flatnonzero(~ok)
+    if not failing.size:
+        return ok.size, error
+    i = int(failing[0])
+    return i, DegenerateSpectrum(message(i))
+
+
 def _frames(space: HermitianSpace, A: QArray):
     """The frames of the stack A and the exception the serial loop over
     its elements would raise, or None.
@@ -340,6 +353,7 @@ def _frames(space: HermitianSpace, A: QArray):
     The live elements are always a prefix of the stack: an element that
     fails a gate drops out with every element after it, and its
     exception stands unless an earlier element fails a later gate.
+    Every gate is written so that NaN fails it.
     """
     Mfull = space.as_complex(A)
     chi = faddeev_leverrier(Mfull)
@@ -351,72 +365,50 @@ def _frames(space: HermitianSpace, A: QArray):
     W, lams, resid = _eigenpairs(space, A, Mfull[:end])
     # each gate scales with its own element
     amax = A.moduli().max(axis=(-2, -1))
+    end, error = _cut(resid <= RESIDUAL_TOL * (1.0 + amax), error,
+                      lambda i: f"eigenvector residual {resid[i]:.3e}")
     frames = []
-
-    def framed(i):
-        if resid[i] > RESIDUAL_TOL * (1.0 + amax[i]):
-            raise DegenerateSpectrum(f"eigenvector residual {resid[i]:.3e}")
-        frames.append(_assemble(space, W[i], lams[i]))
-
-    end, error = _passing(end, framed, error)
+    end, error = _passing(
+        end, lambda i: frames.append(_assemble(space, W[i], lams[i])), error)
     if not end:
         return [], error
-    # evaluation noise of F D F^-1 grows like eps * cond(F), so the gate
-    # must not outpace what double precision can certify
+    # the inverse needs a nonsingular F; cond(F) of a frame that is not
+    # finite counts as infinite
     F = QArray.stack([f.frame_matrix() for f in frames])
+    Fe = F.embed()
+    kappa = np.full(end, np.inf)
+    finite = np.all(np.isfinite(Fe), axis=(-2, -1))
+    kappa[finite] = np.linalg.cond(Fe[finite])
+    end, error = _cut(np.isfinite(kappa), error,
+                      lambda i: f"frame matrix condition {kappa[i]:.3e}")
+    if not end:
+        return [], error
+    F, A = F.pick(slice(end)), A.pick(slice(end))
     D = QArray.zeros(F.shape)
     diag = np.arange(space.dim)
-    D.a[:, diag, diag] = [f.eigenvalues for f in frames]
-    miss = (F @ D @ F.inverse() - A.pick(slice(end))).moduli().max(
-        axis=(-2, -1))
-    kappa = np.linalg.cond(F.embed())
-
-    def rebuilt(i):
-        gate = (1.0 + amax[i]) * max(RESIDUAL_TOL,
-                                     20 * np.finfo(float).eps * kappa[i])
-        if miss[i] > gate:
-            raise DegenerateSpectrum(
-                f"frame reconstruction residual {miss[i]:.3e}")
-
-    end, error = _passing(end, rebuilt, error)
+    D.a[:, diag, diag] = [f.eigenvalues for f in frames[:end]]
+    miss = (F @ D @ F.inverse() - A).moduli().max(axis=(-2, -1))
+    # evaluation noise of F D F^-1 grows like eps * cond(F), so the gate
+    # must not outpace what double precision can certify
+    gate = (1.0 + amax[:end]) * np.maximum(
+        RESIDUAL_TOL, 20 * np.finfo(float).eps * kappa[:end])
+    end, error = _cut(miss <= gate, error,
+                      lambda i: f"frame reconstruction residual {miss[i]:.3e}")
     return frames[:end], error
-
-
-def _frames_in_order(space: HermitianSpace, A: QArray):
-    """_frames on a stack of several elements, or on each element in
-    turn when the stack meets a floating-point exception or a failure of
-    a stacked kernel: no later element may warn or raise where the
-    serial loop would not have reached it."""
-    hits = []
-    modes = {kind: "call" for kind, mode in np.geterr().items()
-             if mode != "ignore"}
-    try:
-        with np.errstate(call=lambda *_: hits.append(1), **modes):
-            out = _frames(space, A)
-        if not hits:
-            return out
-    except Exception:
-        pass
-    frames = []
-    for i in range(A.shape[0]):
-        f, error = _frames(space, A.pick(slice(i, i + 1)))
-        if error is not None:
-            return [], error
-        frames += f
-    return frames, None
 
 
 def eigen_frame(space: HermitianSpace, A: QArray):
     """Spectral frame of a loxodromic isometry, or the list of frames of
     a stack A of shape (k, m, m).
 
-    A single matrix runs as a stack of one.  A stack raises what the
-    loop over its elements would: the first failing gate of the first
-    failing element.
+    A single matrix runs as a stack of one, on the same path.  No
+    floating-point warning gets out, NaN fails every gate, and a stack
+    raises what the loop over its elements would: the first failing
+    gate of the first failing element.
     """
     stack = A if A.ndim == 3 else QArray(A.a[None], A.b[None])
-    run = _frames if stack.shape[0] == 1 else _frames_in_order
-    frames, error = run(space, stack)
+    with np.errstate(all="ignore"):
+        frames, error = _frames(space, stack)
     if error is not None:
         raise error
     return frames if A.ndim == 3 else frames[0]

