@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (DegenerateInputError, NotNonsingular,
                      VerificationFailed)
@@ -35,21 +36,32 @@ ORBIT_TOL = 1e-8
 QUADRUPLE_TOL = 1e-7
 REFINE_SWEEPS = 3
 RANK_STEP = 1e-5
+RANK_TOL = 1e-8
 
 
 def _spanning_subset(lifts: List[QArray], size: int) -> List[int]:
-    """Greedy prefix-priority choice of `size` H-independent lifts."""
-    sel: List[int] = []
-    basis: List[QArray] = []
-    for i, p in enumerate(lifts):
-        if len(sel) == size:
-            break
-        if quaternionic_rank([*basis, p]) > len(sel):
-            sel.append(i)
-            basis.append(p)
-    if len(sel) < size:
-        raise DegenerateInputError("associated lifts do not span the space")
-    return sel
+    """Greedy prefix-priority choice of `size` H-independent lifts.
+
+    One unpivoted QR of the embedded candidates, the columns v and v j of
+    each lift in prefix order, gives on a lift's two diagonal entries of
+    R its distance from the span of the lifts before it.  The first lift
+    whose distance does not pass RANK_TOL times the largest norm so far
+    is dropped, and the candidates left are factored again.
+    """
+    idx = list(range(len(lifts)))
+    while len(idx) >= size:
+        cand = idx[:size]
+        W = QArray.from_columns([lifts[i] for i in cand]).embed()
+        # embed puts every v j after all the v; interleave them per lift
+        W = W[:, np.arange(2 * size).reshape(2, size).T.ravel()]
+        dist = np.abs(np.diagonal(np.linalg.qr(W, mode="r")))
+        norm = np.maximum.accumulate(np.linalg.norm(W[:, ::2], axis=0))
+        bad = np.flatnonzero(~(dist.reshape(size, 2).min(axis=1)
+                               > RANK_TOL * norm))
+        if not bad.size:
+            return cand
+        idx.remove(cand[bad[0]])
+    raise DegenerateInputError("associated lifts do not span the space")
 
 
 def _verified_congruence(space: HermitianSpace, basis: List[QArray],
@@ -125,30 +137,55 @@ def _linearization(space: HermitianSpace, targets) -> np.ndarray:
                            for Xp in targets])
 
 
-def _lstsq_solver(M: np.ndarray):
-    """b -> np.linalg.lstsq(M, b, rcond=None)[0], from one thin SVD of M
-    with lstsq's cutoff: singular values at most eps max(M.shape) s_1
-    count as zero."""
-    U, sv, Vt = np.linalg.svd(M, full_matrices=False)
-    r = np.sum(sv > np.finfo(float).eps * max(M.shape) * sv[0])
-    return lambda b: Vt[:r].T @ ((U[:, :r].T @ b) / sv[:r])
+def _lstsq_solver(space: HermitianSpace, M: np.ndarray):
+    """b -> np.linalg.lstsq(M, b, rcond=None)[0] for the linearization M
+    of a generic pair, from one economic QR; None when M has a larger
+    kernel than the centre.
+
+    The kernel of D -> [D, X'] over a generic pair is the centre, u I
+    for u in space.centre, which the minimum-norm solution is orthogonal
+    to.  Appending the centre as rows, Re tr D = 0 and over the complex
+    numbers Im tr D = 0, weighted to max |M| and with right-hand side 0,
+    makes M full rank without moving that solution, so each solve is
+    one product with Q^T and one triangular solve.  An |R_ii| at or
+    below lstsq's cutoff eps max(shape) max |R_jj| means the pair's
+    centralizer is larger than the centre.
+    """
+    centre = np.stack([_flat(space, QArray(u * np.eye(space.dim)))
+                       for u in space.centre])
+    A = np.concatenate([M, np.max(np.abs(M)) * centre])
+    Q, R = scipy.linalg.qr(A, overwrite_a=True, mode="economic",
+                           check_finite=False)
+    d = np.abs(np.diagonal(R))
+    if not np.min(d) > np.finfo(float).eps * max(A.shape) * np.max(d):
+        return None
+    Qt = Q[:len(M)].T
+    return lambda b: scipy.linalg.solve_triangular(R, Qt @ b,
+                                                   check_finite=False)
 
 
-def _refine_conjugator(space: HermitianSpace, C: QArray, pairs) -> QArray:
-    """Newton polish of C X C^-1 = X' over the given element pairs.
+def _refine_conjugator(space: HermitianSpace, C: QArray, pairs):
+    """Newton polish of C X C^-1 = X' over the given element pairs, and
+    the residuals X' - C X C^-1 of the C it returns.
 
     Each sweep solves the linearization (I + D) C: D X' - X' D = E with
     E = X' - C X C^-1, jointly over all pairs, by real least squares.
-    The linear map does not depend on C, so it is built and factored
-    once.
+    The linear map does not depend on C, so it is built and factored by
+    one QR (_lstsq_solver) per call.  A sweep is kept only when it
+    lowers the largest residual.  When the pairs' common centralizer is
+    larger than the centre, C is returned unpolished: the caller's
+    residual gate then decides.
     """
-    solve = _lstsq_solver(_linearization(space, [Xp for _, Xp in pairs]))
+    solve = _lstsq_solver(space,
+                          _linearization(space, [Xp for _, Xp in pairs]))
 
     def residuals(C):
         Cinv = C.inverse()
         return [Xp - C @ X @ Cinv for X, Xp in pairs]
 
     E = residuals(C)
+    if solve is None:
+        return C, E
     old = max(e.max_abs() for e in E)
     for _ in range(REFINE_SWEEPS):
         x = solve(np.concatenate([_flat(space, e) for e in E]))
@@ -158,7 +195,7 @@ def _refine_conjugator(space: HermitianSpace, C: QArray, pairs) -> QArray:
         if new >= old:
             break
         C, E, old = C2, E2, new
-    return C
+    return C, E
 
 
 @dataclass
@@ -232,8 +269,7 @@ def conjugacy_test(space: HermitianSpace, A: QArray, B: QArray,
         return ConjugacyResult(False, None, "tuple", float("nan"))
 
     C = congruence_from_tuples(t1, t2, mu, tol=min(tol, ORBIT_TOL))
-    C = _refine_conjugator(space, C, [(A, A2), (B, B2)])
-    Ac, Bc = conjugate_by(C, A), conjugate_by(C, B)
+    C, E = _refine_conjugator(space, C, [(A, A2), (B, B2)])
     ptol = max(tol, 1e-7) * (1.0 + C.max_abs() ** 2)
     # fa.conjugated(C) is the frame of C A C^-1 exactly, so the point
     # comparison never depends on re-running the spectral machinery
@@ -242,7 +278,8 @@ def conjugacy_test(space: HermitianSpace, A: QArray, B: QArray,
         return ConjugacyResult(False, None, "projective-points",
                                float("nan"))
 
-    resid = max((Ac - A2).max_abs(), (Bc - B2).max_abs())
+    # E holds A2 - C A C^-1 and B2 - C B C^-1, in conjugate_by's order
+    resid = max(e.max_abs() for e in E)
     scale = 1.0 + max(A2.max_abs(), B2.max_abs())
     if resid > tol * scale:
         raise VerificationFailed(

@@ -17,9 +17,10 @@ Scalars act on vectors from the right, so <z s, w t> = conj(t) <z, w> s.
 `HermitianSpace` owns the split between the two fields.  A complex
 QArray is the b = 0 case of a quaternionic one, and the space decides
 how either is represented: the complex matrix that stands for it
-(`as_complex`, `from_complex`), the real units per entry (`units`) and
-the dimension of the isometry group (`group_dim`).  `gauge` is the one
-rule for the unit scalar left free by the normalization of lifts.
+(`as_complex`, `from_complex`), the real units per entry (`units`),
+the real basis of the central scalars (`centre`) and the dimension of
+the isometry group (`group_dim`).  `gauge` is the one rule for the
+unit scalar left free by the normalization of lifts.
 Branches on the field remain only where the mathematics differs:
 `spectral` (the loxodromic test by delta against eigenvalue moduli, chi
 times conj(chi) for a complex characteristic polynomial, the upper
@@ -80,6 +81,8 @@ class HermitianSpace:
         quaternion = field == "quaternion"
         # real units per entry: 1, i, j, k or 1, i
         self.units = 4 if quaternion else 2
+        # a real basis of the scalars that commute with every entry
+        self.centre = (1.0,) if quaternion else (1.0, 1j)
         # dim Sp(n,1) = (n+1)(2n+3), dim SU(n,1) = (n+1)^2 - 1
         self.group_dim = (n + 1) * (2 * n + 3) if quaternion \
             else (n + 1) ** 2 - 1

@@ -112,6 +112,7 @@ def test_criterion_1_conjugation_invariance():
 
 def test_criterion_2_classification_round_trip():
     bad_conj = 0
+    worst = 0.0
     for i in range(500):
         A, B = generate_pair(QSPACE, seed=i, mode="strong")
         rng = np.random.default_rng(10_000 + i)
@@ -122,8 +123,10 @@ def test_criterion_2_classification_round_trip():
             bad_conj += 1
             continue
         C = res.conjugator
-        if (conjugate_by(C, A) - A2).max_abs() > 1e-7 \
-                or (conjugate_by(C, B) - B2).max_abs() > 1e-7:
+        resid = max((conjugate_by(C, A) - A2).max_abs(),
+                    (conjugate_by(C, B) - B2).max_abs())
+        worst = max(worst, resid)
+        if resid > 1e-7:
             bad_conj += 1
     bad_rej = 0
     for i in range(500):
@@ -138,7 +141,8 @@ def test_criterion_2_classification_round_trip():
                 or res.conjugator is not None:
             bad_rej += 1
     _report(2, bad_conj == 0 and bad_rej == 0,
-            f"500 conjugate pairs round-trip at 1e-7 ({bad_conj} failures); "
+            f"500 conjugate pairs round-trip at 1e-7 ({bad_conj} failures, "
+            f"worst residual {worst:.2e}); "
             f"500 perturbed pairs rejected at real-trace/tuple "
             f"({bad_rej} failures)")
 

@@ -429,7 +429,7 @@ def test_lstsq_solver_matches_lstsq(field, n):
     rng = np.random.default_rng(7)
     lin = _linearization(space, [random_loxodromic(space, rng)
                                  for _ in range(2)])
-    solve = _lstsq_solver(lin)
+    solve = _lstsq_solver(space, lin)
     # near a conjugator the residual E is D X' - X' D to first order, so
     # the right-hand sides lie in the range of the linearization
     for _ in range(3):
@@ -437,6 +437,125 @@ def test_lstsq_solver_matches_lstsq(field, n):
         x = solve(b)
         ref = np.linalg.lstsq(lin, b, rcond=None)[0]
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("field", ["complex", "quaternion"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_linearization_kernel_is_the_centre(field, n):
+    # the premise of the QR solve: over a generic pair the only kernel of
+    # D -> [D, X'] is the centre, and the solution is orthogonal to it
+    from loxpairs.classify import _delta, _linearization, _lstsq_solver
+    space = HermitianSpace(n, field)
+    A, B = generate_pair(space, seed=n)
+    lin = _linearization(space, [A, B])
+    _, sv, Vt = np.linalg.svd(lin)
+    null = Vt[np.sum(sv > 1e-10 * sv[0]):]
+    centre = (1.0, 1j) if field == "complex" else (1.0,)
+    assert len(null) == len(centre)
+    # real multiples of I, and of i I over the complex numbers
+    units = 2 if field == "complex" else 4
+    Qc, _ = np.linalg.qr(np.stack(
+        [_flat_one(QArray(u * np.eye(space.dim)), units) for u in centre],
+        axis=1))
+    assert np.linalg.norm(null - null @ Qc @ Qc.T) <= 1e-10
+    rng = np.random.default_rng(3)
+    x = _lstsq_solver(space, lin)(lin @ rng.standard_normal(lin.shape[1]))
+    tr = np.trace(_delta(space, x).a)
+    assert abs(tr.real) <= 1e-12 * np.linalg.norm(x)
+    if field == "complex":
+        assert abs(tr.imag) <= 1e-12 * np.linalg.norm(x)
+
+
+def test_refine_conjugator_polishes_without_an_svd(space, rng, monkeypatch):
+    from loxpairs.classify import _refine_conjugator
+    A, B = generate_pair(space, seed=2)
+    Q = space.random_isometry(rng)
+    pairs = [(A, conjugate_by(Q, A)), (B, conjugate_by(Q, B))]
+    C0 = Q @ (QArray.eye(space.dim) + QArray(1e-6 * np.eye(space.dim)[::-1]))
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("the polish ran an SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    C, E = _refine_conjugator(space, C0, pairs)
+    assert max(e.max_abs() for e in E) <= 1e-10
+    Cinv = C.inverse()
+    for e, (X, Xp) in zip(E, pairs):
+        assert (e - (Xp - C @ X @ Cinv)).max_abs() == 0.0
+
+
+def test_refine_conjugator_leaves_a_larger_centralizer_unpolished(space,
+                                                                  rng):
+    # both targets share one diagonal X', so every diagonal D commutes
+    # with them: the linearization has more kernel than the centre
+    import warnings
+    from loxpairs.classify import (_linearization, _lstsq_solver,
+                                   _refine_conjugator)
+    from loxpairs.generate import random_loxodromic
+    Xp = QArray.diag(np.arange(1, space.dim + 1) * (1.0 + 0.5j))
+    assert _lstsq_solver(space, _linearization(space, [Xp, Xp])) is None
+    C = space.random_isometry(rng)
+    pairs = [(random_loxodromic(space, rng), Xp),
+             (random_loxodromic(space, rng), Xp)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        C2, E = _refine_conjugator(space, C, pairs)
+    assert C2 is C
+    Cinv = C.inverse()
+    for e, (X, Xp_) in zip(E, pairs):
+        assert (e - (Xp_ - C @ X @ Cinv)).max_abs() == 0.0
+
+
+def _greedy_subset(lifts, size):
+    sel, basis = [], []
+    for i, p in enumerate(lifts):
+        if len(sel) == size:
+            break
+        if quaternionic_rank([*basis, p]) > len(sel):
+            sel.append(i)
+            basis.append(p)
+    return sel if len(sel) == size else None
+
+
+def _tuple_sources(space, seed):
+    from loxpairs.gram import normalize_lifts
+    from loxpairs.spectral import eigen_frame
+    fa, fb = eigen_frame(space, QArray.stack(generate_pair(space, seed)))
+    t = normalize_lifts(space, fa, fb)
+    return [*t.lifts, t.omitted_A, t.omitted_B]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_spanning_subset_matches_greedy_rank(space, seed, monkeypatch):
+    from loxpairs import classify
+    from loxpairs.classify import _spanning_subset
+    sources = _tuple_sources(space, seed)
+
+    def no_rank(*args, **kwargs):
+        raise AssertionError("_spanning_subset called quaternionic_rank")
+
+    monkeypatch.setattr(classify, "quaternionic_rank", no_rank)
+    size = space.dim
+    assert _spanning_subset(sources, size) == _greedy_subset(sources, size)
+    # the second lift made dependent on the first: it is skipped
+    unit = QArray(0.6 + 0.8j) if space.field == "complex" \
+        else QArray.from_components([0.5, 0.5, -0.5, 0.5])
+    dep = [sources[0], sources[0] * unit, *sources[2:]]
+    got = _spanning_subset(dep, size)
+    assert 1 not in got
+    assert got == _greedy_subset(dep, size)
+
+
+def test_spanning_subset_raises_when_lifts_do_not_span(space):
+    from loxpairs.classify import _spanning_subset
+    from loxpairs.errors import DegenerateInputError
+    sources = _tuple_sources(space, 0)
+    # lifts from a proper subspace: the first two and their combinations
+    mixed = [sources[0], sources[1], sources[0] + sources[1],
+             sources[0] - sources[1] * QArray(2.0), sources[1]]
+    assert _greedy_subset(mixed, space.dim) is None
+    with pytest.raises(DegenerateInputError):
+        _spanning_subset(mixed, space.dim)
 
 
 @pytest.mark.parametrize("field", ["complex", "quaternion"])
