@@ -209,7 +209,7 @@ class ConjugacyResult:
 def _points_match(f: LoxodromicFrame, g: LoxodromicFrame,
                   tol: float) -> bool:
     return all(projective_points_equal(p, q, tol=tol)
-               for p, q in zip(f.points(), g.points()))
+               for p, q in zip(f.points, g.points))
 
 
 def _reduced_match(i1: InvariantTuple, i2: InvariantTuple,
@@ -298,7 +298,7 @@ def _orthogonal_complement(space: HermitianSpace,
     S = QArray.from_columns(vectors)
     # column i is e_i - S M^-1 b with M = S^* H S and b = S^* H e_i
     R = QArray.eye(space.dim) - S @ (
-        space.gram(vectors).inverse() @ (S.adjoint() @ QArray(space.H)))
+        space.gram(S).inverse() @ (S.adjoint() @ QArray(space.H)))
     out: List[QArray] = []
     for i in range(space.dim):
         v = R.column(i)

@@ -77,9 +77,7 @@ def _cmd_invariants(args) -> int:
     space, A, B = sz.pair_from_json(_read_json(args.infile[0]))
     fa, fb = eigen_frame(space, QArray.stack([A, B]))
     t = pair_invariants(space, fa, fb)
-    payload = sz.invariant_tuple_to_json(t)
-    sz.validate_against_schema(payload, "invariant_tuple")
-    _emit(args, payload)
+    _emit(args, sz.invariant_tuple_to_json(t))
     if args.pretty:
         sys.stdout.write(_pretty_tuple(t))
     return 0

@@ -59,10 +59,10 @@ def _frame_gram(space: HermitianSpace, fa: LoxodromicFrame,
     """Gram product K of v = [a_A, r_A, x_A..., a_B, r_B, x_B...], the
     matrix V with these columns and their norms.  <v_i, v_j> is entry
     (j, i) of K; A's vectors sit at indices 0..n and B's at n+1..2n+1."""
-    vs = [fa.attracting, fa.repelling, *fa.positives,
-          fb.attracting, fb.repelling, *fb.positives]
-    V = QArray.from_columns(vs)
-    return space.gram(vs), V, np.linalg.norm(V.moduli(), axis=0)
+    perm = np.r_[0, space.n, 1:space.n]    # frame columns (a, x..., r)
+    V = QArray(np.hstack([fa.F.a[:, perm], fb.F.a[:, perm]]),
+               np.hstack([fa.F.b[:, perm], fb.F.b[:, perm]]))
+    return space.gram(V), V, np.linalg.norm(V.moduli(), axis=0)
 
 
 def _misses_polars(K: QArray, norms: np.ndarray, line,

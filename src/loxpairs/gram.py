@@ -102,8 +102,8 @@ def _normalize_quadruple(space: HermitianSpace, zs: List[QArray]):
     """The lifts (z1, z2, z3, z4) rescaled by _quadruple_scalars (the
     standard anchor) to (p1, p2, p3, p4), with the scalars s and the
     Gram product of the ps, conj(s_i) K_ij s_j for K that of the zs."""
-    K = space.gram(zs)
     Z = QArray.from_columns(zs)
+    K = space.gram(Z)
     s = _quadruple_scalars(space, K, np.linalg.norm(Z.moduli(), axis=0),
                            zs[0])
     return (Z * s).columns(), s, _rescaled_gram(K, s)
@@ -154,7 +154,7 @@ def gram_matrix(t: AssociatedTuple) -> QArray:
     """The 2n x 2n QArray of pairings G[i, j] = <p_i, p_j>, its pattern
     checked by masked array comparisons."""
     n, tol = t.space.n, PATTERN_TOL
-    G = QArray(t.gram.a.T, t.gram.b.T)
+    G = t.gram.transpose()
     # the values the normalization pins (0 or 1), NaN elsewhere; the
     # unpinned entries then compare NaN > tol, which is False
     E = np.full(G.shape, np.nan)

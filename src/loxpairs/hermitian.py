@@ -9,9 +9,10 @@ i.e. <z,w> = conj(w_{n+1}) z_1 + conj(w_1) z_{n+1} + sum_j conj(w_j) z_j.
 Negative vectors project to points of the ball model; null vectors to its
 boundary.
 
-`inner` gives one pairing, a quaternion scalar (a 0-d QArray); `gram`
-gives every pairing of a list of vectors from the one product V^* H V,
-and the pair stage reads all of its pairings from such products.
+`inner` pairs two vectors, a quaternion scalar (a 0-d QArray), or two
+stacks of vectors row by row; `gram` gives every pairing of the columns
+of V from the one product V^* H V, and the pair stage reads all of its
+pairings from such products.
 Scalars act on vectors from the right, so <z s, w t> = conj(t) <z, w> s.
 
 `HermitianSpace` owns the split between the two fields.  A complex
@@ -103,20 +104,22 @@ class HermitianSpace:
             else QArray(w)
 
     def inner(self, z: QArray, w: QArray) -> QArray:
-        """<z, w> = w^* H z, a 0-d QArray.  Linear in z,
-        conjugate-linear in w."""
-        Hz_a = self.H @ z.a
-        Hz_b = self.H @ z.b
+        """<z, w> = w^* H z of vectors along the last axis, a 0-d QArray
+        for two vectors and one pairing per row for stacks of rows.
+        Linear in z, conjugate-linear in w."""
+        # H is symmetric, so z H is (H z)^T row by row
+        Hz_a = z.a @ self.H
+        Hz_b = z.b @ self.H
         # w^* u with w = w1 + j w2, u = Hz = u1 + j u2, summed over the
         # entries: conj(w1) u1 + conj(w2) u2 + j (w1 u2 - w2 u1)
-        a = np.sum(np.conj(w.a) * Hz_a) + np.sum(np.conj(w.b) * Hz_b)
-        b = np.sum(w.a * Hz_b) - np.sum(w.b * Hz_a)
+        a = np.sum(np.conj(w.a) * Hz_a, axis=-1) \
+            + np.sum(np.conj(w.b) * Hz_b, axis=-1)
+        b = np.sum(w.a * Hz_b, axis=-1) - np.sum(w.b * Hz_a, axis=-1)
         return QArray(a, b)
 
-    def gram(self, vectors) -> QArray:
-        """Gram matrix V^* H V of V = [v_1 .. v_k]: entry (i, j) is
-        <v_j, v_i> = inner(v_j, v_i)."""
-        V = QArray.from_columns(vectors)
+    def gram(self, V: QArray) -> QArray:
+        """Gram matrix V^* H V of the columns v_1 .. v_k of V: entry
+        (i, j) is <v_j, v_i> = inner(v_j, v_i)."""
         return V.adjoint() @ self._HQ @ V
 
     def norm_sq(self, z: QArray) -> float:

@@ -39,13 +39,13 @@ TRIPLE = ((0, 1, False), (1, 2, False), (2, 0, False))
 def _words(space: HermitianSpace, zs: List[QArray], rows, word,
            K: Optional[QArray] = None) -> QArray:
     """The word evaluated on every row of rows, one entry per row, its
-    letters multiplied left to right.  g(i, j) is entry (j, i) of
-    K = space.gram(zs), formed here when the caller does not have it,
-    and every entry read is checked against DEGENERATE_TOL |z_i| |z_j|
-    in one comparison."""
-    if K is None:
-        K = space.gram(zs)
-    norms = np.linalg.norm(QArray.from_columns(zs).moduli(), axis=0)
+    letters multiplied left to right.  g(i, j) is entry (j, i) of K,
+    the Gram product of the zs, formed here when the caller does not
+    have it, and every entry read is checked against
+    DEGENERATE_TOL |z_i| |z_j| in one comparison."""
+    Z = QArray.from_columns(zs)
+    K = space.gram(Z) if K is None else K
+    norms = np.linalg.norm(Z.moduli(), axis=0)
     p, q, inverted = zip(*word)
     rows = np.asarray(rows)
     i, j = rows[:, p], rows[:, q]
@@ -138,7 +138,7 @@ def pair_invariants(space: HermitianSpace, fa: LoxodromicFrame,
         entries=_words(space, p, rows, CROSS, tuple_.gram),
         angular=_angles(_words(space, p, [(0, 1, 2), (0, 1, 3), (1, 2, 3)],
                                TRIPLE, tuple_.gram)),
-        projective_A=fa.points(), projective_B=fb.points(),
+        projective_A=fa.points, projective_B=fb.points,
         matching_A=list(tuple_.matching_A),
         matching_B=list(tuple_.matching_B))
 

@@ -127,6 +127,10 @@ class QArray:
         """Entrywise |q|."""
         return np.sqrt(np.abs(self.a) ** 2 + np.abs(self.b) ** 2)
 
+    def transpose(self) -> "QArray":
+        """Transpose of a matrix or of each matrix of a stack, unconjugated."""
+        return QArray(self.a.swapaxes(-1, -2), self.b.swapaxes(-1, -2))
+
     def adjoint(self) -> "QArray":
         """Quaternionic conjugate transpose of a matrix, or of each
         matrix in a stack."""
@@ -146,7 +150,9 @@ class QArray:
 
     @classmethod
     def from_embed(cls, M: np.ndarray) -> "QArray":
-        m = M.shape[-1] // 2
+        """Inverse of embed.  A matrix is read off the left half of its
+        embedding, which is its embedded columns side by side."""
+        m = M.shape[-min(M.ndim, 2)] // 2
         if M.ndim == 1:
             return cls(M[:m], M[m:])
         return cls(M[..., :m, :m], M[..., m:, :m])

@@ -18,7 +18,8 @@ runs once on the whole stack:
    mixed-precision refinement for every pair (the residual is formed in
    extended precision, the correction comes from one stacked LAPACK
    solve), and the eigenpair residuals;
-3. per element, the spectral gates and the normalization of the lifts;
+3. the spectral gates, one array comparison each, and the normalization
+   of the lifts, by array products on the stack of frame matrices F;
 4. cond(F) and the reconstructions F D F^-1 of every frame.
 
 `real_char_poly`, `classify_element` and `eigen_frame` run their kernels
@@ -204,22 +205,25 @@ def _eigenpairs(space: HermitianSpace, A: QArray, Mfull: np.ndarray):
 
 @dataclass
 class LoxodromicFrame:
-    """Attracting/repelling fixed-point lifts and positive eigenvectors.
+    """The frame of a loxodromic element A = F D F^-1, held as the one
+    matrix F, with D = diag(r e^{i theta}, e^{i phi_k}, e^{i theta}/r).
 
-    attracting and repelling are null lifts normalized so
-    <attracting, repelling> = 1; positives are unit positive vectors
-    ordered by increasing eigenvalue angle.  frame_matrix has columns
-    (attracting, positives..., repelling) and preserves the form;
-    A = frame_matrix @ diag(r e^{i theta}, e^{i phi_k}, e^{i theta}/r)
-    @ frame_matrix^{-1}.
+    The columns of F are (attracting, positives..., repelling): the
+    null lifts of the attracting and repelling fixed points, normalized
+    so <attracting, repelling> = 1, and the unit positive eigenvectors
+    ordered by increasing eigenvalue angle.  F preserves the form, and
+    every invariant is read off pairings of its columns; attracting,
+    repelling and positives are views of them.
     """
     radius: float
     theta: float
     phis: np.ndarray
-    attracting: QArray
-    repelling: QArray
-    positives: List[QArray]
+    F: QArray
     space: HermitianSpace = field(repr=False)
+
+    attracting = property(lambda self: self.F.column(0))
+    repelling = property(lambda self: self.F.column(-1))
+    positives = property(lambda self: self.F.columns()[1:-1])
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -236,28 +240,18 @@ class LoxodromicFrame:
         chi = np.real(np.poly(np.concatenate([lams, np.conj(lams)])))
         return chi[1:lams.size + 1]
 
-    def frame_matrix(self) -> QArray:
-        return QArray.from_columns([self.attracting, *self.positives,
-                                    self.repelling])
-
-    def diagonal(self) -> QArray:
-        return QArray.diag(self.eigenvalues)
-
+    @cached_property
     def points(self) -> List[np.ndarray]:
-        """Projective points of the attracting lift, then of the
-        positive eigenvectors."""
-        return list(projective_points(QArray.from_columns(
-            [self.attracting, *self.positives])))
+        """Projective points of the attracting lift, then the positives."""
+        return list(projective_points(self.F.pick(slice(None), slice(-1))))
 
     def conjugated(self, S: QArray) -> "LoxodromicFrame":
         """The frame of S A S^-1, for an isometry S (same spectrum)."""
-        return LoxodromicFrame(self.radius, self.theta, self.phis.copy(),
-                               S @ self.attracting, S @ self.repelling,
-                               [S @ p for p in self.positives], self.space)
+        return LoxodromicFrame(self.radius, self.theta, self.phis,
+                               S @ self.F, self.space)
 
     def rebuild(self) -> QArray:
-        C = self.frame_matrix()
-        return C @ self.diagonal() @ C.inverse()
+        return self.F @ QArray.diag(self.eigenvalues) @ self.F.inverse()
 
 
 def _simple_classes(space: HermitianSpace, chi: np.ndarray):
@@ -272,78 +266,86 @@ def _simple_classes(space: HermitianSpace, chi: np.ndarray):
         raise DegenerateSpectrum("eigenvalue classes are not simple")
 
 
-def _norms_sq(space: HermitianSpace, X: QArray) -> np.ndarray:
-    """<x, x> of every row x of X, by the arithmetic of space.inner."""
-    return np.real(np.sum(np.conj(X.a) * (X.a @ space.H), axis=-1)
-                   + np.sum(np.conj(X.b) * (X.b @ space.H), axis=-1))
-
-
-def _assemble(space: HermitianSpace, W: np.ndarray,
-              centers: np.ndarray) -> LoxodromicFrame:
-    """The frame of one element from its class eigenpairs (rows of W in
-    the complex form of space, eigenvalues centers): the spectral gates,
-    then the normalization of the lifts."""
-    tol = RADIUS_GUARD
-    radii = np.abs(centers)
-    # attracting fixed point carries the eigenvalue class of modulus r < 1
-    i_att = int(np.argmin(radii))
-    i_rep = int(np.argmax(radii))
-    if not (radii[i_rep] > 1.0 + tol and radii[i_att] < 1.0 - tol):
-        raise NotLoxodromic("no attracting/repelling eigenvalue pair")
-    lam_att = centers[i_att]
-    lam_rep = centers[i_rep]
-    if space.field == "quaternion":
-        if not np.all(centers.imag >= -1e-9):
-            raise DegenerateSpectrum(
-                "class representative left the upper half plane")
-        if not min(abs(lam_att.imag), abs(lam_rep.imag)) > tol * abs(lam_att):
-            raise RealEigenvalueClass("attracting class meets the real axis")
-        if not abs(lam_rep / abs(lam_rep) - lam_att / abs(lam_att)) <= 1e-6:
-            raise DegenerateSpectrum("attracting/repelling angles disagree")
-    unit_idx = [i for i in range(centers.size) if i not in (i_att, i_rep)]
-    if not np.all(np.abs(radii[unit_idx] - 1.0) <= tol):
-        raise DegenerateSpectrum("non-unit intermediate eigenvalue")
-    unit_idx.sort(key=lambda i: np.angle(centers[i]))
-    theta = float(np.angle(lam_att))
-    r = float(radii[i_att])
-
-    a = space.from_complex(W[i_att])
-    rv = space.from_complex(W[i_rep])
-    positives = [space.from_complex(W[i]) for i in unit_idx]
-    phis = np.array([float(np.angle(centers[i])) for i in unit_idx])
-
-    # only complex rescalings keep the eigenvalue representatives intact
-    g = space.inner(a, rv)
-    if not abs(g.b) <= 1e-7 * (1.0 + g.moduli()):
-        raise DegenerateSpectrum(
-            f"attracting/repelling pairing has j part {abs(g.b):.3e}")
-    rv = rv * QArray(1.0 / np.conj(g.a))
-    nsq = _norms_sq(space, QArray.stack(positives))
-    if not np.all(nsq > 0):
-        raise DegenerateSpectrum("intermediate eigenvector is not positive")
-    positives = [x.scale(t) for x, t in zip(positives, 1.0 / np.sqrt(nsq))]
-    return LoxodromicFrame(r, theta, phis, a, rv, positives, space)
-
-
-def _passing(count: int, check, error):
+def _passing(count: int, check):
     """(i, its exception) for the first i < count at which check(i)
-    raises, else (count, error)."""
+    raises, else (count, None)."""
     for i in range(count):
         try:
             check(i)
         except Exception as exc:
             return i, exc
-    return count, error
+    return count, None
 
 
-def _cut(ok: np.ndarray, error, message):
-    """(i, DegenerateSpectrum(message(i))) for the first i with ok[i]
-    false, else (len(ok), error)."""
-    failing = np.flatnonzero(~ok)
+def _cut(ok: np.ndarray, end: int, error, exc, message: str, *values):
+    """The live prefix and the exception after one gate, which element
+    i passes where ok[i]: for the first failing i < end, i and exc of
+    message formatted with the values of element i, else (end, error)."""
+    failing = np.flatnonzero(~ok[:end])
     if not failing.size:
-        return ok.size, error
+        return end, error
     i = int(failing[0])
-    return i, DegenerateSpectrum(message(i))
+    return i, exc(message.format(*(v[i] for v in values)))
+
+
+def _assemble(space: HermitianSpace, W: np.ndarray, lams: np.ndarray,
+              end: int, error):
+    """The frames of the live prefix end of a stack from its class
+    eigenpairs (rows W[e, i] in the complex form of space, eigenvalues
+    lams[e, i]), and the exception of the serial loop after error, that
+    of the stages before: one array comparison per gate, then the lifts
+    normalized by array products."""
+    tol = RADIUS_GUARD
+    e = np.arange(len(lams))
+    radii, angles = np.abs(lams), np.angle(lams)
+    # attracting fixed point carries the eigenvalue class of modulus r < 1
+    i_att, i_rep = np.argmin(radii, axis=-1), np.argmax(radii, axis=-1)
+    att, rep = lams[e, i_att], lams[e, i_rep]
+    end, error = _cut((radii[e, i_rep] > 1.0 + tol)
+                      & (radii[e, i_att] < 1.0 - tol), end, error,
+                      NotLoxodromic, "no attracting/repelling eigenvalue pair")
+    if space.field == "quaternion":
+        end, error = _cut(np.all(lams.imag >= -1e-9, axis=-1), end, error,
+                          DegenerateSpectrum,
+                          "class representative left the upper half plane")
+        end, error = _cut(np.minimum(abs(att.imag), abs(rep.imag))
+                          > tol * abs(att), end, error, RealEigenvalueClass,
+                          "attracting class meets the real axis")
+        end, error = _cut(abs(rep / abs(rep) - att / abs(att)) <= 1e-6,
+                          end, error, DegenerateSpectrum,
+                          "attracting/repelling angles disagree")
+    # frame order: attracting, the others by increasing angle, repelling
+    key = angles.copy()
+    key[e, i_att], key[e, i_rep] = -np.inf, np.inf
+    order = np.argsort(key, axis=-1, kind="stable")
+    unit = order[:, 1:-1]
+    end, error = _cut(np.all(abs(np.take_along_axis(radii, unit, -1) - 1.0)
+                             <= tol, axis=-1), end, error,
+                      DegenerateSpectrum, "non-unit intermediate eigenvalue")
+
+    # row j of V is column j of the frame matrix
+    V = space.from_complex(np.swapaxes(
+        np.take_along_axis(W, order[..., None], 1), -1, -2)).transpose()
+    g = space.inner(V.pick(slice(None), 0), V.pick(slice(None), -1))
+    end, error = _cut(abs(g.b) <= 1e-7 * (1.0 + g.moduli()), end, error,
+                      DegenerateSpectrum,
+                      "attracting/repelling pairing has j part {:.3e}",
+                      abs(g.b))
+    positives = V.pick(slice(None), slice(1, -1))
+    nsq = space.inner(positives, positives).a.real
+    end, error = _cut(np.all(nsq > 0, axis=-1), end, error,
+                      DegenerateSpectrum,
+                      "intermediate eigenvector is not positive")
+    V = V.scale(np.pad(1.0 / np.sqrt(nsq), ((0, 0), (1, 1)),
+                       constant_values=1.0)[..., None])
+    # only complex rescalings keep the eigenvalue representatives intact
+    rv = V.pick(slice(None), -1) * QArray(1.0 / np.conj(g.a[:, None]))
+    V.a[:, -1], V.b[:, -1] = rv.a, rv.b
+    F = V.transpose().copy()
+    phis = np.take_along_axis(angles, unit, -1)
+    return [LoxodromicFrame(float(radii[i, i_att[i]]),
+                            float(angles[i, i_att[i]]), phis[i], F.pick(i),
+                            space) for i in range(end)], error
 
 
 def _frames(space: HermitianSpace, A: QArray):
@@ -358,54 +360,44 @@ def _frames(space: HermitianSpace, A: QArray):
     Mfull = space.as_complex(A)
     chi = faddeev_leverrier(Mfull)
     end, error = _passing(A.shape[0],
-                          lambda i: _simple_classes(space, chi[i]), None)
+                          lambda i: _simple_classes(space, chi[i]))
     if not end:
         return [], error
     A = A.pick(slice(end))
     W, lams, resid = _eigenpairs(space, A, Mfull[:end])
     # each gate scales with its own element
     amax = A.moduli().max(axis=(-2, -1))
-    end, error = _cut(resid <= RESIDUAL_TOL * (1.0 + amax), error,
-                      lambda i: f"eigenvector residual {resid[i]:.3e}")
-    frames = []
-    end, error = _passing(
-        end, lambda i: frames.append(_assemble(space, W[i], lams[i])), error)
-    if not end:
+    end, error = _cut(resid <= RESIDUAL_TOL * (1.0 + amax), end, error,
+                      DegenerateSpectrum, "eigenvector residual {:.3e}", resid)
+    frames, error = _assemble(space, W, lams, end, error)
+    if not frames:
         return [], error
+    end = len(frames)
+    F = QArray.stack([f.F for f in frames])
+    D = QArray.stack([QArray.diag(f.eigenvalues) for f in frames])
     # the inverse needs a nonsingular F; cond(F) of a frame that is not
     # finite counts as infinite
-    F = QArray.stack([f.frame_matrix() for f in frames])
     Fe = F.embed()
     kappa = np.full(end, np.inf)
     finite = np.all(np.isfinite(Fe), axis=(-2, -1))
     kappa[finite] = np.linalg.cond(Fe[finite])
-    end, error = _cut(np.isfinite(kappa), error,
-                      lambda i: f"frame matrix condition {kappa[i]:.3e}")
-    if not end:
-        return [], error
-    F, A = F.pick(slice(end)), A.pick(slice(end))
-    D = QArray.zeros(F.shape)
-    diag = np.arange(space.dim)
-    D.a[:, diag, diag] = [f.eigenvalues for f in frames[:end]]
+    end, error = _cut(np.isfinite(kappa), end, error, DegenerateSpectrum,
+                      "frame matrix condition {:.3e}", kappa)
+    F, D, A = (X.pick(slice(end)) for X in (F, D, A))
     miss = (F @ D @ F.inverse() - A).moduli().max(axis=(-2, -1))
     # evaluation noise of F D F^-1 grows like eps * cond(F), so the gate
     # must not outpace what double precision can certify
     gate = (1.0 + amax[:end]) * np.maximum(
         RESIDUAL_TOL, 20 * np.finfo(float).eps * kappa[:end])
-    end, error = _cut(miss <= gate, error,
-                      lambda i: f"frame reconstruction residual {miss[i]:.3e}")
+    end, error = _cut(miss <= gate, end, error, DegenerateSpectrum,
+                      "frame reconstruction residual {:.3e}", miss)
     return frames[:end], error
 
 
 def eigen_frame(space: HermitianSpace, A: QArray):
     """Spectral frame of a loxodromic isometry, or the list of frames of
-    a stack A of shape (k, m, m).
-
-    A single matrix runs as a stack of one, on the same path.  No
-    floating-point warning gets out, NaN fails every gate, and a stack
-    raises what the loop over its elements would: the first failing
-    gate of the first failing element.
-    """
+    a stack A of shape (k, m, m), on the one path the module docstring
+    describes: a stack raises what the loop over its elements would."""
     stack = A if A.ndim == 3 else QArray(A.a[None], A.b[None])
     with np.errstate(all="ignore"):
         frames, error = _frames(space, stack)
@@ -444,7 +436,7 @@ def element_conjugator(space: HermitianSpace, X: QArray, Y: QArray) -> QArray:
     if (abs(fx.radius - fy.radius) > tol or abs(fx.theta - fy.theta) > tol
             or np.max(np.abs(fx.phis - fy.phis), initial=0.0) > tol):
         raise DegenerateSpectrum("eigenvalue data of the two elements differ")
-    S = fy.frame_matrix() @ fx.frame_matrix().inverse()
+    S = fy.F @ fx.F.inverse()
     resid = (S @ X @ S.inverse() - Y).max_abs()
     if resid > tol * (1.0 + Y.max_abs()):
         raise DegenerateSpectrum(f"conjugation residual {resid:.3e}")

@@ -59,7 +59,7 @@ class TwistBendParams:
 
 def identity_params(frame: LoxodromicFrame) -> TwistBendParams:
     """The trivial twist-bend of A's gluing curve (K = identity)."""
-    return TwistBendParams(1.0, 0.0, 0.0, 0.0, *frame.points())
+    return TwistBendParams(1.0, 0.0, 0.0, 0.0, *frame.points)
 
 
 def twist_bend_element(kappa: TwistBendParams,
@@ -70,16 +70,15 @@ def twist_bend_element(kappa: TwistBendParams,
         raise WrongDimension("twist-bends are defined for n = 3 only")
     if kappa.t <= 0:
         raise DegenerateConfiguration("twist-bend needs t > 0")
-    for k, p in zip((kappa.k1, kappa.k2, kappa.k3), frame.points()):
+    for k, p in zip((kappa.k1, kappa.k2, kappa.k3), frame.points):
         if not projective_points_equal(np.asarray(k, dtype=complex), p,
                                        tol=POINT_TOL):
             raise InconsistentProjectivePoints(
                 "twist-bend projective points do not agree with the frame")
-    Q = frame.frame_matrix()
     A = frame.rebuild()
     # a huge t overflows K; the finiteness gate below reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        K = Q @ kappa.diagonal() @ Q.inverse()
+        K = frame.F @ kappa.diagonal() @ frame.F.inverse()
         resid = (K @ A - A @ K).max_abs()
         bound = COMMUTE_TOL * (1.0 + A.max_abs()) * (1.0 + K.max_abs())
     if not (np.isfinite(bound) and resid <= bound):  # overflow, NaN fail

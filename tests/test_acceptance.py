@@ -134,8 +134,7 @@ def test_criterion_2_classification_round_trip():
         fa = eigen_frame(QSPACE, A)
         # spectral perturbation: nudge the radius, keep the frame
         A2 = LoxodromicFrame(fa.radius * (1 + 1e-3), fa.theta, fa.phis,
-                             fa.attracting, fa.repelling, fa.positives,
-                             QSPACE).rebuild()
+                             fa.F, QSPACE).rebuild()
         res = conjugacy_test(QSPACE, A, B, A2, B)
         if res.conjugate or res.stage not in ("real-trace", "tuple") \
                 or res.conjugator is not None:
@@ -195,6 +194,16 @@ def test_criterion_3_gram_dictionary():
             f"(worst deviation {worst:.2e} vs 1e-9)")
 
 
+def rescaled_frame(f, unit):
+    """The frame f with every lift right-multiplied by its own unit(),
+    drawn in the order attracting, repelling, positives."""
+    dim = f.space.dim
+    units = QArray.stack([unit() for _ in range(dim)])
+    # the columns of F are (attracting, positives..., repelling)
+    return LoxodromicFrame(f.radius, f.theta, f.phis,
+                           f.F * units.pick(np.r_[0, 2:dim, 1]), f.space)
+
+
 def test_criterion_4_gauge_recovery():
     worst = 0.0
     ok = True
@@ -208,14 +217,7 @@ def test_criterion_4_gauge_recovery():
         def unit():
             return QArray.from_components(hunit(rng))
 
-        fa2 = LoxodromicFrame(fa.radius, fa.theta, fa.phis,
-                              fa.attracting * unit(),
-                              fa.repelling * unit(),
-                              [x * unit() for x in fa.positives], QSPACE)
-        fb2 = LoxodromicFrame(fb.radius, fb.theta, fb.phis,
-                              fb.attracting * unit(),
-                              fb.repelling * unit(),
-                              [x * unit() for x in fb.positives], QSPACE)
+        fa2, fb2 = rescaled_frame(fa, unit), rescaled_frame(fb, unit)
         # the report of the rescaled frames, whose matching is rep's
         rep2 = genericity_report(QSPACE, fa2, fb2)
         if (rep2.matching_A, rep2.matching_B) \

@@ -16,9 +16,9 @@ def _run(capsys, *argv):
 
 
 def _generate(tmp_path, name="pair.json", seed="7", field="quaternion",
-              mode="strong"):
+              mode="strong", n="3"):
     path = tmp_path / name
-    code = main(["generate", "--n", "3", "--field", field, "--seed", seed,
+    code = main(["generate", "--n", n, "--field", field, "--seed", seed,
                  "--mode", mode, "--out", str(path)])
     assert code == 0
     return path
@@ -38,8 +38,11 @@ def test_generate_output_is_valid_pair(tmp_path):
     assert space.is_isometry(A) and space.is_isometry(B)
 
 
-def test_invariants_schema_valid(tmp_path, capsys):
-    path = _generate(tmp_path)
+@pytest.mark.parametrize("field", ["quaternion", "complex"])
+@pytest.mark.parametrize("n", ["3", "4", "5"])
+def test_invariants_schema_valid(tmp_path, capsys, n, field):
+    # the command does not validate its own output; this test does
+    path = _generate(tmp_path, field=field, n=n)
     code, out = _run(capsys, "invariants", "--in", str(path))
     assert code == 0
     sz.validate_against_schema(json.loads(out), "invariant_tuple")

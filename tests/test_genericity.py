@@ -64,9 +64,10 @@ def _polar_off(space, frame, other, k, rng):
     lam = hconj(hmul(space.inner(a, v).components(),
                      hinv(space.inner(a, r).components())))
     x = v - r * QArray.from_components(lam)
-    pos = list(frame.positives)
-    pos[k] = x.scale(1.0 / x.norm())
-    return dataclasses.replace(frame, positives=pos)
+    x = x.scale(1.0 / x.norm())
+    F = frame.F.copy()
+    F.a[:, k + 1], F.b[:, k + 1] = x.a, x.b     # column 0 is attracting
+    return dataclasses.replace(frame, F=F)
 
 
 @pytest.mark.parametrize("field", ["quaternion", "complex"])

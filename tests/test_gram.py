@@ -7,8 +7,8 @@ from loxpairs.genericity import genericity_report
 from loxpairs.gram import gram_matrix, normalize_lifts
 from loxpairs.qmatrix import QArray
 from loxpairs.quat import align_sp1
-from loxpairs.spectral import LoxodromicFrame, eigen_frame
-from test_acceptance import gram_offdiagonal_entries
+from loxpairs.spectral import eigen_frame
+from test_acceptance import gram_offdiagonal_entries, rescaled_frame
 
 
 def _tuple_for(space, seed, anchor="standard"):
@@ -59,14 +59,7 @@ def test_unit_rescaling_is_global_gauge(qspace, rng):
     def unit():
         return QArray.from_components(hunit(rng))
 
-    fa2 = LoxodromicFrame(fa.radius, fa.theta, fa.phis,
-                          fa.attracting * unit(),
-                          fa.repelling * unit(),
-                          [x * unit() for x in fa.positives], qspace)
-    fb2 = LoxodromicFrame(fb.radius, fb.theta, fb.phis,
-                          fb.attracting * unit(),
-                          fb.repelling * unit(),
-                          [x * unit() for x in fb.positives], qspace)
+    fa2, fb2 = rescaled_frame(fa, unit), rescaled_frame(fb, unit)
     # the report of the rescaled frames: a unit rescaling moves no flag,
     # so the matching is the one of rep
     rep2 = genericity_report(qspace, fa2, fb2)
@@ -102,7 +95,7 @@ def test_normalize_quadruple_returns_gram_of_lifts(n, field):
     zs = [fa.attracting, fa.repelling, fb.attracting, fb.repelling]
     ps, s, G = _normalize_quadruple(space, zs)
     assert s.shape == (4,) and G.shape == (4, 4)
-    ref = space.gram(ps)
+    ref = space.gram(QArray.from_columns(ps))
     assert (G - ref).max_abs() <= 1e-13 * (1 + ref.max_abs())
     assert (G.pick(range(1, 4), 0) - QArray(np.ones(3))).max_abs() <= 1e-12
 

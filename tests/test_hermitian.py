@@ -29,7 +29,7 @@ def test_gram_matches_inner(n, field, rng):
     # entry (i, j) of the one product is <v_j, v_i>, entry by entry
     space = HermitianSpace(n, field)
     vs = [space._random_qarray(rng, space.dim) for _ in range(2 * n)]
-    G = space.gram(vs)
+    G = space.gram(QArray.from_columns(vs))
     assert G.shape == (2 * n, 2 * n)
     for i, vi in enumerate(vs):
         for j, vj in enumerate(vs):
@@ -37,6 +37,15 @@ def test_gram_matches_inner(n, field, rng):
             assert ref.shape == ()
             assert (G.pick(i, j) - ref).moduli() \
                 <= 1e-13 * vi.norm() * vj.norm()
+    # inner pairs two stacks of rows at once, each row bit for bit as
+    # the inner of its own two vectors
+    Z, W = QArray.stack(vs), QArray.stack(vs[::-1])
+    rows = space.inner(Z, W)
+    assert rows.shape == (2 * n,)
+    for i, (z, w) in enumerate(zip(vs, vs[::-1])):
+        ref = space.inner(z, w)
+        assert np.array_equal(rows.a[i], ref.a) \
+            and np.array_equal(rows.b[i], ref.b)
 
 
 def test_inner_hermitian_symmetry(qspace, rng):
