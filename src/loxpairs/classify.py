@@ -29,8 +29,7 @@ from .gram import (AssociatedTuple, _normalize_quadruple, gram_matrix,
 from .hermitian import HermitianSpace, gauge
 from .invariants import InvariantTuple, pair_invariants, sp1_orbit_equal
 from .qmatrix import QArray, conjugate_by, quaternionic_rank
-from .spectral import (LoxodromicFrame, eigen_frame,
-                       projective_points_equal)
+from .spectral import LoxodromicFrame, eigen_frame
 
 ORBIT_TOL = 1e-8
 QUADRUPLE_TOL = 1e-7
@@ -39,8 +38,9 @@ RANK_STEP = 1e-5
 RANK_TOL = 1e-8
 
 
-def _spanning_subset(lifts: List[QArray], size: int) -> List[int]:
-    """Greedy prefix-priority choice of `size` H-independent lifts.
+def _spanning_subset(P: QArray, size: int) -> List[int]:
+    """Greedy prefix-priority choice of `size` H-independent columns of
+    the lift matrix P.
 
     One unpivoted QR of the embedded candidates, the columns v and v j of
     each lift in prefix order, gives on a lift's two diagonal entries of
@@ -48,10 +48,10 @@ def _spanning_subset(lifts: List[QArray], size: int) -> List[int]:
     whose distance does not pass RANK_TOL times the largest norm so far
     is dropped, and the candidates left are factored again.
     """
-    idx = list(range(len(lifts)))
+    idx = list(range(P.shape[1]))
     while len(idx) >= size:
         cand = idx[:size]
-        W = QArray.from_columns([lifts[i] for i in cand]).embed()
+        W = P.pick(slice(None), cand).embed()
         # embed puts every v j after all the v; interleave them per lift
         W = W[:, np.arange(2 * size).reshape(2, size).T.ravel()]
         dist = np.abs(np.diagonal(np.linalg.qr(W, mode="r")))
@@ -64,16 +64,15 @@ def _spanning_subset(lifts: List[QArray], size: int) -> List[int]:
     raise DegenerateInputError("associated lifts do not span the space")
 
 
-def _verified_congruence(space: HermitianSpace, basis: List[QArray],
-                         images: List[QArray], pairs,
+def _verified_congruence(space: HermitianSpace, basis: QArray,
+                         images: QArray, P: QArray, Q: QArray,
                          tol: float) -> QArray:
-    """C = P' P^-1 with P, P' the columns basis, images, checked as an
-    isometry and on every (p, q) in pairs for C p = q."""
-    C = QArray.from_columns(images) @ QArray.from_columns(basis).inverse()
+    """C = images basis^-1, checked as an isometry and on every column p
+    of P for C p = q, q the same column of Q."""
+    C = images @ basis.inverse()
     scale = 1.0 + C.max_abs()
     if not space.is_isometry(C, tol=100 * tol * scale ** 2):
         raise VerificationFailed("reconstructed map is not an isometry")
-    P, Q = (QArray.from_columns(vs) for vs in zip(*pairs))
     miss = (C @ P - Q).moduli().max(axis=0)
     if np.any(miss > 100 * tol * scale * (1.0 + P.moduli().max(axis=0))):
         raise VerificationFailed("reconstructed map misses a vector")
@@ -86,24 +85,30 @@ def congruence_from_tuples(t: AssociatedTuple, t2: AssociatedTuple,
     unit that carries the invariants of t onto those of t2.
 
     Both tuples must pass the gram_matrix pattern gate.  C is
-    reconstructed on a spanning sub-collection of the lifts, followed by
-    the two omitted positives, whose images are t2's own, not scaled by
-    mu: a positive eigenvector is fixed only up to a complex unit, which
-    does not move its eigenvalue.  C is then checked as an isometry, on
-    every lift, and projectively on the two omitted vectors.
+    reconstructed on a spanning set of columns of the lift matrix P, of
+    the lifts followed by the two omitted positives, whose images are
+    t2's own, not scaled by mu: a positive eigenvector is fixed only up
+    to a complex unit, which does not move its eigenvalue.  C is then
+    checked as an isometry, on every lift, and projectively on the two
+    omitted vectors.
     """
     space = t.space
     for tup in (t, t2):
         gram_matrix(tup)            # the pattern gate
-    sources = [*t.lifts, t.omitted_A, t.omitted_B]
-    targets = [p * mu for p in t2.lifts] + [t2.omitted_A, t2.omitted_B]
-    sel = _spanning_subset(sources, space.n + 1)
-    C = _verified_congruence(space, [sources[i] for i in sel],
-                             [targets[i] for i in sel],
-                             zip(t.lifts, targets[:len(t.lifts)]), tol)
-    for om, om2 in zip((t.omitted_A, t.omitted_B),
-                       (t2.omitted_A, t2.omitted_B)):
-        if quaternionic_rank([C @ om, om2], tol=100 * tol) != 1:
+    m = 2 * space.n
+    mus = QArray(np.append(np.full(m, mu.a), [1, 1]),
+                 np.append(np.full(m, mu.b), [0, 0]))
+    targets = t2.P * mus
+    sel = _spanning_subset(t.P, space.n + 1)
+    lifts = slice(None), slice(m)
+    C = _verified_congruence(space, t.P.pick(slice(None), sel),
+                             targets.pick(slice(None), sel),
+                             t.P.pick(*lifts), targets.pick(*lifts), tol)
+    both = QArray.stack([C @ t.P, t2.P])
+    for k in (m, m + 1):
+        # column k of C P beside column k of P'
+        if quaternionic_rank(both.pick(Ellipsis, k).transpose(),
+                             tol=100 * tol) != 1:
             raise VerificationFailed(
                 "reconstructed map misses an omitted lift projectively")
     return C
@@ -208,8 +213,7 @@ class ConjugacyResult:
 
 def _points_match(f: LoxodromicFrame, g: LoxodromicFrame,
                   tol: float) -> bool:
-    return all(projective_points_equal(p, q, tol=tol)
-               for p, q in zip(f.points, g.points))
+    return bool(np.all(np.linalg.norm(f.points - g.points, axis=1) <= tol))
 
 
 def _reduced_match(i1: InvariantTuple, i2: InvariantTuple,
@@ -290,29 +294,29 @@ def conjugacy_test(space: HermitianSpace, A: QArray, B: QArray,
 
 # -- quadruples of boundary points -----------------------------------------
 
-def _orthogonal_complement(space: HermitianSpace,
-                           vectors: List[QArray]) -> List[QArray]:
-    """H-orthonormal basis of the complement of span(vectors); the
-    complement must be positive definite."""
-    k = len(vectors)
-    S = QArray.from_columns(vectors)
+def _extend_basis(space: HermitianSpace, S: QArray) -> QArray:
+    """The columns of S followed by an H-orthonormal basis of the
+    complement of their span, as one square matrix; the complement must
+    be positive definite."""
+    k = S.shape[1]
     # column i is e_i - S M^-1 b with M = S^* H S and b = S^* H e_i
     R = QArray.eye(space.dim) - S @ (
         space.gram(S).inverse() @ (S.adjoint() @ QArray(space.H)))
-    out: List[QArray] = []
+    B = QArray.zeros((space.dim, space.dim))
+    B.a[:, :k], B.b[:, :k] = S.a, S.b
     for i in range(space.dim):
         v = R.column(i)
-        for u in out:
-            v = v - u * space.inner(v, u)
+        for j in range(S.shape[1], k):
+            v = v - B.column(j) * space.inner(v, B.column(j))
         nrm = space.norm_sq(v)
         if nrm <= 1e-8:
             continue
-        out.append(v.scale(1.0 / np.sqrt(nrm)))
-        if len(out) == space.n + 1 - k:
-            break
-    if len(out) < space.n + 1 - k:
-        raise DegenerateInputError("could not extend to a full basis")
-    return out
+        v = v.scale(1.0 / np.sqrt(nrm))
+        B.a[:, k], B.b[:, k] = v.a, v.b
+        k += 1
+        if k == space.dim:
+            return B
+    raise DegenerateInputError("could not extend to a full basis")
 
 
 def boundary_quadruple_congruence(space: HermitianSpace, zs: List[QArray],
@@ -320,23 +324,22 @@ def boundary_quadruple_congruence(space: HermitianSpace, zs: List[QArray],
     """Isometry h with h(z_i) = w_i projectively, for two quadruples of
     pairwise distinct boundary points, or None when their normalized
     pairings lie in different Sp(1) orbits."""
-    zn, _, Gz = _normalize_quadruple(space, zs)
-    wn, _, Gw = _normalize_quadruple(space, ws)
+    Zn, _, Gz = _normalize_quadruple(space, QArray.from_columns(zs))
+    Wn, _, Gw = _normalize_quadruple(space, QArray.from_columns(ws))
     upper = ([0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3])     # i < j
     mu = gauge(space.field, Gz.pick(*upper), Gw.pick(*upper), QUADRUPLE_TOL)
     if mu is None:
         return None
-    wt = [w * mu for w in wn]
+    Wt = Wn * mu
 
-    if quaternionic_rank(zn) != min(4, space.n + 1) \
-            or quaternionic_rank(wt) != min(4, space.n + 1):
+    if quaternionic_rank(Zn) != min(4, space.n + 1) \
+            or quaternionic_rank(Wt) != min(4, space.n + 1):
         raise DegenerateInputError(
             "quadruple does not span a rank-4 subspace")
-    zb, wb = list(zn), list(wt)
+    Zb, Wb = Zn, Wt
     if space.n + 1 > 4:
-        zb += _orthogonal_complement(space, zn)
-        wb += _orthogonal_complement(space, wt)
-    return _verified_congruence(space, zb, wb, zip(zn, wt), QUADRUPLE_TOL)
+        Zb, Wb = _extend_basis(space, Zn), _extend_basis(space, Wt)
+    return _verified_congruence(space, Zb, Wb, Zn, Wt, QUADRUPLE_TOL)
 
 
 # -- numerical rank of the invariant map -----------------------------------
@@ -367,11 +370,11 @@ def _invariant_vector(space: HermitianSpace, A: QArray, B: QArray,
     fa, fb = eigen_frame(space, QArray.stack([A, B]))
     report = replace(report, frame_gram=_frame_gram(space, fa, fb))
     iv = pair_invariants(space, fa, fb, report=report)
-    parts = [iv.real_trace_A, iv.real_trace_B, iv.angular,
-             iv.entries.components().ravel()]
-    for p in iv.projective_A + iv.projective_B:
-        parts.append(np.concatenate([p.real, p.imag]))
-    return np.concatenate(parts)
+    # each point (u, v) as Re u, Re v, Im u, Im v
+    pts = np.vstack([iv.projective_A, iv.projective_B])
+    return np.concatenate([iv.real_trace_A, iv.real_trace_B, iv.angular,
+                           iv.entries.components().ravel(),
+                           np.hstack([pts.real, pts.imag]).ravel()])
 
 
 def invariant_map_rank(space: HermitianSpace, A: QArray,

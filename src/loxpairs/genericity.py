@@ -32,7 +32,7 @@ def on_line_boundary(space: HermitianSpace, p: QArray, line,
     """Projective membership of a null point in the boundary circle of
     an F-line: a rank condition on the three lifts."""
     c1, c2 = line
-    return quaternionic_rank([p, c1, c2], tol=tol) <= 2
+    return quaternionic_rank(QArray.from_columns([p, c1, c2]), tol=tol) <= 2
 
 
 @dataclass
@@ -100,7 +100,7 @@ def _flag_matching(M: np.ndarray, k: int):
 def genericity_report(space: HermitianSpace, fa: LoxodromicFrame,
                       fb: LoxodromicFrame) -> PairGenericityReport:
     n = space.n
-    K, _, norms = frame_gram = _frame_gram(space, fa, fb)
+    K, V, norms = frame_gram = _frame_gram(space, fa, fb)
     fixed_a, fixed_b = [0, 1], [n + 1, n + 2]
     failing: List[str] = []
     # two null lifts span the same boundary point iff they pair to zero
@@ -129,7 +129,8 @@ def genericity_report(space: HermitianSpace, fa: LoxodromicFrame,
     omitted_b = next((j for j in range(n - 1) if j not in matched_b), None)
 
     weakly = not failing
-    rank4 = quaternionic_rank([*line_a, *line_b], tol=RANK_TOL) >= 4
+    rank4 = quaternionic_rank(V.pick(slice(None), fixed_a + fixed_b),
+                              tol=RANK_TOL) >= 4
     if not rank4:
         failing.append("fixed-points-in-hyperplane-boundary")
     return PairGenericityReport(

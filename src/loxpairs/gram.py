@@ -15,28 +15,32 @@ positively proportional to the standard lift of a_A.  The resulting
 Gram matrix is unique up to conjugating every entry by one unit
 quaternion.
 
+An `AssociatedTuple` is one lift matrix P: its columns are p1 .. p_{2n},
+then the omitted positives of A and of B, unscaled.
+
 The rule for the first four lifts, `_quadruple_scalars`, is the one
 lift normalization of the package.  `_normalize_quadruple` applies it
-to quadruples of boundary points for
+to the four columns of a matrix of boundary points for
 `classify.boundary_quadruple_congruence` and to the quadruple
 (a_A, r_A, a_B, K r_C) of `twistbend.tilde_invariants`, and returns the
 rescaled lifts and their Gram product.  `normalize_lifts` takes only
 the scalars, from the one Gram product of both frames and the norms
-that `genericity_report` formed, and the Gram product of the whole
-tuple is that frame product rescaled by the scalars of its lifts, so no
+that `genericity_report` formed, builds P as one product of the frame
+vectors and the scalars, and takes the Gram product of the whole tuple
+as that frame product rescaled by the scalars of its lifts, so no
 second product is formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from .errors import (NormalizationImpossible, NotWeaklyNonsingular,
                      PatternViolation)
-from .genericity import PairGenericityReport, genericity_report
+from .genericity import PairGenericityReport
 from .hermitian import HermitianSpace
 from .qmatrix import QArray
 from .spectral import LoxodromicFrame
@@ -48,12 +52,10 @@ PATTERN_TOL = 1e-8
 @dataclass
 class AssociatedTuple:
     space: HermitianSpace
-    lifts: List[QArray]          # p1 .. p_{2n}
-    omitted_A: QArray            # p_{2n+1}
-    omitted_B: QArray            # p_{2n+2}
+    P: QArray                    # columns p1 .. p_{2n}, omitted of A, of B
     matching_A: List[int]
     matching_B: List[int]
-    gram: QArray                 # <p_i, p_j> is entry (j, i)
+    gram: QArray                 # <p_i, p_j> is entry (j, i), i, j < 2n
 
 
 def _rescaled_gram(K: QArray, s: QArray) -> QArray:
@@ -98,20 +100,19 @@ def _quadruple_scalars(space: HermitianSpace, K: QArray, norms: np.ndarray,
     return QArray(np.append(c.a * t, u.a / t), np.append(c.b * t, u.b / t))
 
 
-def _normalize_quadruple(space: HermitianSpace, zs: List[QArray]):
-    """The lifts (z1, z2, z3, z4) rescaled by _quadruple_scalars (the
-    standard anchor) to (p1, p2, p3, p4), with the scalars s and the
-    Gram product of the ps, conj(s_i) K_ij s_j for K that of the zs."""
-    Z = QArray.from_columns(zs)
+def _normalize_quadruple(space: HermitianSpace, Z: QArray):
+    """The columns (z1, z2, z3, z4) of Z rescaled by _quadruple_scalars
+    (the standard anchor) to the columns (p1, p2, p3, p4) of Z s, with
+    the scalars s and the Gram product of the ps, conj(s_i) K_ij s_j
+    for K that of the zs."""
     K = space.gram(Z)
     s = _quadruple_scalars(space, K, np.linalg.norm(Z.moduli(), axis=0),
-                           zs[0])
-    return (Z * s).columns(), s, _rescaled_gram(K, s)
+                           Z.column(0))
+    return Z * s, s, _rescaled_gram(K, s)
 
 
 def normalize_lifts(space: HermitianSpace, fa: LoxodromicFrame,
-                    fb: LoxodromicFrame,
-                    report: Optional[PairGenericityReport] = None,
+                    fb: LoxodromicFrame, report: PairGenericityReport,
                     anchor: str = "standard") -> AssociatedTuple:
     """Build the normalized associated tuple of a weakly non-singular pair.
 
@@ -122,10 +123,9 @@ def normalize_lifts(space: HermitianSpace, fa: LoxodromicFrame,
     with <p_k, x> = <z_k, x> s_k for the quadruple's scalars s, and so
     does the tuple's own Gram product, conj(S_i) K_ij S_j for the
     scalars S of all 2n lifts.  K is the report's, which must be the
-    report of these frames.
+    report of these frames.  P is the one product of the frame vectors
+    and S, padded by 1 for the two omitted positives.
     """
-    if report is None:
-        report = genericity_report(space, fa, fb)
     if not report.weakly_nonsingular:
         raise NotWeaklyNonsingular(
             f"pair fails genericity: {report.failing_conditions}")
@@ -143,10 +143,11 @@ def normalize_lifts(space: HermitianSpace, fa: LoxodromicFrame,
     # p_k = v_k S_k for the frame vectors v at cols
     cols = np.append(quad, idx)
     S = QArray(np.append(s.a, c.a), np.append(s.b, c.b))
-    return AssociatedTuple(space, (V.pick(slice(None), cols) * S).columns(),
-                           fa.positives[report.omitted_A],
-                           fb.positives[report.omitted_B],
-                           list(report.matching_A), list(report.matching_B),
+    omitted = [2 + report.omitted_A, n + 3 + report.omitted_B]
+    P = V.pick(slice(None), np.append(cols, omitted)) \
+        * QArray(np.append(S.a, [1, 1]), np.append(S.b, [0, 0]))
+    return AssociatedTuple(space, P, list(report.matching_A),
+                           list(report.matching_B),
                            _rescaled_gram(K.pick(*np.ix_(cols, cols)), S))
 
 

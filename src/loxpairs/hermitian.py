@@ -33,6 +33,8 @@ half-plane class filter and the quaternionic class gates of
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .errors import DegenerateInputError, WrongDimension, WrongField
@@ -77,8 +79,6 @@ class HermitianSpace:
             raise WrongDimension(f"need n >= 2, got n = {n}")
         self.n = n
         self.field = field
-        self.H = form_matrix(n)
-        self._HQ = QArray(self.H)
         quaternion = field == "quaternion"
         # real units per entry: 1, i, j, k or 1, i
         self.units = 4 if quaternion else 2
@@ -91,6 +91,16 @@ class HermitianSpace:
     @property
     def dim(self) -> int:
         return self.n + 1
+
+    # built on first use, so that a file declaring a huge n fails its
+    # shape check before anything of size n is allocated
+    @cached_property
+    def H(self) -> np.ndarray:
+        return form_matrix(self.n)
+
+    @cached_property
+    def _HQ(self) -> QArray:
+        return QArray(self.H)
 
     def as_complex(self, A: QArray) -> np.ndarray:
         """The complex matrix or vector that stands for A: its complex

@@ -36,15 +36,11 @@ CROSS = ((2, 0, False), (2, 1, True), (3, 1, False), (3, 0, True))
 TRIPLE = ((0, 1, False), (1, 2, False), (2, 0, False))
 
 
-def _words(space: HermitianSpace, zs: List[QArray], rows, word,
-           K: Optional[QArray] = None) -> QArray:
+def _words(Z: QArray, K: QArray, rows, word) -> QArray:
     """The word evaluated on every row of rows, one entry per row, its
     letters multiplied left to right.  g(i, j) is entry (j, i) of K,
-    the Gram product of the zs, formed here when the caller does not
-    have it, and every entry read is checked against
-    DEGENERATE_TOL |z_i| |z_j| in one comparison."""
-    Z = QArray.from_columns(zs)
-    K = space.gram(Z) if K is None else K
+    the Gram product of the columns z_i of Z, and every entry read is
+    checked against DEGENERATE_TOL |z_i| |z_j| in one comparison."""
     norms = np.linalg.norm(Z.moduli(), axis=0)
     p, q, inverted = zip(*word)
     rows = np.asarray(rows)
@@ -66,18 +62,20 @@ def cross_ratio(space: HermitianSpace, z1: QArray, z2: QArray,
                 z3: QArray, z4: QArray) -> QArray:
     """<z3,z1><z3,z2>^-1 <z4,z2><z4,z1>^-1, exactly in this order, as a
     0-d QArray."""
-    return _words(space, [z1, z2, z3, z4], [(0, 1, 2, 3)], CROSS).pick(0)
+    Z = QArray.from_columns([z1, z2, z3, z4])
+    return _words(Z, space.gram(Z), [(0, 1, 2, 3)], CROSS).pick(0)
 
 
 def triple_product(space: HermitianSpace, z1, z2, z3) -> QArray:
     """<z1,z2><z2,z3><z3,z1>, as a 0-d QArray."""
-    return _words(space, [z1, z2, z3], [(0, 1, 2)], TRIPLE).pick(0)
+    Z = QArray.from_columns([z1, z2, z3])
+    return _words(Z, space.gram(Z), [(0, 1, 2)], TRIPLE).pick(0)
 
 
 def angular_invariant(space: HermitianSpace, z1, z2, z3) -> float:
     """arccos(Re(-<z1,z2,z3>)/|<z1,z2,z3>|), in [0, pi]; lift-independent."""
-    return float(_angles(_words(space, [z1, z2, z3], [(0, 1, 2)],
-                                TRIPLE))[0])
+    Z = QArray.from_columns([z1, z2, z3])
+    return float(_angles(_words(Z, space.gram(Z), [(0, 1, 2)], TRIPLE))[0])
 
 
 # the quaternion invariants in InvariantTuple.entries, in the order
@@ -91,14 +89,16 @@ ENTRY_NAMES = (("X1", 0), ("X2", 0), ("X3", 0), ("alpha", 1), ("beta", 1),
 @dataclass
 class InvariantTuple:
     """Invariants of a pair; the quaternion ones sit in one QArray,
-    entries, laid out as ENTRY_NAMES says (see layout)."""
+    entries, laid out as ENTRY_NAMES says (see layout).  The projective
+    points of each frame are the rows of an n x 2 complex array, the
+    attracting lift first, then the positives."""
     field_tag: str
     real_trace_A: np.ndarray
     real_trace_B: np.ndarray
     angular: np.ndarray                 # A1, A2, A3
     entries: QArray
-    projective_A: List[np.ndarray]
-    projective_B: List[np.ndarray]
+    projective_A: np.ndarray
+    projective_B: np.ndarray
     matching_A: List[int] = field(default_factory=list)
     matching_B: List[int] = field(default_factory=list)
 
@@ -125,7 +125,7 @@ def pair_invariants(space: HermitianSpace, fa: LoxodromicFrame,
         report = genericity_report(space, fa, fb)
     if tuple_ is None:
         tuple_ = normalize_lifts(space, fa, fb, report=report)
-    n, p = space.n, tuple_.lifts
+    n, P, K = space.n, tuple_.P, tuple_.gram
     apos, bpos = range(4, n + 2), range(n + 2, 2 * n)
     rows = [(0, 1, 2, 3), (0, 2, 1, 3), (1, 3, 2, 0)]
     rows += [(0, 1, 2, k) for k in bpos] + [(2, 3, 0, j) for j in apos]
@@ -135,9 +135,9 @@ def pair_invariants(space: HermitianSpace, fa: LoxodromicFrame,
         field_tag=space.field,
         real_trace_A=fa.real_trace,
         real_trace_B=fb.real_trace,
-        entries=_words(space, p, rows, CROSS, tuple_.gram),
-        angular=_angles(_words(space, p, [(0, 1, 2), (0, 1, 3), (1, 2, 3)],
-                               TRIPLE, tuple_.gram)),
+        entries=_words(P, K, rows, CROSS),
+        angular=_angles(_words(P, K, [(0, 1, 2), (0, 1, 3), (1, 2, 3)],
+                               TRIPLE)),
         projective_A=fa.points, projective_B=fb.points,
         matching_A=list(tuple_.matching_A),
         matching_B=list(tuple_.matching_B))

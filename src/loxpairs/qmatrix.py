@@ -80,9 +80,6 @@ class QArray:
     def column(self, j: int) -> "QArray":
         return QArray(self.a[:, j], self.b[:, j])
 
-    def columns(self) -> list:
-        return [self.column(j) for j in range(self.shape[1])]
-
     def pick(self, *idx) -> "QArray":
         """The entries at numpy indices idx, as a QArray."""
         return QArray(self.a[idx], self.b[idx])
@@ -184,14 +181,13 @@ def commutator(A: QArray, B: QArray) -> QArray:
     return A @ B @ A.inverse() @ B.inverse()
 
 
-def quaternionic_rank(vectors, tol: float = 1e-8) -> int:
-    """Rank over the quaternions of a list of QArray column vectors.
+def quaternionic_rank(V: QArray, tol: float = 1e-8) -> int:
+    """Rank over the quaternions of the columns of the matrix V.
 
-    The embedding of the matrix with these columns has the complex
-    columns of every v and v*j; its complex rank is twice the
-    quaternionic rank.
+    The embedding of V has the complex columns of every column v and of
+    v*j; its complex rank is twice the quaternionic rank.
     """
-    s = np.linalg.svd(QArray.from_columns(vectors).embed(), compute_uv=False)
+    s = np.linalg.svd(V.embed(), compute_uv=False)
     if s[0] == 0.0:
         return 0
     r = int(np.sum(s > tol * s[0]))

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -212,8 +212,8 @@ class LoxodromicFrame:
     null lifts of the attracting and repelling fixed points, normalized
     so <attracting, repelling> = 1, and the unit positive eigenvectors
     ordered by increasing eigenvalue angle.  F preserves the form, and
-    every invariant is read off pairings of its columns; attracting,
-    repelling and positives are views of them.
+    every invariant is read off pairings of its columns; attracting
+    and repelling are views of the first and the last.
     """
     radius: float
     theta: float
@@ -223,7 +223,6 @@ class LoxodromicFrame:
 
     attracting = property(lambda self: self.F.column(0))
     repelling = property(lambda self: self.F.column(-1))
-    positives = property(lambda self: self.F.columns()[1:-1])
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -241,9 +240,10 @@ class LoxodromicFrame:
         return chi[1:lams.size + 1]
 
     @cached_property
-    def points(self) -> List[np.ndarray]:
-        """Projective points of the attracting lift, then the positives."""
-        return list(projective_points(self.F.pick(slice(None), slice(-1))))
+    def points(self) -> np.ndarray:
+        """Projective points of the attracting lift, then the positives,
+        as the rows of an n x 2 array."""
+        return projective_points(self.F.pick(slice(None), slice(-1)))
 
     def conjugated(self, S: QArray) -> "LoxodromicFrame":
         """The frame of S A S^-1, for an isometry S (same spectrum)."""
@@ -421,11 +421,6 @@ def projective_points(V: QArray) -> np.ndarray:
     p = p / np.linalg.norm(p, axis=1, keepdims=True)
     top = p[cols, np.argmax(np.abs(p), axis=1)]
     return p / (top / np.abs(top))[:, None]
-
-
-def projective_points_equal(p: np.ndarray, q: np.ndarray,
-                            tol: float = 1e-7) -> bool:
-    return float(np.linalg.norm(p - q)) <= tol
 
 
 def element_conjugator(space: HermitianSpace, X: QArray, Y: QArray) -> QArray:

@@ -8,13 +8,13 @@ pinned to those of A and are therefore validated, not free.
 `twist_bend_element` builds K from kappa and A's frame, and
 `tilde_invariants` reads (X~1, X~2, X~3, A~1, A~3) off a built K.
 
-Gluing attaches two (0,3) groups along compatible boundary components
+Assembly attaches (0,3) groups along compatible boundary components
 (peripheral of one = inverse peripheral of the other), conjugating the
-far side by the twist-bend of the shared curve; assembly repeats this
-over a pants graph and closes the handles.  Every handle, in `glue` and
-in assembly alike, is closed by one stable-letter rule: t = S K, with S
-conjugating the curve X to the inverse Y^-1 of its partner and K the
-twist-bend of X, so t X t^-1 = Y^-1.  Only n = 3.
+far side of each curve of a spanning tree of the pants graph by the
+curve's twist-bend, and closes the handles.  Every handle is closed by
+one stable-letter rule, `_stable_letter`: t = S K, with S conjugating
+the curve X to the inverse Y^-1 of its partner and K the twist-bend of
+X, so t X t^-1 = Y^-1.  Only n = 3.
 """
 
 from __future__ import annotations
@@ -32,11 +32,11 @@ from .hermitian import HermitianSpace
 from .invariants import CROSS, TRIPLE, _angles, _words
 from .qmatrix import QArray, conjugate_by, quaternionic_rank
 from .spectral import (LoxodromicFrame, classify_element, eigen_frame,
-                       element_conjugator, projective_points_equal)
+                       element_conjugator)
 
 COMMUTE_TOL = 1e-9
 POINT_TOL = 1e-7
-COMPAT_TOL = 1e-9
+COMPAT_TOL = 1e-7
 
 
 @dataclass
@@ -70,11 +70,10 @@ def twist_bend_element(kappa: TwistBendParams,
         raise WrongDimension("twist-bends are defined for n = 3 only")
     if kappa.t <= 0:
         raise DegenerateConfiguration("twist-bend needs t > 0")
-    for k, p in zip((kappa.k1, kappa.k2, kappa.k3), frame.points):
-        if not projective_points_equal(np.asarray(k, dtype=complex), p,
-                                       tol=POINT_TOL):
-            raise InconsistentProjectivePoints(
-                "twist-bend projective points do not agree with the frame")
+    k = np.array([kappa.k1, kappa.k2, kappa.k3], dtype=complex)
+    if not np.all(np.linalg.norm(k - frame.points, axis=1) <= POINT_TOL):
+        raise InconsistentProjectivePoints(
+            "twist-bend projective points do not agree with the frame")
     A = frame.rebuild()
     # a huge t overflows K; the finiteness gate below reports it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -100,16 +99,16 @@ def tilde_invariants(space: HermitianSpace, K: QArray,
     aA, rA = fa.attracting, fa.repelling
     aB, rC = fb.attracting, fc.repelling
     for x in (aB, rC):
-        if quaternionic_rank([aA, rA, x]) < 3:
+        if quaternionic_rank(QArray.from_columns([aA, rA, x])) < 3:
             raise DegenerateConfiguration(
                 "configuration lies on a proper totally geodesic subspace")
     # gauge-fix the quadruple so the angular invariants are well defined
     # (residual freedom is one global unit, a similarity on everything)
     # g indices: 0 = a_A, 1 = r_A, 2 = a_B, 3 = K r_C
-    zs, _, G = _normalize_quadruple(space, [aA, rA, aB, K @ rC])
-    X = _words(space, zs, [(0, 1, 2, 3), (0, 3, 2, 1), (1, 3, 2, 0)],
-               CROSS, G)
-    A1, A3 = _angles(_words(space, zs, [(0, 1, 3), (1, 3, 2)], TRIPLE, G))
+    Z, _, G = _normalize_quadruple(
+        space, QArray.from_columns([aA, rA, aB, K @ rC]))
+    X = _words(Z, G, [(0, 1, 2, 3), (0, 3, 2, 1), (1, 3, 2, 0)], CROSS)
+    A1, A3 = _angles(_words(Z, G, [(0, 1, 3), (1, 3, 2)], TRIPLE))
     return X.pick(0), X.pick(1), X.pick(2), float(A1), float(A3)
 
 
@@ -151,12 +150,11 @@ class PantsGroup:
                           [f.conjugated(S) for f in self.frames])
 
 
-def _check_compatible(space: HermitianSpace, P: QArray, D: QArray,
-                      tol: float = COMPAT_TOL):
+def _check_compatible(P: QArray, D: QArray):
     resid = (P - D.inverse()).max_abs()
-    if resid > tol * (1.0 + P.max_abs()):
+    if resid > COMPAT_TOL * (1.0 + P.max_abs()):
         raise DegenerateInputError(
-            f"boundary mismatch {resid:.3e} exceeds {tol:.0e}")
+            f"boundary mismatch {resid:.3e} exceeds {COMPAT_TOL:.0e}")
 
 
 def _stable_letter(space: HermitianSpace, X: QArray, Y: QArray,
@@ -167,30 +165,6 @@ def _stable_letter(space: HermitianSpace, X: QArray, Y: QArray,
     transversal holonomy."""
     return element_conjugator(space, X, Y.inverse()) @ \
         twist_bend_element(kappa, frame)
-
-
-def glue(g1: PantsGroup, g2: PantsGroup, kappa: TwistBendParams,
-         slot1: int = 0, slot2: int = 1) -> List[QArray]:
-    """Attach g2 to g1 along compatible boundary components.
-
-    Case 1 (distinct pants): peripheral slot1 of g1 must equal the
-    inverse of peripheral slot2 of g2; returns the (0,4) generators
-    [A, B, K C K^-1] with C the other generator of g2 and K the
-    twist-bend of the shared curve.  Case 2 (g1 is g2): closes the
-    handle between slots slot1 and slot2 of the same pants, returning
-    the (1,1) generators [P, t] with t the stable letter that carries P
-    to the inverse of the other peripheral.
-    """
-    space = g1.space
-    P = g1.peripherals()[slot1]
-    if g1 is g2:
-        return [P, _stable_letter(space, P, g1.peripherals()[slot2], kappa,
-                                  g1.frames[slot1])]
-    K = twist_bend_element(kappa, g1.frames[slot1])
-    D = g2.peripherals()[slot2]
-    _check_compatible(space, P, D)
-    C = g2.B if slot2 == 0 else g2.A
-    return [g1.A, g1.B, conjugate_by(K, C)]
 
 
 # -- surface assembly ------------------------------------------------------
@@ -257,8 +231,7 @@ def assemble_surface_representation(
             S = element_conjugator(space, D.inverse(), P)
             K = twist_bend_element(kappas[e], aligned[a].frames[sa])
             aligned[b] = pants[b].conjugated(K @ S)
-            _check_compatible(space, P, conjugate_by(K @ S, D),
-                              tol=max(COMPAT_TOL, 1e-7))
+            _check_compatible(P, conjugate_by(K @ S, D))
             tree.add(e)
             stack.append(b)
     if any(g is None for g in aligned):

@@ -296,7 +296,7 @@ def test_criterion_7_quadruple_congruence():
     for i in range(200):
         rng = np.random.default_rng(50_000 + i)
         zs = [_null_lift(QSPACE, rng) for _ in range(4)]
-        if quaternionic_rank(zs) < 4:
+        if quaternionic_rank(QArray.from_columns(zs)) < 4:
             zs = [_null_lift(QSPACE, rng) for _ in range(4)]
         U = QSPACE.random_isometry(rng)
         ws = []
@@ -307,7 +307,8 @@ def test_criterion_7_quadruple_congruence():
             bad += 1
             continue
         for z, w in zip(zs, ws):
-            if quaternionic_rank([h @ z, w], tol=1e-7) != 1:
+            if quaternionic_rank(QArray.from_columns([h @ z, w]),
+                                 tol=1e-7) != 1:
                 bad += 1
                 break
         # a perturbed fourth point must be rejected

@@ -114,7 +114,7 @@ def test_weak_mode_decides_pair_preserving_a_plane(space, rng):
 def test_quadruple_congruence(space, rng):
     for _ in range(5):
         zs = [_null_lift(space, rng) for _ in range(4)]
-        if quaternionic_rank(zs) < min(4, space.dim):
+        if quaternionic_rank(QArray.from_columns(zs)) < min(4, space.dim):
             continue
         U = space.random_isometry(rng)
         ws = [U @ z for z in zs]
@@ -122,7 +122,8 @@ def test_quadruple_congruence(space, rng):
         assert h is not None
         assert space.is_isometry(h, tol=1e-6 * (1 + h.max_abs()) ** 2)
         for z, w in zip(zs, ws):
-            assert quaternionic_rank([h @ z, w], tol=1e-6) == 1
+            assert quaternionic_rank(QArray.from_columns([h @ z, w]),
+                                     tol=1e-6) == 1
 
 
 def test_quadruple_congruence_rescaled_lifts(qspace, rng):
@@ -135,7 +136,8 @@ def test_quadruple_congruence_rescaled_lifts(qspace, rng):
     h = boundary_quadruple_congruence(qspace, zs, ws)
     assert h is not None
     for z, w in zip(zs, ws):
-        assert quaternionic_rank([h @ z, w], tol=1e-6) == 1
+        assert quaternionic_rank(QArray.from_columns([h @ z, w]),
+                                 tol=1e-6) == 1
 
 
 def test_quadruple_congruence_rejects_perturbed(space, rng):
@@ -155,7 +157,8 @@ def test_quadruple_congruence_higher_dimension(rng):
     h = boundary_quadruple_congruence(space, zs, ws)
     assert h is not None
     for z, w in zip(zs, ws):
-        assert quaternionic_rank([h @ z, w], tol=1e-6) == 1
+        assert quaternionic_rank(QArray.from_columns([h @ z, w]),
+                                 tol=1e-6) == 1
 
 
 def _vec(coords):
@@ -176,18 +179,19 @@ def test_quadruple_coincident_points_raise(space, case):
 @pytest.mark.parametrize("wrong", ["image", "pair"])
 def test_verified_congruence_rejects_one_wrong_image(space, rng, wrong):
     U = space.random_isometry(rng)
-    basis = [QArray.eye(space.dim).column(i) for i in range(space.dim)]
-    images = [U @ v for v in basis]
-    pairs = list(zip(basis, images))
-    C = _verified_congruence(space, basis, images, pairs, 1e-8)
+    basis = QArray.eye(space.dim)
+    images = U @ basis
+    C = _verified_congruence(space, basis, images, basis, images, 1e-8)
     assert (C - U).max_abs() < 1e-10
-    bad = images[1] + images[2].scale(0.1)
+    bad = images.copy()
+    bad.a[:, 1] += 0.1 * images.a[:, 2]
+    bad.b[:, 1] += 0.1 * images.b[:, 2]
     if wrong == "image":
-        images[1] = bad
+        args = (bad, basis, images)
     else:
-        pairs[1] = (basis[1], bad)
+        args = (images, basis, bad)
     with pytest.raises(VerificationFailed):
-        _verified_congruence(space, basis, images, pairs, 1e-8)
+        _verified_congruence(space, basis, *args, 1e-8)
 
 
 def test_congruence_from_tuples_identity(qspace):
@@ -506,24 +510,23 @@ def test_refine_conjugator_leaves_a_larger_centralizer_unpolished(space,
         assert (e - (Xp_ - C @ X @ Cinv)).max_abs() == 0.0
 
 
-def _greedy_subset(lifts, size):
-    sel, basis = [], []
-    for i, p in enumerate(lifts):
+def _greedy_subset(P, size):
+    sel = []
+    for i in range(P.shape[1]):
         if len(sel) == size:
             break
-        if quaternionic_rank([*basis, p]) > len(sel):
+        if quaternionic_rank(P.pick(slice(None), sel + [i])) > len(sel):
             sel.append(i)
-            basis.append(p)
     return sel if len(sel) == size else None
 
 
 def _tuple_sources(space, seed):
+    from loxpairs.genericity import genericity_report
     from loxpairs.gram import normalize_lifts
     from loxpairs.spectral import eigen_frame
     fa, fb = eigen_frame(space, QArray.stack(generate_pair(space, seed)))
-    t = normalize_lifts(space, fa, fb)
-    return [*t.lifts, t.omitted_A, t.omitted_B]
-
+    return normalize_lifts(space, fa, fb,
+                           genericity_report(space, fa, fb)).P
 
 @pytest.mark.parametrize("seed", range(4))
 def test_spanning_subset_matches_greedy_rank(space, seed, monkeypatch):
@@ -540,7 +543,8 @@ def test_spanning_subset_matches_greedy_rank(space, seed, monkeypatch):
     # the second lift made dependent on the first: it is skipped
     unit = QArray(0.6 + 0.8j) if space.field == "complex" \
         else QArray.from_components([0.5, 0.5, -0.5, 0.5])
-    dep = [sources[0], sources[0] * unit, *sources[2:]]
+    dep, p = sources.copy(), sources.column(0) * unit
+    dep.a[:, 1], dep.b[:, 1] = p.a, p.b
     got = _spanning_subset(dep, size)
     assert 1 not in got
     assert got == _greedy_subset(dep, size)
@@ -549,10 +553,9 @@ def test_spanning_subset_matches_greedy_rank(space, seed, monkeypatch):
 def test_spanning_subset_raises_when_lifts_do_not_span(space):
     from loxpairs.classify import _spanning_subset
     from loxpairs.errors import DegenerateInputError
-    sources = _tuple_sources(space, 0)
+    p, q = (_tuple_sources(space, 0).column(j) for j in range(2))
     # lifts from a proper subspace: the first two and their combinations
-    mixed = [sources[0], sources[1], sources[0] + sources[1],
-             sources[0] - sources[1] * QArray(2.0), sources[1]]
+    mixed = QArray.from_columns([p, q, p + q, p - q * QArray(2.0), q])
     assert _greedy_subset(mixed, space.dim) is None
     with pytest.raises(DegenerateInputError):
         _spanning_subset(mixed, space.dim)

@@ -275,11 +275,16 @@ def _wrong_n(obj):
     obj["space"]["n"] = 4
 
 
+def _huge_n(obj):
+    # the shape check must come before anything of size n is allocated
+    obj["space"]["n"] = 100000
+
+
 @pytest.mark.parametrize("command", ["classify", "invariants",
                                      "conjugacy-test"])
 @pytest.mark.parametrize("corrupt", [_ragged_row, _string_entry,
                                      _infinite_entry, _small_matrix,
-                                     _scalar_matrix, _wrong_n])
+                                     _scalar_matrix, _wrong_n, _huge_n])
 def test_malformed_pair_file_exit_2(tmp_path, capsys, command, corrupt):
     path = _generate(tmp_path)
     obj = sz.loads(path.read_text())
@@ -323,11 +328,15 @@ def _pants_zero_matrix(obj):
     obj["pants"][0]["A"] = [[[0.0] * 4] * 4] * 4
 
 
+def _pants_huge_n(obj):
+    obj["space"]["n"] = 100000
+
+
 @pytest.mark.parametrize("field", ["quaternion", "complex"])
 @pytest.mark.parametrize("corrupt", [_pants_ragged_row, _pants_three_rows,
                                      _pants_small_matrix, _pants_string_entry,
                                      _pants_null_entry, _pants_infinite_entry,
-                                     _pants_zero_matrix])
+                                     _pants_zero_matrix, _pants_huge_n])
 def test_malformed_graph_file_exit_2(tmp_path, capsys, field, corrupt):
     gpath = _graph_file(tmp_path, field)
     obj = sz.loads(gpath.read_text())

@@ -21,8 +21,8 @@ from loxpairs.spectral import eigen_frame
 def canonical_flags(frame):
     """Flags (a_A, L_A, W_j) of a frame, as (point, line, polar)."""
     a, r = frame.attracting, frame.repelling
-    return [SimpleNamespace(point=a, line=(a, r), polar=x)
-            for x in frame.positives]
+    return [SimpleNamespace(point=a, line=(a, r), polar=frame.F.column(j))
+            for j in range(1, frame.space.n)]
 
 
 def _line_meets_polar_boundary(space, line, x, tol):
@@ -132,7 +132,7 @@ def test_power_pair_shares_fixed_points(qspace, rng):
 def test_canonical_flags(qframes):
     fa, _ = qframes
     flags = canonical_flags(fa)
-    assert len(flags) == len(fa.positives)
+    assert len(flags) == fa.F.shape[1] - 2
     for fl in flags:
         assert (fl.point - fa.attracting).max_abs() == 0
         assert on_line_boundary(fa.space, fa.repelling, fl.line)

@@ -20,10 +20,10 @@ def _tuple_for(space, seed, anchor="standard"):
 
 def test_normalization_constraints(space):
     _, _, _, t = _tuple_for(space, 3)
-    p1 = t.lifts[0]
-    for p in t.lifts[1:4]:
-        assert (space.inner(p1, p) - QArray(1.0)).moduli() <= 1e-9
-    g23 = space.inner(t.lifts[2], t.lifts[1])
+    p1 = t.P.column(0)
+    for j in range(1, 4):
+        assert (space.inner(p1, t.P.column(j)) - QArray(1.0)).moduli() <= 1e-9
+    g23 = space.inner(t.P.column(2), t.P.column(1))
     assert np.isclose(g23.moduli(), 1.0, atol=1e-9)
 
 
@@ -79,8 +79,8 @@ def test_standard_anchor_makes_gram_canonical(space):
     # with the standard-lift anchor there is no residual freedom at all
     _, _, _, t = _tuple_for(space, 17)
     _, _, _, t2 = _tuple_for(space, 17)
-    for p, q in zip(t.lifts, t2.lifts):
-        assert (p - q).max_abs() < 1e-12
+    for j in range(2 * space.n):
+        assert (t.P.column(j) - t2.P.column(j)).max_abs() < 1e-12
 
 
 @pytest.mark.parametrize("field", ["quaternion", "complex"])
@@ -93,9 +93,9 @@ def test_normalize_quadruple_returns_gram_of_lifts(n, field):
     space = HermitianSpace(n, field)
     fa, fb, _, _ = _tuple_for(space, n)
     zs = [fa.attracting, fa.repelling, fb.attracting, fb.repelling]
-    ps, s, G = _normalize_quadruple(space, zs)
+    ps, s, G = _normalize_quadruple(space, QArray.from_columns(zs))
     assert s.shape == (4,) and G.shape == (4, 4)
-    ref = space.gram(QArray.from_columns(ps))
+    ref = space.gram(ps)
     assert (G - ref).max_abs() <= 1e-13 * (1 + ref.max_abs())
     assert (G.pick(range(1, 4), 0) - QArray(np.ones(3))).max_abs() <= 1e-12
 
@@ -105,14 +105,22 @@ def test_normalize_quadruple_returns_gram_of_lifts(n, field):
 def test_tuple_takes_the_quadruple_normalization_bit_for_bit(n, field):
     # normalize_lifts takes only the scalars, from the report's frame
     # product and norms; its first four lifts and their Gram block are
-    # those of the full quadruple normalization, to the last bit
+    # those of the full quadruple normalization, to the last bit.  The
+    # lift matrix P ends with the frames' omitted positives, unscaled,
+    # and its tuple Gram product is that of its first 2n columns
     from loxpairs.gram import _normalize_quadruple
     from loxpairs.hermitian import HermitianSpace
     space = HermitianSpace(n, field)
-    fa, fb, _, t = _tuple_for(space, n)
-    ps, _, G = _normalize_quadruple(
-        space, [fa.attracting, fa.repelling, fb.attracting, fb.repelling])
-    for p, q in zip(t.lifts[:4], ps):
-        assert np.array_equal(p.a, q.a) and np.array_equal(p.b, q.b)
+    fa, fb, rep, t = _tuple_for(space, n)
+    assert t.P.shape == (n + 1, 2 * n + 2)
+    ps, _, G = _normalize_quadruple(space, QArray.from_columns(
+        [fa.attracting, fa.repelling, fb.attracting, fb.repelling]))
+    assert np.array_equal(t.P.a[:, :4], ps.a)
+    assert np.array_equal(t.P.b[:, :4], ps.b)
     block = t.gram.pick(slice(4), slice(4))
     assert np.array_equal(block.a, G.a) and np.array_equal(block.b, G.b)
+    for j, (f, k) in enumerate(((fa, rep.omitted_A), (fb, rep.omitted_B))):
+        p, x = t.P.column(2 * n + j), f.F.column(1 + k)
+        assert np.array_equal(p.a, x.a) and np.array_equal(p.b, x.b)
+    ref = space.gram(t.P.pick(slice(None), slice(2 * n)))
+    assert (t.gram - ref).max_abs() <= 1e-12

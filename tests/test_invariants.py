@@ -127,8 +127,9 @@ def test_pair_invariants_match_per_pair_formulas(field):
     rep = genericity_report(space, fa, fb)
     t = normalize_lifts(space, fa, fb, report=rep)
     inv = pair_invariants(space, fa, fb, report=rep, tuple_=t)
-    p1, p2, p3, p4 = t.lifts[:4]
-    apos, bpos = t.lifts[4:space.n + 2], t.lifts[space.n + 2:]
+    p = [t.P.column(j) for j in range(2 * space.n)]
+    p1, p2, p3, p4 = p[:4]
+    apos, bpos = p[4:space.n + 2], p[space.n + 2:]
 
     def ip(z, w):
         return space.inner(z, w).components()
@@ -166,7 +167,7 @@ def test_array_invariants_match_quaternion_reference(n, field):
     rep = genericity_report(space, fa, fb)
     t = normalize_lifts(space, fa, fb, report=rep)
     inv = pair_invariants(space, fa, fb, report=rep, tuple_=t)
-    p = t.lifts
+    p = [t.P.column(j) for j in range(2 * n)]
 
     def g(i, j):
         return space.inner(p[i], p[j]).components()

@@ -92,17 +92,17 @@ def test_conjugate_by_and_commutator(rng):
 
 def test_quaternionic_rank_full_and_deficient(rng):
     vs = [_random_qarray(rng, 4) for _ in range(4)]
-    assert quaternionic_rank(vs) == 4
+    assert quaternionic_rank(QArray.from_columns(vs)) == 4
     q = QArray.from_components(rng.standard_normal(4))
     # a right-scalar multiple spans the same quaternionic line
-    assert quaternionic_rank([vs[0], vs[0] * q]) == 1
-    assert quaternionic_rank(vs[:2] + [vs[0] * q]) == 2
+    assert quaternionic_rank(QArray.from_columns([vs[0], vs[0] * q])) == 1
+    assert quaternionic_rank(QArray.from_columns(vs[:2] + [vs[0] * q])) == 2
 
 
 def test_complex_mode_rank_ignores_j_line(rng):
     v = QArray(rng.standard_normal(4) + 1j * rng.standard_normal(4))
     c = 0.3 - 1.1j
-    assert quaternionic_rank([v, QArray(v.a * c)]) == 1
+    assert quaternionic_rank(QArray.from_columns([v, QArray(v.a * c)])) == 1
 
 
 @pytest.mark.parametrize("field", ["complex", "quaternion"])
@@ -135,8 +135,8 @@ def test_entrywise_quaternion_algebra(rng):
             assert np.isclose(mods[i, j], np.linalg.norm(xij), rtol=1e-14)
     picked = X.pick([2, 0], 1).components()
     assert np.array_equal(picked, x[[2, 0], 1])
-    assert np.array_equal([c.components()[0] for c in X.columns()],
-                          x[0])
+    assert np.array_equal([X.column(j).components()[0]
+                           for j in range(X.shape[1])], x[0])
     assert X.pick(2, 1).shape == ()
     assert np.array_equal(X.pick(2, 1).conj().components(),
                           x[2, 1] * [1, -1, -1, -1])
