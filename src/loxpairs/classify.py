@@ -105,12 +105,12 @@ def congruence_from_tuples(t: AssociatedTuple, t2: AssociatedTuple,
                              targets.pick(slice(None), sel),
                              t.P.pick(*lifts), targets.pick(*lifts), tol)
     both = QArray.stack([C @ t.P, t2.P])
-    for k in (m, m + 1):
-        # column k of C P beside column k of P'
-        if quaternionic_rank(both.pick(Ellipsis, k).transpose(),
-                             tol=100 * tol) != 1:
-            raise VerificationFailed(
-                "reconstructed map misses an omitted lift projectively")
+    # for each omitted column k, column k of C P beside column k of P'
+    pairs = QArray.stack([both.pick(Ellipsis, k).transpose()
+                          for k in (m, m + 1)])
+    if np.any(quaternionic_rank(pairs, tol=100 * tol) != 1):
+        raise VerificationFailed(
+            "reconstructed map misses an omitted lift projectively")
     return C
 
 
@@ -332,8 +332,8 @@ def boundary_quadruple_congruence(space: HermitianSpace, zs: List[QArray],
         return None
     Wt = Wn * mu
 
-    if quaternionic_rank(Zn) != min(4, space.n + 1) \
-            or quaternionic_rank(Wt) != min(4, space.n + 1):
+    if np.any(quaternionic_rank(QArray.stack([Zn, Wt]))
+              != min(4, space.n + 1)):
         raise DegenerateInputError(
             "quadruple does not span a rank-4 subspace")
     Zb, Wb = Zn, Wt

@@ -27,14 +27,6 @@ MEMBERSHIP_TOL = 1e-9
 RANK_TOL = 1e-8
 
 
-def on_line_boundary(space: HermitianSpace, p: QArray, line,
-                     tol: float = MEMBERSHIP_TOL) -> bool:
-    """Projective membership of a null point in the boundary circle of
-    an F-line: a rank condition on the three lifts."""
-    c1, c2 = line
-    return quaternionic_rank(QArray.from_columns([p, c1, c2]), tol=tol) <= 2
-
-
 @dataclass
 class PairGenericityReport:
     weakly_nonsingular: bool
@@ -112,10 +104,13 @@ def genericity_report(space: HermitianSpace, fa: LoxodromicFrame,
     # other line and neither line meets the other polar's boundary.  All
     # flags of one frame share its point and line, so the point test is
     # one for every pair and each polar test depends on i or j alone.
-    line_a = (fa.attracting, fa.repelling)
-    line_b = (fb.attracting, fb.repelling)
-    points_ok = not (on_line_boundary(space, fa.attracting, line_b)
-                     or on_line_boundary(space, fb.attracting, line_a))
+    # A null point lies on the boundary circle of a line iff its lift
+    # and the line's two null lifts have rank 2; one stacked rank tests
+    # a_A against the line of B and a_B against that of A.
+    on_line = quaternionic_rank(QArray.stack(
+        [V.pick(slice(None), fixed_a[:1] + fixed_b),
+         V.pick(slice(None), fixed_b[:1] + fixed_a)]), tol=MEMBERSHIP_TOL)
+    points_ok = not np.any(on_line <= 2)
     rows = _misses_polars(K, norms, fixed_b, np.arange(2, n + 1))
     cols = _misses_polars(K, norms, fixed_a, np.arange(n + 3, 2 * n + 2))
     M = points_ok & np.outer(rows, cols)

@@ -181,14 +181,14 @@ def commutator(A: QArray, B: QArray) -> QArray:
     return A @ B @ A.inverse() @ B.inverse()
 
 
-def quaternionic_rank(V: QArray, tol: float = 1e-8) -> int:
-    """Rank over the quaternions of the columns of the matrix V.
+def quaternionic_rank(V: QArray, tol: float = 1e-8):
+    """Rank over the quaternions of the columns of the matrix V, or one
+    rank per matrix of a stack, from one stacked SVD.
 
     The embedding of V has the complex columns of every column v and of
-    v*j; its complex rank is twice the quaternionic rank.
+    v*j; its complex rank is twice the quaternionic rank.  A zero matrix
+    has no singular value above tol times its largest, so rank 0.
     """
     s = np.linalg.svd(V.embed(), compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    r = int(np.sum(s > tol * s[0]))
-    return (r + 1) // 2
+    rank = (np.sum(s > tol * s[..., :1], axis=-1) + 1) // 2
+    return int(rank) if V.ndim == 2 else rank

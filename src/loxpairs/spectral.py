@@ -10,9 +10,11 @@ matrix runs as a stack of one, on the same path.  Each numeric phase
 runs once on the whole stack:
 
 1. the complex forms (space.as_complex) and their Faddeev-LeVerrier
-   coefficients; per element, the class count and simplicity come from
-   the companion-matrix roots, checked and polished by Aberth, and
-   clustered within each root's Newton distance to a multiple root;
+   coefficients; the class count and simplicity come from one pass of
+   the root stack over all of them: the companion-matrix roots of every
+   element from one stacked eigvals, checked and polished by Aberth row
+   by row, and clustered within each root's Newton distance to a
+   multiple root;
 2. one LAPACK eig of the balanced matrices, whose upper half-plane
    eigenvalues represent the classes, one bordered-Newton step of
    mixed-precision refinement for every pair (the residual is formed in
@@ -20,13 +22,16 @@ runs once on the whole stack:
    solve), and the eigenpair residuals;
 3. the spectral gates, one array comparison each, and the normalization
    of the lifts, by array products on the stack of frame matrices F;
-4. cond(F) and the reconstructions F D F^-1 of every frame.
+4. cond(F) and the reconstructions F D F^-1 of every frame, and the
+   real traces of the frames that pass, from their class eigenvalues.
 
 `real_char_poly`, `classify_element` and `eigen_frame` run their kernels
 with floating-point exceptions ignored, so no warning gets out: an
 overflow turns into inf or NaN, and NaN fails every gate.
 A stack raises what the loop over its elements would raise: the first
-failing gate of the first failing element.
+failing gate of the first failing element.  The one exception is a
+LAPACK failure in the stacked companion eigvals, which does not name
+its matrix; the stack raises NoConvergence for it.
 """
 
 from __future__ import annotations
@@ -38,8 +43,9 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from .errors import (DegenerateSpectrum, NotIsometry, NotLoxodromic,
-                     PalindromeViolation, RealEigenvalueClass)
+from .errors import (DegenerateSpectrum, NoConvergence, NotIsometry,
+                     NotLoxodromic, PalindromeViolation,
+                     RealEigenvalueClass)
 from .hermitian import HermitianSpace
 from .polys import (aberth_roots, cluster_roots, dickson_reduction,
                     discriminant, faddeev_leverrier)
@@ -203,6 +209,27 @@ def _eigenpairs(space: HermitianSpace, A: QArray, Mfull: np.ndarray):
     return W, lams, resid.max(axis=-1)
 
 
+def _class_values(radius, theta, phis) -> np.ndarray:
+    """The class eigenvalues (r e^{i theta}, e^{i phi_k}, e^{i theta}/r)
+    of one frame, or one row per frame of a stack."""
+    lam = np.exp(1j * theta)
+    return np.concatenate([(radius * lam)[..., None], np.exp(1j * phis),
+                           (lam / radius)[..., None]], axis=-1)
+
+
+def _real_traces(E: np.ndarray) -> np.ndarray:
+    """(a_1, ..., a_{n+1}) of every row of class eigenvalues E: the
+    embedded characteristic polynomial is the product over the classes
+    of (x - lam)(x - conj(lam)), expanded one root at a time for the
+    whole stack."""
+    roots = np.concatenate([E, np.conj(E)], axis=-1)
+    c = np.zeros(roots.shape[:-1] + (roots.shape[-1] + 1,), dtype=complex)
+    c[..., 0] = 1.0
+    for j in range(roots.shape[-1]):
+        c[..., 1:j + 2] -= roots[..., j, None] * c[..., :j + 1]
+    return c.real[..., 1:E.shape[-1] + 1]
+
+
 @dataclass
 class LoxodromicFrame:
     """The frame of a loxodromic element A = F D F^-1, held as the one
@@ -213,31 +240,28 @@ class LoxodromicFrame:
     so <attracting, repelling> = 1, and the unit positive eigenvectors
     ordered by increasing eigenvalue angle.  F preserves the form, and
     every invariant is read off pairings of its columns; attracting
-    and repelling are views of the first and the last.
+    and repelling are views of the first and the last.  real_trace is
+    (a_1, ..., a_{n+1}) of the class eigenvalues; eigen_frame computes
+    it for the whole stack, and a frame built without it computes its
+    own.
     """
     radius: float
     theta: float
     phis: np.ndarray
     F: QArray
     space: HermitianSpace = field(repr=False)
+    real_trace: Optional[np.ndarray] = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.real_trace is None:
+            self.real_trace = _real_traces(self.eigenvalues)
 
     attracting = property(lambda self: self.F.column(0))
     repelling = property(lambda self: self.F.column(-1))
 
     @property
     def eigenvalues(self) -> np.ndarray:
-        lam = self.radius * np.exp(1j * self.theta)
-        return np.concatenate([[lam], np.exp(1j * self.phis),
-                               [np.exp(1j * self.theta) / self.radius]])
-
-    @cached_property
-    def real_trace(self) -> np.ndarray:
-        """(a_1, ..., a_{n+1}) from the known eigenvalue classes, once
-        per frame: the embedded characteristic polynomial is the product
-        over classes of (x - lam)(x - conj(lam))."""
-        lams = self.eigenvalues
-        chi = np.real(np.poly(np.concatenate([lams, np.conj(lams)])))
-        return chi[1:lams.size + 1]
+        return _class_values(self.radius, self.theta, self.phis)
 
     @cached_property
     def points(self) -> np.ndarray:
@@ -248,33 +272,10 @@ class LoxodromicFrame:
     def conjugated(self, S: QArray) -> "LoxodromicFrame":
         """The frame of S A S^-1, for an isometry S (same spectrum)."""
         return LoxodromicFrame(self.radius, self.theta, self.phis,
-                               S @ self.F, self.space)
+                               S @ self.F, self.space, self.real_trace)
 
     def rebuild(self) -> QArray:
         return self.F @ QArray.diag(self.eigenvalues) @ self.F.inverse()
-
-
-def _simple_classes(space: HermitianSpace, chi: np.ndarray):
-    """Raise unless the characteristic polynomial chi of an element's
-    complex form has space.dim simple eigenvalue classes."""
-    roots = aberth_roots(chi)
-    if space.field == "quaternion":
-        # classes come in conjugate pairs; keep Im >= 0 representatives
-        roots = roots[roots.imag >= -1e-12]
-    _, mults = cluster_roots(chi, roots)
-    if np.any(mults > 1) or mults.size != space.dim:
-        raise DegenerateSpectrum("eigenvalue classes are not simple")
-
-
-def _passing(count: int, check):
-    """(i, its exception) for the first i < count at which check(i)
-    raises, else (count, None)."""
-    for i in range(count):
-        try:
-            check(i)
-        except Exception as exc:
-            return i, exc
-    return count, None
 
 
 def _cut(ok: np.ndarray, end: int, error, exc, message: str, *values):
@@ -288,13 +289,35 @@ def _cut(ok: np.ndarray, end: int, error, exc, message: str, *values):
     return i, exc(message.format(*(v[i] for v in values)))
 
 
+def _simple_classes(space: HermitianSpace, chi: np.ndarray):
+    """The live prefix and the exception after the class count of a
+    stack whose complex forms have the characteristic polynomials chi,
+    one row each: the first element whose coefficients are not finite,
+    whose roots do not converge, or which has not space.dim simple
+    eigenvalue classes.  Aberth and the clustering run once on the
+    stack; a class is simple when its root overlaps no other."""
+    roots = aberth_roots(chi)
+    end, error = _cut(np.all(np.isfinite(chi), axis=-1), chi.shape[0], None,
+                      NoConvergence, "polynomial coefficients are not finite")
+    end, error = _cut(~np.any(np.isnan(roots), axis=-1), end, error,
+                      NoConvergence, "root iteration did not converge")
+    if space.field == "quaternion":
+        # classes come in conjugate pairs; keep Im >= 0 representatives
+        roots = np.where(roots.imag >= -1e-12, roots, np.nan)
+    _, mults = cluster_roots(chi, roots)
+    return _cut((np.count_nonzero(mults, axis=-1) == space.dim)
+                & np.all(mults <= 1, axis=-1), end, error,
+                DegenerateSpectrum, "eigenvalue classes are not simple")
+
+
 def _assemble(space: HermitianSpace, W: np.ndarray, lams: np.ndarray,
               end: int, error):
-    """The frames of the live prefix end of a stack from its class
-    eigenpairs (rows W[e, i] in the complex form of space, eigenvalues
-    lams[e, i]), and the exception of the serial loop after error, that
-    of the stages before: one array comparison per gate, then the lifts
-    normalized by array products."""
+    """The frame data (radius, theta, phis, F) of every element of a
+    stack from its class eigenpairs (rows W[e, i] in the complex form of
+    space, eigenvalues lams[e, i]), with the live prefix end and the
+    exception of the serial loop after error, that of the stages before:
+    one array comparison per gate, then the lifts normalized by array
+    products."""
     tol = RADIUS_GUARD
     e = np.arange(len(lams))
     radii, angles = np.abs(lams), np.angle(lams)
@@ -341,11 +364,9 @@ def _assemble(space: HermitianSpace, W: np.ndarray, lams: np.ndarray,
     # only complex rescalings keep the eigenvalue representatives intact
     rv = V.pick(slice(None), -1) * QArray(1.0 / np.conj(g.a[:, None]))
     V.a[:, -1], V.b[:, -1] = rv.a, rv.b
-    F = V.transpose().copy()
-    phis = np.take_along_axis(angles, unit, -1)
-    return [LoxodromicFrame(float(radii[i, i_att[i]]),
-                            float(angles[i, i_att[i]]), phis[i], F.pick(i),
-                            space) for i in range(end)], error
+    data = (radii[e, i_att], angles[e, i_att],
+            np.take_along_axis(angles, unit, -1), V.transpose().copy())
+    return data, end, error
 
 
 def _frames(space: HermitianSpace, A: QArray):
@@ -358,9 +379,7 @@ def _frames(space: HermitianSpace, A: QArray):
     Every gate is written so that NaN fails it.
     """
     Mfull = space.as_complex(A)
-    chi = faddeev_leverrier(Mfull)
-    end, error = _passing(A.shape[0],
-                          lambda i: _simple_classes(space, chi[i]))
+    end, error = _simple_classes(space, faddeev_leverrier(Mfull))
     if not end:
         return [], error
     A = A.pick(slice(end))
@@ -369,12 +388,15 @@ def _frames(space: HermitianSpace, A: QArray):
     amax = A.moduli().max(axis=(-2, -1))
     end, error = _cut(resid <= RESIDUAL_TOL * (1.0 + amax), end, error,
                       DegenerateSpectrum, "eigenvector residual {:.3e}", resid)
-    frames, error = _assemble(space, W, lams, end, error)
-    if not frames:
+    (radius, theta, phis, F), end, error = _assemble(space, W, lams, end,
+                                                     error)
+    if not end:
         return [], error
-    end = len(frames)
-    F = QArray.stack([f.F for f in frames])
-    D = QArray.stack([QArray.diag(f.eigenvalues) for f in frames])
+    radius, theta, phis = radius[:end], theta[:end], phis[:end]
+    F, A = F.pick(slice(end)), A.pick(slice(end))
+    E = _class_values(radius, theta, phis)
+    D = np.zeros(E.shape + E.shape[-1:], dtype=complex)
+    D[:, np.arange(E.shape[-1]), np.arange(E.shape[-1])] = E
     # the inverse needs a nonsingular F; cond(F) of a frame that is not
     # finite counts as infinite
     Fe = F.embed()
@@ -383,15 +405,18 @@ def _frames(space: HermitianSpace, A: QArray):
     kappa[finite] = np.linalg.cond(Fe[finite])
     end, error = _cut(np.isfinite(kappa), end, error, DegenerateSpectrum,
                       "frame matrix condition {:.3e}", kappa)
-    F, D, A = (X.pick(slice(end)) for X in (F, D, A))
-    miss = (F @ D @ F.inverse() - A).moduli().max(axis=(-2, -1))
+    F, A = F.pick(slice(end)), A.pick(slice(end))
+    miss = (F @ QArray(D[:end]) @ F.inverse() - A).moduli().max(axis=(-2, -1))
     # evaluation noise of F D F^-1 grows like eps * cond(F), so the gate
     # must not outpace what double precision can certify
     gate = (1.0 + amax[:end]) * np.maximum(
         RESIDUAL_TOL, 20 * np.finfo(float).eps * kappa[:end])
     end, error = _cut(miss <= gate, end, error, DegenerateSpectrum,
                       "frame reconstruction residual {:.3e}", miss)
-    return frames[:end], error
+    traces = _real_traces(E[:end])
+    return [LoxodromicFrame(float(radius[i]), float(theta[i]), phis[i],
+                            F.pick(i), space, traces[i])
+            for i in range(end)], error
 
 
 def eigen_frame(space: HermitianSpace, A: QArray):

@@ -207,6 +207,25 @@ def test_congruence_from_tuples_identity(qspace):
     assert (C - QArray.eye(qspace.dim)).max_abs() < 1e-7
 
 
+@pytest.mark.parametrize("k", [0, 1])
+def test_congruence_from_tuples_checks_each_omitted_lift(qspace, k):
+    # one stacked rank test covers both omitted positives: moving either
+    # one of the second tuple off its line fails the check
+    from dataclasses import replace
+
+    from loxpairs.genericity import genericity_report
+    from loxpairs.gram import normalize_lifts
+    from loxpairs.spectral import eigen_frame
+    A, B = generate_pair(qspace, seed=12, mode="strong")
+    fa, fb = eigen_frame(qspace, A), eigen_frame(qspace, B)
+    t = normalize_lifts(qspace, fa, fb, genericity_report(qspace, fa, fb))
+    P = t.P.copy()
+    col = 2 * qspace.n + k
+    P.a[:, col], P.b[:, col] = P.a[:, col] + P.a[:, 0], P.b[:, col] + P.b[:, 0]
+    with pytest.raises(VerificationFailed, match="omitted lift"):
+        congruence_from_tuples(t, replace(t, P=P), QArray(1.0))
+
+
 def test_rank_cut_ignores_noise_tail():
     from loxpairs.classify import _rank_cut
     # a clean cut after five values, then a sub-eps tail whose own

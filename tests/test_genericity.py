@@ -12,10 +12,17 @@ import pytest
 from conftest import hconj, hinv, hmul
 from loxpairs.generate import generate_pair, random_loxodromic
 from loxpairs.genericity import (MEMBERSHIP_TOL, _flag_matching,
-                                 genericity_report, on_line_boundary)
+                                 genericity_report)
 from loxpairs.hermitian import HermitianSpace
-from loxpairs.qmatrix import QArray
+from loxpairs.qmatrix import QArray, quaternionic_rank
 from loxpairs.spectral import eigen_frame
+
+
+def on_line_boundary(space, p, line, tol=MEMBERSHIP_TOL):
+    """Per-pair reference: projective membership of a null point in the
+    boundary circle of an F-line, a rank condition on the three lifts."""
+    c1, c2 = line
+    return quaternionic_rank(QArray.from_columns([p, c1, c2]), tol=tol) <= 2
 
 
 def canonical_flags(frame):

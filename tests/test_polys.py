@@ -88,6 +88,51 @@ def test_aberth_rejects_nonfinite_coefficients(coeffs):
             cluster_roots(np.array(coeffs), aberth_roots(np.array(coeffs)))
 
 
+def _palindromic(r):
+    th, p1, p2 = 0.7, 0.4, 2.1
+    roots = np.array([r * np.exp(1j * th), np.exp(1j * th) / r,
+                      np.exp(1j * p1), np.exp(1j * p2)])
+    return np.real(np.poly(np.concatenate([roots, np.conj(roots)])))
+
+
+@pytest.mark.parametrize("bad", [np.nan, "lead"])
+@pytest.mark.parametrize("at", [0, 1, -1])
+@pytest.mark.parametrize("source", ["random", "palindromic"])
+def test_stacked_roots_and_clusters_equal_each_row(rng, source, bad, at):
+    # a stack runs every row on the path of a single polynomial: roots
+    # bit for bit, the same clusters; a row with a non-finite or a zero
+    # leading coefficient comes back as NaN roots and no cluster, where
+    # a single call raises.  The last row has a double root; one random
+    # row has a double root at zero, whose companion matrix is smaller.
+    if source == "random":
+        rows = [np.poly(rng.standard_normal(8) + 1j * rng.standard_normal(8))
+                for _ in range(6)]
+        rows.append(np.poly(np.r_[0.0, 0.0, rng.standard_normal(6)]))
+    else:
+        rows = [_palindromic(r) for r in (10.0, 130.0, 1000.0)]
+    rows.append(np.poly([2.0, 2.0] + list(rng.standard_normal(6))))
+    C = np.array(rows, dtype=complex)
+    C[at] = np.nan if bad != "lead" else np.r_[0.0, C[at, 1:]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        Z = aberth_roots(C)
+        centers, mults = cluster_roots(C, Z)
+    assert Z.shape == mults.shape == centers.shape == (len(C), 8)
+    for i, c in enumerate(C):
+        if i == at % len(C):
+            with pytest.raises(NoConvergence):
+                aberth_roots(c)
+            assert np.all(np.isnan(Z[i])) and not np.any(mults[i])
+            continue
+        z = aberth_roots(c)
+        assert np.array_equal(Z[i], z)
+        cen, mu = cluster_roots(c, z)
+        keep = mults[i] > 0
+        assert np.array_equal(mults[i, keep], mu)
+        assert np.array_equal(centers[i, keep], cen)
+        assert np.all(np.isnan(centers[i, ~keep]))
+
+
 def test_resultant_vanishes_on_shared_root():
     p = np.poly([1.0, 2.0])
     q = np.poly([2.0, 5.0])

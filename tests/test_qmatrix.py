@@ -99,6 +99,21 @@ def test_quaternionic_rank_full_and_deficient(rng):
     assert quaternionic_rank(QArray.from_columns(vs[:2] + [vs[0] * q])) == 2
 
 
+def test_quaternionic_rank_of_a_stack_is_each_rank(rng):
+    # one stacked SVD, one rank per matrix; a single matrix gives an int
+    vs = [_random_qarray(rng, 4) for _ in range(3)]
+    q = QArray.from_components(rng.standard_normal(4))
+    mats = [QArray.from_columns(vs), QArray.from_columns(vs[:2] + [vs[0] * q]),
+            QArray.from_columns([vs[1], vs[1] * q, vs[1]]),
+            QArray.zeros((4, 3))]
+    ranks = quaternionic_rank(QArray.stack(mats), tol=1e-9)
+    assert ranks.shape == (4,)
+    assert list(ranks) == [3, 2, 1, 0]
+    for r, M in zip(ranks, mats):
+        single = quaternionic_rank(M, tol=1e-9)
+        assert type(single) is int and single == r
+
+
 def test_complex_mode_rank_ignores_j_line(rng):
     v = QArray(rng.standard_normal(4) + 1j * rng.standard_normal(4))
     c = 0.3 - 1.1j

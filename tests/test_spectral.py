@@ -388,16 +388,19 @@ def test_stack_balances_only_its_large_element(field):
 
 
 def _failing(space):
-    """Elements that fail eigen_frame at five gates: repeated classes
-    (before the eigensolver), no attracting class, an attracting class
-    on the real axis, attracting and repelling angles that disagree and
-    a non-unit intermediate eigenvalue (after it).  The real axis and
-    the angles are gates of the quaternion field only: over the complex
-    numbers the first of these elements has a frame, and the second
-    fails the reconstruction gate."""
+    """Elements that fail eigen_frame at six gates: characteristic
+    coefficients that overflow and repeated classes (before the
+    eigensolver), no attracting class, an attracting class on the real
+    axis, attracting and repelling angles that disagree and a non-unit
+    intermediate eigenvalue (after it).  The real axis and the angles
+    are gates of the quaternion field only: over the complex numbers
+    the first of these elements has a frame, and the second fails the
+    reconstruction gate."""
     twice = np.exp(1j * 0.7)
     unit = np.exp(1j * np.array([0.3, 0.9, 1.7, 2.5]))
-    return {"classes": QArray.diag([0.5, twice, twice, 2.0]),
+    huge = random_loxodromic(space, np.random.default_rng(0)).scale(1e200)
+    return {"overflow": huge,
+            "classes": QArray.diag([0.5, twice, twice, 2.0]),
             "no-attracting": QArray.diag(unit),
             "real-axis": QArray.diag(np.array([0.5, 1.0, 1.0, 2.0]) * np.exp(
                 1j * np.array([1e-8, 0.3, 0.9, 1e-8]))),
@@ -418,7 +421,11 @@ def _failing(space):
                                  {0: "angles", 1: "real-axis",
                                   2: "no-attracting"},
                                  {1: "no-attracting", 2: "real-axis",
-                                  3: "angles"}])
+                                  3: "angles"},
+                                 {0: "overflow", 2: "classes"},
+                                 {1: "classes", 3: "overflow"},
+                                 {0: "overflow", 2: "non-unit"},
+                                 {1: "non-unit", 2: "overflow"}])
 def test_stack_raises_what_the_serial_loop_raises(field, bad):
     space = HermitianSpace(3, field)
     rng = np.random.default_rng(5)
@@ -456,6 +463,54 @@ def test_stack_leaks_no_warning_of_an_element_it_never_reaches(qspace, cspace,
             warnings.simplefilter("error")
             with pytest.raises(LoxpairsError):
                 conjugacy_test(space, A, B, A.scale(1e200), B)
+
+
+def test_stack_runs_the_root_stack_once(monkeypatch):
+    # the class count of a stack of four is one Aberth and one
+    # clustering pass
+    import loxpairs.spectral as spectral
+    space = HermitianSpace(3, "quaternion")
+    rng = np.random.default_rng(3)
+    As = QArray.stack([random_loxodromic(space, rng) for _ in range(4)])
+    calls = []
+    for name in ("aberth_roots", "cluster_roots"):
+        def counting(*args, _f=getattr(spectral, name), _name=name):
+            calls.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(spectral, name, counting)
+    assert len(eigen_frame(space, As)) == 4
+    assert sorted(calls) == ["aberth_roots", "cluster_roots"]
+
+
+@pytest.mark.parametrize("field", ["complex", "quaternion"])
+@pytest.mark.parametrize("k", [1, 4])
+def test_companion_eig_failure_is_typed(monkeypatch, field, k):
+    # LAPACK does not say which companion matrix failed, so the stack
+    # raises a typed error for it, and no warning gets out
+    space = HermitianSpace(3, field)
+    rng = np.random.default_rng(4)
+    As = QArray.stack([random_loxodromic(space, rng) for _ in range(k)])
+
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", failing)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LoxpairsError):
+            eigen_frame(space, As)
+
+
+def test_frames_carry_their_real_traces(qspace, rng):
+    # the stacked traces are what a frame built by hand computes, and a
+    # conjugated frame keeps them
+    from loxpairs.spectral import LoxodromicFrame
+    A = random_loxodromic(qspace, rng)
+    f = eigen_frame(qspace, QArray.stack([A, A @ A]))[1]
+    g = LoxodromicFrame(f.radius, f.theta, f.phis, f.F, qspace)
+    assert np.array_equal(g.real_trace, f.real_trace)
+    assert f.conjugated(qspace.random_isometry(rng)).real_trace \
+        is f.real_trace
 
 
 def test_polish_stack_leaves_only_the_singular_element_unpolished(rng):
