@@ -29,11 +29,12 @@ from .gram import (AssociatedTuple, _normalize_quadruple, gram_matrix,
 from .hermitian import HermitianSpace, gauge
 from .invariants import InvariantTuple, pair_invariants, sp1_orbit_equal
 from .qmatrix import QArray, conjugate_by, quaternionic_rank
-from .spectral import LoxodromicFrame, eigen_frame
+from .spectral import eigen_frame, projective_points
 
 ORBIT_TOL = 1e-8
 QUADRUPLE_TOL = 1e-7
 REFINE_SWEEPS = 3
+REFINE_FLOOR = 64
 RANK_STEP = 1e-5
 RANK_TOL = 1e-8
 
@@ -93,8 +94,7 @@ def congruence_from_tuples(t: AssociatedTuple, t2: AssociatedTuple,
     omitted vectors.
     """
     space = t.space
-    for tup in (t, t2):
-        gram_matrix(tup)            # the pattern gate
+    gram_matrix([t, t2])            # the pattern gate of both
     m = 2 * space.n
     mus = QArray(np.append(np.full(m, mu.a), [1, 1]),
                  np.append(np.full(m, mu.b), [0, 0]))
@@ -136,37 +136,80 @@ def _flat(space: HermitianSpace, R: QArray) -> np.ndarray:
 
 def _linearization(space: HermitianSpace, targets) -> np.ndarray:
     """Real matrix of D -> (D X' - X' D) over every X' in targets, with
-    one column per real direction of D."""
-    basis = _delta(space, np.eye(space.units * space.dim ** 2))
-    return np.concatenate([_flat(space, basis @ Xp - Xp @ basis).T
-                           for Xp in targets])
+    one column per real direction of D, in the layout of _delta and
+    _flat, written in closed form.
+
+    On the row-major vec(D), D -> D Y is R(Y) = kron(I, Y^T) and
+    D -> Y D is L(Y) = kron(Y, I), both filled by index assignment.
+    Over the complex numbers the map is R(X') - L(X').  Over the
+    quaternions, with X' = Xa + j Xb, each block of the map from the
+    parts (Da, Db) of D to those of the image is z -> P z + Q conj(z):
+    P = R(Xa) - L(Xa) from Da to the a-part, P = L(conj Xb) and
+    Q = -R(Xb) from Db to the a-part, P = -L(Xb) and Q = R(Xb) from Da
+    to the b-part, and P = R(Xa) - L(conj Xa) from Db to the b-part.
+    """
+    m, k = space.dim, len(targets)
+    X = QArray.stack(targets)
+    i = np.arange(m)
+
+    def right(Y):                   # entry (i k, i l) is Y[l, k]
+        T = np.zeros((k,) + (m,) * 4, dtype=complex)
+        T[:, i, :, i, :] = Y.swapaxes(-1, -2)
+        return T.reshape(k, m * m, m * m)
+
+    def left(Y):                    # entry (i k, j k) is Y[i, j]
+        T = np.zeros((k,) + (m,) * 4, dtype=complex)
+        T[:, :, i, :, i] = Y
+        return T.reshape(k, m * m, m * m)
+
+    def real(P, Q=0):
+        """z -> P z + Q conj(z) on (Re z, Im z), as 2 x 2 real blocks."""
+        S, T = P + Q, P - Q
+        return [[S.real, -T.imag], [S.imag, T.real]]
+
+    Ra = right(X.a)
+    if space.units == 2:
+        blocks = real(Ra - left(X.a))
+    else:
+        aa, ab = real(Ra - left(X.a)), real(left(np.conj(X.b)), -right(X.b))
+        ba, bb = real(-left(X.b), right(X.b)), real(Ra - left(np.conj(X.a)))
+        blocks = [aa[0] + ab[0], aa[1] + ab[1], ba[0] + bb[0], ba[1] + bb[1]]
+    M = np.block(blocks)
+    return M.reshape(-1, M.shape[-1])
 
 
 def _lstsq_solver(space: HermitianSpace, M: np.ndarray):
     """b -> np.linalg.lstsq(M, b, rcond=None)[0] for the linearization M
-    of a generic pair, from one economic QR; None when M has a larger
-    kernel than the centre.
+    of a generic pair, from one factored Householder QR; None when M has
+    a larger kernel than the centre.
 
     The kernel of D -> [D, X'] over a generic pair is the centre, u I
     for u in space.centre, which the minimum-norm solution is orthogonal
     to.  Appending the centre as rows, Re tr D = 0 and over the complex
     numbers Im tr D = 0, weighted to max |M| and with right-hand side 0,
-    makes M full rank without moving that solution, so each solve is
-    one product with Q^T and one triangular solve.  An |R_ii| at or
-    below lstsq's cutoff eps max(shape) max |R_jj| means the pair's
-    centralizer is larger than the centre.
+    makes M full rank without moving that solution, so each solve
+    applies Q^T in its factored form (LAPACK ormqr, Q is never formed)
+    and makes one triangular solve.  An |R_ii| at or below lstsq's
+    cutoff eps max(shape) max |R_jj| means the pair's centralizer is
+    larger than the centre.
     """
     centre = np.stack([_flat(space, QArray(u * np.eye(space.dim)))
                        for u in space.centre])
     A = np.concatenate([M, np.max(np.abs(M)) * centre])
-    Q, R = scipy.linalg.qr(A, overwrite_a=True, mode="economic",
-                           check_finite=False)
+    (H, tau), R = scipy.linalg.qr(A, overwrite_a=True, mode="raw",
+                                  check_finite=False)
     d = np.abs(np.diagonal(R))
     if not np.min(d) > np.finfo(float).eps * max(A.shape) * np.max(d):
         return None
-    Qt = Q[:len(M)].T
-    return lambda b: scipy.linalg.solve_triangular(R, Qt @ b,
-                                                   check_finite=False)
+
+    def solve(b):
+        c = np.zeros((len(A), 1))
+        c[:len(b), 0] = b
+        c = scipy.linalg.lapack.dormqr("L", "T", H, tau, c, 1,
+                                       overwrite_c=True)[0]
+        return scipy.linalg.solve_triangular(R, c[:len(R), 0],
+                                             check_finite=False)
+    return solve
 
 
 def _refine_conjugator(space: HermitianSpace, C: QArray, pairs):
@@ -176,22 +219,27 @@ def _refine_conjugator(space: HermitianSpace, C: QArray, pairs):
     Each sweep solves the linearization (I + D) C: D X' - X' D = E with
     E = X' - C X C^-1, jointly over all pairs, by real least squares.
     The linear map does not depend on C, so it is built and factored by
-    one QR (_lstsq_solver) per call.  A sweep is kept only when it
+    one QR (_lstsq_solver) per call, and only when a sweep is needed.
+    No sweep runs once the largest residual is at its rounding floor,
+    REFINE_FLOOR eps (1 + max |X'|), and a sweep is kept only when it
     lowers the largest residual.  When the pairs' common centralizer is
     larger than the centre, C is returned unpolished: the caller's
     residual gate then decides.
     """
-    solve = _lstsq_solver(space,
-                          _linearization(space, [Xp for _, Xp in pairs]))
-
     def residuals(C):
         Cinv = C.inverse()
         return [Xp - C @ X @ Cinv for X, Xp in pairs]
 
+    floor = REFINE_FLOOR * np.finfo(float).eps \
+        * (1.0 + max(Xp.max_abs() for _, Xp in pairs))
     E = residuals(C)
+    old = max(e.max_abs() for e in E)
+    if old <= floor:
+        return C, E
+    solve = _lstsq_solver(space,
+                          _linearization(space, [Xp for _, Xp in pairs]))
     if solve is None:
         return C, E
-    old = max(e.max_abs() for e in E)
     for _ in range(REFINE_SWEEPS):
         x = solve(np.concatenate([_flat(space, e) for e in E]))
         C2 = (QArray.eye(space.dim) + _delta(space, x)) @ C
@@ -200,6 +248,8 @@ def _refine_conjugator(space: HermitianSpace, C: QArray, pairs):
         if new >= old:
             break
         C, E, old = C2, E2, new
+        if old <= floor:
+            break
     return C, E
 
 
@@ -209,11 +259,6 @@ class ConjugacyResult:
     conjugator: Optional[QArray]
     stage: str
     residual: float
-
-
-def _points_match(f: LoxodromicFrame, g: LoxodromicFrame,
-                  tol: float) -> bool:
-    return bool(np.all(np.linalg.norm(f.points - g.points, axis=1) <= tol))
 
 
 def _reduced_match(i1: InvariantTuple, i2: InvariantTuple,
@@ -251,15 +296,14 @@ def conjugacy_test(space: HermitianSpace, A: QArray, B: QArray,
     if tr_resid > tol * tr_scale:
         return ConjugacyResult(False, None, "real-trace", tr_resid)
 
-    rep1 = genericity_report(space, fa, fb)
-    rep2 = genericity_report(space, fa2, fb2)
+    # the pair stage runs once, over the stack of both pairs
+    fas, fbs = [fa, fa2], [fb, fb2]
+    reps = genericity_report(space, fas, fbs)
     if mode == "strong":
-        if not (rep1.nonsingular and rep2.nonsingular):
+        if not all(rep.nonsingular for rep in reps):
             raise NotNonsingular("strong mode requires non-singular pairs")
-    t1 = normalize_lifts(space, fa, fb, report=rep1)
-    t2 = normalize_lifts(space, fa2, fb2, report=rep2)
-    i1 = pair_invariants(space, fa, fb, report=rep1, tuple_=t1)
-    i2 = pair_invariants(space, fa2, fb2, report=rep2, tuple_=t2)
+    t1, t2 = tuples = normalize_lifts(space, fas, fbs, report=reps)
+    i1, i2 = pair_invariants(space, fas, fbs, report=reps, tuple_=tuples)
 
     # the one Sp(1) gauge: the unit carrying i1 onto i2, which then
     # carries the lifts of t1 onto those of t2
@@ -275,10 +319,12 @@ def conjugacy_test(space: HermitianSpace, A: QArray, B: QArray,
     C = congruence_from_tuples(t1, t2, mu, tol=min(tol, ORBIT_TOL))
     C, E = _refine_conjugator(space, C, [(A, A2), (B, B2)])
     ptol = max(tol, 1e-7) * (1.0 + C.max_abs() ** 2)
-    # fa.conjugated(C) is the frame of C A C^-1 exactly, so the point
-    # comparison never depends on re-running the spectral machinery
-    if not (_points_match(fa.conjugated(C), fa2, ptol)
-            and _points_match(fb.conjugated(C), fb2, ptol)):
+    # C F is the frame of C A C^-1 exactly, so the point comparison never
+    # depends on re-running the spectral machinery
+    moved = projective_points((C @ QArray.stack([fa.F, fb.F])).pick(
+        Ellipsis, slice(-1)))
+    miss = moved - np.stack([i2.projective_A, i2.projective_B])
+    if not np.all(np.linalg.norm(miss, axis=-1) <= ptol):
         return ConjugacyResult(False, None, "projective-points",
                                float("nan"))
 
@@ -324,8 +370,10 @@ def boundary_quadruple_congruence(space: HermitianSpace, zs: List[QArray],
     """Isometry h with h(z_i) = w_i projectively, for two quadruples of
     pairwise distinct boundary points, or None when their normalized
     pairings lie in different Sp(1) orbits."""
-    Zn, _, Gz = _normalize_quadruple(space, QArray.from_columns(zs))
-    Wn, _, Gw = _normalize_quadruple(space, QArray.from_columns(ws))
+    # both quadruples as one stack, which raises what two calls would
+    N, _, G = _normalize_quadruple(space, QArray.stack(
+        [QArray.from_columns(zs), QArray.from_columns(ws)]))
+    (Zn, Wn), (Gz, Gw) = (N.pick(0), N.pick(1)), (G.pick(0), G.pick(1))
     upper = ([0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3])     # i < j
     mu = gauge(space.field, Gz.pick(*upper), Gw.pick(*upper), QUADRUPLE_TOL)
     if mu is None:
@@ -368,7 +416,8 @@ def _invariant_vector(space: HermitianSpace, A: QArray, B: QArray,
     """The invariants of (A, B) as one real vector, under the matching
     of report, the report of the unperturbed pair."""
     fa, fb = eigen_frame(space, QArray.stack([A, B]))
-    report = replace(report, frame_gram=_frame_gram(space, fa, fb))
+    K, V, norms = _frame_gram(space, [fa], [fb])
+    report = replace(report, frame_gram=(K.pick(0), V.pick(0), norms[0]))
     iv = pair_invariants(space, fa, fb, report=report)
     # each point (u, v) as Re u, Re v, Im u, Im v
     pts = np.vstack([iv.projective_A, iv.projective_B])

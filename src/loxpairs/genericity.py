@@ -46,22 +46,24 @@ class PairGenericityReport:
         field(default=None, repr=False)
 
 
-def _frame_gram(space: HermitianSpace, fa: LoxodromicFrame,
-                fb: LoxodromicFrame):
-    """Gram product K of v = [a_A, r_A, x_A..., a_B, r_B, x_B...], the
-    matrix V with these columns and their norms.  <v_i, v_j> is entry
-    (j, i) of K; A's vectors sit at indices 0..n and B's at n+1..2n+1."""
+def _frame_gram(space: HermitianSpace, fa, fb):
+    """Gram products K of v = [a_A, r_A, x_A..., a_B, r_B, x_B...] for
+    a stack of pairs of frames, fa and fb the sequences of the frames
+    of A and of B, the stack V of matrices with these columns and their
+    norms.  <v_i, v_j> is entry (j, i) of K; A's vectors sit at indices
+    0..n and B's at n+1..2n+1."""
     perm = np.r_[0, space.n, 1:space.n]    # frame columns (a, x..., r)
-    V = QArray(np.hstack([fa.F.a[:, perm], fb.F.a[:, perm]]),
-               np.hstack([fa.F.b[:, perm], fb.F.b[:, perm]]))
-    return space.gram(V), V, np.linalg.norm(V.moduli(), axis=0)
+    Fa, Fb = (QArray.stack([f.F for f in fs]) for fs in (fa, fb))
+    V = QArray(np.concatenate([Fa.a[..., perm], Fb.a[..., perm]], axis=-1),
+               np.concatenate([Fa.b[..., perm], Fb.b[..., perm]], axis=-1))
+    return space.gram(V), V, np.linalg.norm(V.moduli(), axis=-2)
 
 
 def _misses_polars(K: QArray, norms: np.ndarray, line,
                    xs: np.ndarray) -> np.ndarray:
-    """For each index x in xs: does the boundary circle of the line
-    spanned by the null lifts at indices line = (c1, c2) miss the
-    boundary of the hyperplane polar to v_x?
+    """For each index x in xs, in each Gram product of the stack K: does
+    the boundary circle of the line spanned by the null lifts at indices
+    line = (c1, c2) miss the boundary of the hyperplane polar to v_x?
 
     Null vectors of the line are c1*alpha + c2*beta; with s = <c1, x>,
     u = <c2, x>, membership in x-perp forces alpha = -s^{-1} u beta, and
@@ -69,9 +71,9 @@ def _misses_polars(K: QArray, norms: np.ndarray, line,
     """
     c1, c2 = line
     tol = MEMBERSHIP_TOL
-    s, u = K.pick(xs, c1), K.pick(xs, c2)
-    scale1 = norms[c1] * norms[xs]
-    scale2 = norms[c2] * norms[xs]
+    s, u = K.pick(Ellipsis, xs, c1), K.pick(Ellipsis, xs, c2)
+    scale1 = norms[..., c1, None] * norms[..., xs]
+    scale2 = norms[..., c2, None] * norms[..., xs]
     cross = (np.conj(s.a) * u.a + np.conj(s.b) * u.b).real  # Re(conj(s) u)
     return ~((s.moduli() <= tol * scale1) | (u.moduli() <= tol * scale2)
              | (np.abs(cross) <= tol * scale1 * scale2))
@@ -89,16 +91,22 @@ def _flag_matching(M: np.ndarray, k: int):
     return pairs, len(pairs) == k, count > 1
 
 
-def genericity_report(space: HermitianSpace, fa: LoxodromicFrame,
-                      fb: LoxodromicFrame) -> PairGenericityReport:
+def genericity_report(space: HermitianSpace, fa, fb):
+    """The report of the pair of frames (fa, fb), or the list of reports
+    of a stack of pairs, fa and fb sequences of frames.  A single pair
+    runs as a stack of one, on the same path: one Gram product and two
+    stacked rank tests for the whole stack."""
+    single = isinstance(fa, LoxodromicFrame)
+    if single:
+        fa, fb = [fa], [fb]
     n = space.n
-    K, V, norms = frame_gram = _frame_gram(space, fa, fb)
+    K, V, norms = _frame_gram(space, fa, fb)
     fixed_a, fixed_b = [0, 1], [n + 1, n + 2]
-    failing: List[str] = []
     # two null lifts span the same boundary point iff they pair to zero
-    floor = MEMBERSHIP_TOL * np.outer(norms[fixed_b], norms[fixed_a])
-    if np.any(K.pick(*np.ix_(fixed_b, fixed_a)).moduli() <= floor):
-        failing.append("common-fixed-point")
+    floor = MEMBERSHIP_TOL * (norms[:, fixed_b, None]
+                              * norms[:, None, fixed_a])
+    common = np.any(K.pick(slice(None), *np.ix_(fixed_b, fixed_a)).moduli()
+                    <= floor, axis=(-2, -1))
 
     # (f_i, g_j) is a generic flag pair iff neither point lies on the
     # other line and neither line meets the other polar's boundary.  All
@@ -106,37 +114,41 @@ def genericity_report(space: HermitianSpace, fa: LoxodromicFrame,
     # one for every pair and each polar test depends on i or j alone.
     # A null point lies on the boundary circle of a line iff its lift
     # and the line's two null lifts have rank 2; one stacked rank tests
-    # a_A against the line of B and a_B against that of A.
-    on_line = quaternionic_rank(QArray.stack(
-        [V.pick(slice(None), fixed_a[:1] + fixed_b),
-         V.pick(slice(None), fixed_b[:1] + fixed_a)]), tol=MEMBERSHIP_TOL)
-    points_ok = not np.any(on_line <= 2)
+    # a_A against the line of B and a_B against that of A, in every pair.
+    lines = np.array([fixed_a[:1] + fixed_b, fixed_b[:1] + fixed_a])
+    on_line = quaternionic_rank(QArray(
+        *(np.swapaxes(x[..., lines], 1, 2) for x in (V.a, V.b))),
+        tol=MEMBERSHIP_TOL)
+    points_ok = ~np.any(on_line <= 2, axis=-1)
     rows = _misses_polars(K, norms, fixed_b, np.arange(2, n + 1))
     cols = _misses_polars(K, norms, fixed_a, np.arange(n + 3, 2 * n + 2))
-    M = points_ok & np.outer(rows, cols)
-
-    pairs, found, multiple = _flag_matching(M, n - 2)
-    if not found:
-        failing.append("flag-matching")
-    matched_a = [p[0] for p in pairs]
-    matched_b = [p[1] for p in pairs]
-    omitted_a = next((i for i in range(n - 1) if i not in matched_a), None)
-    omitted_b = next((j for j in range(n - 1) if j not in matched_b), None)
-
-    weakly = not failing
-    rank4 = quaternionic_rank(V.pick(slice(None), fixed_a + fixed_b),
+    M = points_ok[:, None, None] & (rows[:, :, None] & cols[:, None, :])
+    rank4 = quaternionic_rank(V.pick(Ellipsis, fixed_a + fixed_b),
                               tol=RANK_TOL) >= 4
-    if not rank4:
-        failing.append("fixed-points-in-hyperplane-boundary")
-    return PairGenericityReport(
-        weakly_nonsingular=weakly,
-        nonsingular=weakly and rank4,
-        flag_pair_matrix=M,
-        matching_A=matched_a,
-        matching_B=matched_b,
-        omitted_A=omitted_a,
-        omitted_B=omitted_b,
-        multiple_matchings=multiple,
-        failing_conditions=failing,
-        frame_gram=frame_gram,
-    )
+
+    reports = []
+    for e in range(len(fa)):
+        failing: List[str] = ["common-fixed-point"] if common[e] else []
+        pairs, found, multiple = _flag_matching(M[e], n - 2)
+        if not found:
+            failing.append("flag-matching")
+        matched_a = [p[0] for p in pairs]
+        matched_b = [p[1] for p in pairs]
+        weakly = not failing
+        if not rank4[e]:
+            failing.append("fixed-points-in-hyperplane-boundary")
+        reports.append(PairGenericityReport(
+            weakly_nonsingular=weakly,
+            nonsingular=weakly and bool(rank4[e]),
+            flag_pair_matrix=M[e],
+            matching_A=matched_a,
+            matching_B=matched_b,
+            omitted_A=next((i for i in range(n - 1) if i not in matched_a),
+                           None),
+            omitted_B=next((j for j in range(n - 1) if j not in matched_b),
+                           None),
+            multiple_matchings=multiple,
+            failing_conditions=failing,
+            frame_gram=(K.pick(e), V.pick(e), norms[e]),
+        ))
+    return reports[0] if single else reports

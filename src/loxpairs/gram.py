@@ -38,15 +38,16 @@ from typing import List
 
 import numpy as np
 
-from .errors import (NormalizationImpossible, NotWeaklyNonsingular,
-                     PatternViolation)
+from .errors import (DegenerateInputError, NormalizationImpossible,
+                     NotWeaklyNonsingular, PatternViolation)
 from .genericity import PairGenericityReport
-from .hermitian import HermitianSpace
+from .hermitian import ERROR_THRESHOLD, HermitianSpace
 from .qmatrix import QArray
-from .spectral import LoxodromicFrame
+from .spectral import _cut
 
 INNER_TOL = 1e-10
 PATTERN_TOL = 1e-8
+VANISHING = "lift normalization meets a vanishing pairing"
 
 
 @dataclass
@@ -60,61 +61,86 @@ class AssociatedTuple:
 
 def _rescaled_gram(K: QArray, s: QArray) -> QArray:
     """The Gram product of the lifts z_k s_k from K, the Gram product of
-    the zs: conj(s_i) K_ij s_j."""
-    return s.conj().pick(slice(None), None) * K * s
+    the zs, or of each of a stack: conj(s_i) K_ij s_j."""
+    return s.conj().pick(Ellipsis, None) * K * s.pick(Ellipsis, None,
+                                                      slice(None))
 
 
-def _unit_pairing(g: QArray, anchor_norm, norms) -> QArray:
+def _unit_pairing(g: QArray, anchor_norm, norms):
     """Scalars c = conj(g^-1) = g / |g|^2 with <anchor, z c> = 1, one
-    per pairing g = <anchor, z>, each gated against INNER_TOL |anchor|
-    |z| for the norms of the zs."""
+    per pairing g = <anchor, z> along the last axis, and for each row
+    whether every pairing passes its gate INNER_TOL |anchor| |z|, for
+    the norms of the zs."""
     mods = g.moduli()
-    if np.any(mods <= INNER_TOL * anchor_norm * norms):
-        raise NormalizationImpossible(
-            "lift normalization meets a vanishing pairing")
-    return g.scale(mods ** -2.0)
+    ok = ~np.any(mods <= INNER_TOL * anchor_norm * norms, axis=-1)
+    return g.scale(mods ** -2.0), ok
 
 
 def _quadruple_scalars(space: HermitianSpace, K: QArray, norms: np.ndarray,
-                       z1: QArray, anchor: str = "standard") -> QArray:
-    """The right scalars s (a QArray of four entries) that rescale lifts
+                       z1: QArray, anchor: str, end: int, error):
+    """The right scalars s, four per row of a stack, that rescale lifts
     (z1, z2, z3, z4) to p_k = z_k s_k with
-    <p1,p2> = <p1,p3> = <p1,p4> = 1 = |<p2,p3>|.
+    <p1,p2> = <p1,p3> = <p1,p4> = 1 = |<p2,p3>|, with the live prefix
+    end and the exception after error (spectral._cut).
 
-    Every pairing is read from K, the Gram product of the zs, and the
-    gates scale with their norms.  anchor="standard" takes p1
-    positively proportional to the standard lift of z1; anchor="none"
-    keeps the direction of z1 (used to exhibit the global-unit gauge
-    freedom).
+    Every pairing is read from K, the stack of Gram products of the zs,
+    and the gates scale with their norms.  anchor="standard" takes p1
+    positively proportional to the standard lift of z1 (last coordinate
+    1); anchor="none" keeps the direction of z1 (used to exhibit the
+    global-unit gauge freedom).
     """
-    c = space.standard_scalar(z1) if anchor == "standard" else QArray(1.0)
-    g23 = K.pick(1, 2).moduli()
-    if g23 <= INNER_TOL * norms[2] * norms[1]:
-        raise NormalizationImpossible(
-            "lift normalization meets a vanishing pairing")
+    if anchor == "standard":
+        qn = z1.pick(Ellipsis, space.n)
+        size = np.sqrt(np.sum(np.abs(z1.a) ** 2 + np.abs(z1.b) ** 2, axis=-1))
+        end, error = _cut(~(qn.moduli() <= ERROR_THRESHOLD * size), end,
+                          error, DegenerateInputError,
+                          "last coordinate vanishes; point at infinity")
+        c = qn.reciprocal()
+    else:
+        c = QArray(np.ones(len(z1.a)))
+    g23 = K.pick(Ellipsis, 1, 2).moduli()
+    end, error = _cut(~(g23 <= INNER_TOL * norms[:, 2] * norms[:, 1]), end,
+                      error, NormalizationImpossible, VANISHING)
     # a = z1 c pairs with z_k as <z1, z_k> c; |<p2,p3>| = 1 fixes the
     # positive factor t of p1 = a t, and <p1, z> = <a, z> t
-    g = K.pick([1, 2, 3], 0) * c
-    u = _unit_pairing(g, norms[0] * c.moduli(), norms[1:])
-    t = float(np.sqrt(g23 / (g.moduli()[0] * g.moduli()[1])))
-    return QArray(np.append(c.a * t, u.a / t), np.append(c.b * t, u.b / t))
+    g = K.pick(Ellipsis, [1, 2, 3], 0) * c.pick(Ellipsis, None)
+    u, ok = _unit_pairing(g, (norms[:, 0] * c.moduli())[:, None],
+                          norms[:, 1:])
+    end, error = _cut(ok, end, error, NormalizationImpossible, VANISHING)
+    mods = g.moduli()
+    t = np.sqrt(g23 / (mods[:, 0] * mods[:, 1]))[:, None]
+    return QArray(np.concatenate([c.a[:, None] * t, u.a / t], axis=-1),
+                  np.concatenate([c.b[:, None] * t, u.b / t], axis=-1)), \
+        end, error
 
 
 def _normalize_quadruple(space: HermitianSpace, Z: QArray):
     """The columns (z1, z2, z3, z4) of Z rescaled by _quadruple_scalars
     (the standard anchor) to the columns (p1, p2, p3, p4) of Z s, with
     the scalars s and the Gram product of the ps, conj(s_i) K_ij s_j
-    for K that of the zs."""
-    K = space.gram(Z)
-    s = _quadruple_scalars(space, K, np.linalg.norm(Z.moduli(), axis=0),
-                           Z.column(0))
-    return Z * s, s, _rescaled_gram(K, s)
+    for K that of the zs.  A stack (k, m, 4) of such matrices gives the
+    stacks of all three and raises what the loop over it would; one
+    matrix runs as a stack of one."""
+    stack = Z if Z.ndim == 3 else QArray(Z.a[None], Z.b[None])
+    K = space.gram(stack)
+    with np.errstate(all="ignore"):
+        s, end, error = _quadruple_scalars(
+            space, K, np.linalg.norm(stack.moduli(), axis=-2),
+            stack.pick(Ellipsis, 0), "standard", len(K.a), None)
+    if error is not None:
+        raise error
+    lifts, G = stack * s.pick(Ellipsis, None, slice(None)), \
+        _rescaled_gram(K, s)
+    if Z.ndim == 3:
+        return lifts, s, G
+    return lifts.pick(0), s.pick(0), G.pick(0)
 
 
-def normalize_lifts(space: HermitianSpace, fa: LoxodromicFrame,
-                    fb: LoxodromicFrame, report: PairGenericityReport,
-                    anchor: str = "standard") -> AssociatedTuple:
-    """Build the normalized associated tuple of a weakly non-singular pair.
+def normalize_lifts(space: HermitianSpace, fa, fb, report,
+                    anchor: str = "standard"):
+    """Build the normalized associated tuple of a weakly non-singular
+    pair, or the list of tuples of a stack of pairs (fa, fb and report
+    sequences); a single pair runs as a stack of one.
 
     The fixed-point lifts (a_A, r_A, a_B, r_B) take the scalars s of
     _quadruple_scalars with the given anchor; the matched positive
@@ -124,41 +150,66 @@ def normalize_lifts(space: HermitianSpace, fa: LoxodromicFrame,
     does the tuple's own Gram product, conj(S_i) K_ij S_j for the
     scalars S of all 2n lifts.  K is the report's, which must be the
     report of these frames.  P is the one product of the frame vectors
-    and S, padded by 1 for the two omitted positives.
+    and S, padded by 1 for the two omitted positives.  Each pair's
+    matching picks its columns by take_along_axis.  A stack raises what
+    the loop over its pairs would: the first failing gate of the first
+    failing pair.
     """
-    if not report.weakly_nonsingular:
-        raise NotWeaklyNonsingular(
-            f"pair fails genericity: {report.failing_conditions}")
-
+    single = isinstance(report, PairGenericityReport)
+    if single:
+        fa, report = [fa], [report]
     n = space.n
-    K, V, norms = report.frame_gram
-    quad = np.array([0, 1, n + 1, n + 2])
-    s = _quadruple_scalars(space, K.pick(*np.ix_(quad, quad)), norms[quad],
-                           fa.attracting, anchor)
-    idx = np.array([2 + j for j in report.matching_A]
-                   + [n + 3 + k for k in report.matching_B], dtype=int)
-    slot = np.repeat([2, 0], n - 2)                 # anchors p3 and p1
-    g = K.pick(idx, quad[slot]) * s.pick(slot)      # <p_slot, x>
-    c = _unit_pairing(g, norms[quad[slot]] * s.moduli()[slot], norms[idx])
-    # p_k = v_k S_k for the frame vectors v at cols
-    cols = np.append(quad, idx)
-    S = QArray(np.append(s.a, c.a), np.append(s.b, c.b))
-    omitted = [2 + report.omitted_A, n + 3 + report.omitted_B]
-    P = V.pick(slice(None), np.append(cols, omitted)) \
-        * QArray(np.append(S.a, [1, 1]), np.append(S.b, [0, 0]))
-    return AssociatedTuple(space, P, list(report.matching_A),
-                           list(report.matching_B),
-                           _rescaled_gram(K.pick(*np.ix_(cols, cols)), S))
+    end, error = _cut(np.array([r.weakly_nonsingular for r in report]),
+                      len(report), None, NotWeaklyNonsingular,
+                      "pair fails genericity: {}",
+                      [r.failing_conditions for r in report])
+    report = report[:end]
+    tuples = []
+    if end:
+        K, V, norms = (QArray.stack([r.frame_gram[0] for r in report]),
+                       QArray.stack([r.frame_gram[1] for r in report]),
+                       np.stack([r.frame_gram[2] for r in report]))
+        quad = np.array([0, 1, n + 1, n + 2])
+        e = np.arange(end)[:, None]
+        with np.errstate(all="ignore"):
+            s, end, error = _quadruple_scalars(
+                space, K.pick(slice(None), *np.ix_(quad, quad)),
+                norms[:, quad], QArray.stack([f.attracting
+                                              for f in fa[:end]]),
+                anchor, end, error)
+            idx = np.array([[2 + j for j in r.matching_A]
+                            + [n + 3 + k for k in r.matching_B]
+                            for r in report], dtype=int)
+            slot = np.repeat([2, 0], n - 2)             # anchors p3 and p1
+            g = K.pick(e, idx, quad[slot]) * s.pick(slice(None), slot)
+            c, ok = _unit_pairing(g, norms[:, quad[slot]]
+                                  * s.moduli()[:, slot], norms[e, idx])
+        end, error = _cut(ok, end, error, NormalizationImpossible, VANISHING)
+        # p_k = v_k S_k for the frame vectors v at cols
+        cols = np.hstack([np.broadcast_to(quad, (len(e), 4)), idx])
+        S = QArray(np.hstack([s.a, c.a]), np.hstack([s.b, c.b]))
+        omitted = [[2 + r.omitted_A, n + 3 + r.omitted_B] for r in report]
+        take = np.hstack([cols, omitted])[:, None, :]
+        P = QArray(np.take_along_axis(V.a, take, -1),
+                   np.take_along_axis(V.b, take, -1)) \
+            * QArray(np.pad(S.a, ((0, 0), (0, 2)), constant_values=1),
+                     np.pad(S.b, ((0, 0), (0, 2)))).pick(slice(None), None)
+        G = _rescaled_gram(K.pick(e[:, :, None], cols[:, :, None],
+                                  cols[:, None, :]), S)
+        tuples = [AssociatedTuple(space, P.pick(i), list(r.matching_A),
+                                  list(r.matching_B), G.pick(i))
+                  for i, r in enumerate(report[:end])]
+    if error is not None:
+        raise error
+    return tuples[0] if single else tuples
 
 
-def gram_matrix(t: AssociatedTuple) -> QArray:
-    """The 2n x 2n QArray of pairings G[i, j] = <p_i, p_j>, its pattern
-    checked by masked array comparisons."""
-    n, tol = t.space.n, PATTERN_TOL
-    G = t.gram.transpose()
-    # the values the normalization pins (0 or 1), NaN elsewhere; the
-    # unpinned entries then compare NaN > tol, which is False
-    E = np.full(G.shape, np.nan)
+def _pattern(n: int):
+    """The values the normalization pins in a 2n x 2n Gram matrix (0 or
+    1, NaN elsewhere), and the mask of the pairings <p4, x_j> and
+    <p2, x_k> it needs to be nonzero, one in each column from the
+    fifth."""
+    E = np.full((2 * n, 2 * n), np.nan)
     E[range(4), range(4)] = 0
     E[0, 1:4] = 1
     for block, zero, one in ((range(4, n + 2), [0, 1], 2),
@@ -166,18 +217,39 @@ def gram_matrix(t: AssociatedTuple) -> QArray:
         for j in block:
             E[zero, j], E[one, j] = 0, 1
             E[j, j + 1:block.stop] = 0
-    bad = np.argwhere((G - QArray(E)).moduli() > tol)
-    if bad.size:
-        i, j = bad[0]
-        w, x, y, z = G.components()[i, j]
-        raise PatternViolation(
-            f"g[{i + 1},{j + 1}] = Quaternion(w={w}, x={x}, y={y}, z={z}), "
-            f"expected Quaternion(w={E[i, j]}, x=0.0, y=0.0, z=0.0)")
+    live = np.zeros(E.shape, dtype=bool)
+    live[3, 4:n + 2] = live[1, n + 2:] = True
+    return E, live
+
+
+def gram_matrix(t):
+    """The 2n x 2n QArray of pairings G[i, j] = <p_i, p_j> of a tuple,
+    or their (k, 2n, 2n) stack for a sequence of tuples, the pattern of
+    all of them checked by one masked array comparison per gate.  A
+    sequence raises what the loop over it would."""
+    single = isinstance(t, AssociatedTuple)
+    ts = [t] if single else list(t)
+    n, k, tol = ts[0].space.n, len(ts), PATTERN_TOL
+    G = QArray.stack([x.gram for x in ts]).transpose()
+    E, live = _pattern(n)
+    # the unpinned entries compare NaN > tol, which is False
+    bad = (G - QArray(E)).moduli() > tol
+    i, j = np.unravel_index(np.argmax(bad.reshape(k, -1), axis=-1), E.shape)
+    w, x, y, z = G.components()[np.arange(k), i, j].T
+    end, error = _cut(~bad.any(axis=(-2, -1)), k, None, PatternViolation,
+                      "entry g[{},{}] = [{}, {}, {}, {}], "
+                      "expected [{}, 0.0, 0.0, 0.0]",
+                      i + 1, j + 1, w, x, y, z, E[i, j])
     mods = G.moduli()
-    if abs(mods[1, 2] - 1.0) > tol:
-        raise PatternViolation(f"|g23| = {mods[1, 2]}, expected 1")
-    for j in range(4, 2 * n):          # <p4, x_j> and <p2, x_k>
-        i = 3 if j < n + 2 else 1
-        if mods[i, j] <= tol:
-            raise PatternViolation(f"g[{i + 1},{j + 1}] vanishes")
-    return G
+    end, error = _cut(~(np.abs(mods[:, 1, 2] - 1.0) > tol), end, error,
+                      PatternViolation, "|g23| = {}, expected 1",
+                      mods[:, 1, 2])
+    # the first vanishing pairing by column, one per column
+    vanish = (mods <= tol) & live
+    j, i = np.unravel_index(np.argmax(
+        vanish.swapaxes(-1, -2).reshape(k, -1), axis=-1), E.shape)
+    end, error = _cut(~vanish.any(axis=(-2, -1)), end, error,
+                      PatternViolation, "g[{},{}] vanishes", i + 1, j + 1)
+    if error is not None:
+        raise error
+    return G.pick(0) if single else G

@@ -21,11 +21,11 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .errors import DegenerateConfiguration
-from .gram import AssociatedTuple, normalize_lifts
-from .genericity import PairGenericityReport, genericity_report
+from .genericity import genericity_report
+from .gram import normalize_lifts
 from .hermitian import HermitianSpace, gauge
 from .qmatrix import QArray
-from .spectral import LoxodromicFrame
+from .spectral import LoxodromicFrame, projective_points
 
 DEGENERATE_TOL = 1e-10
 
@@ -38,17 +38,18 @@ TRIPLE = ((0, 1, False), (1, 2, False), (2, 0, False))
 
 def _words(Z: QArray, K: QArray, rows, word) -> QArray:
     """The word evaluated on every row of rows, one entry per row, its
-    letters multiplied left to right.  g(i, j) is entry (j, i) of K,
-    the Gram product of the columns z_i of Z, and every entry read is
+    letters multiplied left to right; or one such vector per matrix of
+    a stack Z (k, m, N) with its stack K.  g(i, j) is entry (j, i) of
+    K, the Gram product of the columns z_i of Z, and every entry read is
     checked against DEGENERATE_TOL |z_i| |z_j| in one comparison."""
-    norms = np.linalg.norm(Z.moduli(), axis=0)
+    norms = np.linalg.norm(Z.moduli(), axis=-2)
     p, q, inverted = zip(*word)
     rows = np.asarray(rows)
     i, j = rows[:, p], rows[:, q]
-    g = K.pick(j, i)
-    if np.any(g.moduli() <= DEGENERATE_TOL * norms[i] * norms[j]):
+    g = K.pick(Ellipsis, j, i)
+    if np.any(g.moduli() <= DEGENERATE_TOL * norms[..., i] * norms[..., j]):
         raise DegenerateConfiguration("vanishing inner product")
-    letters = [g.pick(slice(None), m) for m in range(len(word))]
+    letters = [g.pick(Ellipsis, m) for m in range(len(word))]
     return reduce(QArray.__mul__, [f.reciprocal() if inv else f
                                    for f, inv in zip(letters, inverted)])
 
@@ -111,36 +112,48 @@ class InvariantTuple:
                 for (name, rank), end in zip(ENTRY_NAMES, ends)}
 
 
-def pair_invariants(space: HermitianSpace, fa: LoxodromicFrame,
-                    fb: LoxodromicFrame,
-                    report: Optional[PairGenericityReport] = None,
-                    tuple_: Optional[AssociatedTuple] = None) -> InvariantTuple:
+def pair_invariants(space: HermitianSpace, fa, fb,
+                    report=None, tuple_=None):
     """Invariant tuple of a weakly non-singular pair, every pairing read
     from one Gram product of the normalized lifts and every invariant
-    evaluated as one array expression.  The eta invariant
-    <p3,xj><p3,p4>^-1 <xj,p4><xj,xj>^-1 of an A-positive xj is the
-    cross-ratio X(xj,p4,p3,xj); that of a B-positive xk is X(xk,p2,p1,xk).
+    evaluated as one array expression; or the list of tuples of a stack
+    of pairs, fa, fb, report and tuple_ sequences, evaluated over the
+    whole stack at once (a single pair runs as a stack of one).  The eta
+    invariant <p3,xj><p3,p4>^-1 <xj,p4><xj,xj>^-1 of an A-positive xj is
+    the cross-ratio X(xj,p4,p3,xj); that of a B-positive xk is
+    X(xk,p2,p1,xk).
     """
     if report is None:
         report = genericity_report(space, fa, fb)
     if tuple_ is None:
         tuple_ = normalize_lifts(space, fa, fb, report=report)
-    n, P, K = space.n, tuple_.P, tuple_.gram
+    single = isinstance(fa, LoxodromicFrame)
+    if single:
+        fa, fb, tuple_ = [fa], [fb], [tuple_]
+    size, n = len(fa), space.n
+    P = QArray.stack([t.P for t in tuple_])
+    K = QArray.stack([t.gram for t in tuple_])
     apos, bpos = range(4, n + 2), range(n + 2, 2 * n)
     rows = [(0, 1, 2, 3), (0, 2, 1, 3), (1, 3, 2, 0)]
     rows += [(0, 1, 2, k) for k in bpos] + [(2, 3, 0, j) for j in apos]
     rows += [(2, k, 1, j) for j in apos for k in bpos]
     rows += [(j, 3, 2, j) for j in apos] + [(k, 1, 0, k) for k in bpos]
-    return InvariantTuple(
+    entries = _words(P, K, rows, CROSS)
+    angular = _angles(_words(P, K, [(0, 1, 2), (0, 1, 3), (1, 2, 3)],
+                             TRIPLE))
+    # the attracting lift and the positives of every frame, A's then B's
+    points = projective_points(QArray.stack(
+        [f.F for f in [*fa, *fb]]).pick(Ellipsis, slice(-1)))
+    out = [InvariantTuple(
         field_tag=space.field,
-        real_trace_A=fa.real_trace,
-        real_trace_B=fb.real_trace,
-        entries=_words(P, K, rows, CROSS),
-        angular=_angles(_words(P, K, [(0, 1, 2), (0, 1, 3), (1, 2, 3)],
-                               TRIPLE)),
-        projective_A=fa.points, projective_B=fb.points,
-        matching_A=list(tuple_.matching_A),
-        matching_B=list(tuple_.matching_B))
+        real_trace_A=fa[e].real_trace,
+        real_trace_B=fb[e].real_trace,
+        entries=entries.pick(e),
+        angular=angular[e],
+        projective_A=points[e], projective_B=points[size + e],
+        matching_A=list(tuple_[e].matching_A),
+        matching_B=list(tuple_[e].matching_B)) for e in range(size)]
+    return out[0] if single else out
 
 
 def sp1_orbit_equal(t1: InvariantTuple, t2: InvariantTuple,

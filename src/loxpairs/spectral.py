@@ -433,19 +433,20 @@ def eigen_frame(space: HermitianSpace, A: QArray):
 
 def projective_points(V: QArray) -> np.ndarray:
     """Points of the complex projective line attached to the columns of
-    V, one eigenvector each, as the rows of a k x 2 array.
+    V, one eigenvector each, as the rows of a k x 2 array; or one such
+    array per matrix of a stack V.
 
     A column v determines (a_i : b_i) at its largest entry, which is
     invariant under the complex rescalings that preserve eigenvalue
     representatives.  Each row is a unit 2-vector whose largest
     component is positive real.
     """
-    cols = np.arange(V.shape[1])
-    i = np.argmax(np.abs(V.a) ** 2 + np.abs(V.b) ** 2, axis=0)
-    p = np.stack([V.a[i, cols], V.b[i, cols]], axis=1)
-    p = p / np.linalg.norm(p, axis=1, keepdims=True)
-    top = p[cols, np.argmax(np.abs(p), axis=1)]
-    return p / (top / np.abs(top))[:, None]
+    i = np.argmax(np.abs(V.a) ** 2 + np.abs(V.b) ** 2, axis=-2)[..., None, :]
+    p = np.stack([np.take_along_axis(V.a, i, -2)[..., 0, :],
+                  np.take_along_axis(V.b, i, -2)[..., 0, :]], axis=-1)
+    p = p / np.linalg.norm(p, axis=-1, keepdims=True)
+    top = np.take_along_axis(p, np.argmax(np.abs(p), axis=-1)[..., None], -1)
+    return p / (top / np.abs(top))
 
 
 def element_conjugator(space: HermitianSpace, X: QArray, Y: QArray) -> QArray:

@@ -294,16 +294,16 @@ def test_conjugacy_test_forms_one_gram_per_pair(space, rng, monkeypatch):
     gram = HermitianSpace.gram
 
     def counting(self, V):
-        calls.append(V.shape[1])
+        calls.append(V.shape)
         return gram(self, V)
 
     monkeypatch.setattr(HermitianSpace, "gram", counting)
     res = conjugacy_test(space, A, B, conjugate_by(C, A), conjugate_by(C, B))
     assert res.conjugate
-    # one product of both frames (2n + 2 vectors) for each of the two
-    # genericity reports; the lift normalizations and the associated
-    # tuples read every pairing from it
-    assert calls == [2 * space.n + 2] * 2
+    # one product over the stack of both pairs of frames (2n + 2 vectors
+    # each); the genericity reports, the lift normalizations and the
+    # associated tuples read every pairing from it
+    assert calls == [(2, space.dim, 2 * space.n + 2)]
 
 
 def test_conjugacy_test_solves_one_sp1_gauge(qspace, rng, monkeypatch):
@@ -353,13 +353,14 @@ def test_conjugacy_test_forms_one_frame_gram_per_pair(space, rng,
     frame_gram = genericity._frame_gram
 
     def counting(space, fa, fb):
-        calls.append((fa.rebuild(), fb.rebuild()))
+        calls.append([(f.rebuild(), g.rebuild()) for f, g in zip(fa, fb)])
         return frame_gram(space, fa, fb)
 
     monkeypatch.setattr(genericity, "_frame_gram", counting)
     assert conjugacy_test(space, A, B, A2, B2).conjugate
-    assert len(calls) == 2
-    for (Ar, Br), (X, Y) in zip(calls, ((A, B), (A2, B2))):
+    # one product over the stack of both pairs, in their order
+    assert len(calls) == 1 and len(calls[0]) == 2
+    for (Ar, Br), (X, Y) in zip(calls[0], ((A, B), (A2, B2))):
         assert (Ar - X).max_abs() <= 1e-8 * (1 + X.max_abs())
         assert (Br - Y).max_abs() <= 1e-8 * (1 + Y.max_abs())
 
