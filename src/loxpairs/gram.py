@@ -163,44 +163,43 @@ def normalize_lifts(space: HermitianSpace, fa, fb, report,
                       len(report), None, NotWeaklyNonsingular,
                       "pair fails genericity: {}",
                       [r.failing_conditions for r in report])
+    if not end:
+        raise error
     report = report[:end]
-    tuples = []
-    if end:
-        K, V, norms = (QArray.stack([r.frame_gram[0] for r in report]),
-                       QArray.stack([r.frame_gram[1] for r in report]),
-                       np.stack([r.frame_gram[2] for r in report]))
-        quad = np.array([0, 1, n + 1, n + 2])
-        e = np.arange(end)[:, None]
-        with np.errstate(all="ignore"):
-            s, end, error = _quadruple_scalars(
-                space, K.pick(slice(None), *np.ix_(quad, quad)),
-                norms[:, quad], QArray.stack([f.attracting
-                                              for f in fa[:end]]),
-                anchor, end, error)
-            idx = np.array([[2 + j for j in r.matching_A]
-                            + [n + 3 + k for k in r.matching_B]
-                            for r in report], dtype=int)
-            slot = np.repeat([2, 0], n - 2)             # anchors p3 and p1
-            g = K.pick(e, idx, quad[slot]) * s.pick(slice(None), slot)
-            c, ok = _unit_pairing(g, norms[:, quad[slot]]
-                                  * s.moduli()[:, slot], norms[e, idx])
-        end, error = _cut(ok, end, error, NormalizationImpossible, VANISHING)
-        # p_k = v_k S_k for the frame vectors v at cols
-        cols = np.hstack([np.broadcast_to(quad, (len(e), 4)), idx])
-        S = QArray(np.hstack([s.a, c.a]), np.hstack([s.b, c.b]))
-        omitted = [[2 + r.omitted_A, n + 3 + r.omitted_B] for r in report]
-        take = np.hstack([cols, omitted])[:, None, :]
-        P = QArray(np.take_along_axis(V.a, take, -1),
-                   np.take_along_axis(V.b, take, -1)) \
-            * QArray(np.pad(S.a, ((0, 0), (0, 2)), constant_values=1),
-                     np.pad(S.b, ((0, 0), (0, 2)))).pick(slice(None), None)
-        G = _rescaled_gram(K.pick(e[:, :, None], cols[:, :, None],
-                                  cols[:, None, :]), S)
-        tuples = [AssociatedTuple(space, P.pick(i), list(r.matching_A),
-                                  list(r.matching_B), G.pick(i))
-                  for i, r in enumerate(report[:end])]
+    K, V, norms = (QArray.stack([r.frame_gram[0] for r in report]),
+                   QArray.stack([r.frame_gram[1] for r in report]),
+                   np.stack([r.frame_gram[2] for r in report]))
+    quad = np.array([0, 1, n + 1, n + 2])
+    e = np.arange(end)[:, None]
+    idx = np.array([[2 + j for j in r.matching_A]
+                    + [n + 3 + k for k in r.matching_B] for r in report],
+                   dtype=int)
+    slot = np.repeat([2, 0], n - 2)                 # anchors p3 and p1
+    with np.errstate(all="ignore"):
+        s, end, error = _quadruple_scalars(
+            space, K.pick(slice(None), *np.ix_(quad, quad)), norms[:, quad],
+            QArray.stack([f.attracting for f in fa[:end]]), anchor, end,
+            error)
+        g = K.pick(e, idx, quad[slot]) * s.pick(slice(None), slot)
+        c, ok = _unit_pairing(g, norms[:, quad[slot]] * s.moduli()[:, slot],
+                              norms[e, idx])
+    end, error = _cut(ok, end, error, NormalizationImpossible, VANISHING)
     if error is not None:
         raise error
+    # p_k = v_k S_k for the frame vectors v at cols
+    cols = np.hstack([np.broadcast_to(quad, (end, 4)), idx])
+    S = QArray(np.hstack([s.a, c.a]), np.hstack([s.b, c.b]))
+    omitted = [[2 + r.omitted_A, n + 3 + r.omitted_B] for r in report]
+    take = np.hstack([cols, omitted])[:, None, :]
+    P = QArray(np.take_along_axis(V.a, take, -1),
+               np.take_along_axis(V.b, take, -1)) \
+        * QArray(np.pad(S.a, ((0, 0), (0, 2)), constant_values=1),
+                 np.pad(S.b, ((0, 0), (0, 2)))).pick(slice(None), None)
+    G = _rescaled_gram(K.pick(e[:, :, None], cols[:, :, None],
+                              cols[:, None, :]), S)
+    tuples = [AssociatedTuple(space, P.pick(i), list(r.matching_A),
+                              list(r.matching_B), G.pick(i))
+              for i, r in enumerate(report)]
     return tuples[0] if single else tuples
 
 

@@ -242,7 +242,7 @@ def _flat_one(R, units):
 
 
 @pytest.mark.parametrize("field", ["complex", "quaternion"])
-@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_linearization_matches_per_direction(field, n):
     from loxpairs.classify import _linearization
     from loxpairs.generate import random_loxodromic
@@ -269,7 +269,8 @@ def test_linearization_matches_per_direction(field, n):
         for Xp in targets])
     got = _linearization(space, targets)
     assert got.shape == expect.shape
-    assert np.max(np.abs(got - expect)) <= 1e-12
+    # the closed form does the per-direction arithmetic, to the last bit
+    assert np.array_equal(got, expect)
 
 
 @pytest.mark.parametrize("field", ["complex", "quaternion"])
@@ -363,6 +364,46 @@ def test_conjugacy_test_forms_one_frame_gram_per_pair(space, rng,
     for (Ar, Br), (X, Y) in zip(calls[0], ((A, B), (A2, B2))):
         assert (Ar - X).max_abs() <= 1e-8 * (1 + X.max_abs())
         assert (Br - Y).max_abs() <= 1e-8 * (1 + Y.max_abs())
+
+
+def push_polish(monkeypatch, push):
+    """Patch classify._refine_conjugator to return the polished C moved
+    to C @ push, with the residuals of that C."""
+    from loxpairs import classify
+    real = classify._refine_conjugator
+
+    def pushed(space, C, pairs):
+        C = real(space, C, pairs)[0] @ push
+        Cinv = C.inverse()
+        return C, [Xp - C @ X @ Cinv for X, Xp in pairs]
+
+    monkeypatch.setattr(classify, "_refine_conjugator", pushed)
+
+
+def test_conjugacy_test_rejects_a_polish_off_the_points(qspace, rng,
+                                                       monkeypatch):
+    # over the complex numbers every point is (1 : 0), so only the
+    # quaternions can miss them
+    A, B = generate_pair(qspace, seed=31, mode="strong")
+    C, R = qspace.random_isometry(rng), qspace.random_isometry(rng)
+    push_polish(monkeypatch, R)
+    res = conjugacy_test(qspace, A, B, conjugate_by(C, A),
+                         conjugate_by(C, B))
+    assert not res.conjugate and res.stage == "projective-points"
+    assert res.conjugator is None and np.isnan(res.residual)
+
+
+def test_conjugacy_test_raises_past_the_residual_gate(space, rng,
+                                                      monkeypatch):
+    # a 1e-6 push keeps every projective point within its gate but not
+    # the conjugation residual: matched invariants with a failed direct
+    # check raise rather than pass
+    A, B = generate_pair(space, seed=31, mode="strong")
+    C = space.random_isometry(rng)
+    push_polish(monkeypatch, QArray.eye(space.dim)
+                + QArray(1e-6 * np.eye(space.dim)[::-1]))
+    with pytest.raises(VerificationFailed, match="conjugation residual"):
+        conjugacy_test(space, A, B, conjugate_by(C, A), conjugate_by(C, B))
 
 
 def test_conjugacy_test_pairs_only_through_gram(space, rng, monkeypatch):
@@ -506,6 +547,45 @@ def test_refine_conjugator_polishes_without_an_svd(space, rng, monkeypatch):
     Cinv = C.inverse()
     for e, (X, Xp) in zip(E, pairs):
         assert (e - (Xp - C @ X @ Cinv)).max_abs() == 0.0
+
+
+def _counting_solver(monkeypatch):
+    """Patch classify._lstsq_solver to log each factorization and each
+    solve it makes."""
+    from loxpairs import classify
+    log, real = [], classify._lstsq_solver
+
+    def factor(space, M):
+        log.append("factor")
+        solve = real(space, M)
+
+        def counted(b):
+            log.append("solve")
+            return solve(b)
+        return counted
+
+    monkeypatch.setattr(classify, "_lstsq_solver", factor)
+    return log
+
+
+def test_refine_conjugator_at_its_rounding_floor_runs_no_sweep(space, rng,
+                                                              monkeypatch):
+    from loxpairs.classify import REFINE_FLOOR, _refine_conjugator
+    A, B = generate_pair(space, seed=2)
+    Q = space.random_isometry(rng)
+    pairs = [(A, conjugate_by(Q, A)), (B, conjugate_by(Q, B))]
+    C0 = Q @ (QArray.eye(space.dim) + QArray(1e-6 * np.eye(space.dim)[::-1]))
+    floor = REFINE_FLOOR * np.finfo(float).eps \
+        * (1.0 + max(Xp.max_abs() for _, Xp in pairs))
+    log = _counting_solver(monkeypatch)
+    C1, E1 = _refine_conjugator(space, C0, pairs)
+    # the polish reaches the floor and stops there: no sweep is rejected
+    assert max(e.max_abs() for e in E1) <= floor
+    assert log[0] == "factor" and 1 <= log.count("solve") < 3
+    del log[:]
+    C2, E2 = _refine_conjugator(space, C1, pairs)
+    assert log == [] and C2 is C1
+    assert all((e - e1).max_abs() == 0.0 for e, e1 in zip(E2, E1))
 
 
 def test_refine_conjugator_leaves_a_larger_centralizer_unpolished(space,

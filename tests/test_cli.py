@@ -83,6 +83,24 @@ def test_conjugacy_test_round_trip(tmp_path, capsys):
     assert obj["conjugator"] is not None
 
 
+def test_conjugacy_test_verification_failure_exit_3(tmp_path, capsys,
+                                                    monkeypatch):
+    from loxpairs.qmatrix import QArray
+    from test_classify import push_polish
+    path = _generate(tmp_path)
+    space, A, B = sz.pair_from_json(sz.loads(path.read_text()))
+    C = space.random_isometry(np.random.default_rng(5))
+    other = tmp_path / "pair2.json"
+    other.write_text(sz.dumps(sz.pair_to_json(
+        space, conjugate_by(C, A), conjugate_by(C, B))))
+    push_polish(monkeypatch, QArray.eye(space.dim)
+                + QArray(1e-6 * np.eye(space.dim)[::-1]))
+    code = main(["conjugacy-test", "--in", str(path), "--in", str(other)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("verification failed: invariants matched")
+
+
 def test_conjugacy_test_rejects(tmp_path, capsys):
     p1 = _generate(tmp_path, "p1.json", seed="1")
     p2 = _generate(tmp_path, "p2.json", seed="2")

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import hconj, hmul, hunit
+from loxpairs.errors import PatternViolation
 from loxpairs.generate import generate_pair
 from loxpairs.genericity import genericity_report
 from loxpairs.gram import gram_matrix, normalize_lifts
@@ -124,3 +127,47 @@ def test_tuple_takes_the_quadruple_normalization_bit_for_bit(n, field):
         assert np.array_equal(p.a, x.a) and np.array_equal(p.b, x.b)
     ref = space.gram(t.P.pick(slice(None), slice(2 * n)))
     assert (t.gram - ref).max_abs() <= 1e-12
+
+
+def _perturbed(t, gate):
+    """t with one Gram entry moved so that gram_matrix fails gate."""
+    n, gram = t.space.n, t.gram.copy()
+    if gate == "entry":             # <p1, p2> = 1 moves to 1.5
+        gram.a[1, 0] += 0.5
+    elif gate == "g23":             # |<p2, p3>| = 1 moves to 1.5
+        gram.a[2, 1] *= 1.5
+        gram.b[2, 1] *= 1.5
+    elif gate == "p4":              # <p4, x_j> of the first A-positive
+        gram.a[4, 3] = gram.b[4, 3] = 0.0
+    else:                           # <p2, x_k> of the first B-positive
+        gram.a[n + 2, 1] = gram.b[n + 2, 1] = 0.0
+    return dataclasses.replace(t, gram=gram)
+
+
+@pytest.mark.parametrize("gate", ["entry", "g23", "p4", "p2"])
+def test_gram_matrix_raises_each_pattern_violation(space, gate):
+    n = space.n
+    _, _, _, t = _tuple_for(space, 5)
+    gram_matrix(t)
+    expect = {"entry": r"^entry g\[1,2\] = \[1\.(5|49+)\d*, \S+, \S+, \S+\], "
+                       r"expected \[1\.0, 0\.0, 0\.0, 0\.0\]$",
+              "g23": r"^\|g23\| = 1\.(5|49+)\d*, expected 1$",
+              "p4": r"^g\[4,5\] vanishes$",
+              "p2": rf"^g\[2,{n + 3}\] vanishes$"}[gate]
+    with pytest.raises(PatternViolation, match=expect):
+        gram_matrix(_perturbed(t, gate))
+
+
+def test_gram_matrix_of_a_stack_raises_in_tuple_order(space):
+    # the first tuple fails the last gate and the second the first: the
+    # stack raises the first tuple's error, as the loop over them does
+    _, _, _, t = _tuple_for(space, 5)
+    late, early = _perturbed(t, "p4"), _perturbed(t, "entry")
+    G = gram_matrix([t, t])
+    assert G.shape == (2, 2 * space.n, 2 * space.n)
+    with pytest.raises(PatternViolation, match="vanishes"):
+        gram_matrix([late, early])
+    with pytest.raises(PatternViolation, match="^entry"):
+        gram_matrix([early, late])
+    with pytest.raises(PatternViolation, match="vanishes"):
+        gram_matrix([t, late])

@@ -123,3 +123,50 @@ def test_decide_layers_are_entered():
     assert stages == [case[-1] for case in cases]
     missing = [name for name in DECIDE if _code(name) not in entered]
     assert not missing, f"layers no decide op entered: {missing}"
+
+
+def _method_args(path: pathlib.Path, cls: str, name: str):
+    """The positional parameter names of method name of class cls, and
+    whether it takes *args."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.ClassDef) and node.name == cls:
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == name:
+                    return ([a.arg for a in item.args.args],
+                            item.args.vararg is not None)
+    raise AssertionError(f"{path.name} defines no {cls}.{name}")
+
+
+def test_refine_keeps_the_tracer_contract():
+    # the traced benchmark calls Tracer._probe_refine(space, C, pairs,
+    # *rest) with the arguments of every polish, before it runs, and
+    # reads the polish as the layer classify.refine; the polish must
+    # still take (space, C, pairs) and return (C, E), E one residual
+    # X' - C X C^-1 per pair
+    from loxpairs.generate import generate_pair
+    from loxpairs.hermitian import HermitianSpace
+    from loxpairs.qmatrix import QArray, conjugate_by
+    layer, owner, attr = EXTRA["classify.refine"]
+    assert owner is None
+    fn = getattr(importlib.import_module(f"loxpairs.{layer}"), attr)
+    args, rest = _method_args(BENCH / "tracer.py", "Tracer", "_probe_refine")
+    assert args[0] == "self" and rest
+    params = list(inspect.signature(fn).parameters.values())
+    assert [p.name for p in params[:len(args) - 1]] == args[1:] \
+        == ["space", "C", "pairs"]
+    assert all(p.default is not p.empty or p.kind in (p.VAR_POSITIONAL,
+                                                      p.VAR_KEYWORD)
+               for p in params[len(args) - 1:])
+    space = HermitianSpace(3, "quaternion")
+    A, B = generate_pair(space, seed=2)
+    Q = space.random_isometry(np.random.default_rng(2))
+    pairs = [(A, conjugate_by(Q, A)), (B, conjugate_by(Q, B))]
+    out = fn(space, Q, pairs)
+    assert isinstance(out, tuple) and len(out) == 2
+    C, E = out
+    assert isinstance(C, QArray) and C.shape == (space.dim, space.dim)
+    assert len(E) == len(pairs)
+    Cinv = C.inverse()
+    for e, (X, Xp) in zip(E, pairs):
+        assert isinstance(e, QArray)
+        assert (e - (Xp - C @ X @ Cinv)).max_abs() == 0.0

@@ -1,0 +1,104 @@
+"""The pair stage over a stack of pairs.
+
+genericity_report, normalize_lifts, pair_invariants and gram_matrix take
+one pair or a stack of pairs; conjugacy_test runs them once over its two
+pairs.  A stack must return, bit for bit, what one call per pair
+returns, and raise what the loop over its pairs raises.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from loxpairs.classify import conjugacy_test
+from loxpairs.errors import NormalizationImpossible, NotWeaklyNonsingular
+from loxpairs.generate import generate_pair
+from loxpairs.genericity import genericity_report
+from loxpairs.gram import gram_matrix, normalize_lifts
+from loxpairs.hermitian import HermitianSpace
+from loxpairs.invariants import pair_invariants
+from loxpairs.qmatrix import QArray, conjugate_by
+from loxpairs.spectral import eigen_frame
+
+
+def _same(x, y) -> bool:
+    if isinstance(x, QArray):
+        return np.array_equal(x.a, y.a) and np.array_equal(x.b, y.b)
+    return np.array_equal(x, y)
+
+
+def _pairs(space, seed, kind):
+    """(A, B) and a second pair: its conjugate, or A conjugated and B
+    moved by another isometry, which conjugacy_test rejects at tuple."""
+    A, B = generate_pair(space, seed=seed)
+    rng = np.random.default_rng(seed)
+    C, Q = space.random_isometry(rng), space.random_isometry(rng)
+    return A, B, conjugate_by(C, A), conjugate_by(C if kind == "conjugate"
+                                                  else Q, B)
+
+
+@pytest.mark.parametrize("kind", ["conjugate", "tuple"])
+@pytest.mark.parametrize("field", ["complex", "quaternion"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_two_pair_stack_equals_two_stacks_of_one(n, field, kind):
+    space = HermitianSpace(n, field)
+    mats = _pairs(space, n, kind)
+    stage = conjugacy_test(space, *mats).stage
+    assert stage == ("verified" if kind == "conjugate" else "tuple")
+    fa, fb, fa2, fb2 = eigen_frame(space, QArray.stack(mats))
+    fas, fbs = [fa, fa2], [fb, fb2]
+    reps = genericity_report(space, fas, fbs)
+    tuples = normalize_lifts(space, fas, fbs, reps)
+    invs = pair_invariants(space, fas, fbs, report=reps, tuple_=tuples)
+    G = gram_matrix(tuples)
+    assert G.shape == (2, 2 * n, 2 * n)
+    for e, (f, g) in enumerate(zip(fas, fbs)):
+        rep = genericity_report(space, f, g)
+        t = normalize_lifts(space, f, g, rep)
+        inv = pair_invariants(space, f, g, report=rep, tuple_=t)
+        for name in ("weakly_nonsingular", "nonsingular", "matching_A",
+                     "matching_B", "omitted_A", "omitted_B",
+                     "multiple_matchings", "failing_conditions"):
+            assert getattr(reps[e], name) == getattr(rep, name), name
+        assert _same(reps[e].flag_pair_matrix, rep.flag_pair_matrix)
+        assert all(_same(x, y) for x, y in zip(reps[e].frame_gram,
+                                               rep.frame_gram))
+        assert _same(tuples[e].P, t.P) and _same(tuples[e].gram, t.gram)
+        assert _same(G.pick(e), gram_matrix(t))
+        assert _same(invs[e].entries, inv.entries)
+        assert _same(invs[e].angular, inv.angular)
+        assert _same(invs[e].projective_A, inv.projective_A)
+        assert _same(invs[e].projective_B, inv.projective_B)
+        # and the points are those of each frame on its own
+        assert _same(inv.projective_A, f.points)
+        assert _same(inv.projective_B, g.points)
+
+
+@pytest.mark.parametrize("field", ["complex", "quaternion"])
+def test_stack_raises_what_the_loop_over_its_pairs_raises(field):
+    # pair 1 fails a later gate of the lift normalization (a vanishing
+    # <r_A, a_B>), pair 2 an earlier one (it is not weakly non-singular):
+    # the loop raises pair 1's error, and so must the stack
+    space = HermitianSpace(3, field)
+    n = space.n
+    A, B = generate_pair(space, seed=3)
+    fa, fb, faa = eigen_frame(space, QArray.stack([A, B, A @ A]))
+    good = genericity_report(space, fa, fb)
+    K, V, norms = good.frame_gram
+    K = K.copy()
+    K.a[1, n + 1] = K.b[1, n + 1] = 0.0
+    late = dataclasses.replace(good, frame_gram=(K, V, norms))
+    early = genericity_report(space, fa, faa)
+    assert not early.weakly_nonsingular
+    with pytest.raises(NormalizationImpossible):
+        normalize_lifts(space, fa, fb, late)
+    with pytest.raises(NotWeaklyNonsingular):
+        normalize_lifts(space, fa, faa, early)
+    with pytest.raises(NormalizationImpossible):
+        normalize_lifts(space, [fa, fa], [fb, faa], [late, early])
+    with pytest.raises(NotWeaklyNonsingular):
+        normalize_lifts(space, [fa, fa], [faa, fb], [early, late])
+    # a failing second pair still raises when the first passes
+    with pytest.raises(NormalizationImpossible):
+        normalize_lifts(space, [fa, fa], [fb, fb], [good, late])
