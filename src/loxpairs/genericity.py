@@ -52,7 +52,7 @@ def _frame_gram(space: HermitianSpace, fa, fb):
     of A and of B, the stack V of matrices with these columns and their
     norms.  <v_i, v_j> is entry (j, i) of K; A's vectors sit at indices
     0..n and B's at n+1..2n+1."""
-    perm = np.r_[0, space.n, 1:space.n]    # frame columns (a, x..., r)
+    perm = [0, space.n, *range(1, space.n)]    # frame columns (a, x..., r)
     Fa, Fb = (QArray.stack([f.F for f in fs]) for fs in (fa, fb))
     V = QArray(np.concatenate([Fa.a[..., perm], Fb.a[..., perm]], axis=-1),
                np.concatenate([Fa.b[..., perm], Fb.b[..., perm]], axis=-1))

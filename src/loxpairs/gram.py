@@ -34,6 +34,7 @@ second product is formed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List
 
 import numpy as np
@@ -90,6 +91,8 @@ def _quadruple_scalars(space: HermitianSpace, K: QArray, norms: np.ndarray,
     global-unit gauge freedom).
     """
     if anchor == "standard":
+        # the Siegel-chart rule of HermitianSpace.standard_scalar, row
+        # by row
         qn = z1.pick(Ellipsis, space.n)
         size = np.sqrt(np.sum(np.abs(z1.a) ** 2 + np.abs(z1.b) ** 2, axis=-1))
         end, error = _cut(~(qn.moduli() <= ERROR_THRESHOLD * size), end,
@@ -151,9 +154,9 @@ def normalize_lifts(space: HermitianSpace, fa, fb, report,
     scalars S of all 2n lifts.  K is the report's, which must be the
     report of these frames.  P is the one product of the frame vectors
     and S, padded by 1 for the two omitted positives.  Each pair's
-    matching picks its columns by take_along_axis.  A stack raises what
-    the loop over its pairs would: the first failing gate of the first
-    failing pair.
+    matching picks its frame vectors and pairings by one index array
+    over the stack.  A stack raises what the loop over its pairs would:
+    the first failing gate of the first failing pair.
     """
     single = isinstance(report, PairGenericityReport)
     if single:
@@ -169,11 +172,13 @@ def normalize_lifts(space: HermitianSpace, fa, fb, report,
     K, V, norms = (QArray.stack([r.frame_gram[0] for r in report]),
                    QArray.stack([r.frame_gram[1] for r in report]),
                    np.stack([r.frame_gram[2] for r in report]))
-    quad = np.array([0, 1, n + 1, n + 2])
+    # per pair, the frame vectors of p1 .. p_{2n} and the omitted ones
+    cols = np.array([[0, 1, n + 1, n + 2] + [2 + j for j in r.matching_A]
+                     + [n + 3 + k for k in r.matching_B]
+                     + [2 + r.omitted_A, n + 3 + r.omitted_B]
+                     for r in report])
+    quad, idx = cols[0, :4], cols[:, 4:2 * n]
     e = np.arange(end)[:, None]
-    idx = np.array([[2 + j for j in r.matching_A]
-                    + [n + 3 + k for k in r.matching_B] for r in report],
-                   dtype=int)
     slot = np.repeat([2, 0], n - 2)                 # anchors p3 and p1
     with np.errstate(all="ignore"):
         s, end, error = _quadruple_scalars(
@@ -186,23 +191,25 @@ def normalize_lifts(space: HermitianSpace, fa, fb, report,
     end, error = _cut(ok, end, error, NormalizationImpossible, VANISHING)
     if error is not None:
         raise error
-    # p_k = v_k S_k for the frame vectors v at cols
-    cols = np.hstack([np.broadcast_to(quad, (end, 4)), idx])
-    S = QArray(np.hstack([s.a, c.a]), np.hstack([s.b, c.b]))
-    omitted = [[2 + r.omitted_A, n + 3 + r.omitted_B] for r in report]
-    take = np.hstack([cols, omitted])[:, None, :]
-    P = QArray(np.take_along_axis(V.a, take, -1),
-               np.take_along_axis(V.b, take, -1)) \
-        * QArray(np.pad(S.a, ((0, 0), (0, 2)), constant_values=1),
-                 np.pad(S.b, ((0, 0), (0, 2)))).pick(slice(None), None)
-    G = _rescaled_gram(K.pick(e[:, :, None], cols[:, :, None],
-                              cols[:, None, :]), S)
+    # p_k = v_k S_k for the frame vectors v at cols, S_k = 1 for the
+    # omitted positives
+    S = QArray(np.ones(cols.shape, dtype=complex))
+    S.a[:, :4], S.a[:, 4:2 * n] = s.a, c.a
+    S.b[:, :4], S.b[:, 4:2 * n] = s.b, c.b
+    rows = np.arange(space.dim)[:, None]
+    P = V.pick(e[:, :, None], rows, cols[:, None, :]) \
+        * S.pick(slice(None), None)
+    lifts = cols[:, :2 * n]
+    G = _rescaled_gram(K.pick(e[:, :, None], lifts[:, :, None],
+                              lifts[:, None, :]),
+                       S.pick(slice(None), slice(2 * n)))
     tuples = [AssociatedTuple(space, P.pick(i), list(r.matching_A),
                               list(r.matching_B), G.pick(i))
               for i, r in enumerate(report)]
     return tuples[0] if single else tuples
 
 
+@lru_cache(maxsize=None)
 def _pattern(n: int):
     """The values the normalization pins in a 2n x 2n Gram matrix (0 or
     1, NaN elsewhere), and the mask of the pairings <p4, x_j> and
@@ -218,6 +225,8 @@ def _pattern(n: int):
             E[j, j + 1:block.stop] = 0
     live = np.zeros(E.shape, dtype=bool)
     live[3, 4:n + 2] = live[1, n + 2:] = True
+    E.setflags(write=False)
+    live.setflags(write=False)
     return E, live
 
 

@@ -441,12 +441,14 @@ def projective_points(V: QArray) -> np.ndarray:
     representatives.  Each row is a unit 2-vector whose largest
     component is positive real.
     """
-    i = np.argmax(np.abs(V.a) ** 2 + np.abs(V.b) ** 2, axis=-2)[..., None, :]
-    p = np.stack([np.take_along_axis(V.a, i, -2)[..., 0, :],
-                  np.take_along_axis(V.b, i, -2)[..., 0, :]], axis=-1)
+    a, b = (x.reshape((-1,) + V.shape[-2:]) for x in (V.a, V.b))
+    e, cols = np.arange(len(a))[:, None], np.arange(V.shape[-1])
+    i = np.argmax(np.abs(a) ** 2 + np.abs(b) ** 2, axis=1)
+    p = np.stack([a[e, i, cols], b[e, i, cols]], axis=-1)
     p = p / np.linalg.norm(p, axis=-1, keepdims=True)
-    top = np.take_along_axis(p, np.argmax(np.abs(p), axis=-1)[..., None], -1)
-    return p / (top / np.abs(top))
+    top = p[e, cols, np.argmax(np.abs(p), axis=-1)]
+    p = p / (top / np.abs(top))[..., None]
+    return p.reshape(V.shape[:-2] + p.shape[-2:])
 
 
 def element_conjugator(space: HermitianSpace, X: QArray, Y: QArray) -> QArray:
