@@ -4,11 +4,12 @@ gate the Gram-matrix normalization.
 A flag of A is (a_A, L_A, W_j): the attracting fixed point, the line
 through the two fixed points, and the hyperplane polar to a positive
 eigenvector.  Pair genericity reduces to conditions on the lifts: array
-expressions over one Gram product of both frames (`_frame_gram`) for the
-pairings, coordinate ranks for point membership and the rank-4 test.
-The flag-pair matrix is the outer product of a row mask and a column
-mask, so its matchings are read off the two masks (`_flag_matching`)
-with no bipartite matcher.
+expressions over the Gram products of both frames of every pair of a
+stack, formed as one product (`_frame_gram`), for the pairings, and
+coordinate ranks for point membership and the rank-4 test, one stacked
+rank call each.  A single pair is a stack of one.  The flag-pair matrix
+is the outer product of a row mask and a column mask, so its matchings
+are read off the two masks (`_flag_matching`) with no bipartite matcher.
 """
 
 from __future__ import annotations

@@ -24,11 +24,14 @@ to the four columns of a matrix of boundary points for
 `classify.boundary_quadruple_congruence` and to the quadruple
 (a_A, r_A, a_B, K r_C) of `twistbend.tilde_invariants`, and returns the
 rescaled lifts and their Gram product.  `normalize_lifts` takes only
-the scalars, from the one Gram product of both frames and the norms
-that `genericity_report` formed, builds P as one product of the frame
-vectors and the scalars, and takes the Gram product of the whole tuple
-as that frame product rescaled by the scalars of its lifts, so no
-second product is formed.
+the scalars, from the Gram products of both frames and the norms that
+`genericity_report` formed as one product over the stack of pairs,
+builds P as one product of the frame vectors and the scalars, and
+takes the Gram product of the whole tuple as that frame product
+rescaled by the scalars of its lifts, so no second product is formed.
+Both functions, and the pattern gate `gram_matrix`, take a stack and
+raise what the loop over it would (`spectral._cut`); one pair, tuple
+or quadruple runs as a stack of one.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import numpy as np
 from .errors import (DegenerateInputError, NormalizationImpossible,
                      NotWeaklyNonsingular, PatternViolation)
 from .genericity import PairGenericityReport
-from .hermitian import ERROR_THRESHOLD, HermitianSpace
+from .hermitian import AT_INFINITY, HermitianSpace
 from .qmatrix import QArray
 from .spectral import _cut
 
@@ -91,14 +94,10 @@ def _quadruple_scalars(space: HermitianSpace, K: QArray, norms: np.ndarray,
     global-unit gauge freedom).
     """
     if anchor == "standard":
-        # the Siegel-chart rule of HermitianSpace.standard_scalar, row
-        # by row
-        qn = z1.pick(Ellipsis, space.n)
-        size = np.sqrt(np.sum(np.abs(z1.a) ** 2 + np.abs(z1.b) ** 2, axis=-1))
-        end, error = _cut(~(qn.moduli() <= ERROR_THRESHOLD * size), end,
-                          error, DegenerateInputError,
-                          "last coordinate vanishes; point at infinity")
-        c = qn.reciprocal()
+        # HermitianSpace.standard_scalar, row by row
+        end, error = _cut(~space.at_infinity(z1), end, error,
+                          DegenerateInputError, AT_INFINITY)
+        c = z1.pick(Ellipsis, space.n).reciprocal()
     else:
         c = QArray(np.ones(len(z1.a)))
     g23 = K.pick(Ellipsis, 1, 2).moduli()

@@ -42,6 +42,7 @@ from .qmatrix import QArray
 from .quat import align_sp1
 
 ERROR_THRESHOLD = 1e-10
+AT_INFINITY = "last coordinate vanishes; point at infinity"
 
 
 def form_matrix(n: int) -> np.ndarray:
@@ -139,13 +140,18 @@ class HermitianSpace:
         D = A.adjoint() @ self._HQ @ A - self._HQ
         return D.max_abs() <= tol
 
+    def at_infinity(self, z: QArray) -> np.ndarray:
+        """Whether the last coordinate of z, or of each vector of a
+        stack, vanishes against ERROR_THRESHOLD |z|, so that the point
+        has no lift in the Siegel chart."""
+        size = np.sqrt(np.sum(np.abs(z.a) ** 2 + np.abs(z.b) ** 2, axis=-1))
+        return z.pick(Ellipsis, self.n).moduli() <= ERROR_THRESHOLD * size
+
     def standard_scalar(self, z: QArray) -> QArray:
         """Right scalar taking z to last coordinate 1 (Siegel chart)."""
-        qn = z.pick(self.n)
-        if qn.moduli() <= ERROR_THRESHOLD * z.norm():
-            raise DegenerateInputError(
-                "last coordinate vanishes; point at infinity")
-        return qn.reciprocal()
+        if self.at_infinity(z):
+            raise DegenerateInputError(AT_INFINITY)
+        return z.pick(self.n).reciprocal()
 
     def bergman_distance(self, z: QArray, w: QArray) -> float:
         """Distance between the points of hyperbolic space below z and w."""

@@ -9,7 +9,9 @@ normalized Gram matrix.  The unit `sp1_orbit_equal` finds is therefore
 the gauge under which `classify.conjugacy_test` reconstructs the
 conjugator from the lifts.
 Each invariant is a word in pairings (CROSS, TRIPLE) that `_words`
-evaluates entrywise over index rows of one Gram product.
+evaluates entrywise over index rows of one Gram product, or of each
+Gram product of a stack: `pair_invariants` evaluates every invariant of
+a stack of pairs at once.
 """
 
 from __future__ import annotations
