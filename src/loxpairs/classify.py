@@ -21,7 +21,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 import scipy.linalg
 
-from .errors import (DegenerateInputError, NotNonsingular,
+from .errors import (DegenerateInputError, LoxpairsError, NotNonsingular,
                      VerificationFailed)
 from .genericity import PairGenericityReport, _frame_gram, genericity_report
 from .gram import (AssociatedTuple, _normalize_quadruple, gram_matrix,
@@ -283,10 +283,17 @@ def conjugacy_test(space: HermitianSpace, A: QArray, B: QArray,
     Detection order: real traces, then the invariant-tuple orbit, whose
     unit mu (1 for the reduced list of complex strong mode) is the one
     Sp(1) gauge of the test, then the reconstruction from the lifts
-    under mu, its Newton polish, and projective points.  Matching
+    under mu, its Newton polish, and projective points.  Over the
+    complex numbers every projective point is (1, 0), so only a
+    quaternionic pair can end at projective-points.  Matching
     invariants with a failed direct conjugation check raise
-    VerificationFailed rather than passing silently.
+    VerificationFailed rather than passing silently.  mode is "weak" or
+    "strong", and tol must be positive.
     """
+    if mode not in ("weak", "strong"):
+        raise LoxpairsError(f"unknown mode {mode!r}")
+    if not tol > 0:  # NaN fails
+        raise LoxpairsError(f"tol must be positive, got {tol!r}")
     fa, fb, fa2, fb2 = eigen_frame(space, QArray.stack([A, B, A2, B2]))
 
     tr_resid = max(

@@ -67,6 +67,8 @@ def generate_pair(space: HermitianSpace, seed: Optional[int] = None,
     mode "weak" accepts weakly non-singular pairs, "strong" requires
     non-singular ones.  Deterministic for a fixed seed.
     """
+    if mode not in ("weak", "strong"):
+        raise LoxpairsError(f"unknown mode {mode!r}")
     rng = np.random.default_rng(seed)
     for _ in range(MAX_TRIES):
         A = random_loxodromic(space, rng)

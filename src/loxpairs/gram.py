@@ -29,9 +29,11 @@ the scalars, from the Gram products of both frames and the norms that
 builds P as one product of the frame vectors and the scalars, and
 takes the Gram product of the whole tuple as that frame product
 rescaled by the scalars of its lifts, so no second product is formed.
-Both functions, and the pattern gate `gram_matrix`, take a stack and
-raise what the loop over it would (`spectral._cut`); one pair, tuple
-or quadruple runs as a stack of one.
+Both functions, and the pattern gate `gram_matrix`, take a stack; one
+pair, tuple or quadruple runs as a stack of one.  Each gate is one
+`spectral._gate` call over the whole stack, so a stack raises at the
+earliest gate that any of its elements fails and names the first
+element that fails it.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .errors import (DegenerateInputError, NormalizationImpossible,
 from .genericity import PairGenericityReport
 from .hermitian import AT_INFINITY, HermitianSpace
 from .qmatrix import QArray
-from .spectral import _cut
+from .spectral import _gate
 
 INNER_TOL = 1e-10
 PATTERN_TOL = 1e-8
@@ -81,11 +83,10 @@ def _unit_pairing(g: QArray, anchor_norm, norms):
 
 
 def _quadruple_scalars(space: HermitianSpace, K: QArray, norms: np.ndarray,
-                       z1: QArray, anchor: str, end: int, error):
+                       z1: QArray, anchor: str) -> QArray:
     """The right scalars s, four per row of a stack, that rescale lifts
     (z1, z2, z3, z4) to p_k = z_k s_k with
-    <p1,p2> = <p1,p3> = <p1,p4> = 1 = |<p2,p3>|, with the live prefix
-    end and the exception after error (spectral._cut).
+    <p1,p2> = <p1,p3> = <p1,p4> = 1 = |<p2,p3>|.
 
     Every pairing is read from K, the stack of Gram products of the zs,
     and the gates scale with their norms.  anchor="standard" takes p1
@@ -95,25 +96,23 @@ def _quadruple_scalars(space: HermitianSpace, K: QArray, norms: np.ndarray,
     """
     if anchor == "standard":
         # HermitianSpace.standard_scalar, row by row
-        end, error = _cut(~space.at_infinity(z1), end, error,
-                          DegenerateInputError, AT_INFINITY)
+        _gate(~space.at_infinity(z1), DegenerateInputError, AT_INFINITY)
         c = z1.pick(Ellipsis, space.n).reciprocal()
     else:
         c = QArray(np.ones(len(z1.a)))
     g23 = K.pick(Ellipsis, 1, 2).moduli()
-    end, error = _cut(~(g23 <= INNER_TOL * norms[:, 2] * norms[:, 1]), end,
-                      error, NormalizationImpossible, VANISHING)
+    _gate(~(g23 <= INNER_TOL * norms[:, 2] * norms[:, 1]),
+          NormalizationImpossible, VANISHING)
     # a = z1 c pairs with z_k as <z1, z_k> c; |<p2,p3>| = 1 fixes the
     # positive factor t of p1 = a t, and <p1, z> = <a, z> t
     g = K.pick(Ellipsis, [1, 2, 3], 0) * c.pick(Ellipsis, None)
     u, ok = _unit_pairing(g, (norms[:, 0] * c.moduli())[:, None],
                           norms[:, 1:])
-    end, error = _cut(ok, end, error, NormalizationImpossible, VANISHING)
+    _gate(ok, NormalizationImpossible, VANISHING)
     mods = g.moduli()
     t = np.sqrt(g23 / (mods[:, 0] * mods[:, 1]))[:, None]
     return QArray(np.concatenate([c.a[:, None] * t, u.a / t], axis=-1),
-                  np.concatenate([c.b[:, None] * t, u.b / t], axis=-1)), \
-        end, error
+                  np.concatenate([c.b[:, None] * t, u.b / t], axis=-1))
 
 
 def _normalize_quadruple(space: HermitianSpace, Z: QArray):
@@ -121,16 +120,13 @@ def _normalize_quadruple(space: HermitianSpace, Z: QArray):
     (the standard anchor) to the columns (p1, p2, p3, p4) of Z s, with
     the scalars s and the Gram product of the ps, conj(s_i) K_ij s_j
     for K that of the zs.  A stack (k, m, 4) of such matrices gives the
-    stacks of all three and raises what the loop over it would; one
-    matrix runs as a stack of one."""
+    stacks of all three; one matrix runs as a stack of one."""
     stack = Z if Z.ndim == 3 else QArray(Z.a[None], Z.b[None])
     K = space.gram(stack)
     with np.errstate(all="ignore"):
-        s, end, error = _quadruple_scalars(
-            space, K, np.linalg.norm(stack.moduli(), axis=-2),
-            stack.pick(Ellipsis, 0), "standard", len(K.a), None)
-    if error is not None:
-        raise error
+        s = _quadruple_scalars(space, K,
+                               np.linalg.norm(stack.moduli(), axis=-2),
+                               stack.pick(Ellipsis, 0), "standard")
     lifts, G = stack * s.pick(Ellipsis, None, slice(None)), \
         _rescaled_gram(K, s)
     if Z.ndim == 3:
@@ -154,20 +150,16 @@ def normalize_lifts(space: HermitianSpace, fa, fb, report,
     report of these frames.  P is the one product of the frame vectors
     and S, padded by 1 for the two omitted positives.  Each pair's
     matching picks its frame vectors and pairings by one index array
-    over the stack.  A stack raises what the loop over its pairs would:
-    the first failing gate of the first failing pair.
+    over the stack.  A stack raises at the earliest gate that any of its
+    pairs fails, naming the first pair that fails it.
     """
     single = isinstance(report, PairGenericityReport)
     if single:
         fa, report = [fa], [report]
     n = space.n
-    end, error = _cut(np.array([r.weakly_nonsingular for r in report]),
-                      len(report), None, NotWeaklyNonsingular,
-                      "pair fails genericity: {}",
-                      [r.failing_conditions for r in report])
-    if not end:
-        raise error
-    report = report[:end]
+    _gate(np.array([r.weakly_nonsingular for r in report]),
+          NotWeaklyNonsingular, "pair fails genericity: {}",
+          [r.failing_conditions for r in report])
     K, V, norms = (QArray.stack([r.frame_gram[0] for r in report]),
                    QArray.stack([r.frame_gram[1] for r in report]),
                    np.stack([r.frame_gram[2] for r in report]))
@@ -177,19 +169,16 @@ def normalize_lifts(space: HermitianSpace, fa, fb, report,
                      + [2 + r.omitted_A, n + 3 + r.omitted_B]
                      for r in report])
     quad, idx = cols[0, :4], cols[:, 4:2 * n]
-    e = np.arange(end)[:, None]
+    e = np.arange(len(report))[:, None]
     slot = np.repeat([2, 0], n - 2)                 # anchors p3 and p1
     with np.errstate(all="ignore"):
-        s, end, error = _quadruple_scalars(
+        s = _quadruple_scalars(
             space, K.pick(slice(None), *np.ix_(quad, quad)), norms[:, quad],
-            QArray.stack([f.attracting for f in fa[:end]]), anchor, end,
-            error)
+            QArray.stack([f.attracting for f in fa]), anchor)
         g = K.pick(e, idx, quad[slot]) * s.pick(slice(None), slot)
         c, ok = _unit_pairing(g, norms[:, quad[slot]] * s.moduli()[:, slot],
                               norms[e, idx])
-    end, error = _cut(ok, end, error, NormalizationImpossible, VANISHING)
-    if error is not None:
-        raise error
+    _gate(ok, NormalizationImpossible, VANISHING)
     # p_k = v_k S_k for the frame vectors v at cols, S_k = 1 for the
     # omitted positives
     S = QArray(np.ones(cols.shape, dtype=complex))
@@ -233,7 +222,8 @@ def gram_matrix(t):
     """The 2n x 2n QArray of pairings G[i, j] = <p_i, p_j> of a tuple,
     or their (k, 2n, 2n) stack for a sequence of tuples, the pattern of
     all of them checked by one masked array comparison per gate.  A
-    sequence raises what the loop over it would."""
+    sequence raises at the earliest gate that any of its tuples fails,
+    naming the first tuple that fails it."""
     single = isinstance(t, AssociatedTuple)
     ts = [t] if single else list(t)
     n, k, tol = ts[0].space.n, len(ts), PATTERN_TOL
@@ -243,20 +233,16 @@ def gram_matrix(t):
     bad = (G - QArray(E)).moduli() > tol
     i, j = np.unravel_index(np.argmax(bad.reshape(k, -1), axis=-1), E.shape)
     w, x, y, z = G.components()[np.arange(k), i, j].T
-    end, error = _cut(~bad.any(axis=(-2, -1)), k, None, PatternViolation,
-                      "entry g[{},{}] = [{}, {}, {}, {}], "
-                      "expected [{}, 0.0, 0.0, 0.0]",
-                      i + 1, j + 1, w, x, y, z, E[i, j])
+    _gate(~bad.any(axis=(-2, -1)), PatternViolation,
+          "entry g[{},{}] = [{}, {}, {}, {}], expected [{}, 0.0, 0.0, 0.0]",
+          i + 1, j + 1, w, x, y, z, E[i, j])
     mods = G.moduli()
-    end, error = _cut(~(np.abs(mods[:, 1, 2] - 1.0) > tol), end, error,
-                      PatternViolation, "|g23| = {}, expected 1",
-                      mods[:, 1, 2])
+    _gate(~(np.abs(mods[:, 1, 2] - 1.0) > tol), PatternViolation,
+          "|g23| = {}, expected 1", mods[:, 1, 2])
     # the first vanishing pairing by column, one per column
     vanish = (mods <= tol) & live
     j, i = np.unravel_index(np.argmax(
         vanish.swapaxes(-1, -2).reshape(k, -1), axis=-1), E.shape)
-    end, error = _cut(~vanish.any(axis=(-2, -1)), end, error,
-                      PatternViolation, "g[{},{}] vanishes", i + 1, j + 1)
-    if error is not None:
-        raise error
+    _gate(~vanish.any(axis=(-2, -1)), PatternViolation,
+          "g[{},{}] vanishes", i + 1, j + 1)
     return G.pick(0) if single else G

@@ -176,11 +176,6 @@ def conjugate_by(C: QArray, A: QArray) -> QArray:
     return C @ A @ C.inverse()
 
 
-def commutator(A: QArray, B: QArray) -> QArray:
-    """A B A^-1 B^-1."""
-    return A @ B @ A.inverse() @ B.inverse()
-
-
 def quaternionic_rank(V: QArray, tol: float = 1e-8):
     """Rank over the quaternions of the columns of the matrix V, or one
     rank per matrix of a stack, from one stacked SVD.

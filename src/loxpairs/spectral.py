@@ -28,17 +28,18 @@ runs once on the whole stack:
 `real_char_poly`, `classify_element` and `eigen_frame` run their kernels
 with floating-point exceptions ignored, so no warning gets out: an
 overflow turns into inf or NaN, and NaN fails every gate.
-A stack raises what the loop over its elements would raise: the first
-failing gate of the first failing element.  The one exception is a
-LAPACK failure in the stacked companion eigvals, which does not name
-its matrix; the stack raises NoConvergence for it.
+A stack raises at the earliest gate, in pipeline order, that any of its
+elements fails (`_gate`), and names the first element that fails it:
+the error that element raises alone.  The one exception is a LAPACK
+failure in the stacked companion eigvals, which does not name its
+matrix; the stack raises NoConvergence for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 import scipy.linalg
@@ -278,156 +279,126 @@ class LoxodromicFrame:
         return self.F @ QArray.diag(self.eigenvalues) @ self.F.inverse()
 
 
-def _cut(ok: np.ndarray, end: int, error, exc, message: str, *values):
-    """The live prefix and the exception after one gate, which element
-    i passes where ok[i]: for the first failing i < end, i and exc of
-    message formatted with the values of element i, else (end, error)."""
-    failing = np.flatnonzero(~ok[:end])
-    if not failing.size:
-        return end, error
-    i = int(failing[0])
-    return i, exc(message.format(*(v[i] for v in values)))
+def _gate(ok: np.ndarray, exc, message: str, *values):
+    """One gate over a stack, which element i passes where ok[i]: raise
+    exc of message, formatted with the values of the first failing
+    element, if any element fails."""
+    failing = np.flatnonzero(~ok)
+    if failing.size:
+        i = int(failing[0])
+        raise exc(message.format(*(v[i] for v in values)))
 
 
 def _simple_classes(space: HermitianSpace, chi: np.ndarray):
-    """The live prefix and the exception after the class count of a
-    stack whose complex forms have the characteristic polynomials chi,
-    one row each: the first element whose coefficients are not finite,
-    whose roots do not converge, or which has not space.dim simple
-    eigenvalue classes.  Aberth and the clustering run once on the
-    stack; a class is simple when its root overlaps no other."""
+    """The class count of a stack whose complex forms have the
+    characteristic polynomials chi, one row each: its gates fail an
+    element whose coefficients are not finite, whose roots do not
+    converge, or which has not space.dim simple eigenvalue classes.
+    Aberth and the clustering run once on the stack; a class is simple
+    when its root overlaps no other."""
     roots = aberth_roots(chi)
-    end, error = _cut(np.all(np.isfinite(chi), axis=-1), chi.shape[0], None,
-                      NoConvergence, "polynomial coefficients are not finite")
-    end, error = _cut(~np.any(np.isnan(roots), axis=-1), end, error,
-                      NoConvergence, "root iteration did not converge")
+    _gate(np.all(np.isfinite(chi), axis=-1), NoConvergence,
+          "polynomial coefficients are not finite")
+    _gate(~np.any(np.isnan(roots), axis=-1), NoConvergence,
+          "root iteration did not converge")
     if space.field == "quaternion":
         # classes come in conjugate pairs; keep Im >= 0 representatives
         roots = np.where(roots.imag >= -1e-12, roots, np.nan)
     _, mults = cluster_roots(chi, roots)
-    return _cut((np.count_nonzero(mults, axis=-1) == space.dim)
-                & np.all(mults <= 1, axis=-1), end, error,
-                DegenerateSpectrum, "eigenvalue classes are not simple")
+    _gate((np.count_nonzero(mults, axis=-1) == space.dim)
+          & np.all(mults <= 1, axis=-1), DegenerateSpectrum,
+          "eigenvalue classes are not simple")
 
 
-def _assemble(space: HermitianSpace, W: np.ndarray, lams: np.ndarray,
-              end: int, error):
+def _assemble(space: HermitianSpace, W: np.ndarray, lams: np.ndarray):
     """The frame data (radius, theta, phis, F) of every element of a
     stack from its class eigenpairs (rows W[e, i] in the complex form of
-    space, eigenvalues lams[e, i]), with the live prefix end and the
-    exception of the serial loop after error, that of the stages before:
-    one array comparison per gate, then the lifts normalized by array
-    products."""
+    space, eigenvalues lams[e, i]): one array comparison per gate, then
+    the lifts normalized by array products."""
     tol = RADIUS_GUARD
     e = np.arange(len(lams))
     radii, angles = np.abs(lams), np.angle(lams)
     # attracting fixed point carries the eigenvalue class of modulus r < 1
     i_att, i_rep = np.argmin(radii, axis=-1), np.argmax(radii, axis=-1)
     att, rep = lams[e, i_att], lams[e, i_rep]
-    end, error = _cut((radii[e, i_rep] > 1.0 + tol)
-                      & (radii[e, i_att] < 1.0 - tol), end, error,
-                      NotLoxodromic, "no attracting/repelling eigenvalue pair")
+    _gate((radii[e, i_rep] > 1.0 + tol) & (radii[e, i_att] < 1.0 - tol),
+          NotLoxodromic, "no attracting/repelling eigenvalue pair")
     if space.field == "quaternion":
-        end, error = _cut(np.all(lams.imag >= -1e-9, axis=-1), end, error,
-                          DegenerateSpectrum,
-                          "class representative left the upper half plane")
-        end, error = _cut(np.minimum(abs(att.imag), abs(rep.imag))
-                          > tol * abs(att), end, error, RealEigenvalueClass,
-                          "attracting class meets the real axis")
-        end, error = _cut(abs(rep / abs(rep) - att / abs(att)) <= 1e-6,
-                          end, error, DegenerateSpectrum,
-                          "attracting/repelling angles disagree")
+        _gate(np.all(lams.imag >= -1e-9, axis=-1), DegenerateSpectrum,
+              "class representative left the upper half plane")
+        _gate(np.minimum(abs(att.imag), abs(rep.imag)) > tol * abs(att),
+              RealEigenvalueClass, "attracting class meets the real axis")
+        _gate(abs(rep / abs(rep) - att / abs(att)) <= 1e-6,
+              DegenerateSpectrum, "attracting/repelling angles disagree")
     # frame order: attracting, the others by increasing angle, repelling
     key = angles.copy()
     key[e, i_att], key[e, i_rep] = -np.inf, np.inf
     order = np.argsort(key, axis=-1, kind="stable")
     unit = order[:, 1:-1]
-    end, error = _cut(np.all(abs(np.take_along_axis(radii, unit, -1) - 1.0)
-                             <= tol, axis=-1), end, error,
-                      DegenerateSpectrum, "non-unit intermediate eigenvalue")
+    _gate(np.all(abs(np.take_along_axis(radii, unit, -1) - 1.0) <= tol, -1),
+          DegenerateSpectrum, "non-unit intermediate eigenvalue")
 
     # row j of V is column j of the frame matrix
     V = space.from_complex(np.swapaxes(
         np.take_along_axis(W, order[..., None], 1), -1, -2)).transpose()
     g = space.inner(V.pick(slice(None), 0), V.pick(slice(None), -1))
-    end, error = _cut(abs(g.b) <= 1e-7 * (1.0 + g.moduli()), end, error,
-                      DegenerateSpectrum,
-                      "attracting/repelling pairing has j part {:.3e}",
-                      abs(g.b))
+    _gate(abs(g.b) <= 1e-7 * (1.0 + g.moduli()), DegenerateSpectrum,
+          "attracting/repelling pairing has j part {:.3e}", abs(g.b))
     positives = V.pick(slice(None), slice(1, -1))
     nsq = space.inner(positives, positives).a.real
-    end, error = _cut(np.all(nsq > 0, axis=-1), end, error,
-                      DegenerateSpectrum,
-                      "intermediate eigenvector is not positive")
+    _gate(np.all(nsq > 0, axis=-1), DegenerateSpectrum,
+          "intermediate eigenvector is not positive")
     V = V.scale(np.pad(1.0 / np.sqrt(nsq), ((0, 0), (1, 1)),
                        constant_values=1.0)[..., None])
     # only complex rescalings keep the eigenvalue representatives intact
     rv = V.pick(slice(None), -1) * QArray(1.0 / np.conj(g.a[:, None]))
     V.a[:, -1], V.b[:, -1] = rv.a, rv.b
-    data = (radii[e, i_att], angles[e, i_att],
+    return (radii[e, i_att], angles[e, i_att],
             np.take_along_axis(angles, unit, -1), V.transpose().copy())
-    return data, end, error
 
 
-def _frames(space: HermitianSpace, A: QArray):
-    """The frames of the stack A and the exception the serial loop over
-    its elements would raise, or None.
-
-    The live elements are always a prefix of the stack: an element that
-    fails a gate drops out with every element after it, and its
-    exception stands unless an earlier element fails a later gate.
-    Every gate is written so that NaN fails it.
-    """
+def _frames(space: HermitianSpace, A: QArray) -> List[LoxodromicFrame]:
+    """The frames of the stack A, every gate written so that NaN fails
+    it; the first gate that any element fails raises (_gate)."""
     Mfull = space.as_complex(A)
-    end, error = _simple_classes(space, faddeev_leverrier(Mfull))
-    if not end:
-        return [], error
-    A = A.pick(slice(end))
-    W, lams, resid = _eigenpairs(space, A, Mfull[:end])
+    _simple_classes(space, faddeev_leverrier(Mfull))
+    W, lams, resid = _eigenpairs(space, A, Mfull)
     # each gate scales with its own element
     amax = A.moduli().max(axis=(-2, -1))
-    end, error = _cut(resid <= RESIDUAL_TOL * (1.0 + amax), end, error,
-                      DegenerateSpectrum, "eigenvector residual {:.3e}", resid)
-    (radius, theta, phis, F), end, error = _assemble(space, W, lams, end,
-                                                     error)
-    if not end:
-        return [], error
-    radius, theta, phis = radius[:end], theta[:end], phis[:end]
-    F, A = F.pick(slice(end)), A.pick(slice(end))
+    _gate(resid <= RESIDUAL_TOL * (1.0 + amax), DegenerateSpectrum,
+          "eigenvector residual {:.3e}", resid)
+    radius, theta, phis, F = _assemble(space, W, lams)
     E = _class_values(radius, theta, phis)
     D = np.zeros(E.shape + E.shape[-1:], dtype=complex)
     D[:, np.arange(E.shape[-1]), np.arange(E.shape[-1])] = E
     # the inverse needs a nonsingular F; cond(F) of a frame that is not
     # finite counts as infinite
     Fe = F.embed()
-    kappa = np.full(end, np.inf)
+    kappa = np.full(len(E), np.inf)
     finite = np.all(np.isfinite(Fe), axis=(-2, -1))
     kappa[finite] = np.linalg.cond(Fe[finite])
-    end, error = _cut(np.isfinite(kappa), end, error, DegenerateSpectrum,
-                      "frame matrix condition {:.3e}", kappa)
-    F, A = F.pick(slice(end)), A.pick(slice(end))
-    miss = (F @ QArray(D[:end]) @ F.inverse() - A).moduli().max(axis=(-2, -1))
+    _gate(np.isfinite(kappa), DegenerateSpectrum,
+          "frame matrix condition {:.3e}", kappa)
+    miss = (F @ QArray(D) @ F.inverse() - A).moduli().max(axis=(-2, -1))
     # evaluation noise of F D F^-1 grows like eps * cond(F), so the gate
     # must not outpace what double precision can certify
-    gate = (1.0 + amax[:end]) * np.maximum(
-        RESIDUAL_TOL, 20 * np.finfo(float).eps * kappa[:end])
-    end, error = _cut(miss <= gate, end, error, DegenerateSpectrum,
-                      "frame reconstruction residual {:.3e}", miss)
-    traces = _real_traces(E[:end])
+    gate = (1.0 + amax) * np.maximum(RESIDUAL_TOL,
+                                     20 * np.finfo(float).eps * kappa)
+    _gate(miss <= gate, DegenerateSpectrum,
+          "frame reconstruction residual {:.3e}", miss)
+    traces = _real_traces(E)
     return [LoxodromicFrame(float(radius[i]), float(theta[i]), phis[i],
                             F.pick(i), space, traces[i])
-            for i in range(end)], error
+            for i in range(len(E))]
 
 
 def eigen_frame(space: HermitianSpace, A: QArray):
     """Spectral frame of a loxodromic isometry, or the list of frames of
     a stack A of shape (k, m, m), on the one path the module docstring
-    describes: a stack raises what the loop over its elements would."""
+    describes: a stack raises at its earliest failing gate."""
     stack = A if A.ndim == 3 else QArray(A.a[None], A.b[None])
     with np.errstate(all="ignore"):
-        frames, error = _frames(space, stack)
-    if error is not None:
-        raise error
+        frames = _frames(space, stack)
     return frames if A.ndim == 3 else frames[0]
 
 

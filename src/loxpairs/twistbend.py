@@ -125,18 +125,12 @@ class PantsGroup:
     def __post_init__(self):
         if not self.frames:
             Ps = self.peripherals()
-            for i, P in enumerate(Ps):
-                # the FL gate types pants whose frames would miss the
-                # relation; the frames of the peripherals before P
-                # come first, as in a loop of classify, then frame
-                try:
-                    if not classify_element(self.space, P).is_loxodromic:
-                        raise NotLoxodromic(
-                            "peripheral element is not loxodromic")
-                except Exception:
-                    if i:
-                        eigen_frame(self.space, QArray.stack(Ps[:i]))
-                    raise
+            # the FL gate types pants whose frames would miss the
+            # relation; it is the earlier gate, so all three peripherals
+            # are classified before they are framed as one stack
+            for P in Ps:
+                if not classify_element(self.space, P).is_loxodromic:
+                    raise NotLoxodromic("peripheral element is not loxodromic")
             self.frames = eigen_frame(self.space, QArray.stack(Ps))
 
     def peripherals(self) -> List[QArray]:

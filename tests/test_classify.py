@@ -5,8 +5,8 @@ from loxpairs.classify import (_verified_congruence,
                                boundary_quadruple_congruence,
                                congruence_from_tuples, conjugacy_test,
                                invariant_map_rank)
-from loxpairs.errors import (NormalizationImpossible, NotNonsingular,
-                             VerificationFailed)
+from loxpairs.errors import (LoxpairsError, NormalizationImpossible,
+                             NotNonsingular, VerificationFailed)
 from loxpairs.generate import generate_pair
 from loxpairs.hermitian import HermitianSpace
 from loxpairs.qmatrix import QArray, conjugate_by, quaternionic_rank
@@ -391,6 +391,21 @@ def test_conjugacy_test_rejects_a_polish_off_the_points(qspace, rng,
                          conjugate_by(C, B))
     assert not res.conjugate and res.stage == "projective-points"
     assert res.conjugator is None and np.isnan(res.residual)
+
+
+def test_conjugacy_test_rejects_a_bad_tol_or_mode(qspace, rng):
+    # unchecked, a tol that is not > 0 would call this conjugate pair
+    # "not conjugate", and a misspelt mode would run weak mode
+    A, B = generate_pair(qspace, seed=31, mode="strong")
+    C = qspace.random_isometry(rng)
+    mats = (A, B, conjugate_by(C, A), conjugate_by(C, B))
+    assert conjugacy_test(qspace, *mats).conjugate
+    for tol in (0.0, -1.0, float("nan")):
+        with pytest.raises(LoxpairsError, match="tol must be positive"):
+            conjugacy_test(qspace, *mats, tol=tol)
+    for mode in ("Strong", "", None):
+        with pytest.raises(LoxpairsError, match="unknown mode"):
+            conjugacy_test(qspace, *mats, mode=mode)
 
 
 def test_conjugacy_test_raises_past_the_residual_gate(space, rng,

@@ -16,11 +16,11 @@ def _raised_names():
     names = set()
     for path in src.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
-            # spectral._cut(ok, end, error, exc, message) builds the
-            # exception of a failing gate, which eigen_frame raises
+            # spectral._gate(ok, exc, message) raises exc when an element
+            # of its stack fails the gate
             if isinstance(node, ast.Call) \
-                    and getattr(node.func, "id", None) == "_cut":
-                names.add(node.args[3].id)
+                    and getattr(node.func, "id", None) == "_gate":
+                names.add(node.args[1].id)
             if isinstance(node, ast.Raise) and node.exc is not None:
                 exc = node.exc.func if isinstance(node.exc, ast.Call) \
                     else node.exc

@@ -69,3 +69,9 @@ def test_generate_pair_gives_up(cspace, monkeypatch):
     monkeypatch.setattr(generate, "genericity_report", lambda *args: never)
     with pytest.raises(LoxpairsError, match="in 100 attempts"):
         generate_pair(cspace, seed=0)
+
+
+def test_generate_pair_rejects_an_unknown_mode(cspace):
+    for mode in ("Strong", "", None):
+        with pytest.raises(LoxpairsError, match="unknown mode"):
+            generate_pair(cspace, seed=0, mode=mode)

@@ -158,16 +158,26 @@ def test_gram_matrix_raises_each_pattern_violation(space, gate):
         gram_matrix(_perturbed(t, gate))
 
 
-def test_gram_matrix_of_a_stack_raises_in_tuple_order(space):
+def test_gram_matrix_of_a_stack_raises_at_its_earliest_failing_gate(space):
     # the first tuple fails the last gate and the second the first: the
-    # stack raises the first tuple's error, as the loop over them does
+    # stack raises at the earliest gate that a tuple fails, with the
+    # error of the first tuple that fails it alone
     _, _, _, t = _tuple_for(space, 5)
     late, early = _perturbed(t, "p4"), _perturbed(t, "entry")
     G = gram_matrix([t, t])
     assert G.shape == (2, 2 * space.n, 2 * space.n)
-    with pytest.raises(PatternViolation, match="vanishes"):
-        gram_matrix([late, early])
-    with pytest.raises(PatternViolation, match="^entry"):
-        gram_matrix([early, late])
-    with pytest.raises(PatternViolation, match="vanishes"):
-        gram_matrix([t, late])
+
+    def outcome(ts):
+        try:
+            gram_matrix(ts)
+        except PatternViolation as exc:
+            return str(exc)
+
+    gates = ("entry", "|g23|", "g[")                # in gram_matrix's order
+    for ts in ([late, early], [early, late], [t, late]):
+        alone = [m for m in map(outcome, ts) if m is not None]
+        expect = min(alone, key=lambda m: next(
+            k for k, gate in enumerate(gates) if m.startswith(gate)))
+        assert outcome(ts) == expect
+    assert outcome([late, early]) == outcome(early)
+    assert outcome([t, late]) == outcome(late)

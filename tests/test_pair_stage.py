@@ -3,7 +3,8 @@
 genericity_report, normalize_lifts, pair_invariants and gram_matrix take
 one pair or a stack of pairs; conjugacy_test runs them once over its two
 pairs.  A stack must return, bit for bit, what one call per pair
-returns, and raise what the loop over its pairs raises.
+returns, and raise at the earliest gate that any of its pairs fails,
+with the error of the first pair that fails it alone.
 """
 
 import dataclasses
@@ -73,13 +74,18 @@ def test_two_pair_stack_equals_two_stacks_of_one(n, field, kind):
         # and the points are those of each frame on its own
         assert _same(inv.projective_A, f.points)
         assert _same(inv.projective_B, g.points)
+        if field == "complex":
+            # every complex eigenvector has b = 0, so every point is (1, 0)
+            for pts in (inv.projective_A, inv.projective_B):
+                assert np.all(pts[:, 1] == 0)
+                assert np.allclose(pts[:, 0], 1.0, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("field", ["complex", "quaternion"])
-def test_stack_raises_what_the_loop_over_its_pairs_raises(field):
-    # pair 1 fails a later gate of the lift normalization (a vanishing
-    # <r_A, a_B>), pair 2 an earlier one (it is not weakly non-singular):
-    # the loop raises pair 1's error, and so must the stack
+def test_stack_raises_at_the_earliest_gate_a_pair_fails(field):
+    # "late" fails a later gate of the lift normalization (a vanishing
+    # <r_A, a_B>), "early" an earlier one (it is not weakly
+    # non-singular): a stack raises early's error wherever early stands
     space = HermitianSpace(3, field)
     n = space.n
     A, B = generate_pair(space, seed=3)
@@ -88,17 +94,24 @@ def test_stack_raises_what_the_loop_over_its_pairs_raises(field):
     K, V, norms = good.frame_gram
     K = K.copy()
     K.a[1, n + 1] = K.b[1, n + 1] = 0.0
-    late = dataclasses.replace(good, frame_gram=(K, V, norms))
-    early = genericity_report(space, fa, faa)
-    assert not early.weakly_nonsingular
-    with pytest.raises(NormalizationImpossible):
-        normalize_lifts(space, fa, fb, late)
-    with pytest.raises(NotWeaklyNonsingular):
-        normalize_lifts(space, fa, faa, early)
-    with pytest.raises(NormalizationImpossible):
-        normalize_lifts(space, [fa, fa], [fb, faa], [late, early])
-    with pytest.raises(NotWeaklyNonsingular):
-        normalize_lifts(space, [fa, fa], [faa, fb], [early, late])
+    late = (fa, fb, dataclasses.replace(good, frame_gram=(K, V, norms)))
+    early = (fa, faa, genericity_report(space, fa, faa))
+    good = (fa, fb, good)
+
+    def outcome(*pairs):
+        try:
+            normalize_lifts(space, *map(list, zip(*pairs)))
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    gates = (NotWeaklyNonsingular, NormalizationImpossible)
+    assert outcome(good) is None
+    assert outcome(late)[0] is NormalizationImpossible
+    assert outcome(early)[0] is NotWeaklyNonsingular
+    for pairs in ([late, early], [early, late], [good, late]):
+        expect = min(filter(None, map(outcome, pairs)),
+                     key=lambda r: gates.index(r[0]))
+        assert outcome(*pairs) == expect
+    assert outcome(late, early) == outcome(early)
     # a failing second pair still raises when the first passes
-    with pytest.raises(NormalizationImpossible):
-        normalize_lifts(space, [fa, fa], [fb, fb], [good, late])
+    assert outcome(good, late) == outcome(late)

@@ -4,7 +4,7 @@ import pytest
 from conftest import as_matrix, hinv
 from loxpairs.errors import DegenerateInputError
 from loxpairs.hermitian import HermitianSpace
-from loxpairs.qmatrix import (QArray, commutator, conjugate_by,
+from loxpairs.qmatrix import (QArray, conjugate_by,
                               quaternionic_rank)
 
 
@@ -87,7 +87,6 @@ def test_conjugate_by_and_commutator(rng):
     C = _random_qarray(rng, (4, 4))
     assert np.allclose(conjugate_by(C, A).embed(),
                        C.embed() @ A.embed() @ np.linalg.inv(C.embed()))
-    assert commutator(A, A).allclose(QArray.eye(4), tol=1e-8)
 
 
 def test_quaternionic_rank_full_and_deficient(rng):

@@ -346,11 +346,11 @@ def _same_frame(f, g):
             and np.array_equal(f.F.a, g.F.a) and np.array_equal(f.F.b, g.F.b))
 
 
-def _serial(space, As):
-    """The frames of the loop over the elements, or the exception it
+def _alone(space, A):
+    """The frame of one element called alone, or the exception it
     raises, as (class, message)."""
     try:
-        return [eigen_frame(space, As.pick(i)) for i in range(As.shape[0])]
+        return eigen_frame(space, A)
     except Exception as exc:
         return type(exc), str(exc)
 
@@ -410,6 +410,25 @@ def _failing(space):
                 [0, 1, 2, 0]])}
 
 
+# the gates that the elements of _failing meet, in eigen_frame's order
+_GATES = ("polynomial coefficients are not finite",
+          "eigenvalue classes are not simple",
+          "no attracting/repelling eigenvalue pair",
+          "attracting class meets the real axis",
+          "attracting/repelling angles disagree",
+          "non-unit intermediate eigenvalue",
+          "frame reconstruction residual")
+
+
+def _earliest(alone):
+    """Of the results of a stack's elements called alone, in stack
+    order, the error at the earliest gate, and of the first element on
+    a tie."""
+    errors = [r for r in alone if isinstance(r, tuple)]
+    return min(errors, key=lambda r: next(
+        k for k, gate in enumerate(_GATES) if r[1].startswith(gate)))
+
+
 @pytest.mark.parametrize("field", ["complex", "quaternion"])
 @pytest.mark.parametrize("bad", [{0: "no-attracting"}, {2: "classes"},
                                  {0: "no-attracting", 2: "classes"},
@@ -427,35 +446,33 @@ def _failing(space):
                                  {0: "overflow", 2: "non-unit"},
                                  {1: "non-unit", 2: "overflow"}])
 def test_stack_raises_what_the_serial_loop_raises(field, bad):
+    # the serial loop runs over the gates in pipeline order, and within
+    # a gate over the elements: the stack raises at the earliest gate
+    # that any element fails and names the first element that fails it,
+    # with the error that element raises alone
     space = HermitianSpace(3, field)
     rng = np.random.default_rng(5)
     As = [random_loxodromic(space, rng) for _ in range(4)]
     for i, name in bad.items():
         As[i] = _failing(space)[name]
     As = QArray.stack(As)
-    expect = _serial(space, As)
-    # the first bad element that fails on its own
-    first = next(r for r in (_serial(space, QArray.stack([As.pick(i)]))
-                             for i in sorted(bad)) if isinstance(r, tuple))
-    assert isinstance(expect, tuple) and expect == first
+    expect = _earliest([_alone(space, As.pick(i)) for i in range(4)])
     assert _stacked(space, As) == expect
 
 
-def test_stack_leaks_no_warning_of_an_element_it_never_reaches(qspace, cspace,
-                                                              rng):
-    # the serial loop stops at the failing first element; the overflow
-    # that the characteristic polynomial of the huge second element hits
-    # in the stacked pass must not get out
+def test_stack_with_an_overflowing_element_leaks_no_warning(qspace, cspace,
+                                                            rng):
+    # the huge second element overflows its characteristic polynomial,
+    # the earliest gate, so the stack raises its error, which the first
+    # element's later gate does not shadow; no overflow warning gets out
     bad = _failing(qspace)["no-attracting"]
     huge = random_loxodromic(qspace, rng).scale(1e200)
     As = QArray.stack([bad, huge])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _serial(qspace, QArray.stack([huge]))[0] is NoConvergence
-    expect = _serial(qspace, As)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert _stacked(qspace, As) == expect
+        alone = [_alone(qspace, A) for A in (bad, huge)]
+        assert alone[0][0] is NotLoxodromic and alone[1][0] is NoConvergence
+        assert _stacked(qspace, As) == _earliest(alone) == alone[1]
     # nor does a conjugacy test with a huge element warn, in either field
     for space in (qspace, cspace):
         A, B = generate_pair(space, seed=1)

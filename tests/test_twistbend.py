@@ -201,8 +201,9 @@ def test_assemble_rejects_bad_graph(qpants):
                           (2, 1), (None, None)])
 def test_pants_errors_keep_the_serial_order(monkeypatch, frame_fails,
                                             class_fails):
-    # the peripherals are classified first and framed as one stack; the
-    # error is still the one of the loop "classify P_i, then frame P_i"
+    # the serial order of the gates: classify P_0, P_1, P_2, then frame
+    # them as one stack, so a classification failure comes first, and a
+    # frame failure is the error of the first failing peripheral alone
     import loxpairs.twistbend as tb
     from loxpairs.errors import DegenerateSpectrum, NotLoxodromic
     from loxpairs.spectral import ElementClass
@@ -230,14 +231,17 @@ def test_pants_errors_keep_the_serial_order(monkeypatch, frame_fails,
         except Exception as exc:
             return type(exc), str(exc)
 
-    def serial():
+    def gates():
         for P in Ps:
             if not classify(space, P).is_loxodromic:
                 raise NotLoxodromic("peripheral element is not loxodromic")
+        for P in Ps:
             framed(space, P)
 
     monkeypatch.setattr(tb, "classify_element", classify)
     monkeypatch.setattr(tb, "eigen_frame", framed)
-    expect = outcome(serial)
+    expect = outcome(gates)
     assert (expect is None) == (frame_fails is None and class_fails is None)
+    assert expect is None or expect[0] is (
+        NotLoxodromic if class_fails is not None else DegenerateSpectrum)
     assert outcome(lambda: PantsGroup(space, A, B)) == expect
