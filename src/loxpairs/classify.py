@@ -309,7 +309,7 @@ def conjugacy_test(space: HermitianSpace, A: QArray, B: QArray,
     if mode == "strong":
         if not all(rep.nonsingular for rep in reps):
             raise NotNonsingular("strong mode requires non-singular pairs")
-    t1, t2 = tuples = normalize_lifts(space, fas, fbs, report=reps)
+    t1, t2 = tuples = normalize_lifts(space, reps)
     i1, i2 = pair_invariants(space, fas, fbs, report=reps, tuple_=tuples)
 
     # the one Sp(1) gauge: the unit carrying i1 onto i2, which then

@@ -104,14 +104,10 @@ def _cmd_twist_bend(args) -> int:
     kappa_obj = _read_json(args.infile[1])
     sz.validate_against_schema(kappa_obj, "kappa")
     kappa = sz.kappa_from_json(kappa_obj)
-    try:
-        C = (A @ B).inverse()
-    except DegenerateInputError:
-        # only a failing A or B has a singular product, and their
-        # frames come first
-        eigen_frame(space, QArray.stack([A, B]))
-        raise
-    fa, fb, fc = eigen_frame(space, QArray.stack([A, B, C]))
+    # A's and B's frames come before (AB)^-1 is formed, so their errors
+    # come first
+    fa, fb = eigen_frame(space, QArray.stack([A, B]))
+    fc = eigen_frame(space, (A @ B).inverse())
     K = twist_bend_element(kappa, fa)
     x1, x2, x3, a1, a3 = tilde_invariants(space, K, fa, fb, fc)
     _emit(args, {"K": sz.matrix_to_json(K),

@@ -35,7 +35,7 @@ class PalindromeViolation(DegenerateInputError):
     pass
 
 
-class NoConvergence(LoxpairsError):
+class NoConvergence(DegenerateInputError):
     pass
 
 

@@ -16,7 +16,7 @@ from .errors import LoxpairsError
 from .genericity import genericity_report
 from .hermitian import HermitianSpace
 from .qmatrix import QArray, conjugate_by
-from .spectral import eigen_frame
+from .spectral import _class_values, eigen_frame
 
 RADIUS_RANGE = (0.2, 0.9)
 ANGLE_FLOOR = 0.1
@@ -45,19 +45,15 @@ def random_spectrum(space: HermitianSpace, rng) -> Tuple[float, float,
         else:
             th = rng.uniform(-np.pi, np.pi)
             phis = np.sort(rng.uniform(-np.pi, np.pi, space.n - 1))
-        lams = np.concatenate([[r * np.exp(1j * th)], np.exp(1j * phis),
-                               [np.exp(1j * th) / r]])
-        if _classes_separated(lams):
+        if _classes_separated(_class_values(r, th, phis)):
             return r, th, phis
     raise LoxpairsError("could not sample a regular spectrum")
 
 
 def random_loxodromic(space: HermitianSpace, rng) -> QArray:
     """Q E Q^-1 for a random isometry Q and regular diagonal E."""
-    r, th, phis = random_spectrum(space, rng)
-    lams = np.concatenate([[r * np.exp(1j * th)], np.exp(1j * phis),
-                           [np.exp(1j * th) / r]])
-    return conjugate_by(space.random_isometry(rng), QArray.diag(lams))
+    E = QArray.diag(_class_values(*random_spectrum(space, rng)))
+    return conjugate_by(space.random_isometry(rng), E)
 
 
 def generate_pair(space: HermitianSpace, seed: Optional[int] = None,

@@ -20,15 +20,16 @@ then the omitted positives of A and of B, unscaled.
 
 The rule for the first four lifts, `_quadruple_scalars`, is the one
 lift normalization of the package.  `_normalize_quadruple` applies it
-to the four columns of a matrix of boundary points for
-`classify.boundary_quadruple_congruence` and to the quadruple
-(a_A, r_A, a_B, K r_C) of `twistbend.tilde_invariants`, and returns the
-rescaled lifts and their Gram product.  `normalize_lifts` takes only
-the scalars, from the Gram products of both frames and the norms that
-`genericity_report` formed as one product over the stack of pairs,
-builds P as one product of the frame vectors and the scalars, and
-takes the Gram product of the whole tuple as that frame product
-rescaled by the scalars of its lifts, so no second product is formed.
+to a stack of matrices of boundary points, the quadruples of
+`classify.boundary_quadruple_congruence` and (as a stack of one) the
+quadruple (a_A, r_A, a_B, K r_C) of `twistbend.tilde_invariants`, and
+returns the rescaled lifts and their Gram product.  `normalize_lifts`
+reads only the genericity report of each pair: its matchings, and the
+Gram product K, frame vectors V and norms that `genericity_report`
+formed as one product over the stack of pairs.  It takes the scalars
+from K, builds P as one product of V and the scalars, and takes the
+Gram product of the whole tuple as K rescaled by the scalars of its
+lifts, so no second product is formed.
 Both functions, and the pattern gate `gram_matrix`, take a stack; one
 pair, tuple or quadruple runs as a stack of one.  Each gate is one
 `spectral._gate` call over the whole stack, so a stack raises at the
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List
 
 import numpy as np
 
@@ -59,9 +59,9 @@ VANISHING = "lift normalization meets a vanishing pairing"
 @dataclass
 class AssociatedTuple:
     space: HermitianSpace
-    P: QArray                    # columns p1 .. p_{2n}, omitted of A, of B
-    matching_A: List[int]
-    matching_B: List[int]
+    # columns p1 .. p_{2n}, then the omitted positives of A and of B, in
+    # the order of the matchings of the pair's genericity report
+    P: QArray
     gram: QArray                 # <p_i, p_j> is entry (j, i), i, j < 2n
 
 
@@ -95,7 +95,6 @@ def _quadruple_scalars(space: HermitianSpace, K: QArray, norms: np.ndarray,
     global-unit gauge freedom).
     """
     if anchor == "standard":
-        # HermitianSpace.standard_scalar, row by row
         _gate(~space.at_infinity(z1), DegenerateInputError, AT_INFINITY)
         c = z1.pick(Ellipsis, space.n).reciprocal()
     else:
@@ -116,46 +115,39 @@ def _quadruple_scalars(space: HermitianSpace, K: QArray, norms: np.ndarray,
 
 
 def _normalize_quadruple(space: HermitianSpace, Z: QArray):
-    """The columns (z1, z2, z3, z4) of Z rescaled by _quadruple_scalars
-    (the standard anchor) to the columns (p1, p2, p3, p4) of Z s, with
-    the scalars s and the Gram product of the ps, conj(s_i) K_ij s_j
-    for K that of the zs.  A stack (k, m, 4) of such matrices gives the
-    stacks of all three; one matrix runs as a stack of one."""
-    stack = Z if Z.ndim == 3 else QArray(Z.a[None], Z.b[None])
-    K = space.gram(stack)
+    """The columns (z1, z2, z3, z4) of each matrix of the stack Z
+    (k, m, 4) rescaled by _quadruple_scalars (the standard anchor) to
+    the columns (p1, p2, p3, p4) of Z s, with the stacks of the scalars
+    s and of the Gram products of the ps, conj(s_i) K_ij s_j for K that
+    of the zs."""
+    K = space.gram(Z)
     with np.errstate(all="ignore"):
-        s = _quadruple_scalars(space, K,
-                               np.linalg.norm(stack.moduli(), axis=-2),
-                               stack.pick(Ellipsis, 0), "standard")
-    lifts, G = stack * s.pick(Ellipsis, None, slice(None)), \
-        _rescaled_gram(K, s)
-    if Z.ndim == 3:
-        return lifts, s, G
-    return lifts.pick(0), s.pick(0), G.pick(0)
+        s = _quadruple_scalars(space, K, np.linalg.norm(Z.moduli(), axis=-2),
+                               Z.pick(Ellipsis, 0), "standard")
+    return Z * s.pick(Ellipsis, None, slice(None)), s, _rescaled_gram(K, s)
 
 
-def normalize_lifts(space: HermitianSpace, fa, fb, report,
+def normalize_lifts(space: HermitianSpace, report,
                     anchor: str = "standard"):
-    """Build the normalized associated tuple of a weakly non-singular
-    pair, or the list of tuples of a stack of pairs (fa, fb and report
-    sequences); a single pair runs as a stack of one.
+    """The normalized associated tuple of the weakly non-singular pair
+    of a genericity report, or the list of tuples of a sequence of
+    reports; a single report runs as a stack of one.
 
     The fixed-point lifts (a_A, r_A, a_B, r_B) take the scalars s of
     _quadruple_scalars with the given anchor; the matched positive
     eigenvectors are then rescaled to pair to 1 with p3 (A's) and p1
-    (B's).  Every pairing comes from one Gram product K of both frames,
-    with <p_k, x> = <z_k, x> s_k for the quadruple's scalars s, and so
-    does the tuple's own Gram product, conj(S_i) K_ij S_j for the
-    scalars S of all 2n lifts.  K is the report's, which must be the
-    report of these frames.  P is the one product of the frame vectors
-    and S, padded by 1 for the two omitted positives.  Each pair's
-    matching picks its frame vectors and pairings by one index array
-    over the stack.  A stack raises at the earliest gate that any of its
-    pairs fails, naming the first pair that fails it.
+    (B's).  Every pairing comes from the report's Gram product K of both
+    frames, with <p_k, x> = <z_k, x> s_k for the quadruple's scalars s,
+    and so does the tuple's own Gram product, conj(S_i) K_ij S_j for the
+    scalars S of all 2n lifts.  P is the one product of the report's
+    frame vectors V and S, padded by 1 for the two omitted positives.
+    Each pair's matching picks its frame vectors and pairings by one
+    index array over the stack.  A stack raises at the earliest gate
+    that any of its pairs fails, naming the first pair that fails it.
     """
     single = isinstance(report, PairGenericityReport)
     if single:
-        fa, report = [fa], [report]
+        report = [report]
     n = space.n
     _gate(np.array([r.weakly_nonsingular for r in report]),
           NotWeaklyNonsingular, "pair fails genericity: {}",
@@ -174,7 +166,7 @@ def normalize_lifts(space: HermitianSpace, fa, fb, report,
     with np.errstate(all="ignore"):
         s = _quadruple_scalars(
             space, K.pick(slice(None), *np.ix_(quad, quad)), norms[:, quad],
-            QArray.stack([f.attracting for f in fa]), anchor)
+            V.pick(Ellipsis, 0), anchor)
         g = K.pick(e, idx, quad[slot]) * s.pick(slice(None), slot)
         c, ok = _unit_pairing(g, norms[:, quad[slot]] * s.moduli()[:, slot],
                               norms[e, idx])
@@ -191,9 +183,8 @@ def normalize_lifts(space: HermitianSpace, fa, fb, report,
     G = _rescaled_gram(K.pick(e[:, :, None], lifts[:, :, None],
                               lifts[:, None, :]),
                        S.pick(slice(None), slice(2 * n)))
-    tuples = [AssociatedTuple(space, P.pick(i), list(r.matching_A),
-                              list(r.matching_B), G.pick(i))
-              for i, r in enumerate(report)]
+    tuples = [AssociatedTuple(space, P.pick(i), G.pick(i))
+              for i in range(len(report))]
     return tuples[0] if single else tuples
 
 

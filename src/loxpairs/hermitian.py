@@ -147,12 +147,6 @@ class HermitianSpace:
         size = np.sqrt(np.sum(np.abs(z.a) ** 2 + np.abs(z.b) ** 2, axis=-1))
         return z.pick(Ellipsis, self.n).moduli() <= ERROR_THRESHOLD * size
 
-    def standard_scalar(self, z: QArray) -> QArray:
-        """Right scalar taking z to last coordinate 1 (Siegel chart)."""
-        if self.at_infinity(z):
-            raise DegenerateInputError(AT_INFINITY)
-        return z.pick(self.n).reciprocal()
-
     def bergman_distance(self, z: QArray, w: QArray) -> float:
         """Distance between the points of hyperbolic space below z and w."""
         zz = self.norm_sq(z)

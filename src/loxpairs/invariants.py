@@ -128,10 +128,10 @@ def pair_invariants(space: HermitianSpace, fa, fb,
     if report is None:
         report = genericity_report(space, fa, fb)
     if tuple_ is None:
-        tuple_ = normalize_lifts(space, fa, fb, report=report)
+        tuple_ = normalize_lifts(space, report)
     single = isinstance(fa, LoxodromicFrame)
     if single:
-        fa, fb, tuple_ = [fa], [fb], [tuple_]
+        fa, fb, report, tuple_ = [fa], [fb], [report], [tuple_]
     size, n = len(fa), space.n
     P = QArray.stack([t.P for t in tuple_])
     K = QArray.stack([t.gram for t in tuple_])
@@ -153,8 +153,8 @@ def pair_invariants(space: HermitianSpace, fa, fb,
         entries=entries.pick(e),
         angular=angular[e],
         projective_A=points[e], projective_B=points[size + e],
-        matching_A=list(tuple_[e].matching_A),
-        matching_B=list(tuple_[e].matching_B)) for e in range(size)]
+        matching_A=list(report[e].matching_A),
+        matching_B=list(report[e].matching_B)) for e in range(size)]
     return out[0] if single else out
 
 

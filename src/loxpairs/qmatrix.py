@@ -61,8 +61,13 @@ class QArray:
 
     @classmethod
     def diag(cls, values) -> "QArray":
-        """Diagonal matrix from complex values."""
-        return cls(np.diag(np.asarray(values, dtype=complex)))
+        """Diagonal matrix from complex values, or the stack of diagonal
+        matrices of a stack of value rows."""
+        v = np.asarray(values, dtype=complex)
+        D = np.zeros(v.shape + v.shape[-1:], dtype=complex)
+        i = np.arange(v.shape[-1])
+        D[..., i, i] = v
+        return cls(D)
 
     # -- basic views ----------------------------------------------------
 

@@ -32,7 +32,8 @@ A stack raises at the earliest gate, in pipeline order, that any of its
 elements fails (`_gate`), and names the first element that fails it:
 the error that element raises alone.  The one exception is a LAPACK
 failure in the stacked companion eigvals, which does not name its
-matrix; the stack raises NoConvergence for it.
+matrix; the stack raises NoConvergence for it.  NoConvergence is a
+DegenerateInputError, like the error of every other gate here.
 """
 
 from __future__ import annotations
@@ -369,8 +370,6 @@ def _frames(space: HermitianSpace, A: QArray) -> List[LoxodromicFrame]:
           "eigenvector residual {:.3e}", resid)
     radius, theta, phis, F = _assemble(space, W, lams)
     E = _class_values(radius, theta, phis)
-    D = np.zeros(E.shape + E.shape[-1:], dtype=complex)
-    D[:, np.arange(E.shape[-1]), np.arange(E.shape[-1])] = E
     # the inverse needs a nonsingular F; cond(F) of a frame that is not
     # finite counts as infinite
     Fe = F.embed()
@@ -379,7 +378,8 @@ def _frames(space: HermitianSpace, A: QArray) -> List[LoxodromicFrame]:
     kappa[finite] = np.linalg.cond(Fe[finite])
     _gate(np.isfinite(kappa), DegenerateSpectrum,
           "frame matrix condition {:.3e}", kappa)
-    miss = (F @ QArray(D) @ F.inverse() - A).moduli().max(axis=(-2, -1))
+    miss = (F @ QArray.diag(E) @ F.inverse() - A).moduli().max(
+        axis=(-2, -1))
     # evaluation noise of F D F^-1 grows like eps * cond(F), so the gate
     # must not outpace what double precision can certify
     gate = (1.0 + amax) * np.maximum(RESIDUAL_TOL,

@@ -31,8 +31,8 @@ from .gram import _normalize_quadruple
 from .hermitian import HermitianSpace
 from .invariants import CROSS, TRIPLE, _angles, _words
 from .qmatrix import QArray, conjugate_by, quaternionic_rank
-from .spectral import (LoxodromicFrame, classify_element, eigen_frame,
-                       element_conjugator)
+from .spectral import (LoxodromicFrame, _class_values, classify_element,
+                       eigen_frame, element_conjugator)
 
 COMMUTE_TOL = 1e-9
 POINT_TOL = 1e-7
@@ -52,9 +52,8 @@ class TwistBendParams:
     k3: np.ndarray
 
     def diagonal(self) -> QArray:
-        return QArray.diag([self.t * np.exp(1j * self.psi),
-                            np.exp(1j * self.xi1), np.exp(1j * self.xi2),
-                            np.exp(1j * self.psi) / self.t])
+        return QArray.diag(_class_values(self.t, self.psi,
+                                         np.array([self.xi1, self.xi2])))
 
 
 def identity_params(frame: LoxodromicFrame) -> TwistBendParams:
@@ -105,8 +104,8 @@ def tilde_invariants(space: HermitianSpace, K: QArray,
     # gauge-fix the quadruple so the angular invariants are well defined
     # (residual freedom is one global unit, a similarity on everything)
     # g indices: 0 = a_A, 1 = r_A, 2 = a_B, 3 = K r_C
-    Z, _, G = _normalize_quadruple(
-        space, QArray.from_columns([aA, rA, aB, K @ rC]))
+    Z, _, G = (x.pick(0) for x in _normalize_quadruple(space, QArray.stack(
+        [QArray.from_columns([aA, rA, aB, K @ rC])])))
     X = _words(Z, G, [(0, 1, 2, 3), (0, 3, 2, 1), (1, 3, 2, 0)], CROSS)
     A1, A3 = _angles(_words(Z, G, [(0, 1, 3), (1, 3, 2)], TRIPLE))
     return X.pick(0), X.pick(1), X.pick(2), float(A1), float(A3)

@@ -155,7 +155,7 @@ def test_criterion_3_gram_dictionary():
             A, B = generate_pair(space, seed=i, mode="strong")
             fa, fb = eigen_frame(space, A), eigen_frame(space, B)
             rep = genericity_report(space, fa, fb)
-            t = normalize_lifts(space, fa, fb, rep)
+            t = normalize_lifts(space, rep)
             G = gram_matrix(t)
             inv = pair_invariants(space, fa, fb, report=rep, tuple_=t)
             # the identities in the matrix model on real 4-vectors
@@ -211,7 +211,7 @@ def test_criterion_4_gauge_recovery():
         A, B = generate_pair(QSPACE, seed=100 + i, mode="strong")
         fa, fb = eigen_frame(QSPACE, A), eigen_frame(QSPACE, B)
         rep = genericity_report(QSPACE, fa, fb)
-        t = normalize_lifts(QSPACE, fa, fb, rep, anchor="none")
+        t = normalize_lifts(QSPACE, rep, anchor="none")
         rng = np.random.default_rng(30_000 + i)
 
         def unit():
@@ -224,7 +224,7 @@ def test_criterion_4_gauge_recovery():
                 != (rep.matching_A, rep.matching_B):
             ok = False
             continue
-        t2 = normalize_lifts(QSPACE, fa2, fb2, rep2, anchor="none")
+        t2 = normalize_lifts(QSPACE, rep2, anchor="none")
         e1 = gram_offdiagonal_entries(gram_matrix(t))
         e2 = gram_offdiagonal_entries(gram_matrix(t2))
         mu = align_sp1(e1, e2, tol=1e-8)

@@ -201,7 +201,7 @@ def test_congruence_from_tuples_identity(qspace):
     A, B = generate_pair(qspace, seed=12, mode="strong")
     fa, fb = eigen_frame(qspace, A), eigen_frame(qspace, B)
     rep = genericity_report(qspace, fa, fb)
-    t = normalize_lifts(qspace, fa, fb, rep)
+    t = normalize_lifts(qspace, rep)
     C = congruence_from_tuples(t, t, QArray(1.0))
     assert C is not None
     assert (C - QArray.eye(qspace.dim)).max_abs() < 1e-7
@@ -218,7 +218,7 @@ def test_congruence_from_tuples_checks_each_omitted_lift(qspace, k):
     from loxpairs.spectral import eigen_frame
     A, B = generate_pair(qspace, seed=12, mode="strong")
     fa, fb = eigen_frame(qspace, A), eigen_frame(qspace, B)
-    t = normalize_lifts(qspace, fa, fb, genericity_report(qspace, fa, fb))
+    t = normalize_lifts(qspace, genericity_report(qspace, fa, fb))
     P = t.P.copy()
     col = 2 * qspace.n + k
     P.a[:, col], P.b[:, col] = P.a[:, col] + P.a[:, 0], P.b[:, col] + P.b[:, 0]
@@ -487,7 +487,6 @@ def test_pair_stage_scalars_are_zero_dim_qarrays(rng):
                                 report=genericity_report(space, fa, fb))
             e = t.entries
             scalars = [space.inner(zs[0], zs[1]),
-                       space.standard_scalar(zs[0]),
                        gauge(field, e, e, 1e-10), quat.align_sp1(e, e),
                        sp1_orbit_equal(t, t), cross_ratio(space, *zs),
                        triple_product(space, *zs[:3])]
@@ -640,8 +639,7 @@ def _tuple_sources(space, seed):
     from loxpairs.gram import normalize_lifts
     from loxpairs.spectral import eigen_frame
     fa, fb = eigen_frame(space, QArray.stack(generate_pair(space, seed)))
-    return normalize_lifts(space, fa, fb,
-                           genericity_report(space, fa, fb)).P
+    return normalize_lifts(space, genericity_report(space, fa, fb)).P
 
 @pytest.mark.parametrize("seed", range(4))
 def test_spanning_subset_matches_greedy_rank(space, seed, monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 
 from loxpairs import serialize as sz
 from loxpairs.cli import main
-from loxpairs.qmatrix import conjugate_by
+from loxpairs.qmatrix import QArray, conjugate_by
 
 
 def _run(capsys, *argv):
@@ -159,8 +159,8 @@ def test_twist_bend_command(tmp_path, capsys):
 
 def test_twist_bend_reports_the_frame_of_a_before_the_product(tmp_path,
                                                               capsys):
-    # a zero A makes AB singular; the error is A's spectrum, as when the
-    # frames of A and B were taken before (AB)^-1 was formed
+    # a zero A makes AB singular; the error is A's spectrum, since the
+    # frames of A and B are taken before (AB)^-1 is formed
     path = _generate(tmp_path)
     space, A, _ = sz.pair_from_json(sz.loads(path.read_text()))
     from loxpairs.spectral import eigen_frame
@@ -175,6 +175,55 @@ def test_twist_bend_reports_the_frame_of_a_before_the_product(tmp_path,
     assert code == 2
     assert capsys.readouterr().err == \
         "degenerate input: eigenvalue classes are not simple\n"
+
+
+def _elliptic(space, rng):
+    """An elliptic isometry with four simple unit eigenvalues: a unitary
+    diagonal in an H-orthonormal basis, conjugated by a random
+    isometry."""
+    s = 1.0 / np.sqrt(2.0)
+    P = QArray(np.array([[s, 0, 0, s], [0, 1, 0, 0], [0, 0, 1, 0],
+                         [s, 0, 0, -s]]))
+    E = P @ QArray.diag(np.exp(1j * np.array([0.4, 1.1, 1.9, 2.6]))) \
+        @ P.inverse()
+    return conjugate_by(space.random_isometry(rng), E)
+
+
+@pytest.mark.parametrize("field", ["quaternion", "complex"])
+def test_twist_bend_reports_a_before_the_identity_product(tmp_path, capsys,
+                                                          field):
+    # B = A^-1 makes (AB)^-1 the identity, whose classes are not simple;
+    # the error is A's own, since A and B are framed before the product
+    from loxpairs.spectral import eigen_frame
+    from loxpairs.twistbend import identity_params
+    space, G, _ = sz.pair_from_json(sz.loads(
+        _generate(tmp_path, field=field).read_text()))
+    A = _elliptic(space, np.random.default_rng(5))
+    assert space.is_isometry(A)
+    path, kpath = tmp_path / "elliptic.json", tmp_path / "kappa.json"
+    path.write_text(sz.dumps(sz.pair_to_json(space, A, A.inverse())))
+    kpath.write_text(sz.dumps(sz.kappa_to_json(
+        identity_params(eigen_frame(space, G)))))
+    code = main(["twist-bend", "--in", str(path), "--in", str(kpath)])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "degenerate input: no attracting/repelling eigenvalue pair\n"
+
+
+@pytest.mark.parametrize("command", ["invariants", "conjugacy-test"])
+@pytest.mark.parametrize("field", ["quaternion", "complex"])
+def test_overflowing_characteristic_polynomial_is_degenerate_input(
+        tmp_path, capsys, field, command):
+    # A scaled by 1e200 has finite entries but characteristic
+    # coefficients that are not: a degenerate input, exit 2
+    path = _generate(tmp_path, field=field)
+    space, A, B = sz.pair_from_json(sz.loads(path.read_text()))
+    big = tmp_path / "big.json"
+    big.write_text(sz.dumps(sz.pair_to_json(space, A.scale(1e200), B)))
+    second = ["--in", str(path)] if command == "conjugacy-test" else []
+    code = main([command, "--in", str(big), *second])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("degenerate input: ")
 
 
 def _graph_file(tmp_path, field="quaternion"):

@@ -18,7 +18,7 @@ def _tuple_for(space, seed, anchor="standard"):
     A, B = generate_pair(space, seed=seed, mode="strong")
     fa, fb = eigen_frame(space, A), eigen_frame(space, B)
     rep = genericity_report(space, fa, fb)
-    return fa, fb, rep, normalize_lifts(space, fa, fb, rep, anchor=anchor)
+    return fa, fb, rep, normalize_lifts(space, rep, anchor=anchor)
 
 
 def test_normalization_constraints(space):
@@ -28,6 +28,10 @@ def test_normalization_constraints(space):
         assert (space.inner(p1, t.P.column(j)) - QArray(1.0)).moduli() <= 1e-9
     g23 = space.inner(t.P.column(2), t.P.column(1))
     assert np.isclose(g23.moduli(), 1.0, atol=1e-9)
+    # the standard anchor: p1 is a positive multiple of the lift of a_A
+    # with last coordinate 1, so its own last coordinate is real positive
+    w, x, y, z = p1.pick(space.n).components()
+    assert w > 0 and np.linalg.norm([x, y, z]) <= 1e-12 * w
 
 
 def test_gram_matrix_pattern(space):
@@ -68,7 +72,7 @@ def test_unit_rescaling_is_global_gauge(qspace, rng):
     rep2 = genericity_report(qspace, fa2, fb2)
     assert (rep2.matching_A, rep2.matching_B) \
         == (rep.matching_A, rep.matching_B)
-    t2 = normalize_lifts(qspace, fa2, fb2, rep2, anchor="none")
+    t2 = normalize_lifts(qspace, rep2, anchor="none")
     e1 = gram_offdiagonal_entries(gram_matrix(t))
     e2 = gram_offdiagonal_entries(gram_matrix(t2))
     mu = align_sp1(e1, e2, tol=1e-8)
@@ -96,7 +100,8 @@ def test_normalize_quadruple_returns_gram_of_lifts(n, field):
     space = HermitianSpace(n, field)
     fa, fb, _, _ = _tuple_for(space, n)
     zs = [fa.attracting, fa.repelling, fb.attracting, fb.repelling]
-    ps, s, G = _normalize_quadruple(space, QArray.from_columns(zs))
+    ps, s, G = (x.pick(0) for x in _normalize_quadruple(
+        space, QArray.stack([QArray.from_columns(zs)])))
     assert s.shape == (4,) and G.shape == (4, 4)
     ref = space.gram(ps)
     assert (G - ref).max_abs() <= 1e-13 * (1 + ref.max_abs())
@@ -116,8 +121,9 @@ def test_tuple_takes_the_quadruple_normalization_bit_for_bit(n, field):
     space = HermitianSpace(n, field)
     fa, fb, rep, t = _tuple_for(space, n)
     assert t.P.shape == (n + 1, 2 * n + 2)
-    ps, _, G = _normalize_quadruple(space, QArray.from_columns(
-        [fa.attracting, fa.repelling, fb.attracting, fb.repelling]))
+    ps, _, G = (x.pick(0) for x in _normalize_quadruple(space, QArray.stack(
+        [QArray.from_columns([fa.attracting, fa.repelling, fb.attracting,
+                              fb.repelling])])))
     assert np.array_equal(t.P.a[:, :4], ps.a)
     assert np.array_equal(t.P.b[:, :4], ps.b)
     block = t.gram.pick(slice(4), slice(4))

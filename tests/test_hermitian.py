@@ -82,12 +82,6 @@ def test_random_negative_vector(space, rng):
             assert np.max(np.abs(z.b)) == 0
 
 
-def test_standard_lift(qspace, rng):
-    z = qspace.random_negative_vector(rng)
-    s = z * qspace.standard_scalar(z)
-    assert (s.pick(qspace.n) - QArray(1.0)).moduli() <= 1e-12
-
-
 def test_random_isometry_preserves_form(space, rng):
     for _ in range(10):
         U = space.random_isometry(rng)

@@ -125,7 +125,7 @@ def test_pair_invariants_match_per_pair_formulas(field):
     A, B = generate_pair(space, seed=3, mode="strong")
     fa, fb = eigen_frame(space, A), eigen_frame(space, B)
     rep = genericity_report(space, fa, fb)
-    t = normalize_lifts(space, fa, fb, report=rep)
+    t = normalize_lifts(space, rep)
     inv = pair_invariants(space, fa, fb, report=rep, tuple_=t)
     p = [t.P.column(j) for j in range(2 * space.n)]
     p1, p2, p3, p4 = p[:4]
@@ -165,7 +165,7 @@ def test_array_invariants_match_quaternion_reference(n, field):
     A, B = generate_pair(space, seed=n + 40, mode="strong")
     fa, fb = eigen_frame(space, A), eigen_frame(space, B)
     rep = genericity_report(space, fa, fb)
-    t = normalize_lifts(space, fa, fb, report=rep)
+    t = normalize_lifts(space, rep)
     inv = pair_invariants(space, fa, fb, report=rep, tuple_=t)
     p = [t.P.column(j) for j in range(2 * n)]
 

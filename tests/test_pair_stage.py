@@ -50,13 +50,13 @@ def test_two_pair_stack_equals_two_stacks_of_one(n, field, kind):
     fa, fb, fa2, fb2 = eigen_frame(space, QArray.stack(mats))
     fas, fbs = [fa, fa2], [fb, fb2]
     reps = genericity_report(space, fas, fbs)
-    tuples = normalize_lifts(space, fas, fbs, reps)
+    tuples = normalize_lifts(space, reps)
     invs = pair_invariants(space, fas, fbs, report=reps, tuple_=tuples)
     G = gram_matrix(tuples)
     assert G.shape == (2, 2 * n, 2 * n)
     for e, (f, g) in enumerate(zip(fas, fbs)):
         rep = genericity_report(space, f, g)
-        t = normalize_lifts(space, f, g, rep)
+        t = normalize_lifts(space, rep)
         inv = pair_invariants(space, f, g, report=rep, tuple_=t)
         for name in ("weakly_nonsingular", "nonsingular", "matching_A",
                      "matching_B", "omitted_A", "omitted_B",
@@ -94,13 +94,12 @@ def test_stack_raises_at_the_earliest_gate_a_pair_fails(field):
     K, V, norms = good.frame_gram
     K = K.copy()
     K.a[1, n + 1] = K.b[1, n + 1] = 0.0
-    late = (fa, fb, dataclasses.replace(good, frame_gram=(K, V, norms)))
-    early = (fa, faa, genericity_report(space, fa, faa))
-    good = (fa, fb, good)
+    late = dataclasses.replace(good, frame_gram=(K, V, norms))
+    early = genericity_report(space, fa, faa)
 
-    def outcome(*pairs):
+    def outcome(*reports):
         try:
-            normalize_lifts(space, *map(list, zip(*pairs)))
+            normalize_lifts(space, list(reports))
         except Exception as exc:
             return type(exc), str(exc)
 
@@ -108,10 +107,10 @@ def test_stack_raises_at_the_earliest_gate_a_pair_fails(field):
     assert outcome(good) is None
     assert outcome(late)[0] is NormalizationImpossible
     assert outcome(early)[0] is NotWeaklyNonsingular
-    for pairs in ([late, early], [early, late], [good, late]):
-        expect = min(filter(None, map(outcome, pairs)),
+    for reports in ([late, early], [early, late], [good, late]):
+        expect = min(filter(None, map(outcome, reports)),
                      key=lambda r: gates.index(r[0]))
-        assert outcome(*pairs) == expect
+        assert outcome(*reports) == expect
     assert outcome(late, early) == outcome(early)
     # a failing second pair still raises when the first passes
     assert outcome(good, late) == outcome(late)

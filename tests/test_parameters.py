@@ -1,7 +1,10 @@
 """Every defaulted parameter of a module-level function in the package
 must be set by some call in src/, tests/ or benchmark/, by keyword or by
 position.  A default that no caller changes is a constant, and belongs
-next to the module constants that decide the same gate."""
+next to the module constants that decide the same gate.  Every parameter
+of every function in the package must be read in its body: a parameter
+that nothing reads is a second copy of a datum the function takes from
+elsewhere."""
 
 import ast
 import pathlib
@@ -62,3 +65,26 @@ def _unused_parameters():
 def test_every_defaulted_parameter_is_set_by_some_call():
     unused = _unused_parameters()
     assert not unused, f"parameters no call sets: {unused}"
+
+
+def _unread_parameters():
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = fn.args
+            params = [a.arg for a in (args.posonlyargs + args.args
+                                      + args.kwonlyargs)]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a]
+            read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name)
+                    and isinstance(node.ctx, ast.Load)}
+            unread += [f"{path.stem}.{fn.name}({p})" for p in params
+                       if p not in ("self", "cls") and p not in read]
+    return unread
+
+
+def test_every_parameter_is_read():
+    unread = _unread_parameters()
+    assert not unread, f"parameters no body reads: {unread}"

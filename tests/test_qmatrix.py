@@ -75,11 +75,19 @@ def test_from_columns_and_column(rng):
         assert (M.column(j) - c).max_abs() == 0
 
 
-def test_diag_and_eye():
+def test_diag_and_eye(rng):
     D = QArray.diag([2.0, 1j, -1.0])
     assert np.allclose(D.a, np.diag([2.0, 1j, -1.0]))
     assert np.max(np.abs(D.b)) == 0
     assert (QArray.eye(3) @ D - D).max_abs() == 0
+    # a (k, m) stack of values gives the stack of the k diagonals
+    values = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    D = QArray.diag(values)
+    assert D.shape == (3, 4, 4)
+    for k, row in enumerate(values):
+        d = QArray.diag(row)
+        assert np.array_equal(d.a, np.diag(row))
+        assert np.array_equal(D.a[k], d.a) and np.array_equal(D.b[k], d.b)
 
 
 def test_conjugate_by_and_commutator(rng):

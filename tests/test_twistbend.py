@@ -114,9 +114,9 @@ def test_tilde_invariants_match_public_formulas(qpants):
     kap = _twisted(identity_params(fa))
     K = twist_bend_element(kap, fa)
     got = tilde_invariants(space, K, fa, fb, fc)
-    Z, _, _ = _normalize_quadruple(space, QArray.from_columns(
-        [fa.attracting, fa.repelling, fb.attracting, K @ fc.repelling]))
-    aA, rA, aB, KrC = (Z.column(j) for j in range(4))
+    Z, _, _ = _normalize_quadruple(space, QArray.stack([QArray.from_columns(
+        [fa.attracting, fa.repelling, fb.attracting, K @ fc.repelling])]))
+    aA, rA, aB, KrC = (Z.pick(0, slice(None), j) for j in range(4))
     expect = (cross_ratio(space, aA, rA, aB, KrC),
               cross_ratio(space, aA, KrC, aB, rA),
               cross_ratio(space, rA, KrC, aB, aA),
