@@ -15,15 +15,15 @@ a numerical rank probe of the invariant map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 import scipy.linalg
 
 from .errors import (DegenerateInputError, LoxpairsError, NotNonsingular,
-                     VerificationFailed)
-from .genericity import PairGenericityReport, _frame_gram, genericity_report
+                     VerificationFailed, WrongDimension)
+from .genericity import genericity_report
 from .gram import (AssociatedTuple, _normalize_quadruple, gram_matrix,
                    normalize_lifts)
 from .hermitian import HermitianSpace, gauge
@@ -310,7 +310,7 @@ def conjugacy_test(space: HermitianSpace, A: QArray, B: QArray,
         if not all(rep.nonsingular for rep in reps):
             raise NotNonsingular("strong mode requires non-singular pairs")
     t1, t2 = tuples = normalize_lifts(space, reps)
-    i1, i2 = pair_invariants(space, fas, fbs, report=reps, tuple_=tuples)
+    i1, i2 = pair_invariants(space, fas, fbs, reps, tuples)
 
     # the one Sp(1) gauge: the unit carrying i1 onto i2, which then
     # carries the lifts of t1 onto those of t2
@@ -378,8 +378,11 @@ def boundary_quadruple_congruence(space: HermitianSpace, zs: List[QArray],
     pairwise distinct boundary points, or None when their normalized
     pairings lie in different Sp(1) orbits."""
     # both quadruples as one stack, which raises what two calls would
-    N, _, G = _normalize_quadruple(space, QArray.stack(
-        [QArray.from_columns(zs), QArray.from_columns(ws)]))
+    Z = QArray.stack([QArray.from_columns(zs), QArray.from_columns(ws)])
+    if Z.shape[1:] != (space.dim, 4):
+        raise WrongDimension(f"need 4 vectors of length {space.dim}, got "
+                             f"{Z.shape[2]} of length {Z.shape[1]}")
+    N, _, G = _normalize_quadruple(space, Z)
     (Zn, Wn), (Gz, Gw) = (N.pick(0), N.pick(1)), (G.pick(0), G.pick(1))
     upper = ([0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3])     # i < j
     mu = gauge(space.field, Gz.pick(*upper), Gw.pick(*upper), QUADRUPLE_TOL)
@@ -418,14 +421,8 @@ def _mat_exp(space: HermitianSpace, X: QArray) -> QArray:
     return space.from_complex(expm(space.as_complex(X)))
 
 
-def _invariant_vector(space: HermitianSpace, A: QArray, B: QArray,
-                      report: PairGenericityReport) -> np.ndarray:
-    """The invariants of (A, B) as one real vector, under the matching
-    of report, the report of the unperturbed pair."""
-    fa, fb = eigen_frame(space, QArray.stack([A, B]))
-    K, V, norms = _frame_gram(space, [fa], [fb])
-    report = replace(report, frame_gram=(K.pick(0), V.pick(0), norms[0]))
-    iv = pair_invariants(space, fa, fb, report=report)
+def _invariant_vector(iv: InvariantTuple) -> np.ndarray:
+    """The invariants of a tuple as one real vector."""
     # each point (u, v) as Re u, Re v, Im u, Im v
     pts = np.vstack([iv.projective_A, iv.projective_B])
     return np.concatenate([iv.real_trace_A, iv.real_trace_B, iv.angular,
@@ -438,26 +435,27 @@ def invariant_map_rank(space: HermitianSpace, A: QArray,
     """Numerical rank of the invariant map at (A, B), restricted to a
     complement of the conjugation directions, plus the singular-value
     gap at the cut.  Central differences over the Lie-algebra chart
-    (A e^(sX), B e^(uY))."""
+    (A e^(sX), B e^(uY)): the 4 dim G perturbed pairs are framed as one
+    stack with (A, B) and run the pair stage once, and a step that
+    changes the flag matching of (A, B) raises DegenerateInputError."""
     h = RANK_STEP
     basis = _isometry_algebra_basis(space)
     d = len(basis)
-    fa, fb = eigen_frame(space, QArray.stack([A, B]))
-    rep = genericity_report(space, fa, fb)
-
-    cols = []
-    for slot in range(2):
-        for X in basis:
-            Ep = _mat_exp(space, X.scale(h))
-            Em = _mat_exp(space, X.scale(-h))
-            if slot == 0:
-                vp = _invariant_vector(space, A @ Ep, B, rep)
-                vm = _invariant_vector(space, A @ Em, B, rep)
-            else:
-                vp = _invariant_vector(space, A, B @ Ep, rep)
-                vm = _invariant_vector(space, A, B @ Em, rep)
-            cols.append((vp - vm) / (2 * h))
-    J = np.stack(cols, axis=1)
+    steps = [_mat_exp(space, X.scale(s)) for X in basis for s in (h, -h)]
+    frames = eigen_frame(space, QArray.stack(
+        [A, B] + [A @ E for E in steps] + [B @ E for E in steps]))
+    fa, fb, moved = frames[0], frames[1], frames[2:]
+    fas = [fa] + moved[:2 * d] + [fa] * (2 * d)
+    fbs = [fb] + [fb] * (2 * d) + moved[2 * d:]
+    reps = genericity_report(space, fas, fbs)
+    if any((r.matching_A, r.matching_B)
+           != (reps[0].matching_A, reps[0].matching_B) for r in reps):
+        raise DegenerateInputError("a rank-probe step changes the flag "
+                                   "matching")
+    invs = pair_invariants(space, fas, fbs, reps,
+                           normalize_lifts(space, reps))
+    v = np.stack([_invariant_vector(iv) for iv in invs[1:]], axis=1)
+    J = (v[:, 0::2] - v[:, 1::2]) / (2 * h)
 
     # conjugation directions in the same chart
     flat = np.stack([_flat(space, X) for X in basis], axis=1)

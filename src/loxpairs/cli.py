@@ -14,6 +14,8 @@ from . import serialize as sz
 from .classify import conjugacy_test
 from .errors import DegenerateInputError, LoxpairsError, VerificationFailed
 from .generate import generate_pair
+from .genericity import genericity_report
+from .gram import normalize_lifts
 from .hermitian import HermitianSpace
 from .invariants import pair_invariants
 from .qmatrix import QArray
@@ -76,7 +78,9 @@ def _cmd_classify(args) -> int:
 def _cmd_invariants(args) -> int:
     space, A, B = sz.pair_from_json(_read_json(args.infile[0]))
     fa, fb = eigen_frame(space, QArray.stack([A, B]))
-    t = pair_invariants(space, fa, fb)
+    reps = genericity_report(space, [fa], [fb])
+    t, = pair_invariants(space, [fa], [fb], reps,
+                         normalize_lifts(space, reps))
     _emit(args, sz.invariant_tuple_to_json(t))
     if args.pretty:
         sys.stdout.write(_pretty_tuple(t))

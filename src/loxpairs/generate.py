@@ -69,8 +69,8 @@ def generate_pair(space: HermitianSpace, seed: Optional[int] = None,
     for _ in range(MAX_TRIES):
         A = random_loxodromic(space, rng)
         B = random_loxodromic(space, rng)
-        rep = genericity_report(space,
-                                *eigen_frame(space, QArray.stack([A, B])))
+        fa, fb = eigen_frame(space, QArray.stack([A, B]))
+        rep, = genericity_report(space, [fa], [fb])
         if mode == "strong" and not rep.nonsingular:
             continue
         if rep.weakly_nonsingular:

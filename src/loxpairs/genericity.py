@@ -7,7 +7,7 @@ eigenvector.  Pair genericity reduces to conditions on the lifts: array
 expressions over the Gram products of both frames of every pair of a
 stack, formed as one product (`_frame_gram`), for the pairings, and
 coordinate ranks for point membership and the rank-4 test, one stacked
-rank call each.  A single pair is a stack of one.  The flag-pair matrix
+rank call each.  A single pair is a list of one.  The flag-pair matrix
 is the outer product of a row mask and a column mask, so its matchings
 are read off the two masks (`_flag_matching`) with no bipartite matcher.
 """
@@ -22,7 +22,6 @@ import numpy as np
 
 from .hermitian import HermitianSpace
 from .qmatrix import QArray, quaternionic_rank
-from .spectral import LoxodromicFrame
 
 MEMBERSHIP_TOL = 1e-9
 RANK_TOL = 1e-8
@@ -47,14 +46,14 @@ class PairGenericityReport:
         field(default=None, repr=False)
 
 
-def _frame_gram(space: HermitianSpace, fa, fb):
+def _frame_gram(space: HermitianSpace, fas, fbs):
     """Gram products K of v = [a_A, r_A, x_A..., a_B, r_B, x_B...] for
-    a stack of pairs of frames, fa and fb the sequences of the frames
+    a stack of pairs of frames, fas and fbs the sequences of the frames
     of A and of B, the stack V of matrices with these columns and their
     norms.  <v_i, v_j> is entry (j, i) of K; A's vectors sit at indices
     0..n and B's at n+1..2n+1."""
     perm = [0, space.n, *range(1, space.n)]    # frame columns (a, x..., r)
-    Fa, Fb = (QArray.stack([f.F for f in fs]) for fs in (fa, fb))
+    Fa, Fb = (QArray.stack([f.F for f in fs]) for fs in (fas, fbs))
     V = QArray(np.concatenate([Fa.a[..., perm], Fb.a[..., perm]], axis=-1),
                np.concatenate([Fa.b[..., perm], Fb.b[..., perm]], axis=-1))
     return space.gram(V), V, np.linalg.norm(V.moduli(), axis=-2)
@@ -92,16 +91,12 @@ def _flag_matching(M: np.ndarray, k: int):
     return pairs, len(pairs) == k, count > 1
 
 
-def genericity_report(space: HermitianSpace, fa, fb):
-    """The report of the pair of frames (fa, fb), or the list of reports
-    of a stack of pairs, fa and fb sequences of frames.  A single pair
-    runs as a stack of one, on the same path: one Gram product and two
+def genericity_report(space: HermitianSpace, fas, fbs):
+    """The list of reports of a stack of pairs of frames, fas and fbs the
+    sequences of the frames of A and of B: one Gram product and two
     stacked rank tests for the whole stack."""
-    single = isinstance(fa, LoxodromicFrame)
-    if single:
-        fa, fb = [fa], [fb]
     n = space.n
-    K, V, norms = _frame_gram(space, fa, fb)
+    K, V, norms = _frame_gram(space, fas, fbs)
     fixed_a, fixed_b = [0, 1], [n + 1, n + 2]
     # two null lifts span the same boundary point iff they pair to zero
     floor = MEMBERSHIP_TOL * (norms[:, fixed_b, None]
@@ -128,7 +123,7 @@ def genericity_report(space: HermitianSpace, fa, fb):
                               tol=RANK_TOL) >= 4
 
     reports = []
-    for e in range(len(fa)):
+    for e in range(len(fas)):
         failing: List[str] = ["common-fixed-point"] if common[e] else []
         pairs, found, multiple = _flag_matching(M[e], n - 2)
         if not found:
@@ -152,4 +147,4 @@ def genericity_report(space: HermitianSpace, fa, fb):
             failing_conditions=failing,
             frame_gram=(K.pick(e), V.pick(e), norms[e]),
         ))
-    return reports[0] if single else reports
+    return reports

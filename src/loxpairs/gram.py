@@ -30,8 +30,9 @@ formed as one product over the stack of pairs.  It takes the scalars
 from K, builds P as one product of V and the scalars, and takes the
 Gram product of the whole tuple as K rescaled by the scalars of its
 lifts, so no second product is formed.
-Both functions, and the pattern gate `gram_matrix`, take a stack; one
-pair, tuple or quadruple runs as a stack of one.  Each gate is one
+Both functions, and the pattern gate `gram_matrix`, take only stacks
+(sequences of reports or tuples); one pair, tuple or quadruple is a
+stack of one.  Each gate is one
 `spectral._gate` call over the whole stack, so a stack raises at the
 earliest gate that any of its elements fails and names the first
 element that fails it.
@@ -46,7 +47,6 @@ import numpy as np
 
 from .errors import (DegenerateInputError, NormalizationImpossible,
                      NotWeaklyNonsingular, PatternViolation)
-from .genericity import PairGenericityReport
 from .hermitian import AT_INFINITY, HermitianSpace
 from .qmatrix import QArray
 from .spectral import _gate
@@ -127,11 +127,10 @@ def _normalize_quadruple(space: HermitianSpace, Z: QArray):
     return Z * s.pick(Ellipsis, None, slice(None)), s, _rescaled_gram(K, s)
 
 
-def normalize_lifts(space: HermitianSpace, report,
+def normalize_lifts(space: HermitianSpace, reports,
                     anchor: str = "standard"):
-    """The normalized associated tuple of the weakly non-singular pair
-    of a genericity report, or the list of tuples of a sequence of
-    reports; a single report runs as a stack of one.
+    """The list of normalized associated tuples of the weakly
+    non-singular pairs of a sequence of genericity reports.
 
     The fixed-point lifts (a_A, r_A, a_B, r_B) take the scalars s of
     _quadruple_scalars with the given anchor; the matched positive
@@ -145,23 +144,20 @@ def normalize_lifts(space: HermitianSpace, report,
     index array over the stack.  A stack raises at the earliest gate
     that any of its pairs fails, naming the first pair that fails it.
     """
-    single = isinstance(report, PairGenericityReport)
-    if single:
-        report = [report]
     n = space.n
-    _gate(np.array([r.weakly_nonsingular for r in report]),
+    _gate(np.array([r.weakly_nonsingular for r in reports]),
           NotWeaklyNonsingular, "pair fails genericity: {}",
-          [r.failing_conditions for r in report])
-    K, V, norms = (QArray.stack([r.frame_gram[0] for r in report]),
-                   QArray.stack([r.frame_gram[1] for r in report]),
-                   np.stack([r.frame_gram[2] for r in report]))
+          [r.failing_conditions for r in reports])
+    K, V, norms = (QArray.stack([r.frame_gram[0] for r in reports]),
+                   QArray.stack([r.frame_gram[1] for r in reports]),
+                   np.stack([r.frame_gram[2] for r in reports]))
     # per pair, the frame vectors of p1 .. p_{2n} and the omitted ones
     cols = np.array([[0, 1, n + 1, n + 2] + [2 + j for j in r.matching_A]
                      + [n + 3 + k for k in r.matching_B]
                      + [2 + r.omitted_A, n + 3 + r.omitted_B]
-                     for r in report])
+                     for r in reports])
     quad, idx = cols[0, :4], cols[:, 4:2 * n]
-    e = np.arange(len(report))[:, None]
+    e = np.arange(len(reports))[:, None]
     slot = np.repeat([2, 0], n - 2)                 # anchors p3 and p1
     with np.errstate(all="ignore"):
         s = _quadruple_scalars(
@@ -183,9 +179,8 @@ def normalize_lifts(space: HermitianSpace, report,
     G = _rescaled_gram(K.pick(e[:, :, None], lifts[:, :, None],
                               lifts[:, None, :]),
                        S.pick(slice(None), slice(2 * n)))
-    tuples = [AssociatedTuple(space, P.pick(i), G.pick(i))
-              for i in range(len(report))]
-    return tuples[0] if single else tuples
+    return [AssociatedTuple(space, P.pick(i), G.pick(i))
+            for i in range(len(reports))]
 
 
 @lru_cache(maxsize=None)
@@ -209,16 +204,14 @@ def _pattern(n: int):
     return E, live
 
 
-def gram_matrix(t):
-    """The 2n x 2n QArray of pairings G[i, j] = <p_i, p_j> of a tuple,
-    or their (k, 2n, 2n) stack for a sequence of tuples, the pattern of
-    all of them checked by one masked array comparison per gate.  A
-    sequence raises at the earliest gate that any of its tuples fails,
-    naming the first tuple that fails it."""
-    single = isinstance(t, AssociatedTuple)
-    ts = [t] if single else list(t)
-    n, k, tol = ts[0].space.n, len(ts), PATTERN_TOL
-    G = QArray.stack([x.gram for x in ts]).transpose()
+def gram_matrix(tuples):
+    """The (k, 2n, 2n) stack of pairings G[e, i, j] = <p_i, p_j> of a
+    sequence of k tuples, the pattern of all of them checked by one
+    masked array comparison per gate.  A sequence raises at the earliest
+    gate that any of its tuples fails, naming the first tuple that fails
+    it."""
+    n, k, tol = tuples[0].space.n, len(tuples), PATTERN_TOL
+    G = QArray.stack([t.gram for t in tuples]).transpose()
     E, live = _pattern(n)
     # the unpinned entries compare NaN > tol, which is False
     bad = (G - QArray(E)).moduli() > tol
@@ -236,4 +229,4 @@ def gram_matrix(t):
         vanish.swapaxes(-1, -2).reshape(k, -1), axis=-1), E.shape)
     _gate(~vanish.any(axis=(-2, -1)), PatternViolation,
           "g[{},{}] vanishes", i + 1, j + 1)
-    return G.pick(0) if single else G
+    return G

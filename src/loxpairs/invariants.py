@@ -10,8 +10,9 @@ the gauge under which `classify.conjugacy_test` reconstructs the
 conjugator from the lifts.
 Each invariant is a word in pairings (CROSS, TRIPLE) that `_words`
 evaluates entrywise over index rows of one Gram product, or of each
-Gram product of a stack: `pair_invariants` evaluates every invariant of
-a stack of pairs at once.
+Gram product of a stack: `pair_invariants` takes the frames, reports
+and tuples of a stack of pairs, one entry per pair, and evaluates every
+invariant of the stack at once.
 """
 
 from __future__ import annotations
@@ -23,11 +24,9 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .errors import DegenerateConfiguration
-from .genericity import genericity_report
-from .gram import normalize_lifts
 from .hermitian import HermitianSpace, gauge
 from .qmatrix import QArray
-from .spectral import LoxodromicFrame, projective_points
+from .spectral import projective_points
 
 DEGENERATE_TOL = 1e-10
 
@@ -114,27 +113,18 @@ class InvariantTuple:
                 for (name, rank), end in zip(ENTRY_NAMES, ends)}
 
 
-def pair_invariants(space: HermitianSpace, fa, fb,
-                    report=None, tuple_=None):
-    """Invariant tuple of a weakly non-singular pair, every pairing read
-    from one Gram product of the normalized lifts and every invariant
-    evaluated as one array expression; or the list of tuples of a stack
-    of pairs, fa, fb, report and tuple_ sequences, evaluated over the
-    whole stack at once (a single pair runs as a stack of one).  The eta
-    invariant <p3,xj><p3,p4>^-1 <xj,p4><xj,xj>^-1 of an A-positive xj is
-    the cross-ratio X(xj,p4,p3,xj); that of a B-positive xk is
-    X(xk,p2,p1,xk).
+def pair_invariants(space: HermitianSpace, fas, fbs, reports, tuples):
+    """The list of invariant tuples of a stack of weakly non-singular
+    pairs, from their frames, genericity reports and normalized tuples:
+    every pairing is read from the Gram products of the normalized lifts
+    and every invariant is one array expression over the whole stack.
+    The eta invariant <p3,xj><p3,p4>^-1 <xj,p4><xj,xj>^-1 of an
+    A-positive xj is the cross-ratio X(xj,p4,p3,xj); that of a
+    B-positive xk is X(xk,p2,p1,xk).
     """
-    if report is None:
-        report = genericity_report(space, fa, fb)
-    if tuple_ is None:
-        tuple_ = normalize_lifts(space, report)
-    single = isinstance(fa, LoxodromicFrame)
-    if single:
-        fa, fb, report, tuple_ = [fa], [fb], [report], [tuple_]
-    size, n = len(fa), space.n
-    P = QArray.stack([t.P for t in tuple_])
-    K = QArray.stack([t.gram for t in tuple_])
+    size, n = len(fas), space.n
+    P = QArray.stack([t.P for t in tuples])
+    K = QArray.stack([t.gram for t in tuples])
     apos, bpos = range(4, n + 2), range(n + 2, 2 * n)
     rows = [(0, 1, 2, 3), (0, 2, 1, 3), (1, 3, 2, 0)]
     rows += [(0, 1, 2, k) for k in bpos] + [(2, 3, 0, j) for j in apos]
@@ -145,17 +135,16 @@ def pair_invariants(space: HermitianSpace, fa, fb,
                              TRIPLE))
     # the attracting lift and the positives of every frame, A's then B's
     points = projective_points(QArray.stack(
-        [f.F for f in [*fa, *fb]]).pick(Ellipsis, slice(-1)))
-    out = [InvariantTuple(
+        [f.F for f in [*fas, *fbs]]).pick(Ellipsis, slice(-1)))
+    return [InvariantTuple(
         field_tag=space.field,
-        real_trace_A=fa[e].real_trace,
-        real_trace_B=fb[e].real_trace,
+        real_trace_A=fas[e].real_trace,
+        real_trace_B=fbs[e].real_trace,
         entries=entries.pick(e),
         angular=angular[e],
         projective_A=points[e], projective_B=points[size + e],
-        matching_A=list(report[e].matching_A),
-        matching_B=list(report[e].matching_B)) for e in range(size)]
-    return out[0] if single else out
+        matching_A=list(reports[e].matching_A),
+        matching_B=list(reports[e].matching_B)) for e in range(size)]
 
 
 def sp1_orbit_equal(t1: InvariantTuple, t2: InvariantTuple,

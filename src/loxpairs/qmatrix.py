@@ -43,14 +43,16 @@ class QArray:
 
     @classmethod
     def from_columns(cls, cols) -> "QArray":
-        return cls(np.stack([c.a for c in cols], axis=1),
-                   np.stack([c.b for c in cols], axis=1))
+        return cls.stack(cols, axis=1)
 
     @classmethod
-    def stack(cls, arrays) -> "QArray":
-        """QArrays of one shape stacked along a new first axis."""
-        return cls(np.stack([q.a for q in arrays]),
-                   np.stack([q.b for q in arrays]))
+    def stack(cls, arrays, axis: int = 0) -> "QArray":
+        """QArrays of one shape, stacked along a new axis (the first by
+        default); shapes that differ raise LoxpairsError."""
+        if len({q.shape for q in arrays}) != 1:
+            raise LoxpairsError("stacked shapes differ")
+        return cls(np.stack([q.a for q in arrays], axis=axis),
+                   np.stack([q.b for q in arrays], axis=axis))
 
     @classmethod
     def from_components(cls, q) -> "QArray":

@@ -47,7 +47,7 @@ import scipy.linalg
 
 from .errors import (DegenerateSpectrum, NoConvergence, NotIsometry,
                      NotLoxodromic, PalindromeViolation,
-                     RealEigenvalueClass)
+                     RealEigenvalueClass, WrongDimension)
 from .hermitian import HermitianSpace
 from .polys import (aberth_roots, cluster_roots, dickson_reduction,
                     discriminant, faddeev_leverrier)
@@ -396,6 +396,9 @@ def eigen_frame(space: HermitianSpace, A: QArray):
     """Spectral frame of a loxodromic isometry, or the list of frames of
     a stack A of shape (k, m, m), on the one path the module docstring
     describes: a stack raises at its earliest failing gate."""
+    if A.shape[-2:] != (space.dim, space.dim):
+        raise WrongDimension(f"need {space.dim} x {space.dim} matrices, "
+                             f"got {A.shape}")
     stack = A if A.ndim == 3 else QArray(A.a[None], A.b[None])
     with np.errstate(all="ignore"):
         frames = _frames(space, stack)

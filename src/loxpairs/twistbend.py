@@ -97,10 +97,10 @@ def tilde_invariants(space: HermitianSpace, K: QArray,
     """
     aA, rA = fa.attracting, fa.repelling
     aB, rC = fb.attracting, fc.repelling
-    for x in (aB, rC):
-        if quaternionic_rank(QArray.from_columns([aA, rA, x])) < 3:
-            raise DegenerateConfiguration(
-                "configuration lies on a proper totally geodesic subspace")
+    if np.any(quaternionic_rank(QArray.stack(
+            [QArray.from_columns([aA, rA, x]) for x in (aB, rC)])) < 3):
+        raise DegenerateConfiguration(
+            "configuration lies on a proper totally geodesic subspace")
     # gauge-fix the quadruple so the angular invariants are well defined
     # (residual freedom is one global unit, a similarity on everything)
     # g indices: 0 = a_A, 1 = r_A, 2 = a_B, 3 = K r_C

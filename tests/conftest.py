@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from loxpairs.generate import generate_pair
+from loxpairs.genericity import genericity_report
+from loxpairs.gram import normalize_lifts
 from loxpairs.hermitian import HermitianSpace
+from loxpairs.invariants import pair_invariants
 from loxpairs.spectral import eigen_frame
 
 
@@ -31,6 +34,15 @@ def hconj(q) -> np.ndarray:
 
 def hinv(q) -> np.ndarray:
     return hconj(q) / np.dot(q, q)
+
+
+def pair_stage(space, fa, fb, anchor="standard"):
+    """The genericity report, normalized tuple and invariant tuple of the
+    pair of frames (fa, fb), each stage run on a list of one."""
+    reps = genericity_report(space, [fa], [fb])
+    tuples = normalize_lifts(space, reps, anchor)
+    invs = pair_invariants(space, [fa], [fb], reps, tuples)
+    return reps[0], tuples[0], invs[0]
 
 
 def hunit(rng) -> np.ndarray:

@@ -9,14 +9,14 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import hconj, hinv, hmul, hunit
+from conftest import hconj, hinv, hmul, hunit, pair_stage
 from loxpairs.classify import (boundary_quadruple_congruence, conjugacy_test,
                                invariant_map_rank)
 from loxpairs.generate import generate_pair
 from loxpairs.genericity import genericity_report
 from loxpairs.gram import gram_matrix, normalize_lifts
 from loxpairs.hermitian import HermitianSpace
-from loxpairs.invariants import pair_invariants, sp1_orbit_equal
+from loxpairs.invariants import sp1_orbit_equal
 from loxpairs.qmatrix import QArray, conjugate_by, quaternionic_rank
 from loxpairs.quat import align_sp1
 from loxpairs.spectral import (LoxodromicFrame, classify_element, eigen_frame,
@@ -47,8 +47,7 @@ def _report(num: int, ok: bool, desc: str):
 
 def _invariants(space, A, B):
     fa, fb = eigen_frame(space, A), eigen_frame(space, B)
-    return pair_invariants(space, fa, fb,
-                           report=genericity_report(space, fa, fb))
+    return pair_stage(space, fa, fb)[2]
 
 
 def _conj_xp(Q: QArray, X: QArray) -> QArray:
@@ -154,10 +153,8 @@ def test_criterion_3_gram_dictionary():
         for i in range(count):
             A, B = generate_pair(space, seed=i, mode="strong")
             fa, fb = eigen_frame(space, A), eigen_frame(space, B)
-            rep = genericity_report(space, fa, fb)
-            t = normalize_lifts(space, rep)
-            G = gram_matrix(t)
-            inv = pair_invariants(space, fa, fb, report=rep, tuple_=t)
+            _, t, inv = pair_stage(space, fa, fb)
+            G = gram_matrix([t]).pick(0)
             # the identities in the matrix model on real 4-vectors
             gc, x, layout = G.components(), inv.entries.components(), \
                 inv.layout()
@@ -210,8 +207,7 @@ def test_criterion_4_gauge_recovery():
     for i in range(50):
         A, B = generate_pair(QSPACE, seed=100 + i, mode="strong")
         fa, fb = eigen_frame(QSPACE, A), eigen_frame(QSPACE, B)
-        rep = genericity_report(QSPACE, fa, fb)
-        t = normalize_lifts(QSPACE, rep, anchor="none")
+        rep, t, _ = pair_stage(QSPACE, fa, fb, anchor="none")
         rng = np.random.default_rng(30_000 + i)
 
         def unit():
@@ -219,14 +215,14 @@ def test_criterion_4_gauge_recovery():
 
         fa2, fb2 = rescaled_frame(fa, unit), rescaled_frame(fb, unit)
         # the report of the rescaled frames, whose matching is rep's
-        rep2 = genericity_report(QSPACE, fa2, fb2)
+        rep2, = genericity_report(QSPACE, [fa2], [fb2])
         if (rep2.matching_A, rep2.matching_B) \
                 != (rep.matching_A, rep.matching_B):
             ok = False
             continue
-        t2 = normalize_lifts(QSPACE, rep2, anchor="none")
-        e1 = gram_offdiagonal_entries(gram_matrix(t))
-        e2 = gram_offdiagonal_entries(gram_matrix(t2))
+        t2, = normalize_lifts(QSPACE, [rep2], anchor="none")
+        e1 = gram_offdiagonal_entries(gram_matrix([t]).pick(0))
+        e2 = gram_offdiagonal_entries(gram_matrix([t2]).pick(0))
         mu = align_sp1(e1, e2, tol=1e-8)
         if mu is None:
             ok = False

@@ -5,8 +5,9 @@ from loxpairs.classify import (_verified_congruence,
                                boundary_quadruple_congruence,
                                congruence_from_tuples, conjugacy_test,
                                invariant_map_rank)
-from loxpairs.errors import (LoxpairsError, NormalizationImpossible,
-                             NotNonsingular, VerificationFailed)
+from loxpairs.errors import (DegenerateInputError, LoxpairsError,
+                             NormalizationImpossible, NotNonsingular,
+                             VerificationFailed, WrongDimension)
 from loxpairs.generate import generate_pair
 from loxpairs.hermitian import HermitianSpace
 from loxpairs.qmatrix import QArray, conjugate_by, quaternionic_rank
@@ -84,8 +85,8 @@ def test_strong_mode_requires_nonsingular(space):
     from loxpairs.spectral import eigen_frame
     A, B = (_fix_e3(X, 1.7) for X in generate_pair(
         HermitianSpace(2, space.field), seed=3, mode="weak"))
-    rep = genericity_report(space, eigen_frame(space, A),
-                            eigen_frame(space, B))
+    rep, = genericity_report(space, [eigen_frame(space, A)],
+                             [eigen_frame(space, B)])
     assert rep.weakly_nonsingular and not rep.nonsingular
     assert rep.failing_conditions == ["fixed-points-in-hyperplane-boundary"]
     with pytest.raises(NotNonsingular):
@@ -200,8 +201,7 @@ def test_congruence_from_tuples_identity(qspace):
     from loxpairs.spectral import eigen_frame
     A, B = generate_pair(qspace, seed=12, mode="strong")
     fa, fb = eigen_frame(qspace, A), eigen_frame(qspace, B)
-    rep = genericity_report(qspace, fa, fb)
-    t = normalize_lifts(qspace, rep)
+    t, = normalize_lifts(qspace, genericity_report(qspace, [fa], [fb]))
     C = congruence_from_tuples(t, t, QArray(1.0))
     assert C is not None
     assert (C - QArray.eye(qspace.dim)).max_abs() < 1e-7
@@ -218,7 +218,7 @@ def test_congruence_from_tuples_checks_each_omitted_lift(qspace, k):
     from loxpairs.spectral import eigen_frame
     A, B = generate_pair(qspace, seed=12, mode="strong")
     fa, fb = eigen_frame(qspace, A), eigen_frame(qspace, B)
-    t = normalize_lifts(qspace, genericity_report(qspace, fa, fb))
+    t, = normalize_lifts(qspace, genericity_report(qspace, [fa], [fb]))
     P = t.P.copy()
     col = 2 * qspace.n + k
     P.a[:, col], P.b[:, col] = P.a[:, col] + P.a[:, 0], P.b[:, col] + P.b[:, 0]
@@ -456,10 +456,10 @@ def test_pair_stage_scalars_are_zero_dim_qarrays(rng):
     import inspect
 
     import loxpairs.quat as quat
-    from loxpairs.genericity import genericity_report
+    from conftest import pair_stage
     from loxpairs.hermitian import gauge
-    from loxpairs.invariants import (cross_ratio, pair_invariants,
-                                     sp1_orbit_equal, triple_product)
+    from loxpairs.invariants import (cross_ratio, sp1_orbit_equal,
+                                     triple_product)
     from loxpairs.spectral import eigen_frame
     from loxpairs.twistbend import (PantsGroup, identity_params,
                                     tilde_invariants, twist_bend_element)
@@ -483,8 +483,7 @@ def test_pair_stage_scalars_are_zero_dim_qarrays(rng):
             assert boundary_quadruple_congruence(space, zs, ws) is not None
 
             fa, fb = eigen_frame(space, A), eigen_frame(space, B)
-            t = pair_invariants(space, fa, fb,
-                                report=genericity_report(space, fa, fb))
+            _, _, t = pair_stage(space, fa, fb)
             e = t.entries
             scalars = [space.inner(zs[0], zs[1]),
                        gauge(field, e, e, 1e-10), quat.align_sp1(e, e),
@@ -639,7 +638,7 @@ def _tuple_sources(space, seed):
     from loxpairs.gram import normalize_lifts
     from loxpairs.spectral import eigen_frame
     fa, fb = eigen_frame(space, QArray.stack(generate_pair(space, seed)))
-    return normalize_lifts(space, genericity_report(space, fa, fb)).P
+    return normalize_lifts(space, genericity_report(space, [fa], [fb]))[0].P
 
 @pytest.mark.parametrize("seed", range(4))
 def test_spanning_subset_matches_greedy_rank(space, seed, monkeypatch):
@@ -687,3 +686,57 @@ def test_isometry_algebra_basis(field, n):
         if field == "complex":
             assert abs(np.trace(X.a).imag) <= 1e-12
 
+
+
+@pytest.mark.parametrize("field", ["complex", "quaternion"])
+@pytest.mark.parametrize("n", [4, 5])
+def test_invariant_map_rank_is_the_group_dimension(n, field):
+    # the invariants are local coordinates on the orbits of non-singular
+    # pairs: rank dim G with a clear gap, as criterion 9 checks at n = 3
+    space = HermitianSpace(n, field)
+    A, B = generate_pair(space, seed=2, mode="strong")
+    rank, gap = invariant_map_rank(space, A, B)
+    assert rank == space.group_dim
+    assert gap >= 1e3
+
+
+def test_invariant_map_rank_rejects_a_step_that_moves_the_matching(
+        monkeypatch):
+    # the last perturbed pair reports the other positive of A as matched
+    import dataclasses
+
+    import loxpairs.classify as classify
+    real = classify.genericity_report
+
+    def moved(space, fas, fbs):
+        reps = real(space, fas, fbs)
+        reps[-1] = dataclasses.replace(reps[-1],
+                                       matching_A=[reps[-1].omitted_A])
+        return reps
+
+    monkeypatch.setattr(classify, "genericity_report", moved)
+    space = HermitianSpace(3, "complex")
+    A, B = generate_pair(space, seed=2, mode="strong")
+    with pytest.raises(DegenerateInputError, match="flag matching"):
+        invariant_map_rank(space, A, B)
+
+
+def test_pairs_of_different_sizes_raise_a_typed_error():
+    s3, s4 = HermitianSpace(3, "quaternion"), HermitianSpace(4, "quaternion")
+    A, B = generate_pair(s3, seed=1)
+    A4, B4 = generate_pair(s4, seed=1)
+    with pytest.raises(LoxpairsError, match="shapes differ"):
+        conjugacy_test(s3, A, B, A4, B4)
+
+
+def test_quadruple_with_a_vector_of_another_length_is_typed(space, rng):
+    zs = [_null_lift(space, rng) for _ in range(4)]
+    ws = zs[:3] + [_null_lift(HermitianSpace(4, space.field), rng)]
+    with pytest.raises(LoxpairsError, match="shapes differ"):
+        boundary_quadruple_congruence(space, zs, ws)
+
+
+def test_quadruple_of_another_space_raises_wrong_dimension(space, rng):
+    zs = [_null_lift(space, rng) for _ in range(4)]
+    with pytest.raises(WrongDimension):
+        boundary_quadruple_congruence(HermitianSpace(4, space.field), zs, zs)

@@ -54,19 +54,20 @@ def test_random_loxodromic_frame(space, rng):
 
 def test_modes(space):
     A, B = generate_pair(space, seed=15, mode="strong")
-    rep = genericity_report(space, eigen_frame(space, A),
-                            eigen_frame(space, B))
+    rep, = genericity_report(space, [eigen_frame(space, A)],
+                             [eigen_frame(space, B)])
     assert rep.nonsingular
     A, B = generate_pair(space, seed=15, mode="weak")
-    rep = genericity_report(space, eigen_frame(space, A),
-                            eigen_frame(space, B))
+    rep, = genericity_report(space, [eigen_frame(space, A)],
+                             [eigen_frame(space, B)])
     assert rep.weakly_nonsingular
 
 
 def test_generate_pair_gives_up(cspace, monkeypatch):
     never = PairGenericityReport(False, False, np.zeros((2, 2), dtype=bool),
                                  failing_conditions=["flag-matching"])
-    monkeypatch.setattr(generate, "genericity_report", lambda *args: never)
+    monkeypatch.setattr(generate, "genericity_report",
+                        lambda *args: [never])
     with pytest.raises(LoxpairsError, match="in 100 attempts"):
         generate_pair(cspace, seed=0)
 

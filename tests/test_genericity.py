@@ -86,7 +86,8 @@ def test_flag_pair_matrix_matches_brute_force(n, field, rng):
     cases = [(fa, fb), (fa, eigen_frame(space, A @ A)),
              (fa, _polar_off(space, fb, fa, 0, rng)),
              (_polar_off(space, fa, fb, n - 2, rng), fb)]
-    Ms = [genericity_report(space, f, g).flag_pair_matrix for f, g in cases]
+    Ms = [genericity_report(space, [f], [g])[0].flag_pair_matrix
+          for f, g in cases]
     for M, (f, g) in zip(Ms, cases):
         assert np.array_equal(M, _brute_flag_pairs(space, f, g))
     _, power, col_off, row_off = Ms
@@ -97,8 +98,8 @@ def test_flag_pair_matrix_matches_brute_force(n, field, rng):
 
 def test_generated_weak_pair_report(space):
     A, B = generate_pair(space, seed=11, mode="weak")
-    rep = genericity_report(space, eigen_frame(space, A),
-                            eigen_frame(space, B))
+    rep, = genericity_report(space, [eigen_frame(space, A)],
+                             [eigen_frame(space, B)])
     assert rep.weakly_nonsingular
     assert len(rep.matching_A) == space.n - 2
     assert len(rep.matching_B) == space.n - 2
@@ -107,8 +108,8 @@ def test_generated_weak_pair_report(space):
 
 def test_generated_strong_pair_report(space):
     A, B = generate_pair(space, seed=11, mode="strong")
-    rep = genericity_report(space, eigen_frame(space, A),
-                            eigen_frame(space, B))
+    rep, = genericity_report(space, [eigen_frame(space, A)],
+                             [eigen_frame(space, B)])
     assert rep.nonsingular
     assert not rep.failing_conditions
 
@@ -118,8 +119,8 @@ def test_report_at_n2(field):
     # one flag per frame: the only (n - 2)-matching is the empty one
     space = HermitianSpace(2, field)
     A, B = generate_pair(space, seed=1, mode="weak")
-    rep = genericity_report(space, eigen_frame(space, A),
-                            eigen_frame(space, B))
+    rep, = genericity_report(space, [eigen_frame(space, A)],
+                             [eigen_frame(space, B)])
     assert rep.flag_pair_matrix.tolist() == [[True]]
     assert rep.matching_A == rep.matching_B == []
     assert rep.omitted_A == rep.omitted_B == 0
@@ -131,7 +132,7 @@ def test_power_pair_shares_fixed_points(qspace, rng):
     A = random_loxodromic(qspace, rng)
     fa = eigen_frame(qspace, A)
     fb = eigen_frame(qspace, A @ A)
-    rep = genericity_report(qspace, fa, fb)
+    rep, = genericity_report(qspace, [fa], [fb])
     assert not rep.weakly_nonsingular
     assert rep.failing_conditions
 
@@ -147,7 +148,7 @@ def test_canonical_flags(qframes):
 
 def test_flag_pair_matrix_shape(qspace, qframes):
     fa, fb = qframes
-    rep = genericity_report(qspace, fa, fb)
+    rep, = genericity_report(qspace, [fa], [fb])
     m = qspace.n - 1
     assert rep.flag_pair_matrix.shape == (m, m)
 

@@ -17,8 +17,8 @@ from test_acceptance import gram_offdiagonal_entries, rescaled_frame
 def _tuple_for(space, seed, anchor="standard"):
     A, B = generate_pair(space, seed=seed, mode="strong")
     fa, fb = eigen_frame(space, A), eigen_frame(space, B)
-    rep = genericity_report(space, fa, fb)
-    return fa, fb, rep, normalize_lifts(space, rep, anchor=anchor)
+    rep, = genericity_report(space, [fa], [fb])
+    return fa, fb, rep, normalize_lifts(space, [rep], anchor=anchor)[0]
 
 
 def test_normalization_constraints(space):
@@ -36,7 +36,7 @@ def test_normalization_constraints(space):
 
 def test_gram_matrix_pattern(space):
     _, _, _, t = _tuple_for(space, 5)
-    G = gram_matrix(t)
+    G = gram_matrix([t]).pick(0)
     m = 2 * space.n
     assert G.shape == (m, m)
     for i in range(4):
@@ -50,7 +50,7 @@ def test_gram_matrix_pattern(space):
 
 def test_gram_hermitian(space):
     _, _, _, t = _tuple_for(space, 9)
-    G = gram_matrix(t)
+    G = gram_matrix([t]).pick(0)
     m = 2 * space.n
     g = G.components()
     for i in range(m):
@@ -69,12 +69,12 @@ def test_unit_rescaling_is_global_gauge(qspace, rng):
     fa2, fb2 = rescaled_frame(fa, unit), rescaled_frame(fb, unit)
     # the report of the rescaled frames: a unit rescaling moves no flag,
     # so the matching is the one of rep
-    rep2 = genericity_report(qspace, fa2, fb2)
+    rep2, = genericity_report(qspace, [fa2], [fb2])
     assert (rep2.matching_A, rep2.matching_B) \
         == (rep.matching_A, rep.matching_B)
-    t2 = normalize_lifts(qspace, rep2, anchor="none")
-    e1 = gram_offdiagonal_entries(gram_matrix(t))
-    e2 = gram_offdiagonal_entries(gram_matrix(t2))
+    t2, = normalize_lifts(qspace, [rep2], anchor="none")
+    e1 = gram_offdiagonal_entries(gram_matrix([t]).pick(0))
+    e2 = gram_offdiagonal_entries(gram_matrix([t2]).pick(0))
     mu = align_sp1(e1, e2, tol=1e-8)
     assert mu is not None
     mu = mu.components()
@@ -154,14 +154,14 @@ def _perturbed(t, gate):
 def test_gram_matrix_raises_each_pattern_violation(space, gate):
     n = space.n
     _, _, _, t = _tuple_for(space, 5)
-    gram_matrix(t)
+    gram_matrix([t])
     expect = {"entry": r"^entry g\[1,2\] = \[1\.(5|49+)\d*, \S+, \S+, \S+\], "
                        r"expected \[1\.0, 0\.0, 0\.0, 0\.0\]$",
               "g23": r"^\|g23\| = 1\.(5|49+)\d*, expected 1$",
               "p4": r"^g\[4,5\] vanishes$",
               "p2": rf"^g\[2,{n + 3}\] vanishes$"}[gate]
     with pytest.raises(PatternViolation, match=expect):
-        gram_matrix(_perturbed(t, gate))
+        gram_matrix([_perturbed(t, gate)])
 
 
 def test_gram_matrix_of_a_stack_raises_at_its_earliest_failing_gate(space):
@@ -181,9 +181,9 @@ def test_gram_matrix_of_a_stack_raises_at_its_earliest_failing_gate(space):
 
     gates = ("entry", "|g23|", "g[")                # in gram_matrix's order
     for ts in ([late, early], [early, late], [t, late]):
-        alone = [m for m in map(outcome, ts) if m is not None]
+        alone = [m for m in (outcome([x]) for x in ts) if m is not None]
         expect = min(alone, key=lambda m: next(
             k for k, gate in enumerate(gates) if m.startswith(gate)))
         assert outcome(ts) == expect
-    assert outcome([late, early]) == outcome(early)
-    assert outcome([t, late]) == outcome(late)
+    assert outcome([late, early]) == outcome([early])
+    assert outcome([t, late]) == outcome([late])

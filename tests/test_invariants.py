@@ -3,21 +3,17 @@ import pytest
 
 from loxpairs.errors import DegenerateConfiguration
 from loxpairs.generate import generate_pair
-from loxpairs.genericity import genericity_report
-from loxpairs.gram import normalize_lifts
 from loxpairs.hermitian import HermitianSpace
 from loxpairs.invariants import (angular_invariant, cross_ratio,
-                                 pair_invariants, sp1_orbit_equal,
-                                 triple_product)
-from conftest import hinv, hmul
+                                 sp1_orbit_equal, triple_product)
+from conftest import hinv, hmul, pair_stage
 from loxpairs.qmatrix import QArray, conjugate_by
 from loxpairs.spectral import eigen_frame
 
 
 def _invariants(space, A, B):
     fa, fb = eigen_frame(space, A), eigen_frame(space, B)
-    rep = genericity_report(space, fa, fb)
-    return pair_invariants(space, fa, fb, report=rep)
+    return pair_stage(space, fa, fb)[2]
 
 
 def _null_lift(space, rng):
@@ -124,9 +120,7 @@ def test_pair_invariants_match_per_pair_formulas(field):
     space = HermitianSpace(4, field)
     A, B = generate_pair(space, seed=3, mode="strong")
     fa, fb = eigen_frame(space, A), eigen_frame(space, B)
-    rep = genericity_report(space, fa, fb)
-    t = normalize_lifts(space, rep)
-    inv = pair_invariants(space, fa, fb, report=rep, tuple_=t)
+    _, t, inv = pair_stage(space, fa, fb)
     p = [t.P.column(j) for j in range(2 * space.n)]
     p1, p2, p3, p4 = p[:4]
     apos, bpos = p[4:space.n + 2], p[space.n + 2:]
@@ -164,9 +158,7 @@ def test_array_invariants_match_quaternion_reference(n, field):
     space = HermitianSpace(n, field)
     A, B = generate_pair(space, seed=n + 40, mode="strong")
     fa, fb = eigen_frame(space, A), eigen_frame(space, B)
-    rep = genericity_report(space, fa, fb)
-    t = normalize_lifts(space, rep)
-    inv = pair_invariants(space, fa, fb, report=rep, tuple_=t)
+    _, t, inv = pair_stage(space, fa, fb)
     p = [t.P.column(j) for j in range(2 * n)]
 
     def g(i, j):

@@ -1,10 +1,11 @@
 """The pair stage over a stack of pairs.
 
 genericity_report, normalize_lifts, pair_invariants and gram_matrix take
-one pair or a stack of pairs; conjugacy_test runs them once over its two
-pairs.  A stack must return, bit for bit, what one call per pair
-returns, and raise at the earliest gate that any of its pairs fails,
-with the error of the first pair that fails it alone.
+a stack of pairs, one entry per pair, and a single pair is a list of
+one; conjugacy_test runs them once over its two pairs.  A stack must
+return, bit for bit, what one call per pair returns, and raise at the
+earliest gate that any of its pairs fails, with the error of the first
+pair that fails it alone.
 """
 
 import dataclasses
@@ -51,13 +52,13 @@ def test_two_pair_stack_equals_two_stacks_of_one(n, field, kind):
     fas, fbs = [fa, fa2], [fb, fb2]
     reps = genericity_report(space, fas, fbs)
     tuples = normalize_lifts(space, reps)
-    invs = pair_invariants(space, fas, fbs, report=reps, tuple_=tuples)
+    invs = pair_invariants(space, fas, fbs, reps, tuples)
     G = gram_matrix(tuples)
     assert G.shape == (2, 2 * n, 2 * n)
     for e, (f, g) in enumerate(zip(fas, fbs)):
-        rep = genericity_report(space, f, g)
-        t = normalize_lifts(space, rep)
-        inv = pair_invariants(space, f, g, report=rep, tuple_=t)
+        rep, = genericity_report(space, [f], [g])
+        t, = normalize_lifts(space, [rep])
+        inv, = pair_invariants(space, [f], [g], [rep], [t])
         for name in ("weakly_nonsingular", "nonsingular", "matching_A",
                      "matching_B", "omitted_A", "omitted_B",
                      "multiple_matchings", "failing_conditions"):
@@ -66,7 +67,7 @@ def test_two_pair_stack_equals_two_stacks_of_one(n, field, kind):
         assert all(_same(x, y) for x, y in zip(reps[e].frame_gram,
                                                rep.frame_gram))
         assert _same(tuples[e].P, t.P) and _same(tuples[e].gram, t.gram)
-        assert _same(G.pick(e), gram_matrix(t))
+        assert _same(G.pick(e), gram_matrix([t]).pick(0))
         assert _same(invs[e].entries, inv.entries)
         assert _same(invs[e].angular, inv.angular)
         assert _same(invs[e].projective_A, inv.projective_A)
@@ -90,12 +91,12 @@ def test_stack_raises_at_the_earliest_gate_a_pair_fails(field):
     n = space.n
     A, B = generate_pair(space, seed=3)
     fa, fb, faa = eigen_frame(space, QArray.stack([A, B, A @ A]))
-    good = genericity_report(space, fa, fb)
+    good, = genericity_report(space, [fa], [fb])
     K, V, norms = good.frame_gram
     K = K.copy()
     K.a[1, n + 1] = K.b[1, n + 1] = 0.0
     late = dataclasses.replace(good, frame_gram=(K, V, norms))
-    early = genericity_report(space, fa, faa)
+    early, = genericity_report(space, [fa], [faa])
 
     def outcome(*reports):
         try:

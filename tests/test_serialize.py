@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
+from conftest import pair_stage
 from loxpairs import serialize as sz
 from loxpairs.errors import ParseError
 from loxpairs.generate import generate_pair
-from loxpairs.genericity import genericity_report
-from loxpairs.invariants import pair_invariants
 from loxpairs.spectral import eigen_frame
 from loxpairs.twistbend import TwistBendParams, identity_params
 
@@ -30,8 +29,7 @@ def test_pair_schema(space):
 def test_invariant_tuple_round_trip(qspace, qpair):
     A, B = qpair
     fa, fb = eigen_frame(qspace, A), eigen_frame(qspace, B)
-    t = pair_invariants(qspace, fa, fb,
-                        report=genericity_report(qspace, fa, fb))
+    _, _, t = pair_stage(qspace, fa, fb)
     obj = sz.invariant_tuple_to_json(t)
     sz.validate_against_schema(obj, "invariant_tuple")
 

@@ -6,7 +6,7 @@ import pytest
 from loxpairs.classify import conjugacy_test
 from loxpairs.errors import (LoxpairsError, NoConvergence, NotIsometry,
                              NotLoxodromic, PalindromeViolation,
-                             RealEigenvalueClass)
+                             RealEigenvalueClass, WrongDimension)
 from loxpairs.generate import generate_pair, random_loxodromic
 from loxpairs.hermitian import HermitianSpace
 from loxpairs.qmatrix import QArray, conjugate_by
@@ -122,6 +122,15 @@ def test_frame_real_trace(qspace, rng):
     f = eigen_frame(qspace, A)
     expect = real_char_poly(qspace, A)[1:qspace.n + 2]
     assert np.allclose(f.real_trace, expect, rtol=1e-7, atol=1e-7)
+
+
+@pytest.mark.parametrize("field", ["complex", "quaternion"])
+def test_eigen_frame_of_another_size_raises_wrong_dimension(field):
+    # a loxodromic of H^3 framed in H^4: its size, not its spectrum, is
+    # what is wrong
+    A, _ = generate_pair(HermitianSpace(3, field), seed=1)
+    with pytest.raises(WrongDimension, match="need 5 x 5"):
+        eigen_frame(HermitianSpace(4, field), A)
 
 
 def test_eigen_frame_rejects_real_class(qspace):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from loxpairs.errors import (GraphInvalid, InconsistentProjectivePoints,
-                             WrongDimension)
+from loxpairs.errors import (DegenerateConfiguration, GraphInvalid,
+                             InconsistentProjectivePoints, WrongDimension)
 from loxpairs.generate import generate_pair, random_loxodromic
 from loxpairs.hermitian import HermitianSpace
 from loxpairs.qmatrix import QArray, conjugate_by
@@ -92,6 +92,15 @@ def test_tilde_invariants_conjugation_invariant(qpants, rng):
         assert abs(x.a.real - y.a.real) < tol
         assert abs(x.moduli() - y.moduli()) < tol
     assert np.allclose(base[3:], got[3:], atol=1e-7)
+
+
+def test_tilde_invariants_reject_a_degenerate_configuration(qpants):
+    # fb the frame of A^2, so a_B = a_A lies on the line of A
+    space = qpants.space
+    fa, _, fc = qpants.frames
+    fb = eigen_frame(space, qpants.A @ qpants.A)
+    with pytest.raises(DegenerateConfiguration, match="totally geodesic"):
+        tilde_invariants(space, QArray.eye(4), fa, fb, fc)
 
 
 def test_tilde_invariants_separate_twists(qpants):
