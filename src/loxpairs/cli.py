@@ -3,10 +3,14 @@
 Subcommands: generate, classify, invariants, conjugacy-test, twist-bend,
 assemble.  All artifacts are JSON; exit status is 0 on success, 2 on
 degenerate input, 3 when a constructed conjugator fails verification.
+
+The parser is built on the first call of main and reused by every later
+call in the process; nothing is built at import.
 """
 
 import argparse
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -175,8 +179,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse gives each parse_args call a fresh Namespace and copies the
+# append default, so one parser serves every call
+_parser = lru_cache(maxsize=None)(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     handler, n_in, _ = _COMMANDS[args.command]
     if "tol" in args and not args.tol > 0:
         print("error: --tol must be positive", file=sys.stderr)

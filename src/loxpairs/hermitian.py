@@ -103,6 +103,13 @@ class HermitianSpace:
     def _HQ(self) -> QArray:
         return QArray(self.H)
 
+    def check_matrices(self, A: QArray):
+        """WrongDimension unless A is a dim x dim matrix or a stack of
+        them."""
+        if A.shape[-2:] != (self.dim, self.dim):
+            raise WrongDimension(f"need {self.dim} x {self.dim} matrices, "
+                                 f"got {A.shape}")
+
     def as_complex(self, A: QArray) -> np.ndarray:
         """The complex matrix or vector that stands for A: its complex
         embedding over the quaternions, A itself over the complex

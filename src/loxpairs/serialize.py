@@ -6,6 +6,9 @@ arrays of them.  Floats go through Python's shortest round-trip repr (at
 most 17 significant digits), so parse(serialize(x)) reproduces every
 value bit for bit.  Every matrix is read through matrix_from_json, which
 raises ParseError on anything but a finite dim x dim x 4 array.
+
+Each schema's validator is checked and built once per process, with its
+local `#/$defs/` references resolved at load (_validator).
 """
 
 import json
@@ -42,8 +45,16 @@ def space_to_json(space: HermitianSpace) -> dict:
 
 
 def space_from_json(obj) -> HermitianSpace:
+    """The space of an {"n", "field"} descriptor; ParseError unless n is
+    an integer-valued number and not a bool (3.0 reads as 3, as under the
+    schemas' draft 2020-12)."""
     try:
-        return HermitianSpace(int(obj["n"]), obj["field"])
+        n = obj["n"]
+        # int() alone reads 3.9 and "3" as 3 and true as 1
+        if isinstance(n, (bool, str)) or (isinstance(n, float)
+                                          and n != int(n)):
+            raise TypeError(f"n must be an integer, got {n!r}")
+        return HermitianSpace(int(n), obj["field"])
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ParseError(f"bad space descriptor: {exc}") from exc
 
@@ -167,15 +178,30 @@ def loads(text):
         raise ParseError(f"invalid JSON: {exc}") from exc
 
 
+def _inline_refs(node, defs: dict):
+    """node with every {"$ref": "#/$defs/name"} replaced by that
+    definition, itself inlined; the schema files hold no cycle."""
+    if isinstance(node, dict):
+        ref = node.get("$ref", "")
+        if len(node) == 1 and ref.startswith("#/$defs/"):
+            return _inline_refs(defs[ref[len("#/$defs/"):]], defs)
+        return {k: _inline_refs(v, defs) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_inline_refs(v, defs) for v in node]
+    return node
+
+
 @lru_cache(maxsize=None)
 def _validator(name: str):
-    """The schema's validator, checked once and built once."""
+    """The schema's validator, checked once and built once, on a copy of
+    the schema with its local references inlined, so that validation
+    walks a plain tree and makes no registry lookup."""
     import jsonschema
     ref = resources.files("loxpairs") / "schemas" / f"{name}.json"
     schema = json.loads(ref.read_text())
     cls = jsonschema.validators.validator_for(schema)
     cls.check_schema(schema)
-    return cls(schema)
+    return cls(_inline_refs(schema, schema.get("$defs", {})))
 
 
 def validate_against_schema(obj, name: str):

@@ -47,7 +47,7 @@ import scipy.linalg
 
 from .errors import (DegenerateSpectrum, NoConvergence, NotIsometry,
                      NotLoxodromic, PalindromeViolation,
-                     RealEigenvalueClass, WrongDimension)
+                     RealEigenvalueClass)
 from .hermitian import HermitianSpace
 from .polys import (aberth_roots, cluster_roots, dickson_reduction,
                     discriminant, faddeev_leverrier)
@@ -70,6 +70,7 @@ def real_char_poly(space: HermitianSpace, A: QArray,
     caller has it, is the characteristic polynomial of
     space.as_complex(A).
     """
+    space.check_matrices(A)
     with np.errstate(all="ignore"):
         gate = PALINDROME_TOL * (1.0 + A.max_abs() ** 2)
         if not space.is_isometry(A, tol=gate):
@@ -106,6 +107,7 @@ def classify_element(space: HermitianSpace, A: QArray,
     eigenvalues, since distinct unit eigenvalue pairs e^{+-i phi} of a
     complex matrix collapse to a double root of g.
     """
+    space.check_matrices(A)
     with np.errstate(all="ignore"):
         chi = faddeev_leverrier(space.as_complex(A))
         coeffs = real_char_poly(space, A, tol=tol, chi=chi)
@@ -396,9 +398,7 @@ def eigen_frame(space: HermitianSpace, A: QArray):
     """Spectral frame of a loxodromic isometry, or the list of frames of
     a stack A of shape (k, m, m), on the one path the module docstring
     describes: a stack raises at its earliest failing gate."""
-    if A.shape[-2:] != (space.dim, space.dim):
-        raise WrongDimension(f"need {space.dim} x {space.dim} matrices, "
-                             f"got {A.shape}")
+    space.check_matrices(A)
     stack = A if A.ndim == 3 else QArray(A.a[None], A.b[None])
     with np.errstate(all="ignore"):
         frames = _frames(space, stack)

@@ -123,6 +123,8 @@ class PantsGroup:
 
     def __post_init__(self):
         if not self.frames:
+            for M in (self.A, self.B):
+                self.space.check_matrices(M)
             Ps = self.peripherals()
             # the FL gate types pants whose frames would miss the
             # relation; it is the earlier gate, so all three peripherals

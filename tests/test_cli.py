@@ -1,9 +1,11 @@
+import argparse
 import json
 import re
 
 import numpy as np
 import pytest
 
+from loxpairs import cli
 from loxpairs import serialize as sz
 from loxpairs.cli import main
 from loxpairs.qmatrix import QArray, conjugate_by
@@ -265,6 +267,93 @@ def test_malformed_json_exit_2(tmp_path, capsys):
     bad.write_text("{not json")
     code, _ = _run(capsys, "invariants", "--in", str(bad))
     assert code == 2
+
+
+@pytest.mark.parametrize("n", [3.9, "3", True])
+def test_non_integer_n_exit_2(tmp_path, capsys, n):
+    # pair.json requires an integer n; int() would have read 3.9 and "3"
+    # as 3 and true as 1
+    path = _generate(tmp_path, field="complex")
+    obj = sz.loads(path.read_text())
+    obj["space"]["n"] = n
+    bad = tmp_path / "bad_n.json"
+    bad.write_text(json.dumps(obj))
+    code = main(["classify", "--in", str(bad)])
+    assert code == 2
+    assert "n must be an integer" in capsys.readouterr().err
+
+
+def test_integer_valued_float_n_is_read(tmp_path, capsys):
+    # 3.0 is an integer under the schemas' draft 2020-12
+    path = _generate(tmp_path, field="complex")
+    obj = sz.loads(path.read_text())
+    obj["space"]["n"] = 3.0
+    other = tmp_path / "n_float.json"
+    other.write_text(json.dumps(obj))
+    assert _run(capsys, "classify", "--in", str(other)) \
+        == _run(capsys, "classify", "--in", str(path))
+
+
+def _reuse_calls(tmp_path):
+    path = _generate(tmp_path)
+    other = _generate(tmp_path, "other.json", seed="8")
+    return [["conjugacy-test", "--in", str(path), "--in", str(other)],
+            ["classify", "--in", str(path)],
+            ["generate", "--field", "octonion"],
+            ["invariants", "--in", str(path)]]
+
+
+def _outcomes(capsys, calls):
+    outcomes = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:           # argparse's rejection
+            code = exc.code
+        captured = capsys.readouterr()
+        outcomes.append((code, captured.out, captured.err))
+    return outcomes
+
+
+def test_reused_parser_gives_what_a_fresh_parser_gives(tmp_path, capsys,
+                                                      monkeypatch):
+    calls = _reuse_calls(tmp_path)
+    seen = []
+    handler, n_in, options = cli._COMMANDS["classify"]
+
+    def spy(args):
+        seen.append(list(args.infile))
+        return handler(args)
+
+    monkeypatch.setitem(cli._COMMANDS, "classify", (spy, n_in, options))
+    cli._parser.cache_clear()
+    reused = _outcomes(capsys, calls)
+    # the earlier call's two --in do not reach classify
+    assert seen == [[calls[1][-1]]]
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_parser", cli.build_parser)
+        fresh = _outcomes(capsys, calls)
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, 2, 0]
+    assert "invalid choice: 'octonion'" in reused[2][2]
+
+
+def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._parser.cache_clear()
+    path = _generate(tmp_path)
+    for _ in range(9):
+        assert main(["classify", "--in", str(path)]) == 0
+    capsys.readouterr()
+    # subparsers are named "loxpairs <command>"
+    assert built.count("loxpairs") <= 1
 
 
 def test_bad_tol_exit_2(tmp_path, capsys):

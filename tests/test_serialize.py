@@ -1,3 +1,7 @@
+import copy
+import json
+from importlib import resources
+
 import numpy as np
 import pytest
 
@@ -102,3 +106,133 @@ def test_matrix_from_json_rejects(obj):
 def test_kappa_rejects_missing_field():
     with pytest.raises(ParseError):
         sz.kappa_from_json({"t": 1.0, "psi": 0.0})
+
+
+SCHEMAS = ("pair", "kappa", "graph", "invariant_tuple")
+
+
+def _schema_file(name):
+    ref = resources.files("loxpairs") / "schemas" / f"{name}.json"
+    return json.loads(ref.read_text())
+
+
+def _refs(node):
+    """Every object of node that holds a $ref, depth first."""
+    if isinstance(node, dict):
+        if "$ref" in node:
+            yield node
+        for v in node.values():
+            yield from _refs(v)
+    elif isinstance(node, list):
+        for v in node:
+            yield from _refs(v)
+
+
+@pytest.mark.parametrize("name", SCHEMAS)
+def test_schema_refs_are_local_and_acyclic(name):
+    # _validator inlines {"$ref": "#/$defs/x"} objects; on these files
+    # that replaces every reference and always terminates
+    schema = _schema_file(name)
+    defs = schema.get("$defs", {})
+    prefix = "#/$defs/"
+    for node in _refs(schema):
+        assert list(node) == ["$ref"], node
+        assert node["$ref"].startswith(prefix), node
+        assert node["$ref"][len(prefix):] in defs, node
+
+    def reach(def_name, trail):
+        assert def_name not in trail, f"cycle {trail + (def_name,)}"
+        for node in _refs(defs[def_name]):
+            reach(node["$ref"][len(prefix):], trail + (def_name,))
+
+    for def_name in defs:
+        reach(def_name, ())
+
+
+def _documents(space, pair, frames):
+    """One valid document per schema."""
+    A, B = pair
+    fa, fb = frames
+    k0 = identity_params(fa)
+    kap = TwistBendParams(1.25, -0.3, 0.5, 0.7, k0.k1, k0.k2, k0.k3)
+    _, _, t = pair_stage(space, fa, fb)
+    return {"pair": sz.pair_to_json(space, A, B),
+            "kappa": sz.kappa_to_json(kap),
+            "graph": sz.graph_to_json(
+                space, [(A, B), (B.inverse(), A.inverse())],
+                [(0, 0, 1, 1), (0, 1, 1, 0)], [kap, kap]),
+            "invariant_tuple": sz.invariant_tuple_to_json(t)}
+
+
+# wrong types, a bool for a number, a float for an integer
+_BAD_VALUES = ("x", True, None, 1.5, {}, [])
+
+
+def _set(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def _malformed(doc):
+    """A fixed corpus of malformed copies of doc.  Along a walk through
+    every key of each object and the last entry of each array, each node
+    is replaced by each bad value; an object loses each key in turn or
+    gains one; an array loses or repeats its last entry."""
+    def walk(node, path):
+        yield path, node
+        if isinstance(node, dict):
+            for k in node:
+                yield from walk(node[k], path + (k,))
+        elif isinstance(node, list) and node:
+            yield from walk(node[-1], path + (len(node) - 1,))
+
+    for path, node in walk(doc, ()):
+        for value in _BAD_VALUES:
+            yield _set(doc, path, value)
+        if isinstance(node, dict):
+            for k in node:
+                yield _set(doc, path, {j: v for j, v in node.items()
+                                       if j != k})
+            yield _set(doc, path, {**node, "extra": 0})
+        if isinstance(node, list) and node:
+            yield _set(doc, path, node[:-1])
+            yield _set(doc, path, node + node[-1:])
+
+
+@pytest.mark.parametrize("name", SCHEMAS)
+def test_resolved_validator_reports_what_the_raw_schema_reports(
+        name, qspace, qpair, qframes):
+    import jsonschema
+    from jsonschema.exceptions import best_match
+    doc = _documents(qspace, qpair, qframes)[name]
+    schema = _schema_file(name)
+    raw = jsonschema.validators.validator_for(schema)(schema)
+    sz.validate_against_schema(doc, name)
+    rejected = 0
+    for bad in _malformed(doc):
+        error = best_match(raw.iter_errors(bad))
+        if error is None:
+            sz.validate_against_schema(bad, name)
+            continue
+        rejected += 1
+        with pytest.raises(ParseError) as exc:
+            sz.validate_against_schema(bad, name)
+        assert str(exc.value) == (f"{name} does not match its schema: "
+                                  f"{error.message}")
+        mine = best_match(sz._validator(name).iter_errors(bad))
+        assert list(mine.path) == list(error.path)
+    assert rejected > 50
+
+
+def test_validator_is_built_once_per_schema(qspace, qpair, qframes):
+    doc = _documents(qspace, qpair, qframes)["graph"]
+    sz._validator.cache_clear()
+    for _ in range(3):
+        sz.validate_against_schema(doc, "graph")
+    assert sz._validator.cache_info().misses <= 1

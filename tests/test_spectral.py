@@ -13,6 +13,7 @@ from loxpairs.qmatrix import QArray, conjugate_by
 from loxpairs.spectral import (classify_element, eigen_frame,
                                element_conjugator, projective_points,
                                real_char_poly)
+from loxpairs.twistbend import PantsGroup
 
 
 def _diag_loxodromic(space, r=0.5, theta=np.pi / 3,
@@ -131,6 +132,35 @@ def test_eigen_frame_of_another_size_raises_wrong_dimension(field):
     A, _ = generate_pair(HermitianSpace(3, field), seed=1)
     with pytest.raises(WrongDimension, match="need 5 x 5"):
         eigen_frame(HermitianSpace(4, field), A)
+
+
+@pytest.mark.parametrize("entry", ["classify_element", "real_char_poly",
+                                   "PantsGroup"])
+@pytest.mark.parametrize("field", ["complex", "quaternion"])
+def test_other_entry_points_share_the_size_check(field, entry):
+    # eigen_frame's check, before any product of A with the form
+    A, B = generate_pair(HermitianSpace(3, field), seed=1)
+    space = HermitianSpace(4, field)
+    call = {"classify_element": lambda: classify_element(space, A),
+            "real_char_poly": lambda: real_char_poly(space, A),
+            "PantsGroup": lambda: PantsGroup(space, A, B)}[entry]
+    with pytest.raises(WrongDimension, match="need 5 x 5"):
+        call()
+
+
+@pytest.mark.parametrize("field", ["complex", "quaternion"])
+def test_pants_group_checks_each_generator_before_the_product(field):
+    # A @ B of a 5 x 5 A and a 4 x 4 B is a numpy error, not a pants
+    space = HermitianSpace(4, field)
+    A, _ = generate_pair(space, seed=1)
+    _, B = generate_pair(HermitianSpace(3, field), seed=1)
+    with pytest.raises(WrongDimension, match=r"got \(4, 4\)"):
+        PantsGroup(space, A, B)
+
+
+def test_classify_element_rejects_a_non_square_matrix(qspace):
+    with pytest.raises(WrongDimension, match=r"got \(4, 3\)"):
+        classify_element(qspace, QArray(np.ones((4, 3), dtype=complex)))
 
 
 def test_eigen_frame_rejects_real_class(qspace):
