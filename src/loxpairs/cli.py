@@ -5,7 +5,9 @@ assemble.  All artifacts are JSON; exit status is 0 on success, 2 on
 degenerate input, 3 when a constructed conjugator fails verification.
 
 The parser is built on the first call of main and reused by every later
-call in the process; nothing is built at import.
+call in the process; nothing is built at import.  Only a process that
+calls main more than once gains from this: a shell `loxpairs` call
+builds the parser once either way.
 """
 
 import argparse

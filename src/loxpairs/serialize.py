@@ -50,7 +50,8 @@ def space_from_json(obj) -> HermitianSpace:
     schemas' draft 2020-12)."""
     try:
         n = obj["n"]
-        # int() alone reads 3.9 and "3" as 3 and true as 1
+        # int() alone reads 3.9 and "3" as 3 and true as 1; this repeats
+        # pair.json's "type": "integer" while pair files skip the schema
         if isinstance(n, (bool, str)) or (isinstance(n, float)
                                           and n != int(n)):
             raise TypeError(f"n must be an integer, got {n!r}")
