@@ -15,7 +15,7 @@ runs once on the whole stack:
    element from one stacked eigvals, checked and polished by Aberth row
    by row, and clustered within each root's Newton distance to a
    multiple root;
-2. one LAPACK eig of the balanced matrices, whose upper half-plane
+2. one LAPACK eig of the complex forms, whose upper half-plane
    eigenvalues represent the classes, one bordered-Newton step of
    mixed-precision refinement for every pair (the residual is formed in
    extended precision, the correction comes from one stacked LAPACK
@@ -43,7 +43,6 @@ from functools import cached_property
 from typing import List, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (DegenerateSpectrum, NoConvergence, NotIsometry,
                      NotLoxodromic, PalindromeViolation,
@@ -136,20 +135,6 @@ def classify_element(space: HermitianSpace, A: QArray,
         return ElementClass(True, None, tr)
 
 
-def _balance_scaling(mag: np.ndarray) -> np.ndarray:
-    """Diagonal scaling d with D^-1 A D of roughly balanced row/column
-    norms, from the entry moduli mag = |a| + |b| of A; the eigenvector
-    error floor is eps * ||A||, so conjugates with large entries need
-    this before the eigensolver."""
-    if mag.max() <= 100.0:
-        # moderate entries gain nothing, and rescaling perturbs the
-        # accuracy profile of well-scaled frames
-        return np.ones(mag.shape[0])
-    _, (d, _) = scipy.linalg.matrix_balance(mag, permute=False,
-                                            separate=True)
-    return d
-
-
 def _polish_eigenpairs(M: np.ndarray, V: np.ndarray, lams: np.ndarray):
     """One bordered-Newton correction of every eigenpair (row V[i],
     lams[i]) of M, or of each M of a stack with its rows and values, by
@@ -185,28 +170,23 @@ def _polish_eigenpairs(M: np.ndarray, V: np.ndarray, lams: np.ndarray):
                                                      dtype=complex)
 
 
-def _eigenpairs(space: HermitianSpace, A: QArray, Mfull: np.ndarray):
+def _eigenpairs(space: HermitianSpace, Mfull: np.ndarray):
     """Eigenvectors and polished eigenvalues, one per class, of every
-    matrix of the stack A, whose complex forms (space.as_complex) are
-    Mfull: rows W[e, i] in that complex form, values lams[e, i], and the
-    largest eigenpair residual of each matrix.
+    complex form (space.as_complex) of the stack Mfull: rows W[e, i],
+    values lams[e, i], and the largest eigenpair residual of each
+    matrix.
 
-    One LAPACK eig of the balanced stack gives every eigenpair.  The
-    spectrum of the complex form is closed under conjugation, so its
-    upper half holds the Im >= 0 representative of every class.  One
-    Newton step on an extended-precision residual polishes these pairs.
+    One LAPACK eig of the stack gives every eigenpair.  The spectrum of
+    the complex form is closed under conjugation, so its upper half
+    holds the Im >= 0 representative of every class.  One Newton step on
+    an extended-precision residual polishes these pairs.
     """
-    # the embedding repeats every row of A, so its scaling repeats d
-    d = np.stack([np.tile(_balance_scaling(mag), Mfull.shape[-1] // space.dim)
-                  for mag in np.abs(A.a) + np.abs(A.b)])
-    M = Mfull * d[:, None, :] / d[:, :, None]
-    evals, evecs = np.linalg.eig(M)
+    evals, evecs = np.linalg.eig(Mfull)
     idx = np.argsort(-evals.imag, axis=-1)[:, :space.dim]
     W, lams = _polish_eigenpairs(
-        M, np.swapaxes(np.take_along_axis(evecs, idx[:, None, :], -1), -1, -2),
+        Mfull,
+        np.swapaxes(np.take_along_axis(evecs, idx[:, None, :], -1), -1, -2),
         np.take_along_axis(evals, idx, -1))
-    W = W * d[:, None, :]
-    W /= np.linalg.norm(W, axis=-1)[..., None]
     # the embedding carries A v - v lam to Mfull w - lam w
     resid = np.linalg.norm(W @ np.swapaxes(Mfull, -1, -2)
                            - lams[..., None] * W, axis=-1)
@@ -365,7 +345,7 @@ def _frames(space: HermitianSpace, A: QArray) -> List[LoxodromicFrame]:
     it; the first gate that any element fails raises (_gate)."""
     Mfull = space.as_complex(A)
     _simple_classes(space, faddeev_leverrier(Mfull))
-    W, lams, resid = _eigenpairs(space, A, Mfull)
+    W, lams, resid = _eigenpairs(space, Mfull)
     # each gate scales with its own element
     amax = A.moduli().max(axis=(-2, -1))
     _gate(resid <= RESIDUAL_TOL * (1.0 + amax), DegenerateSpectrum,

@@ -220,7 +220,7 @@ def test_complex_mode_frame(cspace, rng):
 def test_eigenpairs_pick_upper_representatives(qspace, rng):
     from loxpairs.spectral import _eigenpairs
     As = QArray.stack([random_loxodromic(qspace, rng) for _ in range(3)])
-    _, lams, _ = _eigenpairs(qspace, As, qspace.as_complex(As))
+    _, lams, _ = _eigenpairs(qspace, qspace.as_complex(As))
     assert lams.shape == (3, qspace.dim)
     assert np.all(lams.imag >= 0)
     for e in range(3):
