@@ -299,7 +299,8 @@ def conjugacy_test(space: HermitianSpace, A: QArray, B: QArray,
     tr_resid = max(
         float(np.max(np.abs(fa.real_trace - fa2.real_trace))),
         float(np.max(np.abs(fb.real_trace - fb2.real_trace))))
-    tr_scale = 1.0 + float(np.max(np.abs(fa.real_trace)))
+    tr_scale = 1.0 + float(np.max(np.abs(np.concatenate(
+        [fa.real_trace, fb.real_trace]))))
     if tr_resid > tol * tr_scale:
         return ConjugacyResult(False, None, "real-trace", tr_resid)
 

@@ -225,20 +225,15 @@ class LoxodromicFrame:
     ordered by increasing eigenvalue angle.  F preserves the form, and
     every invariant is read off pairings of its columns; attracting
     and repelling are views of the first and the last.  real_trace is
-    (a_1, ..., a_{n+1}) of the class eigenvalues; eigen_frame computes
-    it for the whole stack, and a frame built without it computes its
-    own.
+    (a_1, ..., a_{n+1}) of the class eigenvalues, which eigen_frame
+    computes for the whole stack.
     """
     radius: float
     theta: float
     phis: np.ndarray
     F: QArray
     space: HermitianSpace = field(repr=False)
-    real_trace: Optional[np.ndarray] = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.real_trace is None:
-            self.real_trace = _real_traces(self.eigenvalues)
+    real_trace: np.ndarray = field(repr=False)
 
     attracting = property(lambda self: self.F.column(0))
     repelling = property(lambda self: self.F.column(-1))

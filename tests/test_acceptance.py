@@ -19,8 +19,8 @@ from loxpairs.hermitian import HermitianSpace
 from loxpairs.invariants import sp1_orbit_equal
 from loxpairs.qmatrix import QArray, conjugate_by, quaternionic_rank
 from loxpairs.quat import align_sp1
-from loxpairs.spectral import (LoxodromicFrame, classify_element, eigen_frame,
-                               real_char_poly)
+from loxpairs.spectral import (LoxodromicFrame, _class_values,
+                               classify_element, eigen_frame, real_char_poly)
 from loxpairs.twistbend import (TwistBendParams, identity_params,
                                 parameter_count, tilde_invariants,
                                 twist_bend_element)
@@ -132,8 +132,8 @@ def test_criterion_2_classification_round_trip():
         A, B = generate_pair(QSPACE, seed=i, mode="strong")
         fa = eigen_frame(QSPACE, A)
         # spectral perturbation: nudge the radius, keep the frame
-        A2 = LoxodromicFrame(fa.radius * (1 + 1e-3), fa.theta, fa.phis,
-                             fa.F, QSPACE).rebuild()
+        E = _class_values(fa.radius * (1 + 1e-3), fa.theta, fa.phis)
+        A2 = fa.F @ QArray.diag(E) @ fa.F.inverse()
         res = conjugacy_test(QSPACE, A, B, A2, B)
         if res.conjugate or res.stage not in ("real-trace", "tuple") \
                 or res.conjugator is not None:
@@ -198,7 +198,8 @@ def rescaled_frame(f, unit):
     units = QArray.stack([unit() for _ in range(dim)])
     # the columns of F are (attracting, positives..., repelling)
     return LoxodromicFrame(f.radius, f.theta, f.phis,
-                           f.F * units.pick(np.r_[0, 2:dim, 1]), f.space)
+                           f.F * units.pick(np.r_[0, 2:dim, 1]), f.space,
+                           f.real_trace)
 
 
 def test_criterion_4_gauge_recovery():

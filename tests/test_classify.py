@@ -8,7 +8,7 @@ from loxpairs.classify import (_verified_congruence,
 from loxpairs.errors import (DegenerateInputError, LoxpairsError,
                              NormalizationImpossible, NotNonsingular,
                              VerificationFailed, WrongDimension)
-from loxpairs.generate import generate_pair
+from loxpairs.generate import generate_pair, random_loxodromic
 from loxpairs.hermitian import HermitianSpace
 from loxpairs.qmatrix import QArray, conjugate_by, quaternionic_rank
 
@@ -245,7 +245,6 @@ def _flat_one(R, units):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_linearization_matches_per_direction(field, n):
     from loxpairs.classify import _linearization
-    from loxpairs.generate import random_loxodromic
     space = HermitianSpace(n, field)
     rng = np.random.default_rng(5)
     targets = [random_loxodromic(space, rng) for _ in range(2)]
@@ -278,7 +277,6 @@ def test_linearization_has_no_zero_row(field):
     # one row per real coordinate the field has; over the complex numbers
     # there is no b-block to leave identically zero
     from loxpairs.classify import _linearization
-    from loxpairs.generate import random_loxodromic
     space = HermitianSpace(3, field)
     rng = np.random.default_rng(5)
     lin = _linearization(space, [random_loxodromic(space, rng)
@@ -502,7 +500,6 @@ def test_pair_stage_scalars_are_zero_dim_qarrays(rng):
 @pytest.mark.parametrize("n", [3, 5])
 def test_lstsq_solver_matches_lstsq(field, n):
     from loxpairs.classify import _linearization, _lstsq_solver
-    from loxpairs.generate import random_loxodromic
     space = HermitianSpace(n, field)
     rng = np.random.default_rng(7)
     lin = _linearization(space, [random_loxodromic(space, rng)
@@ -608,7 +605,6 @@ def test_refine_conjugator_leaves_a_larger_centralizer_unpolished(space,
     import warnings
     from loxpairs.classify import (_linearization, _lstsq_solver,
                                    _refine_conjugator)
-    from loxpairs.generate import random_loxodromic
     Xp = QArray.diag(np.arange(1, space.dim + 1) * (1.0 + 0.5j))
     assert _lstsq_solver(space, _linearization(space, [Xp, Xp])) is None
     C = space.random_isometry(rng)
@@ -740,3 +736,52 @@ def test_quadruple_of_another_space_raises_wrong_dimension(space, rng):
     zs = [_null_lift(space, rng) for _ in range(4)]
     with pytest.raises(WrongDimension):
         boundary_quadruple_congruence(HermitianSpace(4, space.field), zs, zs)
+
+
+# -- verdict symmetries ----------------------------------------------------
+
+def _outcome(space, *mats):
+    """The verdict and stage of conjugacy_test on mats, or the class of
+    the typed error it raises."""
+    try:
+        res = conjugacy_test(space, *mats)
+    except LoxpairsError as exc:
+        return type(exc)
+    return res.conjugate, res.stage
+
+
+def _symmetry_ops(space, rng):
+    """(A, B, A2, B2) for a conjugate pair, a pair whose second element
+    has another spectrum, and a pair whose elements are conjugated by
+    two different isometries."""
+    A, B, B3 = (random_loxodromic(space, rng) for _ in range(3))
+    C, D = space.random_isometry(rng), space.random_isometry(rng)
+    A2 = conjugate_by(C, A)
+    return [(A, B, A2, conjugate_by(C, B)), (A, B, A2, B3),
+            (A, B, A2, conjugate_by(D, B))]
+
+
+@pytest.mark.parametrize("field", ["complex", "quaternion"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_swapping_the_pairs_keeps_the_outcome(n, field):
+    space = HermitianSpace(n, field)
+    rng = np.random.default_rng(100 + n)
+    for _ in range(4):
+        for A, B, A2, B2 in _symmetry_ops(space, rng):
+            assert _outcome(space, A, B, A2, B2) \
+                == _outcome(space, A2, B2, A, B)
+
+
+def test_real_trace_gate_does_not_depend_on_the_element_order():
+    # a conjugate by Q^3 whose real-trace residual, 2.1e-6 on B, lies
+    # between the gates 1e-7 (1 + |tr A|) and 1e-7 (1 + |tr B|): a gate
+    # scaled by the first element alone rejects one order at real-trace
+    space = HermitianSpace(3, "quaternion")
+    rng = np.random.default_rng(17)
+    A, B = random_loxodromic(space, rng), random_loxodromic(space, rng)
+    Q = space.random_isometry(rng)
+    C = Q @ Q @ Q
+    A2, B2 = conjugate_by(C, A), conjugate_by(C, B)
+    outcome = _outcome(space, A, B, A2, B2)
+    assert outcome != (False, "real-trace")
+    assert outcome == _outcome(space, B, A, B2, A2)

@@ -229,20 +229,54 @@ def test_eigenpairs_pick_upper_representatives(qspace, rng):
             assert np.min(np.abs(lams[e] - c)) < 1e-9
 
 
-def test_eigen_frame_large_conjugator_n5(rng):
-    # a boost of norm 1e3 spreads the entries of Q A Q^-1 over 1e6
+def _assert_within_gates(space, f, A, kappa=1.0):
+    """Every column of the frame f is an eigenvector of A within the
+    eigenvector residual gate, and F D F^-1 rebuilds A within that gate,
+    widened to 20 eps kappa (1 + max|A|) when that is larger."""
     from loxpairs.spectral import RESIDUAL_TOL
-    space = HermitianSpace(5, "quaternion")
-    A = random_loxodromic(space, rng)
-    Q = QArray.diag([1e3, 1, 1, 1, 1, 1e-3])
-    A2 = conjugate_by(Q, A)
-    f = eigen_frame(space, A2)
-    gate = RESIDUAL_TOL * (1 + A2.max_abs())
+    gate = RESIDUAL_TOL * (1 + A.max_abs())
     for v, lam in zip([f.F.column(j) for j in range(space.dim)],
                       f.eigenvalues):
-        resid = (A2 @ v - v * QArray(lam)).norm()
+        resid = (A @ v - v * QArray(lam)).norm()
         assert resid <= gate * v.norm()
-    assert (f.rebuild() - A2).max_abs() <= gate
+    widen = max(1.0, 20 * np.finfo(float).eps * kappa / RESIDUAL_TOL)
+    assert (f.rebuild() - A).max_abs() <= gate * widen
+
+
+@pytest.mark.parametrize("field", ["complex", "quaternion"])
+@pytest.mark.parametrize("n", [3, 5])
+def test_eigen_frame_large_conjugator(n, field):
+    # a boost of norm 1e3 spreads the entries of Q A Q^-1 over 1e6
+    space = HermitianSpace(n, field)
+    rng = np.random.default_rng(1234)
+    Q = QArray.diag([1e3] + [1.0] * (n - 1) + [1e-3])
+    for _ in range(20):
+        A2 = conjugate_by(Q, random_loxodromic(space, rng))
+        _assert_within_gates(space, eigen_frame(space, A2), A2)
+
+
+@pytest.mark.parametrize("field", ["complex", "quaternion"])
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("k", [1e1, 1e2, 1e3, 1e4])
+def test_eigen_frame_boosted_conjugates_frame_or_raise_typed(k, n, field):
+    # S = U diag(k, 1, ..., 1, 1/k) V is an isometry of norm about k for
+    # isometries U, V, so the entries of S A S^-1 grow like k^2; a frame
+    # meets the reconstruction gate of eigen_frame, which widens with
+    # cond(F)
+    from loxpairs.errors import DegenerateInputError
+    space = HermitianSpace(n, field)
+    rng = np.random.default_rng(n)
+    Q = QArray.diag([k] + [1.0] * (n - 1) + [1 / k])
+    for _ in range(5):
+        S = space.random_isometry(rng) @ Q @ space.random_isometry(rng)
+        A2 = conjugate_by(S, random_loxodromic(space, rng))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                f = eigen_frame(space, A2)
+            except DegenerateInputError:
+                continue
+        _assert_within_gates(space, f, A2, np.linalg.cond(f.F.embed()))
 
 
 def _turn_repelling(space, eigenpairs, unit):
@@ -414,14 +448,13 @@ def test_stacked_frames_equal_single_frames(n, field):
 
 
 @pytest.mark.parametrize("field", ["complex", "quaternion"])
-def test_stack_balances_only_its_large_element(field):
+def test_stack_frames_its_large_element_as_alone(field):
     space = HermitianSpace(3, field)
     rng = np.random.default_rng(11)
     Q = QArray.diag([30.0, 1.0, 1.0, 1 / 30.0])
     As = [random_loxodromic(space, rng) for _ in range(3)]
     As[1] = conjugate_by(Q, As[1])
-    assert As[1].max_abs() > 100 and max(As[0].max_abs(),
-                                         As[2].max_abs()) <= 100
+    assert As[1].max_abs() > 10 * max(As[0].max_abs(), As[2].max_abs())
     for f, A in zip(eigen_frame(space, QArray.stack(As)), As):
         assert _same_frame(f, eigen_frame(space, A))
 
@@ -558,13 +591,12 @@ def test_companion_eig_failure_is_typed(monkeypatch, field, k):
 
 
 def test_frames_carry_their_real_traces(qspace, rng):
-    # the stacked traces are what a frame built by hand computes, and a
-    # conjugated frame keeps them
-    from loxpairs.spectral import LoxodromicFrame
+    # the stacked traces are those of each frame's own class eigenvalues,
+    # and a conjugated frame keeps them
+    from loxpairs.spectral import _real_traces
     A = random_loxodromic(qspace, rng)
     f = eigen_frame(qspace, QArray.stack([A, A @ A]))[1]
-    g = LoxodromicFrame(f.radius, f.theta, f.phis, f.F, qspace)
-    assert np.array_equal(g.real_trace, f.real_trace)
+    assert np.array_equal(f.real_trace, _real_traces(f.eigenvalues))
     assert f.conjugated(qspace.random_isometry(rng)).real_trace \
         is f.real_trace
 
