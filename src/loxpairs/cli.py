@@ -70,14 +70,12 @@ def _cmd_generate(args) -> int:
 
 def _cmd_classify(args) -> int:
     space, A, B = sz.pair_from_json(_read_json(args.infile[0]))
-    out = {}
-    for name, M in (("A", A), ("B", B)):
-        cls = classify_element(space, M, tol=args.tol)
-        out[name] = {"is_loxodromic": cls.is_loxodromic,
-                     "delta": cls.delta,
-                     "real_trace": list(map(float, cls.real_trace)),
-                     "reason": cls.reason}
-    _emit(args, out)
+    classes = classify_element(space, QArray.stack([A, B]), tol=args.tol)
+    _emit(args, {name: {"is_loxodromic": cls.is_loxodromic,
+                        "delta": cls.delta,
+                        "real_trace": list(map(float, cls.real_trace)),
+                        "reason": cls.reason}
+                 for name, cls in zip("AB", classes)})
     return 0
 
 
@@ -111,9 +109,7 @@ def _cmd_conjugacy_test(args) -> int:
 
 def _cmd_twist_bend(args) -> int:
     space, A, B = sz.pair_from_json(_read_json(args.infile[0]))
-    kappa_obj = _read_json(args.infile[1])
-    sz.validate_against_schema(kappa_obj, "kappa")
-    kappa = sz.kappa_from_json(kappa_obj)
+    kappa = sz.kappa_from_json(_read_json(args.infile[1]))
     # A's and B's frames come before (AB)^-1 is formed, so their errors
     # come first
     fa, fb = eigen_frame(space, QArray.stack([A, B]))
@@ -129,9 +125,8 @@ def _cmd_twist_bend(args) -> int:
 
 
 def _cmd_assemble(args) -> int:
-    obj = _read_json(args.infile[0])
-    sz.validate_against_schema(obj, "graph")
-    space, pairs, edges, kappas = sz.graph_from_json(obj)
+    space, pairs, edges, kappas = sz.graph_from_json(
+        _read_json(args.infile[0]))
     pants = [PantsGroup(space, A, B) for (A, B) in pairs]
     rep = assemble_surface_representation(space, pants, edges, kappas)
     _emit(args, {"genus": rep.genus,

@@ -143,9 +143,11 @@ class HermitianSpace:
     def norm_sq(self, z: QArray) -> float:
         return float(self.inner(z, z).a.real)
 
-    def is_isometry(self, A: QArray, tol: float = 1e-8) -> bool:
+    def is_isometry(self, A: QArray, tol=1e-8):
+        """Whether A preserves the form to within tol, or one bool per
+        matrix of a stack, where tol may hold one bound per matrix."""
         D = A.adjoint() @ self._HQ @ A - self._HQ
-        return D.max_abs() <= tol
+        return D.moduli().max(axis=(-2, -1)) <= tol
 
     def at_infinity(self, z: QArray) -> np.ndarray:
         """Whether the last coordinate of z, or of each vector of a

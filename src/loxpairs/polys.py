@@ -180,34 +180,44 @@ def cluster_roots(coeffs: np.ndarray, roots: np.ndarray):
 
 
 def sylvester_matrix(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    p = np.trim_zeros(np.asarray(p, dtype=float), "f")
-    q = np.trim_zeros(np.asarray(q, dtype=float), "f")
-    m, k = p.size - 1, q.size - 1
-    S = np.zeros((m + k, m + k))
+    """The Sylvester matrix of p and q, or one per row of two stacks of
+    coefficient rows; a single polynomial loses its leading zeros."""
+    p, q = (np.asarray(x, dtype=float) for x in (p, q))
+    if p.ndim == 1:
+        p, q = np.trim_zeros(p, "f"), np.trim_zeros(q, "f")
+    m, k = p.shape[-1] - 1, q.shape[-1] - 1
+    S = np.zeros(p.shape[:-1] + (m + k, m + k))
     for i in range(k):
-        S[i, i:i + m + 1] = p
+        S[..., i, i:i + m + 1] = p
     for i in range(m):
-        S[k + i, i:i + k + 1] = q
+        S[..., k + i, i:i + k + 1] = q
     return S
 
 
-def resultant(p: np.ndarray, q: np.ndarray) -> float:
-    return float(np.linalg.det(sylvester_matrix(p, q)))
+def resultant(p: np.ndarray, q: np.ndarray):
+    """res(p, q), or one per row of two stacks of coefficient rows."""
+    r = np.linalg.det(sylvester_matrix(p, q))
+    return float(r) if r.ndim == 0 else r
 
 
-def discriminant(p: np.ndarray) -> float:
-    """disc(p) = (-1)^{m(m-1)/2} res(p, p') / lc(p)."""
-    p = np.trim_zeros(np.asarray(p, dtype=float), "f")
-    m = p.size - 1
+def discriminant(p: np.ndarray):
+    """disc(p) = (-1)^{m(m-1)/2} res(p, p') / lc(p); or one per row of a
+    stack of coefficient rows, whose leading coefficients are taken as
+    they are."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim == 1:
+        p = np.trim_zeros(p, "f")
+    m = p.shape[-1] - 1
     if m < 2:
-        return 1.0
-    dp = p[:-1] * np.arange(m, 0, -1)
+        return 1.0 if p.ndim == 1 else np.ones(p.shape[:-1])
+    dp = p[..., :-1] * np.arange(m, 0, -1)
     sign = -1.0 if (m * (m - 1) // 2) % 2 else 1.0
-    return sign * resultant(p, dp) / p[0]
+    return sign * resultant(p, dp) / p[..., 0]
 
 
 def dickson_reduction(coeffs: np.ndarray) -> np.ndarray:
-    """Reduce a real palindromic chi(x) = x^{n+1} g(x + 1/x) to g.
+    """Reduce a real palindromic chi(x) = x^{n+1} g(x + 1/x) to g, or
+    each row of a stack of coefficient rows.
 
     coeffs = [1, a1, ..., a_{n+1}, ..., a1, 1] of degree 2n+2; returns
     the monic real coefficients of g (degree n+1 in t = x + 1/x), using
@@ -215,7 +225,7 @@ def dickson_reduction(coeffs: np.ndarray) -> np.ndarray:
     with x^m + x^{-m} = P_m(t).
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    deg = coeffs.size - 1
+    deg = coeffs.shape[-1] - 1
     n = deg // 2 - 1
     # P_m(t) as monomial coefficient rows (degree m)
     P = [np.array([2.0]), np.array([1.0, 0.0])]
@@ -223,10 +233,10 @@ def dickson_reduction(coeffs: np.ndarray) -> np.ndarray:
         t_pm = np.append(P[-1], 0.0)
         pm1 = np.concatenate([np.zeros(t_pm.size - P[-2].size), P[-2]])
         P.append(t_pm - pm1)
-    g = np.zeros(n + 2)
+    g = np.zeros(coeffs.shape[:-1] + (n + 2,))
     # chi / x^{n+1} = sum_{j=0}^{n} a_j (x^{n+1-j} + x^{-(n+1-j)}) + a_{n+1}
     for j in range(n + 1):
         pm = P[n + 1 - j]
-        g[-pm.size:] += coeffs[j] * pm
-    g[-1] += coeffs[n + 1]
+        g[..., -pm.size:] += coeffs[..., j, None] * pm
+    g[..., -1] += coeffs[..., n + 1]
     return g

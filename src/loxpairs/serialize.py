@@ -7,8 +7,14 @@ most 17 significant digits), so parse(serialize(x)) reproduces every
 value bit for bit.  Every matrix is read through matrix_from_json, which
 raises ParseError on anything but a finite dim x dim x 4 array.
 
-Each schema's validator is checked and built once per process, with its
-local `#/$defs/` references resolved at load (_validator).
+Every parser (pair_from_json, kappa_from_json, graph_from_json) first
+checks its document against its schema under schemas/, so what the
+schema says is checked once, there.  Each schema's validator is checked
+and built once per process, with its local `#/$defs/` references
+resolved at load (_validator).  Its `items` keyword checks a plain array
+of numbers or of such arrays, as the matrices are, with one precompiled
+predicate over the whole array; when the predicate fails, the stock
+`items` runs, so every error is jsonschema's own.
 """
 
 import json
@@ -30,12 +36,6 @@ def complex_to_json(c) -> list:
     return [c.real, c.imag]
 
 
-def complex_from_json(obj) -> complex:
-    if not isinstance(obj, (list, tuple)) or len(obj) != 2:
-        raise ParseError(f"complex number must be a 2-array, got {obj!r}")
-    return complex(obj[0], obj[1])
-
-
 def matrix_to_json(M: QArray) -> list:
     return M.components().tolist()
 
@@ -45,19 +45,9 @@ def space_to_json(space: HermitianSpace) -> dict:
 
 
 def space_from_json(obj) -> HermitianSpace:
-    """The space of an {"n", "field"} descriptor; ParseError unless n is
-    an integer-valued number and not a bool (3.0 reads as 3, as under the
-    schemas' draft 2020-12)."""
-    try:
-        n = obj["n"]
-        # int() alone reads 3.9 and "3" as 3 and true as 1; this repeats
-        # pair.json's "type": "integer" while pair files skip the schema
-        if isinstance(n, (bool, str)) or (isinstance(n, float)
-                                          and n != int(n)):
-            raise TypeError(f"n must be an integer, got {n!r}")
-        return HermitianSpace(int(n), obj["field"])
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad space descriptor: {exc}") from exc
+    """The space of an {"n", "field"} descriptor that passed its schema,
+    where n is an integer (3.0 counts, under draft 2020-12)."""
+    return HermitianSpace(int(obj["n"]), obj["field"])
 
 
 def pair_to_json(space: HermitianSpace, A: QArray, B: QArray) -> dict:
@@ -82,14 +72,10 @@ def matrix_from_json(obj, dim: int, name: str = "matrix") -> QArray:
 
 def pair_from_json(obj) -> Tuple[HermitianSpace, QArray, QArray]:
     """Space and generators of a pair file."""
-    try:
-        space = space_from_json(obj["space"])
-        return (space, matrix_from_json(obj["A"], space.dim, "A"),
-                matrix_from_json(obj["B"], space.dim, "B"))
-    except KeyError as exc:
-        raise ParseError(f"pair file missing key {exc}") from exc
-    except TypeError as exc:
-        raise ParseError(f"malformed pair file: {exc}") from exc
+    validate_against_schema(obj, "pair")
+    space = space_from_json(obj["space"])
+    return (space, matrix_from_json(obj["A"], space.dim, "A"),
+            matrix_from_json(obj["B"], space.dim, "B"))
 
 
 def projective_to_json(p: np.ndarray) -> list:
@@ -97,7 +83,8 @@ def projective_to_json(p: np.ndarray) -> list:
 
 
 def projective_from_json(obj) -> np.ndarray:
-    return np.array([complex_from_json(c) for c in obj], dtype=complex)
+    """A projective point whose entries passed the schema's [re, im]."""
+    return np.array([complex(re, im) for re, im in obj], dtype=complex)
 
 
 def invariant_tuple_to_json(t: InvariantTuple) -> dict:
@@ -122,14 +109,22 @@ def kappa_to_json(kappa: TwistBendParams) -> dict:
 
 
 def kappa_from_json(obj) -> TwistBendParams:
+    validate_against_schema(obj, "kappa")
+    return _kappa(obj)
+
+
+def _kappa(obj) -> TwistBendParams:
+    """The parameters of a block that passed the kappa schema."""
     try:
         k1, k2, k3 = (projective_from_json(p) for p in obj["k"])
         t, psi, xi1, xi2 = (float(v) for v in
-                            (obj["t"], obj["psi"], obj["xi"][0], obj["xi"][1]))
+                            (obj["t"], obj["psi"], *obj["xi"]))
+        # the schema admits NaN and infinities, and integers too large
+        # for a float
         if not np.all(np.isfinite([t, psi, xi1, xi2])):
             raise ValueError("t, psi and xi must be finite")
         return TwistBendParams(t, psi, xi1, xi2, k1, k2, k3)
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (OverflowError, ValueError) as exc:
         raise ParseError(f"bad twist-bend parameter block: {exc}") from exc
 
 
@@ -146,18 +141,14 @@ def graph_to_json(space: HermitianSpace, pants, edges, kappas) -> dict:
 
 def graph_from_json(obj):
     """Returns (space, [(A, B), ...], [(i, si, j, sj), ...], [kappa, ...])."""
-    try:
-        space = space_from_json(obj["space"])
-        pants = [tuple(matrix_from_json(p[k], space.dim, f"pants[{i}].{k}")
-                       for k in ("A", "B"))
-                 for i, p in enumerate(obj["pants"])]
-        edges = [tuple(int(v) for v in e[:4]) for e in obj["edges"]]
-        kappas = [kappa_from_json(e[4]) for e in obj["edges"]]
-        return space, pants, edges, kappas
-    except (KeyError, IndexError) as exc:
-        raise ParseError(f"gluing graph missing key {exc}") from exc
-    except (OverflowError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed gluing graph: {exc}") from exc
+    validate_against_schema(obj, "graph")
+    space = space_from_json(obj["space"])
+    pants = [tuple(matrix_from_json(p[k], space.dim, f"pants[{i}].{k}")
+                   for k in ("A", "B"))
+             for i, p in enumerate(obj["pants"])]
+    edges = [tuple(int(v) for v in e[:4]) for e in obj["edges"]]
+    kappas = [_kappa(e[4]) for e in obj["edges"]]
+    return space, pants, edges, kappas
 
 
 def dumps(obj) -> str:
@@ -192,17 +183,74 @@ def _inline_refs(node, defs: dict):
     return node
 
 
+_NUMBERS = frozenset((int, float))        # a bool is no number
+
+
+def _plain(schema):
+    """A predicate true only of instances that pass schema, if schema is
+    plain: {"type": "number"}, or {"type": "array"} with a plain "items"
+    and at most "minItems" and "maxItems" besides; else None.  A
+    subclass of int, float or list fails the predicate, where the stock
+    validator may still accept it."""
+    if schema == {"type": "number"}:
+        return lambda x: type(x) in _NUMBERS
+    if not isinstance(schema, dict) or schema.get("type") != "array" \
+            or not schema.keys() <= {"type", "items", "minItems",
+                                     "maxItems"}:
+        return None
+    lo, hi = schema.get("minItems", 0), schema.get("maxItems", float("inf"))
+    if schema.get("items") == {"type": "number"}:
+        # the types of a whole row in one call, no predicate per entry
+        return lambda x: type(x) is list and lo <= len(x) <= hi \
+            and _NUMBERS.issuperset(map(type, x))
+    each = _plain(schema.get("items"))
+    if each is None:
+        return None
+    return lambda x: type(x) is list and lo <= len(x) <= hi \
+        and all(map(each, x))
+
+
+def _plain_items(node, found: dict) -> dict:
+    """found, with a predicate (_plain) for every plain subschema of
+    node, keyed by its id."""
+    if isinstance(node, dict):
+        check = _plain(node)
+        if check is not None:
+            found[id(node)] = check
+        for v in node.values():
+            _plain_items(v, found)
+    elif isinstance(node, list):
+        for v in node:
+            _plain_items(v, found)
+    return found
+
+
 @lru_cache(maxsize=None)
 def _validator(name: str):
     """The schema's validator, checked once and built once, on a copy of
     the schema with its local references inlined, so that validation
-    walks a plain tree and makes no registry lookup."""
+    walks a plain tree and makes no registry lookup.  Its `items` checks
+    an array against a plain subschema (_plain) with one predicate, and
+    defers to the stock `items` when the subschema is not plain or the
+    predicate fails.  A predicate that holds for every entry holds for
+    those after any prefixItems, which are all the stock `items` reads."""
     import jsonschema
     ref = resources.files("loxpairs") / "schemas" / f"{name}.json"
     schema = json.loads(ref.read_text())
     cls = jsonschema.validators.validator_for(schema)
     cls.check_schema(schema)
-    return cls(_inline_refs(schema, schema.get("$defs", {})))
+    schema = _inline_refs(schema, schema.get("$defs", {}))
+    # the ids stay valid: the validator holds the schema for good
+    checks = _plain_items(schema, {})
+    stock = cls.VALIDATORS["items"]
+
+    def items(validator, sub, instance, parent):
+        check = checks.get(id(sub))
+        if check is None \
+                or not (type(instance) is list and all(map(check, instance))):
+            yield from stock(validator, sub, instance, parent)
+
+    return jsonschema.validators.extend(cls, {"items": items})(schema)
 
 
 def validate_against_schema(obj, name: str):

@@ -5,9 +5,10 @@ All eigen-computations go through the complex embedding of the matrix.
 Eigenvalue classes of a quaternionic matrix are labelled by their unique
 complex representative with non-negative imaginary part.
 
-`eigen_frame` takes one matrix or a stack (k, m, m) of them; a single
+`real_char_poly`, `classify_element` and `eigen_frame` take one matrix
+or a stack (k, m, m) of them, and give a list for a stack; a single
 matrix runs as a stack of one, on the same path.  Each numeric phase
-runs once on the whole stack:
+of `eigen_frame` runs once on the whole stack:
 
 1. the complex forms (space.as_complex) and their Faddeev-LeVerrier
    coefficients; the class count and simplicity come from one pass of
@@ -60,32 +61,34 @@ CONJUGATOR_TOL = 1e-7
 
 def real_char_poly(space: HermitianSpace, A: QArray,
                    tol: float = PALINDROME_TOL,
-                   chi: Optional[np.ndarray] = None) -> np.ndarray:
+                   chi: Optional[np.ndarray] = None):
     """Real palindromic characteristic coefficients of the embedding.
 
     For an isometry the embedded characteristic polynomial is
     self-reciprocal with real coefficients; returns the full list
-    [1, a1, ..., a_{n+1}, ..., a1, 1] of degree 2(n+1).  chi, when the
-    caller has it, is the characteristic polynomial of
-    space.as_complex(A).
+    [1, a1, ..., a_{n+1}, ..., a1, 1] of degree 2(n+1), or the list of
+    them for a stack A (k, m, m).  chi, when the caller has it, is the
+    characteristic polynomial of space.as_complex(A), one row per
+    matrix of a stack.
     """
     space.check_matrices(A)
     with np.errstate(all="ignore"):
-        gate = PALINDROME_TOL * (1.0 + A.max_abs() ** 2)
-        if not space.is_isometry(A, tol=gate):
-            raise NotIsometry("matrix does not preserve the form")
+        gate = PALINDROME_TOL * (1.0 + A.moduli().max(axis=(-2, -1)) ** 2)
+        _gate(np.atleast_1d(space.is_isometry(A, tol=gate)), NotIsometry,
+              "matrix does not preserve the form")
         if chi is None:
             chi = faddeev_leverrier(space.as_complex(A))
-        coeffs = chi
+        coeffs = np.atleast_2d(chi)
         if space.field == "complex":
             # the embedding of a complex matrix is A + conj(A)
-            coeffs = np.polymul(chi, np.conj(chi))
-        dev = max(float(np.max(np.abs(coeffs.imag))),
-                  float(np.max(np.abs(coeffs - coeffs[::-1]))))
-        if not dev <= tol * float(np.max(np.abs(coeffs))):  # NaN fails
-            raise PalindromeViolation(
-                f"coefficient symmetry violated by {dev:.3e}")
-        return 0.5 * (coeffs.real + coeffs.real[::-1])
+            coeffs = np.array([np.polymul(c, np.conj(c)) for c in coeffs])
+        dev = np.maximum(np.max(np.abs(coeffs.imag), axis=-1),
+                         np.max(np.abs(coeffs - coeffs[:, ::-1]), axis=-1))
+        _gate(dev <= tol * np.max(np.abs(coeffs), axis=-1),  # NaN fails
+              PalindromeViolation, "coefficient symmetry violated by {:.3e}",
+              dev)
+        coeffs = 0.5 * (coeffs.real + coeffs.real[:, ::-1])
+    return list(coeffs) if A.ndim == 3 else coeffs[0]
 
 
 @dataclass
@@ -97,8 +100,9 @@ class ElementClass:
 
 
 def classify_element(space: HermitianSpace, A: QArray,
-                     tol: float = PALINDROME_TOL) -> ElementClass:
-    """Decide whether A is loxodromic.
+                     tol: float = PALINDROME_TOL):
+    """Decide whether A is loxodromic, or each matrix of a stack A
+    (k, m, m), which gives the list of their classes.
 
     Quaternionic mode uses the sign of -disc(g) for the reduced real
     polynomial g with chi(x) = x^{n+1} g(x + 1/x), together with
@@ -109,30 +113,36 @@ def classify_element(space: HermitianSpace, A: QArray,
     space.check_matrices(A)
     with np.errstate(all="ignore"):
         chi = faddeev_leverrier(space.as_complex(A))
-        coeffs = real_char_poly(space, A, tol=tol, chi=chi)
-        tr = coeffs[1:space.n + 2]
+        coeffs = np.array(real_char_poly(space, A, tol=tol, chi=chi),
+                          ndmin=2)
+        chi = np.atleast_2d(chi)
         if space.field == "quaternion":
             g = dickson_reduction(coeffs)
             delta = -discriminant(g)
-            g2 = float(np.polyval(g, 2.0))
-            gm2 = float(np.polyval(g, -2.0))
-            scale = float(np.max(np.abs(g)))
+            # g(2) and g(-2) by Horner
+            g_at = np.zeros((len(g), 2))
+            for c in g.T:
+                g_at = g_at * [2.0, -2.0] + c[:, None]
+            scale = np.max(np.abs(g), axis=-1)
             # disc is homogeneous of degree 2n in the coefficients of g
-            delta_floor = tol * max(1.0, scale) ** (2 * space.n)
-            if not delta > delta_floor:  # NaN fails
-                return ElementClass(False, delta, tr, "delta <= 0")
-            if min(abs(g2), abs(gm2)) <= tol * scale:
-                return ElementClass(False, delta, tr,
-                                    "real eigenvalue on the unit circle")
-            return ElementClass(True, delta, tr)
-        roots = aberth_roots(chi)
-        radii = np.sort(np.abs(roots))
-        if radii[-1] <= 1.0 + RADIUS_GUARD:
-            return ElementClass(False, None, tr, "no expanding eigenvalue")
-        centers, _ = cluster_roots(chi, roots)
-        if centers.size < space.n + 1:
-            return ElementClass(False, None, tr, "repeated eigenvalues")
-        return ElementClass(True, None, tr)
+            delta_floor = tol * np.maximum(1.0, scale) ** (2 * space.n)
+            reasons = np.where(
+                ~(delta > delta_floor), "delta <= 0",        # NaN fails
+                np.where(np.min(abs(g_at), axis=-1) <= tol * scale,
+                         "real eigenvalue on the unit circle", ""))
+            deltas = map(float, delta)
+        else:
+            roots = _roots(chi)
+            _, mults = cluster_roots(chi, roots)
+            reasons = np.where(
+                np.max(abs(roots), axis=-1) <= 1.0 + RADIUS_GUARD,
+                "no expanding eigenvalue",
+                np.where(np.count_nonzero(mults, axis=-1) < space.n + 1,
+                         "repeated eigenvalues", ""))
+            deltas = [None] * len(chi)
+    classes = [ElementClass(not r, d, t, str(r)) for r, d, t in
+               zip(reasons, deltas, coeffs[:, 1:space.n + 2])]
+    return classes if A.ndim == 3 else classes[0]
 
 
 def _polish_eigenpairs(M: np.ndarray, V: np.ndarray, lams: np.ndarray):
@@ -267,6 +277,17 @@ def _gate(ok: np.ndarray, exc, message: str, *values):
         raise exc(message.format(*(v[i] for v in values)))
 
 
+def _roots(chi: np.ndarray) -> np.ndarray:
+    """The roots of every row of chi (aberth_roots), with the gates that
+    a single polynomial raises at."""
+    roots = aberth_roots(chi)
+    _gate(np.all(np.isfinite(chi), axis=-1), NoConvergence,
+          "polynomial coefficients are not finite")
+    _gate(~np.any(np.isnan(roots), axis=-1), NoConvergence,
+          "root iteration did not converge")
+    return roots
+
+
 def _simple_classes(space: HermitianSpace, chi: np.ndarray):
     """The class count of a stack whose complex forms have the
     characteristic polynomials chi, one row each: its gates fail an
@@ -274,11 +295,7 @@ def _simple_classes(space: HermitianSpace, chi: np.ndarray):
     converge, or which has not space.dim simple eigenvalue classes.
     Aberth and the clustering run once on the stack; a class is simple
     when its root overlaps no other."""
-    roots = aberth_roots(chi)
-    _gate(np.all(np.isfinite(chi), axis=-1), NoConvergence,
-          "polynomial coefficients are not finite")
-    _gate(~np.any(np.isnan(roots), axis=-1), NoConvergence,
-          "root iteration did not converge")
+    roots = _roots(chi)
     if space.field == "quaternion":
         # classes come in conjugate pairs; keep Im >= 0 representatives
         roots = np.where(roots.imag >= -1e-12, roots, np.nan)

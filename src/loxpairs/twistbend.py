@@ -125,14 +125,14 @@ class PantsGroup:
         if not self.frames:
             for M in (self.A, self.B):
                 self.space.check_matrices(M)
-            Ps = self.peripherals()
+            Ps = QArray.stack(self.peripherals())
             # the FL gate types pants whose frames would miss the
-            # relation; it is the earlier gate, so all three peripherals
-            # are classified before they are framed as one stack
-            for P in Ps:
-                if not classify_element(self.space, P).is_loxodromic:
-                    raise NotLoxodromic("peripheral element is not loxodromic")
-            self.frames = eigen_frame(self.space, QArray.stack(Ps))
+            # relation; it is the earlier gate, so the three peripherals
+            # are classified as one stack before they are framed as one
+            if not all(c.is_loxodromic
+                       for c in classify_element(self.space, Ps)):
+                raise NotLoxodromic("peripheral element is not loxodromic")
+            self.frames = eigen_frame(self.space, Ps)
 
     def peripherals(self) -> List[QArray]:
         return [self.A, self.B, (self.A @ self.B).inverse()]

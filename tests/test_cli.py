@@ -271,8 +271,8 @@ def test_malformed_json_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("n", [3.9, "3", True])
 def test_non_integer_n_exit_2(tmp_path, capsys, n):
-    # pair.json requires an integer n; int() would have read 3.9 and "3"
-    # as 3 and true as 1
+    # pair.json requires an integer n, and pair files are checked against
+    # it; int() would have read 3.9 and "3" as 3 and true as 1
     path = _generate(tmp_path, field="complex")
     obj = sz.loads(path.read_text())
     obj["space"]["n"] = n
@@ -280,7 +280,7 @@ def test_non_integer_n_exit_2(tmp_path, capsys, n):
     bad.write_text(json.dumps(obj))
     code = main(["classify", "--in", str(bad)])
     assert code == 2
-    assert "n must be an integer" in capsys.readouterr().err
+    assert "is not of type 'integer'" in capsys.readouterr().err
 
 
 def test_integer_valued_float_n_is_read(tmp_path, capsys):
@@ -292,6 +292,41 @@ def test_integer_valued_float_n_is_read(tmp_path, capsys):
     other.write_text(json.dumps(obj))
     assert _run(capsys, "classify", "--in", str(other)) \
         == _run(capsys, "classify", "--in", str(path))
+
+
+def _extra_key(obj):
+    obj["C"] = 1
+
+
+def _extra_space_key(obj):
+    obj["space"]["x"] = 1
+
+
+@pytest.mark.parametrize("corrupt", [_extra_key, _extra_space_key])
+@pytest.mark.parametrize("argv", [["classify", "@"], ["invariants", "@"],
+                                  ["conjugacy-test", "@", "pair"],
+                                  ["conjugacy-test", "pair", "@"],
+                                  ["twist-bend", "@", "kappa"]])
+def test_pair_file_is_checked_against_its_schema(tmp_path, capsys, corrupt,
+                                                 argv):
+    # a key that pair.json does not allow fails the file, "@" marking
+    # the one edited
+    path = _generate(tmp_path, field="complex")
+    space, A, _ = sz.pair_from_json(sz.loads(path.read_text()))
+    from loxpairs.spectral import eigen_frame
+    from loxpairs.twistbend import identity_params
+    kpath = tmp_path / "kappa.json"
+    kpath.write_text(sz.dumps(sz.kappa_to_json(
+        identity_params(eigen_frame(space, A)))))
+    obj = sz.loads(path.read_text())
+    corrupt(obj)
+    bad = tmp_path / "extra.json"
+    bad.write_text(json.dumps(obj))
+    files = {"@": bad, "pair": path, "kappa": kpath}
+    command, *ins = argv
+    assert main([command, *[x for f in ins for x in ("--in", str(files[f]))]]
+                ) == 2
+    assert "Additional properties are not allowed" in capsys.readouterr().err
 
 
 def _reuse_calls(tmp_path):

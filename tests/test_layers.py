@@ -170,3 +170,56 @@ def test_refine_keeps_the_tracer_contract():
     for e, (X, Xp) in zip(E, pairs):
         assert isinstance(e, QArray)
         assert (e - (Xp - C @ X @ Cinv)).max_abs() == 0.0
+
+
+CLI_MIX = sorted(name for name, where in HOME_OF.items()
+                 if "cli-mix" in where)
+
+
+def test_cli_mix_layers_are_entered(tmp_path):
+    # one in-process main call of each command, as cli-mix runs them,
+    # must enter every layer HOME lists for cli-mix
+    import sys
+
+    from loxpairs import serialize as sz
+    from loxpairs.cli import main
+    from loxpairs.qmatrix import conjugate_by
+    from loxpairs.twistbend import PantsGroup, identity_params
+    assert {"serialize.validate_against_schema", "spectral.classify_element",
+            "spectral.real_char_poly", "twistbend.PantsGroup"} <= set(CLI_MIX)
+    pair, partner = tmp_path / "pair.json", tmp_path / "partner.json"
+    kappa, graph = tmp_path / "kappa.json", tmp_path / "graph.json"
+    assert main(["generate", "--n", "3", "--seed", "7", "--mode", "strong",
+                 "--out", str(pair)]) == 0
+    space, A, B = sz.pair_from_json(sz.loads(pair.read_text()))
+    C = space.random_isometry(np.random.default_rng(7))
+    partner.write_text(sz.dumps(sz.pair_to_json(
+        space, conjugate_by(C, A), conjugate_by(C, B))))
+    frames = PantsGroup(space, A, B).frames
+    kappa.write_text(sz.dumps(sz.kappa_to_json(identity_params(frames[0]))))
+    edges = [(0, 0, 1, 1), (0, 1, 1, 0), (0, 2, 1, 2)]
+    graph.write_text(sz.dumps(sz.graph_to_json(
+        space, [(A, B), (B.inverse(), A.inverse())], edges,
+        [identity_params(frames[e[1]]) for e in edges])))
+    calls = [["generate", "--seed", "8"],
+             ["classify", "--in", str(pair)],
+             ["invariants", "--in", str(pair)],
+             ["conjugacy-test", "--in", str(pair), "--in", str(partner)],
+             ["twist-bend", "--in", str(pair), "--in", str(kappa)],
+             ["assemble", "--in", str(graph)]]
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    codes = []
+    sys.setprofile(profile)
+    try:
+        for argv in calls:
+            codes.append(main([*argv, "--out", str(tmp_path / "out.json")]))
+    finally:
+        sys.setprofile(None)
+    assert codes == [0] * len(calls)
+    missing = [name for name in CLI_MIX if _code(name) not in entered]
+    assert not missing, f"layers no cli-mix op entered: {missing}"

@@ -236,3 +236,114 @@ def test_validator_is_built_once_per_schema(qspace, qpair, qframes):
     for _ in range(3):
         sz.validate_against_schema(doc, "graph")
     assert sz._validator.cache_info().misses <= 1
+
+
+# entries for a number array: a bool, non-numbers, nested arrays, and
+# numbers (NaN, infinity, an integer-valued float) that it accepts
+_ENTRIES = (True, "x", None, [], {}, [1.0], float("nan"), float("inf"), 3.0)
+
+
+def _number_arrays(node):
+    """Every array of numbers in node, the arrays themselves."""
+    if isinstance(node, dict):
+        for v in node.values():
+            yield from _number_arrays(v)
+    elif isinstance(node, list):
+        if node and all(type(x) in (int, float) for x in node):
+            yield node
+        else:
+            for v in node:
+                yield from _number_arrays(v)
+
+
+def _edits(doc, arrays):
+    """doc, edited in place and restored after each yield: each entry of
+    _ENTRIES at every index of each of its number arrays in arrays, and
+    each such array one entry shorter and one longer."""
+    for array in arrays:
+        for i, old in enumerate(array):
+            for value in _ENTRIES:
+                array[i] = value
+                yield doc
+            array[i] = old
+        last = array.pop()
+        yield doc
+        array += [last, last]
+        yield doc
+        array.pop()
+
+
+@pytest.mark.parametrize("name", ["pair", "kappa", "graph"])
+def test_plain_array_check_reports_what_the_raw_schema_reports(
+        name, qspace, qpair, qframes):
+    # the plain-array predicate must accept and reject what jsonschema
+    # does, at any position in any number array, with jsonschema's
+    # message and path
+    import jsonschema
+    from jsonschema.exceptions import best_match
+    doc = sz.loads(sz.dumps(_documents(qspace, qpair, qframes)[name]))
+    schema = _schema_file(name)
+    raw = jsonschema.validators.validator_for(schema)(schema)
+    arrays = list(_number_arrays(doc))
+    if name == "graph":
+        # its pants matrices follow $defs/matrix, as the pair's do, and
+        # the pair case edits every entry of those; here the first and
+        # the last quaternion of each matrix, which keeps the raw
+        # validator's 4 ms per graph within a few seconds in all
+        mats = [m for pants in doc["pants"] for m in pants.values()]
+        inner = {id(q) for m in mats for row in m for q in row}
+        ends = {id(q) for m in mats for q in (m[0][0], m[-1][-1])}
+        arrays = [a for a in arrays if id(a) not in inner or id(a) in ends]
+    outcomes = set()
+    for bad in _edits(doc, arrays):
+        error = best_match(raw.iter_errors(bad))
+        mine = best_match(sz._validator(name).iter_errors(bad))
+        try:
+            sz.validate_against_schema(bad, name)
+            got = None
+        except ParseError as exc:
+            got = str(exc)
+        if error is None:
+            assert got is None and mine is None
+        else:
+            assert got == (f"{name} does not match its schema: "
+                           f"{error.message}")
+            assert list(mine.path) == list(error.path)
+        outcomes.add(error is None)
+    assert outcomes == {True, False}
+    sz.validate_against_schema(doc, name)
+
+
+def test_valid_graph_never_reaches_the_stock_items_on_numbers(
+        monkeypatch, qspace, qpair, qframes):
+    # the stock `items` runs only for arrays whose items are not plain:
+    # the pants objects, the integer nodes and the mixed edges; every
+    # matrix, xi and projective point goes through one predicate
+    import jsonschema
+    doc = _documents(qspace, qpair, qframes)["graph"]
+    cls = jsonschema.validators.validator_for(_schema_file("graph"))
+    stock = cls.VALIDATORS["items"]
+    seen = []
+
+    def spy(validator, items, instance, schema):
+        seen.append(items)
+        return stock(validator, items, instance, schema)
+
+    monkeypatch.setitem(cls.VALIDATORS, "items", spy)
+    sz._validator.cache_clear()
+    try:
+        sz._validator("graph")          # its check_schema runs the spy
+        seen.clear()
+        sz.validate_against_schema(doc, "graph")
+    finally:
+        sz._validator.cache_clear()
+    assert seen
+    assert not [s for s in seen if s.get("type") in ("number", "array")
+                and "prefixItems" not in s]
+
+
+@pytest.mark.parametrize("name", SCHEMAS)
+def test_no_schema_reads_item_annotations(name):
+    # the plain-array predicate records no annotations, which
+    # unevaluatedItems would read
+    assert "unevaluatedItems" not in json.dumps(_schema_file(name))

@@ -56,7 +56,8 @@ def test_nan_fails_the_palindrome_and_delta_gates(qspace, monkeypatch):
     E = _diag_loxodromic(qspace)
     with pytest.raises(PalindromeViolation):
         real_char_poly(qspace, E, chi=np.full(9, np.nan, dtype=complex))
-    monkeypatch.setattr(spectral, "discriminant", lambda g: np.nan)
+    monkeypatch.setattr(spectral, "discriminant",
+                        lambda g: np.full(len(g), np.nan))
     cls = classify_element(qspace, E)
     assert not cls.is_loxodromic and cls.reason == "delta <= 0"
 
@@ -530,6 +531,64 @@ def test_stack_raises_what_the_serial_loop_raises(field, bad):
     As = QArray.stack(As)
     expect = _earliest([_alone(space, As.pick(i)) for i in range(4)])
     assert _stacked(space, As) == expect
+
+
+def _same_class(c, d):
+    return (c.is_loxodromic is d.is_loxodromic and c.delta == d.delta
+            and c.reason == d.reason
+            and np.array_equal(c.real_trace, d.real_trace))
+
+
+@pytest.mark.parametrize("field", ["complex", "quaternion"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_stacked_classes_equal_single_classes(n, field):
+    # loxodromic, elliptic and random isometries side by side: each
+    # element of the stack gets, bit for bit, what it gets alone
+    space = HermitianSpace(n, field)
+    rng = np.random.default_rng(n)
+    angles = np.r_[0.3, np.linspace(0.9, 2.5, n - 1), 0.3]
+    elliptic = conjugate_by(space.random_isometry(rng),
+                            QArray.diag(np.exp(1j * angles)))
+    As = QArray.stack([random_loxodromic(space, rng) for _ in range(3)]
+                      + [elliptic, space.random_isometry(rng)])
+    classes = classify_element(space, As)
+    coeffs = real_char_poly(space, As)
+    assert isinstance(classes, list) and isinstance(coeffs, list)
+    assert {c.is_loxodromic for c in classes} == {True, False}
+    for i, (c, chi) in enumerate(zip(classes, coeffs)):
+        assert _same_class(c, classify_element(space, As.pick(i)))
+        assert np.array_equal(chi, real_char_poly(space, As.pick(i)))
+
+
+def _failing_class(space, name):
+    """An element that fails real_char_poly's form gate or its
+    coefficient symmetry gate."""
+    if name == "not-isometry":
+        return space._random_qarray(np.random.default_rng(2), (4, 4))
+    return _diag_loxodromic(space, r=1e-4)      # the FL symmetry gate
+
+
+@pytest.mark.parametrize("entry", [classify_element, real_char_poly])
+@pytest.mark.parametrize("field", ["complex", "quaternion"])
+@pytest.mark.parametrize("bad", [{2: "symmetry"}, {0: "not-isometry"},
+                                 {1: "symmetry", 3: "not-isometry"}])
+def test_stacked_classes_raise_what_the_element_raises(entry, field, bad):
+    # the stack raises at the earliest gate that any element fails (the
+    # form before the symmetry), with the error of the first element
+    # that fails it alone
+    space = HermitianSpace(3, field)
+    rng = np.random.default_rng(4)
+    As = [random_loxodromic(space, rng) for _ in range(4)]
+    for i, name in bad.items():
+        As[i] = _failing_class(space, name)
+    first = min(bad, key=lambda i: (bad[i] == "symmetry", i))
+    with pytest.raises(LoxpairsError) as alone:
+        entry(space, As[first])
+    assert type(alone.value) is (
+        NotIsometry if bad[first] == "not-isometry" else PalindromeViolation)
+    with pytest.raises(type(alone.value)) as stacked:
+        entry(space, QArray.stack(As))
+    assert str(stacked.value) == str(alone.value)
 
 
 def test_stack_with_an_overflowing_element_leaks_no_warning(qspace, cspace,

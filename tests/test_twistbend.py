@@ -210,9 +210,10 @@ def test_assemble_rejects_bad_graph(qpants):
                           (2, 1), (None, None)])
 def test_pants_errors_keep_the_serial_order(monkeypatch, frame_fails,
                                             class_fails):
-    # the serial order of the gates: classify P_0, P_1, P_2, then frame
-    # them as one stack, so a classification failure comes first, and a
-    # frame failure is the error of the first failing peripheral alone
+    # the order of the gates: classify P_0, P_1, P_2 as one stack, then
+    # frame them as one stack, so a classification failure comes first,
+    # and a frame failure is the error of the first failing peripheral
+    # alone
     import loxpairs.twistbend as tb
     from loxpairs.errors import DegenerateSpectrum, NotLoxodromic
     from loxpairs.spectral import ElementClass
@@ -226,7 +227,8 @@ def test_pants_errors_keep_the_serial_order(monkeypatch, frame_fails,
                     if np.array_equal(P.a, Q.a) and np.array_equal(P.b, Q.b))
 
     def classify(space, P):
-        return ElementClass(index(P) != class_fails, None, np.zeros(4))
+        return [ElementClass(index(P.pick(i)) != class_fails, None,
+                             np.zeros(4)) for i in range(P.shape[0])]
 
     def framed(space, P):
         for i in range(P.shape[0]) if P.ndim == 3 else [None]:
@@ -241,9 +243,9 @@ def test_pants_errors_keep_the_serial_order(monkeypatch, frame_fails,
             return type(exc), str(exc)
 
     def gates():
-        for P in Ps:
-            if not classify(space, P).is_loxodromic:
-                raise NotLoxodromic("peripheral element is not loxodromic")
+        if not all(c.is_loxodromic for c in classify(space,
+                                                     QArray.stack(Ps))):
+            raise NotLoxodromic("peripheral element is not loxodromic")
         for P in Ps:
             framed(space, P)
 
