@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (DegenerateInputError, LoxpairsError, NotNonsingular,
                      VerificationFailed, WrongDimension)
@@ -193,6 +192,7 @@ def _lstsq_solver(space: HermitianSpace, M: np.ndarray):
     cutoff eps max(shape) max |R_jj| means the pair's centralizer is
     larger than the centre.
     """
+    import scipy.linalg     # here, not at module level: it loads in ~0.26 s
     centre = np.stack([_flat(space, QArray(u * np.eye(space.dim)))
                        for u in space.centre])
     A = np.concatenate([M, np.max(np.abs(M)) * centre])

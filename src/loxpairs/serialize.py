@@ -9,12 +9,13 @@ raises ParseError on anything but a finite dim x dim x 4 array.
 
 Every parser (pair_from_json, kappa_from_json, graph_from_json) first
 checks its document against its schema under schemas/, so what the
-schema says is checked once, there.  Each schema's validator is checked
-and built once per process, with its local `#/$defs/` references
-resolved at load (_validator).  Its `items` keyword checks a plain array
-of numbers or of such arrays, as the matrices are, with one precompiled
-predicate over the whole array; when the predicate fails, the stock
-`items` runs, so every error is jsonschema's own.
+schema says is checked once, there.  Each schema's validator is built
+once per process, with its local `#/$defs/` references resolved at load
+(_validator); that the files are valid schemas is a test's job.  Its
+`items` keyword checks a plain array of numbers or of such arrays, as
+the matrices are, with one precompiled predicate over the whole array;
+when the predicate fails, the stock `items` runs, so every error is
+jsonschema's own.
 """
 
 import json
@@ -227,18 +228,17 @@ def _plain_items(node, found: dict) -> dict:
 
 @lru_cache(maxsize=None)
 def _validator(name: str):
-    """The schema's validator, checked once and built once, on a copy of
-    the schema with its local references inlined, so that validation
-    walks a plain tree and makes no registry lookup.  Its `items` checks
-    an array against a plain subschema (_plain) with one predicate, and
-    defers to the stock `items` when the subschema is not plain or the
-    predicate fails.  A predicate that holds for every entry holds for
-    those after any prefixItems, which are all the stock `items` reads."""
+    """The schema's validator, built once, on a copy of the schema with
+    its local references inlined, so that validation walks a plain tree
+    and makes no registry lookup.  Its `items` checks an array against
+    a plain subschema (_plain) with one predicate, and defers to the
+    stock `items` when the subschema is not plain or the predicate
+    fails.  A predicate that holds for every entry holds for those after
+    any prefixItems, which are all the stock `items` reads."""
     import jsonschema
     ref = resources.files("loxpairs") / "schemas" / f"{name}.json"
     schema = json.loads(ref.read_text())
     cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
     schema = _inline_refs(schema, schema.get("$defs", {}))
     # the ids stay valid: the validator holds the schema for good
     checks = _plain_items(schema, {})

@@ -1,3 +1,6 @@
+import functools
+import itertools
+
 import numpy as np
 import pytest
 
@@ -770,6 +773,89 @@ def test_swapping_the_pairs_keeps_the_outcome(n, field):
         for A, B, A2, B2 in _symmetry_ops(space, rng):
             assert _outcome(space, A, B, A2, B2) \
                 == _outcome(space, A2, B2, A, B)
+
+
+@functools.lru_cache(maxsize=None)
+def _rewrite_cases(n, field):
+    """The ops of the pair-swap test's seed at (n, field), four rounds of
+    three, each op with the two isometries of _conjugate_each, drawn
+    after its round's ops."""
+    space = HermitianSpace(n, field)
+    rng = np.random.default_rng(100 + n)
+    cases = []
+    for _ in range(4):
+        ops = _symmetry_ops(space, rng)
+        cases += [(op, (space.random_isometry(rng),
+                        space.random_isometry(rng))) for op in ops]
+    return space, cases
+
+
+def _swap_elements(space, mats, isometries):
+    A, B, A2, B2 = mats
+    return B, A, B2, A2
+
+
+def _exact_inverses(space, mats, isometries):
+    # H X* H is X^-1 for an isometry X, as H^2 = I; np.linalg.inv moves
+    # each side's eigenvalue classes on its own, so its inverses need not
+    # stay conjugate to working precision
+    H = QArray(space.H)
+    return tuple(H @ X.adjoint() @ H for X in mats)
+
+
+def _conjugate_each(space, mats, isometries):
+    (A, B, A2, B2), (C, D) = mats, isometries
+    return (conjugate_by(C, A), conjugate_by(C, B),
+            conjugate_by(D, A2), conjugate_by(D, B2))
+
+
+_REWRITES = {"elements": _swap_elements, "inverses": _exact_inverses,
+             "conjugates": _conjugate_each}
+
+_NOT_WEAKLY_NONSINGULAR = (
+    "a verified conjugate raises NotWeaklyNonsingular once each pair is "
+    "conjugated: the genericity margins divide pairings by Euclidean "
+    "norms, which conjugation does not keep")
+
+# the cases that break the rule today, each with the defect it shows
+_BROKEN = {
+    ("elements", 5, "quaternion", 3):
+        "a conjugate raises PatternViolation in one element order and "
+        "verifies in the other: Gram entry g[6,7] is 1.6e-8 off zero, "
+        "past the absolute pattern gate of 1e-8",
+    ("conjugates", 4, "quaternion", 3): _NOT_WEAKLY_NONSINGULAR,
+    ("conjugates", 5, "complex", 0): _NOT_WEAKLY_NONSINGULAR,
+    ("conjugates", 5, "quaternion", 9): _NOT_WEAKLY_NONSINGULAR,
+    ("conjugates", 5, "complex", 6):
+        "a verified conjugate raises PatternViolation once each pair is "
+        "conjugated: Gram entry g[6,7] is 2.8e-8 off zero, past the "
+        "absolute pattern gate of 1e-8",
+    ("conjugates", 5, "quaternion", 0):
+        "a verified conjugate is rejected at tuple once each pair is "
+        "conjugated, a false 'not conjugate': the flag matching of B "
+        "differs between the sides, [0, 1, 2] against [0, 2, 3]",
+}
+
+
+def _rewrite_params():
+    for case in itertools.product(_REWRITES, [3, 4, 5],
+                                  ["complex", "quaternion"], range(12)):
+        marks = ()
+        if case in _BROKEN:
+            marks = pytest.mark.xfail(strict=True, raises=AssertionError,
+                                      reason=_BROKEN[case])
+        yield pytest.param(*case, marks=marks)
+
+
+@pytest.mark.parametrize("rewrite, n, field, op", _rewrite_params())
+def test_a_rewrite_keeps_a_verified_verdict(rewrite, n, field, op):
+    # a verdict verified on one side is verified on the other, and a
+    # rejection is a rejection or a typed error there
+    space, cases = _rewrite_cases(n, field)
+    mats, isometries = cases[op]
+    rewritten = _REWRITES[rewrite](space, mats, isometries)
+    assert (_outcome(space, *mats) == (True, "verified")) \
+        == (_outcome(space, *rewritten) == (True, "verified"))
 
 
 def test_real_trace_gate_does_not_depend_on_the_element_order():

@@ -128,6 +128,17 @@ def _refs(node):
             yield from _refs(v)
 
 
+@pytest.mark.parametrize("path", sorted(
+    (resources.files("loxpairs") / "schemas").iterdir(), key=str),
+    ids=lambda path: path.name)
+def test_schema_file_is_a_valid_schema(path):
+    # checked here, and not by _validator in every process: the files
+    # are package data, not input from outside the program
+    import jsonschema
+    schema = json.loads(path.read_text())
+    jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
 @pytest.mark.parametrize("name", SCHEMAS)
 def test_schema_refs_are_local_and_acyclic(name):
     # _validator inlines {"$ref": "#/$defs/x"} objects; on these files
@@ -332,8 +343,7 @@ def test_valid_graph_never_reaches_the_stock_items_on_numbers(
     monkeypatch.setitem(cls.VALIDATORS, "items", spy)
     sz._validator.cache_clear()
     try:
-        sz._validator("graph")          # its check_schema runs the spy
-        seen.clear()
+        # rebuilt here, with the spy as its stock `items`
         sz.validate_against_schema(doc, "graph")
     finally:
         sz._validator.cache_clear()
