@@ -245,7 +245,7 @@ def _refine_conjugator(space: HermitianSpace, C: QArray, pairs):
         C2 = (QArray.eye(space.dim) + _delta(space, x)) @ C
         E2 = residuals(C2)
         new = max(e.max_abs() for e in E2)
-        if new >= old:
+        if not new < old:  # NaN fails
             break
         C, E, old = C2, E2, new
         if old <= floor:
@@ -284,8 +284,8 @@ def conjugacy_test(space: HermitianSpace, A: QArray, B: QArray,
     unit mu (1 for the reduced list of complex strong mode) is the one
     Sp(1) gauge of the test, then the reconstruction from the lifts
     under mu, its Newton polish, and projective points.  Over the
-    complex numbers every projective point is (1, 0), so only a
-    quaternionic pair can end at projective-points.  Matching
+    complex numbers every projective point is (1, 0), so the points are
+    compared over the quaternions only.  Matching
     invariants with a failed direct conjugation check raise
     VerificationFailed rather than passing silently.  mode is "weak" or
     "strong", and tol must be positive.
@@ -326,20 +326,21 @@ def conjugacy_test(space: HermitianSpace, A: QArray, B: QArray,
 
     C = congruence_from_tuples(t1, t2, mu, tol=min(tol, ORBIT_TOL))
     C, E = _refine_conjugator(space, C, [(A, A2), (B, B2)])
-    ptol = max(tol, 1e-7) * (1.0 + C.max_abs() ** 2)
-    # C F is the frame of C A C^-1 exactly, so the point comparison never
-    # depends on re-running the spectral machinery
-    moved = projective_points((C @ QArray.stack([fa.F, fb.F])).pick(
-        Ellipsis, slice(-1)))
-    miss = moved - np.stack([i2.projective_A, i2.projective_B])
-    if not np.all(np.linalg.norm(miss, axis=-1) <= ptol):
-        return ConjugacyResult(False, None, "projective-points",
-                               float("nan"))
+    if space.field == "quaternion":
+        ptol = max(tol, 1e-7) * (1.0 + C.max_abs() ** 2)
+        # C F is the frame of C A C^-1 exactly, so the point comparison
+        # never depends on re-running the spectral machinery
+        moved = projective_points((C @ QArray.stack([fa.F, fb.F])).pick(
+            Ellipsis, slice(-1)))
+        miss = moved - np.stack([i2.projective_A, i2.projective_B])
+        if not np.all(np.linalg.norm(miss, axis=-1) <= ptol):
+            return ConjugacyResult(False, None, "projective-points",
+                                   float("nan"))
 
     # E holds A2 - C A C^-1 and B2 - C B C^-1, in conjugate_by's order
     resid = max(e.max_abs() for e in E)
     scale = 1.0 + max(A2.max_abs(), B2.max_abs())
-    if resid > tol * scale:
+    if not resid <= tol * scale:  # NaN fails
         raise VerificationFailed(
             f"invariants matched but conjugation residual {resid:.3e} "
             f"exceeds {tol * scale:.3e}")

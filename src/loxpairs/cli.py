@@ -26,7 +26,7 @@ from .hermitian import HermitianSpace
 from .invariants import pair_invariants
 from .qmatrix import QArray
 from .spectral import classify_element, eigen_frame
-from .twistbend import (PantsGroup, assemble_surface_representation,
+from .twistbend import (assemble_surface_representation, pants_groups,
                         tilde_invariants, twist_bend_element)
 
 
@@ -127,8 +127,8 @@ def _cmd_twist_bend(args) -> int:
 def _cmd_assemble(args) -> int:
     space, pairs, edges, kappas = sz.graph_from_json(
         _read_json(args.infile[0]))
-    pants = [PantsGroup(space, A, B) for (A, B) in pairs]
-    rep = assemble_surface_representation(space, pants, edges, kappas)
+    rep = assemble_surface_representation(
+        space, pants_groups(space, pairs), edges, kappas)
     _emit(args, {"genus": rep.genus,
                  "generators": {name: sz.matrix_to_json(g)
                                 for name, g in rep.generators.items()},

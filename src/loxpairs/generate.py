@@ -4,6 +4,11 @@ Spectra are sampled away from the degenerate strata: radii in
 [0.2, 0.9], eigenvalue classes separated in (Re, modulus), and (in the
 quaternionic case) angles bounded away from the real axis, so the root
 clustering downstream stays stable.
+
+An element is built as A = Q E Q^-1 from its spectrum E and an isometry
+Q, so its frame is known without an eigen-solve: `random_loxodromic`
+returns it beside A, and `generate_pair` runs the genericity predicates
+on these frames.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from .errors import LoxpairsError
 from .genericity import genericity_report
 from .hermitian import HermitianSpace
 from .qmatrix import QArray, conjugate_by
-from .spectral import _class_values, eigen_frame
+from .spectral import LoxodromicFrame, _class_values
 
 RADIUS_RANGE = (0.2, 0.9)
 ANGLE_FLOOR = 0.1
@@ -26,11 +31,8 @@ MAX_TRIES = 100
 
 def _classes_separated(lams: np.ndarray) -> bool:
     pts = np.stack([lams.real, np.abs(lams)], axis=1)
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if np.max(np.abs(pts[i] - pts[j])) < CLASS_SEPARATION:
-                return False
-    return True
+    gap = np.max(np.abs(pts[:, None] - pts[None]), axis=-1)
+    return not np.any(gap[np.triu_indices(len(pts), 1)] < CLASS_SEPARATION)
 
 
 def random_spectrum(space: HermitianSpace, rng) -> Tuple[float, float,
@@ -50,10 +52,22 @@ def random_spectrum(space: HermitianSpace, rng) -> Tuple[float, float,
     raise LoxpairsError("could not sample a regular spectrum")
 
 
-def random_loxodromic(space: HermitianSpace, rng) -> QArray:
-    """Q E Q^-1 for a random isometry Q and regular diagonal E."""
-    E = QArray.diag(_class_values(*random_spectrum(space, rng)))
-    return conjugate_by(space.random_isometry(rng), E)
+def random_loxodromic(space: HermitianSpace, rng) -> Tuple[
+        QArray, LoxodromicFrame]:
+    """A = Q E Q^-1 for a random isometry Q and regular diagonal E, and
+    the frame of A.
+
+    In the standard basis E = diag(r e^{i theta}, e^{i phi_k},
+    e^{i theta}/r) is its own frame: e_0 and e_n are null with
+    <e_0, e_n> = 1, the e_k between are unit positive, and the phi_k
+    come sorted, eigen_frame's column order.  Q preserves the form, so Q
+    is the frame of A.
+    """
+    r, th, phis = random_spectrum(space, rng)
+    Q = space.random_isometry(rng)
+    frame, = LoxodromicFrame.stack(space, [r], [th], phis[None],
+                                   QArray(Q.a[None], Q.b[None]))
+    return conjugate_by(Q, QArray.diag(_class_values(r, th, phis))), frame
 
 
 def generate_pair(space: HermitianSpace, seed: Optional[int] = None,
@@ -61,15 +75,21 @@ def generate_pair(space: HermitianSpace, seed: Optional[int] = None,
     """Random pair (A, B) passing the requested genericity predicate.
 
     mode "weak" accepts weakly non-singular pairs, "strong" requires
-    non-singular ones.  Deterministic for a fixed seed.
+    non-singular ones, whose four fixed-point lifts have rank 4, so it
+    needs n >= 3.  Each try draws A and B by random_loxodromic and tests
+    their construction frames, with no eigen-solve.  Deterministic for a
+    fixed seed.
     """
     if mode not in ("weak", "strong"):
         raise LoxpairsError(f"unknown mode {mode!r}")
+    if mode == "strong" and space.n < 3:
+        raise LoxpairsError(
+            f"strong mode needs n >= 3: four fixed-point lifts cannot "
+            f"have rank 4 in dimension {space.dim}")
     rng = np.random.default_rng(seed)
     for _ in range(MAX_TRIES):
-        A = random_loxodromic(space, rng)
-        B = random_loxodromic(space, rng)
-        fa, fb = eigen_frame(space, QArray.stack([A, B]))
+        A, fa = random_loxodromic(space, rng)
+        B, fb = random_loxodromic(space, rng)
         rep, = genericity_report(space, [fa], [fb])
         if mode == "strong" and not rep.nonsingular:
             continue

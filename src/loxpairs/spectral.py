@@ -6,9 +6,10 @@ Eigenvalue classes of a quaternionic matrix are labelled by their unique
 complex representative with non-negative imaginary part.
 
 `real_char_poly`, `classify_element` and `eigen_frame` take one matrix
-or a stack (k, m, m) of them, and give a list for a stack; a single
-matrix runs as a stack of one, on the same path.  Each numeric phase
-of `eigen_frame` runs once on the whole stack:
+or a stack (k, m, m) of them, and give a list for a stack;
+`element_conjugator` takes two stacks and gives the stack of
+conjugators.  A single matrix runs as a stack of one, on the same path.
+Each numeric phase of `eigen_frame` runs once on the whole stack:
 
 1. the complex forms (space.as_complex) and their Faddeev-LeVerrier
    coefficients; the class count and simplicity come from one pass of
@@ -266,6 +267,18 @@ class LoxodromicFrame:
     def rebuild(self) -> QArray:
         return self.F @ QArray.diag(self.eigenvalues) @ self.F.inverse()
 
+    @classmethod
+    def stack(cls, space: HermitianSpace, radius, theta, phis,
+              F: QArray) -> List["LoxodromicFrame"]:
+        """The frames of the stack F (k, m, m) with the class data
+        radius[i], theta[i], phis[i], and the real traces of their
+        class eigenvalues, for the whole stack; eigen_frame and
+        generate.random_loxodromic build every frame here."""
+        traces = _real_traces(_class_values(np.asarray(radius),
+                                            np.asarray(theta), phis))
+        return [cls(float(radius[i]), float(theta[i]), phis[i], F.pick(i),
+                    space, traces[i]) for i in range(len(traces))]
+
 
 def _gate(ok: np.ndarray, exc, message: str, *values):
     """One gate over a stack, which element i passes where ok[i]: raise
@@ -380,10 +393,7 @@ def _frames(space: HermitianSpace, A: QArray) -> List[LoxodromicFrame]:
                                      20 * np.finfo(float).eps * kappa)
     _gate(miss <= gate, DegenerateSpectrum,
           "frame reconstruction residual {:.3e}", miss)
-    traces = _real_traces(E)
-    return [LoxodromicFrame(float(radius[i]), float(theta[i]), phis[i],
-                            F.pick(i), space, traces[i])
-            for i in range(len(E))]
+    return LoxodromicFrame.stack(space, radius, theta, phis, F)
 
 
 def eigen_frame(space: HermitianSpace, A: QArray):
@@ -419,14 +429,26 @@ def projective_points(V: QArray) -> np.ndarray:
 
 def element_conjugator(space: HermitianSpace, X: QArray, Y: QArray) -> QArray:
     """A form-preserving S with S X S^{-1} = Y for loxodromics with the
-    same eigenvalue data."""
-    tol = CONJUGATOR_TOL
-    fx, fy = eigen_frame(space, QArray.stack([X, Y]))
-    if (abs(fx.radius - fy.radius) > tol or abs(fx.theta - fy.theta) > tol
-            or np.max(np.abs(fx.phis - fy.phis), initial=0.0) > tol):
-        raise DegenerateSpectrum("eigenvalue data of the two elements differ")
-    S = fy.F @ fx.F.inverse()
-    resid = (S @ X @ S.inverse() - Y).max_abs()
-    if resid > tol * (1.0 + Y.max_abs()):
-        raise DegenerateSpectrum(f"conjugation residual {resid:.3e}")
-    return S
+    same eigenvalue data, or the stack of them, pair by pair, for stacks
+    X and Y of shape (k, m, m); a single pair runs as a stack of one, on
+    the same path.  One eigen_frame call frames X_0, Y_0, X_1, Y_1, ...,
+    then the class-data gate and the residual gate run once each on the
+    stack, so a stack raises at its earliest failing gate (_gate)."""
+    for M in (X, Y):
+        space.check_matrices(M)
+    Xs, Ys = (M if M.ndim == 3 else QArray(M.a[None], M.b[None])
+              for M in (X, Y))
+    XY = QArray.stack([Xs, Ys], axis=1)
+    shape = (-1,) + XY.shape[-2:]
+    frames = eigen_frame(space, QArray(XY.a.reshape(shape),
+                                       XY.b.reshape(shape)))
+    data = np.array([[f.radius, f.theta, *f.phis] for f in frames])
+    _gate(np.max(np.abs(data[0::2] - data[1::2]), axis=-1)
+          <= CONJUGATOR_TOL, DegenerateSpectrum,
+          "eigenvalue data of the two elements differ")
+    Fx, Fy = (QArray.stack([f.F for f in frames[i::2]]) for i in (0, 1))
+    S = Fy @ Fx.inverse()
+    resid = (S @ Xs @ S.inverse() - Ys).moduli().max(axis=(-2, -1))
+    _gate(resid <= CONJUGATOR_TOL * (1.0 + Ys.moduli().max(axis=(-2, -1))),
+          DegenerateSpectrum, "conjugation residual {:.3e}", resid)
+    return S if X.ndim == 3 else S.pick(0)

@@ -12,9 +12,18 @@ Assembly attaches (0,3) groups along compatible boundary components
 (peripheral of one = inverse peripheral of the other), conjugating the
 far side of each curve of a spanning tree of the pants graph by the
 curve's twist-bend, and closes the handles.  Every handle is closed by
-one stable-letter rule, `_stable_letter`: t = S K, with S conjugating
+one stable-letter rule, `_stable_letters`: t = S K, with S conjugating
 the curve X to the inverse Y^-1 of its partner and K the twist-bend of
 X, so t X t^-1 = Y^-1.  Only n = 3.
+
+Each element is framed once, in as few stacked calls as the data
+allow.  `pants_groups` classifies the peripherals of all its pants as
+one stack and frames them as one, the path of a single `PantsGroup`.
+The tree walk conjugates one edge at a time, since each alignment
+depends on the one before it, and the conjugators S of all the handles
+come from one `element_conjugator` call.  A stack raises at its
+earliest failing gate: of two bad pants, or two bad handles, the one
+that fails the earlier gate raises, and the first one on a tie.
 """
 
 from __future__ import annotations
@@ -115,7 +124,9 @@ def tilde_invariants(space: HermitianSpace, K: QArray,
 
 @dataclass
 class PantsGroup:
-    """A (0,3) group <A, B> with loxodromic peripherals A, B, (AB)^-1."""
+    """A (0,3) group <A, B> with loxodromic peripherals A, B, (AB)^-1
+    and their frames, which pants_groups builds for many pants at
+    once."""
     space: HermitianSpace
     A: QArray
     B: QArray
@@ -123,19 +134,10 @@ class PantsGroup:
 
     def __post_init__(self):
         if not self.frames:
-            for M in (self.A, self.B):
-                self.space.check_matrices(M)
-            Ps = QArray.stack(self.peripherals())
-            # the FL gate types pants whose frames would miss the
-            # relation; it is the earlier gate, so the three peripherals
-            # are classified as one stack before they are framed as one
-            if not all(c.is_loxodromic
-                       for c in classify_element(self.space, Ps)):
-                raise NotLoxodromic("peripheral element is not loxodromic")
-            self.frames = eigen_frame(self.space, Ps)
+            self.frames, = _peripheral_frames(self.space, [(self.A, self.B)])
 
     def peripherals(self) -> List[QArray]:
-        return [self.A, self.B, (self.A @ self.B).inverse()]
+        return _peripherals(self.A, self.B)
 
     def conjugated(self, S: QArray) -> "PantsGroup":
         # carrying the frames over keeps large-norm conjugates away from
@@ -145,6 +147,39 @@ class PantsGroup:
                           [f.conjugated(S) for f in self.frames])
 
 
+def _peripherals(A: QArray, B: QArray) -> List[QArray]:
+    return [A, B, (A @ B).inverse()]
+
+
+def _peripheral_frames(space: HermitianSpace, pairs: Sequence[
+        Tuple[QArray, QArray]]) -> List[List[LoxodromicFrame]]:
+    """The frames of the peripherals A, B, (AB)^-1 of every pair (A, B),
+    three per pair.  Every matrix is checked before any product; the
+    FL gate types pants whose frames would miss the relation, and it is
+    the earlier gate, so all 3k peripherals are classified as one stack
+    before they are framed as one.  A stack raises at its earliest
+    failing gate."""
+    for pair in pairs:
+        for M in pair:
+            space.check_matrices(M)
+    Ps = QArray.stack([P for A, B in pairs for P in _peripherals(A, B)])
+    if not all(c.is_loxodromic for c in classify_element(space, Ps)):
+        raise NotLoxodromic("peripheral element is not loxodromic")
+    frames = eigen_frame(space, Ps)
+    return [frames[i:i + 3] for i in range(0, len(frames), 3)]
+
+
+def pants_groups(space: HermitianSpace, pairs: Sequence[
+        Tuple[QArray, QArray]]) -> List[PantsGroup]:
+    """The pants groups <A, B> of every pair (A, B), their peripherals
+    classified as one stack and framed as one (_peripheral_frames, the
+    path of a single PantsGroup)."""
+    if not pairs:
+        return []
+    return [PantsGroup(space, A, B, frames) for (A, B), frames in
+            zip(pairs, _peripheral_frames(space, pairs))]
+
+
 def _check_compatible(P: QArray, D: QArray):
     resid = (P - D.inverse()).max_abs()
     if resid > COMPAT_TOL * (1.0 + P.max_abs()):
@@ -152,14 +187,18 @@ def _check_compatible(P: QArray, D: QArray):
             f"boundary mismatch {resid:.3e} exceeds {COMPAT_TOL:.0e}")
 
 
-def _stable_letter(space: HermitianSpace, X: QArray, Y: QArray,
-                   kappa: TwistBendParams, frame: LoxodromicFrame) -> QArray:
-    """The handle-closing letter t = S K with t X t^-1 = Y^-1: S
-    conjugates X to Y^-1 and K, the twist-bend of X's frame, commutes
-    with X, so the relation is exact and the twist deforms only the
-    transversal holonomy."""
-    return element_conjugator(space, X, Y.inverse()) @ \
-        twist_bend_element(kappa, frame)
+def _stable_letters(space: HermitianSpace, X: QArray, Y: QArray,
+                    kappas: Sequence[TwistBendParams],
+                    frames: Sequence[LoxodromicFrame]) -> List[QArray]:
+    """The handle-closing letters t_i = S_i K_i with t_i X_i t_i^-1 =
+    Y_i^-1, for stacks X and Y (k, m, m): S_i conjugates X_i to Y_i^-1,
+    all of them from one element_conjugator call, and K_i, the
+    twist-bend kappas[i] of X_i's frame frames[i], commutes with X_i,
+    so the relation is exact and the twist deforms only the transversal
+    holonomy."""
+    S = element_conjugator(space, X, Y.inverse())
+    return [S.pick(i) @ twist_bend_element(kappa, frame)
+            for i, (kappa, frame) in enumerate(zip(kappas, frames))]
 
 
 # -- surface assembly ------------------------------------------------------
@@ -232,26 +271,25 @@ def assemble_surface_representation(
     if any(g is None for g in aligned):
         raise GraphInvalid("gluing graph is not connected")
 
-    # non-tree edges close the g handles: stable letters t with
-    # t X t^-1 = Y^-1 across the curve; eliminating the far-side
-    # generators turns the glued amalgam relation into the standard
-    # commutator product, with handle orientations alternating
+    # the g non-tree edges (a connected graph of 2g-2 pants has 2g-3
+    # tree edges) close the handles: stable letters t with
+    # t X t^-1 = Y^-1 across the curve, all built as one stack;
+    # eliminating the far-side generators turns the glued amalgam
+    # relation into the standard commutator product, with handle
+    # orientations alternating
+    Xs, Ys, ks, fs = zip(*[
+        (aligned[i].peripherals()[si], aligned[j].peripherals()[sj],
+         kappas[e], aligned[i].frames[si])
+        for e, (i, si, j, sj) in enumerate(edges) if e not in tree])
+    letters = _stable_letters(space, QArray.stack(Xs), QArray.stack(Ys),
+                              ks, fs)
     generators: Dict[str, QArray] = {}
     rel = QArray.eye(space.n + 1)
-    h = 0
-    for e, (i, si, j, sj) in enumerate(edges):
-        if e in tree:
-            continue
-        h += 1
-        X = aligned[i].peripherals()[si]
-        Y = aligned[j].peripherals()[sj]
-        t = _stable_letter(space, X, Y, kappas[e], aligned[i].frames[si])
+    for h, (X, t) in enumerate(zip(Xs, letters), 1):
         a, b = (X.inverse(), t) if h % 2 else (t, X)
         generators[f"a{h}"] = a
         generators[f"b{h}"] = b
         rel = rel @ a @ b @ a.inverse() @ b.inverse()
-    if h != genus:
-        raise GraphInvalid(f"expected {genus} handles, found {h}")
     residual = (rel - QArray.eye(space.n + 1)).max_abs()
     return SurfaceRepresentation(genus, generators, residual,
                                  parameter_count(space, genus))

@@ -250,7 +250,7 @@ def test_linearization_matches_per_direction(field, n):
     from loxpairs.classify import _linearization
     space = HermitianSpace(n, field)
     rng = np.random.default_rng(5)
-    targets = [random_loxodromic(space, rng) for _ in range(2)]
+    targets = [random_loxodromic(space, rng)[0] for _ in range(2)]
     m = space.dim
     units = (1, 1j) if field == "complex" else (1, 1j, "j", "k")
     directions = []
@@ -282,7 +282,7 @@ def test_linearization_has_no_zero_row(field):
     from loxpairs.classify import _linearization
     space = HermitianSpace(3, field)
     rng = np.random.default_rng(5)
-    lin = _linearization(space, [random_loxodromic(space, rng)
+    lin = _linearization(space, [random_loxodromic(space, rng)[0]
                                  for _ in range(2)])
     assert lin.shape == (2 * space.units * space.dim ** 2,
                          space.units * space.dim ** 2)
@@ -392,6 +392,36 @@ def test_conjugacy_test_rejects_a_polish_off_the_points(qspace, rng,
                          conjugate_by(C, B))
     assert not res.conjugate and res.stage == "projective-points"
     assert res.conjugator is None and np.isnan(res.residual)
+
+
+def test_conjugacy_test_compares_points_over_the_quaternions(space, rng,
+                                                            monkeypatch):
+    # over the complex numbers every point is (1 : 0), so a conjugate
+    # pair is verified without forming the points of C F
+    import loxpairs.classify as classify
+    A, B = generate_pair(space, seed=31, mode="strong")
+    C = space.random_isometry(rng)
+    formed, real = [], classify.projective_points
+
+    def points(V):
+        formed.append(V.shape)
+        return real(V)
+
+    monkeypatch.setattr(classify, "projective_points", points)
+    res = conjugacy_test(space, A, B, conjugate_by(C, A), conjugate_by(C, B))
+    assert res.conjugate and res.stage == "verified"
+    assert bool(formed) == (space.field == "quaternion")
+
+
+def test_conjugacy_test_raises_on_a_nan_conjugator(cspace, rng,
+                                                   monkeypatch):
+    # with no point comparison over the complex numbers, the residual
+    # gate is the one that a NaN polish meets, and NaN fails it
+    A, B = generate_pair(cspace, seed=31, mode="strong")
+    C = cspace.random_isometry(rng)
+    push_polish(monkeypatch, QArray(np.full((4, 4), np.nan)))
+    with pytest.raises(VerificationFailed, match="conjugation residual nan"):
+        conjugacy_test(cspace, A, B, conjugate_by(C, A), conjugate_by(C, B))
 
 
 def test_conjugacy_test_rejects_a_bad_tol_or_mode(qspace, rng):
@@ -505,7 +535,7 @@ def test_lstsq_solver_matches_lstsq(field, n):
     from loxpairs.classify import _linearization, _lstsq_solver
     space = HermitianSpace(n, field)
     rng = np.random.default_rng(7)
-    lin = _linearization(space, [random_loxodromic(space, rng)
+    lin = _linearization(space, [random_loxodromic(space, rng)[0]
                                  for _ in range(2)])
     solve = _lstsq_solver(space, lin)
     # near a conjugator the residual E is D X' - X' D to first order, so
@@ -601,6 +631,21 @@ def test_refine_conjugator_at_its_rounding_floor_runs_no_sweep(space, rng,
     assert all((e - e1).max_abs() == 0.0 for e, e1 in zip(E2, E1))
 
 
+def test_refine_conjugator_keeps_no_nan_sweep(space, rng, monkeypatch):
+    # a sweep whose residual is NaN does not lower it: the polish keeps
+    # the C it had, so no NaN conjugator reaches the verdict
+    from loxpairs import classify
+    A, B = generate_pair(space, seed=2)
+    Q = space.random_isometry(rng)
+    pairs = [(A, conjugate_by(Q, A)), (B, conjugate_by(Q, B))]
+    C0 = Q @ (QArray.eye(space.dim) + QArray(1e-6 * np.eye(space.dim)[::-1]))
+    monkeypatch.setattr(classify, "_lstsq_solver",
+                        lambda space, M: lambda b: np.full(M.shape[1],
+                                                           np.nan))
+    C, E = classify._refine_conjugator(space, C0, pairs)
+    assert C is C0 and all(np.isfinite(e.max_abs()) for e in E)
+
+
 def test_refine_conjugator_leaves_a_larger_centralizer_unpolished(space,
                                                                   rng):
     # both targets share one diagonal X', so every diagonal D commutes
@@ -611,8 +656,8 @@ def test_refine_conjugator_leaves_a_larger_centralizer_unpolished(space,
     Xp = QArray.diag(np.arange(1, space.dim + 1) * (1.0 + 0.5j))
     assert _lstsq_solver(space, _linearization(space, [Xp, Xp])) is None
     C = space.random_isometry(rng)
-    pairs = [(random_loxodromic(space, rng), Xp),
-             (random_loxodromic(space, rng), Xp)]
+    pairs = [(random_loxodromic(space, rng)[0], Xp),
+             (random_loxodromic(space, rng)[0], Xp)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         C2, E = _refine_conjugator(space, C, pairs)
@@ -757,7 +802,7 @@ def _symmetry_ops(space, rng):
     """(A, B, A2, B2) for a conjugate pair, a pair whose second element
     has another spectrum, and a pair whose elements are conjugated by
     two different isometries."""
-    A, B, B3 = (random_loxodromic(space, rng) for _ in range(3))
+    A, B, B3 = (random_loxodromic(space, rng)[0] for _ in range(3))
     C, D = space.random_isometry(rng), space.random_isometry(rng)
     A2 = conjugate_by(C, A)
     return [(A, B, A2, conjugate_by(C, B)), (A, B, A2, B3),
@@ -864,7 +909,7 @@ def test_real_trace_gate_does_not_depend_on_the_element_order():
     # scaled by the first element alone rejects one order at real-trace
     space = HermitianSpace(3, "quaternion")
     rng = np.random.default_rng(17)
-    A, B = random_loxodromic(space, rng), random_loxodromic(space, rng)
+    (A, _), (B, _) = (random_loxodromic(space, rng) for _ in range(2))
     Q = space.random_isometry(rng)
     C = Q @ Q @ Q
     A2, B2 = conjugate_by(C, A), conjugate_by(C, B)

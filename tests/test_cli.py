@@ -252,6 +252,19 @@ def test_assemble_command(tmp_path, capsys):
     assert obj["relation_residual"] < 1e-6
 
 
+@pytest.mark.parametrize("field", ["quaternion", "complex"])
+def test_generate_strong_below_n3_exit_2(tmp_path, capsys, field):
+    # no pair of H^2 is non-singular, so strong mode refuses before it
+    # draws; weak mode still generates
+    out = tmp_path / "pair.json"
+    code = main(["generate", "--n", "2", "--field", field, "--mode",
+                 "strong", "--out", str(out)])
+    assert code == 2 and not out.exists()
+    assert capsys.readouterr().err.startswith(
+        "error: strong mode needs n >= 3")
+    _generate(tmp_path, field=field, mode="weak", n="2")
+
+
 def test_missing_input_exit_2(capsys):
     code, _ = _run(capsys, "invariants")
     assert code == 2

@@ -3,10 +3,12 @@ import pytest
 
 from loxpairs import generate
 from loxpairs.errors import LoxpairsError
-from loxpairs.generate import (ANGLE_FLOOR, CLASS_SEPARATION, RADIUS_RANGE,
-                               generate_pair, random_loxodromic,
-                               random_spectrum)
+from loxpairs.generate import (ANGLE_FLOOR, CLASS_SEPARATION, MAX_TRIES,
+                               RADIUS_RANGE, generate_pair,
+                               random_loxodromic, random_spectrum)
 from loxpairs.genericity import PairGenericityReport, genericity_report
+from loxpairs.hermitian import HermitianSpace
+from loxpairs.qmatrix import QArray
 from loxpairs.spectral import classify_element, eigen_frame
 
 
@@ -46,10 +48,73 @@ def test_spectrum_separation(space, rng):
                 assert np.linalg.norm(pts[i] - pts[j]) >= CLASS_SEPARATION
 
 
+def test_classes_separated_matches_the_pairwise_loop(rng):
+    # the broadcast comparison decides as the loop over pairs did,
+    # on separated, barely separated and colliding classes
+    from loxpairs.generate import _classes_separated
+
+    def loop(lams):
+        pts = np.stack([lams.real, np.abs(lams)], axis=1)
+        return all(np.max(np.abs(pts[i] - pts[j])) >= CLASS_SEPARATION
+                   for i in range(len(pts)) for j in range(i + 1, len(pts)))
+
+    for k in range(300):
+        lams = np.exp(1j * rng.uniform(-np.pi, np.pi, 5)) \
+            * rng.uniform(0.2, 5.0, 5)
+        if k % 3:
+            lams[k % 5] = lams[(k + 1) % 5] + (k % 7 - 3) * 4e-4
+        assert _classes_separated(lams) == loop(lams)
+
+
 def test_random_loxodromic_frame(space, rng):
-    A = random_loxodromic(space, rng)
-    f = eigen_frame(space, A)
+    A, f = random_loxodromic(space, rng)
     assert f.radius < 1.0
+    assert space.is_isometry(f.F)
+    assert (f.rebuild() - A).max_abs() <= 1e-12 * (1.0 + A.max_abs())
+
+
+@pytest.mark.parametrize("field", ["complex", "quaternion"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_construction_frames_match_eigen_frame(n, field):
+    # the frame built with A carries the class data, real traces and
+    # projective points that eigen_frame finds for A
+    space = HermitianSpace(n, field)
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        A, f = random_loxodromic(space, rng)
+        g = eigen_frame(space, A)
+        assert abs(f.radius - g.radius) <= 1e-10
+        assert abs(f.theta - g.theta) <= 1e-10
+        assert np.max(np.abs(f.phis - g.phis)) <= 1e-10
+        assert np.max(np.abs(f.real_trace - g.real_trace)) \
+            <= 1e-10 * (1.0 + np.max(np.abs(g.real_trace)))
+        assert np.max(np.abs(f.points - g.points)) <= 1e-10
+
+
+def _reference_pair(space, seed, mode):
+    """generate_pair with every try accepted or refused on the frames
+    that eigen_frame finds for A and B, from the same draws."""
+    rng = np.random.default_rng(seed)
+    for _ in range(MAX_TRIES):
+        A, _ = random_loxodromic(space, rng)
+        B, _ = random_loxodromic(space, rng)
+        fa, fb = eigen_frame(space, QArray.stack([A, B]))
+        rep, = genericity_report(space, [fa], [fb])
+        if rep.weakly_nonsingular and (mode == "weak" or rep.nonsingular):
+            return A, B
+    return None
+
+
+@pytest.mark.parametrize("mode", ["weak", "strong"])
+@pytest.mark.parametrize("field", ["complex", "quaternion"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_generate_pair_equals_the_eigen_frame_loop(n, field, mode):
+    space = HermitianSpace(n, field)
+    for seed in range(30):
+        A, B = generate_pair(space, seed=seed, mode=mode)
+        A2, B2 = _reference_pair(space, seed, mode)
+        for M, M2 in ((A, A2), (B, B2)):
+            assert np.array_equal(M.a, M2.a) and np.array_equal(M.b, M2.b)
 
 
 def test_modes(space):
@@ -76,3 +141,22 @@ def test_generate_pair_rejects_an_unknown_mode(cspace):
     for mode in ("Strong", "", None):
         with pytest.raises(LoxpairsError, match="unknown mode"):
             generate_pair(cspace, seed=0, mode=mode)
+
+
+@pytest.mark.parametrize("field", ["complex", "quaternion"])
+def test_strong_mode_below_n3_raises_at_once(monkeypatch, field):
+    # four fixed-point lifts have rank at most n + 1 = 3 < 4, so no pair
+    # is non-singular and no pair is drawn
+    space = HermitianSpace(2, field)
+    drawn = []
+
+    def drawing(*args):
+        drawn.append(1)
+        return random_loxodromic(*args)
+
+    monkeypatch.setattr(generate, "random_loxodromic", drawing)
+    with pytest.raises(LoxpairsError, match="strong mode needs n >= 3"):
+        generate_pair(space, seed=0, mode="strong")
+    assert not drawn
+    A, B = generate_pair(space, seed=0, mode="weak")
+    assert A.shape == B.shape == (3, 3) and len(drawn) >= 2

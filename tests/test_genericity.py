@@ -129,7 +129,7 @@ def test_report_at_n2(field):
 
 def test_power_pair_shares_fixed_points(qspace, rng):
     # (A, A^2) has common fixed points, hence fails genericity outright
-    A = random_loxodromic(qspace, rng)
+    A = random_loxodromic(qspace, rng)[0]
     fa = eigen_frame(qspace, A)
     fb = eigen_frame(qspace, A @ A)
     rep, = genericity_report(qspace, [fa], [fb])

@@ -172,6 +172,63 @@ def test_refine_keeps_the_tracer_contract():
         assert (e - (Xp - C @ X @ Cinv)).max_abs() == 0.0
 
 
+def _tries_read():
+    """The traced layer whose calls run.py divides by a constant to
+    count the tries of generate_pair, and that constant."""
+    for node in ast.walk(ast.parse((BENCH / "run.py").read_text())):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div) \
+                and isinstance(node.right, ast.Constant):
+            names = [c.value for c in ast.walk(node.left)
+                     if isinstance(c, ast.Constant)
+                     and str(c.value).startswith("generate.")]
+            if names:
+                return names[0], node.right.value
+    raise AssertionError("run.py counts no tries of generate_pair")
+
+
+def test_generate_keeps_the_tracer_contract(monkeypatch):
+    # the traced benchmark reads accept_ratio as the accepted
+    # generate_pair calls over the tries, and counts the tries as the
+    # traced calls of random_loxodromic over 2: generate_pair must draw
+    # through that module attribute, twice per try, accepted or not
+    import loxpairs.generate as generate
+    from loxpairs.genericity import PairGenericityReport
+    from loxpairs.hermitian import HermitianSpace
+    name, per_try = _tries_read()
+    assert name == "generate.random_loxodromic" and per_try == 2
+    layer, attr = name.split(".")
+    assert layer in LAYERS and inspect.isfunction(getattr(generate, attr))
+    draws, tries = [], []
+    draw, report = generate.random_loxodromic, generate.genericity_report
+
+    def drawing(*args):
+        draws.append(1)
+        return draw(*args)
+
+    def reporting(*args):
+        tries.append(1)
+        return report(*args)
+
+    monkeypatch.setattr(generate, attr, drawing)
+    monkeypatch.setattr(generate, "genericity_report", reporting)
+    for n, field, mode in [(3, "quaternion", "strong"),
+                           (3, "complex", "weak"), (4, "complex", "strong"),
+                           (2, "quaternion", "weak")]:
+        for seed in range(4):
+            draws.clear(), tries.clear()
+            generate.generate_pair(HermitianSpace(n, field), seed=seed,
+                                   mode=mode)
+            assert len(draws) == per_try * len(tries) > 0
+    # a call that gives up has drawn two elements per try as well
+    never = PairGenericityReport(False, False, np.zeros((2, 2), dtype=bool))
+    monkeypatch.setattr(generate, "genericity_report",
+                        lambda *args: tries.append(1) or [never])
+    draws.clear(), tries.clear()
+    with pytest.raises(generate.LoxpairsError, match="in 100 attempts"):
+        generate.generate_pair(HermitianSpace(3, "complex"), seed=0)
+    assert len(draws) == per_try * len(tries) == per_try * generate.MAX_TRIES
+
+
 CLI_MIX = sorted(name for name, where in HOME_OF.items()
                  if "cli-mix" in where)
 

@@ -72,7 +72,8 @@ def test_classify_complex_takes_one_char_poly(cspace, rng, monkeypatch):
         return fl(M)
 
     monkeypatch.setattr(spectral, "faddeev_leverrier", counted)
-    assert classify_element(cspace, random_loxodromic(cspace, rng)).is_loxodromic
+    A, _ = random_loxodromic(cspace, rng)
+    assert classify_element(cspace, A).is_loxodromic
     assert calls == [(4, 4)]
 
 
@@ -84,7 +85,7 @@ def test_classify_elliptic_diagonal(qspace):
 
 
 def test_real_trace_conjugation_invariant(qspace, rng):
-    A = random_loxodromic(qspace, rng)
+    A = random_loxodromic(qspace, rng)[0]
     C = qspace.random_isometry(rng)
     t0 = real_char_poly(qspace, A)[1:qspace.n + 2]
     t1 = real_char_poly(qspace, conjugate_by(C, A))[1:qspace.n + 2]
@@ -104,13 +105,13 @@ def test_eigen_frame_diagonal(qspace):
 
 
 def test_eigen_frame_rebuild(qspace, rng):
-    A = random_loxodromic(qspace, rng)
+    A = random_loxodromic(qspace, rng)[0]
     f = eigen_frame(qspace, A)
     assert (f.rebuild() - A).max_abs() < 1e-8 * (1 + A.max_abs())
 
 
 def test_frame_normalization(qspace, rng):
-    A = random_loxodromic(qspace, rng)
+    A = random_loxodromic(qspace, rng)[0]
     f = eigen_frame(qspace, A)
     assert (qspace.inner(f.attracting, f.repelling)
             - QArray(1.0)).moduli() <= 1e-9
@@ -120,7 +121,7 @@ def test_frame_normalization(qspace, rng):
 
 
 def test_frame_real_trace(qspace, rng):
-    A = random_loxodromic(qspace, rng)
+    A = random_loxodromic(qspace, rng)[0]
     f = eigen_frame(qspace, A)
     expect = real_char_poly(qspace, A)[1:qspace.n + 2]
     assert np.allclose(f.real_trace, expect, rtol=1e-7, atol=1e-7)
@@ -171,7 +172,7 @@ def test_eigen_frame_rejects_real_class(qspace):
 
 
 def test_conjugated_frame(qspace, rng):
-    A = random_loxodromic(qspace, rng)
+    A = random_loxodromic(qspace, rng)[0]
     C = qspace.random_isometry(rng)
     f = eigen_frame(qspace, A).conjugated(C)
     Ac = conjugate_by(C, A)
@@ -203,7 +204,7 @@ def test_projective_points_match_per_vector_rule(qspace, rng):
 
 
 def test_element_conjugator(qspace, rng):
-    A = random_loxodromic(qspace, rng)
+    A = random_loxodromic(qspace, rng)[0]
     C = qspace.random_isometry(rng)
     Ac = conjugate_by(C, A)
     S = element_conjugator(qspace, A, Ac)
@@ -211,8 +212,65 @@ def test_element_conjugator(qspace, rng):
     assert qspace.is_isometry(S, tol=1e-6)
 
 
+def _conjugate_pairs(space, rng, k):
+    """k pairs (X, C X C^-1) of loxodromics X and random isometries C."""
+    pairs = []
+    for _ in range(k):
+        X, _ = random_loxodromic(space, rng)
+        pairs.append((X, conjugate_by(space.random_isometry(rng), X)))
+    return pairs
+
+
+def _conjugator(space, X, Y):
+    try:
+        return element_conjugator(space, X, Y)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("field", ["complex", "quaternion"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_stacked_conjugators_equal_single_conjugators(n, field):
+    space = HermitianSpace(n, field)
+    pairs = _conjugate_pairs(space, np.random.default_rng(n), 3)
+    S = element_conjugator(space, *map(QArray.stack, zip(*pairs)))
+    assert S.shape == (3, space.dim, space.dim)
+    for i, (X, Y) in enumerate(pairs):
+        alone = element_conjugator(space, X, Y)
+        assert alone.shape == (space.dim, space.dim)
+        assert np.array_equal(S.a[i], alone.a)
+        assert np.array_equal(S.b[i], alone.b)
+
+
+@pytest.mark.parametrize("field", ["complex", "quaternion"])
+@pytest.mark.parametrize("bad", [{1: ("Y", "differ")},
+                                 {0: ("X", "no-attracting"),
+                                  2: ("Y", "classes")},
+                                 {1: ("Y", "non-unit"), 2: ("X", "classes")},
+                                 {0: ("Y", "differ"),
+                                  3: ("X", "no-attracting")},
+                                 {1: ("X", "differ"), 2: ("Y", "differ")},
+                                 {2: ("X", "overflow"), 3: ("Y", "differ")}])
+def test_stacked_conjugators_raise_what_the_pair_raises(field, bad):
+    # eigen_frame frames X_0, Y_0, X_1, ... as one stack, then the class
+    # data of every pair is compared: the stack raises at the earliest
+    # gate that any pair fails, with the error of the first pair that
+    # fails it alone
+    space = HermitianSpace(3, field)
+    rng = np.random.default_rng(6)
+    pairs = _conjugate_pairs(space, rng, 4)
+    for i, (side, name) in bad.items():
+        M = random_loxodromic(space, rng)[0] if name == "differ" \
+            else _failing(space)[name]
+        pairs[i] = (M, pairs[i][1]) if side == "X" else (pairs[i][0], M)
+    expect = _earliest([_conjugator(space, X, Y) for X, Y in pairs],
+                       _GATES + ("eigenvalue data of the two elements "
+                                 "differ",))
+    assert _conjugator(space, *map(QArray.stack, zip(*pairs))) == expect
+
+
 def test_complex_mode_frame(cspace, rng):
-    A = random_loxodromic(cspace, rng)
+    A = random_loxodromic(cspace, rng)[0]
     f = eigen_frame(cspace, A)
     assert (f.rebuild() - A).max_abs() < 1e-8 * (1 + A.max_abs())
     assert np.max(np.abs(f.attracting.b)) == 0
@@ -220,7 +278,7 @@ def test_complex_mode_frame(cspace, rng):
 
 def test_eigenpairs_pick_upper_representatives(qspace, rng):
     from loxpairs.spectral import _eigenpairs
-    As = QArray.stack([random_loxodromic(qspace, rng) for _ in range(3)])
+    As = QArray.stack([random_loxodromic(qspace, rng)[0] for _ in range(3)])
     _, lams, _ = _eigenpairs(qspace, qspace.as_complex(As))
     assert lams.shape == (3, qspace.dim)
     assert np.all(lams.imag >= 0)
@@ -252,7 +310,7 @@ def test_eigen_frame_large_conjugator(n, field):
     rng = np.random.default_rng(1234)
     Q = QArray.diag([1e3] + [1.0] * (n - 1) + [1e-3])
     for _ in range(20):
-        A2 = conjugate_by(Q, random_loxodromic(space, rng))
+        A2 = conjugate_by(Q, random_loxodromic(space, rng)[0])
         _assert_within_gates(space, eigen_frame(space, A2), A2)
 
 
@@ -270,7 +328,7 @@ def test_eigen_frame_boosted_conjugates_frame_or_raise_typed(k, n, field):
     Q = QArray.diag([k] + [1.0] * (n - 1) + [1 / k])
     for _ in range(5):
         S = space.random_isometry(rng) @ Q @ space.random_isometry(rng)
-        A2 = conjugate_by(S, random_loxodromic(space, rng))
+        A2 = conjugate_by(S, random_loxodromic(space, rng)[0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
@@ -294,7 +352,7 @@ def _turn_repelling(space, eigenpairs, unit):
 def test_eigen_frame_non_complex_pairing_is_typed(qspace, rng, monkeypatch):
     import loxpairs.spectral as spectral
     from loxpairs.errors import DegenerateSpectrum
-    A = random_loxodromic(qspace, rng)
+    A = random_loxodromic(qspace, rng)[0]
     # right-multiplying the repelling eigenvector by j keeps it an
     # eigenvector of the class, but <a, rv> is no longer complex
     monkeypatch.setattr(spectral, "_eigenpairs", _turn_repelling(
@@ -332,7 +390,7 @@ def test_eigen_frame_non_finite_eigenpairs_are_typed(monkeypatch, field, k,
     from loxpairs.errors import DegenerateSpectrum
     space = HermitianSpace(3, field)
     rng = np.random.default_rng(7)
-    As = QArray.stack([random_loxodromic(space, rng) for _ in range(k)])
+    As = QArray.stack([random_loxodromic(space, rng)[0] for _ in range(k)])
     eigenpairs = spectral._eigenpairs
 
     def changed(*args):
@@ -353,7 +411,7 @@ def test_eigen_frame_pairing_gate(qspace, rng, monkeypatch, tilt, raises):
     # <a, rv> a j part |<a, rv>| sin t; the gate is 1e-7 (1 + |<a, rv>|)
     import loxpairs.spectral as spectral
     from loxpairs.errors import DegenerateSpectrum
-    A = random_loxodromic(qspace, rng)
+    A = random_loxodromic(qspace, rng)[0]
     unit = QArray(np.cos(tilt), np.sin(tilt))
     monkeypatch.setattr(spectral, "_eigenpairs", _turn_repelling(
         qspace, spectral._eigenpairs, unit))
@@ -382,7 +440,7 @@ def test_polish_eigenpairs_halves_residual_on_boosted_conjugates(n, fld):
     rng = np.random.default_rng(2024)
     Q = QArray.diag([1e3] + [1.0] * (n - 1) + [1e-3])
     for _ in range(10):
-        M = space.as_complex(conjugate_by(Q, random_loxodromic(space, rng)))
+        M = space.as_complex(conjugate_by(Q, random_loxodromic(space, rng)[0]))
         evals, evecs = np.linalg.eig(M)
         idx = np.argsort(-evals.imag)[:space.dim]
         V, lams = evecs[:, idx].T, evals[idx]
@@ -441,7 +499,7 @@ def _stacked(space, As):
 def test_stacked_frames_equal_single_frames(n, field):
     space = HermitianSpace(n, field)
     rng = np.random.default_rng(n)
-    As = QArray.stack([random_loxodromic(space, rng) for _ in range(4)])
+    As = QArray.stack([random_loxodromic(space, rng)[0] for _ in range(4)])
     frames = eigen_frame(space, As)
     assert isinstance(frames, list) and len(frames) == 4
     for i, f in enumerate(frames):
@@ -453,7 +511,7 @@ def test_stack_frames_its_large_element_as_alone(field):
     space = HermitianSpace(3, field)
     rng = np.random.default_rng(11)
     Q = QArray.diag([30.0, 1.0, 1.0, 1 / 30.0])
-    As = [random_loxodromic(space, rng) for _ in range(3)]
+    As = [random_loxodromic(space, rng)[0] for _ in range(3)]
     As[1] = conjugate_by(Q, As[1])
     assert As[1].max_abs() > 10 * max(As[0].max_abs(), As[2].max_abs())
     for f, A in zip(eigen_frame(space, QArray.stack(As)), As):
@@ -471,7 +529,7 @@ def _failing(space):
     reconstruction gate."""
     twice = np.exp(1j * 0.7)
     unit = np.exp(1j * np.array([0.3, 0.9, 1.7, 2.5]))
-    huge = random_loxodromic(space, np.random.default_rng(0)).scale(1e200)
+    huge = random_loxodromic(space, np.random.default_rng(0))[0].scale(1e200)
     return {"overflow": huge,
             "classes": QArray.diag([0.5, twice, twice, 2.0]),
             "no-attracting": QArray.diag(unit),
@@ -493,13 +551,13 @@ _GATES = ("polynomial coefficients are not finite",
           "frame reconstruction residual")
 
 
-def _earliest(alone):
+def _earliest(alone, gates=_GATES):
     """Of the results of a stack's elements called alone, in stack
-    order, the error at the earliest gate, and of the first element on
-    a tie."""
+    order, the error at the earliest of gates, and of the first element
+    on a tie."""
     errors = [r for r in alone if isinstance(r, tuple)]
     return min(errors, key=lambda r: next(
-        k for k, gate in enumerate(_GATES) if r[1].startswith(gate)))
+        k for k, gate in enumerate(gates) if r[1].startswith(gate)))
 
 
 @pytest.mark.parametrize("field", ["complex", "quaternion"])
@@ -525,7 +583,7 @@ def test_stack_raises_what_the_serial_loop_raises(field, bad):
     # with the error that element raises alone
     space = HermitianSpace(3, field)
     rng = np.random.default_rng(5)
-    As = [random_loxodromic(space, rng) for _ in range(4)]
+    As = [random_loxodromic(space, rng)[0] for _ in range(4)]
     for i, name in bad.items():
         As[i] = _failing(space)[name]
     As = QArray.stack(As)
@@ -549,7 +607,7 @@ def test_stacked_classes_equal_single_classes(n, field):
     angles = np.r_[0.3, np.linspace(0.9, 2.5, n - 1), 0.3]
     elliptic = conjugate_by(space.random_isometry(rng),
                             QArray.diag(np.exp(1j * angles)))
-    As = QArray.stack([random_loxodromic(space, rng) for _ in range(3)]
+    As = QArray.stack([random_loxodromic(space, rng)[0] for _ in range(3)]
                       + [elliptic, space.random_isometry(rng)])
     classes = classify_element(space, As)
     coeffs = real_char_poly(space, As)
@@ -578,7 +636,7 @@ def test_stacked_classes_raise_what_the_element_raises(entry, field, bad):
     # that fails it alone
     space = HermitianSpace(3, field)
     rng = np.random.default_rng(4)
-    As = [random_loxodromic(space, rng) for _ in range(4)]
+    As = [random_loxodromic(space, rng)[0] for _ in range(4)]
     for i, name in bad.items():
         As[i] = _failing_class(space, name)
     first = min(bad, key=lambda i: (bad[i] == "symmetry", i))
@@ -597,7 +655,7 @@ def test_stack_with_an_overflowing_element_leaks_no_warning(qspace, cspace,
     # the earliest gate, so the stack raises its error, which the first
     # element's later gate does not shadow; no overflow warning gets out
     bad = _failing(qspace)["no-attracting"]
-    huge = random_loxodromic(qspace, rng).scale(1e200)
+    huge = random_loxodromic(qspace, rng)[0].scale(1e200)
     As = QArray.stack([bad, huge])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -619,7 +677,7 @@ def test_stack_runs_the_root_stack_once(monkeypatch):
     import loxpairs.spectral as spectral
     space = HermitianSpace(3, "quaternion")
     rng = np.random.default_rng(3)
-    As = QArray.stack([random_loxodromic(space, rng) for _ in range(4)])
+    As = QArray.stack([random_loxodromic(space, rng)[0] for _ in range(4)])
     calls = []
     for name in ("aberth_roots", "cluster_roots"):
         def counting(*args, _f=getattr(spectral, name), _name=name):
@@ -637,7 +695,7 @@ def test_companion_eig_failure_is_typed(monkeypatch, field, k):
     # raises a typed error for it, and no warning gets out
     space = HermitianSpace(3, field)
     rng = np.random.default_rng(4)
-    As = QArray.stack([random_loxodromic(space, rng) for _ in range(k)])
+    As = QArray.stack([random_loxodromic(space, rng)[0] for _ in range(k)])
 
     def failing(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -653,7 +711,7 @@ def test_frames_carry_their_real_traces(qspace, rng):
     # the stacked traces are those of each frame's own class eigenvalues,
     # and a conjugated frame keeps them
     from loxpairs.spectral import _real_traces
-    A = random_loxodromic(qspace, rng)
+    A = random_loxodromic(qspace, rng)[0]
     f = eigen_frame(qspace, QArray.stack([A, A @ A]))[1]
     assert np.array_equal(f.real_trace, _real_traces(f.eigenvalues))
     assert f.conjugated(qspace.random_isometry(rng)).real_trace \

@@ -2,16 +2,19 @@ import numpy as np
 import pytest
 
 from loxpairs.errors import (DegenerateConfiguration, GraphInvalid,
-                             InconsistentProjectivePoints, WrongDimension)
+                             InconsistentProjectivePoints, NotIsometry,
+                             NotLoxodromic, PalindromeViolation,
+                             WrongDimension)
 from loxpairs.generate import generate_pair, random_loxodromic
 from loxpairs.hermitian import HermitianSpace
 from loxpairs.qmatrix import QArray, conjugate_by
 from loxpairs.spectral import eigen_frame
 from loxpairs.twistbend import (PantsGroup, SurfaceRepresentation,
-                                TwistBendParams, _stable_letter,
+                                TwistBendParams, _stable_letters,
                                 assemble_surface_representation,
-                                identity_params, parameter_count,
-                                tilde_invariants, twist_bend_element)
+                                identity_params, pants_groups,
+                                parameter_count, tilde_invariants,
+                                twist_bend_element)
 
 
 def _pants(space, seed):
@@ -71,7 +74,7 @@ def test_inconsistent_points_rejected(qframes):
 def test_wrong_dimension_rejected(rng):
     space = HermitianSpace(2, "quaternion")
     from loxpairs.generate import random_loxodromic
-    f = eigen_frame(space, random_loxodromic(space, rng))
+    f = eigen_frame(space, random_loxodromic(space, rng)[0])
     p = np.array([1.0, 0.0])
     with pytest.raises(WrongDimension):
         twist_bend_element(TwistBendParams(1.0, 0.0, 0.0, 0.0, p, p, p), f)
@@ -143,12 +146,14 @@ def test_glue_closes_handle_with_stable_letter(seed):
     # twist the letter t must still carry P = A to B^-1
     space = HermitianSpace(3, "quaternion")
     rng = np.random.default_rng(seed)
-    A = random_loxodromic(space, rng)
+    A = random_loxodromic(space, rng)[0]
     B = conjugate_by(space.random_isometry(rng), A.inverse())
     g = PantsGroup(space, A, B)
     kap = _twisted(identity_params(g.frames[0]))
     P = g.peripherals()[0]
-    t = _stable_letter(space, P, g.peripherals()[1], kap, g.frames[0])
+    t, = _stable_letters(space, QArray.stack([P]),
+                         QArray.stack([g.peripherals()[1]]), [kap],
+                         [g.frames[0]])
     Binv = B.inverse()
     assert (conjugate_by(t, P) - Binv).max_abs() <= 1e-9 * Binv.max_abs()
 
@@ -256,3 +261,100 @@ def test_pants_errors_keep_the_serial_order(monkeypatch, frame_fails,
     assert expect is None or expect[0] is (
         NotLoxodromic if class_fails is not None else DegenerateSpectrum)
     assert outcome(lambda: PantsGroup(space, A, B)) == expect
+
+
+# -- stacks: every pants and every handle framed in one call --------------
+
+def _same_frames(fs, gs):
+    return len(fs) == len(gs) and all(
+        f.radius == g.radius and f.theta == g.theta
+        and np.array_equal(f.phis, g.phis) and np.array_equal(f.F.a, g.F.a)
+        and np.array_equal(f.F.b, g.F.b) for f, g in zip(fs, gs))
+
+
+@pytest.mark.parametrize("field", ["complex", "quaternion"])
+def test_pants_groups_equal_single_pants(field):
+    space = HermitianSpace(3, field)
+    singles = [_pants(space, seed) for seed in (0, 10, 20)]
+    stacked = pants_groups(space, [(g.A, g.B) for g in singles])
+    assert pants_groups(space, []) == []
+    for g, h in zip(stacked, singles):
+        assert g.A is h.A and g.B is h.B
+        assert _same_frames(g.frames, h.frames)
+
+
+def _pants_outcome(build):
+    try:
+        build()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("field", ["complex", "quaternion"])
+@pytest.mark.parametrize("bad", [{1: "elliptic"}, {0: "elliptic", 2: "size"},
+                                 {1: "not-isometry", 2: "elliptic"},
+                                 {0: "elliptic", 1: "not-isometry"},
+                                 {0: "small", 2: "size"}])
+def test_stacked_pants_raise_what_the_pants_raises(field, bad):
+    # every matrix is checked, then all peripherals are classified, then
+    # framed: the stack raises at the earliest gate that any pants
+    # fails, with the error of the first pants that fails it alone
+    space = HermitianSpace(3, field)
+    rng = np.random.default_rng(3)
+    pairs = [(g.A, g.B) for g in (_pants(space, seed) for seed in
+                                  (0, 10, 20))]
+    angles = np.r_[0.3, 0.9, 2.5, 0.3]
+    bad_A = {"elliptic": conjugate_by(space.random_isometry(rng),
+                                      QArray.diag(np.exp(1j * angles))),
+             "not-isometry": space._random_qarray(rng, (4, 4)),
+             "size": generate_pair(HermitianSpace(4, field), seed=1)[0],
+             "small": generate_pair(HermitianSpace(2, field), seed=1)[0]}
+    for i, name in bad.items():
+        pairs[i] = (bad_A[name], pairs[i][1])
+    gates = (WrongDimension, NotIsometry, PalindromeViolation,
+             NotLoxodromic)
+    alone = [_pants_outcome(lambda: PantsGroup(space, A, B))
+             for A, B in pairs]
+    expect = min((r for r in alone if r is not None),
+                 key=lambda r: gates.index(r[0]))
+    assert _pants_outcome(lambda: pants_groups(space, pairs)) == expect
+
+
+def test_assemble_frames_each_element_once(monkeypatch, qpants):
+    # one classification and one framing of all six peripherals, one
+    # conjugator for the tree edge and one stack for both handles
+    import loxpairs.twistbend as tb
+    space = qpants.space
+    single, edges = _two_pants_graph(space, qpants)
+    kappas = [_twisted(identity_params(single[e[0]].frames[e[1]]))
+              for e in edges]
+    expect = assemble_surface_representation(space, single, edges, kappas)
+    calls = []
+    for name in ("classify_element", "eigen_frame", "element_conjugator"):
+        def counting(*args, _f=getattr(tb, name), _name=name):
+            calls.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(tb, name, counting)
+    pants = pants_groups(space, [(g.A, g.B) for g in single])
+    rep = assemble_surface_representation(space, pants, edges, kappas)
+    assert sorted(calls) == ["classify_element", "eigen_frame",
+                             "element_conjugator", "element_conjugator"]
+    assert rep.generators.keys() == expect.generators.keys()
+    for name, g in rep.generators.items():
+        assert np.array_equal(g.a, expect.generators[name].a)
+        assert np.array_equal(g.b, expect.generators[name].b)
+
+
+def test_stacked_letters_equal_single_letters(qpants):
+    space = qpants.space
+    pants, edges = _two_pants_graph(space, qpants)
+    handles = [(pants[i].peripherals()[si], pants[j].peripherals()[sj],
+                _twisted(identity_params(pants[i].frames[si])),
+                pants[i].frames[si]) for i, si, j, sj in edges[1:]]
+    Xs, Ys, ks, fs = zip(*handles)
+    letters = _stable_letters(space, QArray.stack(Xs), QArray.stack(Ys),
+                              ks, fs)
+    for t, (X, Y, k, f) in zip(letters, handles):
+        alone, = _stable_letters(space, QArray.stack([X]),
+                                 QArray.stack([Y]), [k], [f])
+        assert np.array_equal(t.a, alone.a) and np.array_equal(t.b, alone.b)
