@@ -86,7 +86,10 @@ def generate_pair(space: HermitianSpace, seed: Optional[int] = None,
         raise LoxpairsError(
             f"strong mode needs n >= 3: four fixed-point lifts cannot "
             f"have rank 4 in dimension {space.dim}")
-    rng = np.random.default_rng(seed)
+    try:
+        rng = np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:   # a negative or non-integer seed
+        raise LoxpairsError(f"bad seed {seed!r}: {exc}") from exc
     for _ in range(MAX_TRIES):
         A, fa = random_loxodromic(space, rng)
         B, fb = random_loxodromic(space, rng)

@@ -23,12 +23,12 @@ the real basis of the central scalars (`centre`) and the dimension of
 the isometry group (`group_dim`).  `gauge` is the one rule for the
 unit scalar left free by the normalization of lifts.
 Branches on the field remain only where the mathematics differs:
-`spectral` (the loxodromic test by delta against eigenvalue moduli, chi
-times conj(chi) for a complex characteristic polynomial, the upper
-half-plane class filter and the quaternionic class gates of
-`eigen_frame`), the reduced invariant list of complex strong mode in
-`classify.conjugacy_test`, and the angle ranges of
-`generate.random_spectrum`.
+`spectral` (delta against eigenvalue moduli, chi conj(chi) for a
+complex characteristic polynomial, the upper half-plane class filter,
+the quaternionic class gates of `eigen_frame`), `classify` (the
+reduced invariant list of complex strong mode, the quaternion-only
+projective-points comparison, the `units == 2` split of
+`_linearization`) and the angle ranges of `generate.random_spectrum`.
 """
 
 from __future__ import annotations

@@ -16,14 +16,15 @@ one stable-letter rule, `_stable_letters`: t = S K, with S conjugating
 the curve X to the inverse Y^-1 of its partner and K the twist-bend of
 X, so t X t^-1 = Y^-1.  Only n = 3.
 
-Each element is framed once, in as few stacked calls as the data
-allow.  `pants_groups` classifies the peripherals of all its pants as
-one stack and frames them as one, the path of a single `PantsGroup`.
-The tree walk conjugates one edge at a time, since each alignment
-depends on the one before it, and the conjugators S of all the handles
-come from one `element_conjugator` call.  A stack raises at its
-earliest failing gate: of two bad pants, or two bad handles, the one
-that fails the earlier gate raises, and the first one on a tie.
+A `PantsGroup` holds its peripheral stack P = [A, B, (AB)^-1] and
+the frames of P.  `pants_groups`, its one builder, classifies the
+peripherals of all its pants as one stack and frames them as one, and
+a conjugated pants forms (AB)^-1 from its conjugated A and B.  The
+tree walk conjugates one edge at a time, since each alignment depends
+on the one before it, and the conjugators S of all the handles come
+from one `element_conjugator` call.  A stack raises at its earliest
+failing gate: of two bad pants, or two bad handles, the one that fails
+the earlier gate raises, and the first one on a tie.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .errors import (DegenerateConfiguration, DegenerateInputError,
 from .gram import _normalize_quadruple
 from .hermitian import HermitianSpace
 from .invariants import CROSS, TRIPLE, _angles, _words
-from .qmatrix import QArray, conjugate_by, quaternionic_rank
+from .qmatrix import QArray, quaternionic_rank
 from .spectral import (LoxodromicFrame, _class_values, classify_element,
                        eigen_frame, element_conjugator)
 
@@ -82,10 +83,11 @@ def twist_bend_element(kappa: TwistBendParams,
     if not np.all(np.linalg.norm(k - frame.points, axis=1) <= POINT_TOL):
         raise InconsistentProjectivePoints(
             "twist-bend projective points do not agree with the frame")
-    A = frame.rebuild()
+    F, Finv = frame.F, frame.F.inverse()
+    A = F @ QArray.diag(frame.eigenvalues) @ Finv
     # a huge t overflows K; the finiteness gate below reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        K = frame.F @ kappa.diagonal() @ frame.F.inverse()
+        K = F @ kappa.diagonal() @ Finv
         resid = (K @ A - A @ K).max_abs()
         bound = COMMUTE_TOL * (1.0 + A.max_abs()) * (1.0 + K.max_abs())
     if not (np.isfinite(bound) and resid <= bound):  # overflow, NaN fail
@@ -124,60 +126,51 @@ def tilde_invariants(space: HermitianSpace, K: QArray,
 
 @dataclass
 class PantsGroup:
-    """A (0,3) group <A, B> with loxodromic peripherals A, B, (AB)^-1
-    and their frames, which pants_groups builds for many pants at
-    once."""
+    """A (0,3) group <A, B>, held as its peripheral stack P = [A, B,
+    (AB)^-1] of shape (3, m, m) and their three frames; A and B are
+    views of P.  pants_groups builds it."""
     space: HermitianSpace
-    A: QArray
-    B: QArray
-    frames: List[LoxodromicFrame] = field(default_factory=list, repr=False)
+    P: QArray
+    frames: List[LoxodromicFrame] = field(repr=False)
 
-    def __post_init__(self):
-        if not self.frames:
-            self.frames, = _peripheral_frames(self.space, [(self.A, self.B)])
-
-    def peripherals(self) -> List[QArray]:
-        return _peripherals(self.A, self.B)
+    A = property(lambda self: self.P.pick(0))
+    B = property(lambda self: self.P.pick(1))
 
     def conjugated(self, S: QArray) -> "PantsGroup":
         # carrying the frames over keeps large-norm conjugates away from
         # the spectral routines (conjugation does not move the spectrum)
-        return PantsGroup(self.space, conjugate_by(S, self.A),
-                          conjugate_by(S, self.B),
+        Sinv = S.inverse()
+        return PantsGroup(self.space, _peripheral_stack(S @ self.A @ Sinv,
+                                                        S @ self.B @ Sinv),
                           [f.conjugated(S) for f in self.frames])
 
 
-def _peripherals(A: QArray, B: QArray) -> List[QArray]:
-    return [A, B, (A @ B).inverse()]
-
-
-def _peripheral_frames(space: HermitianSpace, pairs: Sequence[
-        Tuple[QArray, QArray]]) -> List[List[LoxodromicFrame]]:
-    """The frames of the peripherals A, B, (AB)^-1 of every pair (A, B),
-    three per pair.  Every matrix is checked before any product; the
-    FL gate types pants whose frames would miss the relation, and it is
-    the earlier gate, so all 3k peripherals are classified as one stack
-    before they are framed as one.  A stack raises at its earliest
-    failing gate."""
-    for pair in pairs:
-        for M in pair:
-            space.check_matrices(M)
-    Ps = QArray.stack([P for A, B in pairs for P in _peripherals(A, B)])
-    if not all(c.is_loxodromic for c in classify_element(space, Ps)):
-        raise NotLoxodromic("peripheral element is not loxodromic")
-    frames = eigen_frame(space, Ps)
-    return [frames[i:i + 3] for i in range(0, len(frames), 3)]
+def _peripheral_stack(A: QArray, B: QArray) -> QArray:
+    """The peripherals [A, B, (AB)^-1] of <A, B>, as one (3, m, m) stack."""
+    return QArray.stack([A, B, (A @ B).inverse()])
 
 
 def pants_groups(space: HermitianSpace, pairs: Sequence[
         Tuple[QArray, QArray]]) -> List[PantsGroup]:
-    """The pants groups <A, B> of every pair (A, B), their peripherals
-    classified as one stack and framed as one (_peripheral_frames, the
-    path of a single PantsGroup)."""
+    """The pants groups <A, B> of every pair (A, B), the one builder of
+    a PantsGroup.  Every matrix is checked before any product; the FL
+    gate types pants whose frames would miss the relation, and it is
+    the earlier gate, so all 3k peripherals are classified as one stack
+    before they are framed as one.  A stack raises at its earliest
+    failing gate."""
     if not pairs:
         return []
-    return [PantsGroup(space, A, B, frames) for (A, B), frames in
-            zip(pairs, _peripheral_frames(space, pairs))]
+    for pair in pairs:
+        for M in pair:
+            space.check_matrices(M)
+    Ps = QArray.stack([_peripheral_stack(A, B) for A, B in pairs])
+    shape = (-1,) + Ps.shape[-2:]
+    Ps = QArray(Ps.a.reshape(shape), Ps.b.reshape(shape))
+    if not all(c.is_loxodromic for c in classify_element(space, Ps)):
+        raise NotLoxodromic("peripheral element is not loxodromic")
+    frames = eigen_frame(space, Ps)
+    return [PantsGroup(space, Ps.pick(slice(i, i + 3)), frames[i:i + 3])
+            for i in range(0, len(frames), 3)]
 
 
 def _check_compatible(P: QArray, D: QArray):
@@ -239,7 +232,7 @@ def assemble_surface_representation(
     used = set()
     for (i, si, j, sj) in edges:
         for key in ((i, si), (j, sj)):
-            if key[0] >= np_ or not 0 <= key[1] < 3 or key in used:
+            if not (0 <= key[0] < np_ and 0 <= key[1] < 3) or key in used:
                 raise GraphInvalid(f"bad or reused slot {key}")
             used.add(key)
 
@@ -260,12 +253,11 @@ def assemble_surface_representation(
                 a, sa, b, sb = b, sb, a, sa
             if aligned[b] is not None:
                 continue
-            P = aligned[a].peripherals()[sa]
-            D = pants[b].peripherals()[sb]
-            S = element_conjugator(space, D.inverse(), P)
+            P = aligned[a].P.pick(sa)
+            S = element_conjugator(space, pants[b].P.pick(sb).inverse(), P)
             K = twist_bend_element(kappas[e], aligned[a].frames[sa])
             aligned[b] = pants[b].conjugated(K @ S)
-            _check_compatible(P, conjugate_by(K @ S, D))
+            _check_compatible(P, aligned[b].P.pick(sb))
             tree.add(e)
             stack.append(b)
     if any(g is None for g in aligned):
@@ -278,7 +270,7 @@ def assemble_surface_representation(
     # relation into the standard commutator product, with handle
     # orientations alternating
     Xs, Ys, ks, fs = zip(*[
-        (aligned[i].peripherals()[si], aligned[j].peripherals()[sj],
+        (aligned[i].P.pick(si), aligned[j].P.pick(sj),
          kappas[e], aligned[i].frames[si])
         for e, (i, si, j, sj) in enumerate(edges) if e not in tree])
     letters = _stable_letters(space, QArray.stack(Xs), QArray.stack(Ys),

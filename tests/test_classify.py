@@ -492,7 +492,7 @@ def test_pair_stage_scalars_are_zero_dim_qarrays(rng):
     from loxpairs.invariants import (cross_ratio, sp1_orbit_equal,
                                      triple_product)
     from loxpairs.spectral import eigen_frame
-    from loxpairs.twistbend import (PantsGroup, identity_params,
+    from loxpairs.twistbend import (identity_params, pants_groups,
                                     tilde_invariants, twist_bend_element)
     assert not [name for name, obj in vars(quat).items()
                 if inspect.isclass(obj) and obj.__module__ == quat.__name__]
@@ -521,8 +521,7 @@ def test_pair_stage_scalars_are_zero_dim_qarrays(rng):
                        sp1_orbit_equal(t, t), cross_ratio(space, *zs),
                        triple_product(space, *zs[:3])]
             if n == 3:
-                pants = PantsGroup(space, A, B)
-                fp = pants.frames
+                fp = pants_groups(space, [(A, B)])[0].frames
                 K = twist_bend_element(identity_params(fp[0]), fp[0])
                 scalars += tilde_invariants(space, K, *fp)[:3]
             for q in scalars:

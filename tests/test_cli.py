@@ -232,8 +232,8 @@ def _graph_file(tmp_path, field="quaternion"):
     """A genus-2 gluing graph of one generated pants and its mirror."""
     path = _generate(tmp_path, field=field)
     space, A, B = sz.pair_from_json(sz.loads(path.read_text()))
-    from loxpairs.twistbend import PantsGroup, identity_params
-    g1 = PantsGroup(space, A, B)
+    from loxpairs.twistbend import identity_params, pants_groups
+    g1, = pants_groups(space, [(A, B)])
     edges = [(0, 0, 1, 1), (0, 1, 1, 0), (0, 2, 1, 2)]
     kappas = [identity_params(g1.frames[e[1]]) for e in edges]
     gpath = tmp_path / "graph.json"
@@ -250,6 +250,26 @@ def test_assemble_command(tmp_path, capsys):
     assert obj["genus"] == 2
     assert obj["parameter_count"] == 72
     assert obj["relation_residual"] < 1e-6
+
+
+@pytest.mark.parametrize("field", ["quaternion", "complex"])
+def test_assemble_negative_pants_index_exit_2(tmp_path, capsys, field):
+    # a pants index below 0 is out of range, as one past the last is
+    gpath = _graph_file(tmp_path, field=field)
+    obj = sz.loads(gpath.read_text())
+    obj["edges"][0][0] = -1
+    gpath.write_text(sz.dumps(obj))
+    code = main(["assemble", "--in", str(gpath)])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert captured.err == "error: bad or reused slot (-1, 0)\n"
+
+
+def test_generate_negative_seed_exit_2(tmp_path, capsys):
+    out = tmp_path / "pair.json"
+    code = main(["generate", "--seed", "-1", "--out", str(out)])
+    assert code == 2 and not out.exists()
+    assert capsys.readouterr().err.startswith("error: bad seed -1")
 
 
 @pytest.mark.parametrize("field", ["quaternion", "complex"])

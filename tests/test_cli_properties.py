@@ -13,7 +13,7 @@ from loxpairs import serialize as sz
 from loxpairs.cli import main
 from loxpairs.generate import generate_pair
 from loxpairs.hermitian import HermitianSpace
-from loxpairs.twistbend import PantsGroup, identity_params
+from loxpairs.twistbend import identity_params, pants_groups
 
 _SPACE = HermitianSpace(3, "quaternion")
 _A, _B = generate_pair(_SPACE, seed=7, mode="strong")
@@ -21,7 +21,7 @@ VALID = sz.pair_to_json(_SPACE, _A, _B)
 _EDGES = [(0, 0, 1, 1), (0, 1, 1, 0), (0, 2, 1, 2)]
 VALID_GRAPH = sz.graph_to_json(
     _SPACE, [(_A, _B), (_B.inverse(), _A.inverse())], _EDGES,
-    [identity_params(PantsGroup(_SPACE, _A, _B).frames[e[1]])
+    [identity_params(pants_groups(_SPACE, [(_A, _B)])[0].frames[e[1]])
      for e in _EDGES])
 
 _JUNK = st.one_of(st.text(max_size=4), st.none(),
@@ -61,11 +61,16 @@ def mutated_pairs(draw):
 @st.composite
 def mutated_graphs(draw):
     """A valid gluing graph with one row, quaternion or number of one
-    pants matrix dropped, duplicated or swapped for junk."""
+    pants matrix dropped, duplicated or swapped for junk, or one edge's
+    pants index or slot redrawn from -3..4."""
     obj = copy.deepcopy(VALID_GRAPH)
+    kind = draw(st.sampled_from(["drop", "duplicate", "swap", "edge"]))
+    if kind == "edge":
+        edge = obj["edges"][draw(st.integers(0, len(obj["edges"]) - 1))]
+        edge[draw(st.integers(0, 3))] = draw(st.integers(-3, 4))
+        return obj
     pants = obj["pants"][draw(st.integers(0, len(obj["pants"]) - 1))]
-    _mutate_matrix(draw, pants,
-                   draw(st.sampled_from(["drop", "duplicate", "swap"])))
+    _mutate_matrix(draw, pants, kind)
     return obj
 
 

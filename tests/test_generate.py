@@ -19,6 +19,11 @@ def test_determinism(space):
     assert np.array_equal(B1.a, B2.a) and np.array_equal(B1.b, B2.b)
 
 
+def test_negative_seed_is_typed(qspace):
+    with pytest.raises(LoxpairsError, match="bad seed -1"):
+        generate_pair(qspace, seed=-1)
+
+
 def test_distinct_seeds_differ(qspace):
     A1, _ = generate_pair(qspace, seed=1)
     A2, _ = generate_pair(qspace, seed=2)

@@ -241,7 +241,7 @@ def test_cli_mix_layers_are_entered(tmp_path):
     from loxpairs import serialize as sz
     from loxpairs.cli import main
     from loxpairs.qmatrix import conjugate_by
-    from loxpairs.twistbend import PantsGroup, identity_params
+    from loxpairs.twistbend import identity_params, pants_groups
     assert {"serialize.validate_against_schema", "spectral.classify_element",
             "spectral.real_char_poly", "twistbend.PantsGroup"} <= set(CLI_MIX)
     pair, partner = tmp_path / "pair.json", tmp_path / "partner.json"
@@ -252,7 +252,7 @@ def test_cli_mix_layers_are_entered(tmp_path):
     C = space.random_isometry(np.random.default_rng(7))
     partner.write_text(sz.dumps(sz.pair_to_json(
         space, conjugate_by(C, A), conjugate_by(C, B))))
-    frames = PantsGroup(space, A, B).frames
+    frames = pants_groups(space, [(A, B)])[0].frames
     kappa.write_text(sz.dumps(sz.kappa_to_json(identity_params(frames[0]))))
     edges = [(0, 0, 1, 1), (0, 1, 1, 0), (0, 2, 1, 2)]
     graph.write_text(sz.dumps(sz.graph_to_json(

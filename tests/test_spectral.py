@@ -13,7 +13,7 @@ from loxpairs.qmatrix import QArray, conjugate_by
 from loxpairs.spectral import (classify_element, eigen_frame,
                                element_conjugator, projective_points,
                                real_char_poly)
-from loxpairs.twistbend import PantsGroup
+from loxpairs.twistbend import pants_groups
 
 
 def _diag_loxodromic(space, r=0.5, theta=np.pi / 3,
@@ -145,7 +145,7 @@ def test_other_entry_points_share_the_size_check(field, entry):
     space = HermitianSpace(4, field)
     call = {"classify_element": lambda: classify_element(space, A),
             "real_char_poly": lambda: real_char_poly(space, A),
-            "PantsGroup": lambda: PantsGroup(space, A, B)}[entry]
+            "PantsGroup": lambda: pants_groups(space, [(A, B)])}[entry]
     with pytest.raises(WrongDimension, match="need 5 x 5"):
         call()
 
@@ -157,7 +157,7 @@ def test_pants_group_checks_each_generator_before_the_product(field):
     A, _ = generate_pair(space, seed=1)
     _, B = generate_pair(HermitianSpace(3, field), seed=1)
     with pytest.raises(WrongDimension, match=r"got \(4, 4\)"):
-        PantsGroup(space, A, B)
+        pants_groups(space, [(A, B)])
 
 
 def test_classify_element_rejects_a_non_square_matrix(qspace):

@@ -9,8 +9,8 @@ from loxpairs.generate import generate_pair, random_loxodromic
 from loxpairs.hermitian import HermitianSpace
 from loxpairs.qmatrix import QArray, conjugate_by
 from loxpairs.spectral import eigen_frame
-from loxpairs.twistbend import (PantsGroup, SurfaceRepresentation,
-                                TwistBendParams, _stable_letters,
+from loxpairs.twistbend import (SurfaceRepresentation, TwistBendParams,
+                                _peripheral_stack, _stable_letters,
                                 assemble_surface_representation,
                                 identity_params, pants_groups,
                                 parameter_count, tilde_invariants,
@@ -21,7 +21,7 @@ def _pants(space, seed):
     for s in range(seed, seed + 50):
         A, B = generate_pair(space, seed=s, mode="strong")
         try:
-            return PantsGroup(space, A, B)
+            return pants_groups(space, [(A, B)])[0]
         except Exception:
             continue
     raise RuntimeError("no pants seed found")
@@ -148,12 +148,11 @@ def test_glue_closes_handle_with_stable_letter(seed):
     rng = np.random.default_rng(seed)
     A = random_loxodromic(space, rng)[0]
     B = conjugate_by(space.random_isometry(rng), A.inverse())
-    g = PantsGroup(space, A, B)
+    g, = pants_groups(space, [(A, B)])
     kap = _twisted(identity_params(g.frames[0]))
-    P = g.peripherals()[0]
-    t, = _stable_letters(space, QArray.stack([P]),
-                         QArray.stack([g.peripherals()[1]]), [kap],
-                         [g.frames[0]])
+    P = g.P.pick(0)
+    t, = _stable_letters(space, g.P.pick(slice(0, 1)),
+                         g.P.pick(slice(1, 2)), [kap], [g.frames[0]])
     Binv = B.inverse()
     assert (conjugate_by(t, P) - Binv).max_abs() <= 1e-9 * Binv.max_abs()
 
@@ -168,7 +167,7 @@ def test_parameter_count_values():
 
 
 def _two_pants_graph(space, g1):
-    g2 = PantsGroup(space, g1.B.inverse(), g1.A.inverse())
+    g2, = pants_groups(space, [(g1.B.inverse(), g1.A.inverse())])
     edges = [(0, 0, 1, 1), (0, 1, 1, 0), (0, 2, 1, 2)]
     return [g1, g2], edges
 
@@ -208,6 +207,18 @@ def test_assemble_rejects_bad_graph(qpants):
     bad_edges = [(0, 0, 1, 1), (0, 0, 1, 0), (0, 2, 1, 2)]
     with pytest.raises(GraphInvalid):
         assemble_surface_representation(space, pants, bad_edges, kappas)
+
+
+@pytest.mark.parametrize("field", ["complex", "quaternion"])
+@pytest.mark.parametrize("edge", [(-1, 0, 1, 1), (0, 0, -2, 1),
+                                  (2, 0, 1, 1), (0, 0, 1, -1)])
+def test_assemble_rejects_a_pants_index_or_slot_out_of_range(field, edge):
+    space = HermitianSpace(3, field)
+    pants, edges = _two_pants_graph(space, _pants(space, 0))
+    kappas = [identity_params(pants[e[0]].frames[e[1]]) for e in edges]
+    with pytest.raises(GraphInvalid, match="bad or reused slot"):
+        assemble_surface_representation(space, pants, [edge] + edges[1:],
+                                        kappas)
 
 
 @pytest.mark.parametrize("frame_fails, class_fails",
@@ -260,10 +271,14 @@ def test_pants_errors_keep_the_serial_order(monkeypatch, frame_fails,
     assert (expect is None) == (frame_fails is None and class_fails is None)
     assert expect is None or expect[0] is (
         NotLoxodromic if class_fails is not None else DegenerateSpectrum)
-    assert outcome(lambda: PantsGroup(space, A, B)) == expect
+    assert outcome(lambda: pants_groups(space, [(A, B)])) == expect
 
 
 # -- stacks: every pants and every handle framed in one call --------------
+
+def _same(X, Y):
+    return np.array_equal(X.a, Y.a) and np.array_equal(X.b, Y.b)
+
 
 def _same_frames(fs, gs):
     return len(fs) == len(gs) and all(
@@ -279,8 +294,25 @@ def test_pants_groups_equal_single_pants(field):
     stacked = pants_groups(space, [(g.A, g.B) for g in singles])
     assert pants_groups(space, []) == []
     for g, h in zip(stacked, singles):
-        assert g.A is h.A and g.B is h.B
+        assert _same(g.P, h.P)
         assert _same_frames(g.frames, h.frames)
+
+
+@pytest.mark.parametrize("field", ["complex", "quaternion"])
+def test_pants_group_is_its_peripheral_stack(field, rng):
+    # P is [A, B, (AB)^-1] bit for bit, and a conjugated pants forms its
+    # third peripheral from S A S^-1 and S B S^-1
+    space = HermitianSpace(3, field)
+    pairs = [(g.A, g.B) for g in (_pants(space, seed) for seed in (0, 10))]
+    for g, (A, B) in zip(pants_groups(space, pairs), pairs):
+        assert g.P.shape == (3, 4, 4)
+        assert _same(g.P, QArray.stack([A, B, (A @ B).inverse()]))
+        assert _same(g.A, A) and _same(g.B, B)
+        S = space.random_isometry(rng)
+        h = g.conjugated(S)
+        assert _same(h.P, _peripheral_stack(conjugate_by(S, A),
+                                            conjugate_by(S, B)))
+        assert all(_same(f.F, S @ e.F) for f, e in zip(h.frames, g.frames))
 
 
 def _pants_outcome(build):
@@ -313,42 +345,59 @@ def test_stacked_pants_raise_what_the_pants_raises(field, bad):
         pairs[i] = (bad_A[name], pairs[i][1])
     gates = (WrongDimension, NotIsometry, PalindromeViolation,
              NotLoxodromic)
-    alone = [_pants_outcome(lambda: PantsGroup(space, A, B))
+    alone = [_pants_outcome(lambda: pants_groups(space, [(A, B)]))
              for A, B in pairs]
     expect = min((r for r in alone if r is not None),
                  key=lambda r: gates.index(r[0]))
     assert _pants_outcome(lambda: pants_groups(space, pairs)) == expect
 
 
-def test_assemble_frames_each_element_once(monkeypatch, qpants):
+def test_assemble_frames_each_element_once(monkeypatch):
     # one classification and one framing of all six peripherals, one
-    # conjugator for the tree edge and one stack for both handles
+    # conjugator for the tree edge and one stack for both handles, in
+    # both fields; no peripheral is formed twice and each twist-bend
+    # frame is inverted once, 19 inverses in all
     import loxpairs.twistbend as tb
-    space = qpants.space
-    single, edges = _two_pants_graph(space, qpants)
-    kappas = [_twisted(identity_params(single[e[0]].frames[e[1]]))
-              for e in edges]
-    expect = assemble_surface_representation(space, single, edges, kappas)
+    cases = []
+    for field in ("complex", "quaternion"):
+        space = HermitianSpace(3, field)
+        single, edges = _two_pants_graph(space, _pants(space, 0))
+        kappas = [_twisted(identity_params(single[e[0]].frames[e[1]]))
+                  for e in edges]
+        cases.append((space, single, edges, kappas,
+                      assemble_surface_representation(space, single, edges,
+                                                      kappas)))
     calls = []
     for name in ("classify_element", "eigen_frame", "element_conjugator"):
         def counting(*args, _f=getattr(tb, name), _name=name):
             calls.append(_name)
             return _f(*args)
         monkeypatch.setattr(tb, name, counting)
-    pants = pants_groups(space, [(g.A, g.B) for g in single])
-    rep = assemble_surface_representation(space, pants, edges, kappas)
-    assert sorted(calls) == ["classify_element", "eigen_frame",
-                             "element_conjugator", "element_conjugator"]
-    assert rep.generators.keys() == expect.generators.keys()
-    for name, g in rep.generators.items():
-        assert np.array_equal(g.a, expect.generators[name].a)
-        assert np.array_equal(g.b, expect.generators[name].b)
+    inverse = QArray.inverse
+
+    def counting_inverse(self):
+        calls.append("inverse")
+        return inverse(self)
+    monkeypatch.setattr(QArray, "inverse", counting_inverse)
+    for space, single, edges, kappas, expect in cases:
+        calls.clear()
+        pants = pants_groups(space, [(g.A, g.B) for g in single])
+        assert [c for c in calls if c != "inverse"] == [
+            "classify_element", "eigen_frame"]
+        calls.clear()
+        rep = assemble_surface_representation(space, pants, edges, kappas)
+        assert calls.count("inverse") <= 19
+        assert [c for c in calls if c != "inverse"] == [
+            "element_conjugator", "element_conjugator"]
+        assert rep.generators.keys() == expect.generators.keys()
+        for name, g in rep.generators.items():
+            assert _same(g, expect.generators[name])
 
 
 def test_stacked_letters_equal_single_letters(qpants):
     space = qpants.space
     pants, edges = _two_pants_graph(space, qpants)
-    handles = [(pants[i].peripherals()[si], pants[j].peripherals()[sj],
+    handles = [(pants[i].P.pick(si), pants[j].P.pick(sj),
                 _twisted(identity_params(pants[i].frames[si])),
                 pants[i].frames[si]) for i, si, j, sj in edges[1:]]
     Xs, Ys, ks, fs = zip(*handles)
