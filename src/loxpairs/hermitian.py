@@ -33,6 +33,7 @@ projective-points comparison, the `units == 2` split of
 
 from __future__ import annotations
 
+import operator
 from functools import cached_property
 
 import numpy as np
@@ -76,6 +77,11 @@ class HermitianSpace:
     def __init__(self, n: int, field: str = "quaternion"):
         if field not in ("complex", "quaternion"):
             raise WrongField(f"unknown field {field!r}")
+        try:
+            n = operator.index(n)
+        except TypeError:
+            raise WrongDimension(f"n must be an integer, got {n!r}") \
+                from None
         if n < 2:
             raise WrongDimension(f"need n >= 2, got n = {n}")
         self.n = n

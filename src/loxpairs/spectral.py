@@ -14,9 +14,9 @@ Each numeric phase of `eigen_frame` runs once on the whole stack:
 1. the complex forms (space.as_complex) and their Faddeev-LeVerrier
    coefficients; the class count and simplicity come from one pass of
    the root stack over all of them: the companion-matrix roots of every
-   element from one stacked eigvals, checked and polished by Aberth row
-   by row, and clustered within each root's Newton distance to a
-   multiple root;
+   element from one stacked eigvals, held row by row to one relative
+   residual gate (aberth_roots, which takes no Aberth step), and
+   clustered within each root's Newton distance to a multiple root;
 2. one LAPACK eig of the complex forms, whose upper half-plane
    eigenvalues represent the classes, one bordered-Newton step of
    mixed-precision refinement for every pair (the residual is formed in
@@ -297,17 +297,17 @@ def _roots(chi: np.ndarray) -> np.ndarray:
     _gate(np.all(np.isfinite(chi), axis=-1), NoConvergence,
           "polynomial coefficients are not finite")
     _gate(~np.any(np.isnan(roots), axis=-1), NoConvergence,
-          "root iteration did not converge")
+          "companion roots fail the residual gate")
     return roots
 
 
 def _simple_classes(space: HermitianSpace, chi: np.ndarray):
     """The class count of a stack whose complex forms have the
     characteristic polynomials chi, one row each: its gates fail an
-    element whose coefficients are not finite, whose roots do not
-    converge, or which has not space.dim simple eigenvalue classes.
-    Aberth and the clustering run once on the stack; a class is simple
-    when its root overlaps no other."""
+    element whose coefficients are not finite, whose companion roots
+    fail the residual gate, or which has not space.dim simple eigenvalue
+    classes.  The companion roots and the clustering run once on the
+    stack; a class is simple when its root overlaps no other."""
     roots = _roots(chi)
     if space.field == "quaternion":
         # classes come in conjugate pairs; keep Im >= 0 representatives

@@ -79,6 +79,9 @@ def twist_bend_element(kappa: TwistBendParams,
         raise WrongDimension("twist-bends are defined for n = 3 only")
     if kappa.t <= 0:
         raise DegenerateConfiguration("twist-bend needs t > 0")
+    if any(np.shape(p) != (2,) for p in (kappa.k1, kappa.k2, kappa.k3)):
+        raise InconsistentProjectivePoints(
+            "twist-bend needs three points of two coordinates each")
     k = np.array([kappa.k1, kappa.k2, kappa.k3], dtype=complex)
     if not np.all(np.linalg.norm(k - frame.points, axis=1) <= POINT_TOL):
         raise InconsistentProjectivePoints(

@@ -180,6 +180,15 @@ def test_quadruple_coincident_points_raise(space, case):
         boundary_quadruple_congruence(space, zs, zs)
 
 
+def test_quadruple_on_one_complex_line_raises(space):
+    # four distinct null points (1, 0, 0, i s) of the complex line
+    # spanned by e1 and e4 normalize, but span only rank 2
+    zs = [_vec([1, 0, 0, 1j * s]) for s in (0.5, 1.0, 2.0, -1.5)]
+    with pytest.raises(DegenerateInputError,
+                       match="does not span a rank-4 subspace"):
+        boundary_quadruple_congruence(space, zs, zs)
+
+
 @pytest.mark.parametrize("wrong", ["image", "pair"])
 def test_verified_congruence_rejects_one_wrong_image(space, rng, wrong):
     U = space.random_isometry(rng)

@@ -115,6 +115,15 @@ def test_conjugacy_test_rejects(tmp_path, capsys):
     assert obj["conjugator"] is None
 
 
+def test_conjugacy_test_of_two_spaces_exit_2(tmp_path, capsys):
+    p3 = _generate(tmp_path, "p3.json", n="3")
+    p4 = _generate(tmp_path, "p4.json", n="4")
+    code = main(["conjugacy-test", "--in", str(p3), "--in", str(p4)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "pair files live in different spaces" in captured.err
+
+
 def _no_constants(name):
     raise AssertionError(f"{name} is not JSON")
 

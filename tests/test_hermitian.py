@@ -23,6 +23,17 @@ def test_rejects_dimension_below_two():
         HermitianSpace(1, "complex")
 
 
+@pytest.mark.parametrize("n", [3.5, 3.0, "3", None])
+def test_rejects_a_dimension_that_is_not_an_integer(n):
+    with pytest.raises(WrongDimension, match="n must be an integer"):
+        HermitianSpace(n, "complex")
+
+
+def test_accepts_a_numpy_integer_dimension():
+    space = HermitianSpace(np.int64(3), "complex")
+    assert type(space.n) is int and space.H.shape == (4, 4)
+
+
 @pytest.mark.parametrize("field", ["quaternion", "complex"])
 @pytest.mark.parametrize("n", [3, 5])
 def test_gram_matches_inner(n, field, rng):

@@ -52,6 +52,72 @@ def test_aberth_wide_modulus_range():
     assert np.allclose(got, np.sort_complex(roots), rtol=1e-8, atol=1e-10)
 
 
+def _equal_to_np_roots(C, Z):
+    # np.roots is handed the complex row: for a real row it runs the real
+    # eigensolver, whose roots come in another order
+    for c, z in zip(C, Z):
+        r = np.roots(c.astype(complex))
+        assert np.all(np.abs(z - r) <= 1e-12 * np.abs(r))
+
+
+@pytest.mark.parametrize("d", range(2, 13))
+def test_roots_are_the_companion_roots(rng, d):
+    # the contract: a stack of random monic polynomials gives, row by
+    # row, what np.roots gives for each
+    C = np.ones((6, d + 1), dtype=complex)
+    C[:, 1:] = rng.standard_normal((6, d)) + 1j * rng.standard_normal((6, d))
+    _equal_to_np_roots(C, aberth_roots(C))
+
+
+def test_double_root_family_keeps_the_companion_roots(rng):
+    # np.poly([2, 2] + 6 normals): the double root stays split as the
+    # companion eigenvalues split it, with no polish on top
+    C = np.array([np.poly([2.0, 2.0] + list(rng.standard_normal(6)))
+                  for _ in range(40)])
+    _equal_to_np_roots(C, aberth_roots(C))
+
+
+def _moved_companion_roots(monkeypatch):
+    # the first finite row's first root moves by 1e-3, far outside the
+    # residual gate
+    import loxpairs.polys as polys
+    companion = polys._companion_roots
+
+    def moved(c):
+        z = companion(c)
+        z[0, 0] += 1e-3
+        return z
+    monkeypatch.setattr(polys, "_companion_roots", moved)
+
+
+def test_residual_gate_fails_a_moved_root(monkeypatch, rng):
+    C = np.array([np.poly(rng.standard_normal(8) + 1j * rng.standard_normal(8))
+                  for _ in range(3)])
+    Z = aberth_roots(C)
+    _moved_companion_roots(monkeypatch)
+    moved = aberth_roots(C)
+    assert np.all(np.isnan(moved[0]))
+    assert np.array_equal(moved[1:], Z[1:])
+    with pytest.raises(NoConvergence, match="fail the residual gate"):
+        aberth_roots(C[1])
+
+
+@pytest.mark.parametrize("field", ["complex", "quaternion"])
+def test_eigen_frame_raises_on_a_moved_root(monkeypatch, field):
+    from loxpairs.generate import random_loxodromic
+    from loxpairs.hermitian import HermitianSpace
+    from loxpairs.qmatrix import QArray
+    from loxpairs.spectral import eigen_frame
+    space = HermitianSpace(3, field)
+    rng = np.random.default_rng(5)
+    As = QArray.stack([random_loxodromic(space, rng)[0] for _ in range(2)])
+    assert len(eigen_frame(space, As)) == 2
+    _moved_companion_roots(monkeypatch)
+    with pytest.raises(NoConvergence,
+                       match="companion roots fail the residual gate"):
+        eigen_frame(space, As)
+
+
 def test_cluster_roots_merges_double_root():
     roots = np.array([2.0, 2.0, -1.0, 1j])
     coeffs = np.poly(roots)

@@ -672,7 +672,7 @@ def test_stack_with_an_overflowing_element_leaks_no_warning(qspace, cspace,
 
 
 def test_stack_runs_the_root_stack_once(monkeypatch):
-    # the class count of a stack of four is one Aberth and one
+    # the class count of a stack of four is one companion-root and one
     # clustering pass
     import loxpairs.spectral as spectral
     space = HermitianSpace(3, "quaternion")

@@ -71,6 +71,25 @@ def test_inconsistent_points_rejected(qframes):
         twist_bend_element(bad, fa)
 
 
+@pytest.mark.parametrize("k1", [np.array([1.0]), np.array([1.0, 0.0, 0.0]),
+                                np.array([[1.0, 0.0]])])
+def test_points_of_another_shape_rejected(qframes, k1):
+    fa, _ = qframes
+    kap = identity_params(fa)
+    bad = TwistBendParams(kap.t, kap.psi, kap.xi1, kap.xi2, k1, kap.k2,
+                          kap.k3)
+    with pytest.raises(InconsistentProjectivePoints,
+                       match="three points of two coordinates"):
+        twist_bend_element(bad, fa)
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0])
+def test_nonpositive_t_rejected(qframes, t):
+    fa, _ = qframes
+    with pytest.raises(DegenerateConfiguration, match="needs t > 0"):
+        twist_bend_element(_twisted(identity_params(fa), t=t), fa)
+
+
 def test_wrong_dimension_rejected(rng):
     space = HermitianSpace(2, "quaternion")
     from loxpairs.generate import random_loxodromic
@@ -207,6 +226,18 @@ def test_assemble_rejects_bad_graph(qpants):
     bad_edges = [(0, 0, 1, 1), (0, 0, 1, 0), (0, 2, 1, 2)]
     with pytest.raises(GraphInvalid):
         assemble_surface_representation(space, pants, bad_edges, kappas)
+
+
+def test_assemble_rejects_a_disconnected_graph(qpants):
+    # two genus-2 graphs side by side: every slot glued once, 4 pants
+    # and 6 edges, but no edge joins the two halves
+    space = qpants.space
+    pants, edges = _two_pants_graph(space, qpants)
+    pants = pants + pants
+    edges = edges + [(a + 2, sa, b + 2, sb) for a, sa, b, sb in edges]
+    kappas = [identity_params(pants[e[0]].frames[e[1]]) for e in edges]
+    with pytest.raises(GraphInvalid, match="gluing graph is not connected"):
+        assemble_surface_representation(space, pants, edges, kappas)
 
 
 @pytest.mark.parametrize("field", ["complex", "quaternion"])
