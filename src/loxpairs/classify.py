@@ -261,19 +261,6 @@ class ConjugacyResult:
     residual: float
 
 
-def _reduced_match(i1: InvariantTuple, i2: InvariantTuple,
-                   tol: float) -> bool:
-    """Complex strong mode: the short list X1, X2, A, alpha, beta, each
-    entry within tol max(1, |entry|)."""
-    if abs(i1.angular[0] - i2.angular[0]) > tol:
-        return False
-    layout = i1.layout()
-    idx = np.hstack([layout[k] for k in ("X1", "X2", "alpha", "beta")])
-    e1, e2 = i1.entries.pick(idx), i2.entries.pick(idx)
-    return bool(np.all((e1 - e2).moduli()
-                       <= tol * np.maximum(1.0, e1.moduli())))
-
-
 def conjugacy_test(space: HermitianSpace, A: QArray, B: QArray,
                    A2: QArray, B2: QArray, mode: str = "weak",
                    tol: float = 1e-7) -> ConjugacyResult:
@@ -281,14 +268,14 @@ def conjugacy_test(space: HermitianSpace, A: QArray, B: QArray,
     group, producing the conjugator when they are.
 
     Detection order: real traces, then the invariant-tuple orbit, whose
-    unit mu (1 for the reduced list of complex strong mode) is the one
-    Sp(1) gauge of the test, then the reconstruction from the lifts
-    under mu, its Newton polish, and projective points.  Over the
-    complex numbers every projective point is (1, 0), so the points are
-    compared over the quaternions only.  Matching
-    invariants with a failed direct conjugation check raise
-    VerificationFailed rather than passing silently.  mode is "weak" or
-    "strong", and tol must be positive.
+    unit mu is the one Sp(1) gauge of the test, then the reconstruction
+    from the lifts under mu, its Newton polish, and projective points.
+    Over the complex numbers every projective point is (1, 0), so the
+    points are compared over the quaternions only.  Matching invariants
+    with a failed direct conjugation check raise VerificationFailed
+    rather than passing silently.  mode is "weak" or "strong": strong
+    mode decides as weak mode does, and raises NotNonsingular for a
+    pair that is not non-singular.  tol must be positive.
     """
     if mode not in ("weak", "strong"):
         raise LoxpairsError(f"unknown mode {mode!r}")
@@ -315,12 +302,7 @@ def conjugacy_test(space: HermitianSpace, A: QArray, B: QArray,
 
     # the one Sp(1) gauge: the unit carrying i1 onto i2, which then
     # carries the lifts of t1 onto those of t2
-    if mode == "strong" and space.field == "complex":
-        mu = QArray(1.0) if _reduced_match(i1, i2, tol) else None
-    else:
-        mu = sp1_orbit_equal(i1, i2, tol=tol)
-        if not float(np.max(np.abs(i1.angular - i2.angular))) <= tol:
-            mu = None
+    mu = sp1_orbit_equal(i1, i2, tol=tol)
     if mu is None:
         return ConjugacyResult(False, None, "tuple", float("nan"))
 

@@ -184,9 +184,6 @@ _parser = lru_cache(maxsize=None)(build_parser)
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     handler, n_in, _ = _COMMANDS[args.command]
-    if "tol" in args and not args.tol > 0:
-        print("error: --tol must be positive", file=sys.stderr)
-        return 2
     if n_in and len(args.infile) != n_in:
         print(f"error: {args.command} takes {n_in} --in, got "
               f"{len(args.infile)}", file=sys.stderr)

@@ -78,7 +78,8 @@ def generate_pair(space: HermitianSpace, seed: Optional[int] = None,
     non-singular ones, whose four fixed-point lifts have rank 4, so it
     needs n >= 3.  Each try draws A and B by random_loxodromic and tests
     their construction frames, with no eigen-solve.  Deterministic for a
-    fixed seed.
+    fixed seed.  An n whose sample numpy cannot allocate raises
+    LoxpairsError.
     """
     if mode not in ("weak", "strong"):
         raise LoxpairsError(f"unknown mode {mode!r}")
@@ -91,8 +92,11 @@ def generate_pair(space: HermitianSpace, seed: Optional[int] = None,
     except (TypeError, ValueError) as exc:   # a negative or non-integer seed
         raise LoxpairsError(f"bad seed {seed!r}: {exc}") from exc
     for _ in range(MAX_TRIES):
-        A, fa = random_loxodromic(space, rng)
-        B, fb = random_loxodromic(space, rng)
+        try:
+            A, fa = random_loxodromic(space, rng)
+            B, fb = random_loxodromic(space, rng)
+        except MemoryError as exc:
+            raise LoxpairsError(f"n = {space.n} is too large: {exc}") from exc
         rep, = genericity_report(space, [fa], [fb])
         if mode == "strong" and not rep.nonsingular:
             continue

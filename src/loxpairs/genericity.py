@@ -68,15 +68,17 @@ def _misses_polars(K: QArray, norms: np.ndarray, line,
     Null vectors of the line are c1*alpha + c2*beta; with s = <c1, x>,
     u = <c2, x>, membership in x-perp forces alpha = -s^{-1} u beta, and
     a null solution exists iff Re(conj(s) u) = 0 (or s, u degenerate).
+    One margin decides, tol |c1| |c2| |x|^2 on |Re(conj(s) u)| with tol
+    = MEMBERSHIP_TOL: H only permutes coordinates, so |<c, x>| <=
+    |c| |x|, and |s| <= tol |c1| |x| (or |u| <= tol |c2| |x|) already
+    puts |Re(conj(s) u)| <= |s| |u| within that margin.
     """
     c1, c2 = line
-    tol = MEMBERSHIP_TOL
     s, u = K.pick(Ellipsis, xs, c1), K.pick(Ellipsis, xs, c2)
     scale1 = norms[..., c1, None] * norms[..., xs]
     scale2 = norms[..., c2, None] * norms[..., xs]
     cross = (np.conj(s.a) * u.a + np.conj(s.b) * u.b).real  # Re(conj(s) u)
-    return ~((s.moduli() <= tol * scale1) | (u.moduli() <= tol * scale2)
-             | (np.abs(cross) <= tol * scale1 * scale2))
+    return ~(np.abs(cross) <= MEMBERSHIP_TOL * scale1 * scale2)
 
 
 def _flag_matching(M: np.ndarray, k: int):

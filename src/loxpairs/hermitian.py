@@ -22,13 +22,18 @@ how either is represented: the complex matrix that stands for it
 the real basis of the central scalars (`centre`) and the dimension of
 the isometry group (`group_dim`).  `gauge` is the one rule for the
 unit scalar left free by the normalization of lifts.
-Branches on the field remain only where the mathematics differs:
-`spectral` (delta against eigenvalue moduli, chi conj(chi) for a
-complex characteristic polynomial, the upper half-plane class filter,
-the quaternionic class gates of `eigen_frame`), `classify` (the
-reduced invariant list of complex strong mode, the quaternion-only
-projective-points comparison, the `units == 2` split of
-`_linearization`) and the angle ranges of `generate.random_spectrum`.
+Outside this module a comparison on the field (`field`, `field_tag` or
+`units`) remains only where the mathematics differs, one per line
+below; tests/test_field_branches.py fails when the code and this list
+disagree:
+
+    spectral.real_char_poly      field  chi conj(chi) of a complex chi
+    spectral.classify_element    field  delta against eigenvalue moduli
+    spectral._simple_classes     field  the upper half-plane class filter
+    spectral._assemble           field  the quaternionic class gates
+    classify._linearization      units  the complex rows
+    classify.conjugacy_test      field  the quaternion-only points
+    generate.random_spectrum     field  the sampling angle ranges
 """
 
 from __future__ import annotations

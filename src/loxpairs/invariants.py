@@ -149,9 +149,12 @@ def pair_invariants(space: HermitianSpace, fas, fbs, reports, tuples):
 
 def sp1_orbit_equal(t1: InvariantTuple, t2: InvariantTuple,
                     tol: float = 1e-8) -> Optional[QArray]:
-    """Unit mu conjugating every quaternion entry of t1 onto t2, or None
-    (mu = 1 in complex mode, see hermitian.gauge).  The same mu carries
-    the normalized Gram matrix of t1's pair onto that of t2's."""
-    if t1.entries.shape != t2.entries.shape:
+    """Unit mu conjugating every quaternion entry of t1 onto t2 (mu = 1
+    in complex mode, see hermitian.gauge), or None.  The angular
+    invariants are compared too: None when any pair of them differs by
+    more than tol.  The same mu carries the normalized Gram matrix of
+    t1's pair onto that of t2's."""
+    if t1.entries.shape != t2.entries.shape \
+            or not np.max(np.abs(t1.angular - t2.angular)) <= tol:
         return None
     return gauge(t1.field_tag, t1.entries, t2.entries, tol)

@@ -46,8 +46,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import (DegenerateSpectrum, NoConvergence, NotIsometry,
-                     NotLoxodromic, PalindromeViolation,
+from .errors import (DegenerateSpectrum, LoxpairsError, NoConvergence,
+                     NotIsometry, NotLoxodromic, PalindromeViolation,
                      RealEigenvalueClass)
 from .hermitian import HermitianSpace
 from .polys import (aberth_roots, cluster_roots, dickson_reduction,
@@ -70,8 +70,10 @@ def real_char_poly(space: HermitianSpace, A: QArray,
     [1, a1, ..., a_{n+1}, ..., a1, 1] of degree 2(n+1), or the list of
     them for a stack A (k, m, m).  chi, when the caller has it, is the
     characteristic polynomial of space.as_complex(A), one row per
-    matrix of a stack.
+    matrix of a stack.  tol must be positive.
     """
+    if not tol > 0:  # NaN fails
+        raise LoxpairsError(f"tol must be positive, got {tol!r}")
     space.check_matrices(A)
     with np.errstate(all="ignore"):
         gate = PALINDROME_TOL * (1.0 + A.moduli().max(axis=(-2, -1)) ** 2)
@@ -109,7 +111,8 @@ def classify_element(space: HermitianSpace, A: QArray,
     polynomial g with chi(x) = x^{n+1} g(x + 1/x), together with
     g(2) != 0 != g(-2).  Complex mode inspects moduli of the actual
     eigenvalues, since distinct unit eigenvalue pairs e^{+-i phi} of a
-    complex matrix collapse to a double root of g.
+    complex matrix collapse to a double root of g.  tol must be
+    positive.
     """
     space.check_matrices(A)
     with np.errstate(all="ignore"):

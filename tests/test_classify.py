@@ -45,6 +45,31 @@ def test_strong_mode_round_trip(space, rng):
     assert res.conjugate
 
 
+def test_complex_strong_mode_compares_every_invariant(cspace, rng,
+                                                     monkeypatch):
+    # X3 moved on the second tuple of a truly conjugate pair: strong
+    # mode compares the whole tuple, as weak mode does, and rejects
+    import dataclasses
+    from loxpairs import classify
+    A, B = generate_pair(cspace, seed=33, mode="strong")
+    C = cspace.random_isometry(rng)
+    mats = (A, B, conjugate_by(C, A), conjugate_by(C, B))
+    assert conjugacy_test(cspace, *mats, mode="strong").conjugate
+    invariants = classify.pair_invariants
+
+    def moved(*args):
+        i1, i2 = invariants(*args)
+        a = i2.entries.a.copy()
+        a[i2.layout()["X3"]] += 1e-3
+        return [i1, dataclasses.replace(
+            i2, entries=QArray(a, i2.entries.b.copy()))]
+
+    monkeypatch.setattr(classify, "pair_invariants", moved)
+    for mode in ("strong", "weak"):
+        res = conjugacy_test(cspace, *mats, mode=mode)
+        assert not res.conjugate and res.stage == "tuple"
+
+
 def test_different_spectra_detected_by_trace(space):
     A, B = generate_pair(space, seed=1, mode="strong")
     A2, B2 = generate_pair(space, seed=2, mode="strong")

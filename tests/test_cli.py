@@ -434,10 +434,18 @@ def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
 
 
 def test_bad_tol_exit_2(tmp_path, capsys):
+    # the library checks tol: classify_element and conjugacy_test
     path = _generate(tmp_path)
-    for tol in ("-1", "nan"):
-        code, _ = _run(capsys, "classify", "--tol", tol, "--in", str(path))
-        assert code == 2
+    for tol in ("0", "-1", "nan"):
+        for argv in (["classify", "--in", str(path)],
+                     ["conjugacy-test", "--in", str(path), "--in", str(path)]):
+            assert main([*argv, "--tol", tol]) == 2
+            assert "tol must be positive" in capsys.readouterr().err
+
+
+def test_generate_too_large_an_n_exit_2(capsys):
+    assert main(["generate", "--n", str(2 ** 50), "--field", "complex"]) == 2
+    assert "too large" in capsys.readouterr().err
 
 
 _OPTIONS = {

@@ -165,3 +165,10 @@ def test_strong_mode_below_n3_raises_at_once(monkeypatch, field):
     assert not drawn
     A, B = generate_pair(space, seed=0, mode="weak")
     assert A.shape == B.shape == (3, 3) and len(drawn) >= 2
+
+
+@pytest.mark.parametrize("field", ["complex", "quaternion"])
+def test_an_n_too_large_to_allocate_raises_a_typed_error(field):
+    # the 8 EiB sample fails at allocation, before any memory is touched
+    with pytest.raises(LoxpairsError, match="too large"):
+        generate_pair(HermitianSpace(2 ** 60, field), seed=0)

@@ -12,6 +12,7 @@ import pytest
 from conftest import hconj, hinv, hmul
 from loxpairs.generate import generate_pair, random_loxodromic
 from loxpairs.genericity import (MEMBERSHIP_TOL, _flag_matching,
+                                 _frame_gram, _misses_polars,
                                  genericity_report)
 from loxpairs.hermitian import HermitianSpace
 from loxpairs.qmatrix import QArray, quaternionic_rank
@@ -94,6 +95,48 @@ def test_flag_pair_matrix_matches_brute_force(n, field, rng):
     assert not power.any()
     assert not col_off[:, 0].any() and col_off[:, 1:].any()
     assert not row_off[-1].any() and row_off[:-1].any()
+
+
+def _misses_polars_three_margins(K, norms, line, xs):
+    """Reference for _misses_polars: the polar test with the margins on
+    |s| and |u| beside the margin on |Re(conj(s) u)|."""
+    c1, c2 = line
+    tol = MEMBERSHIP_TOL
+    s, u = K.pick(Ellipsis, xs, c1), K.pick(Ellipsis, xs, c2)
+    scale1 = norms[..., c1, None] * norms[..., xs]
+    scale2 = norms[..., c2, None] * norms[..., xs]
+    cross = (np.conj(s.a) * u.a + np.conj(s.b) * u.b).real
+    return ~((s.moduli() <= tol * scale1) | (u.moduli() <= tol * scale2)
+             | (np.abs(cross) <= tol * scale1 * scale2))
+
+
+@pytest.mark.parametrize("field", ["quaternion", "complex"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_one_polar_margin_decides_as_three(n, field, rng):
+    # |<c, x>| <= |c| |x|, so a small s or u puts Re(conj(s) u) within
+    # the one margin left.  Pair e of the stack has <c, x> of its first
+    # x set to sizes[e // 2] |c| |x|, c = c1 for even e and c2 for odd
+    space = HermitianSpace(n, field)
+    sizes = [0.0, 1e-13, MEMBERSHIP_TOL * (1 - 1e-13),
+             MEMBERSHIP_TOL * (1 + 1e-13)]
+    frames = [random_loxodromic(space, rng)[1]
+              for _ in range(4 * len(sizes))]
+    half = len(frames) // 2
+    K, _, norms = _frame_gram(space, frames[:half], frames[half:])
+    for line, xs in (((n + 1, n + 2), np.arange(2, n + 1)),
+                     ((0, 1), np.arange(n + 3, 2 * n + 2))):
+        Kc = QArray(K.a.copy(), K.b.copy())
+        for e in range(2 * len(sizes)):
+            c, x = line[e % 2], xs[0]
+            phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
+            Kc.a[e, x, c] = sizes[e // 2] * norms[e, c] * norms[e, x] * phase
+            Kc.b[e, x, c] = 0.0
+        got = _misses_polars(Kc, norms, line, xs)
+        ref = _misses_polars_three_margins(Kc, norms, line, xs)
+        assert np.array_equal(got, ref)
+        # every constructed entry, even the one just past the |s| or
+        # |u| margin, puts the line in the polar; the others miss it
+        assert not got[:, 0].any() and got[:, 1:].all()
 
 
 def test_generated_weak_pair_report(space):

@@ -81,7 +81,17 @@ def test_conjugation_invariance(space, rng):
     t2 = _invariants(space, conjugate_by(C, A), conjugate_by(C, B))
     tol = 1e-8 if space.field == "quaternion" else 1e-9
     assert sp1_orbit_equal(t1, t2, tol=tol) is not None
-    assert np.allclose(t1.angular, t2.angular, atol=tol)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_orbit_test_compares_the_angular_invariants(space, k):
+    from dataclasses import replace
+    t = _invariants(space, *generate_pair(space, seed=21, mode="strong"))
+    tol = 1e-8
+    assert sp1_orbit_equal(t, t, tol=tol) is not None
+    angular = t.angular.copy()
+    angular[k] += 10 * tol
+    assert sp1_orbit_equal(t, replace(t, angular=angular), tol=tol) is None
 
 
 def test_distinct_pairs_have_distinct_tuples(qspace):

@@ -44,6 +44,17 @@ def test_real_char_poly_rejects_non_isometry(qspace, rng):
         real_char_poly(qspace, M)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+def test_a_tol_that_is_not_positive_is_rejected(tol):
+    # unchecked, this valid loxodromic fails the palindrome gate
+    space = HermitianSpace(3, "quaternion")
+    A, _ = generate_pair(space, seed=1)
+    assert classify_element(space, A).is_loxodromic
+    for call in (real_char_poly, classify_element):
+        with pytest.raises(LoxpairsError, match="tol must be positive"):
+            call(space, A, tol=tol)
+
+
 def test_classify_diagonal_loxodromic(qspace):
     E = _diag_loxodromic(qspace)
     cls = classify_element(qspace, E)
