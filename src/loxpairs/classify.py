@@ -140,12 +140,13 @@ def _linearization(space: HermitianSpace, targets) -> np.ndarray:
 
     On the row-major vec(D), D -> D Y is R(Y) = kron(I, Y^T) and
     D -> Y D is L(Y) = kron(Y, I), both filled by index assignment.
-    Over the complex numbers the map is R(X') - L(X').  Over the
-    quaternions, with X' = Xa + j Xb, each block of the map from the
-    parts (Da, Db) of D to those of the image is z -> P z + Q conj(z):
-    P = R(Xa) - L(Xa) from Da to the a-part, P = L(conj Xb) and
-    Q = -R(Xb) from Db to the a-part, P = -L(Xb) and Q = R(Xb) from Da
-    to the b-part, and P = R(Xa) - L(conj Xa) from Db to the b-part.
+    With X' = Xa + j Xb, each block of the map from the parts (Da, Db)
+    of D to those of the image is z -> P z + Q conj(z): P = R(Xa) -
+    L(Xa) from Da to the a-part, P = L(conj Xb) and Q = -R(Xb) from Db
+    to the a-part, P = -L(Xb) and Q = R(Xb) from Da to the b-part, and
+    P = R(Xa) - L(conj Xa) from Db to the b-part.  Over the complex
+    numbers Xb = 0, and the first space.units m^2 rows and columns, the
+    a-part, are R(X') - L(X'), as _flat keeps them.
     """
     m, k = space.dim, len(targets)
     X = QArray.stack(targets)
@@ -167,14 +168,12 @@ def _linearization(space: HermitianSpace, targets) -> np.ndarray:
         return [[S.real, -T.imag], [S.imag, T.real]]
 
     Ra = right(X.a)
-    if space.units == 2:
-        blocks = real(Ra - left(X.a))
-    else:
-        aa, ab = real(Ra - left(X.a)), real(left(np.conj(X.b)), -right(X.b))
-        ba, bb = real(-left(X.b), right(X.b)), real(Ra - left(np.conj(X.a)))
-        blocks = [aa[0] + ab[0], aa[1] + ab[1], ba[0] + bb[0], ba[1] + bb[1]]
-    M = np.block(blocks)
-    return M.reshape(-1, M.shape[-1])
+    aa, ab = real(Ra - left(X.a)), real(left(np.conj(X.b)), -right(X.b))
+    ba, bb = real(-left(X.b), right(X.b)), real(Ra - left(np.conj(X.a)))
+    u = space.units * m * m         # over C, X.b = 0: the a-part alone
+    M = np.block([aa[0] + ab[0], aa[1] + ab[1], ba[0] + bb[0],
+                  ba[1] + bb[1]])[:, :u, :u]
+    return M.reshape(-1, u)
 
 
 def _lstsq_solver(space: HermitianSpace, M: np.ndarray):
@@ -400,9 +399,12 @@ def _isometry_algebra_basis(space: HermitianSpace) -> List[QArray]:
     return [_delta(space, x) for x in Vt[np.sum(sv > 1e-10 * sv[0]):]]
 
 
-def _mat_exp(space: HermitianSpace, X: QArray) -> QArray:
-    from scipy.linalg import expm
-    return space.from_complex(expm(space.as_complex(X)))
+def _mat_exp(X: QArray) -> QArray:
+    """e^X to third order, I + X + X^2/2 + X^3/6, for the steps h X of
+    invariant_map_rank: at h = RANK_STEP on an orthonormal basis the
+    remainder is about h^4/24, some 4e-22."""
+    X2 = X @ X
+    return QArray.eye(X.shape[-1]) + X + X2.scale(0.5) + (X2 @ X).scale(1 / 6)
 
 
 def _invariant_vector(iv: InvariantTuple) -> np.ndarray:
@@ -425,7 +427,7 @@ def invariant_map_rank(space: HermitianSpace, A: QArray,
     h = RANK_STEP
     basis = _isometry_algebra_basis(space)
     d = len(basis)
-    steps = [_mat_exp(space, X.scale(s)) for X in basis for s in (h, -h)]
+    steps = [_mat_exp(X.scale(s)) for X in basis for s in (h, -h)]
     frames = eigen_frame(space, QArray.stack(
         [A, B] + [A @ E for E in steps] + [B @ E for E in steps]))
     fa, fb, moved = frames[0], frames[1], frames[2:]

@@ -2,7 +2,9 @@
 
 Subcommands: generate, classify, invariants, conjugacy-test, twist-bend,
 assemble.  All artifacts are JSON; exit status is 0 on success, 2 on
-degenerate input, 3 when a constructed conjugator fails verification.
+degenerate input, 3 when a constructed conjugator fails verification or
+an assembled surface group misses its relation by more than
+twistbend.RELATION_TOL.
 
 The parser is built on the first call of main and reused by every later
 call in the process; nothing is built at import.  Only a process that

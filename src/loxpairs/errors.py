@@ -72,7 +72,9 @@ class PatternViolation(DegenerateInputError):
 
 
 class VerificationFailed(LoxpairsError):
-    """Invariants matched but the direct conjugation check failed."""
+    """A constructed object failed its direct check: a conjugator that
+    does not conjugate, or an assembled surface group whose relation
+    residual exceeds twistbend.RELATION_TOL."""
 
 
 class InconsistentProjectivePoints(DegenerateInputError):

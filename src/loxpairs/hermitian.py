@@ -31,7 +31,6 @@ disagree:
     spectral.classify_element    field  delta against eigenvalue moduli
     spectral._simple_classes     field  the upper half-plane class filter
     spectral._assemble           field  the quaternionic class gates
-    classify._linearization      units  the complex rows
     classify.conjugacy_test      field  the quaternion-only points
     generate.random_spectrum     field  the sampling angle ranges
 """

@@ -1,14 +1,15 @@
-"""Polynomial utilities: characteristic coefficients, root finding,
-root clustering, and resultants.
+"""Polynomial utilities: characteristic coefficients, roots, a split
+test for multiple roots, and discriminants.
 
-Roots are the eigenvalues of the companion matrix, built as np.roots
-builds it, which are backward stable (Edelman and Murakami, Math. Comp.
-64, 1995); one relative residual gate checks them, and close clusters
-are merged with a multiplicity estimate afterwards.
-
-faddeev_leverrier, aberth_roots and cluster_roots take one polynomial
-or a stack of them, one row each, and run a stack as one array pass: a
-single polynomial is a stack of one on the same path.
+Every function takes a stack of polynomials, one coefficient row each,
+and runs it as one array pass; faddeev_leverrier gives one row per
+matrix of a stack.  Roots are the eigenvalues of the companion matrix,
+built as np.roots builds it, which are backward stable (Edelman and
+Murakami, Math. Comp. 64, 1995); one relative residual gate checks
+them.  A row that fails comes back NaN and nothing here raises for a
+row: spectral._roots turns a bad row into NoConvergence.  Only a LAPACK
+failure of the stacked companion eigvals raises here, since it names
+no row.
 """
 
 from __future__ import annotations
@@ -80,26 +81,21 @@ def _companion_roots(c: np.ndarray) -> np.ndarray:
 
 
 def aberth_roots(coeffs: np.ndarray) -> np.ndarray:
-    """All roots of the polynomial with the given monic coefficient list:
-    the companion-matrix eigenvalues, as np.roots gives them, each held
-    to |p(z)| <= ROOT_RESIDUAL sum_k |c_k| |z|^k.
+    """The roots of every row of a stack (k, d+1) of coefficient rows,
+    one row of d roots each: the companion-matrix eigenvalues, as
+    np.roots gives them, each held to |p(z)| <= ROOT_RESIDUAL sum_k |c_k|
+    |z|^k on the monic row.
 
-    A stack (k, d+1) of coefficient rows gives one row of d roots per
-    polynomial, NaN where the coefficients are not finite or a root
-    fails the residual gate; a single polynomial, a stack of one on the
-    same path, raises NoConvergence there instead.  The roots are not
+    A row whose coefficients are not finite, or one of whose roots fails
+    the residual gate, comes back NaN; no row raises.  The roots are not
     polished: on every element the benchmark frames they already pass a
     1e-13 residual test.  The name, from the Aberth-Ehrlich polish this
     function once ran, stays because the benchmark's layer table times
     the function under it.
     """
-    coeffs = np.asarray(coeffs, dtype=complex)
-    c = np.atleast_2d(coeffs)
     with np.errstate(all="ignore"):
-        c = c / c[:, :1]
+        c = coeffs / coeffs[:, :1]
     finite = np.all(np.isfinite(c), axis=-1)
-    if coeffs.ndim == 1 and not finite[0]:
-        raise NoConvergence("polynomial coefficients are not finite")
     z = np.full((c.shape[0], c.shape[1] - 1), np.nan, dtype=complex)
     cf = c[finite]
     zf = _companion_roots(cf)
@@ -109,67 +105,38 @@ def aberth_roots(coeffs: np.ndarray) -> np.ndarray:
     ok = np.all(np.abs(p) <= ROOT_RESIDUAL * _residual_bound(
         np.abs(cf), np.abs(zf)), axis=-1)
     z[finite] = np.where(ok[:, None], zf, np.nan)
-    if coeffs.ndim == 2:
-        return z
-    if np.isnan(z).any():
-        raise NoConvergence("companion roots fail the residual gate")
-    return z[0]
+    return z
 
 
-def cluster_roots(coeffs: np.ndarray, roots: np.ndarray):
-    """Merge numerically split multiple roots.
+def cluster_roots(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """Whether each row of roots holds a numerically split multiple root
+    of its row of coeffs, for stacks (k, d+1) and (k, d): one bool per
+    row.
 
-    Returns (centers, multiplicities).  Each root gets a local
-    multiplicity estimate k = Re(p'^2 / (p'^2 - p p'')) and a cluster
-    radius k |p / p'|, the Newton distance to a k-fold root; roots whose
-    radii overlap, directly or through a chain, form one cluster, which
-    their mean represents.  The radius has the units of z, so it does not
-    depend on how small |p| happens to be at the computed root.
-    Clusters come in the order of their first root by Re z + 1e-6 Im z.
-
-    A stack (k, d+1) of coefficient rows with one row of roots each
-    gives one row of centers and one of multiplicities per polynomial,
-    in that order, with multiplicity 0 (and center NaN) at the roots
-    that join an earlier cluster.  A NaN root fails every comparison, so
-    it joins no cluster, not even its own.
+    Each root gets a local multiplicity estimate k = Re(p'^2 / (p'^2 -
+    p p'')) and a radius r = k |p / p'|, the Newton distance to a k-fold
+    root; a row is split when two of its roots lie within 3 (r_i + r_j)
+    of each other.  The radius has the units of z, so it does not depend
+    on how small |p| happens to be at the computed root.  A NaN root
+    fails every comparison, so it is split from nothing.  The name stays
+    because the benchmark's layer table times the function under it.
     """
-    coeffs = np.asarray(coeffs, dtype=complex)
-    z = np.atleast_2d(roots)
-    with np.errstate(invalid="ignore"):     # the NaN rows of a stack
-        p, dp, ddp = polyval_with_derivatives(np.atleast_2d(coeffs), z)
+    with np.errstate(invalid="ignore"):     # the NaN rows
+        p, dp, ddp = polyval_with_derivatives(coeffs, roots)
         denom = dp * dp - p * ddp
         denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
         mult_est = np.clip(np.real(dp * dp / denom), 1.0,
                            coeffs.shape[-1] - 1.0)
         dp = np.where(dp == 0, 1e-300, dp)
         radii = np.maximum(np.round(mult_est) * np.abs(p / dp), 1e-12)
-    near = (np.abs(z[:, :, None] - z[:, None, :])
-            <= 3.0 * (radii[:, :, None] + radii[:, None, :])) \
-        | (np.eye(z.shape[-1], dtype=bool) & ~np.isnan(z)[:, :, None])
-    # the closure of the overlap relation: chains of up to 2^k links
-    for _ in range(z.shape[-1].bit_length()):
-        near = near | (near @ near)
-    order = np.argsort(z.real + 1e-6 * z.imag, axis=-1)
-    rank = np.argsort(order, axis=-1)
-    first = ~np.any(near & (rank[:, None, :] < rank[:, :, None]), axis=-1)
-    mults = np.where(first, np.sum(near, axis=-1), 0)
-    centers = np.where(mults > 0, np.sum(np.where(near, z[:, None, :], 0),
-                                         axis=-1) / np.maximum(mults, 1),
-                       np.nan)
-    centers = np.take_along_axis(centers, order, -1)
-    mults = np.take_along_axis(mults, order, -1)
-    if np.ndim(roots) == 2:
-        return centers, mults
-    keep = mults[0] > 0
-    return centers[0, keep], mults[0, keep]
+    near = (np.abs(roots[:, :, None] - roots[:, None, :])
+            <= 3.0 * (radii[:, :, None] + radii[:, None, :]))
+    return np.any(near & ~np.eye(roots.shape[-1], dtype=bool), axis=(-2, -1))
 
 
 def sylvester_matrix(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The Sylvester matrix of p and q, or one per row of two stacks of
-    coefficient rows; a single polynomial loses its leading zeros."""
-    p, q = (np.asarray(x, dtype=float) for x in (p, q))
-    if p.ndim == 1:
-        p, q = np.trim_zeros(p, "f"), np.trim_zeros(q, "f")
+    """The Sylvester matrix of p and q for each row of two stacks of
+    coefficient rows."""
     m, k = p.shape[-1] - 1, q.shape[-1] - 1
     S = np.zeros(p.shape[:-1] + (m + k, m + k))
     for i in range(k):
@@ -179,22 +146,16 @@ def sylvester_matrix(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return S
 
 
-def resultant(p: np.ndarray, q: np.ndarray):
-    """res(p, q), or one per row of two stacks of coefficient rows."""
-    r = np.linalg.det(sylvester_matrix(p, q))
-    return float(r) if r.ndim == 0 else r
+def resultant(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """res(p, q) for each row of two stacks of coefficient rows."""
+    return np.linalg.det(sylvester_matrix(p, q))
 
 
-def discriminant(p: np.ndarray):
-    """disc(p) = (-1)^{m(m-1)/2} res(p, p') / lc(p); or one per row of a
-    stack of coefficient rows, whose leading coefficients are taken as
-    they are."""
-    p = np.asarray(p, dtype=float)
-    if p.ndim == 1:
-        p = np.trim_zeros(p, "f")
+def discriminant(p: np.ndarray) -> np.ndarray:
+    """disc(p) = (-1)^{m(m-1)/2} res(p, p') / lc(p) for each row of a
+    stack of real coefficient rows of degree m >= 2, whose leading
+    coefficients are taken as they are."""
     m = p.shape[-1] - 1
-    if m < 2:
-        return 1.0 if p.ndim == 1 else np.ones(p.shape[:-1])
     dp = p[..., :-1] * np.arange(m, 0, -1)
     sign = -1.0 if (m * (m - 1) // 2) % 2 else 1.0
     return sign * resultant(p, dp) / p[..., 0]

@@ -12,11 +12,13 @@ conjugators.  A single matrix runs as a stack of one, on the same path.
 Each numeric phase of `eigen_frame` runs once on the whole stack:
 
 1. the complex forms (space.as_complex) and their Faddeev-LeVerrier
-   coefficients; the class count and simplicity come from one pass of
-   the root stack over all of them: the companion-matrix roots of every
-   element from one stacked eigvals, held row by row to one relative
-   residual gate (aberth_roots, which takes no Aberth step), and
-   clustered within each root's Newton distance to a multiple root;
+   coefficients, one row per element; the class count and simplicity
+   come from one pass of the root stack over all of them: the
+   companion-matrix roots of every element from one stacked eigvals,
+   held row by row to one relative residual gate (aberth_roots, which
+   takes no Aberth step and marks a failed row NaN), and one split test
+   per row (cluster_roots: do two roots lie within their Newton
+   distances to a multiple root);
 2. one LAPACK eig of the complex forms, whose upper half-plane
    eigenvalues represent the classes, one bordered-Newton step of
    mixed-precision refinement for every pair (the residual is formed in
@@ -32,10 +34,12 @@ with floating-point exceptions ignored, so no warning gets out: an
 overflow turns into inf or NaN, and NaN fails every gate.
 A stack raises at the earliest gate, in pipeline order, that any of its
 elements fails (`_gate`), and names the first element that fails it:
-the error that element raises alone.  The one exception is a LAPACK
-failure in the stacked companion eigvals, which does not name its
-matrix; the stack raises NoConvergence for it.  NoConvergence is a
-DegenerateInputError, like the error of every other gate here.
+the error that element raises alone.  `polys` raises for no row: `_roots`
+is the one place that turns a bad row of roots into NoConvergence.  The
+one exception is a LAPACK failure in the stacked companion eigvals,
+which does not name its matrix; the stack raises NoConvergence for it.
+NoConvergence is a DegenerateInputError, like the error of every other
+gate here.
 """
 
 from __future__ import annotations
@@ -137,12 +141,11 @@ def classify_element(space: HermitianSpace, A: QArray,
             deltas = map(float, delta)
         else:
             roots = _roots(chi)
-            _, mults = cluster_roots(chi, roots)
             reasons = np.where(
                 np.max(abs(roots), axis=-1) <= 1.0 + RADIUS_GUARD,
                 "no expanding eigenvalue",
-                np.where(np.count_nonzero(mults, axis=-1) < space.n + 1,
-                         "repeated eigenvalues", ""))
+                np.where(cluster_roots(chi, roots), "repeated eigenvalues",
+                         ""))
             deltas = [None] * len(chi)
     classes = [ElementClass(not r, d, t, str(r)) for r, d, t in
                zip(reasons, deltas, coeffs[:, 1:space.n + 2])]
@@ -294,8 +297,8 @@ def _gate(ok: np.ndarray, exc, message: str, *values):
 
 
 def _roots(chi: np.ndarray) -> np.ndarray:
-    """The roots of every row of chi (aberth_roots), with the gates that
-    a single polynomial raises at."""
+    """The roots of every row of chi (aberth_roots), which marks a bad
+    row NaN; the one place that raises NoConvergence for such a row."""
     roots = aberth_roots(chi)
     _gate(np.all(np.isfinite(chi), axis=-1), NoConvergence,
           "polynomial coefficients are not finite")
@@ -309,15 +312,15 @@ def _simple_classes(space: HermitianSpace, chi: np.ndarray):
     characteristic polynomials chi, one row each: its gates fail an
     element whose coefficients are not finite, whose companion roots
     fail the residual gate, or which has not space.dim simple eigenvalue
-    classes.  The companion roots and the clustering run once on the
-    stack; a class is simple when its root overlaps no other."""
+    classes.  The companion roots and the split test run once on the
+    stack: the classes are simple when there are space.dim class roots
+    and no two of them are split copies of one multiple root."""
     roots = _roots(chi)
     if space.field == "quaternion":
         # classes come in conjugate pairs; keep Im >= 0 representatives
         roots = np.where(roots.imag >= -1e-12, roots, np.nan)
-    _, mults = cluster_roots(chi, roots)
-    _gate((np.count_nonzero(mults, axis=-1) == space.dim)
-          & np.all(mults <= 1, axis=-1), DegenerateSpectrum,
+    _gate((np.count_nonzero(~np.isnan(roots), axis=-1) == space.dim)
+          & ~cluster_roots(chi, roots), DegenerateSpectrum,
           "eigenvalue classes are not simple")
 
 

@@ -237,17 +237,22 @@ def test_overflowing_characteristic_polynomial_is_degenerate_input(
     assert capsys.readouterr().err.startswith("degenerate input: ")
 
 
-def _graph_file(tmp_path, field="quaternion"):
-    """A genus-2 gluing graph of one generated pants and its mirror."""
+def _graph_file(tmp_path, field="quaternion",
+                edges=((0, 0, 1, 1), (0, 1, 1, 0), (0, 2, 1, 2)),
+                twist=(1.0, 0.0, 0.0, 0.0)):
+    """A genus-2 gluing graph of one generated pants and its mirror, the
+    twist (t, psi, xi1, xi2) on every edge, each kappa pinned to the
+    frame of its edge's first-named pants."""
     path = _generate(tmp_path, field=field)
     space, A, B = sz.pair_from_json(sz.loads(path.read_text()))
-    from loxpairs.twistbend import identity_params, pants_groups
-    g1, = pants_groups(space, [(A, B)])
-    edges = [(0, 0, 1, 1), (0, 1, 1, 0), (0, 2, 1, 2)]
-    kappas = [identity_params(g1.frames[e[1]]) for e in edges]
+    from loxpairs.twistbend import TwistBendParams, pants_groups
+    pairs = [(A, B), (B.inverse(), A.inverse())]
+    pants = pants_groups(space, pairs)
+    kappas = [TwistBendParams(*twist, *pants[i].frames[si].points)
+              for i, si, _, _ in edges]
     gpath = tmp_path / "graph.json"
-    gpath.write_text(sz.dumps(sz.graph_to_json(
-        space, [(A, B), (B.inverse(), A.inverse())], edges, kappas)))
+    gpath.write_text(sz.dumps(sz.graph_to_json(space, pairs, list(edges),
+                                               kappas)))
     return gpath
 
 
@@ -259,6 +264,20 @@ def test_assemble_command(tmp_path, capsys):
     assert obj["genus"] == 2
     assert obj["parameter_count"] == 72
     assert obj["relation_residual"] < 1e-6
+
+
+def test_assemble_missing_the_relation_exit_3(tmp_path, capsys):
+    # two edges written from pants 1: the commutator word follows the
+    # other handle orientation, so the relation misses by far more than
+    # RELATION_TOL, and nothing is written
+    gpath = _graph_file(tmp_path, field="complex",
+                        edges=((1, 1, 0, 0), (0, 1, 1, 0), (1, 2, 0, 2)),
+                        twist=(1.2, 0.3, 0.1, -0.2))
+    code = main(["assemble", "--in", str(gpath)])
+    captured = capsys.readouterr()
+    assert code == 3 and not captured.out
+    assert captured.err.startswith(
+        "verification failed: surface relation residual ")
 
 
 @pytest.mark.parametrize("field", ["quaternion", "complex"])

@@ -264,7 +264,8 @@ for m in pkgutil.iter_modules(loxpairs.__path__):
     importlib.import_module("loxpairs." + m.name)
 import numpy as np
 from loxpairs import cli
-from loxpairs.classify import boundary_quadruple_congruence, conjugacy_test
+from loxpairs.classify import (boundary_quadruple_congruence, conjugacy_test,
+                               invariant_map_rank)
 from loxpairs.generate import generate_pair
 from loxpairs.hermitian import HermitianSpace
 from loxpairs.qmatrix import QArray, conjugate_by
@@ -279,6 +280,7 @@ zs = [f.F.column(i) for f in eigen_frame(space, QArray.stack([A, B]))
 assert boundary_quadruple_congruence(space, zs, [U @ z for z in zs]) \
     is not None
 assert not conjugacy_test(space, A, B, A2, B2).conjugate
+assert invariant_map_rank(space, A, B)[0] > 0
 with tempfile.TemporaryDirectory() as tmp:
     pair = os.path.join(tmp, "pair.json")
     assert cli.main(["generate", "--seed", "1", "--out", pair]) == 0
@@ -291,10 +293,10 @@ print(conjugacy_test(space, A, B, conjugate_by(U, A),
 
 
 def test_no_path_but_the_polish_loads_scipy():
-    # importing every module, a quadruple congruence, a rejection and
-    # the generate and classify commands load no scipy, which costs
-    # about 0.26 s per process; only the conjugator polish (and
-    # invariant_map_rank) imports it.  Checked in a fresh interpreter
+    # importing every module, a quadruple congruence, a rejection, the
+    # rank of the invariant map and the generate and classify commands
+    # load no scipy, which costs about 0.26 s per process; only the
+    # conjugator polish imports it.  Checked in a fresh interpreter
     import loxpairs
     root = str(pathlib.Path(loxpairs.__file__).parents[1])
     out = subprocess.run([sys.executable, "-c", _NO_SCIPY_PATHS % root],

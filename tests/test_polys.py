@@ -40,7 +40,7 @@ def test_polyval_with_derivatives(rng):
 def test_aberth_recovers_prescribed_roots(rng):
     roots = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     coeffs = np.poly(roots)
-    got = np.sort_complex(aberth_roots(coeffs))
+    got = np.sort_complex(aberth_roots(coeffs[None])[0])
     assert np.allclose(got, np.sort_complex(roots), atol=1e-9)
 
 
@@ -48,7 +48,7 @@ def test_aberth_wide_modulus_range():
     # moduli spanning four orders: the residual criterion is relative
     roots = np.array([1e-2, 1e2, 1 + 1j, 1 - 1j, -3.0, 0.5j])
     coeffs = np.poly(roots)
-    got = np.sort_complex(aberth_roots(coeffs))
+    got = np.sort_complex(aberth_roots(coeffs[None])[0])
     assert np.allclose(got, np.sort_complex(roots), rtol=1e-8, atol=1e-10)
 
 
@@ -91,6 +91,9 @@ def _moved_companion_roots(monkeypatch):
 
 
 def test_residual_gate_fails_a_moved_root(monkeypatch, rng):
+    # the failed row comes back NaN; spectral._roots is the one place
+    # that raises for it
+    from loxpairs.spectral import _roots
     C = np.array([np.poly(rng.standard_normal(8) + 1j * rng.standard_normal(8))
                   for _ in range(3)])
     Z = aberth_roots(C)
@@ -99,7 +102,7 @@ def test_residual_gate_fails_a_moved_root(monkeypatch, rng):
     assert np.all(np.isnan(moved[0]))
     assert np.array_equal(moved[1:], Z[1:])
     with pytest.raises(NoConvergence, match="fail the residual gate"):
-        aberth_roots(C[1])
+        _roots(C[1:2])
 
 
 @pytest.mark.parametrize("field", ["complex", "quaternion"])
@@ -118,14 +121,11 @@ def test_eigen_frame_raises_on_a_moved_root(monkeypatch, field):
         eigen_frame(space, As)
 
 
-def test_cluster_roots_merges_double_root():
-    roots = np.array([2.0, 2.0, -1.0, 1j])
-    coeffs = np.poly(roots)
-    centers, mults = cluster_roots(coeffs, aberth_roots(coeffs))
-    pairs = sorted(zip(mults, centers), key=lambda t: -t[0])
-    assert pairs[0][0] == 2
-    assert abs(pairs[0][1] - 2.0) < 1e-6
-    assert sorted(mults) == [1, 1, 2]
+def test_cluster_roots_flags_a_double_root():
+    # one bool per row: the double root at 2 is split, the simple row
+    # is not
+    C = np.array([np.poly([2.0, 2.0, -1.0, 1j]), np.poly([2.0, 3.0, -1.0, 1j])])
+    assert cluster_roots(C, aberth_roots(C)).tolist() == [True, False]
 
 
 @pytest.mark.parametrize("r", [10.0, 130.0, 1000.0])
@@ -136,22 +136,24 @@ def test_palindromic_roots_stay_simple(r):
     th, p1, p2 = 0.7, 0.4, 2.1
     roots = np.array([r * np.exp(1j * th), np.exp(1j * th) / r,
                       np.exp(1j * p1), np.exp(1j * p2)])
-    coeffs = np.real(np.poly(np.concatenate([roots, np.conj(roots)])))
-    _, mults = cluster_roots(coeffs, aberth_roots(coeffs))
-    assert list(mults) == [1] * 8
+    coeffs = np.real(np.poly(np.concatenate([roots, np.conj(roots)])))[None]
+    assert not cluster_roots(coeffs, aberth_roots(coeffs))[0]
 
 
 @pytest.mark.parametrize("coeffs", [[1.0, np.inf, 2.0], [1.0, np.nan, 2.0],
                                     [np.inf, 1.0, 1.0], [0.0, 1.0, 1.0]])
 def test_aberth_rejects_nonfinite_coefficients(coeffs):
-    # the typed error comes before np.roots can raise LinAlgError, and no
-    # RuntimeWarning escapes
+    # the row comes back NaN before np.roots can raise LinAlgError, it
+    # is split from nothing, spectral._roots raises the typed error, and
+    # no RuntimeWarning escapes
+    from loxpairs.spectral import _roots
+    C = np.array([coeffs], dtype=complex)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        Z = aberth_roots(C)
+        assert np.all(np.isnan(Z)) and not cluster_roots(C, Z)[0]
         with pytest.raises(NoConvergence):
-            aberth_roots(np.array(coeffs))
-        with pytest.raises(NoConvergence):
-            cluster_roots(np.array(coeffs), aberth_roots(np.array(coeffs)))
+            _roots(C)
 
 
 def _palindromic(r):
@@ -165,11 +167,11 @@ def _palindromic(r):
 @pytest.mark.parametrize("at", [0, 1, -1])
 @pytest.mark.parametrize("source", ["random", "palindromic"])
 def test_stacked_roots_and_clusters_equal_each_row(rng, source, bad, at):
-    # a stack runs every row on the path of a single polynomial: roots
-    # bit for bit, the same clusters; a row with a non-finite or a zero
-    # leading coefficient comes back as NaN roots and no cluster, where
-    # a single call raises.  The last row has a double root; one random
-    # row has a double root at zero, whose companion matrix is smaller.
+    # a stack runs every row as a stack of one would: roots bit for
+    # bit, the same split test; a row with a non-finite or a zero
+    # leading coefficient comes back as NaN roots and not split.  The
+    # last row has a double root; one random row has a double root at
+    # zero, whose companion matrix is smaller.
     if source == "random":
         rows = [np.poly(rng.standard_normal(8) + 1j * rng.standard_normal(8))
                 for _ in range(6)]
@@ -182,32 +184,27 @@ def test_stacked_roots_and_clusters_equal_each_row(rng, source, bad, at):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         Z = aberth_roots(C)
-        centers, mults = cluster_roots(C, Z)
-    assert Z.shape == mults.shape == centers.shape == (len(C), 8)
-    for i, c in enumerate(C):
-        if i == at % len(C):
-            with pytest.raises(NoConvergence):
-                aberth_roots(c)
-            assert np.all(np.isnan(Z[i])) and not np.any(mults[i])
-            continue
+        split = cluster_roots(C, Z)
+    assert Z.shape == (len(C), 8) and split.shape == (len(C),)
+    for i, c in enumerate(C[:, None]):
         z = aberth_roots(c)
-        assert np.array_equal(Z[i], z)
-        cen, mu = cluster_roots(c, z)
-        keep = mults[i] > 0
-        assert np.array_equal(mults[i, keep], mu)
-        assert np.array_equal(centers[i, keep], cen)
-        assert np.all(np.isnan(centers[i, ~keep]))
+        assert np.array_equal(Z[i], z[0], equal_nan=True)
+        assert split[i] == cluster_roots(c, z)[0]
+        if i == at % len(C):
+            assert np.all(np.isnan(Z[i])) and not split[i]
 
 
 def test_resultant_vanishes_on_shared_root():
     p = np.poly([1.0, 2.0])
     q = np.poly([2.0, 5.0])
     r = np.poly([3.0, 5.0])
-    assert abs(resultant(p, q)) < 1e-10
-    assert abs(resultant(p, r)) > 1e-6
+    res = resultant(np.array([p, p]), np.array([q, r]))
+    assert abs(res[0]) < 1e-10 and abs(res[1]) > 1e-6
 
 
 def test_discriminant_sign():
     # distinct real roots vs a genuinely repeated root
-    assert abs(discriminant(np.poly([1.0, 1.0]))) < 1e-12
-    assert abs(discriminant(np.poly([1.0, 2.0, 3.0]))) > 1e-9
+    assert abs(discriminant(np.poly([1.0, 1.0])[None])[0]) < 1e-12
+    disc = discriminant(np.array([np.poly([1.0, 2.0, 3.0]),
+                                  np.poly([1.0, 1.0, 3.0])]))
+    assert abs(disc[0]) > 1e-9 and abs(disc[1]) < 1e-12
