@@ -330,27 +330,34 @@ def conjugacy_test(space: HermitianSpace, A: QArray, B: QArray,
 
 # -- quadruples of boundary points -----------------------------------------
 
-def _extend_basis(space: HermitianSpace, S: QArray) -> QArray:
-    """The columns of S followed by an H-orthonormal basis of the
-    complement of their span, as one square matrix; the complement must
-    be positive definite."""
-    k = S.shape[1]
+def _quadruple_bases(space: HermitianSpace, S: QArray) -> QArray:
+    """Square bases [Zb, Wb] for the stack S = [Z, W] (2, dim, k) of two
+    quadruples: for k > dim the spanning columns of Z, as chosen for
+    congruence_from_tuples, and the same of W; S for k = dim; else S and
+    an H-orthonormal basis of the positive complement of its span, by one
+    Gram-Schmidt that takes a projector column where it passes on both."""
+    dim, k = S.shape[-2:]
+    if k > dim:
+        return S.pick(Ellipsis, _spanning_subset(S.pick(0), dim))
+    if k == dim:
+        return S
     # column i is e_i - S M^-1 b with M = S^* H S and b = S^* H e_i
-    R = QArray.eye(space.dim) - S @ (
+    R = QArray.eye(dim) - S @ (
         space.gram(S).inverse() @ (S.adjoint() @ QArray(space.H)))
-    B = QArray.zeros((space.dim, space.dim))
-    B.a[:, :k], B.b[:, :k] = S.a, S.b
-    for i in range(space.dim):
-        v = R.column(i)
-        for j in range(S.shape[1], k):
-            v = v - B.column(j) * space.inner(v, B.column(j))
-        nrm = space.norm_sq(v)
-        if nrm <= 1e-8:
+    B = QArray.zeros(S.shape[:-1] + (dim,))
+    B.a[..., :k], B.b[..., :k] = S.a, S.b
+    for i in range(dim):
+        v = R.pick(Ellipsis, i)
+        for j in range(S.shape[-1], k):
+            u = B.pick(Ellipsis, j)
+            v = v - u * space.inner(v, u).pick(Ellipsis, None)
+        nrm = space.inner(v, v).a.real
+        if np.any(nrm <= 1e-8):
             continue
-        v = v.scale(1.0 / np.sqrt(nrm))
-        B.a[:, k], B.b[:, k] = v.a, v.b
+        v = v.scale(1.0 / np.sqrt(nrm)[..., None])
+        B.a[..., k], B.b[..., k] = v.a, v.b
         k += 1
-        if k == space.dim:
+        if k == dim:
             return B
     raise DegenerateInputError("could not extend to a full basis")
 
@@ -366,21 +373,19 @@ def boundary_quadruple_congruence(space: HermitianSpace, zs: List[QArray],
         raise WrongDimension(f"need 4 vectors of length {space.dim}, got "
                              f"{Z.shape[2]} of length {Z.shape[1]}")
     N, _, G = _normalize_quadruple(space, Z)
-    (Zn, Wn), (Gz, Gw) = (N.pick(0), N.pick(1)), (G.pick(0), G.pick(1))
     upper = ([0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3])     # i < j
-    mu = gauge(space.field, Gz.pick(*upper), Gw.pick(*upper), QUADRUPLE_TOL)
+    mu = gauge(space.field, G.pick(0, *upper), G.pick(1, *upper),
+               QUADRUPLE_TOL)
     if mu is None:
         return None
-    Wt = Wn * mu
-
-    if np.any(quaternionic_rank(QArray.stack([Zn, Wt]))
-              != min(4, space.n + 1)):
+    # S = [Zn, Wn mu], one stack from the rank check to the bases
+    S = QArray.stack([N.pick(0), N.pick(1) * mu])
+    if np.any(quaternionic_rank(S) != min(4, space.dim)):
         raise DegenerateInputError(
             "quadruple does not span a rank-4 subspace")
-    Zb, Wb = Zn, Wt
-    if space.n + 1 > 4:
-        Zb, Wb = _extend_basis(space, Zn), _extend_basis(space, Wt)
-    return _verified_congruence(space, Zb, Wb, Zn, Wt, QUADRUPLE_TOL)
+    bases = _quadruple_bases(space, S)
+    return _verified_congruence(space, bases.pick(0), bases.pick(1),
+                                S.pick(0), S.pick(1), QUADRUPLE_TOL)
 
 
 # -- numerical rank of the invariant map -----------------------------------

@@ -2,8 +2,8 @@
 
 Spectra are sampled away from the degenerate strata: radii in
 [0.2, 0.9], eigenvalue classes separated in (Re, modulus), and (in the
-quaternionic case) angles bounded away from the real axis, so the root
-clustering downstream stays stable.
+quaternionic case) angles bounded away from the real axis, so no two
+characteristic roots downstream read as one split multiple root.
 
 An element is built as A = Q E Q^-1 from its spectrum E and an isometry
 Q, so its frame is known without an eigen-solve: `random_loxodromic`

@@ -174,9 +174,6 @@ class QArray:
     def max_abs(self) -> float:
         return float(np.sqrt(np.max(np.abs(self.a) ** 2 + np.abs(self.b) ** 2)))
 
-    def allclose(self, other: "QArray", tol: float = 1e-10) -> bool:
-        return (self - other).max_abs() <= tol
-
 
 def conjugate_by(C: QArray, A: QArray) -> QArray:
     """C A C^-1."""

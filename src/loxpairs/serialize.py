@@ -103,10 +103,8 @@ def invariant_tuple_to_json(t: InvariantTuple) -> dict:
 
 def kappa_to_json(kappa: TwistBendParams) -> dict:
     return {"t": float(kappa.t), "psi": float(kappa.psi),
-            "xi": [float(kappa.xi1), float(kappa.xi2)],
-            "k": [projective_to_json(kappa.k1),
-                  projective_to_json(kappa.k2),
-                  projective_to_json(kappa.k3)]}
+            "xi": list(map(float, kappa.xi)),
+            "k": [projective_to_json(p) for p in kappa.k]}
 
 
 def kappa_from_json(obj) -> TwistBendParams:
@@ -117,14 +115,13 @@ def kappa_from_json(obj) -> TwistBendParams:
 def _kappa(obj) -> TwistBendParams:
     """The parameters of a block that passed the kappa schema."""
     try:
-        k1, k2, k3 = (projective_from_json(p) for p in obj["k"])
-        t, psi, xi1, xi2 = (float(v) for v in
-                            (obj["t"], obj["psi"], *obj["xi"]))
+        k = np.array([projective_from_json(p) for p in obj["k"]])
+        t, psi, *xi = (float(v) for v in (obj["t"], obj["psi"], *obj["xi"]))
         # the schema admits NaN and infinities, and integers too large
         # for a float
-        if not np.all(np.isfinite([t, psi, xi1, xi2])):
+        if not np.all(np.isfinite([t, psi, *xi])):
             raise ValueError("t, psi and xi must be finite")
-        return TwistBendParams(t, psi, xi1, xi2, k1, k2, k3)
+        return TwistBendParams(t, psi, np.array(xi), k)
     except (OverflowError, ValueError) as exc:
         raise ParseError(f"bad twist-bend parameter block: {exc}") from exc
 

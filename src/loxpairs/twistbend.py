@@ -1,10 +1,10 @@
 """Twist-bend deformations and gluing of (0,3) groups.
 
 A twist-bend for a loxodromic A = Q E(r, theta, phi1, phi2) Q^{-1} is
-K = Q E(t, psi, xi1, xi2) Q^{-1}, sharing A's eigenvectors and hence
-commuting with A.  Its ten real parameters are (t, psi, xi1, xi2)
-together with three projective points, which for a twist-bend are
-pinned to those of A and are therefore validated, not free.
+K = Q E(t, psi, xi) Q^{-1}, sharing A's eigenvectors and hence
+commuting with A.  Its ten real parameters kappa = (t, psi, xi, k) hold
+two angles xi and three projective points k, which for a twist-bend
+are pinned to those of A and are therefore validated, not free.
 `twist_bend_element` builds K from kappa and A's frame, and
 `tilde_invariants` reads (X~1, X~2, X~3, A~1, A~3) off a built K.
 
@@ -55,24 +55,20 @@ RELATION_TOL = 1e-4
 
 @dataclass
 class TwistBendParams:
-    """kappa = (t, psi, xi1, xi2, k1, k2, k3); t > 0, angles in [-pi, pi],
-    k_i points on the eigensphere CP^1."""
+    """kappa = (t, psi, xi, k); t > 0, psi and the (2,) xi in [-pi, pi],
+    k the 3 x 2 array of points on CP^1, laid out as a frame's points."""
     t: float
     psi: float
-    xi1: float
-    xi2: float
-    k1: np.ndarray
-    k2: np.ndarray
-    k3: np.ndarray
+    xi: np.ndarray
+    k: np.ndarray
 
     def diagonal(self) -> QArray:
-        return QArray.diag(_class_values(self.t, self.psi,
-                                         np.array([self.xi1, self.xi2])))
+        return QArray.diag(_class_values(self.t, self.psi, self.xi))
 
 
 def identity_params(frame: LoxodromicFrame) -> TwistBendParams:
     """The trivial twist-bend of A's gluing curve (K = identity)."""
-    return TwistBendParams(1.0, 0.0, 0.0, 0.0, *frame.points)
+    return TwistBendParams(1.0, 0.0, np.zeros(2), frame.points)
 
 
 def twist_bend_element(kappa: TwistBendParams,
@@ -83,11 +79,11 @@ def twist_bend_element(kappa: TwistBendParams,
         raise WrongDimension("twist-bends are defined for n = 3 only")
     if kappa.t <= 0:
         raise DegenerateConfiguration("twist-bend needs t > 0")
-    if any(np.shape(p) != (2,) for p in (kappa.k1, kappa.k2, kappa.k3)):
+    if np.shape(kappa.k) != (3, 2):
         raise InconsistentProjectivePoints(
             "twist-bend needs three points of two coordinates each")
-    k = np.array([kappa.k1, kappa.k2, kappa.k3], dtype=complex)
-    if not np.all(np.linalg.norm(k - frame.points, axis=1) <= POINT_TOL):
+    if not np.all(np.linalg.norm(kappa.k - frame.points, axis=1)
+                  <= POINT_TOL):
         raise InconsistentProjectivePoints(
             "twist-bend projective points do not agree with the frame")
     F, Finv = frame.F, frame.F.inverse()

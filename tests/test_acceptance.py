@@ -335,8 +335,8 @@ def test_criterion_8_twist_bend():
         rng = np.random.default_rng(60_000 + i)
         k0 = identity_params(fa)
         kap = TwistBendParams(float(np.exp(rng.uniform(-0.5, 0.5))),
-                              rng.uniform(-1, 1), rng.uniform(-1, 1),
-                              rng.uniform(-1, 1), k0.k1, k0.k2, k0.k3)
+                              rng.uniform(-1, 1), rng.uniform(-1, 1, 2),
+                              k0.k)
         K = twist_bend_element(kap, fa)
         Amat = fa.rebuild()
         worst_commute = max(
@@ -349,8 +349,7 @@ def test_criterion_8_twist_bend():
             det_fail += 1
         # separation: a visibly different twist produces visibly
         # different tilde invariants, so matching invariants force K = K'
-        kap2 = TwistBendParams(kap.t * 1.01, kap.psi + 0.01, kap.xi1,
-                               kap.xi2, k0.k1, k0.k2, k0.k3)
+        kap2 = TwistBendParams(kap.t * 1.01, kap.psi + 0.01, kap.xi, k0.k)
         v1 = tilde_invariants(QSPACE, K, fa, fb, fc)
         v2 = tilde_invariants(QSPACE, twist_bend_element(kap2, fa),
                               fa, fb, fc)

@@ -156,7 +156,7 @@ def test_twist_bend_command(tmp_path, capsys):
     from loxpairs.spectral import eigen_frame
     from loxpairs.twistbend import TwistBendParams, identity_params
     k0 = identity_params(eigen_frame(space, A))
-    kap = TwistBendParams(1.1, 0.2, 0.3, -0.1, k0.k1, k0.k2, k0.k3)
+    kap = TwistBendParams(1.1, 0.2, np.array([0.3, -0.1]), k0.k)
     kpath = tmp_path / "kappa.json"
     kpath.write_text(sz.dumps(sz.kappa_to_json(kap)))
     code, out = _run(capsys, "twist-bend", "--in", str(path),
@@ -248,7 +248,9 @@ def _graph_file(tmp_path, field="quaternion",
     from loxpairs.twistbend import TwistBendParams, pants_groups
     pairs = [(A, B), (B.inverse(), A.inverse())]
     pants = pants_groups(space, pairs)
-    kappas = [TwistBendParams(*twist, *pants[i].frames[si].points)
+    t, psi, *xi = twist
+    kappas = [TwistBendParams(t, psi, np.array(xi),
+                              pants[i].frames[si].points)
               for i, si, _, _ in edges]
     gpath = tmp_path / "graph.json"
     gpath.write_text(sz.dumps(sz.graph_to_json(space, pairs, list(edges),

@@ -71,6 +71,18 @@ def test_classes_separated_matches_the_pairwise_loop(rng):
         assert _classes_separated(lams) == loop(lams)
 
 
+def test_no_separated_draw_raises(space, rng, monkeypatch):
+    # every draw of classes that never separate is rejected, and the
+    # sampler gives up with a typed error
+    draws = []
+    monkeypatch.setattr(generate, "_classes_separated",
+                        lambda lams: draws.append(lams) and False)
+    with pytest.raises(LoxpairsError,
+                       match="could not sample a regular spectrum"):
+        random_spectrum(space, rng)
+    assert draws
+
+
 def test_random_loxodromic_frame(space, rng):
     A, f = random_loxodromic(space, rng)
     assert f.radius < 1.0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import hconj, hmul, hunit
-from loxpairs.errors import WrongDimension, WrongField
+from loxpairs.errors import DegenerateInputError, WrongDimension, WrongField
 from loxpairs.hermitian import HermitianSpace, form_matrix, gauge
 from loxpairs.qmatrix import QArray
 
@@ -115,6 +115,19 @@ def test_bergman_distance_positive(qspace, rng):
     w = qspace.random_negative_vector(rng)
     assert qspace.bergman_distance(z, w) > 0
     assert np.isclose(qspace.bergman_distance(z, z), 0, atol=1e-6)
+
+
+@pytest.mark.parametrize("kind", ["null", "positive"])
+def test_bergman_distance_of_a_vector_not_negative_raises(qspace, rng,
+                                                          kind):
+    z = qspace.random_negative_vector(rng)
+    w = QArray(np.eye(4)[0 if kind == "null" else 1])
+    with pytest.raises(DegenerateInputError,
+                       match="distance needs negative vectors"):
+        qspace.bergman_distance(z, w)
+    with pytest.raises(DegenerateInputError,
+                       match="distance needs negative vectors"):
+        qspace.bergman_distance(w, z)
 
 
 def test_isometries_preserve_bergman_distance(qspace, rng):

@@ -125,6 +125,59 @@ def test_decide_layers_are_entered():
     assert not missing, f"layers no decide op entered: {missing}"
 
 
+QUADRUPLES = sorted(name for name, where in HOME_OF.items()
+                    if "quadruples" in where)
+
+
+def test_quadruples_layers_are_entered():
+    # a congruent and a perturbed pair of quadruples per n and field, as
+    # the quadruples workload draws them, must enter every layer HOME
+    # lists for quadruples; inner is reached only through the completion
+    # of the bases at n >= 4
+    import sys
+
+    from loxpairs.classify import boundary_quadruple_congruence
+    from loxpairs.hermitian import HermitianSpace
+    from loxpairs.qmatrix import QArray
+    assert {"hermitian.inner", "quat.align_sp1",
+            "classify.boundary_quadruple_congruence"} <= set(QUADRUPLES)
+    rng = np.random.default_rng(5)
+
+    def null_point(space):
+        z = space._random_qarray(rng, space.dim)
+        z.a[-1], z.b[-1] = 1.0, 0.0
+        mid = np.sum(np.abs(z.a[1:-1]) ** 2 + np.abs(z.b[1:-1]) ** 2)
+        z.a[0] = -mid / 2.0 + 1j * z.a[0].imag
+        return z
+
+    cases = []
+    for n in (3, 4, 5):
+        for field in ("complex", "quaternion"):
+            space = HermitianSpace(n, field)
+            zs = [null_point(space) for _ in range(4)]
+            U = space.random_isometry(rng)
+            ws = [U @ z for z in zs]
+            cases += [(space, zs, ws, True),
+                      (space, zs, ws[:3] + [null_point(space)], False)]
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    found = []
+    sys.setprofile(profile)
+    try:
+        for space, zs, ws, _ in cases:
+            found.append(boundary_quadruple_congruence(space, zs, ws))
+    finally:
+        sys.setprofile(None)
+    assert [isinstance(h, QArray) for h in found] \
+        == [case[-1] for case in cases]
+    missing = [name for name in QUADRUPLES if _code(name) not in entered]
+    assert not missing, f"layers no quadruples op entered: {missing}"
+
+
 def _method_args(path: pathlib.Path, cls: str, name: str):
     """The positional parameter names of method name of class cls, and
     whether it takes *args."""

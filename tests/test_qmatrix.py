@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import as_matrix, hinv
-from loxpairs.errors import DegenerateInputError
+from loxpairs.errors import DegenerateInputError, LoxpairsError
 from loxpairs.hermitian import HermitianSpace
 from loxpairs.qmatrix import (QArray, conjugate_by,
                               quaternionic_rank)
@@ -22,6 +22,16 @@ def test_product_matches_embedding(rng):
 def test_adjoint_matches_embedding(rng):
     A = _random_qarray(rng, (4, 4))
     assert np.allclose(A.adjoint().embed(), A.embed().conj().T)
+
+
+def test_components_of_two_shapes_raise():
+    with pytest.raises(LoxpairsError, match="component shapes differ"):
+        QArray(np.zeros(3), np.zeros(4))
+
+
+def test_adjoint_of_a_vector_raises(rng):
+    with pytest.raises(LoxpairsError, match="adjoint needs a matrix"):
+        _random_qarray(rng, 4).adjoint()
 
 
 def test_embed_round_trip(rng):

@@ -41,12 +41,13 @@ def test_invariant_tuple_round_trip(qspace, qpair):
 def test_kappa_round_trip(qframes):
     fa, _ = qframes
     k0 = identity_params(fa)
-    kap = TwistBendParams(1.25, -0.3, 0.5, 0.7, k0.k1, k0.k2, k0.k3)
+    kap = TwistBendParams(1.25, -0.3, np.array([0.5, 0.7]), k0.k)
     obj = sz.kappa_to_json(kap)
     sz.validate_against_schema(obj, "kappa")
     kap2 = sz.kappa_from_json(sz.loads(sz.dumps(obj)))
-    assert (kap2.t, kap2.psi, kap2.xi1, kap2.xi2) == (1.25, -0.3, 0.5, 0.7)
-    assert np.array_equal(kap.k1, kap2.k1)
+    assert (kap2.t, kap2.psi, *kap2.xi) == (1.25, -0.3, 0.5, 0.7)
+    assert kap2.xi.shape == (2,) and kap2.k.shape == (3, 2)
+    assert np.array_equal(kap.k, kap2.k)
 
 
 def test_graph_round_trip(qspace, qpair, qframes):
@@ -165,7 +166,7 @@ def _documents(space, pair, frames):
     A, B = pair
     fa, fb = frames
     k0 = identity_params(fa)
-    kap = TwistBendParams(1.25, -0.3, 0.5, 0.7, k0.k1, k0.k2, k0.k3)
+    kap = TwistBendParams(1.25, -0.3, np.array([0.5, 0.7]), k0.k)
     _, _, t = pair_stage(space, fa, fb)
     return {"pair": sz.pair_to_json(space, A, B),
             "kappa": sz.kappa_to_json(kap),

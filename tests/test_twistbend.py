@@ -27,9 +27,8 @@ def _pants(space, seed):
     raise RuntimeError("no pants seed found")
 
 
-def _twisted(kappa0, t=1.3, psi=0.4, xi1=0.2, xi2=-0.7):
-    return TwistBendParams(t, psi, xi1, xi2,
-                           kappa0.k1, kappa0.k2, kappa0.k3)
+def _twisted(kappa0, t=1.3, psi=0.4, xi=(0.2, -0.7)):
+    return TwistBendParams(t, psi, np.array(xi), kappa0.k)
 
 
 @pytest.fixture(scope="module")
@@ -63,9 +62,9 @@ def test_twist_bend_spectrum(qframes):
 def test_inconsistent_points_rejected(qframes):
     fa, _ = qframes
     kap = identity_params(fa)
-    bad = TwistBendParams(kap.t, kap.psi, kap.xi1, kap.xi2,
-                          np.array([1.0, 0.0]), kap.k2, kap.k3)
-    if np.linalg.norm(bad.k1 - kap.k1) < 1e-3:
+    bad = TwistBendParams(kap.t, kap.psi, kap.xi,
+                          np.vstack([[1.0, 0.0], kap.k[1:]]))
+    if np.linalg.norm(bad.k[0] - kap.k[0]) < 1e-3:
         pytest.skip("frame point happens to sit at the pole")
     with pytest.raises(InconsistentProjectivePoints):
         twist_bend_element(bad, fa)
@@ -74,10 +73,20 @@ def test_inconsistent_points_rejected(qframes):
 @pytest.mark.parametrize("k1", [np.array([1.0]), np.array([1.0, 0.0, 0.0]),
                                 np.array([[1.0, 0.0]])])
 def test_points_of_another_shape_rejected(qframes, k1):
+    # three points, each of k1's shape
     fa, _ = qframes
     kap = identity_params(fa)
-    bad = TwistBendParams(kap.t, kap.psi, kap.xi1, kap.xi2, k1, kap.k2,
-                          kap.k3)
+    bad = TwistBendParams(kap.t, kap.psi, kap.xi, np.stack([k1] * 3))
+    with pytest.raises(InconsistentProjectivePoints,
+                       match="three points of two coordinates"):
+        twist_bend_element(bad, fa)
+
+
+@pytest.mark.parametrize("rows", [slice(2), [0, 1, 2, 0]])
+def test_another_number_of_points_rejected(qframes, rows):
+    fa, _ = qframes
+    kap = identity_params(fa)
+    bad = TwistBendParams(kap.t, kap.psi, kap.xi, kap.k[rows])
     with pytest.raises(InconsistentProjectivePoints,
                        match="three points of two coordinates"):
         twist_bend_element(bad, fa)
@@ -96,7 +105,8 @@ def test_wrong_dimension_rejected(rng):
     f = eigen_frame(space, random_loxodromic(space, rng)[0])
     p = np.array([1.0, 0.0])
     with pytest.raises(WrongDimension):
-        twist_bend_element(TwistBendParams(1.0, 0.0, 0.0, 0.0, p, p, p), f)
+        twist_bend_element(TwistBendParams(1.0, 0.0, np.zeros(2),
+                                           np.array([p, p, p])), f)
 
 
 def test_tilde_invariants_conjugation_invariant(qpants, rng):
@@ -202,6 +212,20 @@ def test_assemble_identity_twists(qpants):
     assert rep.relation_residual < 1e-6
 
 
+def test_tree_walk_rejects_a_boundary_mismatch(qpants, monkeypatch):
+    # a twist that does not commute with its curve moves the far pants'
+    # boundary off the inverse of the near one's, and the walk stops
+    from loxpairs import twistbend
+    space = qpants.space
+    pants, edges = _two_pants_graph(space, qpants)
+    U = space.random_isometry(np.random.default_rng(5))
+    monkeypatch.setattr(twistbend, "twist_bend_element",
+                        lambda kappa, frame: U)
+    kappas = [identity_params(pants[e[0]].frames[e[1]]) for e in edges]
+    with pytest.raises(DegenerateInputError, match="boundary mismatch"):
+        assemble_surface_representation(space, pants, edges, kappas)
+
+
 def test_assemble_twisted(qpants):
     space = qpants.space
     pants, edges = _two_pants_graph(space, qpants)
@@ -209,7 +233,7 @@ def test_assemble_twisted(qpants):
     for i, e in enumerate(edges):
         k0 = identity_params(pants[e[0]].frames[e[1]])
         kappas.append(_twisted(k0, t=1.0 + 0.1 * i, psi=0.2 * i,
-                               xi1=0.1, xi2=-0.2))
+                               xi=(0.1, -0.2)))
     rep = assemble_surface_representation(space, pants, edges, kappas)
     assert rep.genus == 2
     assert rep.relation_residual < 1e-6
@@ -236,7 +260,7 @@ def test_assemble_gates_the_relation_residual():
     pants, _ = _two_pants_graph(space, _pants(space, 0))
     edges = [(1, 1, 0, 0), (0, 1, 1, 0), (1, 2, 0, 2)]
     kappas = [_twisted(identity_params(pants[i].frames[si]), t=1.2,
-                       psi=0.3, xi1=0.1, xi2=-0.2) for i, si, _, _ in edges]
+                       psi=0.3, xi=(0.1, -0.2)) for i, si, _, _ in edges]
     with pytest.raises(VerificationFailed,
                        match="surface relation residual .* exceeds 1e-04"):
         assemble_surface_representation(space, pants, edges, kappas)
@@ -463,8 +487,8 @@ def _word_traces(space, pants, edges):
     assembly of pants, twisted by (1.2, 0.3, 0.1, -0.2) on every edge
     with the kappa points pinned to the frames of the first-named
     pants."""
-    kappas = [TwistBendParams(1.2, 0.3, 0.1, -0.2,
-                              *pants[i].frames[si].points)
+    kappas = [TwistBendParams(1.2, 0.3, np.array([0.1, -0.2]),
+                              pants[i].frames[si].points)
               for i, si, _, _ in edges]
     gens = assemble_surface_representation(space, pants, edges,
                                            kappas).generators
