@@ -335,7 +335,8 @@ def _quadruple_bases(space: HermitianSpace, S: QArray) -> QArray:
     quadruples: for k > dim the spanning columns of Z, as chosen for
     congruence_from_tuples, and the same of W; S for k = dim; else S and
     an H-orthonormal basis of the positive complement of its span, by one
-    Gram-Schmidt that takes a projector column where it passes on both."""
+    stacked Gram-Schmidt that keeps a column count per quadruple, so each
+    takes the projector columns that pass on it."""
     dim, k = S.shape[-2:]
     if k > dim:
         return S.pick(Ellipsis, _spanning_subset(S.pick(0), dim))
@@ -346,18 +347,20 @@ def _quadruple_bases(space: HermitianSpace, S: QArray) -> QArray:
         space.gram(S).inverse() @ (S.adjoint() @ QArray(space.H)))
     B = QArray.zeros(S.shape[:-1] + (dim,))
     B.a[..., :k], B.b[..., :k] = S.a, S.b
+    filled = np.full(S.shape[0], k)
     for i in range(dim):
         v = R.pick(Ellipsis, i)
-        for j in range(S.shape[-1], k):
+        # a column past a quadruple's count is still 0 and removes nothing
+        for j in range(k, filled.max()):
             u = B.pick(Ellipsis, j)
             v = v - u * space.inner(v, u).pick(Ellipsis, None)
         nrm = space.inner(v, v).a.real
-        if np.any(nrm <= 1e-8):
-            continue
-        v = v.scale(1.0 / np.sqrt(nrm)[..., None])
-        B.a[..., k], B.b[..., k] = v.a, v.b
-        k += 1
-        if k == dim:
+        take = np.flatnonzero((nrm > 1e-8) & (filled < dim))
+        v = v.scale(1.0 / np.sqrt(np.where(nrm > 1e-8, nrm, 1.0))[..., None])
+        B.a[take, :, filled[take]] = v.a[take]
+        B.b[take, :, filled[take]] = v.b[take]
+        filled[take] += 1
+        if np.all(filled == dim):
             return B
     raise DegenerateInputError("could not extend to a full basis")
 

@@ -8,6 +8,7 @@ from loxpairs.genericity import genericity_report
 from loxpairs.gram import normalize_lifts
 from loxpairs.hermitian import HermitianSpace
 from loxpairs.invariants import pair_invariants
+from loxpairs.qmatrix import QArray, quaternionic_rank
 from loxpairs.spectral import eigen_frame
 
 
@@ -43,6 +44,22 @@ def pair_stage(space, fa, fb, anchor="standard"):
     tuples = normalize_lifts(space, reps, anchor)
     invs = pair_invariants(space, [fa], [fb], reps, tuples)
     return reps[0], tuples[0], invs[0]
+
+
+def null_lift(space, rng) -> QArray:
+    """A random null vector (w1, .., wn, 1) with 2 Re(w1) = -sum |w_i|^2."""
+    z = space._random_qarray(rng, space.dim)
+    z.a[-1], z.b[-1] = 1.0, 0.0
+    mid = float(np.sum(np.abs(z.a[1:-1]) ** 2 + np.abs(z.b[1:-1]) ** 2))
+    z.a[0] = -mid / 2.0 + 1j * z.a[0].imag
+    return z
+
+
+def maps_projectively(space, h, zs, ws) -> bool:
+    """Whether h is an isometry carrying each z onto its w projectively."""
+    return space.is_isometry(h, tol=1e-6 * (1 + h.max_abs()) ** 2) \
+        and all(quaternionic_rank(QArray.from_columns([h @ z, w]),
+                                  tol=1e-6) == 1 for z, w in zip(zs, ws))
 
 
 def hunit(rng) -> np.ndarray:

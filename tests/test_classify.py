@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import maps_projectively, null_lift
 from loxpairs.classify import (_verified_congruence,
                                boundary_quadruple_congruence,
                                congruence_from_tuples, conjugacy_test,
@@ -14,16 +15,6 @@ from loxpairs.errors import (DegenerateInputError, LoxpairsError,
 from loxpairs.generate import generate_pair, random_loxodromic
 from loxpairs.hermitian import HermitianSpace
 from loxpairs.qmatrix import QArray, conjugate_by, quaternionic_rank
-
-
-def _null_lift(space, rng):
-    z = space._random_qarray(rng, space.dim)
-    z.a[-1], z.b[-1] = 1.0, 0.0
-    mid = float(np.sum(np.abs(z.a[1:-1]) ** 2 + np.abs(z.b[1:-1]) ** 2))
-    z.a[0] = -mid / 2.0 + 1j * z.a[0].imag
-    if space.field == "complex":
-        z.b[:] = 0.0
-    return z
 
 
 def test_round_trip(space, rng):
@@ -141,53 +132,47 @@ def test_weak_mode_decides_pair_preserving_a_plane(space, rng):
 
 
 def test_quadruple_congruence(space, rng):
-    for _ in range(5):
-        zs = [_null_lift(space, rng) for _ in range(4)]
-        if quaternionic_rank(QArray.from_columns(zs)) < min(4, space.dim):
-            continue
-        U = space.random_isometry(rng)
-        ws = [U @ z for z in zs]
-        h = boundary_quadruple_congruence(space, zs, ws)
-        assert h is not None
-        assert space.is_isometry(h, tol=1e-6 * (1 + h.max_abs()) ** 2)
-        for z, w in zip(zs, ws):
-            assert quaternionic_rank(QArray.from_columns([h @ z, w]),
-                                     tol=1e-6) == 1
+    # n = 2 too: four lifts in three dimensions, so the basis is three
+    # spanning lifts, and the fourth is checked
+    for sp in (space, HermitianSpace(2, space.field)):
+        for _ in range(5):
+            zs = [null_lift(sp, rng) for _ in range(4)]
+            if quaternionic_rank(QArray.from_columns(zs)) < min(4, sp.dim):
+                continue
+            U = sp.random_isometry(rng)
+            ws = [U @ z for z in zs]
+            h = boundary_quadruple_congruence(sp, zs, ws)
+            assert h is not None and maps_projectively(sp, h, zs, ws)
 
 
 def test_quadruple_congruence_rescaled_lifts(qspace, rng):
-    zs = [_null_lift(qspace, rng) for _ in range(4)]
+    zs = [null_lift(qspace, rng) for _ in range(4)]
     U = qspace.random_isometry(rng)
     ws = []
     for z in zs:
         u = QArray.from_components(rng.standard_normal(4))
         ws.append((U @ z) * u.scale(1.0 / u.moduli()))
     h = boundary_quadruple_congruence(qspace, zs, ws)
-    assert h is not None
-    for z, w in zip(zs, ws):
-        assert quaternionic_rank(QArray.from_columns([h @ z, w]),
-                                 tol=1e-6) == 1
+    assert h is not None and maps_projectively(qspace, h, zs, ws)
 
 
 def test_quadruple_congruence_rejects_perturbed(space, rng):
-    zs = [_null_lift(space, rng) for _ in range(4)]
-    U = space.random_isometry(rng)
-    ws = [U @ z for z in zs]
-    bad = _null_lift(space, rng)
-    assert boundary_quadruple_congruence(space, zs, ws[:3] + [bad]) is None
+    for sp in (space, HermitianSpace(2, space.field)):
+        zs = [null_lift(sp, rng) for _ in range(4)]
+        U = sp.random_isometry(rng)
+        ws = [U @ z for z in zs]
+        bad = null_lift(sp, rng)
+        assert boundary_quadruple_congruence(sp, zs, ws[:3] + [bad]) is None
 
 
 def test_quadruple_congruence_higher_dimension(rng):
     # n = 4 exercises the orthogonal-complement extension of the map
     space = HermitianSpace(4, "quaternion")
-    zs = [_null_lift(space, rng) for _ in range(4)]
+    zs = [null_lift(space, rng) for _ in range(4)]
     U = space.random_isometry(rng)
     ws = [U @ z for z in zs]
     h = boundary_quadruple_congruence(space, zs, ws)
-    assert h is not None
-    for z, w in zip(zs, ws):
-        assert quaternionic_rank(QArray.from_columns([h @ z, w]),
-                                 tol=1e-6) == 1
+    assert h is not None and maps_projectively(space, h, zs, ws)
 
 
 def _vec(coords):
@@ -214,48 +199,18 @@ def test_quadruple_on_one_complex_line_raises(space):
         boundary_quadruple_congruence(space, zs, zs)
 
 
-def _maps_projectively(space, h, zs, ws):
-    """Whether h is an isometry carrying each z onto its w projectively."""
-    return space.is_isometry(h, tol=1e-6 * (1 + h.max_abs()) ** 2) \
-        and all(quaternionic_rank(QArray.from_columns([h @ z, w]),
-                                  tol=1e-6) == 1 for z, w in zip(zs, ws))
-
-
-@pytest.mark.parametrize("field", ["complex", "quaternion"])
-def test_quadruple_congruence_in_the_plane(field, rng):
-    # n = 2: four lifts in three dimensions, so the basis is three
-    # spanning lifts, and the fourth is checked
-    space = HermitianSpace(2, field)
-    for _ in range(5):
-        zs = [_null_lift(space, rng) for _ in range(4)]
-        U = space.random_isometry(rng)
-        ws = [U @ z for z in zs]
-        h = boundary_quadruple_congruence(space, zs, ws)
-        assert h is not None and _maps_projectively(space, h, zs, ws)
-
-
-@pytest.mark.parametrize("field", ["complex", "quaternion"])
-def test_quadruple_congruence_in_the_plane_rejects_perturbed(field, rng):
-    space = HermitianSpace(2, field)
-    for _ in range(5):
-        zs = [_null_lift(space, rng) for _ in range(4)]
-        U = space.random_isometry(rng)
-        ws = [U @ z for z in zs[:3]] + [_null_lift(space, rng)]
-        assert boundary_quadruple_congruence(space, zs, ws) is None
-
-
 @pytest.mark.parametrize("field", ["complex", "quaternion"])
 def test_quadruple_in_the_plane_with_three_points_on_a_chain(field, rng):
     # (1, 0, i s) lie on the chain of e1 and e3, so the first three lifts
     # span only rank 2; the fourth, off the chain, completes the basis
     space = HermitianSpace(2, field)
     zs = [_vec([1, 0, 1j * s]) for s in (0.5, 2.0, -1.5)] \
-        + [_null_lift(space, rng)]
+        + [null_lift(space, rng)]
     assert quaternionic_rank(QArray.from_columns(zs[:3])) == 2
     U = space.random_isometry(rng)
     ws = [U @ z for z in zs]
     h = boundary_quadruple_congruence(space, zs, ws)
-    assert h is not None and _maps_projectively(space, h, zs, ws)
+    assert h is not None and maps_projectively(space, h, zs, ws)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -267,7 +222,7 @@ def test_quadruple_bases_come_from_one_stacked_call(n, field, rng,
     shapes, bases = [], classify._quadruple_bases
     monkeypatch.setattr(classify, "_quadruple_bases", lambda space, S: (
         shapes.append(S.shape), bases(space, S))[1])
-    zs = [_null_lift(space, rng) for _ in range(4)]
+    zs = [null_lift(space, rng) for _ in range(4)]
     U = space.random_isometry(rng)
     assert boundary_quadruple_congruence(space, zs, [U @ z for z in zs]) \
         is not None
@@ -279,15 +234,40 @@ def test_quadruple_bases_come_from_one_stacked_call(n, field, rng,
 def test_quadruple_through_e1_skips_a_vanishing_projector_column(
         n, slot, field, rng):
     # e1 lies in the span of the first quadruple, so the first column of
-    # its complement projector vanishes, and the completion of both
-    # bases goes on to the next column
+    # its complement projector vanishes, and its completion goes on to
+    # the next column
     space = HermitianSpace(n, field)
-    zs = [_null_lift(space, rng) for _ in range(4)]
+    zs = [null_lift(space, rng) for _ in range(4)]
     zs[slot] = _vec(np.eye(space.dim)[0])
     U = space.random_isometry(rng)
     ws = [U @ z for z in zs]
     h = boundary_quadruple_congruence(space, zs, ws)
-    assert h is not None and _maps_projectively(space, h, zs, ws)
+    assert h is not None and maps_projectively(space, h, zs, ws)
+
+
+@pytest.mark.parametrize("field", ["complex", "quaternion"])
+@pytest.mark.parametrize("n", [4, 5])
+def test_quadruple_congruence_across_a_coordinate_swap(n, field, rng):
+    # the first quadruple lies in a coordinate sub-ball, its complement
+    # the first n - 3 middle axes; a swap of middle coordinates, an
+    # isometry, moves the second's complement to other axes, so the two
+    # completions take different projector columns
+    space = HermitianSpace(n, field)
+    off = list(range(1, n - 2))
+    keep = [0] + list(range(n - 2, n + 1))
+    zs = []
+    for _ in range(4):
+        small = null_lift(HermitianSpace(3, field), rng)
+        a, b = np.zeros((2, space.dim), dtype=complex)
+        a[keep], b[keep] = small.a, small.b
+        zs.append(QArray(a, b))
+    swap = [i + n - 3 for i in off]
+    perm = np.arange(space.dim)
+    perm[off + swap] = swap + off
+    U = QArray(np.eye(space.dim)[perm].astype(complex))
+    ws = [U @ z for z in zs]
+    h = boundary_quadruple_congruence(space, zs, ws)
+    assert h is not None and maps_projectively(space, h, zs, ws)
 
 
 @pytest.mark.parametrize("wrong", ["image", "pair"])
@@ -619,7 +599,7 @@ def test_pair_stage_scalars_are_zero_dim_qarrays(rng):
                 res = conjugacy_test(space, A, B, conjugate_by(C, A),
                                      conjugate_by(Q, B), mode=mode)
                 assert not res.conjugate and res.stage == "tuple"
-            zs = [_null_lift(space, rng) for _ in range(4)]
+            zs = [null_lift(space, rng) for _ in range(4)]
             ws = [C @ z for z in zs]
             assert boundary_quadruple_congruence(space, zs, ws) is not None
 
@@ -883,14 +863,14 @@ def test_pairs_of_different_sizes_raise_a_typed_error():
 
 
 def test_quadruple_with_a_vector_of_another_length_is_typed(space, rng):
-    zs = [_null_lift(space, rng) for _ in range(4)]
-    ws = zs[:3] + [_null_lift(HermitianSpace(4, space.field), rng)]
+    zs = [null_lift(space, rng) for _ in range(4)]
+    ws = zs[:3] + [null_lift(HermitianSpace(4, space.field), rng)]
     with pytest.raises(LoxpairsError, match="shapes differ"):
         boundary_quadruple_congruence(space, zs, ws)
 
 
 def test_quadruple_of_another_space_raises_wrong_dimension(space, rng):
-    zs = [_null_lift(space, rng) for _ in range(4)]
+    zs = [null_lift(space, rng) for _ in range(4)]
     with pytest.raises(WrongDimension):
         boundary_quadruple_congruence(HermitianSpace(4, space.field), zs, zs)
 

@@ -16,6 +16,8 @@ import pathlib
 import numpy as np
 import pytest
 
+from conftest import null_lift
+
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "benchmark"
 
 
@@ -143,22 +145,15 @@ def test_quadruples_layers_are_entered():
             "classify.boundary_quadruple_congruence"} <= set(QUADRUPLES)
     rng = np.random.default_rng(5)
 
-    def null_point(space):
-        z = space._random_qarray(rng, space.dim)
-        z.a[-1], z.b[-1] = 1.0, 0.0
-        mid = np.sum(np.abs(z.a[1:-1]) ** 2 + np.abs(z.b[1:-1]) ** 2)
-        z.a[0] = -mid / 2.0 + 1j * z.a[0].imag
-        return z
-
     cases = []
     for n in (3, 4, 5):
         for field in ("complex", "quaternion"):
             space = HermitianSpace(n, field)
-            zs = [null_point(space) for _ in range(4)]
+            zs = [null_lift(space, rng) for _ in range(4)]
             U = space.random_isometry(rng)
             ws = [U @ z for z in zs]
             cases += [(space, zs, ws, True),
-                      (space, zs, ws[:3] + [null_point(space)], False)]
+                      (space, zs, ws[:3] + [null_lift(space, rng)], False)]
     entered = set()
 
     def profile(frame, event, arg):
