@@ -9,13 +9,19 @@ raises ParseError on anything but a finite dim x dim x 4 array.
 
 Every parser (pair_from_json, kappa_from_json, graph_from_json) first
 checks its document against its schema under schemas/, so what the
-schema says is checked once, there.  Each schema's validator is built
-once per process, with its local `#/$defs/` references resolved at load
-(_validator); that the files are valid schemas is a test's job.  Its
-`items` keyword checks a plain array of numbers or of such arrays, as
-the matrices are, with one precompiled predicate over the whole array;
-when the predicate fails, the stock `items` runs, so every error is
-jsonschema's own.
+schema says is checked once, there.  Each schema is loaded once per
+process, on first use, with its local `#/$defs/` references inlined
+(_schema), and compiled into one predicate over the whole document
+(_compile), which knows the few keywords the schema files use.  A
+document the predicate accepts is valid, and jsonschema is never
+imported for it.  Only a document it rejects goes to jsonschema's stock
+validator (_validator), which decides, and words the error, so every
+message is jsonschema's own.  That the files are valid schemas is a
+test's job.
+
+dumps writes what json.dumps(obj, indent=2, sort_keys=True) does, plus
+a newline, byte for byte, through one recursive writer (_write); json's
+indent path runs its pure-Python encoder.
 """
 
 import json
@@ -150,7 +156,66 @@ def graph_from_json(obj):
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """json.dumps(obj, indent=2, sort_keys=True) + "\n", written by _write."""
+    return _write(obj, "") + "\n"
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float(x: float) -> str:
+    text = float.__repr__(x)
+    return _NONFINITE.get(text, text)
+
+
+def _write(obj, pad: str) -> str:
+    """obj as json.dumps(obj, indent=2, sort_keys=True) writes it, its
+    inner lines indented by pad plus two spaces: floats and ints through
+    float.__repr__ and int.__repr__, strings through json's own ASCII
+    escaper.  Containers are tested first, as they are most of a
+    payload; no value is of two of the types, and bools come before
+    ints, so the order changes no output.  Keys must be strings, where
+    json.dumps also writes int, float, bool and None keys."""
+    inner = pad + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        sep = ",\n" + inner
+        if all(type(x) is float for x in obj):
+            # a row of floats in one join; only NaN and the infinities
+            # put an "n" in a float's repr
+            body = sep.join(map(float.__repr__, obj))
+            if "n" in body:
+                body = sep.join(map(_float, obj))
+        else:
+            body = sep.join([_write(x, inner) for x in obj])
+        return "[\n" + inner + body + "\n" + pad + "]"
+    if isinstance(obj, float):
+        return _float(obj)
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = []
+        for key, value in sorted(obj.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not "
+                                f"{key.__class__.__name__}")
+            items.append(_encode_str(key) + ": " + _write(value, inner))
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad \
+            + "}"
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    raise TypeError(f"Object of type {obj.__class__.__name__} "
+                    f"is not JSON serializable")
 
 
 def loads(text):
@@ -181,77 +246,133 @@ def _inline_refs(node, defs: dict):
     return node
 
 
+_DRAFT = "https://json-schema.org/draft/2020-12/schema"
+_ANNOTATIONS = frozenset(("$schema", "title", "$defs"))
+# the keywords _compile knows besides "type", by the type they need;
+# "enum" stands alone
+_KEYWORDS = {
+    None: frozenset(("enum",)),
+    "object": frozenset(("properties", "required", "additionalProperties")),
+    "array": frozenset(("items", "prefixItems", "minItems", "maxItems")),
+    "number": frozenset(("minimum", "exclusiveMinimum")),
+    "integer": frozenset(("minimum", "exclusiveMinimum")),
+}
 _NUMBERS = frozenset((int, float))        # a bool is no number
 
 
-def _plain(schema):
-    """A predicate true only of instances that pass schema, if schema is
-    plain: {"type": "number"}, or {"type": "array"} with a plain "items"
-    and at most "minItems" and "maxItems" besides; else None.  A
-    subclass of int, float or list fails the predicate, where the stock
-    validator may still accept it."""
-    if schema == {"type": "number"}:
-        return lambda x: type(x) in _NUMBERS
-    if not isinstance(schema, dict) or schema.get("type") != "array" \
-            or not schema.keys() <= {"type", "items", "minItems",
-                                     "maxItems"}:
+def _is_number(x) -> bool:
+    return type(x) in _NUMBERS
+
+
+def _is_integer(x) -> bool:
+    return type(x) is int                 # 3.0 is left to jsonschema
+
+
+def _compile(node):
+    """A predicate true only of instances that pass node, a draft
+    2020-12 schema with no $ref, or None if node uses a keyword not in
+    _KEYWORDS or without its type, or is empty.  It may reject what the
+    schema accepts: a subclass of dict, list, int, float or str, an
+    integer-valued float as an integer, NaN against a bound."""
+    if not isinstance(node, dict):
         return None
-    lo, hi = schema.get("minItems", 0), schema.get("maxItems", float("inf"))
-    if schema.get("items") == {"type": "number"}:
-        # the types of a whole row in one call, no predicate per entry
-        return lambda x: type(x) is list and lo <= len(x) <= hi \
-            and _NUMBERS.issuperset(map(type, x))
-    each = _plain(schema.get("items"))
+    kind = node.get("type")
+    known = _KEYWORDS.get(kind) if kind is None or type(kind) is str \
+        else None
+    if known is None or not node.keys() - _ANNOTATIONS - {"type"} <= known:
+        return None
+    if kind == "object":
+        return _object(node)
+    if kind == "array":
+        return _array(node)
+    if kind is not None:
+        return _number(node, _is_number if kind == "number"
+                       else _is_integer)
+    names = node.get("enum", ())
+    if not names or not all(type(v) is str for v in names):
+        return None
+    names = frozenset(names)
+    return lambda x: type(x) is str and x in names
+
+
+def _object(node):
+    if node.get("additionalProperties", False) is not False:
+        return None
+    props = {k: _compile(v) for k, v in node.get("properties", {}).items()}
+    if None in props.values():
+        return None
+    closed = "additionalProperties" in node
+    names, required = frozenset(props), frozenset(node.get("required", ()))
+    pairs = tuple(props.items())
+    return lambda x: type(x) is dict and x.keys() >= required \
+        and (not closed or x.keys() <= names) \
+        and all(check(x[k]) for k, check in pairs if k in x)
+
+
+def _array(node):
+    head = [_compile(s) for s in node.get("prefixItems", ())]
+    each = _compile(node["items"]) if "items" in node else None
+    if None in head or each is None and "items" in node:
+        return None
+    lo, hi = node.get("minItems", 0), node.get("maxItems", float("inf"))
     if each is None:
-        return None
+        rest = None
+    elif each is _is_number:
+        def rest(x):
+            # the types of a whole row in one call, no predicate per entry
+            return _NUMBERS.issuperset(map(type, x))
+    else:
+        def rest(x):
+            return all(map(each, x))
+    if not head and rest is not None:
+        return lambda x: type(x) is list and lo <= len(x) <= hi and rest(x)
+    k = len(head)
     return lambda x: type(x) is list and lo <= len(x) <= hi \
-        and all(map(each, x))
+        and all(check(v) for check, v in zip(head, x)) \
+        and (rest is None or rest(x[k:]))
 
 
-def _plain_items(node, found: dict) -> dict:
-    """found, with a predicate (_plain) for every plain subschema of
-    node, keyed by its id."""
-    if isinstance(node, dict):
-        check = _plain(node)
-        if check is not None:
-            found[id(node)] = check
-        for v in node.values():
-            _plain_items(v, found)
-    elif isinstance(node, list):
-        for v in node:
-            _plain_items(v, found)
-    return found
+def _number(node, base):
+    if not node.keys() & {"minimum", "exclusiveMinimum"}:
+        return base
+    lo = node.get("minimum", -float("inf"))
+    above = node.get("exclusiveMinimum", -float("inf"))
+    return lambda x: base(x) and x >= lo and x > above
+
+
+@lru_cache(maxsize=None)
+def _schema(name: str) -> dict:
+    """The schema file, its local references inlined, so that a check
+    walks a plain tree and makes no registry lookup."""
+    ref = resources.files("loxpairs") / "schemas" / f"{name}.json"
+    schema = json.loads(ref.read_text())
+    return _inline_refs(schema, schema.get("$defs", {}))
+
+
+@lru_cache(maxsize=None)
+def _predicate(name: str):
+    """The schema compiled by _compile, built on first use; None if it
+    does not compile, or is not draft 2020-12."""
+    schema = _schema(name)
+    return _compile(schema) if schema.get("$schema") == _DRAFT else None
 
 
 @lru_cache(maxsize=None)
 def _validator(name: str):
-    """The schema's validator, built once, on a copy of the schema with
-    its local references inlined, so that validation walks a plain tree
-    and makes no registry lookup.  Its `items` checks an array against
-    a plain subschema (_plain) with one predicate, and defers to the
-    stock `items` when the subschema is not plain or the predicate
-    fails.  A predicate that holds for every entry holds for those after
-    any prefixItems, which are all the stock `items` reads."""
+    """jsonschema's stock validator on the inlined schema, built when
+    the first document fails its predicate."""
     import jsonschema
-    ref = resources.files("loxpairs") / "schemas" / f"{name}.json"
-    schema = json.loads(ref.read_text())
-    cls = jsonschema.validators.validator_for(schema)
-    schema = _inline_refs(schema, schema.get("$defs", {}))
-    # the ids stay valid: the validator holds the schema for good
-    checks = _plain_items(schema, {})
-    stock = cls.VALIDATORS["items"]
-
-    def items(validator, sub, instance, parent):
-        check = checks.get(id(sub))
-        if check is None \
-                or not (type(instance) is list and all(map(check, instance))):
-            yield from stock(validator, sub, instance, parent)
-
-    return jsonschema.validators.extend(cls, {"items": items})(schema)
+    schema = _schema(name)
+    return jsonschema.validators.validator_for(schema)(schema)
 
 
 def validate_against_schema(obj, name: str):
-    """Raise ParseError with the error jsonschema.validate would report."""
+    """Raise ParseError with the error jsonschema.validate would report.
+    A document its predicate accepts is valid; only one it rejects loads
+    jsonschema, to decide and to word the error."""
+    check = _predicate(name)
+    if check is not None and check(obj):
+        return
     from jsonschema.exceptions import best_match
     error = best_match(_validator(name).iter_errors(obj))
     if error is not None:

@@ -1,9 +1,15 @@
 import copy
 import json
+import math
+import pathlib
+import subprocess
+import sys
 from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import pair_stage
 from loxpairs import serialize as sz
@@ -176,8 +182,10 @@ def _documents(space, pair, frames):
             "invariant_tuple": sz.invariant_tuple_to_json(t)}
 
 
-# wrong types, a bool for a number, a float for an integer
-_BAD_VALUES = ("x", True, None, 1.5, {}, [])
+# wrong types, a bool for a number, a float for an integer, an
+# integer-valued float, which draft 2020-12 counts as an integer, and a
+# zero below every bound
+_BAD_VALUES = ("x", True, None, 1.5, 3.0, 0, {}, [])
 
 
 def _set(doc, path, value):
@@ -220,11 +228,16 @@ def _malformed(doc):
 @pytest.mark.parametrize("name", SCHEMAS)
 def test_resolved_validator_reports_what_the_raw_schema_reports(
         name, qspace, qpair, qframes):
+    # a document the predicate accepts skips jsonschema, so the raw
+    # schema must accept it too; every rejection carries jsonschema's
+    # message, and the inlined validator reports the raw schema's path
     import jsonschema
     from jsonschema.exceptions import best_match
     doc = _documents(qspace, qpair, qframes)[name]
     schema = _schema_file(name)
     raw = jsonschema.validators.validator_for(schema)(schema)
+    check = sz._predicate(name)
+    assert check(doc)
     sz.validate_against_schema(doc, name)
     rejected = 0
     for bad in _malformed(doc):
@@ -233,6 +246,7 @@ def test_resolved_validator_reports_what_the_raw_schema_reports(
             sz.validate_against_schema(bad, name)
             continue
         rejected += 1
+        assert not check(bad)
         with pytest.raises(ParseError) as exc:
             sz.validate_against_schema(bad, name)
         assert str(exc.value) == (f"{name} does not match its schema: "
@@ -242,12 +256,96 @@ def test_resolved_validator_reports_what_the_raw_schema_reports(
     assert rejected > 50
 
 
+@pytest.mark.parametrize("name,path,value,valid", [
+    ("pair", ("space", "n"), 3.0, True),
+    ("graph", ("space", "n"), 3.0, True),
+    ("kappa", ("t",), True, False),
+    ("graph", ("edges", 0, 4, "t"), True, False),
+], ids=["pair-n-3.0", "graph-n-3.0", "kappa-t-true", "graph-t-true"])
+def test_predicate_leaves_the_edge_cases_to_jsonschema(
+        name, path, value, valid, qspace, qpair, qframes):
+    # n = 3.0 is an integer under draft 2020-12, and t = true no number:
+    # the predicate rejects both, and jsonschema decides
+    doc = _set(_documents(qspace, qpair, qframes)[name], path, value)
+    assert not sz._predicate(name)(doc)
+    if valid:
+        sz.validate_against_schema(doc, name)
+    else:
+        with pytest.raises(ParseError, match="is not of type 'number'"):
+            sz.validate_against_schema(doc, name)
+
+
+@pytest.mark.parametrize("name", SCHEMAS)
+def test_every_shipped_schema_compiles(name):
+    assert sz._predicate(name) is not None
+
+
+@pytest.mark.parametrize("schema", [
+    {"type": "object", "properties": {"s": {"pattern": "^a"}}},
+    {"type": "array", "items": {"type": "string", "pattern": "^a"}},
+    {"type": "array", "items": {"$ref": "#/$defs/x"}},
+    {"type": ["number", "null"]},
+    {"type": "number", "maxItems": 2},
+    {"type": "object", "additionalProperties": {"type": "number"}},
+    {"enum": [1, 2]},
+    {"type": "number", "enum": ["a"]},
+    {},
+    True,
+], ids=["pattern", "nested-pattern", "ref", "type-list",
+        "keyword-of-another-type", "additional-schema", "number-enum",
+        "typed-enum", "empty", "boolean-schema"])
+def test_schemas_beyond_the_known_keywords_compile_to_none(schema):
+    assert sz._compile(schema) is None
+
+
+_HEAD_AND_TAIL = {"type": "array", "prefixItems": [{"type": "integer"}],
+                  "items": {"type": "number"}, "maxItems": 3}
+_OPEN_OBJECT = {"type": "object", "properties": {"a": {"type": "number"}},
+                "required": ["a"]}
+
+
+@pytest.mark.parametrize("schema,value,holds", [
+    (_HEAD_AND_TAIL, [], True),
+    (_HEAD_AND_TAIL, [1, 2.5, 3], True),
+    (_HEAD_AND_TAIL, [1, "x"], False),
+    (_HEAD_AND_TAIL, ["x", 2.5], False),
+    (_HEAD_AND_TAIL, [1, 2.5, 3, 4], False),
+    (_HEAD_AND_TAIL, [1.0], False),           # jsonschema accepts it
+    (_OPEN_OBJECT, {"a": 1, "b": "x"}, True),
+    (_OPEN_OBJECT, {"a": "x"}, False),
+    (_OPEN_OBJECT, {"b": 1}, False),
+    ({"type": "integer", "minimum": 2}, 2, True),
+    ({"type": "integer", "minimum": 2}, 1, False),
+    ({"type": "number", "exclusiveMinimum": 0}, 0, False),
+    ({"type": "number", "exclusiveMinimum": 0}, 1e-300, True),
+    ({"enum": ["a", "b"]}, "b", True),
+    ({"enum": ["a", "b"]}, "c", False),
+])
+def test_predicate_of_a_schema_the_files_do_not_hold(schema, value, holds):
+    # shapes no shipped schema has: a tail after prefixItems, an open
+    # object; what the predicate accepts, jsonschema accepts
+    import jsonschema
+    schema = {"$schema": sz._DRAFT, **schema}
+    assert sz._compile(schema)(value) is holds
+    if holds:
+        jsonschema.validate(value, schema)
+
+
 def test_validator_is_built_once_per_schema(qspace, qpair, qframes):
+    # valid documents build the predicate once and never the validator;
+    # the first invalid document builds the validator, and only it
     doc = _documents(qspace, qpair, qframes)["graph"]
+    sz._predicate.cache_clear()
     sz._validator.cache_clear()
     for _ in range(3):
         sz.validate_against_schema(doc, "graph")
-    assert sz._validator.cache_info().misses <= 1
+    assert sz._predicate.cache_info().misses == 1
+    assert sz._validator.cache_info().currsize == 0
+    for _ in range(2):
+        with pytest.raises(ParseError):
+            sz.validate_against_schema({**doc, "extra": 0}, "graph")
+    assert sz._predicate.cache_info().misses == 1
+    assert sz._validator.cache_info().misses == 1
 
 
 # entries for a number array: a bool, non-numbers, nested arrays, and
@@ -288,9 +386,9 @@ def _edits(doc, arrays):
 @pytest.mark.parametrize("name", ["pair", "kappa", "graph"])
 def test_plain_array_check_reports_what_the_raw_schema_reports(
         name, qspace, qpair, qframes):
-    # the plain-array predicate must accept and reject what jsonschema
-    # does, at any position in any number array, with jsonschema's
-    # message and path
+    # at any position in any number array, the predicate accepts only
+    # what jsonschema accepts, and an edit either passes or fails with
+    # jsonschema's message and path
     import jsonschema
     from jsonschema.exceptions import best_match
     doc = sz.loads(sz.dumps(_documents(qspace, qpair, qframes)[name]))
@@ -306,10 +404,12 @@ def test_plain_array_check_reports_what_the_raw_schema_reports(
         inner = {id(q) for m in mats for row in m for q in row}
         ends = {id(q) for m in mats for q in (m[0][0], m[-1][-1])}
         arrays = [a for a in arrays if id(a) not in inner or id(a) in ends]
+    check = sz._predicate(name)
     outcomes = set()
     for bad in _edits(doc, arrays):
         error = best_match(raw.iter_errors(bad))
         mine = best_match(sz._validator(name).iter_errors(bad))
+        assert error is None or not check(bad)
         try:
             sz.validate_against_schema(bad, name)
             got = None
@@ -326,35 +426,122 @@ def test_plain_array_check_reports_what_the_raw_schema_reports(
     sz.validate_against_schema(doc, name)
 
 
-def test_valid_graph_never_reaches_the_stock_items_on_numbers(
-        monkeypatch, qspace, qpair, qframes):
-    # the stock `items` runs only for arrays whose items are not plain:
-    # the pants objects, the integer nodes and the mixed edges; every
-    # matrix, xi and projective point goes through one predicate
+_NO_JSONSCHEMA_PATHS = """
+import contextlib, io, json, os, sys, tempfile
+sys.path.insert(0, %r)
+import numpy as np
+from loxpairs import cli, serialize as sz
+from loxpairs.spectral import eigen_frame
+from loxpairs.twistbend import TwistBendParams, identity_params, pants_groups
+
+with tempfile.TemporaryDirectory() as tmp:
+    def path(name):
+        return os.path.join(tmp, name)
+
+    def run(*argv):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main([*argv, "--out", path("out.json")])
+        return code, err.getvalue().strip()
+
+    def read(name):
+        with open(path(name)) as fh:
+            return sz.loads(fh.read())
+
+    def write(name, obj):
+        with open(path(name), "w") as fh:
+            fh.write(sz.dumps(obj))
+        return path(name)
+
+    assert run("generate", "--seed", "7", "--mode", "strong") == (0, "")
+    os.replace(path("out.json"), path("pair.json"))
+    assert run("generate", "--seed", "8") == (0, "")
+    os.replace(path("out.json"), path("other.json"))
+    space, A, B = sz.pair_from_json(read("pair.json"))
+    kappa = sz.kappa_to_json(TwistBendParams(
+        1.1, 0.2, np.array([0.3, -0.1]),
+        identity_params(eigen_frame(space, A)).k))
+    edges = [(0, 0, 1, 1), (0, 1, 1, 0), (0, 2, 1, 2)]
+    pairs = [(A, B), (B.inverse(), A.inverse())]
+    pants = pants_groups(space, pairs)
+    graph = sz.graph_to_json(space, pairs, edges, [
+        identity_params(pants[i].frames[si]) for i, si, _, _ in edges])
+    pair, kpath, gpath = path("pair.json"), write("kappa.json", kappa), \
+        write("graph.json", graph)
+    for argv in (["classify", "--in", pair], ["invariants", "--in", pair],
+                 ["conjugacy-test", "--in", pair, "--in", path("other.json")],
+                 ["twist-bend", "--in", pair, "--in", kpath],
+                 ["assemble", "--in", gpath]):
+        assert run(*argv) == (0, ""), argv
+    sz.pair_from_json(read("pair.json"))
+    sz.kappa_from_json(read("kappa.json"))
+    sz.graph_from_json(read("graph.json"))
+    print(sorted(k for k in sys.modules if k.split(".")[0] == "jsonschema"))
+    write("bad.json", {**read("pair.json"), "extra": 0})
+    print(json.dumps(run("classify", "--in", path("bad.json"))))
+"""
+
+
+def test_valid_files_never_load_jsonschema():
+    # the six commands on valid files and the three parsers on valid
+    # documents decide by the predicates alone, in a fresh interpreter;
+    # an invalid pair file still exits 2 with jsonschema's message
     import jsonschema
-    doc = _documents(qspace, qpair, qframes)["graph"]
-    cls = jsonschema.validators.validator_for(_schema_file("graph"))
-    stock = cls.VALIDATORS["items"]
-    seen = []
+    import loxpairs
+    root = str(pathlib.Path(loxpairs.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", _NO_JSONSCHEMA_PATHS % root],
+                         check=True, capture_output=True,
+                         text=True).stdout.splitlines()
+    schema = _schema_file("pair")
+    error = jsonschema.validators.validator_for(schema)(schema).iter_errors(
+        {"extra": 0})
+    message = next(e.message for e in error if e.validator
+                   == "additionalProperties")
+    assert out == ["[]", json.dumps(
+        [2, f"degenerate input: pair does not match its schema: "
+            f"{message}"])]
 
-    def spy(validator, items, instance, schema):
-        seen.append(items)
-        return stock(validator, items, instance, schema)
 
-    monkeypatch.setitem(cls.VALIDATORS, "items", spy)
-    sz._validator.cache_clear()
-    try:
-        # rebuilt here, with the spy as its stock `items`
-        sz.validate_against_schema(doc, "graph")
-    finally:
-        sz._validator.cache_clear()
-    assert seen
-    assert not [s for s in seen if s.get("type") in ("number", "array")
-                and "prefixItems" not in s]
+# what json.loads returns: lone surrogates among the characters, and
+# integers and floats of any size
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(st.characters(exclude_categories=())),
+    lambda inner: st.lists(inner) | st.dictionaries(
+        st.text(st.characters(exclude_categories=())), inner),
+    max_leaves=40)
+
+
+@given(_JSON_VALUES)
+@example(float("nan"))
+@example([float("inf"), -float("inf"), -0.0, 1e308, 5e-324])
+@example(10 ** 100)
+@example([True, 1.0, 2, False, -(10 ** 30), 0.5])
+@example({"\u00e9\x00\n": "\ud800\x1f\u2028 \"\\", "": []})
+@example([[], {}, [[]], {"a": {}}, [[[1.0, float("nan")]]]])
+def test_dumps_writes_what_json_writes(value):
+    assert sz.dumps(value) \
+        == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def test_dumps_writes_tuples_and_float_subclasses_as_json_does():
+    value = {"t": (np.float64(0.1), np.float64(math.inf), (1, "x"))}
+    assert sz.dumps(value) \
+        == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("value", [object(), {1, 2}, [np.float32(1.0)],
+                                   {"a": b"x"}, np.int64(3)],
+                         ids=["object", "set", "float32", "bytes", "int64"])
+def test_dumps_rejects_what_json_rejects(value):
+    with pytest.raises(TypeError):
+        json.dumps(value)
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        sz.dumps(value)
 
 
 @pytest.mark.parametrize("name", SCHEMAS)
 def test_no_schema_reads_item_annotations(name):
-    # the plain-array predicate records no annotations, which
-    # unevaluatedItems would read
+    # the predicate records no annotations, which unevaluatedItems
+    # would read; _compile does not know the keyword
     assert "unevaluatedItems" not in json.dumps(_schema_file(name))
